@@ -118,7 +118,7 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 	if len(dup) != cfg.Points.N() {
 		t.Fatalf("dup table has %d slots, want %d", len(dup), cfg.Points.N())
 	}
-	counts, err := rs.PartialCounts(context.Background(), geometry.EpochFrozen, 0, cfg.Cell.MinRadius, 10, true)
+	counts, err := rs.PartialCounts(context.Background(), geometry.EpochFrozen, 0, cfg.Cell.MinRadius, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestDaemonPreloadedCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs2.Close()
-	a, err := rs.PartialCounts(context.Background(), geometry.EpochFrozen, 2, 4*grid.RadiusUnit(), 50, false)
+	a, err := rs.PartialCounts(context.Background(), geometry.EpochFrozen, 2, 4*grid.RadiusUnit(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rs2.PartialCounts(context.Background(), geometry.EpochFrozen, 2, 4*grid.RadiusUnit(), 50, false)
+	b, err := rs2.PartialCounts(context.Background(), geometry.EpochFrozen, 2, 4*grid.RadiusUnit(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}

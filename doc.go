@@ -132,13 +132,14 @@
 // The scalable index shards (Options.Shards / DatasetOptions.Shards): the
 // points are partitioned into S shards — by a Z-order space-filling curve,
 // so shards are spatially compact — each holding its own cell index, built
-// in parallel. Every ball count is a sum over data partitions,
-// B_r(x) = Σ_s |{y ∈ shard s : ‖x−y‖ ≤ r}|, so queries are answered by
-// summing exact per-shard partial counts through the same worker pools.
+// in parallel. Every estimated ball count of the L̂ sweep is a sum over
+// data partitions, B̂_r(x) = Σ_s |{y ∈ shard s : y counts toward B̂_r(x)}|,
+// so each ladder level is answered by summing exact per-shard partial
+// counts through the same worker pools.
 // Three facts make sharding invisible to everything above it:
 //
-//   - Whether a member point contributes to a (exact or cell-granularity)
-//     count depends only on its own position and the query point, never on
+//   - Whether a member point contributes to a cell-granularity count
+//     depends only on its own position and the query point, never on
 //     which other points share its shard — so per-shard counts are exact
 //     partial sums, and the estimated L̂ is the same function of the
 //     dataset as the unsharded one. The sensitivity-2 argument of
@@ -147,15 +148,17 @@
 //   - Capping commutes with the partial sums:
 //     min(Σ_s min(B_s, t), t) = min(B, t).
 //   - Every shard is pinned to the global radius ladder, so all shards
-//     (and the unsharded index) resolve a query radius at the same scale.
+//     (and the unsharded index) resolve each ladder level at the same
+//     scale.
 //
 // Consequently sharded releases are bit-identical to unsharded ones under
 // the same seed — a tested guarantee, not an approximation. Shards = 0
 // (the default) is automatic: GOMAXPROCS shards at n ≥ 100,000, unsharded
 // below; any explicit value is clamped to [1, n]. Sum-decomposition across
 // data partitions is also the seam the distributed backend plugs into: a
-// remote shard answering "how many of my points lie within r of these
-// centers" drops into the same summation — see "Remote shards" below.
+// remote shard answering "how many of my points count toward each point's
+// ball at this ladder level" drops into the same summation — see "Remote
+// shards" below.
 //
 // GoodCenter's box-partition loop — one O(n·k) count pass per
 // sparse-vector repetition — runs on a packed-key engine: per-axis cell
@@ -211,11 +214,11 @@
 // shrinking uncovered remainder — only round 1, the full-dataset cost,
 // runs remote; releases are identical either way.
 //
-// Trust boundary: shard servers hold raw data points and answer exact
-// counting queries about them — they sit inside the trust boundary, on
-// the private side of the differential-privacy guarantee, which applies
-// to the released outputs of the client pipeline and not to intra-cluster
-// traffic or server memory. Deploy shard servers in the same trust domain
+// Trust boundary: shard servers hold raw data points and answer
+// non-private counting queries about them — they sit inside the trust
+// boundary, on the private side of the differential-privacy guarantee,
+// which applies to the released outputs of the client pipeline and not to
+// intra-cluster traffic or server memory. Deploy shard servers in the same trust domain
 // as the data owner, and protect the links with the deployment's
 // transport security (TLS/mTLS tunnels or a private network); the wire
 // protocol itself is deliberately plain TCP and does not pretend to add

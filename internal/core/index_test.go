@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"privcluster/internal/geometry"
@@ -70,10 +72,7 @@ func TestGoodRadiusScalableQuality(t *testing.T) {
 	}
 	prm := testParams(t, grid, 3000)
 
-	_, twoApprox, err := cell.TwoApprox(prm.T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	twoApprox := bruteTwoApprox(cell.Frame(), prm.T)
 	good := 0
 	const trials = 8
 	for i := 0; i < trials; i++ {
@@ -84,7 +83,7 @@ func TestGoodRadiusScalableQuality(t *testing.T) {
 		if res.ZeroCluster {
 			t.Fatalf("trial %d: spurious zero cluster", i)
 		}
-		count := cell.MaxCountWithin(res.Radius)
+		count := bruteMaxCountWithin(cell.Frame(), res.Radius)
 		if count < prm.T-int(4*res.Gamma)-100 {
 			t.Errorf("trial %d: best ball at r=%v holds %d points, want ≥ %d",
 				i, res.Radius, count, prm.T-int(4*res.Gamma)-100)
@@ -124,4 +123,39 @@ func TestOneClusterScalableEndToEnd(t *testing.T) {
 		t.Errorf("released ball (c=%v r=%v) misses the planted center %v",
 			res.Ball.Center, res.Ball.Radius, inst.TrueCenter)
 	}
+}
+
+// bruteMaxCountWithin returns max_i B_r(x_i) by direct scans over the
+// frame — the exact, non-private reference the Lemma 3.6 checks need.
+func bruteMaxCountWithin(f *vec.Frame, r float64) int {
+	best := 0
+	for i := 0; i < f.N(); i++ {
+		if c := f.CountWithin(f.Row(i), r); c > best {
+			best = c
+		}
+	}
+	return best
+}
+
+// bruteTwoApprox returns the radius of "known fact 3": the smallest t-th
+// distance from any input point, so r_opt ≤ radius ≤ 2·r_opt. A point is
+// only sorted when it could beat the best radius so far.
+func bruteTwoApprox(f *vec.Frame, t int) float64 {
+	ds := make([]float64, f.N())
+	bestSq := math.Inf(1)
+	for i := 0; i < f.N(); i++ {
+		f.DistSqInto(f.Row(i), ds)
+		within := 0
+		for _, d := range ds {
+			if d < bestSq {
+				within++
+			}
+		}
+		if within < t {
+			continue
+		}
+		slices.Sort(ds)
+		bestSq = ds[t-1]
+	}
+	return math.Sqrt(bestSq)
 }

@@ -6,30 +6,27 @@ import (
 	"privcluster/internal/vec"
 )
 
-// BallIndex is the ball-counting abstraction the 1-cluster pipeline runs
-// on. It answers the queries of Section 3 — B_r(x_i) counts around input
-// points, the t-th smallest distance from a point, the trivial
-// 2-approximation of "known fact 3", and the capped-average step function
-// L(r, S) of Section 3.1 that Algorithm GoodRadius searches.
+// BallIndex is the seam Algorithm GoodRadius runs on. The mechanism reads
+// exactly one statistic of the dataset: the capped-average score L(r, S)
+// of Section 3.1 (sensitivity 2, Lemma 4.5), materialized as a step
+// function of the radius by BuildLStep. N and Frame expose the indexed
+// points to the stages that iterate them (GoodCenter's SVT loop).
 //
 // Three implementations exist:
 //
-//   - DistanceIndex materializes all n² pairwise distances. Every answer is
-//     exact, but memory is Θ(n²) float64s, so it is only viable for n in the
-//     low thousands.
-//   - CellIndex buckets the points into a cell hash (one hash per radius
-//     scale, built lazily) and answers queries by per-cell candidate
-//     pruning: cells entirely inside or outside the query ball are resolved
-//     from their counts alone, and only boundary cells are inspected
-//     point-by-point. Point queries (CountWithin, RadiusForCount,
-//     MaxCountWithin) are exact; TwoApprox, BuildLStep and LValue are
-//     approximate — see the CellIndex documentation for the bounds. Memory
-//     is O(n·d).
-//   - ShardedIndex partitions the points into S shards holding per-shard
-//     CellIndexes (built in parallel) and answers every query by summing
-//     exact per-shard partial counts — bit-identical to a CellIndex over
-//     the same points, with a multi-core build and the seam a distributed
-//     backend plugs into.
+//   - DistanceIndex materializes all n² pairwise distances and builds the
+//     exact L. Memory is Θ(n²) float64s, so it is only viable for n in the
+//     low thousands. It also carries the exact, non-private ball queries
+//     (B_r(x_i) counts, the t-th distance, the "known fact 3"
+//     2-approximation) that baselines and experiments use; those are
+//     methods of the concrete type, not of this interface.
+//   - CellIndex buckets the points into a cell hash per radius scale and
+//     builds an estimate L̂ over a fixed geometric radius ladder, within the
+//     sandwich bounds documented on CellIndex. Memory is O(n·d).
+//   - ShardedIndex partitions the points into S shards — local CellIndexes
+//     or ShardBackends reached over a transport — and sums per-shard capped
+//     partial counts. Its L̂ is bit-identical to a CellIndex over the same
+//     points.
 //
 // Implementations must be safe for concurrent readers.
 type BallIndex interface {
@@ -38,29 +35,12 @@ type BallIndex interface {
 	// Frame returns the indexed point store (not a copy): the flat strided
 	// frame every sweep runs over. Callers must treat it as read-only.
 	Frame() *vec.Frame
-	// CountWithin returns B_r(x_i): the number of input points within
-	// distance r of point i (≥ 1 for r ≥ 0, the point itself).
-	CountWithin(i int, r float64) int
-	// RadiusForCount returns the smallest r such that the ball of radius r
-	// around point i contains at least t input points — the t-th smallest
-	// distance from point i. It returns an error when t is outside [1, n].
-	RadiusForCount(i, t int) (float64, error)
-	// TwoApprox returns the best input-centered ball containing at least t
-	// input points ("known fact 3" of Section 3: its radius is at most
-	// 2·r_opt for exact implementations; approximate implementations
-	// document their extra slack).
-	TwoApprox(t int) (center int, radius float64, err error)
-	// MaxCountWithin returns max_i B_r(x_i), the largest input-centered
-	// ball count at radius r.
-	MaxCountWithin(r float64) int
 	// BuildLStep materializes the capped-average score L(·, S) of
 	// Section 3.1 as a step function of the radius. It is the dominant
 	// per-query preprocessing cost at scale, so it honors ctx: a cancelled
 	// context aborts the sweep promptly and returns ctx.Err(). A nil ctx
 	// means "never cancel".
 	BuildLStep(ctx context.Context, t int) (*LStep, error)
-	// LValue computes L(r, S) directly at a single radius.
-	LValue(r float64, t int) (float64, error)
 }
 
 // The three backends must keep satisfying the interface.

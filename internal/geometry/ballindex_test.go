@@ -1,14 +1,14 @@
 package geometry_test
 
-// Equivalence tests between the two BallIndex backends: the exact Θ(n²)
-// DistanceIndex is the ground truth, and the scalable CellIndex must agree
-// exactly on its exact queries (CountWithin, RadiusForCount,
-// MaxCountWithin) and stay within its documented sandwich/ladder bounds on
-// the approximate ones (TwoApprox, LValue, BuildLStep), both on small
-// random sets and on the clustered workloads the pipeline actually serves.
+// Bounds tests between the two local BallIndex backends: the exact Θ(n²)
+// DistanceIndex is the ground truth, and the scalable CellIndex's L̂ step
+// function must stay within its documented sandwich/ladder bounds, both on
+// small random sets and on the clustered workloads the pipeline actually
+// serves.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +55,11 @@ func bothIndexes(t *testing.T, pts []vec.Vector, grid geometry.Grid) (*geometry.
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := geometry.NewCellIndex(pts, testOpts(grid))
+	f, err := vec.FrameFromVectors(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := geometry.NewCellIndexFrame(f, testOpts(grid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,177 +67,120 @@ func bothIndexes(t *testing.T, pts []vec.Vector, grid geometry.Grid) (*geometry.
 }
 
 func TestCellIndexValidation(t *testing.T) {
-	if _, err := geometry.NewCellIndex(nil, geometry.CellIndexOptions{}); err == nil {
-		t.Error("empty index accepted")
+	if _, err := geometry.NewCellIndexFrame(nil, geometry.CellIndexOptions{}); err == nil {
+		t.Error("nil frame accepted")
 	}
-	if _, err := geometry.NewCellIndex([]vec.Vector{vec.Of(1), vec.Of(1, 2)}, geometry.CellIndexOptions{}); err == nil {
-		t.Error("ragged dims accepted")
+	grid, _ := geometry.NewGrid(1024, 2)
+	_, ix := bothIndexes(t, []vec.Vector{vec.Of(0.5, 0.5)}, grid)
+	for _, bad := range []int{0, 2} {
+		if _, err := ix.BuildLStep(context.Background(), bad); err == nil {
+			t.Errorf("BuildLStep t = %d accepted", bad)
+		}
 	}
-	pts := []vec.Vector{vec.Of(0.5, 0.5)}
-	ix, err := geometry.NewCellIndex(pts, geometry.CellIndexOptions{})
+}
+
+// lEval evaluates the exact L(r, S), failing the test on error.
+func lEval(t *testing.T, ix *geometry.DistanceIndex, r float64, tt int) float64 {
+	t.Helper()
+	v, err := ix.LValue(r, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.RadiusForCount(0, 2); err == nil {
-		t.Error("RadiusForCount t > n accepted")
-	}
-	if _, _, err := ix.TwoApprox(0); err == nil {
-		t.Error("TwoApprox t = 0 accepted")
-	}
-	if _, err := ix.LValue(0.1, 2); err == nil {
-		t.Error("LValue t > n accepted")
-	}
-	if _, err := ix.BuildLStep(context.Background(), 0); err == nil {
-		t.Error("BuildLStep t = 0 accepted")
-	}
+	return v
 }
 
-// The exact queries must agree bit-for-bit with the distance index on small
-// inputs across dimensions (both the packed-block and the occupied-cell
-// scan paths are exercised by the radius spread).
-func TestCellIndexExactQueriesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, d := range []int{1, 2, 3, 5} {
-		pts, grid := clusteredInstance(t, rng, 150+rng.Intn(100), d)
-		exact, cell := bothIndexes(t, pts, grid)
-		n := len(pts)
-		radii := []float64{-1, 0, grid.RadiusUnit() / 2, 0.01, 0.05, 0.11, 0.4, math.Sqrt(float64(d)), 1e6}
-		for trial := 0; trial < 40; trial++ {
-			i := rng.Intn(n)
-			for _, r := range radii {
-				if got, want := cell.CountWithin(i, r), exact.CountWithin(i, r); got != want {
-					t.Fatalf("d=%d: CountWithin(%d, %v) = %d, want %d", d, i, r, got, want)
-				}
-			}
-			tt := 1 + rng.Intn(n)
-			got, err := cell.RadiusForCount(i, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := exact.RadiusForCount(i, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("d=%d: RadiusForCount(%d, %d) = %v, want %v", d, i, tt, got, want)
-			}
-		}
-		for _, r := range radii {
-			if got, want := cell.MaxCountWithin(r), exact.MaxCountWithin(r); got != want {
-				t.Fatalf("d=%d: MaxCountWithin(%v) = %d, want %d", d, r, got, want)
-			}
-		}
-	}
-}
-
-// TwoApprox on the cell index: the ball must really hold ≥ t points, and
-// the radius may exceed the exact TwoApprox radius only by the documented
-// ladder factor ρ (or the resolution floor).
-func TestCellIndexTwoApproxBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, d := range []int{1, 2, 3} {
-		pts, grid := clusteredInstance(t, rng, 300, d)
-		exact, cell := bothIndexes(t, pts, grid)
-		for _, tt := range []int{1, 2, 30, 180, 300} {
-			c, r, err := cell.TwoApprox(tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := exact.CountWithin(c, r); got < tt {
-				t.Fatalf("d=%d t=%d: TwoApprox ball holds %d points", d, tt, got)
-			}
-			_, rExact, err := exact.TwoApprox(tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound := math.Max(grid.RadiusUnit(), testRho*rExact) * (1 + 1e-12)
-			if r > bound {
-				t.Fatalf("d=%d t=%d: TwoApprox radius %v > bound %v (exact %v)", d, tt, r, bound, rExact)
-			}
-		}
-	}
-}
-
-// LValue: sandwiched between the exact L at r−h and r+h.
-func TestCellIndexLValueSandwich(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, d := range []int{1, 2, 3} {
-		pts, grid := clusteredInstance(t, rng, 250, d)
-		exact, cell := bothIndexes(t, pts, grid)
-		n := len(pts)
-		for trial := 0; trial < 25; trial++ {
-			tt := 1 + rng.Intn(n)
-			r := math.Pow(10, -3+3.5*rng.Float64()) // log-uniform in [1e-3, ~3]
-			got, err := cell.LValue(r, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := testH(r, d)
-			lo, err := exact.LValue(r-h, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hi, err := exact.LValue(r+h, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got < lo-1e-9 || got > hi+1e-9 {
-				t.Fatalf("d=%d t=%d: LValue(%v) = %v outside sandwich [%v, %v]", d, tt, r, got, lo, hi)
-			}
-		}
-		// Below the resolution floor the answer is the exact radius-0 value
-		// (grid-quantized inputs have no distances in (0, 2·RadiusUnit)).
-		tt := 2 + rng.Intn(n-2)
-		got, _ := cell.LValue(grid.RadiusUnit()/2, tt)
-		want, _ := exact.LValue(grid.RadiusUnit()/2, tt)
-		if got != want {
-			t.Fatalf("d=%d: sub-resolution LValue = %v, want %v", d, got, want)
-		}
-	}
+// lStepInput is one point set on which the cell index's BuildLStep is
+// checked, at the fixed thresholds ts plus draws uniformly drawn ones.
+type lStepInput struct {
+	seed  int64
+	n, d  int
+	ts    []int
+	draws int
 }
 
 // BuildLStep on the cell index: starts at the exact L(0), stays monotone,
-// saturates at t, and every recorded value respects the sandwich bound at
-// its breakpoint radius.
+// saturates at t, and respects the documented sandwich at its breakpoint
+// radii. Input: a d=2 planted set at fixed t.
 func TestCellIndexBuildLStepBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	pts, grid := clusteredInstance(t, rng, 400, 2)
-	exact, cell := bothIndexes(t, pts, grid)
-	for _, tt := range []int{2, 40, 240, 400} {
-		ls, err := cell.BuildLStep(context.Background(), tt)
-		if err != nil {
-			t.Fatal(err)
+	checkCellLStep(t, []lStepInput{{seed: 14, n: 400, d: 2, ts: []int{2, 40, 240, 400}}})
+}
+
+// The L estimate read off BuildLStep(t).Eval is sandwiched between the exact
+// L at r−h and r+h, and below the resolution floor equals the exact value.
+// Inputs: random-t draws on d ∈ {1, 2, 3}.
+func TestCellIndexLValueSandwich(t *testing.T) {
+	checkCellLStep(t, []lStepInput{
+		{seed: 13, n: 250, d: 1, draws: 4},
+		{seed: 13, n: 250, d: 2, draws: 4},
+		{seed: 13, n: 250, d: 3, draws: 4},
+	})
+}
+
+// checkCellLStep checks BuildLStep on the cell index against the exact
+// index: L(0) exact, monotone, saturating at t, and the documented sandwich
+// — at its breakpoint radii L(r−h) ≤ L̂(r) ≤ L(r+h), and at an arbitrary
+// radius r, which the step holds at the last ladder radius r_j ∈ (r/ρ, r],
+// L(r/ρ − h(r/ρ)) ≤ L̂(r) ≤ L(r + h(r)). Below the resolution floor the
+// value is the exact radius-0 one (grid-quantized inputs have no distances
+// in (0, 2·RadiusUnit)).
+func checkCellLStep(t *testing.T, inputs []lStepInput) {
+	t.Helper()
+	for _, in := range inputs {
+		rng := rand.New(rand.NewSource(in.seed + int64(in.d)))
+		pts, grid := clusteredInstance(t, rng, in.n, in.d)
+		exact, cell := bothIndexes(t, pts, grid)
+		ts := append([]int(nil), in.ts...)
+		for k := 0; k < in.draws; k++ {
+			ts = append(ts, 2+rng.Intn(in.n-1))
 		}
-		want, _ := exact.LValue(0, tt)
-		if got := ls.Eval(0); got != want {
-			t.Fatalf("t=%d: L(0) = %v, want exact %v", tt, got, want)
-		}
-		for i := 1; i < len(ls.Vals); i++ {
-			if ls.Vals[i] < ls.Vals[i-1] {
-				t.Fatalf("t=%d: L not monotone at break %d", tt, i)
+		for _, tt := range ts {
+			tag := fmt.Sprintf("d=%d n=%d t=%d", in.d, in.n, tt)
+			ls, err := cell.BuildLStep(context.Background(), tt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if last := ls.Vals[len(ls.Vals)-1]; last != float64(tt) {
-			t.Fatalf("t=%d: L(∞) = %v, want saturation at t", tt, last)
-		}
-		for i, r := range ls.Breaks {
-			if r == 0 {
-				continue
+			if got, want := ls.Eval(0), lEval(t, exact, 0, tt); got != want {
+				t.Fatalf("%s: L(0) = %v, want exact %v", tag, got, want)
 			}
-			h := testH(r, 2)
-			lo, _ := exact.LValue(r-h, tt)
-			hi, _ := exact.LValue(r+h, tt)
-			// Monotone clipping can only raise a value toward earlier
-			// (smaller-radius) estimates, which are themselves bounded by
-			// their own sandwiches below this one's upper end.
-			if ls.Vals[i] < lo-1e-9 || ls.Vals[i] > hi+1e-9 {
-				t.Fatalf("t=%d: L̂(%v) = %v outside sandwich [%v, %v]", tt, r, ls.Vals[i], lo, hi)
+			if got, want := ls.Eval(grid.RadiusUnit()/2), lEval(t, exact, grid.RadiusUnit()/2, tt); got != want {
+				t.Fatalf("%s: sub-resolution L = %v, want exact %v", tag, got, want)
+			}
+			for i := 1; i < len(ls.Vals); i++ {
+				if ls.Vals[i] < ls.Vals[i-1] {
+					t.Fatalf("%s: L not monotone at break %d", tag, i)
+				}
+			}
+			if last := ls.Vals[len(ls.Vals)-1]; last != float64(tt) {
+				t.Fatalf("%s: L(∞) = %v, want saturation at t", tag, last)
+			}
+			for i, r := range ls.Breaks {
+				if r == 0 {
+					continue
+				}
+				h := testH(r, in.d)
+				// Monotone clipping can only raise a value toward earlier
+				// (smaller-radius) estimates, which are themselves bounded by
+				// their own sandwiches below this one's upper end.
+				lo, hi := lEval(t, exact, r-h, tt), lEval(t, exact, r+h, tt)
+				if ls.Vals[i] < lo-1e-9 || ls.Vals[i] > hi+1e-9 {
+					t.Fatalf("%s: L̂(%v) = %v outside sandwich [%v, %v]", tag, r, ls.Vals[i], lo, hi)
+				}
+			}
+			for k := 0; k < 25; k++ {
+				r := math.Pow(10, -3+3.5*rng.Float64()) // log-uniform in [1e-3, ~3]
+				rj := r / testRho
+				lo := lEval(t, exact, rj-testH(rj, in.d), tt)
+				hi := lEval(t, exact, r+testH(r, in.d), tt)
+				if got := ls.Eval(r); got < lo-1e-9 || got > hi+1e-9 {
+					t.Fatalf("%s: L̂(%v) = %v outside sandwich [%v, %v]", tag, r, got, lo, hi)
+				}
 			}
 		}
 	}
 }
 
-// Duplicate-heavy input: the radius-0 fast paths must fire exactly.
+// Duplicate-heavy input: the radius-0 duplicate table must answer L(0)
+// exactly and saturate the step at once.
 func TestCellIndexDuplicates(t *testing.T) {
 	grid, _ := geometry.NewGrid(1024, 2)
 	pts := make([]vec.Vector, 30)
@@ -241,17 +188,7 @@ func TestCellIndexDuplicates(t *testing.T) {
 		pts[i] = vec.Of(0.5, 0.5)
 	}
 	pts[29] = vec.Of(0.9, 0.9)
-	ix, err := geometry.NewCellIndex(pts, testOpts(grid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, r, err := ix.TwoApprox(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 || !pts[c].Equal(vec.Of(0.5, 0.5)) {
-		t.Fatalf("TwoApprox on duplicates = (%d, %v), want a radius-0 duplicate ball", c, r)
-	}
+	_, ix := bothIndexes(t, pts, grid)
 	ls, err := ix.BuildLStep(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +199,12 @@ func TestCellIndexDuplicates(t *testing.T) {
 	if len(ls.Breaks) != 1 {
 		t.Errorf("expected a single saturated piece, got %d", len(ls.Breaks))
 	}
-	if got := ix.CountWithin(0, 0); got != 29 {
-		t.Errorf("CountWithin(0, 0) = %d, want 29 duplicates", got)
+	// t = n: the 29 duplicates hold 29 each, the outlier 1 → L(0) = 29·29+1 over 30.
+	ls, err = ix.BuildLStep(context.Background(), 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ls.Eval(0), (29.0*29+1)/30; got != want {
+		t.Errorf("L(0) at t=n = %v, want %v", got, want)
 	}
 }

@@ -31,7 +31,7 @@ type CellIndexOptions struct {
 	MaxRadius float64
 	// LevelsPerOctave is the ladder density: consecutive ladder radii have
 	// ratio 2^(1/LevelsPerOctave). Higher values shrink the radius
-	// discretization error of BuildLStep/TwoApprox at a linear cost in
+	// discretization error of BuildLStep at a linear cost in
 	// preprocessing. Default: 2 (ratio √2).
 	LevelsPerOctave int
 	// CellsPerRadius is the cell granularity: a query at radius r uses cells
@@ -52,8 +52,8 @@ type CellIndexOptions struct {
 	// internal, for composite indexes (ShardedIndex) that maintain their
 	// own global table: a per-shard table cannot see cross-shard
 	// duplicates and would be dead weight on the cold-build path. With it
-	// set, the dup-dependent queries (TwoApprox, LValue, BuildLStep) must
-	// not be called on this index — only the count paths are valid.
+	// set, BuildLStep must not be called on this index — only the cell
+	// levels and the count passes are valid.
 	skipDupTable bool
 }
 
@@ -87,28 +87,24 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 
 // CellIndex is the scalable BallIndex backend: points are bucketed into a
 // hashed grid of cells ("cell hash"), one hash per radius scale, built
-// lazily. A ball query visits only the candidate cells intersecting the
-// ball's bounding box (or, when fewer, the occupied cells) and prunes at
-// cell granularity: cells whose axis-aligned box lies entirely inside the
-// ball contribute their stored count, cells entirely outside are skipped,
-// and only boundary cells are inspected point-by-point.
+// lazily. A count pass visits, per occupied source cell, only the candidate
+// cells intersecting the ball's bounding box (or, when fewer, the occupied
+// cells) and resolves them at cell granularity: cells whose axis-aligned
+// box lies entirely inside the ball contribute their stored count, cells
+// entirely outside are skipped, and boundary cells follow the center rule
+// (all of their points count when the cell center lies in the ball, none
+// otherwise).
 //
-// Exactness contract:
-//
-//   - CountWithin, RadiusForCount and MaxCountWithin are exact.
-//   - TwoApprox returns a ball with ≥ t points whose radius is at most
-//     max(MinRadius, ρ·r₂) where r₂ is the exact TwoApprox radius and
-//     ρ = 2^(1/LevelsPerOctave) is the ladder ratio.
-//   - BuildLStep and LValue estimate the capped counts at cell granularity
-//     (a boundary cell contributes all of its points when its center lies
-//     in the ball, none otherwise): the estimate B̂_r satisfies
-//     B_{r−h} ≤ B̂_r ≤ B_{r+h} with h ≤ √d/(2·CellsPerRadius)·ρ·r, so the
-//     returned L̂(r) is sandwiched between L(r−h) and L(r+h). BuildLStep
-//     additionally discretizes the radius axis to the ladder. Crucially,
-//     whether a point y contributes to the estimated count around x depends
-//     only on the positions of x and y (never on other points), so L̂ keeps
-//     the sensitivity-2 property of Lemma 4.5 that GoodRadius's privacy
-//     analysis needs.
+// Approximation contract: CellIndex answers only BuildLStep, and its L̂ is
+// an estimate. Radius 0 is exact (the duplicate table). At a ladder radius
+// r the center-rule count B̂_r satisfies B_{r−h} ≤ B̂_r ≤ B_{r+h} with
+// h ≤ √d/(2·CellsPerRadius)·ρ·r, where ρ = 2^(1/LevelsPerOctave) is the
+// ladder ratio, so L̂(r) is sandwiched between L(r−h) and L(r+h); between
+// ladder radii the step function holds the last level's value. Crucially,
+// whether a point y contributes to the estimated count around x depends
+// only on the positions of x and y (never on other points), so L̂ keeps the
+// sensitivity-2 property of Lemma 4.5 that GoodRadius's privacy analysis
+// needs. Exact ball queries are the DistanceIndex's job.
 //
 // Memory is O(n·d) (the points, the duplicate table, and at most
 // MaxCachedLevels transient cell hashes of O(n) entries each), versus the
@@ -138,11 +134,10 @@ type CellIndex struct {
 }
 
 // radiusLadder is the geometric radius ladder of the scalable backends: the
-// levels MinRadius·ρ^j the L estimators sweep and the level-selection rule
-// for point queries. It is a pure function of (CellIndexOptions, dim, data
-// diameter), factored out so ShardedIndex can pin every shard to exactly
-// the ladder the unsharded CellIndex would build — the invariant its
-// exact-sum equivalence rests on.
+// levels MinRadius·ρ^j the L estimators sweep. It is a pure function of
+// (CellIndexOptions, dim, data diameter), factored out so ShardedIndex can
+// pin every shard to exactly the ladder the unsharded CellIndex would
+// build — the invariant its exact-sum equivalence rests on.
 type radiusLadder struct {
 	minR  float64
 	maxR  float64 // ladder top ≥ max(opts.MaxRadius, data diameter)
@@ -153,9 +148,9 @@ type radiusLadder struct {
 
 // newRadiusLadder derives the ladder from defaulted options and the data's
 // bounding-box diagonal. The ladder must reach past the diameter so the L
-// estimator and TwoApprox provably saturate; for in-contract inputs (unit
-// cube) the diagonal never exceeds the default MaxRadius = √d, so the
-// ladder stays data-independent.
+// estimator provably saturates; for in-contract inputs (unit cube) the
+// diagonal never exceeds the default MaxRadius = √d, so the ladder stays
+// data-independent.
 func newRadiusLadder(opts CellIndexOptions, dim int, diag float64) radiusLadder {
 	l := radiusLadder{
 		minR:  opts.MinRadius,
@@ -180,22 +175,6 @@ func (l radiusLadder) radius(j int) float64 {
 	return l.minR * math.Pow(l.ratio, float64(j))
 }
 
-// levelFor returns the ladder level whose cell size best fits queries at
-// radius r. Exactness never depends on the choice — only speed does.
-func (l radiusLadder) levelFor(r float64) int {
-	if r <= l.minR {
-		return 0
-	}
-	j := int(math.Floor(math.Log(r/l.minR)/math.Log(l.ratio) + 0.5))
-	if j < 0 {
-		j = 0
-	}
-	if j > l.top {
-		j = l.top
-	}
-	return j
-}
-
 // cellBucket is one occupied cell: its integer coordinates (cell a spans
 // [coord·side, (coord+1)·side) per axis) and the indices of the points in
 // it.
@@ -216,21 +195,6 @@ type cellLevel struct {
 	// intersection prefilter the sharded cross pass uses to skip member
 	// shards whose (spatially compact) cells cannot reach a source cell.
 	lo, hi []int64
-}
-
-// NewCellIndex builds the scalable index over a slice of vectors — a
-// convenience wrapper that copies the points into a flat Frame first (the
-// storage every sweep runs over). It returns an error for an empty input or
-// mismatched dimensions.
-func NewCellIndex(points []vec.Vector, opts CellIndexOptions) (*CellIndex, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("geometry: cell index over empty point set")
-	}
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		return nil, fmt.Errorf("geometry: %w", err)
-	}
-	return NewCellIndexFrame(f, opts)
 }
 
 // NewCellIndexFrame builds the scalable index directly over a Frame without
@@ -306,10 +270,6 @@ func (ix *CellIndex) Frame() *vec.Frame { return ix.frame }
 
 // levelRadius returns ladder radius j: MinRadius·ρ^j.
 func (ix *CellIndex) levelRadius(j int) float64 { return ix.lad.radius(j) }
-
-// levelFor returns the ladder level whose cell size best fits queries at
-// radius r (see radiusLadder.levelFor).
-func (ix *CellIndex) levelFor(r float64) int { return ix.lad.levelFor(r) }
 
 // level returns (building lazily) the cell hash for ladder level j.
 func (ix *CellIndex) level(j int) *cellLevel {
@@ -426,14 +386,13 @@ func newCellScratch(d int) *cellScratch {
 func (ix *CellIndex) getScratch() *cellScratch   { return ix.scratch.Get().(*cellScratch) }
 func (ix *CellIndex) putScratch(sc *cellScratch) { ix.scratch.Put(sc) }
 
-// bucketCount returns how many points of bucket b lie within distance
+// bucketCount returns how many points of bucket b count as within distance
 // √rsq of p, resolved at cell granularity: cells whose AABB is entirely
 // inside the ball contribute their full count, cells entirely outside
-// contribute nothing, and boundary cells are either scanned point-by-point
-// (exactBoundary — exact counts) or resolved by the center rule (all points
+// contribute nothing, and boundary cells follow the center rule (all points
 // count when the cell center lies in the ball; the deterministic pair rule
 // the L estimators need — see the CellIndex doc).
-func (ix *CellIndex) bucketCount(b *cellBucket, side float64, p vec.Vector, rsq float64, exactBoundary bool) int32 {
+func bucketCount(b *cellBucket, side float64, p vec.Vector, rsq float64) int32 {
 	var minSq, maxSq float64
 	for a := 0; a < len(p); a++ {
 		cellLo := float64(b.coord[a]) * side
@@ -455,28 +414,18 @@ func (ix *CellIndex) bucketCount(b *cellBucket, side float64, p vec.Vector, rsq 
 		}
 		maxSq += dmax * dmax
 	}
-	switch {
-	case maxSq <= rsq: // entirely inside
+	if maxSq <= rsq { // entirely inside
 		return int32(len(b.ids))
-	case exactBoundary:
-		var cnt int32
-		for _, id := range b.ids {
-			if ix.frame.DistSq(int(id), p) <= rsq {
-				cnt++
-			}
-		}
-		return cnt
-	default: // center rule
-		var dcSq float64
-		for a := 0; a < len(p); a++ {
-			dc := p[a] - (float64(b.coord[a])+0.5)*side
-			dcSq += dc * dc
-		}
-		if dcSq <= rsq {
-			return int32(len(b.ids))
-		}
-		return 0
 	}
+	var dcSq float64 // boundary cell: center rule
+	for a := 0; a < len(p); a++ {
+		dc := p[a] - (float64(b.coord[a])+0.5)*side
+		dcSq += dc * dc
+	}
+	if dcSq <= rsq {
+		return int32(len(b.ids))
+	}
+	return 0
 }
 
 // forCandidates invokes fn on every bucket that can intersect the ball
@@ -554,21 +503,6 @@ func prefixEqual(a, b []int64) bool {
 	return true
 }
 
-// countOne returns the exact number of points within distance r of p — the
-// single-point query path (bulk passes go through countAll).
-func (ix *CellIndex) countOne(lv *cellLevel, p vec.Vector, r float64, sc *cellScratch) int32 {
-	if r < 0 {
-		return 0
-	}
-	rsq := r * r
-	var cnt int32
-	ix.forCandidates(lv, p, r, 0, sc, func(b *cellBucket) bool {
-		cnt += ix.bucketCount(b, lv.side, p, rsq, true)
-		return true
-	})
-	return cnt
-}
-
 // boxBoxDistSq returns the squared min and max distances between the AABBs
 // of two cells of the given side.
 func boxBoxDistSq(a, b []int64, side float64) (minSq, maxSq float64) {
@@ -612,7 +546,7 @@ func boxBoxDistSq(a, b []int64, side float64) (minSq, maxSq float64) {
 // min(total, limit), bit-identical to a single pass over all members —
 // provided srcB and lv use the same cell side (the shared-ladder invariant
 // ShardedIndex maintains).
-func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcB *cellBucket, src *vec.Frame, gids []int32, r float64, limit int32, exactBoundary bool, out []int32, sc *cellScratch) {
+func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcB *cellBucket, src *vec.Frame, gids []int32, r float64, limit int32, out []int32, sc *cellScratch) {
 	side := lv.side
 	rsq := r * r
 	// The block around the source cell's box covers the ball bounding
@@ -642,7 +576,7 @@ func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcB *cellBucket, src *
 				if out[gid] >= limit {
 					continue
 				}
-				if c := out[gid] + ix.bucketCount(b, side, src.RowView(int(pid), sc.row), rsq, exactBoundary); c < limit {
+				if c := out[gid] + bucketCount(b, side, src.RowView(int(pid), sc.row), rsq); c < limit {
 					out[gid] = c
 				} else {
 					out[gid] = limit
@@ -668,28 +602,17 @@ func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcB *cellBucket, src *
 	}
 }
 
-// countAll computes the capped within-r count for every input point via
-// accumulateCellCounts over every occupied source cell. Source cells fan
-// out over the worker pool; each cell's points are written by exactly one
-// worker.
+// countAllInto adds to out the capped within-r count of every input point
+// via accumulateCellCounts over every occupied source cell (len(out) must
+// be N(); a ladder sweep reuses one buffer for every level, zeroing it
+// between passes, and the per-worker scratch comes from the index's pool).
+// Source cells fan out over the worker pool; each cell's points are
+// written by exactly one worker.
 //
 // A cancelled ctx aborts the pass: the feeder stops handing out chunks,
 // every worker skips its remaining work (so the pool always drains and
-// exits — no leaked goroutines), and the call returns ctx.Err() instead of
-// the partial counts.
-func (ix *CellIndex) countAll(ctx context.Context, lv *cellLevel, r float64, limit int32, exactBoundary bool) ([]int32, error) {
-	out := make([]int32, ix.frame.N())
-	if err := ix.countAllInto(ctx, lv, r, limit, exactBoundary, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// countAllInto is countAll with a caller-owned result buffer (len must be
-// N(); the caller zeroes it between passes): a ladder sweep reuses one
-// buffer for every level instead of allocating O(n) per level, and the
-// per-worker scratch comes from the index's pool.
-func (ix *CellIndex) countAllInto(ctx context.Context, lv *cellLevel, r float64, limit int32, exactBoundary bool, out []int32) error {
+// exits — no leaked goroutines), and the call returns ctx.Err().
+func (ix *CellIndex) countAllInto(ctx context.Context, lv *cellLevel, r float64, limit int32, out []int32) error {
 	ctx = ctxOrBackground(ctx)
 	if len(out) != ix.frame.N() {
 		return fmt.Errorf("geometry: countAllInto out has length %d, want %d", len(out), ix.frame.N())
@@ -716,7 +639,7 @@ func (ix *CellIndex) countAllInto(ctx context.Context, lv *cellLevel, r float64,
 					continue // drain the channel so the feeder never blocks
 				}
 				for src := rg[0]; src < rg[1]; src++ {
-					ix.accumulateCellCounts(lv, &lv.buckets[src], ix.frame, nil, r, limit, exactBoundary, out, sc)
+					ix.accumulateCellCounts(lv, &lv.buckets[src], ix.frame, nil, r, limit, out, sc)
 				}
 			}
 		}()
@@ -731,176 +654,6 @@ func (ix *CellIndex) countAllInto(ctx context.Context, lv *cellLevel, r float64,
 	close(ranges)
 	wg.Wait()
 	return ctx.Err()
-}
-
-// CountWithin returns B_r(x_i) exactly.
-func (ix *CellIndex) CountWithin(i int, r float64) int {
-	lv := ix.level(ix.levelFor(r))
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	p := ix.frame.RowView(i, sc.row)
-	return int(ix.countOne(lv, p, r, sc))
-}
-
-// RadiusForCount returns the t-th smallest distance from point i — exact,
-// via a direct O(n·d) scan (cheap for point queries, and never Θ(n²)).
-func (ix *CellIndex) RadiusForCount(i, t int) (float64, error) {
-	return radiusForCount(ix.frame, i, t)
-}
-
-// radiusForCount is the exact t-th-smallest-distance scan shared by the
-// scalable backends (the sharded index runs it over the global points, so
-// both must stay one implementation).
-func radiusForCount(f *vec.Frame, i, t int) (float64, error) {
-	n := f.N()
-	if t < 1 || t > n {
-		return 0, fmt.Errorf("geometry: RadiusForCount t=%d out of [1,%d]", t, n)
-	}
-	p := f.RowView(i, nil)
-	ds := make([]float64, n)
-	f.DistSqInto(p, ds)
-	return math.Sqrt(kthSmallest(ds, t)), nil
-}
-
-// kthSmallest selects the k-th smallest element (1-based) by quickselect,
-// in expected O(len) time. It permutes xs.
-func kthSmallest(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	k-- // 0-based target index
-	for lo < hi {
-		pivot := xs[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return xs[k]
-		}
-	}
-	return xs[k]
-}
-
-// TwoApprox returns an input-centered ball with at least t points whose
-// radius is at most max(MinRadius, ρ·r₂), r₂ being the exact TwoApprox
-// radius (≤ 2·r_opt by "known fact 3") and ρ the ladder ratio.
-func (ix *CellIndex) TwoApprox(t int) (center int, radius float64, err error) {
-	return twoApproxLadder(ix.frame.N(), t, ix.dupCount, ix.lad, func(j int) []int32 {
-		// Background context: point/ladder queries are not cancellable —
-		// countAll never errors under it.
-		c, _ := ix.countAll(context.Background(), ix.level(j), ix.levelRadius(j), int32(t), true)
-		return c
-	})
-}
-
-// twoApproxLadder is the TwoApprox search shared by the scalable backends
-// (one implementation, so the sharded index cannot drift from the cell
-// index — their bit-identical equivalence depends on it): duplicate
-// classes resolve radius 0 exactly, and otherwise the predicate "some
-// input-centered ball of ladder radius r_j holds ≥ t points" is monotone
-// in j, so a binary search over the ladder finds the smallest satisfying
-// level from the backend's exact capped counts (countsAt, memoized here).
-func twoApproxLadder(n, t int, dupCount []int32, lad radiusLadder, countsAt func(j int) []int32) (center int, radius float64, err error) {
-	if t < 1 || t > n {
-		return 0, 0, fmt.Errorf("geometry: TwoApprox t=%d out of [1,%d]", t, n)
-	}
-	for i, c := range dupCount {
-		if int(c) >= t {
-			return i, 0, nil
-		}
-	}
-	memo := make(map[int][]int32)
-	memoized := func(j int) []int32 {
-		if c, ok := memo[j]; ok {
-			return c
-		}
-		c := countsAt(j)
-		memo[j] = c
-		return c
-	}
-	lo, hi := 0, lad.top
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if maxInt32(memoized(mid)) >= int32(t) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	r := lad.radius(lo)
-	for i, c := range memoized(lo) {
-		if int(c) >= t {
-			return i, r, nil
-		}
-	}
-	// Unreachable: the ladder top provably covers the whole dataset.
-	return 0, r, fmt.Errorf("geometry: TwoApprox ladder did not saturate (internal invariant)")
-}
-
-func maxInt32(xs []int32) int32 {
-	var best int32
-	for _, x := range xs {
-		if x > best {
-			best = x
-		}
-	}
-	return best
-}
-
-// MaxCountWithin returns max_i B_r(x_i) exactly.
-func (ix *CellIndex) MaxCountWithin(r float64) int {
-	counts, _ := ix.countAll(context.Background(), ix.level(ix.levelFor(r)), r, math.MaxInt32, true)
-	return int(maxInt32(counts))
-}
-
-// lCounts returns the capped estimated counts the L estimators are built
-// from (center rule — see the exactness contract in the type doc).
-func (ix *CellIndex) lCounts(ctx context.Context, r float64, t int) ([]int32, error) {
-	j := ix.levelFor(r)
-	return ix.countAll(ctx, ix.level(j), r, int32(t), false)
-}
-
-// dupLValue is L at radius 0 (and below the resolution floor): the exact
-// top-t average of the capped duplicate multiplicities.
-func (ix *CellIndex) dupLValue(t int) float64 {
-	return topTAvg(ix.dupCount, t)
-}
-
-// LValue estimates L(r, S); the estimate lies between L(r−h, S) and
-// L(r+h, S) for h ≤ √d/(2·CellsPerRadius)·ρ·r. Radii below the resolution
-// floor MinRadius evaluate like radius 0, which is exact for grid-quantized
-// inputs (their minimum nonzero pairwise distance is 2·MinRadius when
-// MinRadius = Grid.RadiusUnit()).
-func (ix *CellIndex) LValue(r float64, t int) (float64, error) {
-	n := ix.frame.N()
-	if t < 1 || t > n {
-		return 0, fmt.Errorf("geometry: LValue t=%d out of [1,%d]", t, n)
-	}
-	if r < 0 {
-		return 0, nil
-	}
-	if r < ix.opts.MinRadius {
-		return ix.dupLValue(t), nil
-	}
-	counts, err := ix.lCounts(context.Background(), r, t)
-	if err != nil {
-		return 0, err
-	}
-	return topTAvg(counts, t), nil
 }
 
 // topTAvg returns the average of the t largest values (each clamped to
@@ -945,7 +698,7 @@ func (ix *CellIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 		return nil, fmt.Errorf("geometry: BuildLStep t=%d out of [1,%d]", t, n)
 	}
 	l := &LStep{T: t}
-	prev := ix.dupLValue(t)
+	prev := topTAvg(ix.dupCount, t)
 	l.Breaks = append(l.Breaks, 0)
 	l.Vals = append(l.Vals, prev)
 	counts := make([]int32, n) // one buffer for every ladder level
@@ -964,12 +717,12 @@ func (ix *CellIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 	for j := 0; j <= ix.lad.top && prev < float64(t); j++ {
 		r := ix.levelRadius(j)
 		clear(counts)
-		if err := ix.countAllInto(ctx, ix.level(ix.levelFor(r)), r, int32(t), false, counts); err != nil {
+		if err := ix.countAllInto(ctx, ix.level(j), r, int32(t), counts); err != nil {
 			return nil, err
 		}
 		v := topTAvg(counts, t)
 		if v > prev {
-			l.Breaks = append(l.Breaks, ix.levelRadius(j))
+			l.Breaks = append(l.Breaks, r)
 			l.Vals = append(l.Vals, v)
 			prev = v
 		}

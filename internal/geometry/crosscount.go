@@ -38,7 +38,7 @@ type cellGroup struct {
 // cells cannot reach the cell's candidate block. A cancelled ctx aborts the
 // pass with ctx.Err(): the feeder stops, the workers drain, no goroutines
 // leak.
-func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup, j int, r float64, limit int32, exactBoundary bool, out []int32) error {
+func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup, j int, r float64, limit int32, out []int32) error {
 	ctx = ctxOrBackground(ctx)
 	if r < 0 || limit <= 0 || len(srcs) == 0 || len(members) == 0 {
 		return nil
@@ -111,7 +111,7 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 								continue memberGroups
 							}
 						}
-						mem.ix.accumulateCellCounts(mlv, srcB, srcG.ix.frame, srcG.gids, r, limit, exactBoundary, out, sc)
+						mem.ix.accumulateCellCounts(mlv, srcB, srcG.ix.frame, srcG.gids, r, limit, out, sc)
 					}
 				}
 			}

@@ -670,26 +670,3 @@ func newShardedView(frame *vec.Frame, opts CellIndexOptions, lad radiusLadder, s
 		sharedBackends: backends != nil,
 	}
 }
-
-// countAround returns, for each center, the exact number of indexed points
-// within r — the arbitrary-center count a mutable shard's CountBatch needs
-// (CountWithin only takes indexed rows). Local-shards mode only.
-func (ix *ShardedIndex) countAround(centers []vec.Vector, r float64) ([]int32, error) {
-	out := make([]int32, len(centers))
-	if r < 0 {
-		return out, nil
-	}
-	j := ix.lad.levelFor(r)
-	sc := newCellScratch(ix.dim)
-	for ci, c := range centers {
-		if c.Dim() != ix.dim {
-			return nil, fmt.Errorf("geometry: center %d has dimension %d, want %d", ci, c.Dim(), ix.dim)
-		}
-		total := int32(0)
-		for _, sh := range ix.shards {
-			total += sh.ix.countOne(sh.ix.level(j), c, r, sc)
-		}
-		out[ci] = total
-	}
-	return out, nil
-}

@@ -4,16 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"privcluster/internal/vec"
 )
 
-// assertSameBallIndex asserts that got answers the whole BallIndex query
-// surface bit-identically to ref — the equivalence currency every mutable
-// snapshot must pay in.
-func assertSameBallIndex(t *testing.T, tag string, got, ref BallIndex, minR float64, tt int) {
+// assertSameBallIndex asserts that got exposes the same points as ref and
+// builds bit-identical L̂ step functions at several t — the equivalence
+// currency every mutable snapshot must pay in (BuildLStep is the whole
+// BallIndex query surface the mechanism reads).
+func assertSameBallIndex(t *testing.T, tag string, got, ref BallIndex, tt int) {
 	t.Helper()
 	if got.N() != ref.N() {
 		t.Fatalf("%s: N = %d, want %d", tag, got.N(), ref.N())
@@ -26,58 +28,7 @@ func assertSameBallIndex(t *testing.T, tag string, got, ref BallIndex, minR floa
 			}
 		}
 	}
-	n := ref.N()
-	for _, r := range []float64{-1, 0, minR / 2, 0.01, 0.05, 0.3, 2} {
-		for _, i := range []int{0, n / 2, n - 1} {
-			if g, w := got.CountWithin(i, r), ref.CountWithin(i, r); g != w {
-				t.Fatalf("%s: CountWithin(%d, %v) = %d, want %d", tag, i, r, g, w)
-			}
-		}
-		if g, w := got.MaxCountWithin(r), ref.MaxCountWithin(r); g != w {
-			t.Fatalf("%s: MaxCountWithin(%v) = %d, want %d", tag, r, g, w)
-		}
-		gl, err1 := got.LValue(r, tt)
-		wl, err2 := ref.LValue(r, tt)
-		if (err1 == nil) != (err2 == nil) || gl != wl {
-			t.Fatalf("%s: LValue(%v) = %v (%v), want %v (%v)", tag, r, gl, err1, wl, err2)
-		}
-	}
-	for _, tq := range []int{1, 2, tt, n} {
-		gi, gr, err1 := got.TwoApprox(tq)
-		wi, wr, err2 := ref.TwoApprox(tq)
-		if gi != wi || gr != wr || (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: TwoApprox(%d) = (%d, %v, %v), want (%d, %v, %v)", tag, tq, gi, gr, err1, wi, wr, err2)
-		}
-		grr, err1 := got.RadiusForCount(0, tq)
-		wrr, err2 := ref.RadiusForCount(0, tq)
-		if grr != wrr || (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: RadiusForCount(0, %d) = %v, want %v", tag, tq, grr, wrr)
-		}
-	}
-	gs, err1 := got.BuildLStep(context.Background(), tt)
-	ws, err2 := ref.BuildLStep(context.Background(), tt)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("%s: BuildLStep: %v / %v", tag, err1, err2)
-	}
-	if len(gs.Breaks) != len(ws.Breaks) {
-		t.Fatalf("%s: LStep has %d breaks, want %d", tag, len(gs.Breaks), len(ws.Breaks))
-	}
-	for k := range gs.Breaks {
-		if gs.Breaks[k] != ws.Breaks[k] || gs.Vals[k] != ws.Vals[k] {
-			t.Fatalf("%s: LStep[%d] = (%v, %v), want (%v, %v)",
-				tag, k, gs.Breaks[k], gs.Vals[k], ws.Breaks[k], ws.Vals[k])
-		}
-	}
-}
-
-// freshRef builds the frozen reference index over a prefix of pts.
-func freshRef(t *testing.T, pts []vec.Vector, n int, opts CellIndexOptions) *CellIndex {
-	t.Helper()
-	ref, err := NewCellIndex(pts[:n], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref
+	assertSameSteps(t, tag, got, ref, 1, 2, tt, ref.N())
 }
 
 // mutableVariants runs a subtest for each MutableBallIndex implementation
@@ -139,8 +90,8 @@ func TestMutableIndexMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Snapshot(%d): %v", e, err)
 				}
-				ref := freshRef(t, pts, cuts[bi], opts)
-				assertSameBallIndex(t, fmt.Sprintf("d=%d epoch=%d", d, e), snap, ref, opts.MinRadius, tt)
+				ref := cellIndexOf(t, pts[:cuts[bi]], opts)
+				assertSameBallIndex(t, fmt.Sprintf("d=%d epoch=%d", d, e), snap, ref, tt)
 			}
 
 			// A merge must not change anything a later epoch sees: merge,
@@ -158,8 +109,8 @@ func TestMutableIndexMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := freshRef(t, extra, len(extra), opts)
-			assertSameBallIndex(t, fmt.Sprintf("d=%d post-merge", d), snap, ref, opts.MinRadius, tt)
+			ref := cellIndexOf(t, extra, opts)
+			assertSameBallIndex(t, fmt.Sprintf("d=%d post-merge", d), snap, ref, tt)
 		})
 	}
 }
@@ -184,7 +135,10 @@ func TestMutableIndexDelete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinnedMax := pinned.MaxCountWithin(0.05)
+		pinnedStep, err := pinned.BuildLStep(ctx, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// Delete a mix of base rows (initial ids are 0..n0-1) and appended
 		// rows.
@@ -208,8 +162,8 @@ func TestMutableIndexDelete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := freshRef(t, survivors, len(survivors), opts)
-		assertSameBallIndex(t, "post-delete", snap, ref, opts.MinRadius, tt)
+		ref := cellIndexOf(t, survivors, opts)
+		assertSameBallIndex(t, "post-delete", snap, ref, tt)
 
 		// Epoch 1 (the seed epoch, never pinned) retired; the pinned e1
 		// stays servable from its cached view, and still answers as before.
@@ -219,9 +173,11 @@ func TestMutableIndexDelete(t *testing.T) {
 		if _, err := m.Snapshot(ctx, e1); err != nil {
 			t.Fatalf("Snapshot(pinned retired epoch): %v", err)
 		}
-		if got := pinned.MaxCountWithin(0.05); got != pinnedMax {
-			t.Fatalf("pinned snapshot drifted after delete: %d, want %d", got, pinnedMax)
+		after, err := pinned.BuildLStep(ctx, tt)
+		if err != nil {
+			t.Fatalf("pinned snapshot unusable after delete: %v", err)
 		}
+		assertSameStep(t, "pinned snapshot after delete", after, pinnedStep)
 
 		// Rejections: unknown ids, duplicate ids, future epochs, emptying.
 		if _, err := m.Delete(ctx, []uint64{1 << 40}); err == nil {
@@ -265,14 +221,14 @@ func TestMutableIndexClosed(t *testing.T) {
 		if sharded {
 			// Backend-mode snapshots answer through the (now closed)
 			// shards; their queries must fail, not hang or lie.
-			if _, err := snap.LValue(0.1, len(pts)/3); err == nil {
+			if _, err := snap.BuildLStep(ctx, len(pts)/3); err == nil {
 				t.Fatal("backend-mode snapshot still answering after Close")
 			}
 		} else {
 			// In-process snapshots hold their own storage and stay
 			// queryable.
-			if got := snap.CountWithin(0, 0.1); got < 1 {
-				t.Fatalf("pinned snapshot unusable after Close: %d", got)
+			if _, err := snap.BuildLStep(ctx, len(pts)/3); err != nil {
+				t.Fatalf("pinned snapshot unusable after Close: %v", err)
 			}
 		}
 	})
@@ -362,8 +318,8 @@ func TestMutableIndexConcurrency(t *testing.T) {
 						t.Errorf("snapshot: %v", err)
 						return
 					}
-					a, errA := snap.LValue(0.05, n0/3)
-					b, errB := snap.LValue(0.05, n0/3)
+					a, errA := snap.BuildLStep(ctx, n0/3)
+					b, errB := snap.BuildLStep(ctx, n0/3)
 					// A sharded pin can lose its shard-side views to FIFO
 					// eviction once deletes retire its epoch — the query
 					// fails (never lies); any successful pair must agree.
@@ -374,7 +330,7 @@ func TestMutableIndexConcurrency(t *testing.T) {
 						}
 						continue
 					}
-					if a != b {
+					if !reflect.DeepEqual(a, b) {
 						t.Errorf("pinned snapshot unstable: %v then %v", a, b)
 						return
 					}
@@ -393,8 +349,8 @@ func TestMutableIndexConcurrency(t *testing.T) {
 		for i := range live {
 			live[i] = vec.Vector(snap.Frame().Row(i)).Clone()
 		}
-		ref := freshRef(t, live, len(live), opts)
-		assertSameBallIndex(t, "quiesced", snap, ref, opts.MinRadius, len(live)/3)
+		ref := cellIndexOf(t, live, opts)
+		assertSameBallIndex(t, "quiesced", snap, ref, len(live)/3)
 	})
 }
 

@@ -36,8 +36,8 @@ func TestRebuildOldEpochAcrossMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := freshRef(t, pts, len(pts), opts)
-	assertSameBallIndex(t, "initial-pin", snap1, ref, opts.MinRadius, tt)
+	ref := cellIndexOf(t, pts, opts)
+	assertSameBallIndex(t, "initial-pin", snap1, ref, tt)
 
 	// evict drops epoch e2 from every FIFO view cache (coordinator and
 	// shard caches hold ≤ 8 views) by pinning all newer epochs.
@@ -65,7 +65,7 @@ func TestRebuildOldEpochAcrossMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBallIndex(t, "rebuilt-merged-base", snap2, ref, opts.MinRadius, tt)
+	assertSameBallIndex(t, "rebuilt-merged-base", snap2, ref, tt)
 
 	// Path 2: merge after every few appends until the FIFO of base
 	// generations (maxBaseGens) holds only generations larger than e2's
@@ -85,5 +85,5 @@ func TestRebuildOldEpochAcrossMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBallIndex(t, "rebuilt-buffer-only", snap3, ref, opts.MinRadius, tt)
+	assertSameBallIndex(t, "rebuilt-buffer-only", snap3, ref, tt)
 }

@@ -120,29 +120,13 @@ func errUnpinnedEpoch() error {
 	return fmt.Errorf("geometry: mutable shard queried without a pinned epoch")
 }
 
-// CountBatch returns the exact number of epoch-e member rows within r of
-// each center.
-func (s *MutableLocalShard) CountBatch(ctx context.Context, epoch Epoch, centers []vec.Vector, r float64) ([]int32, error) {
-	if epoch == EpochFrozen {
-		return nil, errUnpinnedEpoch()
-	}
-	if err := ctxOrBackground(ctx).Err(); err != nil {
-		return nil, err
-	}
-	view, err := s.members.viewAt(ctx, epoch)
-	if err != nil {
-		return nil, err
-	}
-	return view.countAround(centers, r)
-}
-
 // PartialCounts computes the shard's epoch-e member contributions around
 // every epoch-e global row, capped at limit: the source view's base+delta
 // groups crossed with the member view's, through the same crossCellCounts
 // engine every other composite pass uses. The shared pinned ladder makes
 // the sum bit-identical to the frozen single-index pass over the epoch's
 // rows.
-func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	if epoch == EpochFrozen {
 		return nil, errUnpinnedEpoch()
 	}
@@ -155,7 +139,7 @@ func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j in
 		return nil, err
 	}
 	out := make([]int32, srcView.N())
-	if err := crossCellCounts(ctx, s.cell.Workers, srcView.cellGroups(), memView.cellGroups(), j, r, limit, exactBoundary, out); err != nil {
+	if err := crossCellCounts(ctx, s.cell.Workers, srcView.cellGroups(), memView.cellGroups(), j, r, limit, out); err != nil {
 		return nil, err
 	}
 	return out, nil

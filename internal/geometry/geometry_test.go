@@ -302,29 +302,178 @@ func TestBuildLStepMonotone(t *testing.T) {
 	}
 }
 
-// Property: sensitivity of L(r, ·) is at most 2 (Lemma 4.5). Replace one
-// point of a random dataset by another random point and compare L at random
-// radii.
-func TestLSensitivityAtMostTwo(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		n := 25 + rng.Intn(30)
-		pts := clusterWithNoise(rng, n, 2, 0.5, 0.1)
-		tt := 2 + rng.Intn(n-2)
-		ix1, _ := NewDistanceIndex(pts)
-
-		// Neighboring dataset: replace a random row.
-		pts2 := make([]vec.Vector, n)
-		copy(pts2, pts)
-		pts2[rng.Intn(n)] = vec.Of(rng.Float64(), rng.Float64())
-		ix2, _ := NewDistanceIndex(pts2)
-
-		for _, r := range []float64{0, 0.01, 0.05, 0.2, 1, 2} {
-			l1, _ := ix1.LValue(r, tt)
-			l2, _ := ix2.LValue(r, tt)
-			if math.Abs(l1-l2) > 2+1e-9 {
-				t.Fatalf("sensitivity %v > 2 at r=%v (n=%d t=%d)", math.Abs(l1-l2), r, n, tt)
-			}
+// sensitivityBackends are the BallIndex implementations whose L the
+// sensitivity property is checked on: the exact index, and the serving L̂
+// of the cell index, a mutable index's epoch view, and the sharded index
+// (local shards and LocalShard backends, S ∈ {1, 3}). Every scalable backend shares one pinned ladder
+// (MinRadius 2⁻¹⁰, so dyadic coordinates sit exactly on cell boundaries).
+var sensitivityBackends = []struct {
+	name  string
+	build func(t *testing.T, f *vec.Frame) BallIndex
+}{
+	{"distance", func(t *testing.T, f *vec.Frame) BallIndex {
+		ix, err := NewDistanceIndexFrame(f)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return ix
+	}},
+	{"cell", func(t *testing.T, f *vec.Frame) BallIndex {
+		ix, err := NewCellIndexFrame(f, sensitivityCellOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}},
+	{"mutable view", func(t *testing.T, f *vec.Frame) BallIndex {
+		m, err := NewMutableCellIndexFrame(f, sensitivityCellOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		snap, err := m.Snapshot(context.Background(), m.Epoch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}},
+	{"sharded S=1", shardedSensitivity(1, false)},
+	{"sharded S=3", shardedSensitivity(3, false)},
+	{"backends S=1", shardedSensitivity(1, true)},
+	{"backends S=3", shardedSensitivity(3, true)},
+}
+
+var sensitivityCellOpts = CellIndexOptions{MinRadius: 1.0 / 1024, MaxRadius: math.Sqrt2}
+
+func shardedSensitivity(s int, backends bool) func(t *testing.T, f *vec.Frame) BallIndex {
+	return func(t *testing.T, f *vec.Frame) BallIndex {
+		opts := ShardedIndexOptions{Shards: s, Policy: ShardMorton, Cell: sensitivityCellOpts}
+		var ix *ShardedIndex
+		var err error
+		if backends {
+			ix, err = NewShardedIndexBackends(context.Background(), f, opts, localDialer)
+		} else {
+			ix, err = NewShardedIndexFrame(context.Background(), f, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+		return ix
+	}
+}
+
+// Property: the sensitivity of L(r, ·) is at most 2 (Lemma 4.5) — on the
+// exact L and on the L̂ every scalable backend serves. Replace one row of a
+// dataset by another point and compare the two BuildLStep functions at
+// both step functions' breakpoints plus fixed radii. The datasets cover
+// random clustered points, duplicate-heavy rows (the radius-0 table),
+// points on a dyadic lattice, which lie exactly on cell boundaries at the
+// finer ladder levels (the center rule's edge cases), and a stacked cluster
+// whose sources all share one boundary cell.
+func TestLSensitivityAtMostTwo(t *testing.T) {
+	dyadic := func(rng *rand.Rand) vec.Vector {
+		return vec.Of(float64(rng.Intn(65))/64, float64(rng.Intn(65))/64)
+	}
+	cases := []struct {
+		name string
+		// data returns a dataset, its neighbour (one row replaced) and t.
+		data func(rng *rand.Rand) (pts, nb []vec.Vector, tt int)
+	}{
+		{"random", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+			n := 25 + rng.Intn(30)
+			pts := clusterWithNoise(rng, n, 2, 0.5, 0.1)
+			nb := append([]vec.Vector(nil), pts...)
+			nb[rng.Intn(n)] = vec.Of(rng.Float64(), rng.Float64())
+			return pts, nb, 2 + rng.Intn(n-2)
+		}},
+		{"duplicates", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+			n := 25 + rng.Intn(30)
+			pts := clusterWithNoise(rng, n, 2, 0.3, 0.1)
+			dup := pts[0]
+			for i := 0; i < n/2; i++ {
+				pts[rng.Intn(n)] = dup
+			}
+			nb := append([]vec.Vector(nil), pts...)
+			if rng.Intn(2) == 0 {
+				nb[rng.Intn(n)] = dup // one more copy
+			} else {
+				nb[0] = vec.Of(rng.Float64(), rng.Float64()) // one copy fewer
+			}
+			return pts, nb, 2 + rng.Intn(n-2)
+		}},
+		{"cell boundaries", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+			n := 25 + rng.Intn(30)
+			pts := make([]vec.Vector, n)
+			c := dyadic(rng)
+			for i := range pts {
+				if i < n/2 { // a lattice cluster around c
+					p := vec.Of(c[0]+float64(rng.Intn(5)-2)/64, c[1]+float64(rng.Intn(5)-2)/64)
+					for a := range p {
+						p[a] = math.Min(1, math.Max(0, p[a]))
+					}
+					pts[i] = p
+				} else {
+					pts[i] = dyadic(rng)
+				}
+			}
+			nb := append([]vec.Vector(nil), pts...)
+			nb[rng.Intn(n)] = dyadic(rng)
+			return pts, nb, 2 + rng.Intn(n-2)
+		}},
+		{"dense boundary", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+			// m rows stacked on a dyadic point c, two rows on each other
+			// lattice point within 2/64 of it, and one far row that the
+			// neighbour moves onto the lattice. At the ladder levels whose
+			// cells are 1/64 wide or finer, the cell it lands in is a
+			// boundary cell for all m stacked sources at once, and with
+			// t ∈ (m, 1.5m] those sources dominate the top-t average — so a
+			// rule that let a cell's occupancy decide its contribution would
+			// move L̂ by about 3m/t > 2.
+			c := vec.Of(float64(16+rng.Intn(33))/64, float64(16+rng.Intn(33))/64)
+			m := 20 + rng.Intn(20)
+			var pts []vec.Vector
+			for i := 0; i < m; i++ {
+				pts = append(pts, c)
+			}
+			for dx := -2; dx <= 2; dx++ {
+				for dy := -2; dy <= 2; dy++ {
+					if dx != 0 || dy != 0 {
+						p := vec.Of(c[0]+float64(dx)/64, c[1]+float64(dy)/64)
+						pts = append(pts, p, p)
+					}
+				}
+			}
+			pts = append(pts, vec.Of(1, 1))
+			nb := append([]vec.Vector(nil), pts...)
+			nb[len(nb)-1] = vec.Of(c[0]+float64(rng.Intn(5)-2)/64, c[1]+float64(rng.Intn(5)-2)/64)
+			return pts, nb, m + 1 + rng.Intn(m/2)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(4))
+			for trial := 0; trial < 12; trial++ {
+				pts, nb, tt := tc.data(rng)
+				f1, f2 := frameOf(t, pts), frameOf(t, nb)
+				for _, be := range sensitivityBackends {
+					l1, err := be.build(t, f1).BuildLStep(context.Background(), tt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					l2, err := be.build(t, f2).BuildLStep(context.Background(), tt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					radii := append([]float64{0, 0.01, 0.05, 0.2, 1, 2}, l1.Breaks...)
+					radii = append(radii, l2.Breaks...)
+					for _, r := range radii {
+						if d := math.Abs(l1.Eval(r) - l2.Eval(r)); d > 2+1e-9 {
+							t.Fatalf("%s trial %d: sensitivity %v > 2 at r=%v (n=%d t=%d)", be.name, trial, d, r, len(pts), tt)
+						}
+					}
+				}
+			}
+		})
 	}
 }

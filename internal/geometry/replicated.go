@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"privcluster/internal/obs"
-	"privcluster/internal/vec"
 )
 
 // Replica routing event counters: how often calls failed over to a
@@ -390,18 +389,11 @@ func (r *ReplicatedShard) do(ctx context.Context, call func(context.Context, Sha
 // every replica — they serve the same shard config).
 func (r *ReplicatedShard) NPoints() int { return r.npoints }
 
-// CountBatch answers the batched exact count from whichever replica wins.
-func (r *ReplicatedShard) CountBatch(ctx context.Context, epoch Epoch, centers []vec.Vector, radius float64) ([]int32, error) {
-	return r.do(ctx, func(ctx context.Context, be ShardBackend) ([]int32, error) {
-		return be.CountBatch(ctx, epoch, centers, radius)
-	})
-}
-
 // PartialCounts answers the capped bulk-count pass from whichever replica
 // wins — the call the LStep sweep hammers, and the one hedging exists for.
-func (r *ReplicatedShard) PartialCounts(ctx context.Context, epoch Epoch, j int, radius float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (r *ReplicatedShard) PartialCounts(ctx context.Context, epoch Epoch, j int, radius float64, limit int32) ([]int32, error) {
 	return r.do(ctx, func(ctx context.Context, be ShardBackend) ([]int32, error) {
-		return be.PartialCounts(ctx, epoch, j, radius, limit, exactBoundary)
+		return be.PartialCounts(ctx, epoch, j, radius, limit)
 	})
 }
 

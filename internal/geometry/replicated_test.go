@@ -3,6 +3,7 @@ package geometry
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,11 +48,11 @@ func (f *flakyShard) gate() error {
 	return nil
 }
 
-func (f *flakyShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (f *flakyShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
 	}
-	return f.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, exactBoundary)
+	return f.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
 }
 
 func (f *flakyShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
@@ -63,61 +64,28 @@ func (f *flakyShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error
 
 // TestReplicatedShardEquivalence pins the tentpole at the geometry layer:
 // a backend-mode ShardedIndex whose every partition is a ReplicatedShard
-// over R local replicas answers every BallIndex query bit-identically to a
-// plain CellIndex, for R ∈ {1, 2, 3} — with hedging off and on. The
-// replica set is pure routing; the counts cannot tell.
+// over R local replicas builds the L̂ step function bit-identically to a
+// plain CellIndex, at several t, for R ∈ {1, 2, 3} — with hedging off and
+// on. The replica set is pure routing; the counts cannot tell.
 func TestReplicatedShardEquivalence(t *testing.T) {
 	pts := shardTestPoints(t, 11, 600, 2)
 	opts := shardTestOptions(2)
-	ref, err := NewCellIndex(pts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := cellIndexOf(t, pts, opts)
 	tt := len(pts) / 3
-	refStep, err := ref.BuildLStep(context.Background(), tt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range []int{1, 2, 3} {
 		for _, hedge := range []time.Duration{0, time.Nanosecond} {
+			tag := fmt.Sprintf("R=%d hedge=%v", r, hedge)
 			ropts := ReplicatedShardOptions{HedgeDelay: hedge, ProbeInterval: -1}
 			sh, err := NewShardedIndexBackends(context.Background(), frameOf(t, pts), ShardedIndexOptions{
 				Shards: 2, Policy: ShardMorton, Cell: opts,
 			}, replicatedDialer(r, ropts))
 			if err != nil {
-				t.Fatalf("R=%d hedge=%v: %v", r, hedge, err)
+				t.Fatalf("%s: %v", tag, err)
 			}
-			step, err := sh.BuildLStep(context.Background(), tt)
-			if err != nil {
-				t.Fatalf("R=%d hedge=%v: BuildLStep: %v", r, hedge, err)
-			}
-			assertSameStep(t, step, refStep)
-			for _, rad := range []float64{0, 0.01, 0.05, 0.3} {
-				if got, want := sh.MaxCountWithin(rad), ref.MaxCountWithin(rad); got != want {
-					t.Fatalf("R=%d hedge=%v: MaxCountWithin(%v) = %d, want %d", r, hedge, rad, got, want)
-				}
-			}
-			gi, gr, err1 := sh.TwoApprox(tt)
-			wi, wr, err2 := ref.TwoApprox(tt)
-			if gi != wi || gr != wr || (err1 == nil) != (err2 == nil) {
-				t.Fatalf("R=%d hedge=%v: TwoApprox = (%d, %v, %v), want (%d, %v, %v)", r, hedge, gi, gr, err1, wi, wr, err2)
-			}
+			assertSameSteps(t, tag, sh, ref, 2, tt, len(pts))
 			if err := sh.Close(); err != nil {
-				t.Fatalf("R=%d hedge=%v: Close: %v", r, hedge, err)
+				t.Fatalf("%s: Close: %v", tag, err)
 			}
-		}
-	}
-}
-
-func assertSameStep(t *testing.T, got, want *LStep) {
-	t.Helper()
-	if len(got.Breaks) != len(want.Breaks) {
-		t.Fatalf("LStep has %d breaks, want %d", len(got.Breaks), len(want.Breaks))
-	}
-	for k := range got.Breaks {
-		if got.Breaks[k] != want.Breaks[k] || got.Vals[k] != want.Vals[k] {
-			t.Fatalf("LStep[%d] = (%v, %v), want (%v, %v)",
-				k, got.Breaks[k], got.Vals[k], want.Breaks[k], want.Vals[k])
 		}
 	}
 }
@@ -129,12 +97,8 @@ func assertSameStep(t *testing.T, got, want *LStep) {
 func TestReplicatedShardFailover(t *testing.T) {
 	pts := shardTestPoints(t, 13, 500, 2)
 	opts := shardTestOptions(2)
-	ref, err := NewCellIndex(pts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tt := len(pts) / 3
-	refStep, err := ref.BuildLStep(context.Background(), tt)
+	refStep, err := cellIndexOf(t, pts, opts).BuildLStep(context.Background(), tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +130,7 @@ func TestReplicatedShardFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("failAfter=%d: BuildLStep through failover: %v", failAfter, err)
 		}
-		assertSameStep(t, step, refStep)
+		assertSameStep(t, fmt.Sprintf("failAfter=%d", failAfter), step, refStep)
 		if err := sh.Close(); err != nil {
 			t.Fatalf("failAfter=%d: Close: %v", failAfter, err)
 		}
@@ -213,7 +177,7 @@ func TestReplicatedShardAllDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10, false); !errors.Is(err, died) {
+	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); !errors.Is(err, died) {
 		t.Fatalf("all replicas dead: err = %v, want %v", err, died)
 	}
 	if got := dialed.Load(); got != 3 {
@@ -252,7 +216,7 @@ func TestReplicatedShardHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.PartialCounts(context.Background(), EpochFrozen, 1, 0.05, 50, false)
+	want, err := ref.PartialCounts(context.Background(), EpochFrozen, 1, 0.05, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +240,7 @@ func TestReplicatedShardHedge(t *testing.T) {
 	}
 	defer rs.Close()
 	for q := 0; q < 20; q++ {
-		got, err := rs.PartialCounts(context.Background(), EpochFrozen, 1, 0.05, 50, false)
+		got, err := rs.PartialCounts(context.Background(), EpochFrozen, 1, 0.05, 50)
 		if err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
@@ -301,13 +265,13 @@ type slowShard struct {
 	delay time.Duration
 }
 
-func (s *slowShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (s *slowShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	select {
 	case <-time.After(s.delay):
 	case <-ctxOrBackground(ctx).Done():
 		return nil, ctx.Err()
 	}
-	return s.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, exactBoundary)
+	return s.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
 }
 
 // TestReplicatedShardProbeRecovery: a replica that failed (and was marked
@@ -350,10 +314,10 @@ func TestReplicatedShardProbeRecovery(t *testing.T) {
 
 	// First call: primary's budget runs out → failover to backup, primary
 	// marked down.
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10, false); err != nil {
+	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10, false); err != nil {
+	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
 		t.Fatal(err)
 	}
 	// The down mark itself is transient — the 1ms prober may clear it
@@ -367,7 +331,7 @@ func TestReplicatedShardProbeRecovery(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The recovered primary serves again (its budget was restored).
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10, false); err != nil {
+	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -393,7 +357,7 @@ func TestReplicatedShardPreCancelled(t *testing.T) {
 	defer rs.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rs.PartialCounts(ctx, EpochFrozen, 0, 0.05, 10, false); !errors.Is(err, context.Canceled) {
+	if _, err := rs.PartialCounts(ctx, EpochFrozen, 0, 0.05, 10); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 	if got := calls.Load(); got != 0 {
@@ -406,9 +370,9 @@ type countingShard struct {
 	calls *atomic.Int32
 }
 
-func (c *countingShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (c *countingShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	c.calls.Add(1)
-	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, exactBoundary)
+	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
 }
 
 // TestReplicatedShardClose: Close is idempotent, closes every dialed
@@ -431,7 +395,7 @@ func TestReplicatedShardClose(t *testing.T) {
 	}
 	// Force the second replica to dial too (failover path), so Close has
 	// two backends to release.
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10, false); err != nil {
+	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
 		t.Fatal(err)
 	}
 	rs.replicas[1].down.Store(false)
@@ -447,7 +411,7 @@ func TestReplicatedShardClose(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10, false); err == nil {
+	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err == nil {
 		t.Fatal("call after Close succeeded")
 	}
 }

@@ -9,14 +9,16 @@ import (
 )
 
 // ShardBackend is the narrow seam between ShardedIndex and one data
-// partition: a shard holds a subset of the indexed points and answers
-// "how many of my points are within r of these centers" in the three
-// flavors the BallIndex queries decompose into. Every method is a pure
-// read over the shard's points — per-shard answers compose into global
-// ones by plain (or saturating) addition, which is what makes the
-// ShardedIndex equivalence contract transport-agnostic: an implementation
-// may run in-process (LocalShard) or on another machine behind an RPC
-// client, and releases stay bit-identical.
+// partition: a shard holds a subset of the indexed points and answers the
+// two bulk reads BuildLStep decomposes into — its capped center-rule
+// contributions to the ball counts around every global point at one ladder
+// level (PartialCounts), and its contribution to the global duplicate
+// table (DupCounts). Both are pure reads over the shard's points, and
+// per-shard answers compose into global ones by plain (or saturating)
+// addition, which is what makes the ShardedIndex equivalence contract
+// transport-agnostic: an implementation may run in-process (LocalShard) or
+// on another machine behind an RPC client, and releases stay
+// bit-identical.
 //
 // Bulk methods take the batch implicitly: the global point set is fixed
 // per snapshot (ShardConfig.Points at construction, grown by appends on
@@ -36,19 +38,14 @@ import (
 type ShardBackend interface {
 	// NPoints returns the number of points the shard currently holds.
 	NPoints() int
-	// CountBatch returns, for each center, the exact number of shard
-	// points within distance r of it at the given epoch — the batched
-	// CountWithin partial. A negative r yields zeros.
-	CountBatch(ctx context.Context, epoch Epoch, centers []vec.Vector, r float64) ([]int32, error)
 	// PartialCounts returns this shard's contribution to the capped
 	// within-r counts around every global point of the epoch's snapshot,
 	// at ladder level j: slot i holds min(|{y ∈ shard : y contributes to
-	// B_r(points[i])}|, limit), with boundary cells resolved exactly
-	// (exactBoundary) or by the center rule of the L estimators. Summing
-	// the per-shard vectors with saturation at limit reproduces the
-	// unsharded capped counts bit for bit (capping commutes — see
-	// ShardedIndex).
-	PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error)
+	// B̂_r(points[i])}|, limit), with boundary cells resolved by the center
+	// rule of the L estimators (see CellIndex). Summing the per-shard
+	// vectors with saturation at limit reproduces the unsharded capped
+	// counts bit for bit (capping commutes — see ShardedIndex).
+	PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error)
 	// DupCounts returns, for every global point of the epoch's snapshot,
 	// how many shard points are bitwise identical to it — this shard's
 	// contribution to the global duplicate table (the exact radius-0
@@ -109,7 +106,7 @@ func (cfg ShardConfig) validate() error {
 // center — the same amortization the fused local pass gets from per-shard
 // levels). Both are pinned to the shared ladder, and the source grouping
 // never affects results: a member cell outside a source cell's candidate
-// block contributes nothing to its points under either boundary rule.
+// block contributes nothing to its points.
 type LocalShard struct {
 	cfg     ShardConfig
 	members *CellIndex // index over the shard's subset
@@ -155,43 +152,19 @@ func errFrozenEpoch(epoch Epoch) error {
 	return fmt.Errorf("geometry: immutable shard queried at epoch %d (only the frozen snapshot exists)", epoch)
 }
 
-// CountBatch returns the exact number of shard points within r of each
-// center.
-func (s *LocalShard) CountBatch(ctx context.Context, epoch Epoch, centers []vec.Vector, r float64) ([]int32, error) {
-	if epoch != EpochFrozen {
-		return nil, errFrozenEpoch(epoch)
-	}
-	out := make([]int32, len(centers))
-	if r < 0 {
-		return out, nil
-	}
-	if err := ctxOrBackground(ctx).Err(); err != nil {
-		return nil, err
-	}
-	lv := s.members.level(s.members.levelFor(r))
-	sc := newCellScratch(s.members.dim)
-	for i, c := range centers {
-		if c.Dim() != s.members.dim {
-			return nil, fmt.Errorf("geometry: center %d has dimension %d, want %d", i, c.Dim(), s.members.dim)
-		}
-		out[i] = s.members.countOne(lv, c, r, sc)
-	}
-	return out, nil
-}
-
 // PartialCounts computes the shard's member contributions around every
 // global point at ladder level j, capped at limit, via the shared
 // crossCellCounts engine (the source structure over the global points as
 // the one source group, the member index as the one member group). A
 // cancelled ctx aborts it with ctx.Err() and no leaked goroutines.
-func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	if epoch != EpochFrozen {
 		return nil, errFrozenEpoch(epoch)
 	}
 	out := make([]int32, s.cfg.Points.N())
 	err := crossCellCounts(ctx, s.cfg.Cell.Workers,
 		[]cellGroup{{ix: s.src}}, []cellGroup{{ix: s.members}},
-		j, r, limit, exactBoundary, out)
+		j, r, limit, out)
 	if err != nil {
 		return nil, err
 	}

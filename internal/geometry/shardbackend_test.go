@@ -19,7 +19,7 @@ func localDialer(_ context.Context, _ int, cfg ShardConfig) (ShardBackend, error
 // the geometry layer: a backend-mode ShardedIndex (shards reached only
 // through the ShardBackend interface, global duplicate table assembled
 // from per-backend contributions, bulk counts summed from per-backend
-// partial vectors) answers every BallIndex query bit-identically to a
+// partial vectors) builds the L̂ step function bit-identically to a
 // CellIndex over the same points. With this in place, a remote transport
 // only has to move the ShardBackend calls faithfully to inherit the whole
 // equivalence contract.
@@ -27,84 +27,34 @@ func TestShardedIndexBackendsMatchesCellIndex(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		pts := shardTestPoints(t, int64(d), 700, d)
 		opts := shardTestOptions(d)
-		ref, err := NewCellIndex(pts, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := cellIndexOf(t, pts, opts)
 		tt := len(pts) / 3
-		refStep, err := ref.BuildLStep(context.Background(), tt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, s := range []int{1, 2, 4} {
 			for _, pol := range []ShardPolicy{ShardRoundRobin, ShardMorton} {
+				tag := fmt.Sprintf("d=%d s=%d pol=%d", d, s, pol)
 				sh, err := NewShardedIndexBackends(context.Background(), frameOf(t, pts), ShardedIndexOptions{
 					Shards: s, Policy: pol, Cell: opts,
 				}, localDialer)
 				if err != nil {
-					t.Fatalf("d=%d s=%d pol=%d: %v", d, s, pol, err)
+					t.Fatalf("%s: %v", tag, err)
 				}
 				if sh.Shards() != s {
-					t.Fatalf("d=%d s=%d: built %d backends", d, s, sh.Shards())
+					t.Fatalf("%s: built %d backends", tag, sh.Shards())
 				}
 				if sh.lad != ref.lad {
-					t.Fatalf("d=%d s=%d pol=%d: ladder diverged: %+v vs %+v", d, s, pol, sh.lad, ref.lad)
+					t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
 				}
 				if sh.N() != ref.N() {
-					t.Fatalf("d=%d s=%d: N = %d, want %d", d, s, sh.N(), ref.N())
+					t.Fatalf("%s: N = %d, want %d", tag, sh.N(), ref.N())
 				}
 				for i := range pts {
 					if sh.dupCount[i] != ref.dupCount[i] {
-						t.Fatalf("d=%d s=%d pol=%d: dupCount[%d] = %d, want %d",
-							d, s, pol, i, sh.dupCount[i], ref.dupCount[i])
+						t.Fatalf("%s: dupCount[%d] = %d, want %d", tag, i, sh.dupCount[i], ref.dupCount[i])
 					}
 				}
-				for _, r := range []float64{-1, 0, opts.MinRadius / 2, 0.01, 0.05, 0.3, 2} {
-					for _, i := range []int{0, len(pts) / 2, len(pts) - 1} {
-						if got, want := sh.CountWithin(i, r), ref.CountWithin(i, r); got != want {
-							t.Fatalf("d=%d s=%d pol=%d: CountWithin(%d, %v) = %d, want %d",
-								d, s, pol, i, r, got, want)
-						}
-					}
-					if got, want := sh.MaxCountWithin(r), ref.MaxCountWithin(r); got != want {
-						t.Fatalf("d=%d s=%d pol=%d: MaxCountWithin(%v) = %d, want %d", d, s, pol, r, got, want)
-					}
-					gl, err1 := sh.LValue(r, tt)
-					wl, err2 := ref.LValue(r, tt)
-					if (err1 == nil) != (err2 == nil) || gl != wl {
-						t.Fatalf("d=%d s=%d pol=%d: LValue(%v) = %v (%v), want %v (%v)",
-							d, s, pol, r, gl, err1, wl, err2)
-					}
-				}
-				for _, tq := range []int{1, 2, tt, len(pts)} {
-					gi, gr, err1 := sh.TwoApprox(tq)
-					wi, wr, err2 := ref.TwoApprox(tq)
-					if gi != wi || gr != wr || (err1 == nil) != (err2 == nil) {
-						t.Fatalf("d=%d s=%d pol=%d: TwoApprox(%d) = (%d, %v, %v), want (%d, %v, %v)",
-							d, s, pol, tq, gi, gr, err1, wi, wr, err2)
-					}
-					g, err1 := sh.RadiusForCount(len(pts)/2, tq)
-					w, err2 := ref.RadiusForCount(len(pts)/2, tq)
-					if g != w || (err1 == nil) != (err2 == nil) {
-						t.Fatalf("d=%d s=%d pol=%d: RadiusForCount(%d) = %v, want %v", d, s, pol, tq, g, w)
-					}
-				}
-				step, err := sh.BuildLStep(context.Background(), tt)
-				if err != nil {
-					t.Fatalf("d=%d s=%d pol=%d: BuildLStep: %v", d, s, pol, err)
-				}
-				if len(step.Breaks) != len(refStep.Breaks) {
-					t.Fatalf("d=%d s=%d pol=%d: %d breaks, want %d",
-						d, s, pol, len(step.Breaks), len(refStep.Breaks))
-				}
-				for k := range step.Breaks {
-					if step.Breaks[k] != refStep.Breaks[k] || step.Vals[k] != refStep.Vals[k] {
-						t.Fatalf("d=%d s=%d pol=%d: step[%d] = (%v, %v), want (%v, %v)",
-							d, s, pol, k, step.Breaks[k], step.Vals[k], refStep.Breaks[k], refStep.Vals[k])
-					}
-				}
+				assertSameSteps(t, tag, sh, ref, 1, 2, tt, len(pts))
 				if err := sh.Close(); err != nil {
-					t.Fatalf("d=%d s=%d pol=%d: Close: %v", d, s, pol, err)
+					t.Fatalf("%s: Close: %v", tag, err)
 				}
 			}
 		}
@@ -119,17 +69,17 @@ type failingBackend struct {
 	err              error
 }
 
-func (f *failingBackend) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (f *failingBackend) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	f.calls++
 	if f.calls > f.failAfter {
 		return nil, f.err
 	}
-	return f.LocalShard.PartialCounts(ctx, epoch, j, r, limit, exactBoundary)
+	return f.LocalShard.PartialCounts(ctx, epoch, j, r, limit)
 }
 
 // TestShardedIndexBackendFailure: a backend failing mid-LStep-sweep must
 // surface its error from BuildLStep — never a hang, never a partial sum —
-// and the errorless point queries must report the documented -1.
+// and every later sweep must fail the same way rather than return counts.
 func TestShardedIndexBackendFailure(t *testing.T) {
 	pts := shardTestPoints(t, 3, 400, 2)
 	opts := shardTestOptions(2)
@@ -156,11 +106,8 @@ func TestShardedIndexBackendFailure(t *testing.T) {
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("BuildLStep after backend death: err = %v, want %v", err, wantErr)
 	}
-	if got := sh.MaxCountWithin(0.1); got != -1 {
-		t.Errorf("MaxCountWithin after backend death = %d, want -1", got)
-	}
-	if _, _, err := sh.TwoApprox(len(pts) / 3); !errors.Is(err, wantErr) {
-		t.Errorf("TwoApprox after backend death: err = %v, want %v", err, wantErr)
+	if ls, err := sh.BuildLStep(context.Background(), len(pts)/3); !errors.Is(err, wantErr) || ls != nil {
+		t.Errorf("second sweep after backend death = (%v, %v), want (nil, %v)", ls, err, wantErr)
 	}
 }
 
@@ -213,11 +160,11 @@ type cancelOnCall struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelOnCall) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (c *cancelOnCall) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	if c.n.Add(1) >= c.after {
 		c.cancel()
 	}
-	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, exactBoundary)
+	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
 }
 
 // TestLocalShardConfigValidation covers the malformed-config rejections a

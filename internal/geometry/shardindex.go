@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -25,8 +24,8 @@ var fanoutBuckets = []float64{0.0002, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 var statShardFanout = obs.Default.Histogram("privcluster_shard_fanout_seconds",
 	"Per-backend latency of one bulk-count fan-out call.", fanoutBuckets)
 
-// ShardPolicy selects how NewShardedIndex assigns points to shards. The
-// assignment never affects query results — every answer is an exact sum of
+// ShardPolicy selects how a ShardedIndex assigns points to shards. The
+// assignment never affects results — every count is an exact sum of
 // per-shard partial counts — only build parallelism and query-time cache
 // behavior, so the policy is a pure performance knob.
 type ShardPolicy int
@@ -46,7 +45,8 @@ const (
 	ShardMorton
 )
 
-// ShardedIndexOptions configures NewShardedIndex.
+// ShardedIndexOptions configures NewShardedIndexFrame and
+// NewShardedIndexBackends.
 type ShardedIndexOptions struct {
 	// Shards is the number of data partitions S. Values below 1 mean 1;
 	// values above n are clamped to n (so no shard is ever empty).
@@ -67,27 +67,28 @@ type indexShard struct {
 }
 
 // ShardedIndex is the sharded BallIndex backend: the quantized points are
-// partitioned into S shards, each holding its own CellIndex, built in
-// parallel. Ball counts are sums over data partitions — B_r(x) =
-// Σ_s |{y ∈ shard s : ‖x−y‖ ≤ r}| — so every query is answered by summing
-// per-shard partial counts.
+// partitioned into S shards, each holding its own CellIndex (built in
+// parallel) or reached through a ShardBackend. The estimated ball counts
+// are sums over data partitions — B̂_r(x) = Σ_s |{y ∈ shard s : y
+// contributes to B̂_r(x)}| — so every ladder level of the L̂ sweep is
+// answered by summing per-shard capped partial counts.
 //
-// Equivalence contract: a ShardedIndex answers every BallIndex query
-// bit-identically to a CellIndex over the same points with the same
-// options, for any shard count and policy. Three invariants carry it:
+// Equivalence contract: BuildLStep returns, bit for bit, the step function
+// a CellIndex over the same points with the same options builds, for any
+// shard count, policy or backend. Three invariants carry it:
 //
 //   - Shared ladder. Every shard's radius ladder is pinned to the global
 //     one (MaxRadius is forced to the global ladder top, which dominates
-//     each shard's smaller bounding box), so a query at radius r resolves
-//     at the same ladder level, with the same cell side, in every shard.
-//   - Positional cell rule. A member point's contribution to a count —
-//     whether resolved exactly or by the center rule of the L estimators —
-//     depends only on its own cell coordinates and the query point, never
-//     on which other points share its cell. Splitting a cell's occupants
-//     across shards therefore splits its contribution into exact partial
-//     sums. In particular L̂ keeps the sensitivity-2 property of Lemma 4.5:
-//     the estimate is the same function of the dataset as the unsharded
-//     one, so GoodRadius's privacy analysis is untouched by sharding.
+//     each shard's smaller bounding box), so ladder level j has the same
+//     radius and the same cell side in every shard.
+//   - Positional cell rule. A member point's contribution to a count under
+//     the center rule depends only on its own cell coordinates and the
+//     query point, never on which other points share its cell. Splitting a
+//     cell's occupants across shards therefore splits its contribution
+//     into exact partial sums. In particular L̂ keeps the sensitivity-2
+//     property of Lemma 4.5: the estimate is the same function of the
+//     dataset as the unsharded one, so GoodRadius's privacy analysis is
+//     untouched by sharding.
 //   - Capping commutes. Capped counts min(B, t) are recovered from
 //     per-shard capped partials by nonnegative saturating addition:
 //     min(Σ_s min(B_s, t), t) = min(B, t).
@@ -127,19 +128,6 @@ type ShardedIndex struct {
 	sharedBackends bool
 }
 
-// NewShardedIndex builds a sharded index over a slice of vectors — a
-// convenience wrapper that copies the points into a flat Frame first.
-func NewShardedIndex(ctx context.Context, points []vec.Vector, opts ShardedIndexOptions) (*ShardedIndex, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("geometry: sharded index over empty point set")
-	}
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		return nil, fmt.Errorf("geometry: %w", err)
-	}
-	return NewShardedIndexFrame(ctx, f, opts)
-}
-
 // NewShardedIndexFrame partitions the frame's rows per opts and builds the
 // per-shard cell indexes in parallel. It returns an error for an empty input,
 // and ctx.Err() when cancelled mid-build (in-flight shard builds are waited
@@ -153,12 +141,12 @@ func NewShardedIndexFrame(ctx context.Context, points *vec.Frame, opts ShardedIn
 
 	// Per-shard indexes are built with MaxRadius pinned to the global
 	// ladder top, so a shard's (smaller) bounding box can never shrink its
-	// ladder: every shard resolves radius r at the same level, with the
-	// same cell side, as the unsharded index — the shared-ladder invariant
-	// the exact-sum equivalence rests on. Shards skip their duplicate
-	// tables: a per-shard table cannot see cross-shard duplicates, and the
-	// sharded index keeps the global one (dupCount) for every radius-0
-	// path, so only the shards' count paths are ever queried.
+	// ladder: every shard's level j has the same radius and cell side as
+	// the unsharded index's — the shared-ladder invariant the exact-sum
+	// equivalence rests on. Shards skip their duplicate tables: a per-shard
+	// table cannot see cross-shard duplicates, and the sharded index keeps
+	// the global one (dupCount) for radius 0, so only the shards' count
+	// passes are ever run.
 	shardCell := ix.opts
 	shardCell.MaxRadius = ix.lad.maxR
 	shardCell.skipDupTable = true
@@ -251,12 +239,12 @@ type ShardDialer func(ctx context.Context, shard int, cfg ShardConfig) (ShardBac
 
 // NewShardedIndexBackends builds a ShardedIndex whose shards are reached
 // only through the ShardBackend interface — the seam a remote transport
-// plugs into. The points are partitioned exactly as NewShardedIndex would
-// (same policy, same clamping), each backend is dialed with its
+// plugs into. The points are partitioned exactly as NewShardedIndexFrame
+// would (same policy, same clamping), each backend is dialed with its
 // ShardConfig (cell options pinned to the shared global ladder), and the
 // global duplicate table is assembled by summing per-backend DupCounts.
-// Every BallIndex answer is then a sum of per-backend partials —
-// bit-identical to the local constructors under the equivalence contract
+// Every L̂ sweep level is then a sum of per-backend partials —
+// bit-identical to the local constructor under the equivalence contract
 // above.
 //
 // Backends are dialed concurrently; the first failure closes the backends
@@ -529,7 +517,7 @@ func (ix *ShardedIndex) Shards() int {
 // so the result is bit-identical to the fused local pass. On any backend
 // failure the siblings are cancelled and the error (never a partial sum)
 // is returned; a cancelled caller ctx aborts every in-flight call.
-func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, limit int32) ([]int32, error) {
 	n := ix.frame.N()
 	out := make([]int32, n)
 	if r < 0 || limit <= 0 {
@@ -549,7 +537,7 @@ func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, 
 		go func(si int, be ShardBackend) {
 			defer wg.Done()
 			start := time.Now()
-			parts[si], errs[si] = be.PartialCounts(cctx, ix.epoch, j, r, limit, exactBoundary)
+			parts[si], errs[si] = be.PartialCounts(cctx, ix.epoch, j, r, limit)
 			el := time.Since(start)
 			statShardFanout.Observe(el.Seconds())
 			if span != nil {
@@ -613,15 +601,15 @@ func firstRealError(ctx context.Context, errs []error) error {
 // to the single-index pass, accumulated shard by shard with saturation at
 // limit. A cancelled ctx aborts the pass with ctx.Err() and no leaked
 // goroutines (see crossCellCounts).
-func (ix *ShardedIndex) countAll(ctx context.Context, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (ix *ShardedIndex) countAll(ctx context.Context, j int, r float64, limit int32) ([]int32, error) {
 	ctx = ctxOrBackground(ctx)
 	if ix.backends != nil {
-		return ix.countAllBackends(ctx, j, r, limit, exactBoundary)
+		return ix.countAllBackends(ctx, j, r, limit)
 	}
 	n := ix.frame.N()
 	out := make([]int32, n)
 	groups := ix.cellGroups()
-	if err := crossCellCounts(ctx, ix.opts.Workers, groups, groups, j, r, limit, exactBoundary, out); err != nil {
+	if err := crossCellCounts(ctx, ix.opts.Workers, groups, groups, j, r, limit, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -637,99 +625,6 @@ func (ix *ShardedIndex) cellGroups() []cellGroup {
 	return groups
 }
 
-// CountWithin returns B_r(x_i) exactly: the sum of exact per-shard counts.
-// In backend mode a transport failure is reported as -1 (an impossible
-// count — every valid answer at r ≥ 0 is ≥ 1, the point itself); the
-// serving pipeline only consumes the error-returning query paths.
-func (ix *ShardedIndex) CountWithin(i int, r float64) int {
-	if r < 0 {
-		return 0
-	}
-	if ix.backends != nil {
-		center := []vec.Vector{ix.frame.RowView(i, nil)}
-		total := 0
-		for _, be := range ix.backends {
-			c, err := be.CountBatch(context.Background(), ix.epoch, center, r)
-			if err != nil {
-				return -1
-			}
-			total += int(c[0])
-		}
-		return total
-	}
-	j := ix.lad.levelFor(r)
-	sc := newCellScratch(ix.dim)
-	p := ix.frame.RowView(i, sc.row)
-	total := 0
-	for _, sh := range ix.shards {
-		total += int(sh.ix.countOne(sh.ix.level(j), p, r, sc))
-	}
-	return total
-}
-
-// RadiusForCount returns the t-th smallest distance from point i — exact,
-// via the scan shared with the CellIndex.
-func (ix *ShardedIndex) RadiusForCount(i, t int) (float64, error) {
-	return radiusForCount(ix.frame, i, t)
-}
-
-// TwoApprox runs the shared ladder search (twoApproxLadder) on the summed
-// exact counts: identical ladder, identical counts, identical result to
-// the unsharded index.
-func (ix *ShardedIndex) TwoApprox(t int) (center int, radius float64, err error) {
-	// Local mode never errors under a background context; backend mode
-	// can (transport failures), so the closure captures the first error
-	// and it preempts whatever the ladder search made of the nil counts.
-	var callErr error
-	c, r, err := twoApproxLadder(ix.frame.N(), t, ix.dupCount, ix.lad, func(j int) []int32 {
-		counts, err := ix.countAll(context.Background(), j, ix.lad.radius(j), int32(t), true)
-		if err != nil && callErr == nil {
-			callErr = err
-		}
-		return counts
-	})
-	if callErr != nil {
-		return 0, 0, callErr
-	}
-	return c, r, err
-}
-
-// MaxCountWithin returns max_i B_r(x_i) exactly. In backend mode a
-// transport failure is reported as -1 (see CountWithin).
-func (ix *ShardedIndex) MaxCountWithin(r float64) int {
-	counts, err := ix.countAll(context.Background(), ix.lad.levelFor(r), r, math.MaxInt32, true)
-	if err != nil {
-		return -1
-	}
-	return int(maxInt32(counts))
-}
-
-// dupLValue is L at radius 0 (and below the resolution floor): the exact
-// top-t average of the capped global duplicate multiplicities.
-func (ix *ShardedIndex) dupLValue(t int) float64 {
-	return topTAvg(ix.dupCount, t)
-}
-
-// LValue estimates L(r, S) with exactly the CellIndex bounds (the summed
-// center-rule counts are bit-identical to the unsharded estimate).
-func (ix *ShardedIndex) LValue(r float64, t int) (float64, error) {
-	n := ix.frame.N()
-	if t < 1 || t > n {
-		return 0, fmt.Errorf("geometry: LValue t=%d out of [1,%d]", t, n)
-	}
-	if r < 0 {
-		return 0, nil
-	}
-	if r < ix.opts.MinRadius {
-		return ix.dupLValue(t), nil
-	}
-	counts, err := ix.countAll(context.Background(), ix.lad.levelFor(r), r, int32(t), false)
-	if err != nil {
-		return 0, err
-	}
-	return topTAvg(counts, t), nil
-}
-
 // BuildLStep constructs the approximate L(·, S) step function exactly as
 // the CellIndex sweep does — same fixed ladder, same running-max recording,
 // same early saturation stop — with each level's counts summed across
@@ -743,12 +638,12 @@ func (ix *ShardedIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 		return nil, fmt.Errorf("geometry: BuildLStep t=%d out of [1,%d]", t, n)
 	}
 	l := &LStep{T: t}
-	prev := ix.dupLValue(t)
+	prev := topTAvg(ix.dupCount, t)
 	l.Breaks = append(l.Breaks, 0)
 	l.Vals = append(l.Vals, prev)
 	levels := 0
 	for j := 0; j <= ix.lad.top && prev < float64(t); j++ {
-		counts, err := ix.countAll(ctx, j, ix.lad.radius(j), int32(t), false)
+		counts, err := ix.countAll(ctx, j, ix.lad.radius(j), int32(t))
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,9 @@ package geometry
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -63,96 +65,79 @@ func shardTestOptions(d int) CellIndexOptions {
 	return CellIndexOptions{MinRadius: grid.RadiusUnit(), MaxRadius: grid.MaxDistance()}
 }
 
+// cellIndexOf builds the reference CellIndex over test vectors.
+func cellIndexOf(t *testing.T, pts []vec.Vector, opts CellIndexOptions) *CellIndex {
+	t.Helper()
+	ix, err := NewCellIndexFrame(frameOf(t, pts), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// shardedIndexOf builds an all-local ShardedIndex over test vectors.
+func shardedIndexOf(t *testing.T, pts []vec.Vector, opts ShardedIndexOptions) *ShardedIndex {
+	t.Helper()
+	ix, err := NewShardedIndexFrame(context.Background(), frameOf(t, pts), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func assertSameStep(t *testing.T, tag string, got, want *LStep) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: LStep = %+v, want %+v", tag, *got, *want)
+	}
+}
+
+// assertSameSteps builds the L̂ step function of both indexes at every
+// given t and requires bit equality of Breaks and Vals.
+func assertSameSteps(t *testing.T, tag string, got, want BallIndex, ts ...int) {
+	t.Helper()
+	for _, tt := range ts {
+		gs, err1 := got.BuildLStep(context.Background(), tt)
+		ws, err2 := want.BuildLStep(context.Background(), tt)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: BuildLStep(%d): %v / %v", tag, tt, err1, err2)
+		}
+		assertSameStep(t, fmt.Sprintf("%s t=%d", tag, tt), gs, ws)
+	}
+}
+
 // TestShardedIndexMatchesCellIndex is the tentpole equivalence guarantee at
 // the geometry layer: for every shard count and policy, a ShardedIndex
-// answers every BallIndex query bit-identically to a CellIndex over the
-// same points — exact queries and the approximate L estimators alike, so
-// the DP pipeline above consumes identical values (and hence identical
-// noise streams) regardless of sharding.
+// builds the L̂ step function bit-identically to a CellIndex over the same
+// points, so the DP pipeline above consumes identical values (and hence
+// identical noise streams) regardless of sharding.
 func TestShardedIndexMatchesCellIndex(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		pts := shardTestPoints(t, int64(d), 900, d)
 		opts := shardTestOptions(d)
-		ref, err := NewCellIndex(pts, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := cellIndexOf(t, pts, opts)
 		tt := len(pts) / 3
-		refStep, err := ref.BuildLStep(context.Background(), tt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, s := range []int{1, 2, 4, 8} {
 			for _, pol := range []ShardPolicy{ShardRoundRobin, ShardMorton} {
-				sh, err := NewShardedIndex(context.Background(), pts, ShardedIndexOptions{
-					Shards: s, Policy: pol, Cell: opts,
-				})
-				if err != nil {
-					t.Fatalf("d=%d s=%d pol=%d: %v", d, s, pol, err)
-				}
+				tag := fmt.Sprintf("d=%d s=%d pol=%d", d, s, pol)
+				sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: s, Policy: pol, Cell: opts})
 				if sh.Shards() != s {
-					t.Fatalf("d=%d s=%d: built %d shards", d, s, sh.Shards())
+					t.Fatalf("%s: built %d shards", tag, sh.Shards())
 				}
 				if sh.lad != ref.lad {
-					t.Fatalf("d=%d s=%d pol=%d: ladder diverged: %+v vs %+v", d, s, pol, sh.lad, ref.lad)
+					t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
 				}
 				for _, shard := range sh.shards {
 					if shard.ix.lad != ref.lad {
-						t.Fatalf("d=%d s=%d pol=%d: shard ladder diverged: %+v vs %+v",
-							d, s, pol, shard.ix.lad, ref.lad)
+						t.Fatalf("%s: shard ladder diverged: %+v vs %+v", tag, shard.ix.lad, ref.lad)
 					}
 				}
 				for i := range pts {
 					if sh.dupCount[i] != ref.dupCount[i] {
-						t.Fatalf("d=%d s=%d pol=%d: dupCount[%d] = %d, want %d",
-							d, s, pol, i, sh.dupCount[i], ref.dupCount[i])
+						t.Fatalf("%s: dupCount[%d] = %d, want %d", tag, i, sh.dupCount[i], ref.dupCount[i])
 					}
 				}
-				for _, r := range []float64{-1, 0, opts.MinRadius / 2, 0.01, 0.05, 0.3, 2} {
-					for _, i := range []int{0, len(pts) / 2, len(pts) - 1} {
-						if got, want := sh.CountWithin(i, r), ref.CountWithin(i, r); got != want {
-							t.Fatalf("d=%d s=%d pol=%d: CountWithin(%d, %v) = %d, want %d",
-								d, s, pol, i, r, got, want)
-						}
-					}
-					if got, want := sh.MaxCountWithin(r), ref.MaxCountWithin(r); got != want {
-						t.Fatalf("d=%d s=%d pol=%d: MaxCountWithin(%v) = %d, want %d", d, s, pol, r, got, want)
-					}
-					gl, err1 := sh.LValue(r, tt)
-					wl, err2 := ref.LValue(r, tt)
-					if (err1 == nil) != (err2 == nil) || gl != wl {
-						t.Fatalf("d=%d s=%d pol=%d: LValue(%v) = %v (%v), want %v (%v)",
-							d, s, pol, r, gl, err1, wl, err2)
-					}
-				}
-				for _, tq := range []int{1, 2, tt, len(pts)} {
-					gi, gr, err1 := sh.TwoApprox(tq)
-					wi, wr, err2 := ref.TwoApprox(tq)
-					if gi != wi || gr != wr || (err1 == nil) != (err2 == nil) {
-						t.Fatalf("d=%d s=%d pol=%d: TwoApprox(%d) = (%d, %v, %v), want (%d, %v, %v)",
-							d, s, pol, tq, gi, gr, err1, wi, wr, err2)
-					}
-					grr, err1 := sh.RadiusForCount(0, tq)
-					wrr, err2 := ref.RadiusForCount(0, tq)
-					if grr != wrr || (err1 == nil) != (err2 == nil) {
-						t.Fatalf("d=%d s=%d pol=%d: RadiusForCount(0, %d) = %v, want %v",
-							d, s, pol, tq, grr, wrr)
-					}
-				}
-				step, err := sh.BuildLStep(context.Background(), tt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(step.Breaks) != len(refStep.Breaks) {
-					t.Fatalf("d=%d s=%d pol=%d: LStep has %d breaks, want %d",
-						d, s, pol, len(step.Breaks), len(refStep.Breaks))
-				}
-				for k := range step.Breaks {
-					if step.Breaks[k] != refStep.Breaks[k] || step.Vals[k] != refStep.Vals[k] {
-						t.Fatalf("d=%d s=%d pol=%d: LStep[%d] = (%v, %v), want (%v, %v)",
-							d, s, pol, k, step.Breaks[k], step.Vals[k], refStep.Breaks[k], refStep.Vals[k])
-					}
-				}
+				assertSameSteps(t, tag, sh, ref, 1, 2, tt, len(pts))
 			}
 		}
 	}
@@ -160,20 +145,16 @@ func TestShardedIndexMatchesCellIndex(t *testing.T) {
 
 // TestShardedIndexEdgeCases covers the shard-count boundaries: S above n
 // clamps so no shard is empty, S below 1 means 1, a single point works, a
-// duplicate-only dataset resolves through the radius-0 paths, and invalid
+// duplicate-only dataset resolves through the radius-0 path, and invalid
 // inputs fail like the CellIndex.
 func TestShardedIndexEdgeCases(t *testing.T) {
 	opts := shardTestOptions(2)
 
 	t.Run("shards exceed n", func(t *testing.T) {
 		pts := shardTestPoints(t, 1, 5, 2)
+		ref := cellIndexOf(t, pts, opts)
 		for _, pol := range []ShardPolicy{ShardRoundRobin, ShardMorton} {
-			sh, err := NewShardedIndex(context.Background(), pts, ShardedIndexOptions{
-				Shards: 64, Policy: pol, Cell: opts,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 64, Policy: pol, Cell: opts})
 			if sh.Shards() != len(pts) {
 				t.Errorf("pol %d: S=64 over n=5 built %d shards, want %d", pol, sh.Shards(), len(pts))
 			}
@@ -182,23 +163,14 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 					t.Errorf("pol %d: empty shard built", pol)
 				}
 			}
-			ref, err := NewCellIndex(pts, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := sh.CountWithin(0, 0.5), ref.CountWithin(0, 0.5); got != want {
-				t.Errorf("pol %d: CountWithin = %d, want %d", pol, got, want)
-			}
+			assertSameSteps(t, fmt.Sprintf("pol %d", pol), sh, ref, 1, 2, 3, len(pts))
 		}
 	})
 
 	t.Run("zero and negative shards mean one", func(t *testing.T) {
 		pts := shardTestPoints(t, 2, 50, 2)
 		for _, s := range []int{0, -3} {
-			sh, err := NewShardedIndex(context.Background(), pts, ShardedIndexOptions{Shards: s, Cell: opts})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: s, Cell: opts})
 			if sh.Shards() != 1 {
 				t.Errorf("Shards=%d built %d shards, want 1", s, sh.Shards())
 			}
@@ -206,16 +178,13 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 	})
 
 	t.Run("single point", func(t *testing.T) {
-		sh, err := NewShardedIndex(context.Background(), []vec.Vector{vec.Of(0.5, 0.5)},
-			ShardedIndexOptions{Shards: 4, Cell: opts})
+		sh := shardedIndexOf(t, []vec.Vector{vec.Of(0.5, 0.5)}, ShardedIndexOptions{Shards: 4, Cell: opts})
+		ls, err := sh.BuildLStep(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sh.CountWithin(0, 0.1); got != 1 {
-			t.Errorf("CountWithin on singleton = %d", got)
-		}
-		if i, r, err := sh.TwoApprox(1); err != nil || i != 0 || r != 0 {
-			t.Errorf("TwoApprox(1) = (%d, %v, %v)", i, r, err)
+		if len(ls.Breaks) != 1 || ls.Eval(0) != 1 {
+			t.Errorf("singleton L = %v/%v, want the single piece L(0) = 1", ls.Breaks, ls.Vals)
 		}
 	})
 
@@ -224,43 +193,24 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 		for i := range pts {
 			pts[i] = vec.Of(0.25, 0.75)
 		}
-		sh, err := NewShardedIndex(context.Background(), pts, ShardedIndexOptions{Shards: 8, Cell: opts})
+		sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 8, Cell: opts})
+		ls, err := sh.BuildLStep(context.Background(), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i, r, err := sh.TwoApprox(40); err != nil || r != 0 {
-			t.Errorf("TwoApprox over duplicates = (%d, %v, %v), want radius 0", i, r, err)
-		}
-		if v, err := sh.LValue(0, 40); err != nil || v != 40 {
-			t.Errorf("LValue(0) over duplicates = %v (%v), want 40", v, err)
+		if len(ls.Breaks) != 1 || ls.Eval(0) != 40 {
+			t.Errorf("L over duplicates = %v/%v, want the single piece L(0) = 40", ls.Breaks, ls.Vals)
 		}
 	})
 
 	t.Run("invalid input", func(t *testing.T) {
-		if _, err := NewShardedIndex(context.Background(), nil, ShardedIndexOptions{Shards: 2, Cell: opts}); err == nil {
+		if _, err := NewShardedIndexFrame(context.Background(), nil, ShardedIndexOptions{Shards: 2, Cell: opts}); err == nil {
 			t.Error("empty input accepted")
 		}
-		bad := []vec.Vector{vec.Of(0.1, 0.2), vec.Of(0.3)}
-		if _, err := NewShardedIndex(context.Background(), bad, ShardedIndexOptions{Shards: 2, Cell: opts}); err == nil {
-			t.Error("mismatched dimensions accepted")
-		}
-		sh, err := NewShardedIndex(context.Background(), shardTestPoints(t, 3, 20, 2),
-			ShardedIndexOptions{Shards: 2, Cell: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := shardedIndexOf(t, shardTestPoints(t, 3, 20, 2), ShardedIndexOptions{Shards: 2, Cell: opts})
 		for _, bad := range []int{0, -1, 21} {
 			if _, err := sh.BuildLStep(context.Background(), bad); err == nil {
 				t.Errorf("BuildLStep(t=%d) accepted", bad)
-			}
-			if _, _, err := sh.TwoApprox(bad); err == nil {
-				t.Errorf("TwoApprox(t=%d) accepted", bad)
-			}
-			if _, err := sh.LValue(0.1, bad); err == nil {
-				t.Errorf("LValue(t=%d) accepted", bad)
-			}
-			if _, err := sh.RadiusForCount(0, bad); err == nil {
-				t.Errorf("RadiusForCount(t=%d) accepted", bad)
 			}
 		}
 	})
@@ -277,14 +227,11 @@ func TestShardedIndexCancellation(t *testing.T) {
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewShardedIndex(pre, pts, ShardedIndexOptions{Shards: 4, Cell: opts}); err != context.Canceled {
+	if _, err := NewShardedIndexFrame(pre, frameOf(t, pts), ShardedIndexOptions{Shards: 4, Cell: opts}); err != context.Canceled {
 		t.Errorf("pre-cancelled build: err = %v, want context.Canceled", err)
 	}
 
-	sh, err := NewShardedIndex(context.Background(), pts, ShardedIndexOptions{Shards: 4, Cell: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 4, Cell: opts})
 	mid, cancel2 := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

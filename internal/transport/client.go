@@ -180,17 +180,13 @@ func (c *RemoteShard) countsWant(epoch geometry.Epoch) int {
 // PartialCounts runs one capped bulk-count pass on the server: a single
 // round trip whose response carries the shard's contribution around every
 // global point of the pinned epoch.
-func (c *RemoteShard) PartialCounts(ctx context.Context, epoch geometry.Epoch, j int, r float64, limit int32, exactBoundary bool) ([]int32, error) {
+func (c *RemoteShard) PartialCounts(ctx context.Context, epoch geometry.Epoch, j int, r float64, limit int32) ([]int32, error) {
 	w := &wbuf{b: make([]byte, 0, 25)}
 	w.b = binary.BigEndian.AppendUint64(w.b, epoch)
 	w.i32(int32(j))
 	w.f64(r)
 	w.i32(limit)
-	if exactBoundary {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.u8(0) // boundary rule: the center rule, the only one defined
 	payload, err := c.call(ctx, "partials", msgPartials, w.b, msgCounts)
 	if err != nil {
 		return nil, err
@@ -198,31 +194,6 @@ func (c *RemoteShard) PartialCounts(ctx context.Context, epoch geometry.Epoch, j
 	counts, err := decodeCounts(payload, c.countsWant(epoch))
 	if err != nil {
 		return nil, &Error{Op: "partials", Addr: c.addr, Kind: KindProtocol, Err: err}
-	}
-	return counts, nil
-}
-
-// CountBatch returns the exact number of epoch-pinned shard points within
-// r of each center — one round trip for the whole batch.
-func (c *RemoteShard) CountBatch(ctx context.Context, epoch geometry.Epoch, centers []vec.Vector, r float64) ([]int32, error) {
-	w := &wbuf{b: make([]byte, 0, 20+8*len(centers)*c.dim)}
-	w.b = binary.BigEndian.AppendUint64(w.b, epoch)
-	w.f64(r)
-	w.u32(uint32(len(centers)))
-	for i, p := range centers {
-		if p.Dim() != c.dim {
-			return nil, &Error{Op: "countbatch", Addr: c.addr, Kind: KindRemote,
-				Err: fmt.Errorf("center %d has dimension %d, want %d", i, p.Dim(), c.dim)}
-		}
-	}
-	w.vectors(centers)
-	payload, err := c.call(ctx, "countbatch", msgCountBatch, w.b, msgCounts)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := decodeCounts(payload, len(centers))
-	if err != nil {
-		return nil, &Error{Op: "countbatch", Addr: c.addr, Kind: KindProtocol, Err: err}
 	}
 	return counts, nil
 }

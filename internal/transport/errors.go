@@ -62,7 +62,7 @@ func (k Kind) String() string {
 // unchanged, so a caller of BuildLStep on a remote-backed index can
 // errors.As it back out and read the Kind.
 type Error struct {
-	Op   string // "dial", "handshake", "partials", "countbatch", "dupcounts"
+	Op   string // "dial", "handshake", "partials", "dupcounts", "append", ...
 	Addr string
 	Kind Kind
 	Err  error

@@ -12,57 +12,25 @@ import (
 )
 
 // assertSnapshotMatches compares a pinned snapshot against a fresh
-// CellIndex over the same rows on a representative query battery: counts,
-// max counts, L-values, the 2-approximation, and the full step function —
-// the wire-level restatement of the epoch contract: a pinned snapshot is
-// bit-identical to Open on that epoch's point set.
-func assertSnapshotMatches(t *testing.T, tag string, got geometry.BallIndex, ref *geometry.CellIndex, minR float64) {
+// CellIndex over the same rows: the same points and bit-identical L̂ step
+// functions at several t — the wire-level restatement of the epoch
+// contract: a pinned snapshot is bit-identical to Open on that epoch's
+// point set.
+func assertSnapshotMatches(t *testing.T, tag string, got geometry.BallIndex, ref *geometry.CellIndex) {
 	t.Helper()
 	n := ref.N()
 	if got.N() != n {
 		t.Fatalf("%s: N = %d, want %d", tag, got.N(), n)
 	}
-	tt := n / 3
-	if tt < 1 {
-		tt = 1
-	}
-	for _, r := range []float64{-1, 0, minR / 2, 0.01, 0.05, 0.3, 2} {
-		for _, i := range []int{0, n / 2, n - 1} {
-			if g, w := got.CountWithin(i, r), ref.CountWithin(i, r); g != w {
-				t.Fatalf("%s: CountWithin(%d, %v) = %d, want %d", tag, i, r, g, w)
+	gf, rf := got.Frame(), ref.Frame()
+	for i := 0; i < n; i++ {
+		for a, x := range rf.Row(i) {
+			if gf.Row(i)[a] != x {
+				t.Fatalf("%s: frame row %d diverged", tag, i)
 			}
 		}
-		if g, w := got.MaxCountWithin(r), ref.MaxCountWithin(r); g != w {
-			t.Fatalf("%s: MaxCountWithin(%v) = %d, want %d", tag, r, g, w)
-		}
-		gl, err1 := got.LValue(r, tt)
-		wl, err2 := ref.LValue(r, tt)
-		if (err1 == nil) != (err2 == nil) || gl != wl {
-			t.Fatalf("%s: LValue(%v) = %v (%v), want %v (%v)", tag, r, gl, err1, wl, err2)
-		}
 	}
-	gi, gr, err1 := got.TwoApprox(tt)
-	wi, wr, err2 := ref.TwoApprox(tt)
-	if gi != wi || gr != wr || (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s: TwoApprox(%d) = (%d, %v, %v), want (%d, %v, %v)", tag, tt, gi, gr, err1, wi, wr, err2)
-	}
-	step, err := got.BuildLStep(context.Background(), tt)
-	if err != nil {
-		t.Fatalf("%s: BuildLStep: %v", tag, err)
-	}
-	refStep, err := ref.BuildLStep(context.Background(), tt)
-	if err != nil {
-		t.Fatalf("%s: ref BuildLStep: %v", tag, err)
-	}
-	if len(step.Breaks) != len(refStep.Breaks) {
-		t.Fatalf("%s: %d breaks, want %d", tag, len(step.Breaks), len(refStep.Breaks))
-	}
-	for k := range step.Breaks {
-		if step.Breaks[k] != refStep.Breaks[k] || step.Vals[k] != refStep.Vals[k] {
-			t.Fatalf("%s: step[%d] = (%v, %v), want (%v, %v)",
-				tag, k, step.Breaks[k], step.Vals[k], refStep.Breaks[k], refStep.Vals[k])
-		}
-	}
+	assertSameSteps(t, tag, got, ref, 1, 2, max(1, n/3), n)
 }
 
 // TestMutableRemoteMatchesFresh: a MutableShardedIndex over remote epoch
@@ -84,11 +52,7 @@ func TestMutableRemoteMatchesFresh(t *testing.T) {
 	defer m.Close()
 
 	freshAt := func(rows []vec.Vector) *geometry.CellIndex {
-		ref, err := geometry.NewCellIndex(rows, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ref
+		return cellIndexOf(t, rows, opts)
 	}
 
 	snap := func(e geometry.Epoch) geometry.BallIndex {
@@ -100,7 +64,7 @@ func TestMutableRemoteMatchesFresh(t *testing.T) {
 	}
 
 	e1 := m.Epoch()
-	assertSnapshotMatches(t, "epoch1", snap(e1), freshAt(pts[:n0]), opts.MinRadius)
+	assertSnapshotMatches(t, "epoch1", snap(e1), freshAt(pts[:n0]))
 
 	// Two append batches, checked at each resulting epoch.
 	cut := n0 + 60
@@ -111,21 +75,21 @@ func TestMutableRemoteMatchesFresh(t *testing.T) {
 	if len(ids1) != cut-n0 || e2 != e1+1 {
 		t.Fatalf("append 1: %d ids, epoch %d", len(ids1), e2)
 	}
-	assertSnapshotMatches(t, "epoch2", snap(e2), freshAt(pts[:cut]), opts.MinRadius)
+	assertSnapshotMatches(t, "epoch2", snap(e2), freshAt(pts[:cut]))
 
 	_, e3, err := m.Append(ctx, frameOf(t, pts[cut:]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSnapshotMatches(t, "epoch3", snap(e3), freshAt(pts), opts.MinRadius)
+	assertSnapshotMatches(t, "epoch3", snap(e3), freshAt(pts))
 	// The older pin still answers for its own epoch.
-	assertSnapshotMatches(t, "epoch2-after-3", snap(e2), freshAt(pts[:cut]), opts.MinRadius)
+	assertSnapshotMatches(t, "epoch2-after-3", snap(e2), freshAt(pts[:cut]))
 
 	// Merge folds the deltas into the base without changing any answer.
 	if err := m.Merge(ctx); err != nil {
 		t.Fatal(err)
 	}
-	assertSnapshotMatches(t, "epoch3-merged", snap(e3), freshAt(pts), opts.MinRadius)
+	assertSnapshotMatches(t, "epoch3-merged", snap(e3), freshAt(pts))
 
 	// Delete a mix of base and appended rows; survivors keep input order.
 	del := []uint64{3, 7, uint64(n0) + 5, uint64(cut) + 1}
@@ -146,7 +110,7 @@ func TestMutableRemoteMatchesFresh(t *testing.T) {
 			surv = append(surv, p)
 		}
 	}
-	assertSnapshotMatches(t, "epoch4-deleted", snap(e4), freshAt(surv), opts.MinRadius)
+	assertSnapshotMatches(t, "epoch4-deleted", snap(e4), freshAt(surv))
 }
 
 // TestMutableSessionGuards: mutation calls on an immutable session are

@@ -62,19 +62,13 @@ func partition(addrs []string, p, r int) [][]string {
 
 // TestReplicatedDialerEquivalence is the transport-layer tentpole pin: a
 // ShardedIndex over the replicated dialer — R replicas per partition, with
-// and without hedging — answers every query bit-identically to a local
-// CellIndex. Which replica serves a call is invisible to releases.
+// and without hedging — builds the L̂ step function bit-identically to a
+// local CellIndex, at several t. Which replica serves a call is invisible
+// to releases.
 func TestReplicatedDialerEquivalence(t *testing.T) {
 	pts := testPoints(t, 41, 500, 2)
-	ref, err := geometry.NewCellIndex(pts, testCellOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := cellIndexOf(t, pts, testCellOptions(2))
 	tt := len(pts) / 3
-	refStep, err := ref.BuildLStep(context.Background(), tt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const nparts = 2
 	for _, r := range []int{1, 2, 3} {
 		for _, hedge := range []time.Duration{0, time.Nanosecond} {
@@ -86,30 +80,7 @@ func TestReplicatedDialerEquivalence(t *testing.T) {
 				// enough cases that idle tickers would just add noise.
 				ProbeInterval: -1,
 			})
-			step, err := ix.BuildLStep(context.Background(), tt)
-			if err != nil {
-				t.Fatalf("R=%d hedge=%v: BuildLStep: %v", r, hedge, err)
-			}
-			assertStepEqual(t, step, refStep)
-			gi, gr, err1 := ix.TwoApprox(tt)
-			wi, wr, err2 := ref.TwoApprox(tt)
-			if gi != wi || gr != wr || (err1 == nil) != (err2 == nil) {
-				t.Fatalf("R=%d hedge=%v: TwoApprox = (%d, %v, %v), want (%d, %v, %v)",
-					r, hedge, gi, gr, err1, wi, wr, err2)
-			}
-		}
-	}
-}
-
-func assertStepEqual(t *testing.T, got, want *geometry.LStep) {
-	t.Helper()
-	if len(got.Breaks) != len(want.Breaks) {
-		t.Fatalf("LStep has %d breaks, want %d", len(got.Breaks), len(want.Breaks))
-	}
-	for k := range got.Breaks {
-		if got.Breaks[k] != want.Breaks[k] || got.Vals[k] != want.Vals[k] {
-			t.Fatalf("LStep[%d] = (%v, %v), want (%v, %v)",
-				k, got.Breaks[k], got.Vals[k], want.Breaks[k], want.Vals[k])
+			assertSameSteps(t, fmt.Sprintf("R=%d hedge=%v", r, hedge), ix, ref, 2, tt, len(pts))
 		}
 	}
 }
@@ -147,12 +118,8 @@ func (c *chokeConn) Read(p []byte) (int, error) {
 // shutdown.
 func TestReplicatedKillMidSweep(t *testing.T) {
 	pts := testPoints(t, 43, 500, 2)
-	ref, err := geometry.NewCellIndex(pts, testCellOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	tt := len(pts) / 3
-	refStep, err := ref.BuildLStep(context.Background(), tt)
+	refStep, err := cellIndexOf(t, pts, testCellOptions(2)).BuildLStep(context.Background(), tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +154,7 @@ func TestReplicatedKillMidSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget=%d: BuildLStep through replica death: %v", budget, err)
 		}
-		assertStepEqual(t, step, refStep)
+		assertStepEqual(t, fmt.Sprintf("budget=%d", budget), step, refStep)
 		if !dead.Load() {
 			t.Fatalf("budget=%d: victim outlived the sweep — the kill never happened", budget)
 		}

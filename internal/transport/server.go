@@ -238,17 +238,27 @@ func (sc *serverConn) serve() {
 			sc.srv.logf("transport: %v: %v", sc.conn.RemoteAddr(), herr)
 			werr := writeFrame(bw, msgError, encodeError(herr))
 			sc.busy.Store(false)
-			if werr != nil || herr.fatal {
+			if werr != nil || herr.fatal || sc.srv.shuttingDown() {
 				return
 			}
 			continue
 		}
 		werr := writeFrame(bw, respType, resp)
 		sc.busy.Store(false)
-		if werr != nil {
+		if werr != nil || sc.srv.shuttingDown() {
 			return
 		}
 	}
+}
+
+// shuttingDown reports whether Shutdown or Close has begun. A connection
+// checks it after clearing busy: Shutdown skips connections it sees busy,
+// so one that finishes its request after that check must close itself
+// rather than wait in readFrame for a peer that may never send again.
+func (s *Server) shuttingDown() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.shutdown
 }
 
 // wireError is a server-side failure on its way into a msgError frame.
@@ -272,8 +282,6 @@ func msgName(typ byte) string {
 	switch typ {
 	case msgPartials:
 		return "partials"
-	case msgCountBatch:
-		return "countbatch"
 	case msgDupCounts:
 		return "dupcounts"
 	case msgAppend:
@@ -337,8 +345,6 @@ func (sc *serverConn) dispatch(ctx context.Context, typ byte, payload []byte) (b
 		return sc.handleOpen(payload)
 	case msgPartials:
 		return sc.handlePartials(ctx, payload)
-	case msgCountBatch:
-		return sc.handleCountBatch(ctx, payload)
 	case msgDupCounts:
 		return sc.handleDupCounts(ctx, payload)
 	case msgAppend:
@@ -474,42 +480,15 @@ func (sc *serverConn) handlePartials(ctx context.Context, payload []byte) (byte,
 	j := int(r.i32())
 	radius := r.f64()
 	limit := r.i32()
-	exact := r.u8() == 1
+	boundary := r.u8()
 	if r.err != nil || r.off != len(payload) {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed partials frame"}
 	}
-	counts, err := be.PartialCounts(ctx, epoch, j, radius, limit, exact)
-	if err != nil {
-		return 0, nil, sc.computeError(err)
+	if boundary != 0 {
+		return 0, nil, &wireError{code: codeBadRequest, fatal: true,
+			msg: fmt.Sprintf("partials frame names boundary rule %d; only 0 (center rule) is defined", boundary)}
 	}
-	return msgCounts, encodeCounts(counts), nil
-}
-
-func (sc *serverConn) handleCountBatch(ctx context.Context, payload []byte) (byte, []byte, *wireError) {
-	be := sc.backend()
-	if be == nil {
-		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "request before open"}
-	}
-	r := &rbuf{b: payload}
-	epoch := r.u64()
-	radius := r.f64()
-	k := int(r.u32())
-	if r.err != nil || k < 0 {
-		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed countbatch frame"}
-	}
-	dim := 0
-	if k > 0 {
-		rest := len(payload) - r.off
-		if rest%(8*k) != 0 {
-			return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed countbatch frame"}
-		}
-		dim = rest / (8 * k)
-	}
-	centers := r.vectors(k, dim)
-	if r.err != nil || r.off != len(payload) {
-		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed countbatch frame"}
-	}
-	counts, err := be.CountBatch(ctx, epoch, centers, radius)
+	counts, err := be.PartialCounts(ctx, epoch, j, radius, limit)
 	if err != nil {
 		return 0, nil, sc.computeError(err)
 	}

@@ -52,7 +52,7 @@ func TestTracePropagation(t *testing.T) {
 
 	tr := obs.NewTrace()
 	ctx := obs.ContextWith(context.Background(), tr)
-	if _, err := rs.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5, false); err != nil {
+	if _, err := rs.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.DupCounts(ctx, geometry.EpochFrozen); err != nil {
@@ -99,7 +99,7 @@ func TestTracePropagation(t *testing.T) {
 // rather than wired.
 func TestV2Interop(t *testing.T) {
 	rsV3, _ := dialTestShard(t, ServerOptions{})
-	v3counts, err := rsV3.PartialCounts(context.Background(), geometry.EpochFrozen, 0, 0.01, 5, false)
+	v3counts, err := rsV3.PartialCounts(context.Background(), geometry.EpochFrozen, 0, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestV2Interop(t *testing.T) {
 
 	tr := obs.NewTrace()
 	ctx := obs.ContextWith(context.Background(), tr)
-	v2counts, err := rsV2.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5, false)
+	v2counts, err := rsV2.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

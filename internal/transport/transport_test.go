@@ -3,9 +3,12 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -107,74 +110,60 @@ func remoteIndex(t *testing.T, pts []vec.Vector, shards int, addrs []string, cop
 	return ix
 }
 
+// cellIndexOf builds the reference CellIndex over test vectors.
+func cellIndexOf(t *testing.T, pts []vec.Vector, opts geometry.CellIndexOptions) *geometry.CellIndex {
+	t.Helper()
+	ix, err := geometry.NewCellIndexFrame(frameOf(t, pts), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func assertStepEqual(t *testing.T, tag string, got, want *geometry.LStep) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: LStep = %+v, want %+v", tag, *got, *want)
+	}
+}
+
+// assertSameSteps builds the L̂ step function of both indexes at every
+// given t and requires bit equality of Breaks and Vals — the whole query
+// surface the mechanism reads through geometry.BallIndex.
+func assertSameSteps(t *testing.T, tag string, got, want geometry.BallIndex, ts ...int) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("%s: N = %d, want %d", tag, got.N(), want.N())
+	}
+	for _, tt := range ts {
+		gs, err1 := got.BuildLStep(context.Background(), tt)
+		ws, err2 := want.BuildLStep(context.Background(), tt)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: BuildLStep(%d): %v / %v", tag, tt, err1, err2)
+		}
+		assertStepEqual(t, fmt.Sprintf("%s t=%d", tag, tt), gs, ws)
+	}
+}
+
 // TestRemoteShardedIndexMatchesCellIndex is the transport equivalence
 // guarantee: a ShardedIndex whose shards live behind the wire protocol
-// answers every BallIndex query bit-identically to a CellIndex over the
-// same points — the protocol moves the ShardBackend calls faithfully, so
-// the geometry-layer equivalence survives serialization.
+// builds the L̂ step function bit-identically to a CellIndex over the same
+// points — the protocol moves the ShardBackend calls faithfully, so the
+// geometry-layer equivalence survives serialization.
 func TestRemoteShardedIndexMatchesCellIndex(t *testing.T) {
 	for _, d := range []int{1, 2} {
 		pts := testPoints(t, int64(d), 600, d)
-		opts := testCellOptions(d)
-		ref, err := geometry.NewCellIndex(pts, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tt := len(pts) / 3
-		refStep, err := ref.BuildLStep(context.Background(), tt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := cellIndexOf(t, pts, testCellOptions(d))
 		for _, s := range []int{2, 4} {
 			addrs, copts := startServers(t, s, ServerOptions{})
 			sh := remoteIndex(t, pts, s, addrs, copts)
 			if sh.Shards() != s {
 				t.Fatalf("d=%d s=%d: built %d backends", d, s, sh.Shards())
 			}
-			for _, r := range []float64{-1, 0, opts.MinRadius / 2, 0.01, 0.05, 0.3, 2} {
-				for _, i := range []int{0, len(pts) / 2, len(pts) - 1} {
-					if got, want := sh.CountWithin(i, r), ref.CountWithin(i, r); got != want {
-						t.Fatalf("d=%d s=%d: CountWithin(%d, %v) = %d, want %d", d, s, i, r, got, want)
-					}
-				}
-				if got, want := sh.MaxCountWithin(r), ref.MaxCountWithin(r); got != want {
-					t.Fatalf("d=%d s=%d: MaxCountWithin(%v) = %d, want %d", d, s, r, got, want)
-				}
-				gl, err1 := sh.LValue(r, tt)
-				wl, err2 := ref.LValue(r, tt)
-				if (err1 == nil) != (err2 == nil) || gl != wl {
-					t.Fatalf("d=%d s=%d: LValue(%v) = %v (%v), want %v (%v)", d, s, r, gl, err1, wl, err2)
-				}
+			if sh.Frame().N() != ref.Frame().N() {
+				t.Fatalf("d=%d s=%d: Frame diverged", d, s)
 			}
-			for _, tq := range []int{1, 2, tt, len(pts)} {
-				gi, gr, err1 := sh.TwoApprox(tq)
-				wi, wr, err2 := ref.TwoApprox(tq)
-				if gi != wi || gr != wr || (err1 == nil) != (err2 == nil) {
-					t.Fatalf("d=%d s=%d: TwoApprox(%d) = (%d, %v, %v), want (%d, %v, %v)",
-						d, s, tq, gi, gr, err1, wi, wr, err2)
-				}
-				g, err1 := sh.RadiusForCount(len(pts)/2, tq)
-				w, err2 := ref.RadiusForCount(len(pts)/2, tq)
-				if g != w || (err1 == nil) != (err2 == nil) {
-					t.Fatalf("d=%d s=%d: RadiusForCount(%d) = %v, want %v", d, s, tq, g, w)
-				}
-			}
-			if sh.N() != ref.N() || sh.Frame().N() != ref.Frame().N() {
-				t.Fatalf("d=%d s=%d: N/Points diverged", d, s)
-			}
-			step, err := sh.BuildLStep(context.Background(), tt)
-			if err != nil {
-				t.Fatalf("d=%d s=%d: BuildLStep: %v", d, s, err)
-			}
-			if len(step.Breaks) != len(refStep.Breaks) {
-				t.Fatalf("d=%d s=%d: %d breaks, want %d", d, s, len(step.Breaks), len(refStep.Breaks))
-			}
-			for k := range step.Breaks {
-				if step.Breaks[k] != refStep.Breaks[k] || step.Vals[k] != refStep.Vals[k] {
-					t.Fatalf("d=%d s=%d: step[%d] = (%v, %v), want (%v, %v)",
-						d, s, k, step.Breaks[k], step.Vals[k], refStep.Breaks[k], refStep.Vals[k])
-				}
-			}
+			assertSameSteps(t, fmt.Sprintf("d=%d s=%d", d, s), sh, ref, 1, 2, len(pts)/3, len(pts))
 		}
 	}
 }
@@ -184,23 +173,15 @@ func TestRemoteShardedIndexMatchesCellIndex(t *testing.T) {
 // points-shipping path bit for bit. A count mismatch is refused.
 func TestPreloadedPoints(t *testing.T) {
 	pts := testPoints(t, 21, 400, 2)
-	ref, err := geometry.NewCellIndex(pts, testCellOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	addrs, copts := startServers(t, 2, ServerOptions{Points: frameOf(t, pts)})
 	copts.OmitPoints = true
 	sh := remoteIndex(t, pts, 2, addrs, copts)
-	for _, r := range []float64{0, 0.05, 0.3} {
-		if got, want := sh.MaxCountWithin(r), ref.MaxCountWithin(r); got != want {
-			t.Fatalf("MaxCountWithin(%v) = %d, want %d", r, got, want)
-		}
-	}
+	assertSameSteps(t, "preloaded", sh, cellIndexOf(t, pts, testCellOptions(2)), 2, len(pts)/3)
 
 	// A client opening a different dataset against the preloaded server
 	// must be refused with a remote (application) error.
 	short := pts[:len(pts)-1]
-	_, err = geometry.NewShardedIndexBackends(context.Background(), frameOf(t, short), geometry.ShardedIndexOptions{
+	_, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, short), geometry.ShardedIndexOptions{
 		Shards: 2, Cell: testCellOptions(2),
 	}, ShardDialer(addrs, copts))
 	var te *Error
@@ -259,17 +240,10 @@ func scriptedShard(t *testing.T, l net.Listener, reqs int) {
 		// Serve `reqs` requests with zero counts, then die.
 		zeros := encodeCounts(make([]int32, n))
 		for i := 0; i < reqs; i++ {
-			typ, payload, err := readFrame(br)
-			if err != nil {
+			if _, _, err := readFrame(br); err != nil {
 				return
 			}
-			resp := zeros
-			if typ == msgCountBatch {
-				rr := &rbuf{b: payload}
-				rr.f64()
-				resp = encodeCounts(make([]int32, int(rr.u32())))
-			}
-			if err := writeFrame(bw, msgCounts, resp); err != nil {
+			if err := writeFrame(bw, msgCounts, zeros); err != nil {
 				return
 			}
 		}
@@ -725,6 +699,101 @@ func TestWireFraming(t *testing.T) {
 	}
 	if _, err := decodeCounts(encodeCounts([]int32{1, 2, 3}), 4); err == nil {
 		t.Error("short counts response accepted")
+	}
+}
+
+// TestPartialsStrictness: the PARTIALS boundary-rule byte admits only 0
+// (the center rule), and message type 7 (the retired COUNT_BATCH) is
+// refused even when well formed under its old grammar. Each case sends a
+// raw frame on a fresh session and must draw a bad-request ERROR frame,
+// which the client surfaces as a typed *Error of kind remote.
+func TestPartialsStrictness(t *testing.T) {
+	ctx := context.Background()
+	pts := testPoints(t, 51, 60, 2)
+	addrs, copts := startServers(t, 1, ServerOptions{})
+	members := make([]int32, len(pts))
+	for i := range members {
+		members[i] = int32(i)
+	}
+	rs, err := DialShard(ctx, addrs[0], geometry.ShardConfig{
+		Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2),
+	}, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+
+	partials := func(boundary byte) []byte {
+		w := &wbuf{}
+		w.b = binary.BigEndian.AppendUint64(w.b, geometry.EpochFrozen)
+		w.i32(0)
+		w.f64(0.01)
+		w.i32(5)
+		w.u8(boundary)
+		return w.b
+	}
+	retired := &wbuf{} // the retired type-7 grammar: epoch, radius, k, k centers
+	retired.b = binary.BigEndian.AppendUint64(retired.b, geometry.EpochFrozen)
+	retired.f64(0.01)
+	retired.u32(1)
+	retired.f64(0.5)
+	retired.f64(0.5)
+
+	// raw sends one request frame on a fresh session and returns the
+	// response frame.
+	raw := func(typ byte, body []byte) (byte, []byte) {
+		t.Helper()
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+		rs.resetConnLocked()
+		if err := rs.ensureConnLocked(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if rs.version >= 3 {
+			body = append([]byte{0}, body...) // untraced
+		}
+		if err := writeFrame(rs.bw, typ, body); err != nil {
+			t.Fatal(err)
+		}
+		rt, payload, err := readFrame(rs.br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, payload
+	}
+
+	if typ, _ := raw(msgPartials, partials(0)); typ != msgCounts {
+		t.Fatalf("center-rule partials answered with type %d, want counts", typ)
+	}
+	for _, tc := range []struct {
+		name string
+		typ  byte
+		body []byte
+	}{
+		{"boundary 1", msgPartials, partials(1)},
+		{"boundary 2", msgPartials, partials(2)},
+		{"boundary 255", msgPartials, partials(255)},
+		{"retired type 7", 7, retired.b},
+	} {
+		typ, payload := raw(tc.typ, tc.body)
+		if typ != msgError {
+			t.Fatalf("%s: answered with type %d, want an error frame", tc.name, typ)
+		}
+		if code := (&rbuf{b: payload}).u16(); code != codeBadRequest {
+			t.Fatalf("%s: error code %d, want bad request (%d)", tc.name, code, codeBadRequest)
+		}
+		rs.mu.Lock()
+		rs.resetConnLocked()
+		rs.mu.Unlock()
+		_, err := rs.call(ctx, "raw", tc.typ, tc.body, msgCounts)
+		var te *Error
+		if !errors.As(err, &te) || te.Kind != KindRemote {
+			t.Fatalf("%s: err = %v, want a *transport.Error of kind remote", tc.name, err)
+		}
+	}
+	// The client's own frames stay valid after every refusal.
+	if _, err := rs.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5); err != nil {
+		t.Fatalf("PartialCounts after refusals: %v", err)
 	}
 }
 

@@ -18,12 +18,18 @@
 // HELLO_OK, then OPEN (the shard's geometry.ShardConfig: pinned cell
 // options, a mutability flag, the global point set or a preloaded-data
 // reference, and the shard's member ids) answered by OPEN_OK — after which
-// the client issues one request frame at a time (PARTIALS, COUNT_BATCH,
-// DUP_COUNTS, and on mutable sessions APPEND, DELETE, EPOCH_GET, MERGE)
+// the client issues one request frame at a time (PARTIALS, DUP_COUNTS,
+// and on mutable sessions APPEND, DELETE, EPOCH_GET, MERGE)
 // and reads one response frame (COUNTS, EPOCH, or ERROR). Queries are
 // batched by construction: a single PARTIALS round trip carries the capped
 // counts for every global point, so the per-sweep network cost is one
 // round trip per (ladder level × shard), never per point.
+//
+// A PARTIALS payload is the epoch (uint64), the ladder level (int32), the
+// radius (float64), the count cap (int32) and a boundary-rule byte. The
+// byte must be 0, the center rule of the L estimators — the only rule the
+// serving path uses; servers answer any other value with a bad-request
+// ERROR. Message type 7 is retired (see the type table).
 //
 // Epochs: every query frame opens with the uint64 epoch it must be
 // answered from — 0 (geometry.EpochFrozen) on immutable sessions, a
@@ -92,20 +98,22 @@ const maxFramePayload = 1 << 30
 
 // Message types.
 const (
-	msgHello      = 1  // client → server: magic + version
-	msgHelloOK    = 2  // server → client: accepted version
-	msgOpen       = 3  // client → server: shard config
-	msgOpenOK     = 4  // server → client: member/global count echo
-	msgPartials   = 5  // client → server: one capped bulk-count pass
-	msgCounts     = 6  // server → client: []int32 results
-	msgCountBatch = 7  // client → server: exact counts around ad-hoc centers
-	msgDupCounts  = 8  // client → server: duplicate-table contribution
-	msgError      = 9  // server → client: typed failure
-	msgAppend     = 10 // client → server: one epoch-advancing append batch
-	msgDelete     = 11 // client → server: one epoch-advancing delete batch
-	msgEpochGet   = 12 // client → server: current epoch query
-	msgMerge      = 13 // client → server: fold append deltas into the base
-	msgEpoch      = 14 // server → client: epoch + member-row count
+	msgHello    = 1 // client → server: magic + version
+	msgHelloOK  = 2 // server → client: accepted version
+	msgOpen     = 3 // client → server: shard config
+	msgOpenOK   = 4 // server → client: member/global count echo
+	msgPartials = 5 // client → server: one capped bulk-count pass
+	msgCounts   = 6 // server → client: []int32 results
+	// 7 is retired and reserved: it carried CountBatch (exact counts
+	// around ad-hoc centers), which no serving path needs. Servers reject
+	// it like any unknown type, and it must never be reassigned.
+	msgDupCounts = 8  // client → server: duplicate-table contribution
+	msgError     = 9  // server → client: typed failure
+	msgAppend    = 10 // client → server: one epoch-advancing append batch
+	msgDelete    = 11 // client → server: one epoch-advancing delete batch
+	msgEpochGet  = 12 // client → server: current epoch query
+	msgMerge     = 13 // client → server: fold append deltas into the base
+	msgEpoch     = 14 // server → client: epoch + member-row count
 )
 
 // Server-side error codes carried by msgError frames.
@@ -164,18 +172,10 @@ func (w *wbuf) str(s string) {
 	w.u32(uint32(len(s)))
 	w.b = append(w.b, s...)
 }
-func (w *wbuf) vectors(vs []vec.Vector) {
-	for _, v := range vs {
-		for _, x := range v {
-			w.f64(x)
-		}
-	}
-}
 
 // frame encodes a Frame's coordinates straight from its flat backing slice —
-// one pass, no per-row indirection — producing exactly the bytes vectors()
-// would for the same values (big-endian float64 bit patterns in row-major
-// order). Float32 frames are upconverted coordinate-wise (exact), so the
+// one pass, no per-row indirection: big-endian float64 bit patterns in
+// row-major order. Float32 frames are upconverted coordinate-wise (exact), so the
 // wire format is precision-independent and ProtocolVersion is unaffected.
 func (w *wbuf) frame(f *vec.Frame) {
 	if data := f.Data(); data != nil {
@@ -295,20 +295,6 @@ func (r *rbuf) flat(k, d int) []float64 {
 		return nil
 	}
 	return flat
-}
-
-// vectors decodes k vectors of dimension d as header views over one flat
-// allocation (ad-hoc center batches).
-func (r *rbuf) vectors(k, d int) []vec.Vector {
-	flat := r.flat(k, d)
-	if flat == nil {
-		return nil
-	}
-	out := make([]vec.Vector, k)
-	for i := range out {
-		out[i] = vec.Vector(flat[i*d : (i+1)*d])
-	}
-	return out
 }
 
 // frame decodes k rows of dimension d straight into a Frame wrapping the
