@@ -118,9 +118,9 @@
 //
 //   - IndexExact materializes all n² pairwise distances. Exact counts and
 //     score function, Θ(n²) memory — viable for n in the low thousands.
-//   - IndexScalable buckets points into a cell hash per radius scale and
-//     resolves ball counts by per-cell candidate pruning: O(n·d) memory
-//     and near-linear preprocessing, at the cost of a bounded
+//   - IndexScalable buckets points into a sorted cell grid per radius
+//     scale and resolves ball counts by per-cell candidate pruning: O(n)
+//     memory per radius scale and near-linear preprocessing, at the cost of a bounded
 //     approximation in the radius search (the released radius can be a
 //     small constant factor wider; privacy is entirely unaffected).
 //   - IndexAuto (default) picks IndexExact up to a few thousand points and
@@ -198,7 +198,12 @@
 // Cost model — when do remote shards beat local cores? The per-query
 // preprocessing cost is the BuildLStep sweep: roughly
 // L·n·(2·CellsPerRadius+2)^d / C point-cell operations for L ladder
-// levels on C cores, and the sweep's levels are sequential. Remote
+// levels on C cores, and the sweep's levels are sequential. Privacy fixes
+// the ladder, so every fresh sweep visits every level up to saturation;
+// the cell level at each scale is built once per index (an O(n·d) radix
+// sort into one flat sorted array) and then kept, so only the first sweep
+// over an index — a shard server's, an epoch view's, the Dataset's
+// cached one — pays the builds, at O(n) resident memory per level. Remote
 // execution replaces C local cores with S servers and adds, per level,
 // one round trip carrying 4n bytes of counts per shard (plus the one-off
 // handshake of 8nd bytes per shard). Remote wins when per-level compute

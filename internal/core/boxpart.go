@@ -24,8 +24,8 @@ type PackingPolicy int
 const (
 	// PackAuto (the default) bit-packs the per-axis cell indices into one
 	// uint64 when their combined bit budget fits, and falls back to
-	// hash-combined keys beyond — mirroring geometry.CellIndex's cell-hash
-	// scheme of keying occupied cells by their integer coordinates.
+	// hash-combined keys beyond; cells are keyed by their integer
+	// coordinates.
 	PackAuto PackingPolicy = iota
 	// PackBits requests bit-packing; partitions whose index ranges cannot
 	// fit 64 bits fall back to hashing, exactly as PackAuto would.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -84,6 +85,22 @@ func TestInstrumentationLeaksNoData(t *testing.T) {
 	}
 	if !strings.Contains(traceJSON, `"name":"query/cluster"`) {
 		t.Fatalf("trace JSON has no query/cluster span:\n%s", traceJSON)
+	}
+
+	// The cell-level cache counter exposes its two result labels and
+	// nothing else: levels are counted, never described.
+	var levelSeries []string
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "privcluster_cell_level_total{") {
+			levelSeries = append(levelSeries, line[:strings.IndexByte(line, '}')+1])
+		}
+	}
+	wantLevelSeries := []string{
+		`privcluster_cell_level_total{result="build"}`,
+		`privcluster_cell_level_total{result="hit"}`,
+	}
+	if !slices.Equal(levelSeries, wantLevelSeries) {
+		t.Errorf("privcluster_cell_level_total series = %q, want %q", levelSeries, wantLevelSeries)
 	}
 
 	surfaces := map[string]string{

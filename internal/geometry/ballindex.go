@@ -20,9 +20,10 @@ import (
 //     (B_r(x_i) counts, the t-th distance, the "known fact 3"
 //     2-approximation) that baselines and experiments use; those are
 //     methods of the concrete type, not of this interface.
-//   - CellIndex buckets the points into a cell hash per radius scale and
-//     builds an estimate L̂ over a fixed geometric radius ladder, within the
-//     sandwich bounds documented on CellIndex. Memory is O(n·d).
+//   - CellIndex buckets the points into one flat sorted cell level per
+//     radius scale and builds an estimate L̂ over a fixed geometric radius
+//     ladder, within the sandwich bounds documented on CellIndex. Memory is
+//     O(n) per built ladder level, on top of the O(n·d) points.
 //   - ShardedIndex partitions the points into S shards — local CellIndexes
 //     or ShardBackends reached over a transport — and sums per-shard capped
 //     partial counts. Its L̂ is bit-identical to a CellIndex over the same

@@ -2,17 +2,27 @@ package geometry
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
+	"privcluster/internal/obs"
 	"privcluster/internal/vec"
 )
 
-// CellIndexOptions tunes the scalable cell-hash ball index. The zero value
+// Cell-level cache lookups by result: "build" counts levels materialized,
+// "hit" counts lookups served by an already built level. A sweep over an
+// index whose levels are all built adds only hits.
+var (
+	statCellLevelHit = obs.Default.Counter("privcluster_cell_level_total",
+		"Cell-level lookups by result (hit = already built).", "result", "hit")
+	statCellLevelBuild = obs.Default.Counter("privcluster_cell_level_total",
+		"Cell-level lookups by result (hit = already built).", "result", "build")
+)
+
+// CellIndexOptions tunes the scalable cell-grid ball index. The zero value
 // selects defaults suitable for inputs in the unit cube on a 2¹⁶-per-axis
 // grid; callers with a concrete Grid should set MinRadius to
 // Grid.RadiusUnit() and MaxRadius to Grid.MaxDistance() so the radius
@@ -43,12 +53,8 @@ type CellIndexOptions struct {
 	// Workers bounds the worker pool of the bulk count passes.
 	// Default: GOMAXPROCS.
 	Workers int
-	// MaxCachedLevels bounds how many cell-hash levels (O(n) memory each)
-	// are kept alive; least recently built levels are dropped first.
-	// Default: 8.
-	MaxCachedLevels int
 
-	// skipDupTable elides the O(n)-allocation duplicate table. Package
+	// skipDupTable elides the O(n log n) duplicate-table sort. Package
 	// internal, for composite indexes (ShardedIndex) that maintain their
 	// own global table: a per-shard table cannot see cross-shard
 	// duplicates and would be dead weight on the cold-build path. With it
@@ -79,21 +85,18 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxCachedLevels < 1 {
-		o.MaxCachedLevels = 8
-	}
 	return o
 }
 
 // CellIndex is the scalable BallIndex backend: points are bucketed into a
-// hashed grid of cells ("cell hash"), one hash per radius scale, built
-// lazily. A count pass visits, per occupied source cell, only the candidate
-// cells intersecting the ball's bounding box (or, when fewer, the occupied
-// cells) and resolves them at cell granularity: cells whose axis-aligned
-// box lies entirely inside the ball contribute their stored count, cells
-// entirely outside are skipped, and boundary cells follow the center rule
-// (all of their points count when the cell center lies in the ball, none
-// otherwise).
+// grid of cells, one flat sorted cell level per radius scale, built lazily
+// and kept. A count pass visits, per occupied source cell, only the
+// candidate cells intersecting the ball's bounding box (or, when fewer, the
+// occupied cells) and resolves them at cell granularity: cells whose
+// axis-aligned box lies entirely inside the ball contribute their stored
+// count, cells entirely outside are skipped, and boundary cells follow the
+// center rule (all of their points count when the cell center lies in the
+// ball, none otherwise).
 //
 // Approximation contract: CellIndex answers only BuildLStep, and its L̂ is
 // an estimate. Radius 0 is exact (the duplicate table). At a ladder radius
@@ -106,11 +109,14 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 // sensitivity-2 property of Lemma 4.5 that GoodRadius's privacy analysis
 // needs. Exact ball queries are the DistanceIndex's job.
 //
-// Memory is O(n·d) (the points, the duplicate table, and at most
-// MaxCachedLevels transient cell hashes of O(n) entries each), versus the
-// Θ(n²) of DistanceIndex. Bulk passes are parallelized across
-// Options.Workers cores with the same worker-pool pattern NewDistanceIndex
-// uses. CellIndex is safe for concurrent use.
+// Memory is O(L·n) for the L ladder levels a sweep has built (each level is
+// 4n bytes of row ids plus 8d+4 bytes per occupied cell, and is kept for
+// the index's lifetime, so later sweeps rebuild nothing), on top of the
+// O(n·d) points and duplicate table, versus the Θ(n²) of DistanceIndex. A
+// Dataset handle over n = 10⁵ points in d = 2, primed by one query, holds
+// about 53 MB of heap in all (measured on amd64). Bulk passes are
+// parallelized across Options.Workers cores with the same worker-pool
+// pattern NewDistanceIndex uses. CellIndex is safe for concurrent use.
 type CellIndex struct {
 	frame *vec.Frame
 	dim   int
@@ -129,8 +135,7 @@ type CellIndex struct {
 	scratch sync.Pool
 
 	mu     sync.Mutex
-	levels map[int]*cellLevel
-	order  []int // FIFO of built levels for eviction
+	levels []*cellLevel // levels[j]: ladder level j once built (len lad.top+1)
 }
 
 // radiusLadder is the geometric radius ladder of the scalable backends: the
@@ -175,27 +180,39 @@ func (l radiusLadder) radius(j int) float64 {
 	return l.minR * math.Pow(l.ratio, float64(j))
 }
 
-// cellBucket is one occupied cell: its integer coordinates (cell a spans
-// [coord·side, (coord+1)·side) per axis) and the indices of the points in
-// it.
-type cellBucket struct {
-	coord []int64
-	ids   []int32
-}
-
-// cellLevel is the cell index at one radius scale: the occupied cells,
-// sorted lexicographically by coordinates with axis 0 fastest-varying, so
-// that a query block resolves into one contiguous range scan per axis-0 run
-// (a binary search each) instead of a hash probe per candidate cell — the
-// dominant cost at scale, since most candidate cells are empty.
+// cellLevel is the cell index at one radius scale, stored flat: the nb
+// occupied cells sorted lexicographically by coordinates with axis 0
+// fastest-varying, so that a query block resolves into one contiguous range
+// scan per axis-0 run (a binary search each) instead of a hash probe per
+// candidate cell — the dominant cost at scale, since most candidate cells
+// are empty. Cell c has integer coordinates coords[c·d:(c+1)·d] (it spans
+// [coord·side, (coord+1)·side) per axis) and holds the rows
+// ids[start[c]:start[c+1]], ascending. A level takes a constant number of
+// allocations, whatever its cell count, and 8·d·nb + 4·nb + 4·n bytes.
 type cellLevel struct {
-	side    float64
-	buckets []cellBucket
-	// lo, hi bound the occupied cell coordinates per axis — the O(1)
-	// intersection prefilter the sharded cross pass uses to skip member
-	// shards whose (spatially compact) cells cannot reach a source cell.
+	side   float64
+	dim    int
+	coords []int64 // nb·d cell coordinates, cell-major
+	start  []int32 // nb+1 offsets into ids
+	ids    []int32 // the n row ids, grouped by cell
+	// lo, hi bound the occupied cell coordinates per axis: the candidate
+	// block of every query is clamped to this box, and the sharded cross
+	// pass uses it as an O(d) prefilter to skip member shards whose
+	// (spatially compact) cells cannot reach a source cell.
 	lo, hi []int64
 }
+
+// cells returns the number of occupied cells.
+func (lv *cellLevel) cells() int { return len(lv.start) - 1 }
+
+// coord returns cell c's coordinates (a view into the level).
+func (lv *cellLevel) coord(c int) []int64 { return lv.coords[c*lv.dim : (c+1)*lv.dim] }
+
+// members returns the ascending row ids of cell c (a view into the level).
+func (lv *cellLevel) members(c int) []int32 { return lv.ids[lv.start[c]:lv.start[c+1]] }
+
+// size returns the number of points in cell c.
+func (lv *cellLevel) size(c int) int32 { return lv.start[c+1] - lv.start[c] }
 
 // NewCellIndexFrame builds the scalable index directly over a Frame without
 // copying it. The index aliases the frame: the caller must not mutate rows
@@ -207,58 +224,37 @@ func NewCellIndexFrame(f *vec.Frame, opts CellIndexOptions) (*CellIndex, error) 
 	n, d := f.N(), f.Dim()
 	opts = opts.withDefaults(d)
 	ix := &CellIndex{
-		frame:  f,
-		dim:    d,
-		opts:   opts,
-		levels: make(map[int]*cellLevel),
+		frame: f,
+		dim:   d,
+		opts:  opts,
 	}
 	ix.scratch.New = func() any { return newCellScratch(d) }
 
-	// Exact duplicate table (the radius-0 counts) and the data's bounding
-	// box in one pass (box only when the caller keeps its own table).
+	// The data's bounding box, then the exact duplicate table (the radius-0
+	// counts) unless the caller keeps its own.
 	var rowBuf vec.Vector
 	if f.Precision() == vec.Float32 {
 		rowBuf = make(vec.Vector, d)
 	}
 	first := f.RowView(0, rowBuf)
 	lo, hi := first.Clone(), first.Clone()
-	if opts.skipDupTable {
-		for i := 0; i < n; i++ {
-			p := f.RowView(i, rowBuf)
-			for a, x := range p {
-				if x < lo[a] {
-					lo[a] = x
-				}
-				if x > hi[a] {
-					hi[a] = x
-				}
+	for i := 1; i < n; i++ {
+		p := f.RowView(i, rowBuf)
+		for a, x := range p {
+			if x < lo[a] {
+				lo[a] = x
+			}
+			if x > hi[a] {
+				hi[a] = x
 			}
 		}
-	} else {
-		dups := make(map[string]int32, n)
-		keys := make([]string, n)
-		buf := make([]byte, 0, 8*d)
-		for i := 0; i < n; i++ {
-			p := f.RowView(i, rowBuf)
-			for a, x := range p {
-				if x < lo[a] {
-					lo[a] = x
-				}
-				if x > hi[a] {
-					hi[a] = x
-				}
-			}
-			k := string(f.AppendRowKey(buf[:0], i))
-			keys[i] = k
-			dups[k]++
-		}
-		ix.dupCount = make([]int32, n)
-		for i, k := range keys {
-			ix.dupCount[i] = dups[k]
-		}
+	}
+	if !opts.skipDupTable {
+		ix.dupCount = dupCounts(f, f, nil)
 	}
 
 	ix.lad = newRadiusLadder(opts, d, hi.Dist(lo))
+	ix.levels = make([]*cellLevel, ix.lad.top+1)
 	return ix, nil
 }
 
@@ -271,79 +267,139 @@ func (ix *CellIndex) Frame() *vec.Frame { return ix.frame }
 // levelRadius returns ladder radius j: MinRadius·ρ^j.
 func (ix *CellIndex) levelRadius(j int) float64 { return ix.lad.radius(j) }
 
-// level returns (building lazily) the cell hash for ladder level j.
+// level returns (building on first use) the cell level for ladder level j,
+// which must lie in [0, lad.top]. Built levels are kept for the index's
+// lifetime: every sweep walks the same fixed ladder, so a level dropped
+// would only be rebuilt by the next sweep.
 func (ix *CellIndex) level(j int) *cellLevel {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if lv, ok := ix.levels[j]; ok {
+	if lv := ix.levels[j]; lv != nil {
+		statCellLevelHit.Inc()
 		return lv
 	}
+	statCellLevelBuild.Inc()
 	lv := newCellLevel(ix.frame, ix.levelRadius(j)/float64(ix.opts.CellsPerRadius))
 	ix.levels[j] = lv
-	ix.order = append(ix.order, j)
-	if len(ix.order) > ix.opts.MaxCachedLevels {
-		evict := ix.order[0]
-		ix.order = ix.order[1:]
-		delete(ix.levels, evict)
-	}
 	return lv
 }
 
-// cachedLevelKeys returns the ladder levels currently materialized, oldest
-// first — what a background merge pre-warms on a replacement index so the
-// atomic swap never moves a level build onto the query path.
+// checkLevel rejects a ladder level outside [0, lad.top]. Levels arrive
+// over the shard wire, and every built level is retained, so an
+// out-of-ladder level must never reach the cache.
+func (ix *CellIndex) checkLevel(j int) error {
+	if j < 0 || j > ix.lad.top {
+		return fmt.Errorf("geometry: ladder level %d out of [0,%d]", j, ix.lad.top)
+	}
+	return nil
+}
+
+// cachedLevelKeys returns the ladder levels currently materialized,
+// ascending — what a background merge pre-warms on a replacement index so
+// the atomic swap never moves a level build onto the query path.
 func (ix *CellIndex) cachedLevelKeys() []int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return append([]int(nil), ix.order...)
+	var keys []int
+	for j, lv := range ix.levels {
+		if lv != nil {
+			keys = append(keys, j)
+		}
+	}
+	return keys
 }
 
+// newCellLevel buckets f's rows into cells of the given side. Each row's
+// cell coordinates are computed once; the row ids are then sorted by (cell
+// coordinates in cmpCoords order, row id), so the cells come out in scan
+// order with their members ascending, and one pass over the sorted ids
+// emits the flat layout.
 func newCellLevel(f *vec.Frame, side float64) *cellLevel {
 	n, d := f.N(), f.Dim()
-	lv := &cellLevel{side: side}
-	index := make(map[string]int32, n)
-	buf := make([]byte, 8*d)
-	coord := make([]int64, d)
+	lv := &cellLevel{side: side, dim: d, lo: make([]int64, d), hi: make([]int64, d)}
+	pc := make([]int64, n*d) // row i's cell coordinates are pc[i·d:(i+1)·d]
 	var rowBuf vec.Vector
 	if f.Precision() == vec.Float32 {
 		rowBuf = make(vec.Vector, d)
 	}
 	for i := 0; i < n; i++ {
-		p := f.RowView(i, rowBuf)
-		for a, x := range p {
-			coord[a] = int64(math.Floor(x / side))
-		}
-		encodeCoords(buf, coord)
-		bi, ok := index[string(buf)]
-		if !ok {
-			bi = int32(len(lv.buckets))
-			index[string(buf)] = bi
-			lv.buckets = append(lv.buckets, cellBucket{coord: append([]int64(nil), coord...)})
-		}
-		lv.buckets[bi].ids = append(lv.buckets[bi].ids, int32(i))
-	}
-	sort.Slice(lv.buckets, func(i, j int) bool {
-		return cmpCoords(lv.buckets[i].coord, lv.buckets[j].coord) < 0
-	})
-	lv.lo = append([]int64(nil), lv.buckets[0].coord...)
-	lv.hi = append([]int64(nil), lv.buckets[0].coord...)
-	for _, b := range lv.buckets[1:] {
-		for a, c := range b.coord {
-			if c < lv.lo[a] {
-				lv.lo[a] = c
-			}
-			if c > lv.hi[a] {
-				lv.hi[a] = c
-			}
+		c := pc[i*d : (i+1)*d]
+		for a, x := range f.RowView(i, rowBuf) {
+			c[a] = int64(math.Floor(x / side))
 		}
 	}
+	copy(lv.lo, pc[:d])
+	copy(lv.hi, pc[:d])
+	for i := d; i < len(pc); i++ {
+		a := i % d
+		lv.lo[a] = min(lv.lo[a], pc[i])
+		lv.hi[a] = max(lv.hi[a], pc[i])
+	}
+
+	ids := sortByCell(pc, d, lv.lo, lv.hi)
+	rowCoord := func(id int32) []int64 { return pc[int(id)*d : int(id+1)*d] }
+	nb := 1
+	for k := 1; k < n; k++ {
+		if !slices.Equal(rowCoord(ids[k-1]), rowCoord(ids[k])) {
+			nb++
+		}
+	}
+	lv.ids = ids
+	lv.coords = make([]int64, 0, nb*d)
+	lv.start = make([]int32, 0, nb+1)
+	for k, id := range ids {
+		if k == 0 || !slices.Equal(rowCoord(ids[k-1]), rowCoord(id)) {
+			lv.coords = append(lv.coords, rowCoord(id)...)
+			lv.start = append(lv.start, int32(k))
+		}
+	}
+	lv.start = append(lv.start, int32(n))
 	return lv
 }
 
-func encodeCoords(buf []byte, coord []int64) {
-	for a, c := range coord {
-		binary.LittleEndian.PutUint64(buf[8*a:], uint64(c))
+// sortByCell returns the row ids 0..n−1 sorted by (cell coordinates in
+// cmpCoords order, row id), where row i's coordinates are pc[i·d:(i+1)·d]
+// and lie in the box [lo, hi]. It is a stable LSD radix sort over the
+// coordinates' offsets from lo, one byte per pass: axis 0's bytes first and
+// axis d−1's last (so axis d−1 ends most significant, as in cmpCoords), and
+// the initial ascending id order breaks ties. Passes stop at the highest
+// byte of each axis's span, and a pass whose byte is the same for every row
+// is skipped, so a coarse level costs one pass per axis.
+func sortByCell(pc []int64, d int, lo, hi []int64) []int32 {
+	n := len(pc) / d
+	ids, idsTmp := make([]int32, n), make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
+	key, keyTmp := make([]uint64, n), make([]uint64, n)
+	for a := 0; a < d; a++ {
+		for k, id := range ids {
+			key[k] = uint64(pc[int(id)*d+a] - lo[a])
+		}
+		span := uint64(hi[a] - lo[a])
+		for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
+			var pos [256]int
+			for _, u := range key {
+				pos[(u>>shift)&0xff]++
+			}
+			if pos[(key[0]>>shift)&0xff] == n {
+				continue // one digit value: the pass would not move anything
+			}
+			sum := 0
+			for b, c := range pos {
+				pos[b] = sum
+				sum += c
+			}
+			for k, u := range key {
+				b := (u >> shift) & 0xff
+				idsTmp[pos[b]], keyTmp[pos[b]] = ids[k], u
+				pos[b]++
+			}
+			ids, idsTmp = idsTmp, ids
+			key, keyTmp = keyTmp, key
+		}
+	}
+	return ids
 }
 
 // cmpCoords orders cell coordinates lexicographically with the highest
@@ -365,7 +421,6 @@ func cmpCoords(a, b []int64) int {
 // query points, row for float32 source-row decoding). All count passes
 // thread one of these through, so a warm pass allocates nothing per cell.
 type cellScratch struct {
-	buf         []byte
 	lo, hi, cur []int64
 	center      vec.Vector
 	row         vec.Vector
@@ -373,7 +428,6 @@ type cellScratch struct {
 
 func newCellScratch(d int) *cellScratch {
 	return &cellScratch{
-		buf:    make([]byte, 8*d),
 		lo:     make([]int64, d),
 		hi:     make([]int64, d),
 		cur:    make([]int64, d),
@@ -386,16 +440,17 @@ func newCellScratch(d int) *cellScratch {
 func (ix *CellIndex) getScratch() *cellScratch   { return ix.scratch.Get().(*cellScratch) }
 func (ix *CellIndex) putScratch(sc *cellScratch) { ix.scratch.Put(sc) }
 
-// bucketCount returns how many points of bucket b count as within distance
-// √rsq of p, resolved at cell granularity: cells whose AABB is entirely
-// inside the ball contribute their full count, cells entirely outside
-// contribute nothing, and boundary cells follow the center rule (all points
-// count when the cell center lies in the ball; the deterministic pair rule
-// the L estimators need — see the CellIndex doc).
-func bucketCount(b *cellBucket, side float64, p vec.Vector, rsq float64) int32 {
+// bucketCount returns how many of a cell's size points count as within
+// distance √rsq of p, resolved at cell granularity from the cell's
+// coordinates alone: cells whose AABB is entirely inside the ball
+// contribute their full count, cells entirely outside contribute nothing,
+// and boundary cells follow the center rule (all points count when the
+// cell center lies in the ball; the deterministic pair rule the L
+// estimators need — see the CellIndex doc).
+func bucketCount(coord []int64, size int32, side float64, p vec.Vector, rsq float64) int32 {
 	var minSq, maxSq float64
 	for a := 0; a < len(p); a++ {
-		cellLo := float64(b.coord[a]) * side
+		cellLo := float64(coord[a]) * side
 		cellHi := cellLo + side
 		var dmin float64
 		switch {
@@ -415,70 +470,85 @@ func bucketCount(b *cellBucket, side float64, p vec.Vector, rsq float64) int32 {
 		maxSq += dmax * dmax
 	}
 	if maxSq <= rsq { // entirely inside
-		return int32(len(b.ids))
+		return size
 	}
 	var dcSq float64 // boundary cell: center rule
 	for a := 0; a < len(p); a++ {
-		dc := p[a] - (float64(b.coord[a])+0.5)*side
+		dc := p[a] - (float64(coord[a])+0.5)*side
 		dcSq += dc * dc
 	}
 	if dcSq <= rsq {
-		return int32(len(b.ids))
+		return size
 	}
 	return 0
 }
 
-// forCandidates invokes fn on every bucket that can intersect the ball
-// B(center, r) expanded by pad on each axis. The occupied cells are sorted
-// with axis 0 fastest-varying, so the query block decomposes into one
-// sorted-range scan per higher-axis prefix (a binary search each); when the
-// block has more such runs than there are occupied cells, scanning all
-// buckets directly is cheaper (which also keeps huge-radius queries O(n)).
-// fn returning false stops the enumeration.
-func (ix *CellIndex) forCandidates(lv *cellLevel, center vec.Vector, r, pad float64, sc *cellScratch, fn func(*cellBucket) bool) {
+// forCandidates invokes fn, in scan order, on every occupied cell that can
+// intersect the ball B(center, r) expanded by pad on each axis. The block
+// of candidate cells is first clamped to the level's occupied box (no cell
+// lies outside it). The cells are sorted with axis 0 fastest-varying, so
+// the block decomposes into one sorted-range scan per higher-axis prefix,
+// each found by a binary search that starts where the previous run's scan
+// stopped (the runs ascend in the sorted order); when the block has more
+// such runs than there are occupied cells, scanning all cells directly is
+// cheaper (which also keeps huge-radius queries O(n)). fn returning false
+// stops the enumeration.
+func (ix *CellIndex) forCandidates(lv *cellLevel, center vec.Vector, r, pad float64, sc *cellScratch, fn func(c int) bool) {
 	d := ix.dim
 	side := lv.side
 	runs := 1.0
 	for a := 0; a < d; a++ {
-		sc.lo[a] = int64(math.Floor((center[a] - r - pad) / side))
-		sc.hi[a] = int64(math.Floor((center[a] + r + pad) / side))
+		// Clamp in float space so a block far outside the occupied box
+		// never round-trips through an out-of-range int64 conversion.
+		flo := math.Floor((center[a] - r - pad) / side)
+		fhi := math.Floor((center[a] + r + pad) / side)
+		if flo > float64(lv.hi[a]) || fhi < float64(lv.lo[a]) {
+			return
+		}
+		sc.lo[a], sc.hi[a] = lv.lo[a], lv.hi[a]
+		if flo > float64(sc.lo[a]) {
+			sc.lo[a] = int64(flo)
+		}
+		if fhi < float64(sc.hi[a]) {
+			sc.hi[a] = int64(fhi)
+		}
 		if a > 0 {
 			runs *= float64(sc.hi[a] - sc.lo[a] + 1)
 		}
 	}
-	if runs > float64(len(lv.buckets)) {
-		for bi := range lv.buckets {
-			b := &lv.buckets[bi]
-			in := true
+	nb := lv.cells()
+	if runs > float64(nb) {
+	cells:
+		for c := 0; c < nb; c++ {
+			cc := lv.coord(c)
 			for a := 0; a < d; a++ {
-				if b.coord[a] < sc.lo[a] || b.coord[a] > sc.hi[a] {
-					in = false
-					break
+				if cc[a] < sc.lo[a] || cc[a] > sc.hi[a] {
+					continue cells
 				}
 			}
-			if in && !fn(b) {
+			if !fn(c) {
 				return
 			}
 		}
 		return
 	}
 	// Odometer over the higher-axis prefix; each prefix yields the run
-	// [prefix, lo[0]] … [prefix, hi[0]] in the sorted bucket order.
+	// [prefix, lo[0]] … [prefix, hi[0]] in the sorted cell order.
 	copy(sc.cur, sc.lo)
+	from := 0
 	for {
 		sc.cur[0] = sc.lo[0]
-		start := sort.Search(len(lv.buckets), func(i int) bool {
-			return cmpCoords(lv.buckets[i].coord, sc.cur) >= 0
-		})
-		for bi := start; bi < len(lv.buckets); bi++ {
-			b := &lv.buckets[bi]
-			if b.coord[0] > sc.hi[0] || !prefixEqual(b.coord, sc.cur) {
+		c := lv.search(from, sc.cur)
+		for ; c < nb; c++ {
+			cc := lv.coord(c)
+			if cc[0] > sc.hi[0] || !prefixEqual(cc, sc.cur) {
 				break
 			}
-			if !fn(b) {
+			if !fn(c) {
 				return
 			}
 		}
+		from = c
 		a := 1
 		for ; a < d; a++ {
 			sc.cur[a]++
@@ -491,6 +561,21 @@ func (ix *CellIndex) forCandidates(lv *cellLevel, center vec.Vector, r, pad floa
 			break
 		}
 	}
+}
+
+// search returns the first cell at or after from whose coordinates are
+// ≥ key in cmpCoords order (cells() when there is none).
+func (lv *cellLevel) search(from int, key []int64) int {
+	lo, hi := from, lv.cells()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmpCoords(lv.coord(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // prefixEqual reports whether a and b agree on every axis above 0.
@@ -529,46 +614,49 @@ func boxBoxDistSq(a, b []int64, side float64) (minSq, maxSq float64) {
 }
 
 // accumulateCellCounts adds to out the capped within-r counts that ix's
-// points (the "members") contribute around every point of one source cell.
-// The pass is cell-pair first: candidate member cells entirely within (or
-// beyond) reach of the whole source cell are resolved in O(1) for all of
-// its points at once, and only candidates straddling some point's ball
-// boundary fall back to per-point classification. The (dominant)
-// candidate-enumeration cost is thus paid per occupied cell pair rather
-// than per point pair — a large win exactly where the data is dense.
+// points (the "members") contribute around every point of one source cell,
+// given by its coordinates and member ids. The pass is cell-pair first:
+// candidate member cells entirely within (or beyond) reach of the whole
+// source cell are resolved in O(1) for all of its points at once, and only
+// candidates straddling some point's ball boundary fall back to per-point
+// classification. The (dominant) candidate-enumeration cost is thus paid
+// per occupied cell pair rather than per point pair — a large win exactly
+// where the data is dense.
 //
-// srcB's ids index the rows of src; the out slot of id is gids[id] (nil
-// gids: ids index out directly — the single-index case where sources are
+// srcIDs index the rows of src; the out slot of id is gids[id] (nil gids:
+// ids index out directly — the single-index case where sources are
 // members).
 // Counts saturate at limit, and contributions accumulate onto whatever out
 // already holds: nonnegative saturating addition is order-independent, so a
 // sharded caller summing per-shard member contributions lands on exactly
 // min(total, limit), bit-identical to a single pass over all members —
-// provided srcB and lv use the same cell side (the shared-ladder invariant
-// ShardedIndex maintains).
-func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcB *cellBucket, src *vec.Frame, gids []int32, r float64, limit int32, out []int32, sc *cellScratch) {
+// provided the source cell and lv use the same cell side (the shared-ladder
+// invariant ShardedIndex maintains).
+func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcCoord []int64, srcIDs []int32, src *vec.Frame, gids []int32, r float64, limit int32, out []int32, sc *cellScratch) {
 	side := lv.side
 	rsq := r * r
 	// The block around the source cell's box covers the ball bounding
 	// boxes of all its points (pad = side/2 beyond the per-point radius,
 	// from the cell center).
 	for a := 0; a < ix.dim; a++ {
-		sc.center[a] = (float64(srcB.coord[a]) + 0.5) * side
+		sc.center[a] = (float64(srcCoord[a]) + 0.5) * side
 	}
 	var base int32 // count shared by every point of the cell
 	capped := false
-	ix.forCandidates(lv, sc.center, r, side/2, sc, func(b *cellBucket) bool {
-		minSq, maxSq := boxBoxDistSq(srcB.coord, b.coord, side)
+	ix.forCandidates(lv, sc.center, r, side/2, sc, func(c int) bool {
+		coord := lv.coord(c)
+		minSq, maxSq := boxBoxDistSq(srcCoord, coord, side)
 		switch {
 		case minSq > rsq: // beyond reach of the whole cell
 		case maxSq <= rsq: // inside reach of the whole cell
-			base += int32(len(b.ids))
+			base += lv.size(c)
 			if base >= limit {
 				capped = true
 				return false
 			}
 		default:
-			for _, pid := range srcB.ids {
+			size := lv.size(c)
+			for _, pid := range srcIDs {
 				gid := pid
 				if gids != nil {
 					gid = gids[pid]
@@ -576,8 +664,8 @@ func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcB *cellBucket, src *
 				if out[gid] >= limit {
 					continue
 				}
-				if c := out[gid] + bucketCount(b, side, src.RowView(int(pid), sc.row), rsq); c < limit {
-					out[gid] = c
+				if n := out[gid] + bucketCount(coord, size, side, src.RowView(int(pid), sc.row), rsq); n < limit {
+					out[gid] = n
 				} else {
 					out[gid] = limit
 				}
@@ -585,7 +673,7 @@ func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcB *cellBucket, src *
 		}
 		return true
 	})
-	for _, pid := range srcB.ids {
+	for _, pid := range srcIDs {
 		gid := pid
 		if gids != nil {
 			gid = gids[pid]
@@ -620,7 +708,7 @@ func (ix *CellIndex) countAllInto(ctx context.Context, lv *cellLevel, r float64,
 	if r < 0 || limit <= 0 {
 		return nil
 	}
-	nb := len(lv.buckets)
+	nb := lv.cells()
 	workers := ix.opts.Workers
 	if workers > nb {
 		workers = nb
@@ -638,8 +726,8 @@ func (ix *CellIndex) countAllInto(ctx context.Context, lv *cellLevel, r float64,
 				if ctx.Err() != nil {
 					continue // drain the channel so the feeder never blocks
 				}
-				for src := rg[0]; src < rg[1]; src++ {
-					ix.accumulateCellCounts(lv, &lv.buckets[src], ix.frame, nil, r, limit, out, sc)
+				for c := rg[0]; c < rg[1]; c++ {
+					ix.accumulateCellCounts(lv, lv.coord(c), lv.members(c), ix.frame, nil, r, limit, out, sc)
 				}
 			}
 		}()
@@ -688,8 +776,9 @@ func topTAvg(counts []int32, t int) float64 {
 // cell-granularity estimate (clipped to stay monotone), and the sweep stops
 // as soon as L saturates at t — guaranteed at the ladder top, which covers
 // the data diameter plus the center-rule slack. Runtime
-// O(n·(2·CellsPerRadius+2)^d) per ladder level over Workers cores; memory
-// O(n) per transient level. ctx cancellation aborts between (and inside)
+// O(n·(2·CellsPerRadius+2)^d) per ladder level over Workers cores, plus a
+// one-off O(n·d) build per level the index has not built yet; memory O(n)
+// per retained level. ctx cancellation aborts between (and inside)
 // ladder levels — this sweep is the dominant per-query cost at scale.
 func (ix *CellIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 	ctx = ctxOrBackground(ctx)

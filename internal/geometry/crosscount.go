@@ -28,7 +28,7 @@ type cellGroup struct {
 // group) pairs. All groups must be pinned to one shared radius ladder (same
 // cell side at level j) — the invariant that makes the per-pair passes sum
 // bit-identically to a single unsharded pass (see the ShardedIndex
-// equivalence contract).
+// equivalence contract). A level j outside some group's ladder is an error.
 //
 // Source cells fan out over one worker pool shared by every group pair;
 // tasks partition each source group's cells, the source groups partition
@@ -42,6 +42,13 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	ctx = ctxOrBackground(ctx)
 	if r < 0 || limit <= 0 || len(srcs) == 0 || len(members) == 0 {
 		return nil
+	}
+	for _, groups := range [][]cellGroup{srcs, members} {
+		for _, g := range groups {
+			if err := g.ix.checkLevel(j); err != nil {
+				return err
+			}
+		}
 	}
 	// Materialize every group's cell level up front, in parallel — each
 	// index's lazy level cache has its own lock, so pool workers below never
@@ -74,13 +81,13 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	// the cell center); a member group whose occupied-cell bounding box lies
 	// wholly outside that span cannot contribute and is skipped in O(d) —
 	// a pure performance skip, since the pruned groups' passes would find
-	// no buckets anyway.
+	// no cells anyway.
 	span := int64(math.Ceil(r/srcLvs[0].side)) + 1
 	dim := srcs[0].ix.dim
 
 	nb := 0
 	for _, lv := range srcLvs {
-		nb += len(lv.buckets)
+		nb += lv.cells()
 	}
 	if workers > nb {
 		workers = nb
@@ -101,17 +108,17 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 				}
 				srcG := srcs[tk.src]
 				srcLv := srcLvs[tk.src]
-				for bi := tk.lo; bi < tk.hi; bi++ {
-					srcB := &srcLv.buckets[bi]
+				for c := tk.lo; c < tk.hi; c++ {
+					srcCoord, srcIDs := srcLv.coord(c), srcLv.members(c)
 				memberGroups:
 					for mi, mem := range members {
 						mlv := memLvs[mi]
-						for a, c := range srcB.coord {
-							if c+span < mlv.lo[a] || c-span > mlv.hi[a] {
+						for a, x := range srcCoord {
+							if x+span < mlv.lo[a] || x-span > mlv.hi[a] {
 								continue memberGroups
 							}
 						}
-						mem.ix.accumulateCellCounts(mlv, srcB, srcG.ix.frame, srcG.gids, r, limit, out, sc)
+						mem.ix.accumulateCellCounts(mlv, srcCoord, srcIDs, srcG.ix.frame, srcG.gids, r, limit, out, sc)
 					}
 				}
 			}
@@ -119,7 +126,7 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	}
 feed:
 	for gi := range srcs {
-		gnb := len(srcLvs[gi].buckets)
+		gnb := srcLvs[gi].cells()
 		for lo := 0; lo < gnb; lo += chunk {
 			if ctx.Err() != nil {
 				break feed

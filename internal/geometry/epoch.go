@@ -573,11 +573,7 @@ func (m *MutableCellIndex) buildView(ev *epochView) (*ShardedIndex, error) {
 	}
 	var dup []int32
 	if !m.opts.skipDupTable {
-		var err error
-		dup, err = globalDupCount(context.Background(), frame, m.opts.Workers)
-		if err != nil {
-			return nil, err
-		}
+		dup = dupCounts(frame, frame, nil)
 	}
 	return newShardedView(frame, m.opts, m.lad, shards, nil, EpochFrozen, dup), nil
 }

@@ -169,16 +169,7 @@ func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32
 	if err != nil {
 		return nil, err
 	}
-	pts, mem := srcView.Frame(), memView.Frame()
-	buf := make([]byte, 0, 8*pts.Dim())
-	m := make(map[string]int32, mem.N())
-	for i := 0; i < mem.N(); i++ {
-		m[string(mem.AppendRowKey(buf[:0], i))]++
-	}
-	out := make([]int32, pts.N())
-	for i := range out {
-		out[i] = m[string(pts.AppendRowKey(buf[:0], i))]
-	}
+	out := dupCounts(srcView.Frame(), memView.Frame(), nil)
 
 	s.mu.Lock()
 	if _, ok := s.dups[epoch]; !ok {

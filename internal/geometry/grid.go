@@ -1,7 +1,7 @@
 // Package geometry provides the discrete domain and ball-counting machinery
 // of the 1-cluster problem: the quantized grid X^d (Definition 1.2 and
 // Remark 3.3), the BallIndex abstraction with its two backends — the exact
-// Θ(n²) DistanceIndex and the O(n·d) cell-hash CellIndex — and the
+// Θ(n²) DistanceIndex and the cell-grid CellIndex — and the
 // capped-average score L(r, S) of Section 3.1, the sensitivity-2 surrogate
 // for "the largest number of points in a ball of radius r", materialized as
 // a step function over the radius grid so RecConcave can search it

@@ -124,9 +124,9 @@ func NewLocalShard(cfg ShardConfig) (*LocalShard, error) {
 	}
 	cell := cfg.Cell.withDefaults(cfg.Points.Dim())
 	// Neither structure needs a duplicate table: DupCounts is answered
-	// from a key map against the global centers (a per-shard CellIndex
-	// table could not see them), and the source index only ever serves
-	// cell levels.
+	// by a sorted class table against the global centers (a per-shard
+	// CellIndex table could not see them), and the source index only ever
+	// serves cell levels.
 	cell.skipDupTable = true
 	members, err := NewCellIndexFrame(cfg.Points.Gather(cfg.Members), cell)
 	if err != nil {
@@ -182,17 +182,7 @@ func (s *LocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error
 		return nil, err
 	}
 	s.dupOnce.Do(func() {
-		pts := s.cfg.Points
-		buf := make([]byte, 0, 8*pts.Dim())
-		m := make(map[string]int32, len(s.cfg.Members))
-		for _, g := range s.cfg.Members {
-			m[string(pts.AppendRowKey(buf[:0], int(g)))]++
-		}
-		out := make([]int32, pts.N())
-		for i := range out {
-			out[i] = m[string(pts.AppendRowKey(buf[:0], i))]
-		}
-		s.dup = out
+		s.dup = dupCounts(s.cfg.Points, s.cfg.Points, s.cfg.Members)
 	})
 	return s.dup, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -179,11 +178,7 @@ func NewShardedIndexFrame(ctx context.Context, points *vec.Frame, opts ShardedIn
 		return nil, err
 	}
 
-	dup, err := globalDupCount(ctx, points, ix.opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	ix.dupCount = dup
+	ix.dupCount = dupCounts(points, points, nil)
 	return ix, nil
 }
 
@@ -415,84 +410,6 @@ func mortonKey(p vec.Vector, bits int, cells []uint64) uint64 {
 		}
 	}
 	return code
-}
-
-// fnv64 is FNV-1a over b — the partition hash of the parallel duplicate
-// table. Only the partition of keys matters, never the hash values, so any
-// deterministic mixing function works here.
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// globalDupCount computes, for every point, how many input points are
-// identical to it — the exact radius-0 counts the sharded L estimators
-// need. The build is parallel end to end: coordinate keys are encoded by a
-// worker pool, points are partitioned by key hash (identical points always
-// land in one partition), and each partition counts its duplicate classes
-// with an independent map.
-func globalDupCount(ctx context.Context, points *vec.Frame, workers int) ([]int32, error) {
-	n, d := points.N(), points.Dim()
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	keys := make([]string, n)
-	hash := make([]uint64, n)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			buf := make([]byte, 0, 8*d)
-			for i := lo; i < hi; i++ {
-				buf = points.AppendRowKey(buf[:0], i)
-				keys[i] = string(buf)
-				hash[i] = fnv64(buf)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	parts := make([][]int32, workers)
-	for i := 0; i < n; i++ {
-		w := hash[i] % uint64(workers)
-		parts[w] = append(parts[w], int32(i))
-	}
-	out := make([]int32, n)
-	for _, ids := range parts {
-		wg.Add(1)
-		go func(ids []int32) {
-			defer wg.Done()
-			m := make(map[string]int32, len(ids))
-			for _, i := range ids {
-				m[keys[i]]++
-			}
-			for _, i := range ids {
-				out[i] = m[keys[i]]
-			}
-		}(ids)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // N returns the number of indexed points.
