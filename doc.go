@@ -198,7 +198,11 @@
 // Cost model — when do remote shards beat local cores? The per-query
 // preprocessing cost is the BuildLStep sweep: roughly
 // L·n·(2·CellsPerRadius+2)^d / C point-cell operations for L ladder
-// levels on C cores, and the sweep's levels are sequential. Privacy fixes
+// levels on C cores, and the sweep's levels are sequential. A point-cell
+// operation is one center-distance test, and the candidate cells come in
+// runs of the sorted level, each found by galloping from a per-worker
+// cursor (usually a compare or two, since source cells are visited in
+// sorted order) rather than by a binary search over the level. Privacy fixes
 // the ladder, so every fresh sweep visits every level up to saturation;
 // the cell level at each scale is built once per index (an O(n·d) radix
 // sort into one flat sorted array) and then kept, so only the first sweep

@@ -92,11 +92,10 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 // grid of cells, one flat sorted cell level per radius scale, built lazily
 // and kept. A count pass visits, per occupied source cell, only the
 // candidate cells intersecting the ball's bounding box (or, when fewer, the
-// occupied cells) and resolves them at cell granularity: cells whose
-// axis-aligned box lies entirely inside the ball contribute their stored
-// count, cells entirely outside are skipped, and boundary cells follow the
-// center rule (all of their points count when the cell center lies in the
-// ball, none otherwise).
+// occupied cells) and resolves them at cell granularity by the center rule:
+// all of a cell's points count when the cell center lies in the ball, none
+// otherwise (so cells wholly inside the ball count in full and cells wholly
+// outside not at all).
 //
 // Approximation contract: CellIndex answers only BuildLStep, and its L̂ is
 // an estimate. Radius 0 is exact (the duplicate table). At a ladder radius
@@ -183,11 +182,11 @@ func (l radiusLadder) radius(j int) float64 {
 // cellLevel is the cell index at one radius scale, stored flat: the nb
 // occupied cells sorted lexicographically by coordinates with axis 0
 // fastest-varying, so that a query block resolves into one contiguous range
-// scan per axis-0 run (a binary search each) instead of a hash probe per
-// candidate cell — the dominant cost at scale, since most candidate cells
-// are empty. Cell c has integer coordinates coords[c·d:(c+1)·d] (it spans
-// [coord·side, (coord+1)·side) per axis) and holds the rows
-// ids[start[c]:start[c+1]], ascending. A level takes a constant number of
+// scan per axis-0 run (a galloping search from a cursor each) instead of a
+// hash probe per candidate cell — the dominant cost at scale, since most
+// candidate cells are empty. Cell c has integer coordinates
+// coords[c·d:(c+1)·d] (it spans [coord·side, (coord+1)·side) per axis) and
+// holds the rows ids[start[c]:start[c+1]], ascending. A level takes a constant number of
 // allocations, whatever its cell count, and 8·d·nb + 4·nb + 4·n bytes.
 type cellLevel struct {
 	side   float64
@@ -416,12 +415,14 @@ func cmpCoords(a, b []int64) int {
 	return 0
 }
 
-// cellScratch holds per-worker query buffers: the odometer state of the
-// candidate enumeration plus two row-decode buffers (center for synthetic
-// query points, row for float32 source-row decoding). All count passes
-// thread one of these through, so a warm pass allocates nothing per cell.
+// cellScratch holds per-worker query buffers: the odometer state and run
+// cursors of the candidate enumeration plus two row-decode buffers (center
+// for synthetic query points, row for float32 source-row decoding). All
+// count passes thread one of these through, so a warm pass allocates
+// nothing per cell.
 type cellScratch struct {
 	lo, hi, cur []int64
+	cursor      []int32 // last run start per higher-axis block offset (see forCandidates)
 	center      vec.Vector
 	row         vec.Vector
 }
@@ -441,39 +442,18 @@ func (ix *CellIndex) getScratch() *cellScratch   { return ix.scratch.Get().(*cel
 func (ix *CellIndex) putScratch(sc *cellScratch) { ix.scratch.Put(sc) }
 
 // bucketCount returns how many of a cell's size points count as within
-// distance √rsq of p, resolved at cell granularity from the cell's
-// coordinates alone: cells whose AABB is entirely inside the ball
-// contribute their full count, cells entirely outside contribute nothing,
-// and boundary cells follow the center rule (all points count when the
-// cell center lies in the ball; the deterministic pair rule the L
-// estimators need — see the CellIndex doc).
+// distance √rsq of p, resolved at cell granularity by the center rule alone:
+// all points count when the cell center lies in the ball, none otherwise —
+// the deterministic pair rule the L estimators need (see the CellIndex doc).
+// Cells wholly inside the ball count in full and cells wholly outside not at
+// all, even in floating point: the computed center lies in the computed cell
+// box (float multiplication and addition are monotone), and subtraction,
+// squaring and summation in the same axis order are monotone too, so the
+// computed center distance never falls below the computed min distance to
+// the box nor exceeds the computed max distance.
 func bucketCount(coord []int64, size int32, side float64, p vec.Vector, rsq float64) int32 {
-	var minSq, maxSq float64
-	for a := 0; a < len(p); a++ {
-		cellLo := float64(coord[a]) * side
-		cellHi := cellLo + side
-		var dmin float64
-		switch {
-		case p[a] < cellLo:
-			dmin = cellLo - p[a]
-		case p[a] > cellHi:
-			dmin = p[a] - cellHi
-		}
-		minSq += dmin * dmin
-		if minSq > rsq {
-			return 0 // entirely outside
-		}
-		dmax := p[a] - cellLo
-		if other := cellHi - p[a]; other > dmax {
-			dmax = other
-		}
-		maxSq += dmax * dmax
-	}
-	if maxSq <= rsq { // entirely inside
-		return size
-	}
-	var dcSq float64 // boundary cell: center rule
-	for a := 0; a < len(p); a++ {
+	var dcSq float64
+	for a := range p {
 		dc := p[a] - (float64(coord[a])+0.5)*side
 		dcSq += dc * dc
 	}
@@ -483,16 +463,30 @@ func bucketCount(coord []int64, size int32, side float64, p vec.Vector, rsq floa
 	return 0
 }
 
+// maxCursors caps a scratch's run-cursor table (int32 slots): blocks with
+// more higher-axis offsets alias slots modulo the cap.
+const maxCursors = 1 << 14
+
 // forCandidates invokes fn, in scan order, on every occupied cell that can
 // intersect the ball B(center, r) expanded by pad on each axis. The block
 // of candidate cells is first clamped to the level's occupied box (no cell
 // lies outside it). The cells are sorted with axis 0 fastest-varying, so
-// the block decomposes into one sorted-range scan per higher-axis prefix,
-// each found by a binary search that starts where the previous run's scan
-// stopped (the runs ascend in the sorted order); when the block has more
-// such runs than there are occupied cells, scanning all cells directly is
-// cheaper (which also keeps huge-radius queries O(n)). fn returning false
-// stops the enumeration.
+// the block decomposes into one sorted-range scan per offset of the higher
+// axes from the block's low corner; when the block has more such runs than
+// there are occupied cells, scanning all cells directly is cheaper (which
+// also keeps huge-radius queries O(n)). fn returning false stops the
+// enumeration.
+//
+// A run starts by galloping forward to its first cell. Count passes visit
+// source cells in sorted order, and for a fixed offset the run key then
+// ascends too, so sc keeps, per offset, the run start it last found (a
+// table of w^(d−1) slots, w = ⌊2(r+pad)/side⌋+2 bounding the block's span
+// per axis, aliased modulo maxCursors) and the gallop from it is usually a
+// compare or two. A cursor is trusted only when every cell before it sorts
+// below the run key (one compare), so cursors left by another level,
+// another member group or an out-of-order source cell cost speed, never
+// correctness; an untrusted cursor falls back to where the previous run of
+// this block stopped.
 func (ix *CellIndex) forCandidates(lv *cellLevel, center vec.Vector, r, pad float64, sc *cellScratch, fn func(c int) bool) {
 	d := ix.dim
 	side := lv.side
@@ -532,13 +526,30 @@ func (ix *CellIndex) forCandidates(lv *cellLevel, center vec.Vector, r, pad floa
 		}
 		return
 	}
-	// Odometer over the higher-axis prefix; each prefix yields the run
-	// [prefix, lo[0]] … [prefix, hi[0]] in the sorted cell order.
+	w := int(min(2*(r+pad)/side, maxCursors)) + 2
+	slots := 1
+	for a := 1; a < d; a++ {
+		slots = min(slots*w, maxCursors)
+	}
+	if len(sc.cursor) < slots {
+		sc.cursor = make([]int32, slots)
+	}
+	// Odometer over the higher-axis offsets; each yields the run
+	// [lo[0], offset] … [hi[0], offset] in the sorted cell order.
 	copy(sc.cur, sc.lo)
 	from := 0
 	for {
 		sc.cur[0] = sc.lo[0]
-		c := lv.search(from, sc.cur)
+		slot := 0
+		for a := d - 1; a > 0; a-- {
+			slot = (slot*w + int(sc.cur[a]-sc.lo[a])) % slots
+		}
+		c := int(sc.cursor[slot])
+		if c <= from || c > nb || cmpCoords(lv.coord(c-1), sc.cur) >= 0 {
+			c = from
+		}
+		c = lv.gallop(c, sc.cur)
+		sc.cursor[slot] = int32(c)
 		for ; c < nb; c++ {
 			cc := lv.coord(c)
 			if cc[0] > sc.hi[0] || !prefixEqual(cc, sc.cur) {
@@ -563,10 +574,18 @@ func (ix *CellIndex) forCandidates(lv *cellLevel, center vec.Vector, r, pad floa
 	}
 }
 
-// search returns the first cell at or after from whose coordinates are
-// ≥ key in cmpCoords order (cells() when there is none).
-func (lv *cellLevel) search(from int, key []int64) int {
-	lo, hi := from, lv.cells()
+// gallop returns the first cell at or after from whose coordinates are
+// ≥ key in cmpCoords order (cells() when there is none), given that every
+// cell before from sorts below key. It probes from, from+1, from+3, from+7, …
+// and binary-searches the last gap, so an answer k cells on costs O(log k)
+// compares.
+func (lv *cellLevel) gallop(from int, key []int64) int {
+	nb := lv.cells()
+	lo, hi := from, from
+	for step := 1; hi < nb && cmpCoords(lv.coord(hi), key) < 0; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, nb)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if cmpCoords(lv.coord(mid), key) < 0 {

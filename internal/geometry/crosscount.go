@@ -83,7 +83,6 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	// a pure performance skip, since the pruned groups' passes would find
 	// no cells anyway.
 	span := int64(math.Ceil(r/srcLvs[0].side)) + 1
-	dim := srcs[0].ix.dim
 
 	nb := 0
 	for _, lv := range srcLvs {
@@ -101,24 +100,28 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newCellScratch(dim)
+			sc := srcs[0].ix.getScratch()
+			defer srcs[0].ix.putScratch(sc)
 			for tk := range tasks {
 				if ctx.Err() != nil {
 					continue // drain the channel so the feeder never blocks
 				}
 				srcG := srcs[tk.src]
 				srcLv := srcLvs[tk.src]
-				for c := tk.lo; c < tk.hi; c++ {
-					srcCoord, srcIDs := srcLv.coord(c), srcLv.members(c)
-				memberGroups:
-					for mi, mem := range members {
-						mlv := memLvs[mi]
+				// Member groups outermost, so the run cursors in sc walk one
+				// member level through the whole chunk; a point's saturating
+				// sum still takes its member groups in the same order.
+				for mi, mem := range members {
+					mlv := memLvs[mi]
+				srcCells:
+					for c := tk.lo; c < tk.hi; c++ {
+						srcCoord := srcLv.coord(c)
 						for a, x := range srcCoord {
 							if x+span < mlv.lo[a] || x-span > mlv.hi[a] {
-								continue memberGroups
+								continue srcCells
 							}
 						}
-						mem.ix.accumulateCellCounts(mlv, srcCoord, srcIDs, srcG.ix.frame, srcG.gids, r, limit, out, sc)
+						mem.ix.accumulateCellCounts(mlv, srcCoord, srcLv.members(c), srcG.ix.frame, srcG.gids, r, limit, out, sc)
 					}
 				}
 			}
