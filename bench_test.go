@@ -551,8 +551,9 @@ func BenchmarkFindClusterScalable(b *testing.B) {
 // BenchmarkAppendMerge is the steady-state streaming cycle on a warm
 // mutable handle: every iteration appends a 64-row batch and answers one
 // seeded query pinned at the fresh epoch (a full snapshot build plus the
-// L-sweep — the real serving cost of an advancing epoch, since per-epoch
-// caches cannot help a brand-new epoch); every 8th iteration deletes the
+// L-sweep — the real serving cost of an advancing epoch: per-epoch caches
+// cannot help a brand-new epoch, only the base generation's memoized
+// base×base count blocks carry over); every 8th iteration deletes the
 // oldest surviving batch and merges the append deltas into the shard
 // bases. What the gate watches: allocs/op regressions here mean the
 // epoch-view or delta-merge path started copying or rebuilding more than

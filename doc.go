@@ -287,12 +287,16 @@
 // uses, so the split is invisible to releases. Merge (also triggered
 // automatically once enough delta rows accumulate) folds the delta into a
 // fresh base off the query path; it is a serving-cost knob, never a
-// semantic one. Deletes compact the storage and therefore retire all older
-// epochs: a query already holding its pin keeps answering, but a new pin
-// of a pre-delete epoch fails with ErrEpochRetired (wrapped, with the
-// epoch) unless its snapshot is still cached. Snapshots are cached per
-// epoch and built single-flight; BenchmarkAppendMerge (gated in CI) tracks
-// the steady-state append → query → delete/merge cycle.
+// semantic one. A base generation memoizes its uncapped base×base count
+// block per swept ladder level (4·n_base bytes each, serving every t), so a
+// new epoch's L-step sweep recounts only the pairs its delta touches, with
+// bit-identical counts and releases. Deletes compact the storage and
+// therefore retire all older epochs: a query already holding its pin keeps
+// answering, but a new pin of a pre-delete epoch fails with
+// ErrEpochRetired (wrapped, with the epoch) unless its snapshot is still
+// cached. Snapshots are cached per epoch and built single-flight;
+// BenchmarkAppendMerge (gated in CI) tracks the steady-state append →
+// query → delete/merge cycle.
 //
 // Privacy under mutation: the (ε, δ) ledger never moves on Append, Delete,
 // or Merge — only releases spend. That is not an accounting shortcut but

@@ -87,20 +87,28 @@ func TestInstrumentationLeaksNoData(t *testing.T) {
 		t.Fatalf("trace JSON has no query/cluster span:\n%s", traceJSON)
 	}
 
-	// The cell-level cache counter exposes its two result labels and
-	// nothing else: levels are counted, never described.
-	var levelSeries []string
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, "privcluster_cell_level_total{") {
-			levelSeries = append(levelSeries, line[:strings.IndexByte(line, '}')+1])
+	// The cell-level cache and base-pair memo counters expose their two
+	// result labels each and nothing else: levels and count blocks are
+	// counted, never described.
+	for name, want := range map[string][]string{
+		"privcluster_cell_level_total": {
+			`privcluster_cell_level_total{result="build"}`,
+			`privcluster_cell_level_total{result="hit"}`,
+		},
+		"privcluster_pair_memo_total": {
+			`privcluster_pair_memo_total{result="fill"}`,
+			`privcluster_pair_memo_total{result="hit"}`,
+		},
+	} {
+		var series []string
+		for _, line := range strings.Split(metrics, "\n") {
+			if strings.HasPrefix(line, name+"{") {
+				series = append(series, line[:strings.IndexByte(line, '}')+1])
+			}
 		}
-	}
-	wantLevelSeries := []string{
-		`privcluster_cell_level_total{result="build"}`,
-		`privcluster_cell_level_total{result="hit"}`,
-	}
-	if !slices.Equal(levelSeries, wantLevelSeries) {
-		t.Errorf("privcluster_cell_level_total series = %q, want %q", levelSeries, wantLevelSeries)
+		if !slices.Equal(series, want) {
+			t.Errorf("%s series = %q, want %q", name, series, want)
+		}
 	}
 
 	surfaces := map[string]string{

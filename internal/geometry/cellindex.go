@@ -135,6 +135,10 @@ type CellIndex struct {
 
 	mu     sync.Mutex
 	levels []*cellLevel // levels[j]: ladder level j once built (len lad.top+1)
+
+	// pairs memoizes this index's base×base count blocks when it is a
+	// frozen base generation (see crossCellCounts); unused otherwise.
+	pairs pairMemo
 }
 
 // radiusLadder is the geometric radius ladder of the scalable backends: the

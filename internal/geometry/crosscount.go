@@ -4,6 +4,17 @@ import (
 	"context"
 	"math"
 	"sync"
+
+	"privcluster/internal/obs"
+)
+
+// Base×base memo lookups by result (see crossCellCounts): "fill" counts
+// blocks computed and stored, "hit" counts passes seeded from one.
+var (
+	statPairMemoHit = obs.Default.Counter("privcluster_pair_memo_total",
+		"Frozen base-pair count memo lookups by result (hit = block reused).", "result", "hit")
+	statPairMemoFill = obs.Default.Counter("privcluster_pair_memo_total",
+		"Frozen base-pair count memo lookups by result (hit = block reused).", "result", "fill")
 )
 
 // cellGroup pairs one CellIndex with the mapping from its local row ids to
@@ -16,10 +27,66 @@ import (
 // On the source side gids maps a group-local point id to its out slot; on
 // the member side only the cells matter (a member's contribution is a pure
 // function of its own cell and the query point), so member gids are
-// ignored.
+// ignored. frozen marks a mutable index's base generation: identity-mapped,
+// immutable and shared by many epoch views.
 type cellGroup struct {
-	ix   *CellIndex
-	gids []int32
+	ix     *CellIndex
+	gids   []int32
+	frozen bool
+}
+
+// pairMemo holds, on a frozen source base, the uncapped blocks its points
+// receive from one member base, keyed by level and exact radius bits (j and
+// r arrive separately over the wire; a block must never answer another r).
+type pairMemo struct {
+	mu     sync.Mutex
+	mem    *CellIndex
+	blocks map[[2]uint64][]int32
+}
+
+// lookupPair resolves the memo for one pass, resetting it for a new member
+// base: the stored block on a hit, a fresh block to fill on a miss, neither
+// unless both first groups are frozen. Returning both at once lets the
+// workers capture plain values.
+func lookupPair(srcs, members []cellGroup, j int, r float64) (hit, fill []int32) {
+	if !srcs[0].frozen || !members[0].frozen {
+		return nil, nil
+	}
+	p := &srcs[0].ix.pairs
+	p.mu.Lock()
+	if p.mem != members[0].ix {
+		p.mem, p.blocks = members[0].ix, make(map[[2]uint64][]int32)
+	}
+	hit = p.blocks[[2]uint64{uint64(j), math.Float64bits(r)}]
+	p.mu.Unlock()
+	if hit != nil {
+		statPairMemoHit.Inc()
+		return hit, nil
+	}
+	return nil, make([]int32, srcs[0].ix.N())
+}
+
+// storePair keeps a filled block unless the memo moved to another member
+// base meanwhile or a concurrent pass stored the same key first.
+func storePair(srcs, members []cellGroup, j int, r float64, fill []int32) {
+	statPairMemoFill.Inc()
+	p, k := &srcs[0].ix.pairs, [2]uint64{uint64(j), math.Float64bits(r)}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.mem == members[0].ix && p.blocks[k] == nil {
+		p.blocks[k] = fill
+	}
+}
+
+// addSaturating adds block into out elementwise, saturating at limit.
+func addSaturating(out, block []int32, limit int32) {
+	for i, c := range block {
+		if s := out[i] + c; s < limit {
+			out[i] = s
+		} else {
+			out[i] = limit
+		}
+	}
 }
 
 // crossCellCounts is the bulk counting engine shared by every composite
@@ -38,6 +105,14 @@ type cellGroup struct {
 // cells cannot reach the cell's candidate block. A cancelled ctx aborts the
 // pass with ctx.Err(): the feeder stops, the workers drain, no goroutines
 // leak.
+//
+// A member's contribution depends on the two points alone, so when srcs[0]
+// and members[0] are frozen their block is a pure function of the base rows.
+// The source base memoizes it uncapped (pairMemo, 4·n_base bytes per swept
+// level while the base lives): a hit seeds out and skips the pair, a miss
+// fills a fresh block at limit MaxInt32 in this same pass, then stores it
+// and folds it in. Saturating nonnegative addition is order-independent,
+// so every count stays exactly min(total, limit).
 func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup, j int, r float64, limit int32, out []int32) error {
 	ctx = ctxOrBackground(ctx)
 	if r < 0 || limit <= 0 || len(srcs) == 0 || len(members) == 0 {
@@ -84,6 +159,11 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	// no cells anyway.
 	span := int64(math.Ceil(r/srcLvs[0].side)) + 1
 
+	hit, fill := lookupPair(srcs, members, j, r)
+	if hit != nil {
+		addSaturating(out, hit, limit)
+	}
+
 	nb := 0
 	for _, lv := range srcLvs {
 		nb += lv.cells()
@@ -113,6 +193,15 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 				// sum still takes its member groups in the same order.
 				for mi, mem := range members {
 					mlv := memLvs[mi]
+					dst, lim := out, limit
+					if tk.src == 0 && mi == 0 {
+						if hit != nil {
+							continue
+						}
+						if fill != nil {
+							dst, lim = fill, math.MaxInt32
+						}
+					}
 				srcCells:
 					for c := tk.lo; c < tk.hi; c++ {
 						srcCoord := srcLv.coord(c)
@@ -121,7 +210,7 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 								continue srcCells
 							}
 						}
-						mem.ix.accumulateCellCounts(mlv, srcCoord, srcLv.members(c), srcG.ix.frame, srcG.gids, r, limit, out, sc)
+						mem.ix.accumulateCellCounts(mlv, srcCoord, srcLv.members(c), srcG.ix.frame, srcG.gids, r, lim, dst, sc)
 					}
 				}
 			}
@@ -143,5 +232,12 @@ feed:
 	}
 	close(tasks)
 	wg.Wait()
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err // a partial fill is never stored
+	}
+	if fill != nil {
+		storePair(srcs, members, j, r, fill)
+		addSaturating(out, fill, limit)
+	}
+	return nil
 }

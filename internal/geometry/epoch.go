@@ -129,6 +129,11 @@ type epochView struct {
 // query results (the partition-independence half of the ShardedIndex
 // contract).
 //
+// Views mark their base group frozen, so every epoch over one base
+// generation reuses its memoized base×base count blocks (crossCellCounts)
+// and recounts only the pairs its delta touches, for 4·n_base bytes per
+// swept level while the generation lives. Merges and deletes start afresh.
+//
 // MutableCellIndex is safe for concurrent use; mutations serialize
 // internally, snapshots and queries run concurrently with them.
 type MutableCellIndex struct {
@@ -558,7 +563,7 @@ func (m *MutableCellIndex) buildView(ev *epochView) (*ShardedIndex, error) {
 	frame := ev.buf.View(ev.nView)
 	var shards []*indexShard
 	if ev.gen.ix != nil {
-		shards = append(shards, &indexShard{ix: ev.gen.ix})
+		shards = append(shards, &indexShard{ix: ev.gen.ix, frozen: true})
 	}
 	if ev.nView > ev.gen.n {
 		delta, err := NewCellIndexFrame(ev.buf.Slice(ev.gen.n, ev.nView), m.partOpts)

@@ -47,6 +47,10 @@ type MutableShardDialer func(ctx context.Context, shard int, cfg ShardConfig) (M
 // two-generation (base + delta) snapshot views. It is what the shard
 // server runs behind the mutable wire sessions, and what loopback tests
 // plug directly into NewMutableShardedIndexBackends.
+//
+// Both views' bases are frozen, so the source base memoizes its block from
+// the member base (4·n_src_base bytes per swept level): a new epoch's
+// PartialCounts recounts only the pairs touching either delta.
 type MutableLocalShard struct {
 	mu        sync.Mutex
 	cell      CellIndexOptions
@@ -123,9 +127,9 @@ func errUnpinnedEpoch() error {
 // PartialCounts computes the shard's epoch-e member contributions around
 // every epoch-e global row, capped at limit: the source view's base+delta
 // groups crossed with the member view's, through the same crossCellCounts
-// engine every other composite pass uses. The shared pinned ladder makes
-// the sum bit-identical to the frozen single-index pass over the epoch's
-// rows.
+// engine every other composite pass uses (base×base blocks come from the
+// source base's memo once swept). The shared pinned ladder makes the sum
+// bit-identical to the frozen single-index pass over the epoch's rows.
 func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
 	if epoch == EpochFrozen {
 		return nil, errUnpinnedEpoch()

@@ -304,8 +304,10 @@ func TestBuildLStepMonotone(t *testing.T) {
 
 // sensitivityBackends are the BallIndex implementations whose L the
 // sensitivity property is checked on: the exact index, and the serving L̂
-// of the cell index, a mutable index's epoch view, and the sharded index
-// (local shards and LocalShard backends, S ∈ {1, 3}). Every scalable backend shares one pinned ladder
+// of the cell index, a mutable index's epoch view, the sharded index
+// (local shards and LocalShard backends, S ∈ {1, 3}), and epoch views whose
+// base×base blocks come from a warm pair memo (MutableCellIndex, and
+// MutableShardedIndex over MutableLocalShard). Every scalable backend shares one pinned ladder
 // (MinRadius 2⁻¹⁰, so dyadic coordinates sit exactly on cell boundaries).
 var sensitivityBackends = []struct {
 	name  string
@@ -341,6 +343,8 @@ var sensitivityBackends = []struct {
 	{"sharded S=3", shardedSensitivity(3, false)},
 	{"backends S=1", shardedSensitivity(1, true)},
 	{"backends S=3", shardedSensitivity(3, true)},
+	{"epoch view, warm memo", warmMemoSensitivity(false)},
+	{"mutable backends, warm memo", warmMemoSensitivity(true)},
 }
 
 var sensitivityCellOpts = CellIndexOptions{MinRadius: 1.0 / 1024, MaxRadius: math.Sqrt2}

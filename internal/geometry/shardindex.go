@@ -63,6 +63,7 @@ type ShardedIndexOptions struct {
 type indexShard struct {
 	ix     *CellIndex
 	global []int32 // local id -> global id, in local id order
+	frozen bool    // a mutable index's shared base generation (see cellGroup)
 }
 
 // ShardedIndex is the sharded BallIndex backend: the quantized points are
@@ -476,13 +477,7 @@ func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, 
 			// server) must never silently skew the sums.
 			return nil, fmt.Errorf("geometry: shard %d returned %d partial counts at epoch %d, want %d", si, len(p), ix.epoch, n)
 		}
-		for i, c := range p {
-			if s := out[i] + c; s < limit {
-				out[i] = s
-			} else {
-				out[i] = limit
-			}
-		}
+		addSaturating(out, p, limit)
 	}
 	return out, nil
 }
@@ -537,7 +532,7 @@ func (ix *ShardedIndex) countAll(ctx context.Context, j int, r float64, limit in
 func (ix *ShardedIndex) cellGroups() []cellGroup {
 	groups := make([]cellGroup, len(ix.shards))
 	for si, sh := range ix.shards {
-		groups[si] = cellGroup{ix: sh.ix, gids: sh.global}
+		groups[si] = cellGroup{ix: sh.ix, gids: sh.global, frozen: sh.frozen}
 	}
 	return groups
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -150,7 +151,8 @@ type placementJSON struct {
 
 // ParsePlacement decodes and validates the JSON placement schema (see
 // LoadPlacement). Unknown fields are rejected — a typo in an operational
-// config must fail loudly, not silently default.
+// config must fail loudly, not silently default — and so is any *_ms value
+// too large to convert to a time.Duration.
 func ParsePlacement(data []byte) (*Placement, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -158,12 +160,20 @@ func ParsePlacement(data []byte) (*Placement, error) {
 	if err := dec.Decode(&pj); err != nil {
 		return nil, fmt.Errorf("privcluster: parsing placement: %w", err)
 	}
-	p := &Placement{
-		Partitions:    pj.Partitions,
-		Retries:       pj.Retries,
-		HedgeDelay:    time.Duration(pj.HedgeDelayMS) * time.Millisecond,
-		ProbeInterval: time.Duration(pj.ProbeIntervalMS) * time.Millisecond,
-		DialTimeout:   time.Duration(pj.DialTimeoutMS) * time.Millisecond,
+	p := &Placement{Partitions: pj.Partitions, Retries: pj.Retries}
+	for _, f := range []struct {
+		name string
+		ms   int64
+		dst  *time.Duration
+	}{
+		{"hedge_delay_ms", pj.HedgeDelayMS, &p.HedgeDelay},
+		{"probe_interval_ms", pj.ProbeIntervalMS, &p.ProbeInterval},
+		{"dial_timeout_ms", pj.DialTimeoutMS, &p.DialTimeout},
+	} {
+		if f.ms > math.MaxInt64/int64(time.Millisecond) || f.ms < math.MinInt64/int64(time.Millisecond) {
+			return nil, fmt.Errorf("privcluster: placement %s %d overflows a duration", f.name, f.ms)
+		}
+		*f.dst = time.Duration(f.ms) * time.Millisecond
 	}
 	if err := p.validate(); err != nil {
 		return nil, err

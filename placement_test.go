@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -297,6 +300,54 @@ func TestPlacementJSON(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// TestPlacementDurationOverflow: a *_ms value whose conversion to a
+// time.Duration would overflow is rejected with an error naming the field,
+// instead of wrapping to a nonsense (possibly negative) duration.
+func TestPlacementDurationOverflow(t *testing.T) {
+	for _, field := range []string{"hedge_delay_ms", "probe_interval_ms", "dial_timeout_ms"} {
+		for _, ms := range []string{"9300000000000", "-9300000000000", "9223372036854775807"} {
+			in := fmt.Sprintf(`{"partitions":[["a:1"]],%q:%s}`, field, ms)
+			p, err := ParsePlacement([]byte(in))
+			if err == nil {
+				t.Errorf("%s: accepted as %+v", in, p)
+				continue
+			}
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("%s: error %q does not name the field", in, err)
+			}
+		}
+		// The largest whole-millisecond duration still parses.
+		top := int64(math.MaxInt64 / int64(time.Millisecond))
+		in := fmt.Sprintf(`{"partitions":[["a:1"]],%q:%d}`, field, top)
+		if _, err := ParsePlacement([]byte(in)); err != nil {
+			t.Errorf("%s: %v", in, err)
+		}
+	}
+}
+
+// FuzzParsePlacement: every input ParsePlacement accepts survives
+// EncodeJSON → ParsePlacement unchanged.
+func FuzzParsePlacement(f *testing.F) {
+	f.Add([]byte(`{"partitions":[["a:1","b:1"],["c:1"]],"retries":2,"hedge_delay_ms":20}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlacement(data)
+		if err != nil {
+			return
+		}
+		enc, err := p.EncodeJSON()
+		if err != nil {
+			t.Fatalf("accepted placement does not encode: %v", err)
+		}
+		q, err := ParsePlacement(enc)
+		if err != nil {
+			t.Fatalf("encoded placement does not parse: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the placement: %+v -> %+v", p, q)
+		}
+	})
 }
 
 // TestPlacementAllDeadAndPreCancel: every replica dead surfaces one typed
