@@ -158,17 +158,13 @@ func BenchmarkOneClusterPipeline(b *testing.B) {
 // ---- GoodCenter box-partition engine benchmarks ------------------------
 //
 // The box-partition loop is GoodCenter's hot path at scale: one O(n·k)
-// count pass per SVT repetition. The packed-key engine bit-packs (or
-// hash-combines) the per-axis cell indices into a uint64 and reuses every
-// histogram and buffer across repetitions, versus the legacy 8·k-byte
-// string key built per point per repetition:
+// count pass per SVT repetition. The engine bit-packs (or hash-combines)
+// the per-axis cell indices into a uint64 and reuses every histogram and
+// buffer across repetitions:
 //
 //	go test -bench BenchmarkGoodCenter -benchmem
-//
-// The equivalence tests in internal/core prove both engines release
-// bit-identical centers, so the delta here is pure overhead.
 
-func benchGoodCenterAt(b *testing.B, n int, packing core.PackingPolicy) {
+func benchGoodCenterAt(b *testing.B, n int) {
 	b.Helper()
 	grid, err := geometry.NewGrid(1<<16, 2)
 	if err != nil {
@@ -178,14 +174,12 @@ func benchGoodCenterAt(b *testing.B, n int, packing core.PackingPolicy) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof := core.DefaultProfile()
-	prof.Packing = packing
 	prm := core.Params{
 		T:       tt,
 		Privacy: dp.Params{Epsilon: 4, Delta: 0.05},
 		Beta:    0.1,
 		Grid:    grid,
-		Profile: prof,
+		Profile: core.DefaultProfile(),
 	}
 	rng := rand.New(rand.NewSource(3))
 	b.ReportAllocs()
@@ -202,18 +196,7 @@ func benchGoodCenterAt(b *testing.B, n int, packing core.PackingPolicy) {
 func BenchmarkGoodCenterPacked(b *testing.B) {
 	for _, n := range []int{2000, 20000, 100000, 500000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGoodCenterAt(b, n, core.PackAuto)
-		})
-	}
-}
-
-// BenchmarkGoodCenterStringKey is the legacy string-key baseline on the
-// same workloads (stops at 100k; the comparison point the packed engine is
-// measured against).
-func BenchmarkGoodCenterStringKey(b *testing.B) {
-	for _, n := range []int{2000, 20000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGoodCenterAt(b, n, core.PackLegacy)
+			benchGoodCenterAt(b, n)
 		})
 	}
 }

@@ -62,8 +62,6 @@ type DatasetOptions struct {
 	// Options.Shards). 0 means automatic: GOMAXPROCS shards at
 	// n ≥ 100,000, unsharded below. Sharding never changes releases.
 	Shards int
-	// BoxPacking selects GoodCenter's box-key engine (default PackingAuto).
-	BoxPacking BoxPacking
 	// Precision selects the storage width of the prepared points (default
 	// Float64). Float32 halves the handle's resident point memory at the
 	// cost of bit-compatibility with Float64 handles — see Precision.
@@ -101,11 +99,6 @@ type DatasetOptions struct {
 	//
 	// Deprecated: set Placement.Dial instead.
 	RemoteDial func(ctx context.Context, addr string) (net.Conn, error)
-	// IndexCacheSize bounds how many built ball indexes the handle keeps
-	// (FIFO-evicted; 0 means the default of 4). The effective key is
-	// nearly always constant per handle, so the bound only matters when
-	// resolution drifts (see indexKey).
-	IndexCacheSize int
 	// Mutable opens a streaming handle: Append and Delete advance the
 	// dataset through numbered epochs, and every query runs on an
 	// immutable snapshot of one epoch (the current one, or the epoch
@@ -157,9 +150,6 @@ func (o DatasetOptions) validate() error {
 	if _, err := o.IndexPolicy.core(); err != nil {
 		return err
 	}
-	if o.BoxPacking < PackingAuto || o.BoxPacking > PackingLegacy {
-		return fmt.Errorf("privcluster: unknown box packing %d", o.BoxPacking)
-	}
 	if o.Precision != Float64 && o.Precision != Float32 {
 		return fmt.Errorf("privcluster: unknown precision %d", o.Precision)
 	}
@@ -181,10 +171,6 @@ func (o DatasetOptions) validate() error {
 		if err := o.Placement.validate(); err != nil {
 			return err
 		}
-	}
-	if o.IndexCacheSize < 0 {
-		return fmt.Errorf("privcluster: index cache size must be ≥ 0 (0 = default %d), got %d",
-			defaultIndexCacheSize, o.IndexCacheSize)
 	}
 	if o.Mutable {
 		if o.Precision == Float32 {
@@ -244,7 +230,6 @@ func (o DatasetOptions) profile() core.Profile {
 	}
 	p.Workers = o.Workers
 	p.Shards = o.Shards
-	p.Packing = core.PackingPolicy(o.BoxPacking)
 	return p
 }
 
@@ -344,11 +329,11 @@ type indexKey struct {
 	remote string
 }
 
-// defaultIndexCacheSize bounds the per-handle index cache when
-// DatasetOptions.IndexCacheSize is zero; the cache is FIFO-evicted. A
-// handle's effective key is nearly always constant, so the bound only
-// matters when resolution drifts (see indexKey); evicting an entry never
-// invalidates in-flight queries, which keep their reference.
+// defaultIndexCacheSize bounds the per-handle index cache (and a mutable
+// handle's per-epoch snapshot cache); both are FIFO-evicted. A handle's
+// effective key is nearly always constant, so the bound only matters when
+// resolution drifts (see indexKey); evicting an entry never invalidates
+// in-flight queries, which keep their reference.
 const defaultIndexCacheSize = 4
 
 // maxCachedLSteps bounds the per-handle L(·, S) cache: one entry per
@@ -688,7 +673,7 @@ func (ds *Dataset) index(key indexKey) (ix geometry.BallIndex, cold bool, err er
 		e = &indexEntry{}
 		ds.indexes[key] = e
 		ds.keyOrder = append(ds.keyOrder, key)
-		if max := ds.indexCacheSize(); len(ds.keyOrder) > max {
+		if len(ds.keyOrder) > defaultIndexCacheSize {
 			// The evicted entry is not Closed here: in-flight queries may
 			// still hold it. Remote handles keep their options stable, so
 			// eviction churn does not arise in practice; Dataset.Close
@@ -733,14 +718,6 @@ func (ds *Dataset) index(key indexKey) (ix geometry.BallIndex, cold bool, err er
 		e.ix = newCachedIndex(ix)
 	})
 	return e.ix, cold, e.err
-}
-
-// indexCacheSize resolves the configured cache bound (0 = default).
-func (ds *Dataset) indexCacheSize() int {
-	if ds.opts.IndexCacheSize > 0 {
-		return ds.opts.IndexCacheSize
-	}
-	return defaultIndexCacheSize
 }
 
 // Close releases the resources held by the handle's cached indexes — the

@@ -422,7 +422,6 @@ func TestOptionValidationEarly(t *testing.T) {
 			{"negative budget delta", DatasetOptions{Budget: Budget{Epsilon: 1, Delta: -0.1}}, "budget delta"},
 			{"inverted domain", DatasetOptions{Min: 2, Max: 1}, "domain bounds"},
 			{"unknown index policy", DatasetOptions{IndexPolicy: IndexPolicy(42)}, "index policy"},
-			{"unknown box packing", DatasetOptions{BoxPacking: BoxPacking(9)}, "box packing"},
 		} {
 			_, err := Open(pts, tc.o)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

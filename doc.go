@@ -165,11 +165,9 @@
 // indices are bit-packed into a single uint64 (hash-combined when they
 // exceed 64 bits), and every histogram and buffer is reused across
 // repetitions, with the count pass fanned out over Options.Workers
-// goroutines. Options.BoxPacking selects the engine; the exact backends
-// (packed and the legacy string keys) provably release bit-identical
-// results under the same seed, and the hashed backend matches them barring
-// a ≈ 2⁻⁶⁴-probability key collision (which merges two boxes — a utility
-// blip, never a privacy one), so both knobs are pure performance tuning.
+// goroutines. Boxes are enumerated in cell-coordinate order, so the key
+// encoding never changes a release; a hashed key can merge two boxes only
+// on a ≈ 2⁻⁶⁴-probability collision (a utility blip, never a privacy one).
 //
 // # Remote shards
 //

@@ -44,11 +44,8 @@ func main() {
 	c, err := privcluster.FindCluster(points, t, privcluster.Options{
 		Seed: 7,
 		// IndexAuto (the default) already selects the scalable backend at
-		// this size; spelled out here for documentation value. The same
-		// holds for BoxPacking: PackingAuto already bit-packs GoodCenter's
-		// box keys.
+		// this size; spelled out here for documentation value.
 		IndexPolicy: privcluster.IndexScalable,
-		BoxPacking:  privcluster.PackingPacked,
 		// Workers caps the parallel count passes (index and box partition);
 		// 0 means GOMAXPROCS. Parallelism never changes the seeded result.
 		Workers: 0,

@@ -1,45 +1,16 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
 	"privcluster/internal/stability"
 	"privcluster/internal/vec"
-)
-
-// PackingPolicy selects how GoodCenter's box-partition engine encodes the
-// per-axis cell indices of a projected point into a histogram key. The
-// choice never affects which box a point lands in (the partition of R^k is
-// the same shifted grid in every mode) — only the key representation, and
-// with it the allocation profile of the n-point count pass that runs once
-// per SVT repetition.
-type PackingPolicy int
-
-const (
-	// PackAuto (the default) bit-packs the per-axis cell indices into one
-	// uint64 when their combined bit budget fits, and falls back to
-	// hash-combined keys beyond; cells are keyed by their integer
-	// coordinates.
-	PackAuto PackingPolicy = iota
-	// PackBits requests bit-packing; partitions whose index ranges cannot
-	// fit 64 bits fall back to hashing, exactly as PackAuto would.
-	PackBits
-	// PackHash forces hash-combined keys (one mixed uint64 per point).
-	// Distinct cells collide with probability ≈ (#occupied boxes)²/2⁶⁴;
-	// a collision merges two boxes, which coarsens the partition by a
-	// data-independent rule and therefore costs utility, never privacy.
-	PackHash
-	// PackLegacy keeps the original allocation-heavy string keys (8·k bytes
-	// built per point per repetition). Retained as the reference backend the
-	// equivalence tests pin the packed engines against, and as the
-	// benchmark baseline.
-	PackLegacy
 )
 
 // minParallelPoints is the smallest input for which the per-repetition
@@ -73,9 +44,10 @@ type boxPartition interface {
 
 // newBoxPartition builds the engine for the given projected points (a flat
 // frame, float64), box side, and profile (Workers bounds the pool, 0 =
-// GOMAXPROCS; Packing selects the key encoding). sc, when non-nil, lends the
-// packed engines their key/histogram buffers (the legacy string engine
-// allocates its own — it exists as the allocation-heavy reference).
+// GOMAXPROCS). Keys are bit-packed when the data's bit budget fits one
+// uint64 and hash-combined otherwise; either way every point lands in the
+// same box of the same shifted grid, so the choice never changes a
+// release. sc, when non-nil, lends the engine its key/histogram buffers.
 func newBoxPartition(proj *vec.Frame, side float64, prof Profile, sc *QueryScratch) (boxPartition, error) {
 	if proj == nil || proj.N() == 0 {
 		return nil, ErrNoData
@@ -84,27 +56,18 @@ func newBoxPartition(proj *vec.Frame, side float64, prof Profile, sc *QueryScrat
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	switch prof.Packing {
-	case PackLegacy:
-		return newBoxEngine[string](proj, side, workers, stringCoder{side: side}, nil), nil
-	case PackHash:
-		return newBoxEngine[uint64](proj, side, workers, &hashCoder{side: side}, sc), nil
-	case PackAuto, PackBits:
-		if c, ok := newBitsCoder(proj, side); ok {
-			return newBoxEngine[uint64](proj, side, workers, c, sc), nil
-		}
-		return newBoxEngine[uint64](proj, side, workers, &hashCoder{side: side}, sc), nil
-	default:
-		return nil, fmt.Errorf("core: unknown packing policy %d", prof.Packing)
+	if c, ok := newBitsCoder(proj, side); ok {
+		return newBoxEngine(proj, side, workers, c, sc), nil
 	}
+	return newBoxEngine(proj, side, workers, &hashCoder{side: side}, sc), nil
 }
 
-// boxCoder encodes one projected point's box into a comparable key.
+// boxCoder encodes one projected point's box into a uint64 key.
 // prepare runs once per repetition (before any concurrent key calls) so a
 // coder may derive per-repetition state from the offsets.
-type boxCoder[K comparable] interface {
+type boxCoder interface {
 	prepare(offsets []float64)
-	key(p vec.Vector, offsets []float64) K
+	key(p vec.Vector, offsets []float64) uint64
 }
 
 // bitsCoder packs the per-axis cell indices into disjoint bit fields of one
@@ -171,7 +134,10 @@ func (c *bitsCoder) key(p vec.Vector, offsets []float64) uint64 {
 
 // hashCoder mixes the per-axis cell indices into one uint64 with a
 // splitmix64-style combine — the fallback when the indices cannot be
-// bit-packed (k·bits > 64).
+// bit-packed (k·bits > 64). Distinct cells collide with probability
+// ≈ (#occupied boxes)²/2⁶⁴; a collision merges two boxes, which coarsens
+// the partition by a data-independent rule and therefore costs utility,
+// never privacy.
 type hashCoder struct{ side float64 }
 
 func (hashCoder) prepare([]float64) {}
@@ -195,81 +161,57 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// stringCoder is the legacy 8·k-byte string encoding.
-type stringCoder struct{ side float64 }
-
-func (stringCoder) prepare([]float64) {}
-
-func (c stringCoder) key(p vec.Vector, offsets []float64) string {
-	return boxKey(p, offsets, c.side)
-}
-
-// boxEngine is the shared partition machinery, generic over the key type.
-// All per-repetition state (keys, the global histogram, the per-worker
-// partial histograms) is allocated once and reused across the up-to-
-// MaxRepetitions SVT passes — the allocation profile the packed keys exist
-// for. When a QueryScratch is attached (uint64 keys only), those buffers are
-// borrowed from it instead, so repeated queries reuse them across engines.
-type boxEngine[K comparable] struct {
+// boxEngine is the shared partition machinery. All per-repetition state
+// (keys, the global histogram, the per-worker partial histograms) is
+// allocated once and reused across the up-to-MaxRepetitions SVT passes —
+// the allocation profile the packed keys exist for. The buffers live in a
+// QueryScratch: the caller's when one is lent, so repeated queries reuse
+// them across engines, else the engine's own.
+type boxEngine struct {
 	proj    *vec.Frame
 	side    float64
 	workers int
-	coder   boxCoder[K]
-	sc      *QueryScratch // nil unless lent by newBoxEngine
+	coder   boxCoder
+	sc      *QueryScratch // the lent scratch, or &own
+	own     QueryScratch
 
-	offsets []float64   // offsets of the latest partition (for decoding)
-	keys    []K         // per-point box key of the latest partition
-	hist    map[K]int   // global histogram, cleared per repetition
-	locals  []map[K]int // per-worker partial histograms
+	offsets []float64        // offsets of the latest partition (for decoding)
+	keys    []uint64         // per-point box key of the latest partition
+	hist    map[uint64]int   // global histogram, cleared per repetition
+	locals  []map[uint64]int // per-worker partial histograms
 }
 
-func newBoxEngine[K comparable](proj *vec.Frame, side float64, workers int, coder boxCoder[K], sc *QueryScratch) *boxEngine[K] {
+func newBoxEngine(proj *vec.Frame, side float64, workers int, coder boxCoder, sc *QueryScratch) *boxEngine {
 	n := proj.N()
-	e := &boxEngine[K]{
+	e := &boxEngine{
 		proj:    proj,
 		side:    side,
 		workers: workers,
 		coder:   coder,
+		sc:      sc,
 		offsets: make([]float64, proj.Dim()),
 	}
-	if sc != nil {
-		// Borrow the uint64 buffers from the scratch. The type switch is
-		// resolved at instantiation; string engines fall through to fresh
-		// allocations below.
-		if kp, ok := any(&e.keys).(*[]uint64); ok {
-			e.sc = sc
-			if cap(sc.keys) < n {
-				sc.keys = make([]uint64, n)
-			}
-			*kp = sc.keys[:n]
-			if sc.hist == nil {
-				sc.hist = make(map[uint64]int, 64)
-			}
-			*any(&e.hist).(*map[uint64]int) = sc.hist
-			if workers > 1 {
-				for len(sc.locals) < workers {
-					sc.locals = append(sc.locals, make(map[uint64]int, 64))
-				}
-				*any(&e.locals).(*[]map[uint64]int) = sc.locals[:workers]
-			}
+	if e.sc == nil {
+		e.sc = &e.own
+	}
+	sc = e.sc
+	if cap(sc.keys) < n {
+		sc.keys = make([]uint64, n)
+	}
+	if sc.hist == nil {
+		sc.hist = make(map[uint64]int, 64)
+	}
+	e.keys, e.hist = sc.keys[:n], sc.hist
+	if workers > 1 {
+		for len(sc.locals) < workers {
+			sc.locals = append(sc.locals, make(map[uint64]int, 64))
 		}
-	}
-	if e.keys == nil {
-		e.keys = make([]K, n)
-	}
-	if e.hist == nil {
-		e.hist = make(map[K]int, 64)
-	}
-	if workers > 1 && e.locals == nil {
-		e.locals = make([]map[K]int, workers)
-		for w := range e.locals {
-			e.locals[w] = make(map[K]int, 64)
-		}
+		e.locals = sc.locals[:workers]
 	}
 	return e
 }
 
-func (e *boxEngine[K]) partition(offsets []float64) int {
+func (e *boxEngine) partition(offsets []float64) int {
 	copy(e.offsets, offsets)
 	e.coder.prepare(e.offsets)
 	n := e.proj.N()
@@ -322,14 +264,14 @@ func (e *boxEngine[K]) partition(offsets []float64) int {
 	return max
 }
 
-func (e *boxEngine[K]) selectBox(rng *rand.Rand, p stability.Params) (boxSelection, error) {
+func (e *boxEngine) selectBox(rng *rand.Rand, p stability.Params) (boxSelection, error) {
 	nb := len(e.hist)
 	if nb == 0 {
 		return boxSelection{Bottom: true}, nil
 	}
 	// One representative point per distinct box, in first-seen order.
 	reps := make([]int32, 0, nb)
-	pos := make(map[K]struct{}, nb)
+	pos := make(map[uint64]struct{}, nb)
 	for i, k := range e.keys {
 		if _, seen := pos[k]; !seen {
 			pos[k] = struct{}{}
@@ -371,49 +313,16 @@ func (e *boxEngine[K]) selectBox(rng *rand.Rand, p stability.Params) (boxSelecti
 		return boxSelection{Bottom: true}, err
 	}
 	winKey := e.keys[reps[order[res.Key]]]
-	var members []int
-	if e.sc != nil {
-		members = e.sc.members[:0]
-	} else {
-		members = make([]int, 0, counts[res.Key])
-	}
+	// Grow sizes an empty buffer exactly and grows a reused one with
+	// append's headroom, so pooled scratches rarely reallocate.
+	members := slices.Grow(e.sc.members[:0], counts[res.Key])
 	for i, key := range e.keys {
 		if key == winKey {
 			members = append(members, i)
 		}
 	}
-	if e.sc != nil {
-		// Keep the grown buffer for the next query; the returned slice stays
-		// valid until then (one query per scratch at a time).
-		e.sc.members = members
-	}
+	// Keep the buffer for the next query; the returned slice stays valid
+	// until then (one query per scratch at a time).
+	e.sc.members = members
 	return boxSelection{Members: members}, nil
-}
-
-// ---- Legacy reference implementation -----------------------------------
-//
-// The original string-keyed partition, kept verbatim: PackLegacy routes the
-// engine through boxKey, and the equivalence tests pin every packed backend
-// to boxHistogram's grouping bit-exactly.
-
-// boxKey returns the box index of a projected point under the given shifted
-// partition, encoded as a comparable string.
-func boxKey(p vec.Vector, offsets []float64, side float64) string {
-	buf := make([]byte, 0, len(p)*8)
-	for i, x := range p {
-		j := int64(math.Floor((x - offsets[i]) / side))
-		for b := 0; b < 8; b++ {
-			buf = append(buf, byte(uint64(j)>>(8*b)))
-		}
-	}
-	return string(buf)
-}
-
-// boxHistogram counts projected points per box.
-func boxHistogram(proj []vec.Vector, offsets []float64, side float64) map[string]int {
-	h := make(map[string]int, len(proj))
-	for _, p := range proj {
-		h[boxKey(p, offsets, side)]++
-	}
-	return h
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"privcluster/internal/stability"
@@ -37,14 +38,101 @@ func randomProj(rng *rand.Rand, n, k int, span float64) []vec.Vector {
 	return out
 }
 
-// enginePolicies are the three concrete backends (PackAuto resolves to one
-// of the first two).
-var enginePolicies = []PackingPolicy{PackBits, PackHash, PackLegacy}
+// boxKey is the reference box encoding: the box index of a projected point
+// under the given shifted partition, as 8 little-endian bytes per axis.
+func boxKey(p vec.Vector, offsets []float64, side float64) string {
+	buf := make([]byte, 0, len(p)*8)
+	for i, x := range p {
+		j := int64(math.Floor((x - offsets[i]) / side))
+		for b := 0; b < 8; b++ {
+			buf = append(buf, byte(uint64(j)>>(8*b)))
+		}
+	}
+	return string(buf)
+}
 
-// TestBoxPartitionMatchesLegacyHistogram pins every packed backend to the
-// original string-key implementation bit-exactly: same per-repetition max
-// count, same per-box counts, and the identical grouping of points into
-// boxes (key representations may differ; the induced partition may not).
+// boxHistogram is the oracle the engines are pinned to: projected points
+// counted per box, keyed by boxKey.
+func boxHistogram(proj []vec.Vector, offsets []float64, side float64) map[string]int {
+	h := make(map[string]int, len(proj))
+	for _, p := range proj {
+		h[boxKey(p, offsets, side)]++
+	}
+	return h
+}
+
+// boxCoords decodes a boxKey back into its per-axis cell indices.
+func boxCoords(key string) []int64 {
+	coords := make([]int64, len(key)/8)
+	for a := range coords {
+		var u uint64
+		for b := 7; b >= 0; b-- {
+			u = u<<8 | uint64(key[a*8+b])
+		}
+		coords[a] = int64(u)
+	}
+	return coords
+}
+
+// oracleSelect is selectBox computed from the oracle histogram: the boxes
+// in canonical order (cell coordinates, axis 0 most significant), one
+// stability choice over their counts, and the winner's members ascending.
+func oracleSelect(t *testing.T, rng *rand.Rand, p stability.Params, proj []vec.Vector, offsets []float64, side float64) boxSelection {
+	t.Helper()
+	hist := boxHistogram(proj, offsets, side)
+	keys := make([]string, 0, len(hist))
+	for k := range hist {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y string) int { return slices.Compare(boxCoords(x), boxCoords(y)) })
+	counts := make([]int, len(keys))
+	for i, k := range keys {
+		counts[i] = hist[k]
+	}
+	res, err := stability.ChooseIndexed(rng, counts, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bottom {
+		return boxSelection{Bottom: true}
+	}
+	var members []int
+	for i, q := range proj {
+		if boxKey(q, offsets, side) == keys[res.Key] {
+			members = append(members, i)
+		}
+	}
+	return boxSelection{Members: members}
+}
+
+// coderEngines returns the engines to pin against the oracle: the one
+// newBoxPartition picks, plus each coder forced — hashing always, bit
+// packing when the data's bit budget fits 64 bits. The bits engine runs on
+// a lent scratch, the others on their own buffers.
+func coderEngines(t *testing.T, proj []vec.Vector, side float64, workers int) map[string]*boxEngine {
+	t.Helper()
+	f := frameOf(t, proj)
+	prof := DefaultProfile()
+	prof.Workers = workers
+	auto, err := newBoxPartition(f, side, prof, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]*boxEngine{
+		"auto": auto.(*boxEngine),
+		"hash": newBoxEngine(f, side, workers, &hashCoder{side: side}, nil),
+	}
+	if c, ok := newBitsCoder(f, side); ok {
+		engines["bits"] = newBoxEngine(f, side, workers, c, NewQueryScratch())
+	}
+	return engines
+}
+
+// TestBoxPartitionMatchesLegacyHistogram pins both coders (and the one
+// newBoxPartition selects) to the string-key oracle bit-exactly: same
+// per-repetition max count, same per-box counts, and the identical grouping
+// of points into boxes (key representations may differ; the induced
+// partition may not).
 func TestBoxPartitionMatchesLegacyHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
@@ -53,15 +141,23 @@ func TestBoxPartitionMatchesLegacyHistogram(t *testing.T) {
 		span    float64
 		side    float64
 		workers int
+		packs   bool // the bit budget fits 64 bits
 	}{
-		{"k1-serial", 1, 300, 2, 0.3, 1},
-		{"k2-parallel", 2, 5000, 2, 0.25, 4},
-		{"k3-negative-cells", 3, 800, 8, 0.5, 2},
-		{"k8-forced-hash", 8, 2500, 6, 1e-4, 3}, // tiny cells: k·bits ≫ 64
-		{"k12-wide", 12, 400, 4, 0.7, 2},
+		{"k1-serial", 1, 300, 2, 0.3, 1, true},
+		{"k2-parallel", 2, 5000, 2, 0.25, 4, true},
+		{"k3-negative-cells", 3, 800, 8, 0.5, 2, true},
+		{"k8-forced-hash", 8, 2500, 6, 1e-4, 3, false}, // tiny cells: k·bits ≫ 64
+		{"k12-wide", 12, 400, 4, 0.7, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			proj := randomProj(rng, tc.n, tc.k, tc.span)
+			engines := coderEngines(t, proj, tc.side, tc.workers)
+			if _, packs := engines["bits"]; packs != tc.packs {
+				t.Fatalf("bit packing feasible = %v, want %v", packs, tc.packs)
+			}
+			if _, isBits := engines["auto"].coder.(*bitsCoder); isBits != tc.packs {
+				t.Fatalf("newBoxPartition chose %T", engines["auto"].coder)
+			}
 			offsets := make([]float64, tc.k)
 			for rep := 0; rep < 3; rep++ {
 				for a := range offsets {
@@ -70,22 +166,13 @@ func TestBoxPartitionMatchesLegacyHistogram(t *testing.T) {
 				ref := boxHistogram(proj, offsets, tc.side)
 				refMax := 0
 				for _, c := range ref {
-					if c > refMax {
-						refMax = c
-					}
+					refMax = max(refMax, c)
 				}
-				for _, pol := range enginePolicies {
-					prof := DefaultProfile()
-					prof.Packing = pol
-					prof.Workers = tc.workers
-					part, err := newBoxPartition(frameOf(t, proj), tc.side, prof, nil)
-					if err != nil {
-						t.Fatal(err)
+				for name, e := range engines {
+					if got := e.partition(offsets); got != refMax {
+						t.Errorf("%s rep %d: max count %d, oracle %d", name, rep, got, refMax)
 					}
-					if got := part.partition(offsets); got != refMax {
-						t.Errorf("policy %d rep %d: max count %d, legacy %d", pol, rep, got, refMax)
-					}
-					assertSameGrouping(t, part, proj, offsets, tc.side, ref)
+					assertSameGrouping(t, name, e, proj, offsets, tc.side, ref)
 				}
 			}
 		})
@@ -93,44 +180,31 @@ func TestBoxPartitionMatchesLegacyHistogram(t *testing.T) {
 }
 
 // assertSameGrouping checks the engine's keys induce exactly the partition
-// the legacy string keys induce, and that the per-box counts agree.
-func assertSameGrouping(t *testing.T, part boxPartition, proj []vec.Vector, offsets []float64, side float64, ref map[string]int) {
+// the oracle's string keys induce, and that the per-box counts agree.
+func assertSameGrouping(t *testing.T, name string, e *boxEngine, proj []vec.Vector, offsets []float64, side float64, ref map[string]int) {
 	t.Helper()
-	switch e := part.(type) {
-	case *boxEngine[uint64]:
-		byEngine := make(map[uint64]string) // engine key -> legacy key
-		for i, k := range e.keys {
-			legacy := boxKey(proj[i], offsets, side)
-			if prev, ok := byEngine[k]; ok {
-				if prev != legacy {
-					t.Fatalf("engine key %x merges legacy boxes %q and %q", k, prev, legacy)
-				}
-			} else {
-				byEngine[k] = legacy
+	byEngine := make(map[uint64]string) // engine key -> oracle key
+	for i, k := range e.keys {
+		want := boxKey(proj[i], offsets, side)
+		if prev, ok := byEngine[k]; ok {
+			if prev != want {
+				t.Fatalf("%s: engine key %x merges oracle boxes %q and %q", name, k, prev, want)
 			}
-			if e.hist[k] != ref[legacy] {
-				t.Fatalf("point %d: engine count %d, legacy count %d", i, e.hist[k], ref[legacy])
-			}
+		} else {
+			byEngine[k] = want
 		}
-		if len(byEngine) != len(ref) {
-			t.Fatalf("engine has %d boxes, legacy %d", len(byEngine), len(ref))
+		if e.hist[k] != ref[want] {
+			t.Fatalf("%s: point %d: engine count %d, oracle count %d", name, i, e.hist[k], ref[want])
 		}
-	case *boxEngine[string]:
-		for i, k := range e.keys {
-			if want := boxKey(proj[i], offsets, side); k != want {
-				t.Fatalf("point %d: legacy engine key differs from boxKey", i)
-			}
-		}
-		if !reflect.DeepEqual(e.hist, ref) {
-			t.Fatal("legacy engine histogram differs from boxHistogram")
-		}
-	default:
-		t.Fatalf("unknown engine type %T", part)
+	}
+	if len(byEngine) != len(ref) {
+		t.Fatalf("%s: engine has %d boxes, oracle %d", name, len(byEngine), len(ref))
 	}
 }
 
-// TestBoxPartitionAutoSelectsBits verifies PackAuto resolves to bit-packing
-// when the indices fit one uint64 and to hashing when they cannot.
+// TestBoxPartitionAutoSelectsBits verifies newBoxPartition resolves to
+// bit-packing when the indices fit one uint64 and to hashing when they
+// cannot.
 func TestBoxPartitionAutoSelectsBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	prof := DefaultProfile()
@@ -140,10 +214,7 @@ func TestBoxPartitionAutoSelectsBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := part.(*boxEngine[uint64])
-	if !ok {
-		t.Fatalf("auto engine is %T, want uint64 keys", part)
-	}
+	e := part.(*boxEngine)
 	if _, isBits := e.coder.(*bitsCoder); !isBits {
 		t.Errorf("auto coder is %T, want *bitsCoder", e.coder)
 	}
@@ -153,7 +224,7 @@ func TestBoxPartitionAutoSelectsBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e = part.(*boxEngine[uint64])
+	e = part.(*boxEngine)
 	if _, isHash := e.coder.(*hashCoder); !isHash {
 		t.Errorf("overflow coder is %T, want *hashCoder", e.coder)
 	}
@@ -161,90 +232,105 @@ func TestBoxPartitionAutoSelectsBits(t *testing.T) {
 
 // TestBoxSelectionCanonicalAcrossBackends verifies the noise-consuming
 // selection path is representation-independent: with the same seed, every
-// backend releases the same box (the same member set).
+// coder releases the box the oracle's canonical enumeration releases (the
+// same member set), in a packable and a hash-only projection, at any
+// worker count.
 func TestBoxSelectionCanonicalAcrossBackends(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	proj := randomProj(rng, 2000, 2, 2)
-	const side = 0.5
-	offsets := []float64{0.1, 0.2}
 	p := stability.Params{Epsilon: 2, Delta: 0.01}
-
-	var want []int
-	for i, pol := range enginePolicies {
-		prof := DefaultProfile()
-		prof.Packing = pol
-		prof.Workers = 1 + i // worker count must not matter either
-		part, err := newBoxPartition(frameOf(t, proj), side, prof, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		k    int
+		side float64
+	}{
+		{"k2-packed", 2, 0.5},
+		{"k8-hashed", 8, 1e-4},
+	} {
+		proj := randomProj(rng, 2000, tc.k, 2)
+		// A planted box far from the rest, so the tiny-cell case has a box
+		// heavy enough to release.
+		for i := 0; i < 300; i++ {
+			for a := range proj[i] {
+				proj[i][a] = 5
+			}
 		}
-		part.partition(offsets)
-		sel, err := part.selectBox(rand.New(rand.NewSource(7)), p)
-		if err != nil {
-			t.Fatal(err)
+		offsets := make([]float64, tc.k)
+		for a := range offsets {
+			offsets[a] = 0.1 * tc.side * float64(a+1)
 		}
-		if sel.Bottom {
-			t.Fatalf("policy %d: selection returned bottom", pol)
+		want := oracleSelect(t, rand.New(rand.NewSource(7)), p, proj, offsets, tc.side)
+		if want.Bottom {
+			t.Fatalf("%s: oracle selection returned bottom", tc.name)
 		}
-		if want == nil {
-			want = sel.Members
-			continue
-		}
-		if !reflect.DeepEqual(sel.Members, want) {
-			t.Errorf("policy %d selected a different box (%d members vs %d)", pol, len(sel.Members), len(want))
+		for _, workers := range []int{1, 3} {
+			for name, e := range coderEngines(t, proj, tc.side, workers) {
+				e.partition(offsets)
+				sel, err := e.selectBox(rand.New(rand.NewSource(7)), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sel.Members, want.Members) {
+					t.Errorf("%s %s workers %d selected a different box (%d members vs %d)", tc.name, name, workers, len(sel.Members), len(want.Members))
+				}
+			}
 		}
 	}
 }
 
 // TestGoodCenterPackingEquivalence is the seeded end-to-end pin: GoodCenter
-// under every packing policy (and several worker counts) produces the
-// bit-identical CenterResult, proving the packed engines select the same
-// boxes as the string-key implementation all the way through the released
-// center.
+// at several worker counts releases, bit for bit, the CenterResult the
+// string-key engine released for the same seeds (recorded as literals),
+// proving the coders select the same boxes all the way through the
+// released center.
 func TestGoodCenterPackingEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tc := range []struct {
 		name string
 		d    int
 		r    float64
+		want CenterResult
 	}{
-		{"d2", 2, 0.04},
-		{"d8", 8, 0.02},
+		{"d2", 2, 0.04, CenterResult{
+			Center: vec.Vector{bitsFloat(0x3fd843b83f04ff43), bitsFloat(0x3fd27b71c2e1ac38)},
+			Radius: bitsFloat(0x3fd21a1851ff630b), K: 2, Repetitions: 1, BoxCount: 516,
+		}},
+		{"d8", 8, 0.02, CenterResult{
+			Center: vec.Vector{
+				bitsFloat(0x3fd2f7b05054fa42), bitsFloat(0x3fe7386d02dbaa8e),
+				bitsFloat(0x3fd16ee32ca3a822), bitsFloat(0x3fd20ed1b241fd34),
+				bitsFloat(0x3fe22d6d3b04fb01), bitsFloat(0x3fe4ad8a8abbd69a),
+				bitsFloat(0x3fe40ba27b0ad79e), bitsFloat(0x3fe01b4de23098e2),
+			},
+			Radius: bitsFloat(0x3fd21a1851ff630b), K: 8, Repetitions: 1, BoxCount: 500, FallbackAxes: 1,
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			grid := testGrid(t, 1024, tc.d)
 			inst := plantedInstance(t, rng, grid, 700, 500, 0.02)
-			var want CenterResult
-			first := true
-			for _, pol := range []PackingPolicy{PackAuto, PackBits, PackHash, PackLegacy} {
-				for _, workers := range []int{1, 4} {
-					prm := testParams(t, grid, 400)
-					prm.Profile = DefaultProfile()
-					if tc.d > 2 {
-						// Wider boxes keep the per-axis capture probability
-						// workable at d = 8 so AboveThreshold fires within
-						// MaxRepetitions.
-						prm.Profile.BoxSideFactor = 6
-					}
-					prm.Profile.Packing = pol
-					prm.Profile.Workers = workers
-					res, err := GoodCenter(rand.New(rand.NewSource(99)), inst.Points, tc.r, prm)
-					if err != nil {
-						t.Fatalf("policy %d workers %d: %v", pol, workers, err)
-					}
-					if first {
-						want = res
-						first = false
-						continue
-					}
-					if !reflect.DeepEqual(res, want) {
-						t.Errorf("policy %d workers %d: result diverged from reference", pol, workers)
-					}
+			for _, workers := range []int{1, 4} {
+				prm := testParams(t, grid, 400)
+				prm.Profile = DefaultProfile()
+				if tc.d > 2 {
+					// Wider boxes keep the per-axis capture probability
+					// workable at d = 8 so AboveThreshold fires within
+					// MaxRepetitions.
+					prm.Profile.BoxSideFactor = 6
+				}
+				prm.Profile.Workers = workers
+				res, err := GoodCenter(rand.New(rand.NewSource(99)), inst.Points, tc.r, prm)
+				if err != nil {
+					t.Fatalf("workers %d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(res, tc.want) {
+					t.Errorf("workers %d: result %+v, want %+v", workers, res, tc.want)
 				}
 			}
 		})
 	}
 }
+
+// bitsFloat is math.Float64frombits, for recorded exact float literals.
+func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
 // TestGoodCenterEmptyInput is the regression test for the direct-call panic:
 // an empty slice must yield the ErrNoData sentinel, not index points[0].
@@ -259,20 +345,6 @@ func TestGoodCenterEmptyInput(t *testing.T) {
 	_, err = GoodCenter(rng, []vec.Vector{}, 0.05, prm)
 	if !errors.Is(err, ErrNoData) {
 		t.Errorf("empty (non-nil) input error = %v, want ErrNoData", err)
-	}
-}
-
-// TestGoodCenterUnknownPackingRejected covers the engine's policy
-// validation through GoodCenter.
-func TestGoodCenterUnknownPackingRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	grid := testGrid(t, 1024, 2)
-	inst := plantedInstance(t, rng, grid, 100, 80, 0.02)
-	prm := testParams(t, grid, 50)
-	prm.Profile = DefaultProfile()
-	prm.Profile.Packing = PackingPolicy(42)
-	if _, err := GoodCenter(rng, inst.Points, 0.05, prm); err == nil {
-		t.Error("unknown packing policy accepted")
 	}
 }
 

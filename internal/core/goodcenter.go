@@ -53,9 +53,9 @@ var (
 // ε/4 on AboveThreshold, (ε/4, δ/4) on the box choice, (ε/4, δ/4) across
 // the d per-axis choices, and (ε/4, δ/4) on NoisyAVG (Lemma 4.11).
 //
-// The box-partition loop runs on the packed-key engine selected by
-// prm.Profile.Packing, with the per-repetition count pass fanned out over
-// prm.Profile.Workers goroutines; neither knob affects the privacy analysis
+// The box-partition loop keys boxes by bit-packed (else hashed) cell
+// indices, with the per-repetition count pass fanned out over
+// prm.Profile.Workers goroutines; neither affects the privacy analysis
 // (AboveThreshold only ever sees the final per-repetition maximum) nor —
 // thanks to the canonical box enumeration — the seeded output.
 func GoodCenter(rng *rand.Rand, points []vec.Vector, r float64, prm Params) (CenterResult, error) {

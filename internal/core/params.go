@@ -92,9 +92,6 @@ type Profile struct {
 	// releases are bit-identical to the unsharded index under the same
 	// seed.
 	Shards int
-	// Packing selects GoodCenter's box-partition key engine (see
-	// PackingPolicy; zero value PackAuto).
-	Packing PackingPolicy
 }
 
 // PaperProfile returns the constants used by the paper's proofs.

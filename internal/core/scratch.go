@@ -17,8 +17,7 @@ type QueryScratch struct {
 	rotBuf []float64
 	// axisHist is the per-axis interval histogram, cleared per axis.
 	axisHist map[int64]int
-	// keys, hist, locals back the packed (uint64-keyed) box-partition
-	// engines; the legacy string engine allocates its own.
+	// keys, hist, locals back the box-partition engine.
 	keys   []uint64
 	hist   map[uint64]int
 	locals []map[uint64]int

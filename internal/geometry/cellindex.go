@@ -154,12 +154,22 @@ type radiusLadder struct {
 	top   int     // largest ladder level index
 }
 
+// maxLadderLevels caps the ladder depth an index accepts. The options
+// arrive over the shard wire, and a ladder is sized up front and swept
+// level by level, so an absurd LevelsPerOctave or a subnormal MinRadius
+// would otherwise ask for billions of levels. The default ladder (two
+// levels per octave) at the finest int64 grid (MinRadius 2⁻⁶⁴) has fewer
+// than 200 levels in any dimension the wire carries; the cap leaves room
+// for ladders five times as dense.
+const maxLadderLevels = 1024
+
 // newRadiusLadder derives the ladder from defaulted options and the data's
 // bounding-box diagonal. The ladder must reach past the diameter so the L
 // estimator provably saturates; for in-contract inputs (unit cube) the
 // diagonal never exceeds the default MaxRadius = √d, so the ladder stays
-// data-independent.
-func newRadiusLadder(opts CellIndexOptions, dim int, diag float64) radiusLadder {
+// data-independent. Non-finite radii and ladders deeper than
+// maxLadderLevels are errors.
+func newRadiusLadder(opts CellIndexOptions, dim int, diag float64) (radiusLadder, error) {
 	l := radiusLadder{
 		minR:  opts.MinRadius,
 		maxR:  opts.MaxRadius,
@@ -168,14 +178,22 @@ func newRadiusLadder(opts CellIndexOptions, dim int, diag float64) radiusLadder 
 	if diag > l.maxR {
 		l.maxR = diag
 	}
+	if math.IsNaN(l.minR) || math.IsInf(l.minR, 0) || math.IsNaN(l.maxR) || math.IsInf(l.maxR, 0) {
+		return radiusLadder{}, fmt.Errorf("geometry: radius ladder needs finite radii, got [%g, %g]", l.minR, l.maxR)
+	}
 	// At r ≥ stopR every cell center is within r of every point
 	// (diam + h(r) ≤ r), so every estimated count is n.
 	slack := 1 - math.Sqrt(float64(dim))/(2*float64(opts.CellsPerRadius))
 	l.stopR = l.maxR / slack
 	if l.stopR > l.minR {
-		l.top = int(math.Ceil(math.Log(l.stopR/l.minR) / math.Log(l.ratio)))
+		top := math.Ceil(math.Log(l.stopR/l.minR) / math.Log(l.ratio))
+		if !(top < maxLadderLevels) { // also catches an overflowed +Inf
+			return radiusLadder{}, fmt.Errorf("geometry: radius ladder [%g, %g] at %d levels per octave exceeds %d levels",
+				l.minR, l.stopR, opts.LevelsPerOctave, maxLadderLevels)
+		}
+		l.top = int(top)
 	}
-	return l
+	return l, nil
 }
 
 // radius returns ladder radius j: MinRadius·ρ^j.
@@ -256,7 +274,11 @@ func NewCellIndexFrame(f *vec.Frame, opts CellIndexOptions) (*CellIndex, error) 
 		ix.dupCount = dupCounts(f, f, nil)
 	}
 
-	ix.lad = newRadiusLadder(opts, d, hi.Dist(lo))
+	lad, err := newRadiusLadder(opts, d, hi.Dist(lo))
+	if err != nil {
+		return nil, err
+	}
+	ix.lad = lad
 	ix.levels = make([]*cellLevel, ix.lad.top+1)
 	return ix, nil
 }
@@ -266,9 +288,6 @@ func (ix *CellIndex) N() int { return ix.frame.N() }
 
 // Frame returns the indexed point store (not a copy).
 func (ix *CellIndex) Frame() *vec.Frame { return ix.frame }
-
-// levelRadius returns ladder radius j: MinRadius·ρ^j.
-func (ix *CellIndex) levelRadius(j int) float64 { return ix.lad.radius(j) }
 
 // level returns (building on first use) the cell level for ladder level j,
 // which must lie in [0, lad.top]. Built levels are kept for the index's
@@ -282,7 +301,7 @@ func (ix *CellIndex) level(j int) *cellLevel {
 		return lv
 	}
 	statCellLevelBuild.Inc()
-	lv := newCellLevel(ix.frame, ix.levelRadius(j)/float64(ix.opts.CellsPerRadius))
+	lv := newCellLevel(ix.frame, ix.lad.radius(j)/float64(ix.opts.CellsPerRadius))
 	ix.levels[j] = lv
 	return lv
 }
@@ -713,60 +732,6 @@ func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcCoord []int64, srcID
 	}
 }
 
-// countAllInto adds to out the capped within-r count of every input point
-// via accumulateCellCounts over every occupied source cell (len(out) must
-// be N(); a ladder sweep reuses one buffer for every level, zeroing it
-// between passes, and the per-worker scratch comes from the index's pool).
-// Source cells fan out over the worker pool; each cell's points are
-// written by exactly one worker.
-//
-// A cancelled ctx aborts the pass: the feeder stops handing out chunks,
-// every worker skips its remaining work (so the pool always drains and
-// exits — no leaked goroutines), and the call returns ctx.Err().
-func (ix *CellIndex) countAllInto(ctx context.Context, lv *cellLevel, r float64, limit int32, out []int32) error {
-	ctx = ctxOrBackground(ctx)
-	if len(out) != ix.frame.N() {
-		return fmt.Errorf("geometry: countAllInto out has length %d, want %d", len(out), ix.frame.N())
-	}
-	if r < 0 || limit <= 0 {
-		return nil
-	}
-	nb := lv.cells()
-	workers := ix.opts.Workers
-	if workers > nb {
-		workers = nb
-	}
-	const chunk = 64
-	ranges := make(chan [2]int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := ix.getScratch()
-			defer ix.putScratch(sc)
-			for rg := range ranges {
-				if ctx.Err() != nil {
-					continue // drain the channel so the feeder never blocks
-				}
-				for c := rg[0]; c < rg[1]; c++ {
-					ix.accumulateCellCounts(lv, lv.coord(c), lv.members(c), ix.frame, nil, r, limit, out, sc)
-				}
-			}
-		}()
-	}
-	for lo := 0; lo < nb && ctx.Err() == nil; lo += chunk {
-		hi := lo + chunk
-		if hi > nb {
-			hi = nb
-		}
-		ranges <- [2]int{lo, hi}
-	}
-	close(ranges)
-	wg.Wait()
-	return ctx.Err()
-}
-
 // topTAvg returns the average of the t largest values (each clamped to
 // [0, t]) via one counting pass — O(n + t), no sort.
 func topTAvg(counts []int32, t int) float64 {
@@ -794,26 +759,43 @@ func topTAvg(counts []int32, t int) float64 {
 }
 
 // BuildLStep constructs the approximate L(·, S) step function by sweeping
-// the radius ladder instead of the Θ(n²) pairwise distances: radius 0 is
-// answered exactly from the duplicate table, every ladder radius gets the
-// cell-granularity estimate (clipped to stay monotone), and the sweep stops
-// as soon as L saturates at t — guaranteed at the ladder top, which covers
-// the data diameter plus the center-rule slack. Runtime
+// the radius ladder instead of the Θ(n²) pairwise distances (see
+// sweepLStep), each level counted by crossCellCounts with the index as its
+// own single source and member group. Runtime
 // O(n·(2·CellsPerRadius+2)^d) per ladder level over Workers cores, plus a
 // one-off O(n·d) build per level the index has not built yet; memory O(n)
-// per retained level. ctx cancellation aborts between (and inside)
-// ladder levels — this sweep is the dominant per-query cost at scale.
+// per retained level.
 func (ix *CellIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
+	self := []cellGroup{{ix: ix}}
+	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, func(ctx context.Context, j int, r float64, limit int32, out []int32) error {
+		return crossCellCounts(ctx, ix.opts.Workers, self, self, j, r, limit, out)
+	})
+}
+
+// levelCounter fills out, zeroed and of length n, with the capped within-r
+// count of every point at ladder level j (radius r).
+type levelCounter func(ctx context.Context, j int, r float64, limit int32, out []int32) error
+
+// sweepLStep is the one ladder sweep behind every scalable BuildLStep:
+// radius 0 is answered exactly from dup (the duplicate table), every ladder
+// radius gets count's cell-granularity estimate (clipped to stay
+// monotone), and the sweep stops as soon as L saturates at t — guaranteed
+// at the ladder top, which covers the data diameter plus the center-rule
+// slack. All levels share one count buffer. ctx cancellation aborts
+// between (and inside) ladder levels — this sweep is the dominant
+// per-query cost at scale. The levels swept are reported to the current
+// trace span as sweep_levels.
+func sweepLStep(ctx context.Context, n, t int, dup []int32, lad radiusLadder, count levelCounter) (*LStep, error) {
 	ctx = ctxOrBackground(ctx)
-	n := ix.frame.N()
 	if t < 1 || t > n {
 		return nil, fmt.Errorf("geometry: BuildLStep t=%d out of [1,%d]", t, n)
 	}
-	l := &LStep{T: t}
-	prev := topTAvg(ix.dupCount, t)
-	l.Breaks = append(l.Breaks, 0)
-	l.Vals = append(l.Vals, prev)
-	counts := make([]int32, n) // one buffer for every ladder level
+	// Radius 0 plus at most one break per ladder level: the lists never
+	// regrow.
+	l := &LStep{T: t, Breaks: make([]float64, 1, lad.top+2), Vals: make([]float64, 1, lad.top+2)}
+	prev := topTAvg(dup, t)
+	l.Vals[0] = prev
+	counts := make([]int32, n)
 	// Every ladder level is visited in order and the recorded function is
 	// the running max of the per-level estimates (run-length encoded: equal
 	// values add no break). The per-level estimate is NOT monotone across
@@ -826,12 +808,14 @@ func (ix *CellIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 	// level's estimate has sensitivity ≤ 2 under the deterministic pair
 	// rule, and a pointwise max of sensitivity-2 values has sensitivity
 	// ≤ 2.
-	for j := 0; j <= ix.lad.top && prev < float64(t); j++ {
-		r := ix.levelRadius(j)
+	levels := 0
+	for j := 0; j <= lad.top && prev < float64(t); j++ {
+		r := lad.radius(j)
 		clear(counts)
-		if err := ix.countAllInto(ctx, ix.level(j), r, int32(t), counts); err != nil {
+		if err := count(ctx, j, r, int32(t), counts); err != nil {
 			return nil, err
 		}
+		levels++
 		v := topTAvg(counts, t)
 		if v > prev {
 			l.Breaks = append(l.Breaks, r)
@@ -839,5 +823,6 @@ func (ix *CellIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 			prev = v
 		}
 	}
+	obs.CurrentSpan(ctx).Count("sweep_levels", int64(levels))
 	return l, nil
 }

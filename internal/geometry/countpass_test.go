@@ -64,7 +64,7 @@ func TestBucketCountCenterRule(t *testing.T) {
 	var total, ties int
 	for d := 1; d <= 5; d++ {
 		opts := CellIndexOptions{}.withDefaults(d)
-		lad := newRadiusLadder(opts, d, math.Sqrt(float64(d)))
+		lad := ladderOf(t, opts, d, math.Sqrt(float64(d)))
 		cpr := opts.CellsPerRadius
 		p := make(vec.Vector, d)
 		coord := make([]int64, d)
@@ -227,7 +227,7 @@ func checkCursorSweeps(t *testing.T, tag string, rng *rand.Rand, src *CellIndex,
 				for _, jj := range levels {
 					for mi, m := range members {
 						mlv := m.level(jj)
-						cursorPath, mismatch := checkCursorQuery(m, mlv, center, m.levelRadius(jj), mlv.side/2, sc)
+						cursorPath, mismatch := checkCursorQuery(m, mlv, center, m.lad.radius(jj), mlv.side/2, sc)
 						if mismatch != "" {
 							t.Fatalf("%s: source level %d cell %d (shuffled %v), member %d level %d: %s", tag, j, c, shuffled, mi, jj, mismatch)
 						}
@@ -289,7 +289,7 @@ func TestForCandidatesCursors(t *testing.T) {
 	// cells, so the cursor path runs with aliased slots.
 	const cells = 20_000
 	opts := CellIndexOptions{Workers: 1, CellsPerRadius: 2 * maxCursors}
-	lad := newRadiusLadder(opts.withDefaults(2), 2, 0)
+	lad := ladderOf(t, opts.withDefaults(2), 2, 0)
 	j := lad.top / 2
 	side := lad.radius(j) / float64(opts.CellsPerRadius)
 	f := vec.NewFrame(cells, 2)
@@ -300,7 +300,7 @@ func TestForCandidatesCursors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, r := ix.level(j), ix.levelRadius(j)
+	lv, r := ix.level(j), ix.lad.radius(j)
 	if lv.cells() != cells {
 		t.Fatalf("line level has %d cells, want %d", lv.cells(), cells)
 	}
@@ -376,11 +376,21 @@ func FuzzForCandidates(f *testing.F) {
 	})
 }
 
-// BenchmarkCountPass times one full count pass — countAllInto at a
-// mid-ladder level, every source cell's candidate scan and boundary
-// resolution — over n = 100k uniform points in the unit square, with the
-// level built before the timer starts: the per-level cost a ladder sweep
-// pays once the index's levels exist.
+// ladderOf derives the radius ladder, failing the test on an invalid one.
+func ladderOf(tb testing.TB, opts CellIndexOptions, d int, diag float64) radiusLadder {
+	tb.Helper()
+	lad, err := newRadiusLadder(opts, d, diag)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lad
+}
+
+// BenchmarkCountPass times one full count pass — crossCellCounts with the
+// index as its one identity group, at a mid-ladder level: every source
+// cell's candidate scan and boundary resolution — over n = 100k uniform
+// points in the unit square, with the level built before the timer starts:
+// the per-level cost a ladder sweep pays once the index's levels exist.
 func BenchmarkCountPass(b *testing.B) {
 	const n, d = 100_000, 2
 	rng := rand.New(rand.NewSource(1))
@@ -393,13 +403,14 @@ func BenchmarkCountPass(b *testing.B) {
 		b.Fatal(err)
 	}
 	j := ix.lad.top / 2
-	lv, r := ix.level(j), ix.levelRadius(j)
+	ix.level(j)
+	self := []cellGroup{{ix: ix}}
 	out := make([]int32, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(out)
-		if err := ix.countAllInto(context.Background(), lv, r, n/2, out); err != nil {
+		if err := crossCellCounts(context.Background(), ix.opts.Workers, self, self, j, ix.lad.radius(j), n/2, out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,10 +19,11 @@ var (
 
 // cellGroup pairs one CellIndex with the mapping from its local row ids to
 // slots of a global output vector (nil = identity). It is the unit of the
-// generic cross-counting pass below: a sharded index contributes one group
-// per shard, an epoch snapshot one group per storage generation (frozen
-// base + delta), and the two compose freely — a mutable shard's pinned
-// query is just base/delta source groups against base/delta member groups.
+// generic cross-counting pass below: a plain CellIndex is one identity
+// group, a sharded index contributes one group per shard, an epoch
+// snapshot one group per storage generation (frozen base + delta), and the
+// two compose freely — a mutable shard's pinned query is just base/delta
+// source groups against base/delta member groups.
 //
 // On the source side gids maps a group-local point id to its out slot; on
 // the member side only the cells matter (a member's contribution is a pure
@@ -89,8 +90,8 @@ func addSaturating(out, block []int32, limit int32) {
 	}
 }
 
-// crossCellCounts is the bulk counting engine shared by every composite
-// index: it adds to out the capped within-r member contributions around
+// crossCellCounts is the one bulk counting engine of the scalable
+// indexes: it adds to out the capped within-r member contributions around
 // every source point, at ladder level j, across all (source group, member
 // group) pairs. All groups must be pinned to one shared radius ladder (same
 // cell side at level j) — the invariant that makes the per-pair passes sum
@@ -113,8 +114,10 @@ func addSaturating(out, block []int32, limit int32) {
 // fills a fresh block at limit MaxInt32 in this same pass, then stores it
 // and folds it in. Saturating nonnegative addition is order-independent,
 // so every count stays exactly min(total, limit).
+//
+// ctx must be non-nil: callers resolve a nil ctx with ctxOrBackground, so
+// that the workers capture it by value instead of moving it to the heap.
 func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup, j int, r float64, limit int32, out []int32) error {
-	ctx = ctxOrBackground(ctx)
 	if r < 0 || limit <= 0 || len(srcs) == 0 || len(members) == 0 {
 		return nil
 	}
@@ -125,28 +128,19 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 			}
 		}
 	}
-	// Materialize every group's cell level up front, in parallel — each
-	// index's lazy level cache has its own lock, so pool workers below never
-	// serialize behind one another's builds. Source and member slices may
-	// share indexes; the second build is a cache hit.
-	srcLvs := make([]*cellLevel, len(srcs))
-	memLvs := make([]*cellLevel, len(members))
-	var lwg sync.WaitGroup
+	// Materialize every group's cell level up front, inline and in one
+	// backing slice: a level is built once per index and kept, so on a warm
+	// index these are cache hits, and per-group build goroutines would cost
+	// allocations on every pass. Source and member slices may share
+	// indexes; the second lookup is a hit.
+	lvs := make([]*cellLevel, len(srcs)+len(members))
 	for gi, g := range srcs {
-		lwg.Add(1)
-		go func(gi int, ix *CellIndex) {
-			defer lwg.Done()
-			srcLvs[gi] = ix.level(j)
-		}(gi, g.ix)
+		lvs[gi] = g.ix.level(j)
 	}
 	for gi, g := range members {
-		lwg.Add(1)
-		go func(gi int, ix *CellIndex) {
-			defer lwg.Done()
-			memLvs[gi] = ix.level(j)
-		}(gi, g.ix)
+		lvs[len(srcs)+gi] = g.ix.level(j)
 	}
-	lwg.Wait()
+	srcLvs, memLvs := lvs[:len(srcs)], lvs[len(srcs):]
 	if err := ctx.Err(); err != nil {
 		return err
 	}

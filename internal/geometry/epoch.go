@@ -195,7 +195,10 @@ func newMutableCellIndexIDs(points *vec.Frame, ids []uint64, nextID uint64, opts
 	}
 	n, d := points.N(), points.Dim()
 	opts = opts.withDefaults(d)
-	lad := newRadiusLadder(opts, d, 0)
+	lad, err := newRadiusLadder(opts, d, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	first := points.Row(0)
 	lo, hi := first.Clone(), first.Clone()

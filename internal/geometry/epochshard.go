@@ -143,7 +143,7 @@ func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j in
 		return nil, err
 	}
 	out := make([]int32, srcView.N())
-	if err := crossCellCounts(ctx, s.cell.Workers, srcView.cellGroups(), memView.cellGroups(), j, r, limit, out); err != nil {
+	if err := crossCellCounts(ctxOrBackground(ctx), s.cell.Workers, srcView.cellGroups(), memView.cellGroups(), j, r, limit, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -346,7 +346,10 @@ func NewMutableShardedIndexBackends(ctx context.Context, points *vec.Frame, opts
 	}
 	n, d := points.N(), points.Dim()
 	cellOpts := opts.Cell.withDefaults(d)
-	lad := newRadiusLadder(cellOpts, d, 0)
+	lad, err := newRadiusLadder(cellOpts, d, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	first := points.Row(0)
 	lo, hi := first.Clone(), first.Clone()

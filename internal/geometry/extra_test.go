@@ -84,3 +84,32 @@ func TestLStepEvalBetweenBreaks(t *testing.T) {
 		t.Errorf("Eval(∞) = %v", got)
 	}
 }
+
+// TestHostileLadderRejected: options that would derive a non-finite or
+// absurdly deep radius ladder are construction errors for every
+// constructor, never a huge allocation or a silent one-level ladder.
+func TestHostileLadderRejected(t *testing.T) {
+	f := vec.NewFrame(4, 2)
+	for i := 0; i < 4; i++ {
+		f.SetRow(i, vec.Vector{0.1 * float64(i), 0.2})
+	}
+	for _, tc := range []struct {
+		name string
+		opts CellIndexOptions
+	}{
+		{"levels-per-octave", CellIndexOptions{LevelsPerOctave: 0xFFFFFFFF}},
+		{"subnormal-min", CellIndexOptions{MinRadius: 5e-324}},
+		{"nan-min", CellIndexOptions{MinRadius: math.NaN()}},
+		{"inf-max", CellIndexOptions{MaxRadius: math.Inf(1)}},
+	} {
+		if _, err := NewCellIndexFrame(f, tc.opts); err == nil {
+			t.Errorf("%s: NewCellIndexFrame accepted", tc.name)
+		}
+		if _, err := NewShardedIndexFrame(context.Background(), f, ShardedIndexOptions{Shards: 2, Cell: tc.opts}); err == nil {
+			t.Errorf("%s: NewShardedIndexFrame accepted", tc.name)
+		}
+		if _, err := NewMutableCellIndexFrame(f, tc.opts); err == nil {
+			t.Errorf("%s: NewMutableCellIndexFrame accepted", tc.name)
+		}
+	}
+}

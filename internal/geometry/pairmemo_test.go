@@ -178,7 +178,7 @@ func testPairMemoRadiusKeyed(t *testing.T) {
 	opts := shardTestOptions(d)
 	n0 := 500
 	cell := opts.withDefaults(d)
-	lad := newRadiusLadder(cell, d, 0)
+	lad := ladderOf(t, cell, d, 0)
 	cell.MaxRadius = lad.maxR
 	all := func(n int) []int32 {
 		ids := make([]int32, n)

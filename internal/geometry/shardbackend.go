@@ -162,7 +162,7 @@ func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r fl
 		return nil, errFrozenEpoch(epoch)
 	}
 	out := make([]int32, s.cfg.Points.N())
-	err := crossCellCounts(ctx, s.cfg.Cell.Workers,
+	err := crossCellCounts(ctxOrBackground(ctx), s.cfg.Cell.Workers,
 		[]cellGroup{{ix: s.src}}, []cellGroup{{ix: s.members}},
 		j, r, limit, out)
 	if err != nil {

@@ -185,7 +185,7 @@ func NewShardedIndexFrame(ctx context.Context, points *vec.Frame, opts ShardedIn
 
 // newShardedBase runs the prologue both constructors share: input
 // validation, shard-count clamping, option defaulting and the global
-// bounding box → shared radius ladder.
+// bounding box → shared radius ladder (an error for an invalid ladder).
 func newShardedBase(points *vec.Frame, opts ShardedIndexOptions) (*ShardedIndex, int, error) {
 	if points == nil || points.N() == 0 {
 		return nil, 0, fmt.Errorf("geometry: sharded index over empty point set")
@@ -218,12 +218,11 @@ func newShardedBase(points *vec.Frame, opts ShardedIndexOptions) (*ShardedIndex,
 			}
 		}
 	}
-	return &ShardedIndex{
-		frame: points,
-		dim:   d,
-		opts:  cellOpts,
-		lad:   newRadiusLadder(cellOpts, d, hi.Dist(lo)),
-	}, s, nil
+	lad, err := newRadiusLadder(cellOpts, d, hi.Dist(lo))
+	if err != nil {
+		return nil, 0, err
+	}
+	return &ShardedIndex{frame: points, dim: d, opts: cellOpts, lad: lad}, s, nil
 }
 
 // ShardDialer constructs the ShardBackend serving shard number `shard` of
@@ -431,15 +430,14 @@ func (ix *ShardedIndex) Shards() int {
 
 // countAllBackends is the backend-mode bulk pass: one PartialCounts round
 // trip per backend, issued concurrently, then the per-shard capped vectors
-// summed with saturation at limit — min(Σ_s min(B_s, t), t) = min(B, t),
-// so the result is bit-identical to the fused local pass. On any backend
-// failure the siblings are cancelled and the error (never a partial sum)
-// is returned; a cancelled caller ctx aborts every in-flight call.
-func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, limit int32) ([]int32, error) {
-	n := ix.frame.N()
-	out := make([]int32, n)
+// summed into out with saturation at limit — min(Σ_s min(B_s, t), t) =
+// min(B, t), so the result is bit-identical to the local pass. On any
+// backend failure the siblings are cancelled and the error (never a
+// partial sum) is returned; a cancelled caller ctx aborts every in-flight
+// call.
+func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, limit int32, out []int32) error {
 	if r < 0 || limit <= 0 {
-		return out, nil
+		return nil
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -469,17 +467,17 @@ func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, 
 	}
 	wg.Wait()
 	if err := firstRealError(ctx, errs); err != nil {
-		return nil, err
+		return err
 	}
 	for si, p := range parts {
-		if len(p) != n {
+		if len(p) != len(out) {
 			// A backend answering for the wrong snapshot (or a hostile
 			// server) must never silently skew the sums.
-			return nil, fmt.Errorf("geometry: shard %d returned %d partial counts at epoch %d, want %d", si, len(p), ix.epoch, n)
+			return fmt.Errorf("geometry: shard %d returned %d partial counts at epoch %d, want %d", si, len(p), ix.epoch, len(out))
 		}
 		addSaturating(out, p, limit)
 	}
-	return out, nil
+	return nil
 }
 
 // firstRealError reduces a fan-out's per-backend errors: the caller's own
@@ -504,29 +502,6 @@ func firstRealError(ctx context.Context, errs []error) error {
 	return first
 }
 
-// countAll computes the capped within-r count of every indexed point by
-// summing per-shard member contributions at ladder level j, via the shared
-// crossCellCounts engine with the shards as both source and member groups.
-// Each shard's cell level uses exactly the cell side the unsharded index
-// would (shared ladder), so the per-(source cell, member cell)
-// classification — and therefore every per-point count — is bit-identical
-// to the single-index pass, accumulated shard by shard with saturation at
-// limit. A cancelled ctx aborts the pass with ctx.Err() and no leaked
-// goroutines (see crossCellCounts).
-func (ix *ShardedIndex) countAll(ctx context.Context, j int, r float64, limit int32) ([]int32, error) {
-	ctx = ctxOrBackground(ctx)
-	if ix.backends != nil {
-		return ix.countAllBackends(ctx, j, r, limit)
-	}
-	n := ix.frame.N()
-	out := make([]int32, n)
-	groups := ix.cellGroups()
-	if err := crossCellCounts(ctx, ix.opts.Workers, groups, groups, j, r, limit, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // cellGroups exposes the local shards as cross-counting groups: each
 // shard's index with its local→global id mapping (see crossCellCounts).
 func (ix *ShardedIndex) cellGroups() []cellGroup {
@@ -537,36 +512,22 @@ func (ix *ShardedIndex) cellGroups() []cellGroup {
 	return groups
 }
 
-// BuildLStep constructs the approximate L(·, S) step function exactly as
-// the CellIndex sweep does — same fixed ladder, same running-max recording,
-// same early saturation stop — with each level's counts summed across
-// shards. The recorded function is bit-identical to the unsharded one, so
-// the sensitivity-2 argument (and every downstream noise draw) is
-// unchanged; see the ShardedIndex equivalence contract.
+// BuildLStep constructs the approximate L(·, S) step function with the
+// same sweep as CellIndex (sweepLStep), each level's counts summed across
+// shards: in backend mode by countAllBackends, locally by crossCellCounts
+// with the shards as both source and member groups. Each shard's cell
+// level uses exactly the cell side the unsharded index would (shared
+// ladder), so every per-point count, and with it the recorded function, is
+// bit-identical to the unsharded one: the sensitivity-2 argument (and
+// every downstream noise draw) is unchanged; see the ShardedIndex
+// equivalence contract.
 func (ix *ShardedIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
-	ctx = ctxOrBackground(ctx)
-	n := ix.frame.N()
-	if t < 1 || t > n {
-		return nil, fmt.Errorf("geometry: BuildLStep t=%d out of [1,%d]", t, n)
-	}
-	l := &LStep{T: t}
-	prev := topTAvg(ix.dupCount, t)
-	l.Breaks = append(l.Breaks, 0)
-	l.Vals = append(l.Vals, prev)
-	levels := 0
-	for j := 0; j <= ix.lad.top && prev < float64(t); j++ {
-		counts, err := ix.countAll(ctx, j, ix.lad.radius(j), int32(t))
-		if err != nil {
-			return nil, err
-		}
-		levels++
-		v := topTAvg(counts, t)
-		if v > prev {
-			l.Breaks = append(l.Breaks, ix.lad.radius(j))
-			l.Vals = append(l.Vals, v)
-			prev = v
+	count := ix.countAllBackends
+	if ix.backends == nil {
+		groups := ix.cellGroups()
+		count = func(ctx context.Context, j int, r float64, limit int32, out []int32) error {
+			return crossCellCounts(ctx, ix.opts.Workers, groups, groups, j, r, limit, out)
 		}
 	}
-	obs.CurrentSpan(ctx).Count("sweep_levels", int64(levels))
-	return l, nil
+	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, count)
 }

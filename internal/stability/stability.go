@@ -104,7 +104,7 @@ func Choose[K cmp.Ordered](rng *rand.Rand, hist map[K]int, p Params) (Result[K],
 // the point: GoodCenter's partition engine enumerates its boxes in a
 // canonical geometric order (sorted cell coordinates), so seeded runs stay
 // bit-identical no matter how the box keys are represented internally
-// (bit-packed, hashed, or the legacy strings).
+// (bit-packed or hashed).
 func ChooseIndexed(rng *rand.Rand, counts []int, p Params) (Result[int], error) {
 	if err := p.validate(); err != nil {
 		return Result[int]{}, err

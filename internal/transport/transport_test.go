@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -594,10 +595,12 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestHostileOpenFrame: a frame whose header claims far more points than
-// its payload carries must be refused with an error frame — not crash or
-// OOM the server via a header-sized allocation (the regression the
-// rbuf.vectors payload bound guards).
+// TestHostileOpenFrame: OPEN frames that would crash the server are
+// answered with an error frame, and the server keeps serving. A header
+// claiming far more points than the payload carries must not drive a
+// header-sized allocation (the regression the rbuf.vectors payload bound
+// guards), and cell options over valid points must not derive a
+// non-finite or absurdly deep radius ladder.
 func TestHostileOpenFrame(t *testing.T) {
 	ln := NewLoopbackNet()
 	l, err := ln.Listen("srv")
@@ -608,66 +611,148 @@ func TestHostileOpenFrame(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	send := func(build func(w *wbuf)) (byte, []byte) {
-		t.Helper()
-		conn, err := ln.Dial(context.Background(), "srv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		bw := bufio.NewWriter(conn)
-		br := bufio.NewReader(conn)
-		hello := &wbuf{}
-		hello.b = append(hello.b, wireMagic[:]...)
-		hello.u16(ProtocolVersion)
-		if err := writeFrame(bw, msgHello, hello.b); err != nil {
-			t.Fatal(err)
-		}
-		if typ, _, err := readFrame(br); err != nil || typ != msgHelloOK {
-			t.Fatalf("hello: type %d, err %v", typ, err)
-		}
-		w := &wbuf{}
-		build(w)
-		if err := writeFrame(bw, msgOpen, w.b); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return typ, payload
-	}
-
 	// OPEN claiming 4 billion points of dimension 65535 in a 30-byte
 	// payload.
-	typ, _ := send(func(w *wbuf) {
-		w.f64(0.001)
-		w.f64(1.5)
-		w.u32(2)
-		w.u32(4)
-		w.u8(0)           // mutable
-		w.u8(1)           // hasPoints
-		w.u32(0xFFFFFFF0) // n
-		w.u16(0xFFFF)     // dim
-		w.u32(0xFFFFFFF0) // members — never reached
-	})
-	if typ != msgError {
+	w := &wbuf{}
+	w.f64(0.001)
+	w.f64(1.5)
+	w.u32(2)
+	w.u32(4)
+	w.u8(0)           // mutable
+	w.u8(1)           // hasPoints
+	w.u32(0xFFFFFFF0) // n
+	w.u16(0xFFFF)     // dim
+	w.u32(0xFFFFFFF0) // members — never reached
+	if typ := sendOpen(t, ln, w.b); typ != msgError {
 		t.Fatalf("inflated OPEN answered with type %d, want error frame", typ)
 	}
 
-	// The server must still be alive and serving after the bad frame.
-	pts := testPoints(t, 41, 50, 2)
-	members := make([]int32, len(pts))
+	pts := openTestPoints()
+	for _, tc := range []struct {
+		name            string
+		minR, maxR      float64
+		levelsPerOctave uint32
+	}{
+		{"levels-per-octave", 0.001, 1.5, 0xFFFFFFFF}, // out of memory at any n
+		{"subnormal-min-radius", 5e-324, 1.5, 2},      // stopR/minR overflows to +Inf
+		{"nan-min-radius", math.NaN(), 1.5, 2},        // a silent one-level ladder
+	} {
+		for _, mutable := range []bool{false, true} {
+			payload := openPayload(tc.minR, tc.maxR, tc.levelsPerOctave, mutable, pts)
+			if typ := sendOpen(t, ln, payload); typ != msgError {
+				t.Errorf("%s (mutable %v): answered with type %d, want error frame", tc.name, mutable, typ)
+			}
+		}
+	}
+
+	// The server must still be alive and serving after the bad frames.
+	if err := checkServing(ln); err != nil {
+		t.Fatalf("server unusable after hostile frames: %v", err)
+	}
+}
+
+// FuzzOpenFrame feeds arbitrary OPEN payloads, after a valid HELLO, to one
+// shard server: every payload must be answered with OPEN-OK or an error
+// frame, never crash the server, and leave it serving a valid DialShard.
+func FuzzOpenFrame(f *testing.F) {
+	ln := NewLoopbackNet()
+	l, err := ln.Listen("srv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(ServerOptions{})
+	go srv.Serve(l)
+	defer srv.Close()
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if typ := sendOpen(t, ln, payload); typ != msgOpenOK && typ != msgError {
+			t.Fatalf("OPEN answered with type %d", typ)
+		}
+		if err := checkServing(ln); err != nil {
+			t.Fatalf("server unusable after OPEN %x: %v", payload, err)
+		}
+	})
+}
+
+// openTestPoints is a small valid point set for OPEN frames: 40 grid points
+// in the unit square.
+func openTestPoints() *vec.Frame {
+	f := vec.NewFrame(40, 2)
+	for i := 0; i < 40; i++ {
+		f.SetRow(i, vec.Vector{float64(i%8) / 8, float64(i/8) / 8})
+	}
+	return f
+}
+
+// openPayload encodes an OPEN body as the client does: the given ladder
+// options (default CellsPerRadius), pts inline, every point a member.
+func openPayload(minR, maxR float64, levelsPerOctave uint32, mutable bool, pts *vec.Frame) []byte {
+	w := &wbuf{}
+	w.f64(minR)
+	w.f64(maxR)
+	w.u32(levelsPerOctave)
+	w.u32(0) // CellsPerRadius: default
+	if mutable {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+	w.u8(1) // hasPoints
+	w.u32(uint32(pts.N()))
+	w.u16(uint16(pts.Dim()))
+	w.frame(pts)
+	w.u32(uint32(pts.N()))
+	for i := 0; i < pts.N(); i++ {
+		w.u32(uint32(i))
+	}
+	return w.b
+}
+
+// sendOpen opens a fresh connection to the server at "srv", completes
+// HELLO and sends one OPEN with the given payload, returning the reply's
+// message type.
+func sendOpen(tb testing.TB, ln *LoopbackNet, payload []byte) byte {
+	tb.Helper()
+	conn, err := ln.Dial(context.Background(), "srv")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	br := bufio.NewReader(conn)
+	hello := &wbuf{}
+	hello.b = append(hello.b, wireMagic[:]...)
+	hello.u16(ProtocolVersion)
+	if err := writeFrame(bw, msgHello, hello.b); err != nil {
+		tb.Fatal(err)
+	}
+	if typ, _, err := readFrame(br); err != nil || typ != msgHelloOK {
+		tb.Fatalf("hello: type %d, err %v", typ, err)
+	}
+	if err := writeFrame(bw, msgOpen, payload); err != nil {
+		tb.Fatal(err)
+	}
+	typ, _, err := readFrame(br)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return typ
+}
+
+// checkServing dials a valid shard session on the server at "srv" and
+// closes it.
+func checkServing(ln *LoopbackNet) error {
+	pts := openTestPoints()
+	members := make([]int32, pts.N())
 	for i := range members {
 		members[i] = int32(i)
 	}
 	rs, err := DialShard(context.Background(), "srv", geometry.ShardConfig{
-		Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2),
+		Points: pts, Members: members, Cell: testCellOptions(2),
 	}, Options{Dial: ln.Dial})
 	if err != nil {
-		t.Fatalf("server unusable after hostile frame: %v", err)
+		return err
 	}
-	rs.Close()
+	return rs.Close()
 }
 
 // TestWireFraming covers the frame grammar edges: oversized payloads are

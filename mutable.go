@@ -199,7 +199,7 @@ func (ds *Dataset) pinEpoch(atEpoch uint64) (geometry.BallIndex, error) {
 		ent = &indexEntry{}
 		ds.epochs[e] = ent
 		ds.epochOrder = append(ds.epochOrder, e)
-		if max := ds.indexCacheSize(); len(ds.epochOrder) > max {
+		if len(ds.epochOrder) > defaultIndexCacheSize {
 			// In-flight queries keep their entry reference; dropping the
 			// map slot only forces the next pin of that epoch to rebuild
 			// (or fail, if a delete has since retired it).

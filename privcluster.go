@@ -37,29 +37,6 @@ const (
 	IndexScalable
 )
 
-// BoxPacking selects how GoodCenter's box-partition loop — the per-point
-// count pass that runs once per SVT repetition — encodes box keys. The
-// choice never affects which box a point lands in, the privacy analysis,
-// or (thanks to a canonical box enumeration) the seeded output — exactly
-// for the exact encodings, and up to a ≈ 2⁻⁶⁴-probability key collision
-// for PackingHashed; it only trades allocation profile.
-type BoxPacking int
-
-const (
-	// PackingAuto (the default) bit-packs the per-axis cell indices into
-	// one uint64 when they fit and hash-combines them beyond.
-	PackingAuto BoxPacking = iota
-	// PackingPacked requests bit-packed keys (hash fallback when k·bits
-	// exceeds 64, exactly as PackingAuto would).
-	PackingPacked
-	// PackingHashed forces hash-combined uint64 keys.
-	PackingHashed
-	// PackingLegacy keeps the original 8·k-byte string keys — the
-	// allocation-heavy reference backend, retained for equivalence testing
-	// and benchmarking.
-	PackingLegacy
-)
-
 // Options configures the private algorithms. The zero value gives ε = 1,
 // δ = 10⁻⁶, β = 0.1, |X| = 2¹⁶, the automatic index backend and a
 // time-seeded generator (fresh noise per call — the only safe default for
@@ -109,8 +86,6 @@ type Options struct {
 	// under the same seed and the sensitivity-2 privacy argument is
 	// untouched.
 	Shards int
-	// BoxPacking selects GoodCenter's box-key engine (default PackingAuto).
-	BoxPacking BoxPacking
 }
 
 func (o Options) withDefaults() Options {
@@ -161,7 +136,6 @@ func (o Options) profile() core.Profile {
 		p = core.PaperProfile()
 	}
 	p.Workers = o.Workers
-	p.Packing = core.PackingPolicy(o.BoxPacking)
 	return p
 }
 
@@ -175,7 +149,6 @@ func (o Options) datasetOptions() DatasetOptions {
 		IndexPolicy: o.IndexPolicy,
 		Workers:     o.Workers,
 		Shards:      o.Shards,
-		BoxPacking:  o.BoxPacking,
 		Paper:       o.Paper,
 		// No Budget: the one-shot free functions never refuse a query.
 	}

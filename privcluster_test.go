@@ -146,9 +146,8 @@ func TestFindClustersSplitBudgetPreflight(t *testing.T) {
 	}
 }
 
-// The new tuning knobs must not change seeded results (Workers) and must be
-// validated (BoxPacking).
-func TestFindClusterWorkersAndPacking(t *testing.T) {
+// The worker count must not change seeded results.
+func TestFindClusterWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts, _ := plantedPoints(rng, 800, 500, 2, 0.02)
 	base := Options{Epsilon: 4, Delta: 0.05, Seed: 7, GridSize: 1024}
@@ -158,9 +157,8 @@ func TestFindClusterWorkersAndPacking(t *testing.T) {
 	}
 	for _, o := range []Options{
 		{Epsilon: 4, Delta: 0.05, Seed: 7, GridSize: 1024, Workers: 1},
+		{Epsilon: 4, Delta: 0.05, Seed: 7, GridSize: 1024, Workers: 3},
 		{Epsilon: 4, Delta: 0.05, Seed: 7, GridSize: 1024, Workers: 4},
-		{Epsilon: 4, Delta: 0.05, Seed: 7, GridSize: 1024, BoxPacking: PackingHashed},
-		{Epsilon: 4, Delta: 0.05, Seed: 7, GridSize: 1024, BoxPacking: PackingLegacy, Workers: 3},
 	} {
 		c, err := FindCluster(pts, 400, o)
 		if err != nil {
@@ -169,9 +167,6 @@ func TestFindClusterWorkersAndPacking(t *testing.T) {
 		if c.Radius != ref.Radius || c.Center[0] != ref.Center[0] || c.Center[1] != ref.Center[1] {
 			t.Errorf("options %+v changed the seeded result", o)
 		}
-	}
-	if _, err := FindCluster(pts, 400, Options{Seed: 1, BoxPacking: BoxPacking(9)}); err == nil {
-		t.Error("unknown BoxPacking accepted")
 	}
 }
 

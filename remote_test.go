@@ -141,53 +141,6 @@ func TestRemoteIndexCacheKey(t *testing.T) {
 	}
 }
 
-// TestDatasetIndexCacheSize: the configurable bound is honored (a size-1
-// cache re-builds on alternating keys; the default keeps both), and
-// malformed sizes are rejected at Open.
-func TestDatasetIndexCacheSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pts, _ := plantedPoints(rng, 5000, 3000, 2, 0.02)
-
-	build := func(ds *Dataset, shards int) {
-		t.Helper()
-		if _, _, err := ds.index(indexKey{pol: core.IndexScalable, shards: shards, workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ds, err := Open(pts, DatasetOptions{IndexCacheSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	build(ds, 1)
-	build(ds, 2) // evicts shards=1
-	build(ds, 1) // must rebuild
-	if builds := ds.builds.Load(); builds != 3 {
-		t.Errorf("size-1 cache: %d builds, want 3", builds)
-	}
-	ds.mu.Lock()
-	cached := len(ds.indexes)
-	ds.mu.Unlock()
-	if cached != 1 {
-		t.Errorf("size-1 cache holds %d entries", cached)
-	}
-
-	ds, err = Open(pts, DatasetOptions{}) // default size 4
-	if err != nil {
-		t.Fatal(err)
-	}
-	build(ds, 1)
-	build(ds, 2)
-	build(ds, 1)
-	if builds := ds.builds.Load(); builds != 2 {
-		t.Errorf("default cache: %d builds, want 2", builds)
-	}
-
-	if _, err := Open(pts, DatasetOptions{IndexCacheSize: -1}); err == nil {
-		t.Error("negative IndexCacheSize accepted")
-	}
-}
-
 // TestRemoteDatasetClose: Close releases the remote connections and the
 // handle reports no error; a handle over dead servers surfaces a typed
 // transport error from its first query instead of hanging.

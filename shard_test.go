@@ -194,3 +194,31 @@ func TestDatasetEffectiveKeyShards(t *testing.T) {
 		t.Errorf("exact backend sharded: key = %+v", key)
 	}
 }
+
+// TestTracedSweepLevels: a traced cold query reports the levels its L̂
+// sweep visited, whichever backend ran it — the unsharded CellIndex and a
+// 2-shard index sweep the same ladder, so they report the same count.
+func TestTracedSweepLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pts, _ := plantedPoints(rng, 5000, 3000, 2, 0.02) // > ExactIndexMaxN: scalable backend
+	levels := make(map[int]int64)
+	for _, shards := range []int{1, 2} {
+		ds, err := Open(pts, DatasetOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st QueryStats
+		if _, err := ds.FindCluster(WithTrace(context.Background()), 2500, QueryOptions{Seed: 3, Stats: &st}); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !st.ColdIndex {
+			t.Fatalf("shards=%d: query was not cold", shards)
+		}
+		for _, sg := range st.Stages {
+			levels[shards] += sg.Counters["sweep_levels"]
+		}
+	}
+	if levels[1] <= 0 || levels[1] != levels[2] {
+		t.Errorf("sweep_levels: 1 shard %d, 2 shards %d; want equal and > 0", levels[1], levels[2])
+	}
+}
