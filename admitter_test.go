@@ -194,10 +194,9 @@ func TestAdmitterReleaseOnBuildFailure(t *testing.T) {
 	adm := &recordingAdmitter{}
 	do := o.datasetOptions()
 	do.Admitter = adm
-	do.RemoteShards = []string{"unreachable:0"}
-	do.RemoteDial = func(ctx context.Context, addr string) (net.Conn, error) {
+	do.Placement = placementOf([]string{"unreachable:0"}, 1, 1, func(ctx context.Context, addr string) (net.Conn, error) {
 		return nil, errors.New("dial refused by test")
-	}
+	})
 	ds, err := Open(pts, do)
 	if err != nil {
 		t.Fatal(err)

@@ -105,6 +105,17 @@ func benchSetup(b *testing.B, n, d int) ([]vec.Vector, core.Params) {
 	return inst.Points, prm
 }
 
+// benchFrame converts benchmark points to the flat frame every index and
+// GoodCenter entry point takes — once, before the timer.
+func benchFrame(b *testing.B, pts []vec.Vector) *vec.Frame {
+	b.Helper()
+	f, err := vec.FrameFromVectors(pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
+}
+
 // BenchmarkGoodRadius times Algorithm 1 alone (n=800, d=2), excluding the
 // one-off O(n² log n) distance-index construction.
 func BenchmarkGoodRadius(b *testing.B) {
@@ -126,11 +137,12 @@ func BenchmarkGoodRadius(b *testing.B) {
 // BenchmarkGoodCenter times Algorithm 2 alone (n=800, d=2).
 func BenchmarkGoodCenter(b *testing.B) {
 	pts, prm := benchSetup(b, 800, 2)
+	frame := benchFrame(b, pts)
 	rng := rand.New(rand.NewSource(3))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GoodCenter(rng, pts, 0.05, prm); err != nil {
+		if _, err := core.GoodCenterFrame(rng, frame, 0.05, prm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,11 +193,12 @@ func benchGoodCenterAt(b *testing.B, n int) {
 		Grid:    grid,
 		Profile: core.DefaultProfile(),
 	}
+	frame := benchFrame(b, pts)
 	rng := rand.New(rand.NewSource(3))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GoodCenter(rng, pts, 0.05, prm); err != nil {
+		if _, err := core.GoodCenterFrame(rng, frame, 0.05, prm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,10 +249,11 @@ func benchIndexRadiusStage(b *testing.B, n int, pol core.IndexPolicy) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	frame := benchFrame(b, pts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := core.NewBallIndex(nil, pts, grid, pol, 0, 1)
+		ix, err := core.NewBallIndexFrame(nil, frame, grid, pol, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,10 +302,11 @@ func benchShardedBuild(b *testing.B, n, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	frame := benchFrame(b, pts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := core.NewBallIndex(nil, pts, grid, core.IndexScalable, 0, shards)
+		ix, err := core.NewBallIndexFrame(nil, frame, grid, core.IndexScalable, 0, shards)
 		if err != nil {
 			b.Fatal(err)
 		}

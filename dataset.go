@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,25 +79,8 @@ type DatasetOptions struct {
 	// answers — see the "Remote shards" and "Replication and failover"
 	// sections of the package documentation. The partition structure
 	// identifies the cached index, so it must be stable for the handle's
-	// lifetime; Close releases the connections. Mutually exclusive with
-	// the deprecated RemoteShards.
+	// lifetime; Close releases the connections.
 	Placement *Placement
-	// RemoteShards lists shard-server addresses: one single-replica
-	// partition per address.
-	//
-	// Deprecated: RemoteShards is the pre-replication flat form; it is
-	// exactly equivalent to a Placement whose every partition holds one
-	// replica, which is how it is implemented (releases and cache
-	// identity included). New code should set Placement.
-	RemoteShards []string
-	// RemoteDial overrides how shard-server connections are established
-	// (nil = TCP) for the deprecated RemoteShards path. It exists for
-	// in-process loopback transports in tests and demos; the dial
-	// function itself is transport mechanics and is not part of the
-	// index cache identity.
-	//
-	// Deprecated: set Placement.Dial instead.
-	RemoteDial func(ctx context.Context, addr string) (net.Conn, error)
 	// Mutable opens a streaming handle: Append and Delete advance the
 	// dataset through numbered epochs, and every query runs on an
 	// immutable snapshot of one epoch (the current one, or the epoch
@@ -156,18 +138,7 @@ func (o DatasetOptions) validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("privcluster: shards must be ≥ 0 (0 = automatic), got %d", o.Shards)
 	}
-	for i, a := range o.RemoteShards {
-		if a == "" {
-			return fmt.Errorf("privcluster: remote shard address %d is empty", i)
-		}
-	}
 	if o.Placement != nil {
-		if len(o.RemoteShards) > 0 {
-			return fmt.Errorf("privcluster: Placement and RemoteShards are mutually exclusive (RemoteShards is the deprecated single-replica form)")
-		}
-		if o.RemoteDial != nil {
-			return fmt.Errorf("privcluster: Placement and RemoteDial are mutually exclusive (set Placement.Dial)")
-		}
 		if err := o.Placement.validate(); err != nil {
 			return err
 		}
@@ -179,7 +150,7 @@ func (o DatasetOptions) validate() error {
 		if o.IndexPolicy == IndexExact {
 			return fmt.Errorf("privcluster: Mutable requires the scalable index (IndexExact has no incremental form)")
 		}
-		if p := o.placement(); p != nil && !p.singleReplica() {
+		if p := o.Placement; p != nil && !p.singleReplica() {
 			// A mutable session is connection-scoped and non-idempotent:
 			// replaying an append on a sibling could apply it twice, and a
 			// sibling dialed later would miss every earlier epoch. Refuse
@@ -191,25 +162,6 @@ func (o DatasetOptions) validate() error {
 		return fmt.Errorf("privcluster: Budget and Admitter are mutually exclusive — the Admitter owns admission")
 	}
 	return o.Budget.validate()
-}
-
-// placement normalizes the two remote-configuration forms into one: the
-// structured Placement when set, the deprecated RemoteShards/RemoteDial
-// pair as a trivial single-replica Placement (the equivalence that makes
-// the deprecated path a thin wrapper — same dialing code, same cache
-// identity, bit-identical releases), nil for local execution.
-func (o DatasetOptions) placement() *Placement {
-	if o.Placement != nil {
-		return o.Placement
-	}
-	if len(o.RemoteShards) == 0 {
-		return nil
-	}
-	parts := make([][]string, len(o.RemoteShards))
-	for i, a := range o.RemoteShards {
-		parts[i] = []string{a}
-	}
-	return &Placement{Partitions: parts, Dial: o.RemoteDial}
 }
 
 // span returns the domain width Max−Min, defaulting to the unit interval.
@@ -306,15 +258,15 @@ type indexEntry struct {
 }
 
 // indexKey identifies one cached ball index by every input that affects
-// what core.NewBallIndex / core.NewRemoteBallIndex builds: the resolved
-// policy, the resolved shard count, the worker budget baked into the
-// index's pools, and — for remote execution — the shard-server address
-// list. Keying by the full tuple (rather than the policy alone)
-// guarantees a configuration whose resolution drifts between queries —
-// e.g. the automatic shard count following a runtime.GOMAXPROCS change —
-// builds a matching index instead of serving a stale one; the remote
-// component keeps a remote configuration from ever colliding with a local
-// one of the same shard count.
+// what core.NewBallIndexFrame / core.NewReplicatedBallIndexFrame builds:
+// the resolved policy, the resolved shard count, the worker budget baked
+// into the index's pools, and — for remote execution — the placement's
+// partition structure. Keying by the full tuple (rather than the policy
+// alone) guarantees a configuration whose resolution drifts between
+// queries — e.g. the automatic shard count following a runtime.GOMAXPROCS
+// change — builds a matching index instead of serving a stale one; the
+// remote component keeps a remote configuration from ever colliding with a
+// local one of the same shard count.
 type indexKey struct {
 	pol     core.IndexPolicy
 	shards  int
@@ -409,12 +361,8 @@ func (c *cachedIndex) BuildLStep(ctx context.Context, t int) (*geometry.LStep, e
 // drawn).
 type Dataset struct {
 	opts DatasetOptions
-	// place is the normalized remote configuration (nil = local): the
-	// structured Placement, or the trivial one the deprecated
-	// RemoteShards wrapper constructs (see DatasetOptions.placement).
-	place *Placement
-	grid  geometry.Grid
-	dim   int
+	grid geometry.Grid
+	dim  int
 	// frame holds the unit-domain, grid-quantized points in one flat
 	// allocation (float64, or float32 under DatasetOptions.Precision); every
 	// index build and feasibility check sweeps it in place.
@@ -515,7 +463,6 @@ func Open(points []Point, o DatasetOptions) (*Dataset, error) {
 	}
 	ds := &Dataset{
 		opts:    o,
-		place:   o.placement(),
 		grid:    grid,
 		dim:     d,
 		frame:   frame,
@@ -535,12 +482,12 @@ func Open(points []Point, o DatasetOptions) (*Dataset, error) {
 		}
 		var mut geometry.MutableBallIndex
 		var err error
-		if ds.place != nil {
+		if p := o.Placement; p != nil {
 			// validate() already pinned the placement to single-replica
 			// partitions (epoch sessions cannot fail over), so the flat
 			// per-partition address list feeds the plain mutable path.
 			mut, err = core.NewRemoteMutableBallIndexFrame(context.Background(), frame, grid,
-				o.Workers, ds.place.flatten(), ds.place.Dial)
+				o.Workers, p.flatten(), p.transportOptions())
 		} else {
 			mut, err = core.NewMutableBallIndexFrame(context.Background(), frame, grid, o.Workers, o.Shards)
 		}
@@ -635,11 +582,11 @@ func (ds *Dataset) reserve(ctx context.Context, cost Budget) (Reservation, error
 // resolution drift can never serve a stale index.
 func (ds *Dataset) effectiveKey() indexKey {
 	n := ds.frame.N()
-	if ds.place != nil {
+	if p := ds.opts.Placement; p != nil {
 		// Remote execution presumes the scalable sharded backend: one
 		// shard per partition (geometry clamps to at most n, mirrored
 		// here so the key matches what is built).
-		shards := len(ds.place.Partitions)
+		shards := len(p.Partitions)
 		if shards > n {
 			shards = n
 		}
@@ -647,7 +594,7 @@ func (ds *Dataset) effectiveKey() indexKey {
 			pol:     core.IndexScalable,
 			shards:  shards,
 			workers: core.ResolveWorkers(ds.opts.Workers),
-			remote:  ds.place.cacheKey(),
+			remote:  p.cacheKey(),
 		}
 	}
 	pol := core.ResolveIndexPolicy(ds.pol, n)
@@ -697,14 +644,10 @@ func (ds *Dataset) index(key indexKey) (ix geometry.BallIndex, cold bool, err er
 		var ix geometry.BallIndex
 		var err error
 		if key.remote != "" {
-			p := ds.place
+			p := ds.opts.Placement
 			ix, err = core.NewReplicatedBallIndexFrame(context.Background(), ds.frame, ds.grid,
 				key.workers, p.Partitions, transport.ReplicaOptions{
-					Options: transport.Options{
-						Dial:        p.Dial,
-						DialTimeout: p.DialTimeout,
-						Retries:     p.Retries,
-					},
+					Options:       p.transportOptions(),
 					HedgeDelay:    p.HedgeDelay,
 					ProbeInterval: p.ProbeInterval,
 				})

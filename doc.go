@@ -173,25 +173,24 @@
 //
 // The sum-decomposition above is location-transparent, and
 // DatasetOptions.Placement exercises that: with shard-server addresses
-// configured (one partition per replica set; the deprecated
-// DatasetOptions.RemoteShards spells the single-replica case), the
-// handle's ball index is built with one shard per partition,
-// each served by a cmd/shardserver daemon over a versioned,
-// length-prefixed binary wire protocol (internal/transport). The handshake
-// ships the prepared global point set (or, for servers preloaded with
-// -csv, a checksum that proves both sides prepared identical coordinates);
-// after that every bulk query is one batched round trip per shard — a
-// PARTIALS request returns the shard's capped counts around all n points
-// at once, never one round trip per point. Releases remain bit-identical
-// to local execution under the same seed (the equivalence contract
-// survives serialization: coordinates travel as exact IEEE bit patterns),
-// which examples/remote re-proves on every CI run. Protocol versions are
-// negotiated at handshake; a mismatch fails fast with a typed error
-// rather than misparsing frames. Context deadlines and cancellations
-// propagate onto connection deadlines, broken connections are re-dialed
-// and re-handshaken within a per-call retry budget, and a shard server
-// dying mid-query surfaces a typed transport error — never a hang and
-// never a partially summed count. Dataset.Close releases the connections.
+// configured (one replica set per partition; a partition listing one
+// address is a plain connection), the handle's ball index is built with one
+// shard per partition, each served by a cmd/shardserver daemon over a
+// versioned, length-prefixed binary wire protocol (internal/transport). The
+// handshake ships the prepared global point set (or, for servers preloaded
+// with -csv, a checksum that proves both sides prepared identical
+// coordinates); after that every bulk query is one batched round trip per
+// shard — a PARTIALS request returns the shard's capped counts around all n
+// points at once, never one round trip per point. Releases remain
+// bit-identical to local execution under the same seed (the equivalence
+// contract survives serialization: coordinates travel as exact IEEE bit
+// patterns), which examples/remote re-proves on every CI run. Protocol
+// versions are negotiated at handshake; a mismatch fails fast with a typed
+// error rather than misparsing frames. Context deadlines and cancellations
+// propagate onto connection deadlines, broken connections are re-dialed and
+// re-handshaken within a per-call retry budget, and a shard server dying
+// mid-query surfaces a typed transport error — never a hang and never a
+// partially summed count. Dataset.Close releases the connections.
 //
 // Cost model — when do remote shards beat local cores? The per-query
 // preprocessing cost is the BuildLStep sweep: roughly
@@ -307,10 +306,11 @@
 // epochs; an adversary who also controls the mutation stream learns
 // nothing extra from mutations alone, since mutations produce no output.
 //
-// Mutable sessions over RemoteShards are connection-scoped: mutations are
-// not idempotent, so a broken shard connection is never silently re-dialed
-// mid-epoch — the handle turns sticky-broken and every subsequent
-// operation reports the failure rather than risking a cross-epoch answer.
+// Mutable sessions over a Placement (single-replica partitions only) are
+// connection-scoped: mutations are not idempotent, so a broken shard
+// connection is never silently re-dialed mid-epoch — the handle turns
+// sticky-broken and every subsequent operation reports the failure rather
+// than risking a cross-epoch answer.
 // Open a fresh handle to resume (re-shipping the current rows), and treat
 // transport failures on mutable remote handles as fatal.
 //

@@ -79,9 +79,8 @@ func main() {
 		return c, time.Since(start)
 	}
 
-	// One single-replica partition per server — the structured spelling of
-	// the old flat RemoteShards list (see examples/replicated for replica
-	// sets and failover).
+	// One single-replica partition per server (see examples/replicated for
+	// replica sets and failover).
 	parts := make([][]string, len(addrs))
 	for i, a := range addrs {
 		parts[i] = []string{a}

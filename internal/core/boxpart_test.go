@@ -317,7 +317,7 @@ func TestGoodCenterPackingEquivalence(t *testing.T) {
 					prm.Profile.BoxSideFactor = 6
 				}
 				prm.Profile.Workers = workers
-				res, err := GoodCenter(rand.New(rand.NewSource(99)), inst.Points, tc.r, prm)
+				res, err := GoodCenterFrame(rand.New(rand.NewSource(99)), frameOf(t, inst.Points), tc.r, prm)
 				if err != nil {
 					t.Fatalf("workers %d: %v", workers, err)
 				}
@@ -333,16 +333,16 @@ func TestGoodCenterPackingEquivalence(t *testing.T) {
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
 // TestGoodCenterEmptyInput is the regression test for the direct-call panic:
-// an empty slice must yield the ErrNoData sentinel, not index points[0].
+// an empty frame must yield the ErrNoData sentinel, not index row 0.
 func TestGoodCenterEmptyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	grid := testGrid(t, 1024, 2)
 	prm := testParams(t, grid, 10)
-	_, err := GoodCenter(rng, nil, 0.05, prm)
+	_, err := GoodCenterFrame(rng, nil, 0.05, prm)
 	if !errors.Is(err, ErrNoData) {
 		t.Errorf("empty input error = %v, want ErrNoData", err)
 	}
-	_, err = GoodCenter(rng, []vec.Vector{}, 0.05, prm)
+	_, err = GoodCenterFrame(rng, vec.NewFrame(0, 2), 0.05, prm)
 	if !errors.Is(err, ErrNoData) {
 		t.Errorf("empty (non-nil) input error = %v, want ErrNoData", err)
 	}

@@ -172,7 +172,7 @@ func TestGoodCenterLocatesCluster(t *testing.T) {
 	good := 0
 	const trials = 10
 	for i := 0; i < trials; i++ {
-		res, err := GoodCenter(rng, inst.Points, 0.04, prm)
+		res, err := GoodCenterFrame(rng, frameOf(t, inst.Points), 0.04, prm)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
@@ -197,7 +197,7 @@ func TestGoodCenterZeroRadiusUpgraded(t *testing.T) {
 		pts[i] = grid.Quantize(vec.Of(0.5, 0.5))
 	}
 	prm := testParams(t, grid, 400)
-	res, err := GoodCenter(rng, pts, 0, prm)
+	res, err := GoodCenterFrame(rng, frameOf(t, pts), 0, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestGoodCenterNoClusterErrors(t *testing.T) {
 	prm.Profile = DefaultProfile()
 	prm.Profile.MaxRepetitions = 40
 	prm.Profile.BoxSideFactor = 0.5 // tiny boxes
-	_, err := GoodCenter(rng, inst.Points, 0.001, prm)
+	_, err := GoodCenterFrame(rng, frameOf(t, inst.Points), 0.001, prm)
 	if err == nil {
 		t.Error("expected an error on clusterless data")
 	}

@@ -47,37 +47,26 @@ var (
 	ErrNoData = errors.New("core: empty point set")
 )
 
-// GoodCenter implements Algorithm 2. Given a radius r such that some ball of
-// radius r contains ≥ t input points, it privately releases a center ŷ whose
-// O(r√k)-ball captures ≈ t points, spending the (ε, δ) in prm.Privacy:
-// ε/4 on AboveThreshold, (ε/4, δ/4) on the box choice, (ε/4, δ/4) across
-// the d per-axis choices, and (ε/4, δ/4) on NoisyAVG (Lemma 4.11).
+// GoodCenterFrame implements Algorithm 2. Given a radius r such that some
+// ball of radius r contains ≥ t input points, it privately releases a
+// center ŷ whose O(r√k)-ball captures ≈ t points, spending the (ε, δ) in
+// prm.Privacy: ε/4 on AboveThreshold, (ε/4, δ/4) on the box choice,
+// (ε/4, δ/4) across the d per-axis choices, and (ε/4, δ/4) on NoisyAVG
+// (Lemma 4.11).
 //
 // The box-partition loop keys boxes by bit-packed (else hashed) cell
 // indices, with the per-repetition count pass fanned out over
 // prm.Profile.Workers goroutines; neither affects the privacy analysis
 // (AboveThreshold only ever sees the final per-repetition maximum) nor —
 // thanks to the canonical box enumeration — the seeded output.
-func GoodCenter(rng *rand.Rand, points []vec.Vector, r float64, prm Params) (CenterResult, error) {
-	if len(points) == 0 {
-		// Validate cannot run first: it needs n, and indexing points[0]
-		// before the check would panic on a direct call with no points.
-		return CenterResult{}, fmt.Errorf("%w: GoodCenter needs at least one point", ErrNoData)
-	}
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		return CenterResult{}, err
-	}
-	return GoodCenterFrame(rng, f, r, prm)
-}
-
-// GoodCenterFrame is GoodCenter on a flat frame — the representation the
-// ball indexes already hold, so the pipeline's hot path never materializes
-// per-point slices. Float32 frames are promoted to float64 once up front
-// (exact); every pass then runs on no-copy row views. When prm.Scratch is
-// set, the per-query buffers (box keys, histograms, the rotation buffer) are
+//
+// The points arrive as a flat frame — the representation the ball indexes
+// already hold, so the pipeline's hot path never materializes per-point
+// slices. Float32 frames are promoted to float64 once up front (exact);
+// every pass then runs on no-copy row views. When prm.Scratch is set, the
+// per-query buffers (box keys, histograms, the rotation buffer) are
 // borrowed from it, making warm repeated queries allocate close to nothing
-// here. Releases are bit-identical to GoodCenter on the same values.
+// here.
 func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (CenterResult, error) {
 	if points == nil || points.N() == 0 {
 		return CenterResult{}, fmt.Errorf("%w: GoodCenter needs at least one point", ErrNoData)

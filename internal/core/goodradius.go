@@ -33,7 +33,7 @@ type RadiusResult struct {
 //
 // The dataset is supplied as a prebuilt BallIndex (so OneCluster can reuse
 // it and callers can pick the exact or the scalable backend — see
-// NewBallIndex); the index's points must lie in prm.Grid's unit cube. Both
+// NewBallIndexFrame); the index's points must lie in prm.Grid's unit cube. Both
 // backends keep L's sensitivity at 2, so the privacy analysis is identical;
 // the scalable backend's radius discretization only costs utility (a
 // constant-factor widening of the returned radius).

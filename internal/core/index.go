@@ -41,10 +41,10 @@ const ExactIndexMaxN = 4096
 // performance rule.
 const ShardAutoMinN = 100_000
 
-// ResolveIndexPolicy returns the concrete backend NewBallIndex builds for
+// ResolveIndexPolicy returns the concrete backend NewBallIndexFrame builds for
 // the policy at dataset size n: IndexAuto resolves by the ExactIndexMaxN
 // cutover, explicit policies pass through. Exported so the serving layer's
-// index cache keys by exactly the rule NewBallIndex applies (one resolver,
+// index cache keys by exactly the rule NewBallIndexFrame applies (one resolver,
 // no drift).
 func ResolveIndexPolicy(pol IndexPolicy, n int) IndexPolicy {
 	if pol == IndexAuto {
@@ -56,12 +56,12 @@ func ResolveIndexPolicy(pol IndexPolicy, n int) IndexPolicy {
 	return pol
 }
 
-// ResolveShards returns the concrete shard count NewBallIndex uses for the
+// ResolveShards returns the concrete shard count NewBallIndexFrame uses for the
 // requested value at dataset size n: 0 (automatic) resolves to GOMAXPROCS
 // at n ≥ ShardAutoMinN and to 1 below; explicit requests are clamped to
 // [1, n], so no shard is ever empty. Exported for the same reason as
 // ResolveIndexPolicy: the serving layer's index cache must key by exactly
-// the rule NewBallIndex applies. (Shards only affect the scalable backend;
+// the rule NewBallIndexFrame applies. (Shards only affect the scalable backend;
 // the exact index ignores them.)
 func ResolveShards(shards, n int) int {
 	if shards == 0 {
@@ -92,29 +92,18 @@ func ResolveWorkers(workers int) int {
 	return workers
 }
 
-// NewBallIndex builds the dataset index the pipeline's radius stage runs
-// on, honoring the policy. The grid supplies the scalable index's radius
-// ladder bounds (resolution floor RadiusUnit, domain diameter
+// NewBallIndexFrame builds the dataset index the pipeline's radius stage
+// runs on, honoring the policy. The grid supplies the scalable index's
+// radius ladder bounds (resolution floor RadiusUnit, domain diameter
 // MaxDistance) so its approximation error aligns with the radius grid
 // GoodRadius already searches. workers bounds the scalable index's worker
 // pool (0 = GOMAXPROCS) — the same knob Profile.Workers feeds. shards
-// splits the scalable index into ResolveShards(shards, n) partitions whose
-// cell indexes build in parallel and answer by exact partial sums
-// (Morton/space-filling-curve assignment; results bit-identical to the
-// unsharded index). ctx cancels a sharded build in flight; a nil ctx means
-// "never cancel".
-func NewBallIndex(ctx context.Context, points []vec.Vector, grid geometry.Grid, pol IndexPolicy, workers, shards int) (geometry.BallIndex, error) {
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		return nil, err
-	}
-	return NewBallIndexFrame(ctx, f, grid, pol, workers, shards)
-}
-
-// NewBallIndexFrame is NewBallIndex on a flat frame — the storage every
-// backend keeps anyway, so callers that already hold one (the Dataset
-// handle) skip the copy entirely. The frame is shared, not copied: callers
-// must treat it as read-only afterwards.
+// splits the scalable index into ResolveShards(shards, n) Z-order
+// partitions whose cell indexes build in parallel and answer by exact
+// partial sums (results bit-identical to the unsharded index). ctx
+// cancels a sharded build in flight; a nil ctx means "never cancel". The
+// frame is shared, not copied: callers must treat it as read-only
+// afterwards.
 func NewBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, pol IndexPolicy, workers, shards int) (geometry.BallIndex, error) {
 	switch pol {
 	case IndexAuto, IndexExact, IndexScalable:
@@ -125,19 +114,22 @@ func NewBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Gri
 	if ResolveIndexPolicy(pol, n) == IndexExact {
 		return geometry.NewDistanceIndexFrame(points)
 	}
-	cell := geometry.CellIndexOptions{
+	cell := cellOptions(grid, workers)
+	if s := ResolveShards(shards, n); s > 1 {
+		return geometry.NewShardedIndexFrame(ctx, points, geometry.ShardedIndexOptions{Shards: s, Cell: cell})
+	}
+	return geometry.NewCellIndexFrame(points, cell)
+}
+
+// cellOptions returns the cell-index options every scalable backend
+// builds with: the radius ladder spans the grid's resolution floor to its
+// domain diameter, with a worker pool of the given width.
+func cellOptions(grid geometry.Grid, workers int) geometry.CellIndexOptions {
+	return geometry.CellIndexOptions{
 		MinRadius: grid.RadiusUnit(),
 		MaxRadius: grid.MaxDistance(),
 		Workers:   workers,
 	}
-	if s := ResolveShards(shards, n); s > 1 {
-		return geometry.NewShardedIndexFrame(ctx, points, geometry.ShardedIndexOptions{
-			Shards: s,
-			Policy: geometry.ShardMorton,
-			Cell:   cell,
-		})
-	}
-	return geometry.NewCellIndexFrame(points, cell)
 }
 
 // NewMutableBallIndexFrame builds the streaming-ingestion counterpart of
@@ -148,15 +140,10 @@ func NewBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Gri
 // the same rule as NewBallIndexFrame, with in-process shard backends. The
 // frame is shared until the first mutation takes ownership of a copy.
 func NewMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, workers, shards int) (geometry.MutableBallIndex, error) {
-	cell := geometry.CellIndexOptions{
-		MinRadius: grid.RadiusUnit(),
-		MaxRadius: grid.MaxDistance(),
-		Workers:   workers,
-	}
+	cell := cellOptions(grid, workers)
 	if s := ResolveShards(shards, points.N()); s > 1 {
 		return geometry.NewMutableShardedIndexBackends(ctx, points, geometry.ShardedIndexOptions{
 			Shards: s,
-			Policy: geometry.ShardMorton,
 			Cell:   cell,
 		}, func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.MutableShardBackend, error) {
 			return geometry.NewMutableLocalShard(cfg)
@@ -167,12 +154,13 @@ func NewMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid geome
 
 // NewRemoteMutableBallIndexFrame is NewMutableBallIndexFrame with every
 // shard living behind a remote epoch session: one shard per address,
-// opened mutable so appends and deletes advance the remote shards in
-// lockstep. Remote mutable sessions are connection-scoped — a broken
-// connection permanently fails that shard's backend and the coordinator
-// marks the index broken (see transport.Options.Mutable) — so callers
-// should treat transport failures as fatal to the handle.
-func NewRemoteMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, workers int, addrs []string, dial transport.DialFunc) (geometry.MutableBallIndex, error) {
+// dialed with opts (forced Mutable) so appends and deletes advance the
+// remote shards in lockstep. Remote mutable sessions are
+// connection-scoped — a broken connection permanently fails that shard's
+// backend and the coordinator marks the index broken (see
+// transport.Options.Mutable) — so callers should treat transport failures
+// as fatal to the handle.
+func NewRemoteMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, workers int, addrs []string, opts transport.Options) (geometry.MutableBallIndex, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("core: remote mutable ball index needs at least one shard address")
 	}
@@ -181,70 +169,25 @@ func NewRemoteMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid
 			return nil, fmt.Errorf("core: remote shard address %d is empty", i)
 		}
 	}
-	cell := geometry.CellIndexOptions{
-		MinRadius: grid.RadiusUnit(),
-		MaxRadius: grid.MaxDistance(),
-		Workers:   workers,
-	}
 	return geometry.NewMutableShardedIndexBackends(ctx, points, geometry.ShardedIndexOptions{
 		Shards: len(addrs),
-		Policy: geometry.ShardMorton,
-		Cell:   cell,
-	}, transport.MutableShardDialer(addrs, transport.Options{Dial: dial}))
+		Cell:   cellOptions(grid, workers),
+	}, transport.MutableShardDialer(addrs, opts))
 }
 
-// NewRemoteBallIndex builds the scalable sharded index with every shard
-// served over the wire protocol: one shard per address in addrs (the same
-// Morton partition NewBallIndex uses, clamped to at most n shards), dialed
-// and handshaken via the transport package. The exact-vs-scalable policy
-// does not apply — remote execution presumes the scalable backend — and
-// releases are bit-identical to NewBallIndex's under the same seed (the
-// ShardedIndex equivalence contract survives the wire; see
-// geometry.ShardedIndex and the transport package).
-//
-// dial overrides connection establishment (nil = TCP) — the seam the
-// loopback tests and single-process demos use. ctx governs dialing and the
+// NewReplicatedBallIndexFrame builds the scalable sharded index with every
+// shard served over the wire protocol: shard partition s (the same
+// Z-order partition NewBallIndexFrame uses, clamped to at most n shards)
+// is served by the replica set parts[s], with failover, optional hedging
+// and background health probing per ropts
+// (transport.ReplicatedShardDialer). A single-replica partition is one
+// plain connection. The exact-vs-scalable policy does not apply, and
+// releases are bit-identical to NewBallIndexFrame's under the same seed
+// regardless of which replica answers each call — every replica of a
+// partition serves the same pure-read shard config, and the ShardedIndex
+// equivalence contract survives the wire. ctx governs dialing and the
 // handshake round trips; the caller owns the returned index's connections
-// (it is a *geometry.ShardedIndex; Close releases them).
-func NewRemoteBallIndex(ctx context.Context, points []vec.Vector, grid geometry.Grid, workers int, addrs []string, dial transport.DialFunc) (geometry.BallIndex, error) {
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		return nil, err
-	}
-	return NewRemoteBallIndexFrame(ctx, f, grid, workers, addrs, dial)
-}
-
-// NewRemoteBallIndexFrame is NewRemoteBallIndex on a flat frame (shared, not
-// copied) — the OPEN handshake encodes the wire payload straight from the
-// frame's backing slice.
-func NewRemoteBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, workers int, addrs []string, dial transport.DialFunc) (geometry.BallIndex, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("core: remote ball index needs at least one shard address")
-	}
-	for i, a := range addrs {
-		if a == "" {
-			return nil, fmt.Errorf("core: remote shard address %d is empty", i)
-		}
-	}
-	cell := geometry.CellIndexOptions{
-		MinRadius: grid.RadiusUnit(),
-		MaxRadius: grid.MaxDistance(),
-		Workers:   workers,
-	}
-	return geometry.NewShardedIndexBackends(ctx, points, geometry.ShardedIndexOptions{
-		Shards: len(addrs),
-		Policy: geometry.ShardMorton,
-		Cell:   cell,
-	}, transport.ShardDialer(addrs, transport.Options{Dial: dial}))
-}
-
-// NewReplicatedBallIndexFrame is NewRemoteBallIndexFrame over a placement:
-// shard partition s is served by the replica set parts[s], with failover,
-// optional hedging and background health probing per ropts
-// (transport.ReplicatedShardDialer). Single-replica partitions degrade to
-// exactly the plain remote path, and releases are bit-identical to
-// NewBallIndex's regardless of which replica answers each call — every
-// replica of a partition serves the same pure-read shard config.
+// (Close releases them). The frame is shared, not copied.
 func NewReplicatedBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, workers int, parts [][]string, ropts transport.ReplicaOptions) (geometry.BallIndex, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: replicated ball index needs at least one shard partition")
@@ -259,14 +202,8 @@ func NewReplicatedBallIndexFrame(ctx context.Context, points *vec.Frame, grid ge
 			}
 		}
 	}
-	cell := geometry.CellIndexOptions{
-		MinRadius: grid.RadiusUnit(),
-		MaxRadius: grid.MaxDistance(),
-		Workers:   workers,
-	}
 	return geometry.NewShardedIndexBackends(ctx, points, geometry.ShardedIndexOptions{
 		Shards: len(parts),
-		Policy: geometry.ShardMorton,
-		Cell:   cell,
+		Cell:   cellOptions(grid, workers),
 	}, transport.ReplicatedShardDialer(parts, ropts))
 }

@@ -40,7 +40,11 @@ func OneCluster(rng *rand.Rand, points []vec.Vector, prm Params) (ClusterResult,
 	if err := prm.interrupted(); err != nil {
 		return ClusterResult{}, err
 	}
-	ix, err := NewBallIndex(prm.Ctx, points, prm.Grid, prm.Index, prm.Profile.Workers, prm.Profile.Shards)
+	f, err := vec.FrameFromVectors(points)
+	if err != nil {
+		return ClusterResult{}, err
+	}
+	ix, err := NewBallIndexFrame(prm.Ctx, f, prm.Grid, prm.Index, prm.Profile.Workers, prm.Profile.Shards)
 	if err != nil {
 		return ClusterResult{}, err
 	}
@@ -50,7 +54,7 @@ func OneCluster(rng *rand.Rand, points []vec.Vector, prm Params) (ClusterResult,
 // OneClusterIndexed is OneCluster on a prebuilt ball index — the seam a
 // serving layer uses to amortize the (dominant) index construction across
 // repeated queries on the same dataset. The index must have been built by
-// NewBallIndex over the same grid and worker budget prm describes; since
+// NewBallIndexFrame over the same grid and worker budget prm describes; since
 // index construction draws no randomness, a prebuilt index releases
 // bit-identical seeded results to OneCluster on the same points.
 func OneClusterIndexed(rng *rand.Rand, ix geometry.BallIndex, prm Params) (ClusterResult, error) {

@@ -74,18 +74,10 @@ type DatasetConfig struct {
 	// Shards and Workers mirror DatasetOptions.
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
-	// RemoteShards lists shard-server addresses, one single-replica shard
-	// per address.
-	//
-	// Deprecated: use Placement, which adds replica sets and failover
-	// knobs. A remote_shards list behaves exactly like a placement whose
-	// partitions each hold that one address.
-	RemoteShards []string `json:"remote_shards,omitempty"`
 	// Placement is the replicated shard-server topology in the
 	// privcluster placement schema (the format cmd/shardctl generates:
 	// "partitions" plus optional "retries", "hedge_delay_ms",
 	// "probe_interval_ms", "dial_timeout_ms"), inlined as an object.
-	// Mutually exclusive with RemoteShards.
 	Placement json.RawMessage `json:"placement,omitempty"`
 	// Mutable opens a streaming handle so queries may pin at_epoch.
 	Mutable bool `json:"mutable,omitempty"`
@@ -155,13 +147,8 @@ func (c Config) Validate() error {
 		if d.CSV == "" {
 			return fmt.Errorf("daemon: dataset %q has no csv path", d.Name)
 		}
-		if len(d.Placement) > 0 {
-			if len(d.RemoteShards) > 0 {
-				return fmt.Errorf("daemon: dataset %q sets both placement and remote_shards", d.Name)
-			}
-			if _, err := d.placement(); err != nil {
-				return fmt.Errorf("daemon: dataset %q: %w", d.Name, err)
-			}
+		if _, err := d.placement(); err != nil {
+			return fmt.Errorf("daemon: dataset %q: %w", d.Name, err)
 		}
 	}
 	if len(c.Principals) == 0 {

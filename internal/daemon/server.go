@@ -116,15 +116,14 @@ func openDataset(dc DatasetConfig, adm privcluster.Admitter) (*privcluster.Datas
 		return nil, err
 	}
 	return privcluster.Open(pts, privcluster.DatasetOptions{
-		GridSize:     dc.Grid,
-		Min:          dc.Min,
-		Max:          dc.Max,
-		Shards:       dc.Shards,
-		Workers:      dc.Workers,
-		RemoteShards: dc.RemoteShards,
-		Placement:    place,
-		Mutable:      dc.Mutable,
-		Admitter:     adm,
+		GridSize:  dc.Grid,
+		Min:       dc.Min,
+		Max:       dc.Max,
+		Shards:    dc.Shards,
+		Workers:   dc.Workers,
+		Placement: place,
+		Mutable:   dc.Mutable,
+		Admitter:  adm,
 	})
 }
 

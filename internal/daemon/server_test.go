@@ -365,6 +365,70 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsRemoteShards: the flat remote_shards list is gone
+// (its replacement is a placement block of single-replica partitions),
+// and a config still naming it fails to load instead of silently serving
+// the dataset locally.
+func TestLoadConfigRejectsRemoteShards(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := json.Marshal(testConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "cfg.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	old := bytes.Replace(raw, []byte(`"name":"planted",`), []byte(`"name":"planted","remote_shards":["a:1","b:2"],`), 1)
+	if bytes.Equal(old, raw) {
+		t.Fatal("test config has no planted dataset to extend")
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), "remote_shards") {
+		t.Fatalf("remote_shards config: err = %v, want an unknown-field error naming it", err)
+	}
+}
+
+// FuzzLoadConfig drives LoadConfig over arbitrary files: it must never
+// panic, and whatever it accepts must survive a marshal → load → marshal
+// round trip unchanged (seed corpus under testdata/fuzz/, including a
+// placement config and a rejected remote_shards one).
+func FuzzLoadConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "cfg.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := LoadConfig(path)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("accepted config does not marshal: %v", err)
+		}
+		if err := os.WriteFile(path, first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadConfig(path)
+		if err != nil {
+			t.Fatalf("marshalled config does not load: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(again)
+		if err != nil {
+			t.Fatalf("reloaded config does not marshal: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the config:\n%s\n%s", first, second)
+		}
+	})
+}
+
 // startTCPShardServers brings up wire-protocol shard servers on real TCP
 // for the placement config block (file-borne placements cannot carry a
 // Dial override, so the daemon dials TCP).
@@ -390,18 +454,18 @@ func startTCPShardServers(t *testing.T, n int) []string {
 
 // TestServerPlacementDataset: a dataset served through the config's
 // placement block (two shard partitions × two replicas over real TCP)
-// releases the same seeded cluster as the deprecated remote_shards list
-// over the same two partitions — the daemon layer of the placement
-// equivalence chain, old API vs new.
+// releases the same seeded cluster as a single-replica placement over the
+// same two partitions — the daemon layer of the placement equivalence
+// chain.
 func TestServerPlacementDataset(t *testing.T) {
 	addrs := startTCPShardServers(t, 4)
 
-	old := testConfig(t, t.TempDir())
-	old.Datasets[0].RemoteShards = []string{addrs[0], addrs[2]}
-	oldSrv := startServer(t, old)
-	code, want := post(t, oldSrv.Addr(), "/v1/query/cluster", "sekrit", clusterQuery)
+	single := testConfig(t, t.TempDir())
+	single.Datasets[0].Placement = json.RawMessage(fmt.Sprintf(`{"partitions": [[%q], [%q]]}`, addrs[0], addrs[2]))
+	singleSrv := startServer(t, single)
+	code, want := post(t, singleSrv.Addr(), "/v1/query/cluster", "sekrit", clusterQuery)
 	if code != http.StatusOK {
-		t.Fatalf("remote_shards query status %d: %v", code, want)
+		t.Fatalf("single-replica placement query status %d: %v", code, want)
 	}
 
 	cfg := testConfig(t, t.TempDir())
@@ -422,22 +486,15 @@ func TestServerPlacementDataset(t *testing.T) {
 	}
 	for _, field := range []string{"center", "radius", "raw_radius"} {
 		if !bytes.Equal(got[field], want[field]) {
-			t.Errorf("placement release %s = %s, remote_shards %s", field, got[field], want[field])
+			t.Errorf("2×2 placement release %s = %s, single-replica %s", field, got[field], want[field])
 		}
 	}
 }
 
 // TestConfigPlacementValidation: the placement block is validated at
-// config load, and conflicts with the deprecated remote_shards list.
+// config load.
 func TestConfigPlacementValidation(t *testing.T) {
 	base := testConfig(t, t.TempDir())
-	both := base
-	both.Datasets = []DatasetConfig{base.Datasets[0]}
-	both.Datasets[0].Placement = json.RawMessage(`{"partitions": [["a:1"]]}`)
-	both.Datasets[0].RemoteShards = []string{"b:2"}
-	if err := both.Validate(); err == nil {
-		t.Error("placement plus remote_shards accepted")
-	}
 	bad := base
 	bad.Datasets = []DatasetConfig{base.Datasets[0]}
 	bad.Datasets[0].Placement = json.RawMessage(`{"partitions": [[]]}`)

@@ -67,7 +67,7 @@ func runTMin(seed int64, quick bool) []*bench.Table {
 				if err != nil || rad.ZeroCluster {
 					continue
 				}
-				cen, err := core.GoodCenter(rng, inst.Points, rad.Radius, prm)
+				cen, err := core.GoodCenterFrame(rng, ix.Frame(), rad.Radius, prm)
 				if err != nil {
 					continue
 				}

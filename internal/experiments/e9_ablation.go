@@ -113,6 +113,10 @@ func ablationJL(seed int64, quick bool) *bench.Table {
 	if err != nil {
 		panic(err)
 	}
+	frame, err := vec.FrameFromVectors(inst.Points)
+	if err != nil {
+		panic(err)
+	}
 	const t = 250
 	run := func(jlCap int) (k int, released, effective float64, ok bool) {
 		prm := core.Params{T: t, Privacy: dp.Params{Epsilon: 16, Delta: 0.05}, Beta: 0.1, Grid: grid}
@@ -120,7 +124,7 @@ func ablationJL(seed int64, quick bool) *bench.Table {
 		prm.Profile.JLDimCap = jlCap
 		var rel, eff []float64
 		for i := 0; i < trials; i++ {
-			res, err := core.GoodCenter(rng, inst.Points, 0.1, prm)
+			res, err := core.GoodCenterFrame(rng, frame, 0.1, prm)
 			if err != nil {
 				continue
 			}

@@ -46,7 +46,7 @@ func mutableVariants(t *testing.T, pts []vec.Vector, n0 int, opts CellIndexOptio
 	})
 	t.Run("sharded", func(t *testing.T) {
 		m, err := NewMutableShardedIndexBackends(context.Background(), frameOf(t, pts[:n0]), ShardedIndexOptions{
-			Shards: 3, Policy: ShardMorton, Cell: opts,
+			Shards: 3, Cell: opts,
 		}, func(ctx context.Context, shard int, cfg ShardConfig) (MutableShardBackend, error) {
 			return NewMutableLocalShard(cfg)
 		})

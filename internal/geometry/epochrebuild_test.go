@@ -19,7 +19,7 @@ func TestRebuildOldEpochAcrossMerges(t *testing.T) {
 	tt := 150
 
 	m, err := NewMutableShardedIndexBackends(ctx, frameOf(t, pts[:n0]), ShardedIndexOptions{
-		Shards: 2, Policy: ShardMorton, Cell: opts,
+		Shards: 2, Cell: opts,
 	}, func(ctx context.Context, shard int, cfg ShardConfig) (MutableShardBackend, error) {
 		return NewMutableLocalShard(cfg)
 	})

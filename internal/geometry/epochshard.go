@@ -377,7 +377,7 @@ func NewMutableShardedIndexBackends(ctx context.Context, points *vec.Frame, opts
 	shardCell := cellOpts
 	shardCell.MaxRadius = lad.maxR
 
-	members := assignShards(points, s, opts.Policy)
+	members := assignShards(points, s)
 	shardOf := make([]int32, n)
 	counts := make([]int, s)
 	for si, gids := range members {

@@ -351,7 +351,7 @@ var sensitivityCellOpts = CellIndexOptions{MinRadius: 1.0 / 1024, MaxRadius: mat
 
 func shardedSensitivity(s int, backends bool) func(t *testing.T, f *vec.Frame) BallIndex {
 	return func(t *testing.T, f *vec.Frame) BallIndex {
-		opts := ShardedIndexOptions{Shards: s, Policy: ShardMorton, Cell: sensitivityCellOpts}
+		opts := ShardedIndexOptions{Shards: s, Cell: sensitivityCellOpts}
 		var ix *ShardedIndex
 		var err error
 		if backends {

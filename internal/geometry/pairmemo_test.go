@@ -306,7 +306,7 @@ func warmMemoSensitivity(sharded bool) func(t *testing.T, f *vec.Frame) BallInde
 		var err error
 		if sharded {
 			m, err = NewMutableShardedIndexBackends(ctx, frameOf(t, rows[:n0]), ShardedIndexOptions{
-				Shards: 2, Policy: ShardMorton, Cell: sensitivityCellOpts,
+				Shards: 2, Cell: sensitivityCellOpts,
 			}, mutableLocalDialer)
 		} else {
 			m, err = NewMutableCellIndexFrame(frameOf(t, rows[:n0]), sensitivityCellOpts)

@@ -77,7 +77,7 @@ func TestReplicatedShardEquivalence(t *testing.T) {
 			tag := fmt.Sprintf("R=%d hedge=%v", r, hedge)
 			ropts := ReplicatedShardOptions{HedgeDelay: hedge, ProbeInterval: -1}
 			sh, err := NewShardedIndexBackends(context.Background(), frameOf(t, pts), ShardedIndexOptions{
-				Shards: 2, Policy: ShardMorton, Cell: opts,
+				Shards: 2, Cell: opts,
 			}, replicatedDialer(r, ropts))
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)

@@ -30,32 +30,30 @@ func TestShardedIndexBackendsMatchesCellIndex(t *testing.T) {
 		ref := cellIndexOf(t, pts, opts)
 		tt := len(pts) / 3
 		for _, s := range []int{1, 2, 4} {
-			for _, pol := range []ShardPolicy{ShardRoundRobin, ShardMorton} {
-				tag := fmt.Sprintf("d=%d s=%d pol=%d", d, s, pol)
-				sh, err := NewShardedIndexBackends(context.Background(), frameOf(t, pts), ShardedIndexOptions{
-					Shards: s, Policy: pol, Cell: opts,
-				}, localDialer)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
+			tag := fmt.Sprintf("d=%d s=%d", d, s)
+			sh, err := NewShardedIndexBackends(context.Background(), frameOf(t, pts), ShardedIndexOptions{
+				Shards: s, Cell: opts,
+			}, localDialer)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if sh.Shards() != s {
+				t.Fatalf("%s: built %d backends", tag, sh.Shards())
+			}
+			if sh.lad != ref.lad {
+				t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
+			}
+			if sh.N() != ref.N() {
+				t.Fatalf("%s: N = %d, want %d", tag, sh.N(), ref.N())
+			}
+			for i := range pts {
+				if sh.dupCount[i] != ref.dupCount[i] {
+					t.Fatalf("%s: dupCount[%d] = %d, want %d", tag, i, sh.dupCount[i], ref.dupCount[i])
 				}
-				if sh.Shards() != s {
-					t.Fatalf("%s: built %d backends", tag, sh.Shards())
-				}
-				if sh.lad != ref.lad {
-					t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
-				}
-				if sh.N() != ref.N() {
-					t.Fatalf("%s: N = %d, want %d", tag, sh.N(), ref.N())
-				}
-				for i := range pts {
-					if sh.dupCount[i] != ref.dupCount[i] {
-						t.Fatalf("%s: dupCount[%d] = %d, want %d", tag, i, sh.dupCount[i], ref.dupCount[i])
-					}
-				}
-				assertSameSteps(t, tag, sh, ref, 1, 2, tt, len(pts))
-				if err := sh.Close(); err != nil {
-					t.Fatalf("%s: Close: %v", tag, err)
-				}
+			}
+			assertSameSteps(t, tag, sh, ref, 1, 2, tt, len(pts))
+			if err := sh.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", tag, err)
 			}
 		}
 	}

@@ -23,35 +23,13 @@ var fanoutBuckets = []float64{0.0002, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 var statShardFanout = obs.Default.Histogram("privcluster_shard_fanout_seconds",
 	"Per-backend latency of one bulk-count fan-out call.", fanoutBuckets)
 
-// ShardPolicy selects how a ShardedIndex assigns points to shards. The
-// assignment never affects results — every count is an exact sum of
-// per-shard partial counts — only build parallelism and query-time cache
-// behavior, so the policy is a pure performance knob.
-type ShardPolicy int
-
-const (
-	// ShardRoundRobin assigns point i to shard i mod S: perfectly balanced
-	// shard sizes with no data-dependent structure. Every shard then spans
-	// the whole domain, so each shard's cell levels have roughly as many
-	// occupied cells as the unsharded index — the safe, boring default for
-	// adversarial layouts.
-	ShardRoundRobin ShardPolicy = iota
-	// ShardMorton orders the points along a Z-order space-filling curve and
-	// cuts the order into S contiguous blocks: spatially compact shards
-	// whose cell levels hold fewer, denser occupied cells, which shrinks
-	// the per-shard candidate enumeration of the bulk count passes. Sizes
-	// still differ by at most one point.
-	ShardMorton
-)
-
 // ShardedIndexOptions configures NewShardedIndexFrame and
-// NewShardedIndexBackends.
+// NewShardedIndexBackends. The points are always partitioned in Z-order
+// (see assignShards).
 type ShardedIndexOptions struct {
 	// Shards is the number of data partitions S. Values below 1 mean 1;
 	// values above n are clamped to n (so no shard is ever empty).
 	Shards int
-	// Policy selects the partition rule (default ShardRoundRobin).
-	Policy ShardPolicy
 	// Cell configures the per-shard cell indexes. MaxRadius is pinned
 	// internally to the global radius ladder (see ShardedIndex); every
 	// other field applies to each shard as it would to a single CellIndex.
@@ -75,7 +53,7 @@ type indexShard struct {
 //
 // Equivalence contract: BuildLStep returns, bit for bit, the step function
 // a CellIndex over the same points with the same options builds, for any
-// shard count, policy or backend. Three invariants carry it:
+// shard count, partition or backend. Three invariants carry it:
 //
 //   - Shared ladder. Every shard's radius ladder is pinned to the global
 //     one (MaxRadius is forced to the global ladder top, which dominates
@@ -151,7 +129,7 @@ func NewShardedIndexFrame(ctx context.Context, points *vec.Frame, opts ShardedIn
 	shardCell.MaxRadius = ix.lad.maxR
 	shardCell.skipDupTable = true
 
-	for _, gids := range assignShards(points, s, opts.Policy) {
+	for _, gids := range assignShards(points, s) {
 		if len(gids) == 0 {
 			continue // unreachable for s ≤ n; defensive
 		}
@@ -235,9 +213,10 @@ type ShardDialer func(ctx context.Context, shard int, cfg ShardConfig) (ShardBac
 // NewShardedIndexBackends builds a ShardedIndex whose shards are reached
 // only through the ShardBackend interface — the seam a remote transport
 // plugs into. The points are partitioned exactly as NewShardedIndexFrame
-// would (same policy, same clamping), each backend is dialed with its
-// ShardConfig (cell options pinned to the shared global ladder), and the
-// global duplicate table is assembled by summing per-backend DupCounts.
+// would (same Z-order partition, same clamping), each backend is dialed
+// with its ShardConfig (cell options pinned to the shared global ladder),
+// and the global duplicate table is assembled by summing per-backend
+// DupCounts.
 // Every L̂ sweep level is then a sum of per-backend partials —
 // bit-identical to the local constructor under the equivalence contract
 // above.
@@ -255,7 +234,7 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 	shardCell := ix.opts
 	shardCell.MaxRadius = ix.lad.maxR
 
-	members := assignShards(points, s, opts.Policy)
+	members := assignShards(points, s)
 	ix.backends = make([]ShardBackend, s)
 	errs := make([]error, s)
 	// One shard failing to come up dooms the whole build: cancel the
@@ -338,17 +317,17 @@ func (ix *ShardedIndex) Close() error {
 	return first
 }
 
-// assignShards partitions global point ids into s shards per the policy.
-// Every shard receives at least one point when s ≤ n.
-func assignShards(points *vec.Frame, s int, pol ShardPolicy) [][]int32 {
+// assignShards partitions global point ids into s shards: it orders the
+// points along a Z-order space-filling curve and cuts the order into s
+// contiguous blocks whose sizes differ by at most one point, so every
+// shard receives at least one point when s ≤ n. Spatially compact shards
+// hold fewer, denser occupied cells per level, which shrinks the
+// per-shard candidate enumeration of the bulk count passes. The
+// assignment never affects results — every count is an exact sum of
+// per-shard partial counts.
+func assignShards(points *vec.Frame, s int) [][]int32 {
 	n := points.N()
 	out := make([][]int32, s)
-	if pol != ShardMorton {
-		for i := 0; i < n; i++ {
-			out[i%s] = append(out[i%s], int32(i))
-		}
-		return out
-	}
 	d := points.Dim()
 	bits := 64 / d
 	if bits < 1 {

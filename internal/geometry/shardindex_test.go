@@ -107,7 +107,7 @@ func assertSameSteps(t *testing.T, tag string, got, want BallIndex, ts ...int) {
 }
 
 // TestShardedIndexMatchesCellIndex is the tentpole equivalence guarantee at
-// the geometry layer: for every shard count and policy, a ShardedIndex
+// the geometry layer: for every shard count, a ShardedIndex
 // builds the L̂ step function bit-identically to a CellIndex over the same
 // points, so the DP pipeline above consumes identical values (and hence
 // identical noise streams) regardless of sharding.
@@ -118,27 +118,25 @@ func TestShardedIndexMatchesCellIndex(t *testing.T) {
 		ref := cellIndexOf(t, pts, opts)
 		tt := len(pts) / 3
 		for _, s := range []int{1, 2, 4, 8} {
-			for _, pol := range []ShardPolicy{ShardRoundRobin, ShardMorton} {
-				tag := fmt.Sprintf("d=%d s=%d pol=%d", d, s, pol)
-				sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: s, Policy: pol, Cell: opts})
-				if sh.Shards() != s {
-					t.Fatalf("%s: built %d shards", tag, sh.Shards())
-				}
-				if sh.lad != ref.lad {
-					t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
-				}
-				for _, shard := range sh.shards {
-					if shard.ix.lad != ref.lad {
-						t.Fatalf("%s: shard ladder diverged: %+v vs %+v", tag, shard.ix.lad, ref.lad)
-					}
-				}
-				for i := range pts {
-					if sh.dupCount[i] != ref.dupCount[i] {
-						t.Fatalf("%s: dupCount[%d] = %d, want %d", tag, i, sh.dupCount[i], ref.dupCount[i])
-					}
-				}
-				assertSameSteps(t, tag, sh, ref, 1, 2, tt, len(pts))
+			tag := fmt.Sprintf("d=%d s=%d", d, s)
+			sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: s, Cell: opts})
+			if sh.Shards() != s {
+				t.Fatalf("%s: built %d shards", tag, sh.Shards())
 			}
+			if sh.lad != ref.lad {
+				t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
+			}
+			for _, shard := range sh.shards {
+				if shard.ix.lad != ref.lad {
+					t.Fatalf("%s: shard ladder diverged: %+v vs %+v", tag, shard.ix.lad, ref.lad)
+				}
+			}
+			for i := range pts {
+				if sh.dupCount[i] != ref.dupCount[i] {
+					t.Fatalf("%s: dupCount[%d] = %d, want %d", tag, i, sh.dupCount[i], ref.dupCount[i])
+				}
+			}
+			assertSameSteps(t, tag, sh, ref, 1, 2, tt, len(pts))
 		}
 	}
 }
@@ -153,18 +151,16 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 	t.Run("shards exceed n", func(t *testing.T) {
 		pts := shardTestPoints(t, 1, 5, 2)
 		ref := cellIndexOf(t, pts, opts)
-		for _, pol := range []ShardPolicy{ShardRoundRobin, ShardMorton} {
-			sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 64, Policy: pol, Cell: opts})
-			if sh.Shards() != len(pts) {
-				t.Errorf("pol %d: S=64 over n=5 built %d shards, want %d", pol, sh.Shards(), len(pts))
-			}
-			for _, shard := range sh.shards {
-				if shard.ix.N() == 0 {
-					t.Errorf("pol %d: empty shard built", pol)
-				}
-			}
-			assertSameSteps(t, fmt.Sprintf("pol %d", pol), sh, ref, 1, 2, 3, len(pts))
+		sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 64, Cell: opts})
+		if sh.Shards() != len(pts) {
+			t.Errorf("S=64 over n=5 built %d shards, want %d", sh.Shards(), len(pts))
 		}
+		for _, shard := range sh.shards {
+			if shard.ix.N() == 0 {
+				t.Errorf("empty shard built")
+			}
+		}
+		assertSameSteps(t, "S=64", sh, ref, 1, 2, 3, len(pts))
 	})
 
 	t.Run("zero and negative shards mean one", func(t *testing.T) {
@@ -258,37 +254,36 @@ func TestShardedIndexCancellation(t *testing.T) {
 	}
 }
 
-// TestAssignShardsBalanced: both policies partition all n ids into shards
-// whose sizes differ by at most one, with every id appearing exactly once.
+// TestAssignShardsBalanced: the Z-order partition splits all n ids into
+// shards whose sizes differ by at most one, with every id appearing exactly
+// once.
 func TestAssignShardsBalanced(t *testing.T) {
 	pts := shardTestPoints(t, 5, 103, 2)
-	for _, pol := range []ShardPolicy{ShardRoundRobin, ShardMorton} {
-		for _, s := range []int{1, 2, 7, 103} {
-			parts := assignShards(frameOf(t, pts), s, pol)
-			seen := make([]bool, len(pts))
-			minSz, maxSz := len(pts), 0
-			for _, ids := range parts {
-				if len(ids) < minSz {
-					minSz = len(ids)
-				}
-				if len(ids) > maxSz {
-					maxSz = len(ids)
-				}
-				for _, id := range ids {
-					if seen[id] {
-						t.Fatalf("pol %d s=%d: id %d assigned twice", pol, s, id)
-					}
-					seen[id] = true
-				}
+	for _, s := range []int{1, 2, 7, 103} {
+		parts := assignShards(frameOf(t, pts), s)
+		seen := make([]bool, len(pts))
+		minSz, maxSz := len(pts), 0
+		for _, ids := range parts {
+			if len(ids) < minSz {
+				minSz = len(ids)
 			}
-			for id, ok := range seen {
-				if !ok {
-					t.Fatalf("pol %d s=%d: id %d unassigned", pol, s, id)
+			if len(ids) > maxSz {
+				maxSz = len(ids)
+			}
+			for _, id := range ids {
+				if seen[id] {
+					t.Fatalf("s=%d: id %d assigned twice", s, id)
 				}
+				seen[id] = true
 			}
-			if maxSz-minSz > 1 {
-				t.Errorf("pol %d s=%d: shard sizes range [%d, %d]", pol, s, minSz, maxSz)
+		}
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("s=%d: id %d unassigned", s, id)
 			}
+		}
+		if maxSz-minSz > 1 {
+			t.Errorf("s=%d: shard sizes range [%d, %d]", s, minSz, maxSz)
 		}
 	}
 }

@@ -129,20 +129,12 @@ func DialShard(ctx context.Context, addr string, cfg geometry.ShardConfig, opts 
 	return c, nil
 }
 
-// ShardDialer adapts a server address list to the geometry.ShardDialer
-// seam: shard s is served by addrs[s]. The address list length must equal
-// the shard count (geometry clamps shards to min(requested, n), so
-// callers pass Shards: len(addrs) and at most n addresses are used).
-func ShardDialer(addrs []string, opts Options) geometry.ShardDialer {
-	return func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.ShardBackend, error) {
-		return DialShard(ctx, addrs[shard%len(addrs)], cfg, opts)
-	}
-}
-
-// MutableShardDialer is ShardDialer's epoch-session counterpart: it forces
-// Options.Mutable and satisfies geometry.MutableShardDialer, so
+// MutableShardDialer adapts a server address list to the
+// geometry.MutableShardDialer seam: shard s is served by an epoch session
+// on addrs[s] (Options.Mutable is forced), so
 // geometry.NewMutableShardedIndexBackends can coordinate streaming
-// ingestion over remote shard servers.
+// ingestion over remote shard servers. Epoch sessions cannot fail over,
+// so there is one address per shard, never a replica set.
 func MutableShardDialer(addrs []string, opts Options) geometry.MutableShardDialer {
 	opts.Mutable = true
 	return func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.MutableShardBackend, error) {

@@ -44,7 +44,7 @@ func TestMutableRemoteMatchesFresh(t *testing.T) {
 	addrs, copts := startServers(t, 2, ServerOptions{})
 
 	m, err := geometry.NewMutableShardedIndexBackends(ctx, frameOf(t, pts[:n0]), geometry.ShardedIndexOptions{
-		Shards: 2, Policy: geometry.ShardMorton, Cell: opts,
+		Shards: 2, Cell: opts,
 	}, MutableShardDialer(addrs, copts))
 	if err != nil {
 		t.Fatal(err)

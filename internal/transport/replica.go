@@ -32,15 +32,19 @@ type ReplicaOptions struct {
 // dialed with the same ShardConfig, so its answers are bit-identical to
 // its siblings' and failover/hedging cannot perturb releases.
 //
-// A single-replica partition is served by a plain RemoteShard — exactly
-// the pre-placement behavior, including the client's transparent
-// reconnect-and-retry — with no replication wrapper, no prober, and no
-// extra goroutines. Multi-replica partitions wrap their RemoteShards in a
-// geometry.ReplicatedShard whose liveness probe is a raw dial (connection
-// established = alive; no handshake, so a probe costs one round trip and
-// no point-set shipping).
+// This dialer is the one way an immutable index reaches remote shards. A
+// single-replica partition is served by a plain DialShard — including the
+// client's transparent reconnect-and-retry — with no replication wrapper,
+// no prober, and no extra goroutines. Multi-replica partitions wrap their
+// RemoteShards in a geometry.ReplicatedShard whose liveness probe is a raw
+// dial (connection established = alive; no handshake, so a probe costs
+// one round trip and no point-set shipping).
 func ReplicatedShardDialer(parts [][]string, opts ReplicaOptions) geometry.ShardDialer {
-	conn := opts.Options.withDefaults()
+	// DialShard applies the option defaults itself (applying them twice
+	// would turn a negative Retries, meaning 0, into the default 1); the
+	// defaulted copy only supplies the probe's raw dial.
+	conn := opts.Options
+	probeDial := conn.withDefaults().Dial
 	return func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.ShardBackend, error) {
 		addrs := parts[shard%len(parts)]
 		if len(addrs) == 0 {
@@ -60,7 +64,7 @@ func ReplicatedShardDialer(parts [][]string, opts ReplicaOptions) geometry.Shard
 			HedgeDelay:    opts.HedgeDelay,
 			ProbeInterval: opts.ProbeInterval,
 			Probe: func(ctx context.Context, replica int) error {
-				c, err := conn.Dial(ctx, addrs[replica])
+				c, err := probeDial(ctx, addrs[replica])
 				if err != nil {
 					return err
 				}

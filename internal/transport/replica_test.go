@@ -42,7 +42,7 @@ func replicatedIndex(t *testing.T, pts []vec.Vector, parts [][]string, ropts Rep
 	t.Helper()
 	d := pts[0].Dim()
 	ix, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, pts), geometry.ShardedIndexOptions{
-		Shards: len(parts), Policy: geometry.ShardMorton, Cell: testCellOptions(d),
+		Shards: len(parts), Cell: testCellOptions(d),
 	}, ReplicatedShardDialer(parts, ropts))
 	if err != nil {
 		t.Fatal(err)
@@ -193,18 +193,18 @@ func TestReplicatedAllReplicasDead(t *testing.T) {
 }
 
 // TestReplicatedDialerSingleReplica: a one-replica partition is served by
-// a plain RemoteShard — no wrapper, no prober — so the pre-placement
-// deployments keep exactly their old behavior (including the client's own
-// transparent reconnect).
+// a plain RemoteShard — no wrapper, no prober — dialed exactly as DialShard
+// resolves the options (including the client's own transparent reconnect
+// and a negative Retries meaning none).
 func TestReplicatedDialerSingleReplica(t *testing.T) {
 	pts := testPoints(t, 53, 200, 2)
 	addrs, _, dial := startReplicaServers(t, 2)
 	d := pts[0].Dim()
 	cellOpts := testCellOptions(d)
-	dialer := ReplicatedShardDialer(partition(addrs, 2, 1), ReplicaOptions{Options: Options{Dial: dial}})
+	dialer := ReplicatedShardDialer(partition(addrs, 2, 1), ReplicaOptions{Options: Options{Dial: dial, Retries: -1}})
 	var got geometry.ShardBackend
 	ix, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, pts), geometry.ShardedIndexOptions{
-		Shards: 2, Policy: geometry.ShardMorton, Cell: cellOpts,
+		Shards: 2, Cell: cellOpts,
 	}, func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.ShardBackend, error) {
 		be, err := dialer(ctx, shard, cfg)
 		if shard == 0 && err == nil {
@@ -216,8 +216,12 @@ func TestReplicatedDialerSingleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, ok := got.(*RemoteShard); !ok {
+	rs, ok := got.(*RemoteShard)
+	if !ok {
 		t.Fatalf("single-replica partition served by %T, want *RemoteShard", got)
+	}
+	if rs.opts.Retries != 0 {
+		t.Errorf("Retries -1 dialed with %d retries, want 0 (a plain DialShard's resolution)", rs.opts.Retries)
 	}
 
 	// An empty replica set is refused with a typed dial error.

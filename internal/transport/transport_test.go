@@ -102,8 +102,8 @@ func remoteIndex(t *testing.T, pts []vec.Vector, shards int, addrs []string, cop
 	t.Helper()
 	d := pts[0].Dim()
 	ix, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, pts), geometry.ShardedIndexOptions{
-		Shards: shards, Policy: geometry.ShardMorton, Cell: testCellOptions(d),
-	}, ShardDialer(addrs, copts))
+		Shards: shards, Cell: testCellOptions(d),
+	}, ReplicatedShardDialer(partition(addrs, len(addrs), 1), ReplicaOptions{Options: copts}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPreloadedPoints(t *testing.T) {
 	short := pts[:len(pts)-1]
 	_, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, short), geometry.ShardedIndexOptions{
 		Shards: 2, Cell: testCellOptions(2),
-	}, ShardDialer(addrs, copts))
+	}, ReplicatedShardDialer(partition(addrs, len(addrs), 1), ReplicaOptions{Options: copts}))
 	var te *Error
 	if !errors.As(err, &te) || te.Kind != KindRemote {
 		t.Fatalf("mismatched preload: err = %v, want KindRemote", err)
@@ -276,7 +276,7 @@ func TestServerDeathMidSweep(t *testing.T) {
 
 	ix, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, pts), geometry.ShardedIndexOptions{
 		Shards: 2, Cell: testCellOptions(2),
-	}, ShardDialer([]string{"alive", "doomed"}, Options{Dial: ln.Dial}))
+	}, ReplicatedShardDialer([][]string{{"alive"}, {"doomed"}}, ReplicaOptions{Options: Options{Dial: ln.Dial}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestMutableReleaseEquivalence(t *testing.T) {
 		{"sharded", func(t *testing.T) DatasetOptions { return DatasetOptions{Shards: 3} }},
 		{"remote", func(t *testing.T) DatasetOptions {
 			addrs, ln := startLoopbackServers(t, 2)
-			return DatasetOptions{RemoteShards: addrs, RemoteDial: ln.Dial}
+			return DatasetOptions{Placement: placementOf(addrs, len(addrs), 1, ln.Dial)}
 		}},
 	}
 

@@ -11,21 +11,20 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"privcluster/internal/transport"
 )
 
 // Placement describes how a dataset's shard partitions map onto shard
 // servers: one replica address set per partition, plus the connection and
-// failover knobs. It replaces the flat DatasetOptions.RemoteShards +
-// RemoteDial pair (which remain as deprecated wrappers constructing a
-// trivial single-replica Placement).
+// failover knobs. It is the one way a handle reaches remote shards.
 //
 // Every replica of a partition must serve the same data — each is dialed
 // with the identical shard config, so its bulk-count answers are
 // bit-identical to its siblings' and failover or hedging cannot perturb
 // releases (see the "Replication and failover" section of the package
-// documentation). Single-replica partitions behave exactly like the old
-// RemoteShards path: a plain connection with the client's transparent
-// reconnect, no replication machinery.
+// documentation). A single-replica partition is a plain connection with
+// the client's transparent reconnect and no replication machinery.
 //
 // Only Partitions is part of the handle's index-cache identity; Dial and
 // the knobs are transport mechanics (changing them on a fresh handle is
@@ -82,8 +81,7 @@ func (p *Placement) validate() error {
 }
 
 // singleReplica reports whether every partition has exactly one replica —
-// the shape mutable (epoch-session) handles require, and the shape the
-// deprecated RemoteShards wrapper produces.
+// the shape mutable (epoch-session) handles require.
 func (p *Placement) singleReplica() bool {
 	for _, reps := range p.Partitions {
 		if len(reps) != 1 {
@@ -101,6 +99,13 @@ func (p *Placement) flatten() []string {
 		addrs[i] = reps[0]
 	}
 	return addrs
+}
+
+// transportOptions returns the per-connection client options every
+// replica of the placement is dialed with, immutable and mutable handles
+// alike (mutable sessions ignore Retries: they never retry).
+func (p *Placement) transportOptions() transport.Options {
+	return transport.Options{Dial: p.Dial, DialTimeout: p.DialTimeout, Retries: p.Retries}
 }
 
 // cacheKey encodes the partition structure into the index-cache identity.

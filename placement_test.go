@@ -30,9 +30,7 @@ func placementOf(addrs []string, p, r int, dial func(context.Context, string) (n
 
 // TestPlacementReleaseEquivalence pins the tentpole at the public API:
 // seeded releases through a Placement — R ∈ {1, 2, 3} replicas per
-// partition, hedging off and on — are bit-identical to local execution,
-// and the deprecated RemoteShards form releases bit-identically to the
-// equivalent single-replica Placement (it IS one, constructed internally).
+// partition, hedging off and on — are bit-identical to local execution.
 func TestPlacementReleaseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts, _ := plantedPoints(rng, 6000, 4000, 2, 0.02) // scalable backend
@@ -72,12 +70,6 @@ func TestPlacementReleaseEquivalence(t *testing.T) {
 		hedged.HedgeDelay = time.Nanosecond
 		assertSame(fmt.Sprintf("R=%d hedged", r), release(DatasetOptions{Placement: hedged}), ref)
 	}
-
-	// Deprecated flat form vs its structured equivalent.
-	addrs, ln := startLoopbackServers(t, nparts)
-	old := release(DatasetOptions{RemoteShards: addrs, RemoteDial: ln.Dial})
-	assertSame("RemoteShards wrapper", old, ref)
-	assertSame("single-replica Placement", release(DatasetOptions{Placement: placementOf(addrs, nparts, 1, ln.Dial)}), ref)
 }
 
 // chokeDial wraps a dial func so connections to victim die once a shared
@@ -170,8 +162,8 @@ func TestPlacementFailoverMidQuery(t *testing.T) {
 
 // TestPlacementCacheKey is the cache-ambiguity regression: the structural
 // key must separate every distinct placement — including the collisions
-// the old comma-join was blind to — while the deprecated flat form shares
-// its equivalent Placement's identity (one wrapper, one index).
+// the old comma-join was blind to — while the failover knobs stay out of
+// it.
 func TestPlacementCacheKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pts, _ := plantedPoints(rng, 5000, 3000, 2, 0.02)
@@ -208,26 +200,18 @@ func TestPlacementCacheKey(t *testing.T) {
 		t.Fatalf("injected separator collides: %q", inj.remote)
 	}
 
-	// The deprecated wrapper IS the single-replica placement: same key,
-	// same cached index.
-	old := key(DatasetOptions{RemoteShards: []string{"a", "b"}})
-	structured := key(DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a"}, {"b"}}}})
-	if old != structured {
-		t.Fatalf("RemoteShards key %+v != equivalent Placement key %+v", old, structured)
-	}
-
 	// Knobs and Dial are transport mechanics, not identity.
 	knobs := key(DatasetOptions{Placement: &Placement{
 		Partitions: [][]string{{"a"}, {"b"}},
 		Retries:    3, HedgeDelay: time.Millisecond, ProbeInterval: time.Second,
 	}})
-	if knobs != structured {
-		t.Fatalf("failover knobs changed the cache key: %+v vs %+v", knobs, structured)
+	if knobs != twoOf1 {
+		t.Fatalf("failover knobs changed the cache key: %+v vs %+v", knobs, twoOf1)
 	}
 }
 
 // TestPlacementValidation covers the Open-time rejections of malformed
-// placements and conflicting option forms.
+// placements.
 func TestPlacementValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pts, _ := plantedPoints(rng, 100, 60, 2, 0.02)
@@ -239,14 +223,6 @@ func TestPlacementValidation(t *testing.T) {
 		{"empty partition", DatasetOptions{Placement: &Placement{Partitions: [][]string{{}}}}},
 		{"empty replica", DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a", ""}}}}},
 		{"duplicate replica", DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a", "a"}}}}},
-		{"placement plus RemoteShards", DatasetOptions{
-			Placement:    &Placement{Partitions: [][]string{{"a"}}},
-			RemoteShards: []string{"b"},
-		}},
-		{"placement plus RemoteDial", DatasetOptions{
-			Placement:  &Placement{Partitions: [][]string{{"a"}}},
-			RemoteDial: func(context.Context, string) (net.Conn, error) { return nil, nil },
-		}},
 		{"mutable multi-replica", DatasetOptions{
 			Mutable:   true,
 			Placement: &Placement{Partitions: [][]string{{"a", "b"}}},

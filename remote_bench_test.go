@@ -17,11 +17,11 @@ import (
 // preprocessing (index construction + the BuildLStep radius sweep, the
 // pipeline's dominant cost) over S = 2 shards — "inproc" through the
 // fused local pass, "loopback" through the full wire protocol against
-// shard servers in this process (handshake ships the 100k points, every
-// sweep level is one 400 KB round trip per shard). On one machine the
-// delta is pure transport + the backend decomposition's duplicated
-// source-cell work; across real machines the same protocol buys S-fold
-// compute — see the cost model in the package documentation.
+// single-replica shard servers in this process (handshake ships the 100k
+// points, every sweep level is one 400 KB round trip per shard). On one
+// machine the delta is pure transport + the backend decomposition's
+// duplicated source-cell work; across real machines the same protocol buys
+// S-fold compute — see the cost model in the package documentation.
 //
 //	go test -bench BenchmarkRemoteLoopback -benchmem
 func BenchmarkRemoteLoopback(b *testing.B) {
@@ -34,10 +34,11 @@ func BenchmarkRemoteLoopback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	frame := benchFrame(b, pts)
 	b.Run("inproc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix, err := core.NewBallIndex(nil, pts, grid, core.IndexScalable, 0, 2)
+			ix, err := core.NewBallIndexFrame(nil, frame, grid, core.IndexScalable, 0, 2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -48,10 +49,11 @@ func BenchmarkRemoteLoopback(b *testing.B) {
 	})
 	b.Run("loopback", func(b *testing.B) {
 		ln := transport.NewLoopbackNet()
-		addrs := make([]string, 2)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("shard-%d", i)
-			l, err := ln.Listen(addrs[i])
+		parts := make([][]string, 2)
+		for i := range parts {
+			addr := fmt.Sprintf("shard-%d", i)
+			parts[i] = []string{addr}
+			l, err := ln.Listen(addr)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -66,7 +68,8 @@ func BenchmarkRemoteLoopback(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix, err := core.NewRemoteBallIndex(context.Background(), pts, grid, 0, addrs, ln.Dial)
+			ix, err := core.NewReplicatedBallIndexFrame(context.Background(), frame, grid, 0, parts,
+				transport.ReplicaOptions{Options: transport.Options{Dial: ln.Dial}})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestRemoteReleaseEquivalence(t *testing.T) {
 	for _, s := range []int{2, 4} {
 		local, localK := release(DatasetOptions{Shards: s})
 		addrs, ln := startLoopbackServers(t, s)
-		remote, remoteK := release(DatasetOptions{RemoteShards: addrs, RemoteDial: ln.Dial})
+		remote, remoteK := release(DatasetOptions{Placement: placementOf(addrs, s, 1, ln.Dial)})
 		for name, got := range map[string]Cluster{"local sharded": local, "remote": remote} {
 			if got.Radius != ref.Radius || got.RawRadius != ref.RawRadius ||
 				got.Center[0] != ref.Center[0] || got.Center[1] != ref.Center[1] {
@@ -103,11 +104,11 @@ func TestRemoteIndexCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := Open(pts, DatasetOptions{RemoteShards: []string{"a", "b"}})
+	remote, err := Open(pts, DatasetOptions{Placement: placementOf([]string{"a", "b"}, 2, 1, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote2, err := Open(pts, DatasetOptions{RemoteShards: []string{"a", "c"}})
+	remote2, err := Open(pts, DatasetOptions{Placement: placementOf([]string{"a", "c"}, 2, 1, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRemoteIndexCacheKey(t *testing.T) {
 
 	// More addresses than points clamps the key like the build.
 	few := pts[:3]
-	small, err := Open(few, DatasetOptions{RemoteShards: []string{"a", "b", "c", "d", "e"}})
+	small, err := Open(few, DatasetOptions{Placement: placementOf([]string{"a", "b", "c", "d", "e"}, 5, 1, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRemoteIndexCacheKey(t *testing.T) {
 	}
 
 	// Remote addresses must be well-formed up front.
-	if _, err := Open(pts, DatasetOptions{RemoteShards: []string{"a", ""}}); err == nil {
+	if _, err := Open(pts, DatasetOptions{Placement: placementOf([]string{"a", ""}, 2, 1, nil)}); err == nil {
 		t.Error("empty remote shard address accepted")
 	}
 }
@@ -148,7 +149,7 @@ func TestRemoteDatasetClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts, _ := plantedPoints(rng, 5000, 3000, 2, 0.02)
 	addrs, ln := startLoopbackServers(t, 2)
-	ds, err := Open(pts, DatasetOptions{RemoteShards: addrs, RemoteDial: ln.Dial})
+	ds, err := Open(pts, DatasetOptions{Placement: placementOf(addrs, 2, 1, ln.Dial)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestRemoteDatasetClose(t *testing.T) {
 
 	// Dead servers: the first query fails with a transport error.
 	deadNet := transport.NewLoopbackNet()
-	ds2, err := Open(pts, DatasetOptions{RemoteShards: []string{"gone"}, RemoteDial: deadNet.Dial})
+	ds2, err := Open(pts, DatasetOptions{Placement: placementOf([]string{"gone"}, 1, 1, deadNet.Dial)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,5 +171,72 @@ func TestRemoteDatasetClose(t *testing.T) {
 	var te *transport.Error
 	if !errors.As(err, &te) {
 		t.Fatalf("query against dead servers: err = %v, want *transport.Error", err)
+	}
+}
+
+// TestPlacementDialTimeout: Placement.DialTimeout bounds the handshake on
+// both handle kinds. The shard server accepts connections but never
+// answers, so only the timeout can end the dial — the immutable handle's
+// first query and the mutable handle's Open (which dials its epoch
+// sessions eagerly) must fail well before the 10s default.
+func TestPlacementDialTimeout(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	pts, _ := plantedPoints(rng, 800, 500, 2, 0.02)
+	ln := transport.NewLoopbackNet()
+	l, err := ln.Listen("hung")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var held []net.Conn
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				for _, c := range held {
+					c.Close()
+				}
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+	t.Cleanup(func() {
+		l.Close()
+		<-done
+	})
+	place := func() *Placement {
+		p := placementOf([]string{"hung"}, 1, 1, ln.Dial)
+		p.DialTimeout = 200 * time.Millisecond
+		return p
+	}
+	const limit = 2 * time.Second
+
+	start := time.Now()
+	ds, err := Open(pts, DatasetOptions{GridSize: 1024, Placement: place()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	_, err = ds.FindCluster(context.Background(), 400, QueryOptions{Epsilon: 4, Delta: 0.05, Seed: 1})
+	var te *transport.Error
+	if !errors.As(err, &te) {
+		t.Fatalf("immutable query against a hung shard server: err = %v, want *transport.Error", err)
+	}
+	if el := time.Since(start); el > limit {
+		t.Errorf("immutable handle gave up after %v, want < %v", el, limit)
+	}
+
+	start = time.Now()
+	mut, err := Open(pts, DatasetOptions{GridSize: 1024, Placement: place(), Mutable: true})
+	if err == nil {
+		mut.Close()
+	}
+	if !errors.As(err, &te) {
+		t.Fatalf("mutable Open against a hung shard server: err = %v, want *transport.Error", err)
+	}
+	if el := time.Since(start); el > limit {
+		t.Errorf("mutable Open gave up after %v, want < %v", el, limit)
 	}
 }

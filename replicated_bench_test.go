@@ -10,19 +10,18 @@ import (
 	"privcluster/internal/core"
 	"privcluster/internal/geometry"
 	"privcluster/internal/transport"
-	"privcluster/internal/vec"
 )
 
 // BenchmarkReplicatedLoopback measures what the replication layer costs on
 // top of the plain shard transport at n = 50k over 2 partitions: "R=1" is
-// a single-replica placement (the wrapper-free fast path — it must cost
-// exactly what NewRemoteBallIndexFrame does), "R=2" adds a standby replica
-// per partition (failover machinery armed, never fired), and "R=2-hedged"
-// additionally re-issues every straggler after 1ms. Each iteration is the
-// cold path: dial + handshake (shipping the 50k points to every dialed
-// replica) + the BuildLStep radius sweep. The allocs/op gate catches the
-// replication layer silently bloating the per-call path; hedging's extra
-// cost is duplicated shard compute, visible in ns/op only.
+// a single-replica placement (the wrapper-free fast path: one plain
+// connection per partition, no replication layer), "R=2" adds a standby
+// replica per partition (failover machinery armed, never fired), and
+// "R=2-hedged" additionally re-issues every straggler after 1ms. Each
+// iteration is the cold path: dial + handshake (shipping the 50k points to
+// every dialed replica) + the BuildLStep radius sweep. The allocs/op gate
+// catches the replication layer silently bloating the per-call path;
+// hedging's extra cost is duplicated shard compute, visible in ns/op only.
 //
 //	go test -bench BenchmarkReplicatedLoopback -benchmem
 func BenchmarkReplicatedLoopback(b *testing.B) {
@@ -35,10 +34,7 @@ func BenchmarkReplicatedLoopback(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	frame, err := vec.FrameFromVectors(pts)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frame := benchFrame(b, pts)
 	for _, cfg := range []struct {
 		name  string
 		r     int
