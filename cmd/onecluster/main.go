@@ -56,7 +56,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -72,6 +71,7 @@ import (
 	"time"
 
 	"privcluster"
+	"privcluster/internal/vec"
 )
 
 func main() {
@@ -127,7 +127,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	points, err := readPoints(in)
+	points, err := vec.ReadCSV(in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "onecluster:", err)
 		os.Exit(1)
@@ -535,34 +535,4 @@ func formatPoint(p privcluster.Point) string {
 		parts[i] = strconv.FormatFloat(x, 'g', 6, 64)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-func readPoints(r io.Reader) ([]privcluster.Point, error) {
-	var points []privcluster.Point
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		p := make(privcluster.Point, len(fields))
-		for i, f := range fields {
-			x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			p[i] = x
-		}
-		points = append(points, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("no points in input")
-	}
-	return points, nil
 }

@@ -4,50 +4,10 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"privcluster"
 )
-
-func TestReadPointsBasic(t *testing.T) {
-	in := strings.NewReader("0.1, 0.2\n0.3,0.4\n\n# comment\n0.5 ,0.6\n")
-	pts, err := readPoints(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("read %d points, want 3", len(pts))
-	}
-	if pts[0][0] != 0.1 || pts[0][1] != 0.2 {
-		t.Errorf("first point = %v", pts[0])
-	}
-	if pts[2][0] != 0.5 || pts[2][1] != 0.6 {
-		t.Errorf("third point = %v", pts[2])
-	}
-}
-
-func TestReadPointsErrors(t *testing.T) {
-	if _, err := readPoints(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := readPoints(strings.NewReader("# only comments\n")); err == nil {
-		t.Error("comment-only input accepted")
-	}
-	if _, err := readPoints(strings.NewReader("0.1,abc\n")); err == nil {
-		t.Error("malformed float accepted")
-	}
-}
-
-func TestReadPointsSingleColumn(t *testing.T) {
-	pts, err := readPoints(strings.NewReader("0.5\n0.6\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || len(pts[0]) != 1 {
-		t.Fatalf("pts = %v", pts)
-	}
-}
 
 func TestFormatPoint(t *testing.T) {
 	got := formatPoint([]float64{0.5, 0.25})

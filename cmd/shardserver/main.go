@@ -39,7 +39,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -50,8 +49,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -93,7 +90,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		raw, err := readPoints(f)
+		raw, err := vec.ReadCSV(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", *csv, err)
@@ -179,48 +176,15 @@ func prepare(raw [][]float64, gridSize int64, min, max float64) (*vec.Frame, err
 		return nil, err
 	}
 	out := vec.NewFrame(len(raw), d)
-	u := make(vec.Vector, d)
 	for i, p := range raw {
 		if len(p) != d {
 			return nil, fmt.Errorf("point %d has dimension %d, want %d", i, len(p), d)
 		}
+		u := out.Row(i)
 		for j, x := range p {
 			u[j] = (x - min) / span
 		}
 		grid.QuantizeInto(u, u)
-		out.SetRow(i, u)
 	}
 	return out, nil
-}
-
-// readPoints parses the CSV format cmd/onecluster reads: one point per
-// line, comma-separated coordinates, blank lines and #-comments skipped.
-func readPoints(r io.Reader) ([][]float64, error) {
-	var points [][]float64
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		p := make([]float64, len(fields))
-		for i, f := range fields {
-			x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			p[i] = x
-		}
-		points = append(points, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("no points in input")
-	}
-	return points, nil
 }

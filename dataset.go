@@ -16,25 +16,6 @@ import (
 	"privcluster/internal/vec"
 )
 
-// Precision selects the in-memory storage width of a Dataset's prepared
-// points (see DatasetOptions.Precision).
-type Precision int
-
-const (
-	// Float64 (the default) stores the quantized points as float64 — the
-	// paper-faithful mode every bit-for-bit equivalence guarantee in this
-	// package refers to.
-	Float64 Precision = iota
-	// Float32 stores the quantized points as float32, halving the resident
-	// point memory. Distance arithmetic still runs in float64 (each stored
-	// coordinate is up-converted exactly), but the storage rounding makes
-	// this a distinct release mode: outputs are NOT bit-comparable to a
-	// Float64 handle, only to another Float32 handle with the same seed.
-	// Fine grids (|X| ≳ 2²⁴) exceed float32's 24-bit mantissa and will
-	// alias adjacent grid values; keep the default precision there.
-	Float32
-)
-
 // DatasetOptions configures Open: everything about the data and its
 // preparation that is fixed for the lifetime of the handle. Per-query knobs
 // (the (ε, δ) cost, β, the seed) live in QueryOptions instead. The zero
@@ -61,10 +42,6 @@ type DatasetOptions struct {
 	// Options.Shards). 0 means automatic: GOMAXPROCS shards at
 	// n ≥ 100,000, unsharded below. Sharding never changes releases.
 	Shards int
-	// Precision selects the storage width of the prepared points (default
-	// Float64). Float32 halves the handle's resident point memory at the
-	// cost of bit-compatibility with Float64 handles — see Precision.
-	Precision Precision
 	// Paper switches every internal constant to the paper's proof values.
 	Paper bool
 	// Placement maps shard partitions onto shard servers — one replica
@@ -87,8 +64,8 @@ type DatasetOptions struct {
 	// pinned by QueryOptions.AtEpoch) that answers bit-identically to a
 	// fresh Open on exactly that epoch's point set. Mutability presumes
 	// the scalable backend — IndexExact is rejected (IndexAuto resolves
-	// scalable) — and Float64 storage (Float32 is rejected). Mutation
-	// spends no budget; releases spend exactly as on an immutable handle.
+	// scalable). Mutation spends no budget; releases spend exactly as on an
+	// immutable handle.
 	// See the package documentation's "Streaming ingestion" section.
 	Mutable bool
 	// Budget is the total (ε, δ) the handle may spend across all queries.
@@ -132,9 +109,6 @@ func (o DatasetOptions) validate() error {
 	if _, err := o.IndexPolicy.core(); err != nil {
 		return err
 	}
-	if o.Precision != Float64 && o.Precision != Float32 {
-		return fmt.Errorf("privcluster: unknown precision %d", o.Precision)
-	}
 	if o.Shards < 0 {
 		return fmt.Errorf("privcluster: shards must be ≥ 0 (0 = automatic), got %d", o.Shards)
 	}
@@ -144,9 +118,6 @@ func (o DatasetOptions) validate() error {
 		}
 	}
 	if o.Mutable {
-		if o.Precision == Float32 {
-			return fmt.Errorf("privcluster: Mutable requires Float64 precision (snapshots promise bit-identity with fresh Float64 opens)")
-		}
 		if o.IndexPolicy == IndexExact {
 			return fmt.Errorf("privcluster: Mutable requires the scalable index (IndexExact has no incremental form)")
 		}
@@ -174,6 +145,38 @@ func (o DatasetOptions) span() float64 {
 
 func (o DatasetOptions) toUnit(x float64) float64   { return (x - o.Min) / o.span() }
 func (o DatasetOptions) fromUnit(x float64) float64 { return o.Min + x*o.span() }
+
+// prepare maps points into the unit cube (Remark 3.3) and snaps them onto
+// grid, row by row straight into a fresh frame — the one preparation Open
+// and Append share, so an appended row is bit-identical to the same row
+// under a fresh Open. For 1-D points it also returns the unit-mapped,
+// unquantized values InteriorPoint runs on, with NaN mapped to 0 (Min) as
+// the grid snap maps it.
+func (o DatasetOptions) prepare(points []Point, grid geometry.Grid) (*vec.Frame, []float64, error) {
+	d := grid.Dim
+	frame := vec.NewFrame(len(points), d)
+	var raw []float64
+	if d == 1 {
+		raw = make([]float64, len(points))
+	}
+	for i, p := range points {
+		if len(p) != d {
+			return nil, nil, fmt.Errorf("privcluster: point %d has dimension %d, want %d", i, len(p), d)
+		}
+		u := frame.Row(i)
+		for j, x := range p {
+			u[j] = o.toUnit(x)
+		}
+		if d == 1 {
+			raw[i] = u[0]
+			if math.IsNaN(raw[i]) {
+				raw[i] = 0
+			}
+		}
+		grid.QuantizeInto(u, u)
+	}
+	return frame, raw, nil
+}
 
 func (o DatasetOptions) profile() core.Profile {
 	p := core.DefaultProfile()
@@ -364,8 +367,8 @@ type Dataset struct {
 	grid geometry.Grid
 	dim  int
 	// frame holds the unit-domain, grid-quantized points in one flat
-	// allocation (float64, or float32 under DatasetOptions.Precision); every
-	// index build and feasibility check sweeps it in place.
+	// allocation; every index build and feasibility check sweeps it in
+	// place.
 	frame *vec.Frame
 	// values holds the original (unit-mapped, unquantized) coordinates of a
 	// 1-D dataset — what InteriorPoint operates on, per Algorithm 3 (which
@@ -439,27 +442,9 @@ func Open(points []Point, o DatasetOptions) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	frame := vec.NewFrame(len(points), d)
-	if o.Precision == Float32 {
-		frame = vec.NewFrame32(len(points), d)
-	}
-	var values []float64
-	if d == 1 {
-		values = make([]float64, len(points))
-	}
-	u := make(vec.Vector, d)
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("privcluster: point %d has dimension %d, want %d", i, len(p), d)
-		}
-		for j, x := range p {
-			u[j] = o.toUnit(x)
-		}
-		if d == 1 {
-			values[i] = u[0]
-		}
-		grid.QuantizeInto(u, u)
-		frame.SetRow(i, u)
+	frame, values, err := o.prepare(points, grid)
+	if err != nil {
+		return nil, err
 	}
 	ds := &Dataset{
 		opts:    o,
@@ -737,7 +722,7 @@ func (ds *Dataset) prepareQuery(ctx context.Context, f *vec.Frame, t, rounds int
 		return q, core.Params{}, fmt.Errorf("privcluster: t=%d out of [1, n=%d]", t, f.N())
 	}
 	prm := ds.params(ctx, t, q)
-	plaus := func(p core.Params) bool { return core.ZeroClusterPlausibleFrame(f, p) }
+	plaus := func(p core.Params) bool { return core.ZeroClusterPlausible(f, p) }
 	if err := checkFeasible(plaus, prm, rounds, q, ds.opts.GridSize); err != nil {
 		return q, core.Params{}, err
 	}
@@ -955,8 +940,11 @@ func (ds *Dataset) InteriorPoint(ctx context.Context, innerN int, q QueryOptions
 	// 1-cluster stage will see — the same check FindCluster gets, run
 	// before any budget is charged. values is kept (or cut) sorted, so the
 	// middle extraction is a slice, not a fresh sort.
-	middle := core.IntPointMiddleSorted(values, innerN)
-	plaus := func(p core.Params) bool { return core.ZeroClusterPlausible(middle, p) }
+	plaus := func(p core.Params) bool {
+		// innerN ≥ 2 one-coordinate rows: the conversion cannot fail.
+		middle, _ := vec.FrameFromVectors(core.IntPointMiddleSorted(values, innerN))
+		return core.ZeroClusterPlausible(middle, p)
+	}
 	if err := checkFeasible(plaus, cprm, 1, q, ds.opts.GridSize); err != nil {
 		return 0, err
 	}
@@ -998,9 +986,8 @@ func (ds *Dataset) InteriorPoint(ctx context.Context, innerN int, q QueryOptions
 // after spending its budget with an opaque promise violation (the flaky
 // t ≈ Γ regime). The one escape is a duplicate-dominated dataset, whose
 // radius-zero path bypasses the search: plausible reports whether the
-// caller's data could fire it at the per-round budget (the handle queries
-// pass core.ZeroClusterPlausibleFrame over the prepared frame; callers
-// holding loose vectors pass a core.ZeroClusterPlausible closure).
+// caller's data could fire it at the per-round budget (a
+// core.ZeroClusterPlausible closure over the frame the query runs on).
 func checkFeasible(plausible func(core.Params) bool, prm core.Params, rounds int, q QueryOptions, gridSize int64) error {
 	if rounds < 1 {
 		rounds = 1

@@ -90,60 +90,6 @@ func TestDatasetMatchesFreeFunctions(t *testing.T) {
 	}
 }
 
-// TestDatasetFloat32Precision covers the opt-in float32 storage mode: it is
-// a distinct release mode (documented as never bit-comparable to Float64),
-// so the contract to pin is internal determinism — the same seed on two
-// independently opened Float32 handles releases the identical cluster, warm
-// and cold — plus validation of unknown precision values.
-func TestDatasetFloat32Precision(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts, _ := plantedPoints(rng, 800, 500, 2, 0.02)
-	o := Options{Epsilon: 4, Delta: 0.05, Seed: 7, GridSize: 1024}
-	do := o.datasetOptions()
-	do.Precision = Float32
-
-	ds1, err := Open(pts, do)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := ds1.FindCluster(context.Background(), 400, o.queryOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Radius <= 0 && !ref.ZeroRadius {
-		t.Fatalf("degenerate release: %+v", ref)
-	}
-	// Warm repeat on the same handle, then a cold repeat on a fresh handle:
-	// all three must agree bit for bit.
-	warm, err := ds1.FindCluster(context.Background(), 400, o.queryOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := Open(pts, do)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := ds2.FindCluster(context.Background(), 400, o.queryOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		label string
-		got   Cluster
-	}{{"warm", warm}, {"fresh handle", cold}} {
-		if tc.got.Radius != ref.Radius || tc.got.RawRadius != ref.RawRadius ||
-			tc.got.Center[0] != ref.Center[0] || tc.got.Center[1] != ref.Center[1] {
-			t.Errorf("%s float32 release differs: %+v vs %+v", tc.label, tc.got, ref)
-		}
-	}
-
-	bad := do
-	bad.Precision = Precision(42)
-	if _, err := Open(pts, bad); err == nil {
-		t.Error("unknown precision accepted")
-	}
-}
-
 // TestDatasetDomainMapping: a handle over a non-unit domain releases in
 // original units, identically to the free function.
 func TestDatasetDomainMapping(t *testing.T) {

@@ -317,8 +317,8 @@
 // # Memory model
 //
 // The data-bearing layers share one representation: internal/vec.Frame, a
-// single contiguous []float64 (or []float32 — below) holding n points of
-// dimension d at stride d. Dataset.Open quantizes straight into a frame;
+// single contiguous []float64 holding n points of dimension d at stride d.
+// Dataset.Open quantizes straight into a frame;
 // index construction, the cell and distance indexes' count sweeps, shard
 // Gather/partition, GoodCenter's projection and rotation passes, the
 // k-means Lloyd loops, and the wire protocol's OPEN payload all run over
@@ -340,17 +340,12 @@
 //     B/op). Buffer reuse never changes releases — only where the
 //     deterministic intermediates live.
 //
-// DatasetOptions.Precision selects the frame's storage width. The default
-// Float64 is the paper-faithful mode every bit-for-bit guarantee refers
-// to. Float32 halves resident point memory: coordinates are stored rounded
-// to float32 and up-converted exactly to float64 for all arithmetic, so a
-// Float32 handle is internally consistent (same seed, same release —
-// locally and over remote shards, whose wire format carries the exact
-// up-converted values). But it is a distinct release mode: its outputs are
-// never bit-comparable to a Float64 handle's, and grids finer than
-// float32's 24-bit mantissa (|X| ≳ 2²⁴) alias adjacent grid values. Use it
-// when memory is the binding constraint and the grid is coarse; never
-// compare its releases against Float64 baselines.
+// Points are snapped onto the grid at Open and Append: each coordinate is
+// clamped to the domain [Min, Max] and rounded to the nearest grid value.
+// A NaN coordinate clamps to Min like any other out-of-domain value, so no
+// NaN reaches a distance or a count.
+//
+// Float32 handles: drop the option (frames store float64 only).
 //
 // # Errors and the feasible t/ε regime
 //

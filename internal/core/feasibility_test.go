@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"privcluster/internal/dp"
@@ -68,16 +70,59 @@ func TestZeroClusterPlausible(t *testing.T) {
 			dups[i] = grid.Quantize(vec.Of(rng.Float64(), rng.Float64()))
 		}
 	}
-	if !ZeroClusterPlausible(dups, prm) {
+	if !ZeroClusterPlausible(vec.FrameOf(dups...), prm) {
 		t.Error("500 duplicates at t=400 not recognized as a zero-cluster candidate")
 	}
 
 	inst := plantedInstance(t, rng, grid, 600, 400, 0.05)
-	if ZeroClusterPlausible(inst.Points, prm) {
+	if ZeroClusterPlausible(vec.FrameOf(inst.Points...), prm) {
 		t.Error("spread-out planted data misread as a zero-cluster candidate")
 	}
 	if ZeroClusterPlausible(nil, prm) {
 		t.Error("empty input misread as a zero-cluster candidate")
+	}
+}
+
+// TestZeroRadiusLMatchesClassFormula pins L(0) read off the per-row
+// duplicate table against the per-class formula (classes by bitwise
+// equality, largest first, each of a class's m points scoring min(m, t)
+// until t points are taken), on rows with classes of several sizes, −0 and
+// +0 rows that must stay distinct, and t below, at and above n.
+func TestZeroRadiusLMatchesClassFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	negZero := math.Copysign(0, -1)
+	var rows []vec.Vector
+	for c, size := range []int{9, 5, 5, 3, 1, 1} {
+		for k := 0; k < size; k++ {
+			rows = append(rows, vec.Of(float64(c)/8, 0.25))
+		}
+	}
+	rows = append(rows, vec.Of(0, 0), vec.Of(negZero, 0), vec.Of(negZero, 0))
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	f := vec.FrameOf(rows...)
+
+	mult := make(map[[2]uint64]int)
+	for _, r := range rows {
+		mult[[2]uint64{math.Float64bits(r[0]), math.Float64bits(r[1])}]++
+	}
+	var ms []int
+	for _, m := range mult {
+		ms = append(ms, m)
+	}
+	slices.SortFunc(ms, func(a, b int) int { return b - a })
+	for _, tt := range []int{1, 2, 4, 7, 10, 20, len(rows), 40} {
+		remaining, sum := tt, 0.0
+		for _, m := range ms {
+			if remaining <= 0 {
+				break
+			}
+			take := min(m, remaining)
+			sum += float64(take) * float64(min(m, tt))
+			remaining -= take
+		}
+		if got, want := zeroRadiusL(f, tt), sum/float64(tt); got != want {
+			t.Errorf("t=%d: zeroRadiusL = %v, per-class formula %v", tt, got, want)
+		}
 	}
 }
 

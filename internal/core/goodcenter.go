@@ -62,8 +62,7 @@ var (
 //
 // The points arrive as a flat frame — the representation the ball indexes
 // already hold, so the pipeline's hot path never materializes per-point
-// slices. Float32 frames are promoted to float64 once up front (exact);
-// every pass then runs on no-copy row views. When prm.Scratch is set, the
+// slices: every pass runs on no-copy row views. When prm.Scratch is set, the
 // per-query buffers (box keys, histograms, the rotation buffer) are
 // borrowed from it, making warm repeated queries allocate close to nothing
 // here.
@@ -71,7 +70,6 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 	if points == nil || points.N() == 0 {
 		return CenterResult{}, fmt.Errorf("%w: GoodCenter needs at least one point", ErrNoData)
 	}
-	points = points.Promote()
 	prm.setDefaults()
 	n := points.N()
 	if err := prm.Validate(n); err != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"privcluster/internal/dp"
@@ -103,58 +105,14 @@ func GoodRadius(rng *rand.Rand, ix geometry.BallIndex, prm Params) (RadiusResult
 // of the Step-2 threshold. The radius-zero path bypasses the RecConcave
 // search entirely, so it is the one data shape for which a t below
 // MinFeasibleT still succeeds end to end; the pre-flight feasibility check
-// consults this before rejecting.
-func ZeroClusterPlausible(points []vec.Vector, prm Params) bool {
-	if len(points) == 0 {
-		return false
-	}
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		// Ragged input has no consistent duplicate structure; the legacy
-		// behavior for it was also "not plausible".
-		return false
-	}
-	return ZeroClusterPlausibleFrame(f, prm)
-}
-
-// ZeroClusterPlausibleFrame is ZeroClusterPlausible on a flat frame, keying
-// the duplicate table by the frame's canonical row keys (identical bytes to
-// the legacy per-point encoding, so the decision is unchanged).
-func ZeroClusterPlausibleFrame(f *vec.Frame, prm Params) bool {
+// consults this before rejecting. A nil or empty frame is never plausible.
+func ZeroClusterPlausible(f *vec.Frame, prm Params) bool {
 	prm.setDefaults()
 	t := prm.T
 	if t < 1 || f == nil || f.N() == 0 {
 		return false
 	}
-	mult := make(map[string]int, f.N())
-	buf := make([]byte, 0, 8*f.Dim())
-	for i := 0; i < f.N(); i++ {
-		mult[string(f.AppendRowKey(buf[:0], i))]++
-	}
-	ms := make([]int, 0, len(mult))
-	for _, m := range mult {
-		ms = append(ms, m)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ms)))
-	// L(0): each of a class's m points scores min(m, t); average the top t.
-	remaining := t
-	sum := 0.0
-	for _, m := range ms {
-		if remaining <= 0 {
-			break
-		}
-		take := m
-		if take > remaining {
-			take = remaining
-		}
-		v := m
-		if v > t {
-			v = t
-		}
-		sum += float64(take) * float64(v)
-		remaining -= take
-	}
-	l0 := sum / float64(t)
+	l0 := zeroRadiusL(f, t)
 
 	half := prm
 	half.Privacy = prm.Privacy.Scale(0.5)
@@ -163,6 +121,19 @@ func ZeroClusterPlausibleFrame(f *vec.Frame, prm Params) bool {
 	// Step 2 fires when L(0) + Lap(4/ε) > t − 2Γ − margin; grant one extra
 	// margin width of helpful noise so borderline datasets get to try.
 	return l0 > float64(t)-2*half.Gamma()-2*margin
+}
+
+// zeroRadiusL is L(0, S) = Σ_{i<t} min(s_i, t) / t over the per-row
+// duplicate counts s in descending order: each point scores its class size
+// capped at t, and the top t scores are averaged.
+func zeroRadiusL(f *vec.Frame, t int) float64 {
+	s := geometry.DupCounts(f, f, nil)
+	slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(b, a) })
+	var sum int64
+	for _, m := range s[:min(t, len(s))] {
+		sum += int64(min(int(m), t))
+	}
+	return float64(sum) / float64(t)
 }
 
 // buildRadiusQuality materializes Q(r_k, S) over radius-grid indices

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,13 +11,13 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"privcluster"
 	"privcluster/internal/ledger"
 	"privcluster/internal/obs"
+	"privcluster/internal/vec"
 )
 
 // Server is one privclusterd instance: the opened datasets, the durable
@@ -106,7 +105,7 @@ func openDataset(dc DatasetConfig, adm privcluster.Admitter) (*privcluster.Datas
 	if err != nil {
 		return nil, err
 	}
-	pts, err := readPoints(f)
+	pts, err := vec.ReadCSV(f)
 	f.Close()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dc.CSV, err)
@@ -125,39 +124,6 @@ func openDataset(dc DatasetConfig, adm privcluster.Admitter) (*privcluster.Datas
 		Mutable:   dc.Mutable,
 		Admitter:  adm,
 	})
-}
-
-// readPoints parses the CSV format the rest of the module reads: one
-// point per line, comma-separated coordinates, blank lines and
-// #-comments skipped.
-func readPoints(r io.Reader) ([]privcluster.Point, error) {
-	var points []privcluster.Point
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		p := make(privcluster.Point, len(fields))
-		for i, f := range fields {
-			x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			p[i] = x
-		}
-		points = append(points, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("no points in input")
-	}
-	return points, nil
 }
 
 // Start binds the configured listen address (and the admin address, when

@@ -371,3 +371,67 @@ func TestNoisyAverageZeroDiameter(t *testing.T) {
 		t.Errorf("zero-diameter average = %v, want exactly (3,4)", res.Average)
 	}
 }
+
+// TestNoisyAverageRowsMatchesNoisyAverage pins the frame entry point
+// against the vector one: over ids that are in the ball, out of it and
+// repeated, NoisyAverageRows on a frame and NoisyAverage on the gathered
+// rows must consume the same noise and release bit-identical results,
+// aborts included.
+func TestNoisyAverageRowsMatchesNoisyAverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const n, d = 400, 3
+	center := vec.Of(0.5, 0.5, 0.5)
+	f := vec.NewFrame(n, d)
+	for i := 0; i < n; i++ {
+		row := f.Row(i)
+		for j := range row {
+			if i%3 == 0 {
+				row[j] = rng.Float64() // mostly outside a small ball
+			} else {
+				row[j] = center[j] + 0.1*(rng.Float64()-0.5)
+			}
+		}
+	}
+	f.SetRow(1, center) // a row at distance exactly 0
+	aborts := 0
+	for _, tc := range []struct {
+		radius float64
+		ids    int // number of ids drawn (with repeats)
+		seed   int64
+	}{
+		{0.1, 600, 1}, {0.3, 250, 2}, {0.05, 40, 3}, {0, 30, 4}, {0.1, 3, 5},
+	} {
+		ids := make([]int, tc.ids)
+		for k := range ids {
+			ids[k] = rng.Intn(n)
+		}
+		ids = append(ids, ids[0], 1, 1) // explicit repeats
+		gathered := make([]vec.Vector, len(ids))
+		for k, id := range ids {
+			gathered[k] = f.Row(id)
+		}
+		want, err := NoisyAverage(rand.New(rand.NewSource(tc.seed)), gathered, center, tc.radius, Params{1, 1e-6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NoisyAverageRows(rand.New(rand.NewSource(tc.seed)), f, ids, center, tc.radius, Params{1, 1e-6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Aborted != want.Aborted || got.Count != want.Count ||
+			math.Float64bits(got.Sigma) != math.Float64bits(want.Sigma) || len(got.Average) != len(want.Average) {
+			t.Fatalf("radius %v: rows %+v, vectors %+v", tc.radius, got, want)
+		}
+		for j := range got.Average {
+			if math.Float64bits(got.Average[j]) != math.Float64bits(want.Average[j]) {
+				t.Fatalf("radius %v: average %v, want %v", tc.radius, got.Average, want.Average)
+			}
+		}
+		if got.Aborted {
+			aborts++
+		}
+	}
+	if aborts == 0 || aborts == 5 {
+		t.Fatalf("%d of 5 cases aborted; want both outcomes covered", aborts)
+	}
+}

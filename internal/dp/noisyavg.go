@@ -70,7 +70,7 @@ func NoisyAverage(rng *rand.Rand, vectors []vec.Vector, center vec.Vector, radiu
 // NoisyAverageRows is NoisyAverage over rows ids of a frame: the same
 // mechanism consuming the same noise stream — releases are bit-identical to
 // calling NoisyAverage on the gathered vectors — without materializing the
-// gather. Float32 rows are decoded through one scratch buffer.
+// gather.
 func NoisyAverageRows(rng *rand.Rand, f *vec.Frame, ids []int, center vec.Vector, radius float64, p Params) (NoisyAverageResult, error) {
 	if err := p.Validate(); err != nil {
 		return NoisyAverageResult{}, err
@@ -87,13 +87,11 @@ func NoisyAverageRows(rng *rand.Rand, f *vec.Frame, ids []int, center vec.Vector
 	}
 
 	var sum vec.Vector = make(vec.Vector, d)
-	var scratch vec.Vector
 	m := 0
 	for _, id := range ids {
 		// Same selection comparison as NoisyAverage: √distSq against radius.
 		if math.Sqrt(f.DistSq(id, center)) <= radius {
-			row := f.RowView(id, scratch)
-			scratch = row
+			row := f.Row(id)
 			for j := range sum {
 				sum[j] += row[j] - center[j]
 			}

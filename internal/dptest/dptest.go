@@ -5,11 +5,12 @@
 // slack. A failed audit proves a privacy bug; a passing audit is evidence
 // (not proof) that the implementation matches its analysis.
 //
-// The audit is used by tests across the repository to smoke-test every
-// mechanism: the Laplace and Gaussian mechanisms, the exponential
-// mechanism, report-noisy-max, the stability histogram, AboveThreshold and
-// NoisyAVG. It would have caught, for example, the classic bug of scaling
-// noise to ε instead of sensitivity/ε, or a forgotten noise draw.
+// This package's own tests run the audit against the real mechanisms of
+// the dp, noise, stability and svt packages: the Laplace and Gaussian
+// mechanisms, the exponential mechanism, report-noisy-max, the stability
+// histogram, AboveThreshold and NoisyAVG. It would have caught, for
+// example, the classic bug of scaling noise to ε instead of sensitivity/ε,
+// or a forgotten noise draw.
 package dptest
 
 import (

@@ -242,7 +242,7 @@ func NewCellIndexFrame(f *vec.Frame, opts CellIndexOptions) (*CellIndex, error) 
 	if f == nil || f.N() == 0 {
 		return nil, fmt.Errorf("geometry: cell index over empty point set")
 	}
-	n, d := f.N(), f.Dim()
+	d := f.Dim()
 	opts = opts.withDefaults(d)
 	ix := &CellIndex{
 		frame: f,
@@ -253,25 +253,9 @@ func NewCellIndexFrame(f *vec.Frame, opts CellIndexOptions) (*CellIndex, error) 
 
 	// The data's bounding box, then the exact duplicate table (the radius-0
 	// counts) unless the caller keeps its own.
-	var rowBuf vec.Vector
-	if f.Precision() == vec.Float32 {
-		rowBuf = make(vec.Vector, d)
-	}
-	first := f.RowView(0, rowBuf)
-	lo, hi := first.Clone(), first.Clone()
-	for i := 1; i < n; i++ {
-		p := f.RowView(i, rowBuf)
-		for a, x := range p {
-			if x < lo[a] {
-				lo[a] = x
-			}
-			if x > hi[a] {
-				hi[a] = x
-			}
-		}
-	}
+	lo, hi := frameBox(f)
 	if !opts.skipDupTable {
-		ix.dupCount = dupCounts(f, f, nil)
+		ix.dupCount = DupCounts(f, f, nil)
 	}
 
 	lad, err := newRadiusLadder(opts, d, hi.Dist(lo))
@@ -281,6 +265,28 @@ func NewCellIndexFrame(f *vec.Frame, opts CellIndexOptions) (*CellIndex, error) 
 	ix.lad = lad
 	ix.levels = make([]*cellLevel, ix.lad.top+1)
 	return ix, nil
+}
+
+// frameBox returns the per-axis bounding box of f's rows; f must be
+// nonempty.
+func frameBox(f *vec.Frame) (lo, hi vec.Vector) {
+	lo, hi = f.Row(0).Clone(), f.Row(0).Clone()
+	growBox(lo, hi, f)
+	return lo, hi
+}
+
+// growBox widens the box [lo, hi] in place to cover every row of f.
+func growBox(lo, hi vec.Vector, f *vec.Frame) {
+	for i := 0; i < f.N(); i++ {
+		for a, x := range f.Row(i) {
+			if x < lo[a] {
+				lo[a] = x
+			}
+			if x > hi[a] {
+				hi[a] = x
+			}
+		}
+	}
 }
 
 // N returns the number of indexed points.
@@ -340,13 +346,9 @@ func newCellLevel(f *vec.Frame, side float64) *cellLevel {
 	n, d := f.N(), f.Dim()
 	lv := &cellLevel{side: side, dim: d, lo: make([]int64, d), hi: make([]int64, d)}
 	pc := make([]int64, n*d) // row i's cell coordinates are pc[i·d:(i+1)·d]
-	var rowBuf vec.Vector
-	if f.Precision() == vec.Float32 {
-		rowBuf = make(vec.Vector, d)
-	}
 	for i := 0; i < n; i++ {
 		c := pc[i*d : (i+1)*d]
-		for a, x := range f.RowView(i, rowBuf) {
+		for a, x := range f.Row(i) {
 			c[a] = int64(math.Floor(x / side))
 		}
 	}
@@ -439,15 +441,13 @@ func cmpCoords(a, b []int64) int {
 }
 
 // cellScratch holds per-worker query buffers: the odometer state and run
-// cursors of the candidate enumeration plus two row-decode buffers (center
-// for synthetic query points, row for float32 source-row decoding). All
-// count passes thread one of these through, so a warm pass allocates
-// nothing per cell.
+// cursors of the candidate enumeration plus a center buffer for synthetic
+// query points. All count passes thread one of these through, so a warm pass
+// allocates nothing per cell.
 type cellScratch struct {
 	lo, hi, cur []int64
 	cursor      []int32 // last run start per higher-axis block offset (see forCandidates)
 	center      vec.Vector
-	row         vec.Vector
 }
 
 func newCellScratch(d int) *cellScratch {
@@ -456,7 +456,6 @@ func newCellScratch(d int) *cellScratch {
 		hi:     make([]int64, d),
 		cur:    make([]int64, d),
 		center: make(vec.Vector, d),
-		row:    make(vec.Vector, d),
 	}
 }
 
@@ -706,7 +705,7 @@ func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcCoord []int64, srcID
 				if out[gid] >= limit {
 					continue
 				}
-				if n := out[gid] + bucketCount(coord, size, side, src.RowView(int(pid), sc.row), rsq); n < limit {
+				if n := out[gid] + bucketCount(coord, size, side, src.Row(int(pid)), rsq); n < limit {
 					out[gid] = n
 				} else {
 					out[gid] = limit

@@ -2,6 +2,7 @@ package geometry
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,21 +28,17 @@ func oracleCells(f *vec.Frame, side float64) map[string][]int32 {
 	return cells
 }
 
-// layoutTestFrame fills an n-row frame of the given precision with random
-// points in [-1, 1)^d (negative coordinates included), a tight cluster
-// holding most rows (so one cell dominates at coarse sides), rows lying
-// exactly on cell edges (integer multiples of side), and duplicates of
-// earlier rows.
-func layoutTestFrame(rng *rand.Rand, n, d int, side float64, prec vec.Precision) *vec.Frame {
+// layoutTestFrame fills an n-row frame with random points in [-1, 1)^d
+// (negative coordinates included), a tight cluster holding most rows (so one
+// cell dominates at coarse sides), rows lying exactly on cell edges (integer
+// multiples of side), and duplicates of earlier rows.
+func layoutTestFrame(rng *rand.Rand, n, d int, side float64) *vec.Frame {
 	f := vec.NewFrame(n, d)
-	if prec == vec.Float32 {
-		f = vec.NewFrame32(n, d)
-	}
 	row := make(vec.Vector, d)
 	for i := 0; i < n; i++ {
 		switch {
 		case i > 0 && i%7 == 0: // duplicate of an earlier row
-			f.RowView(rng.Intn(i), row)
+			copy(row, f.Row(rng.Intn(i)))
 		case i%5 == 0: // exactly on a cell edge on every axis
 			for a := range row {
 				row[a] = float64(rng.Intn(9)-4) * side
@@ -68,13 +65,11 @@ func layoutTestFrame(rng *rand.Rand, n, d int, side float64, prec vec.Precision)
 func TestCellLevelLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, d := range []int{1, 2, 3, 5} {
-		for _, prec := range []vec.Precision{vec.Float64, vec.Float32} {
-			for _, side := range []float64{1.0 / 4096, 1.0 / 64, 0.25, 1.5} {
-				tag := fmt.Sprintf("d=%d %v side=%g", d, prec, side)
-				f := layoutTestFrame(rng, 600, d, side, prec)
-				lv := newCellLevel(f, side)
-				checkCellLevel(t, tag, f, lv)
-			}
+		for _, side := range []float64{1.0 / 4096, 1.0 / 64, 0.25, 1.5} {
+			tag := fmt.Sprintf("d=%d side=%g", d, side)
+			f := layoutTestFrame(rng, 600, d, side)
+			lv := newCellLevel(f, side)
+			checkCellLevel(t, tag, f, lv)
 		}
 	}
 }
@@ -126,50 +121,58 @@ func checkCellLevel(t *testing.T, tag string, f *vec.Frame, lv *cellLevel) {
 	}
 }
 
+// rowKey is a row's little-endian float64 bit patterns: a map key whose
+// equality classes are bitwise, the oracle the duplicate table must match.
+func rowKey(f *vec.Frame, i int) string {
+	var b []byte
+	for _, x := range f.Row(i) {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return string(b)
+}
+
 // TestDupTablesMatchRowKeys checks the sort-based duplicate table against
-// a map keyed by vec.Frame.AppendRowKey, whose bitwise equality classes it
-// must reproduce exactly (−0 and +0 are distinct rows), both over every row
-// and over a member subset.
+// a map keyed by rowKey, whose bitwise equality classes it must reproduce
+// exactly (−0 and +0 are distinct rows), both over every row and over a
+// member subset.
 func TestDupTablesMatchRowKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, d := range []int{1, 2, 3} {
-		for _, prec := range []vec.Precision{vec.Float64, vec.Float32} {
-			tag := fmt.Sprintf("d=%d %v", d, prec)
-			f := layoutTestFrame(rng, 400, d, 0.25, prec)
-			f.SetRow(1, make(vec.Vector, d)) // +0
-			negZero := make(vec.Vector, d)
-			negZero[0] = math.Copysign(0, -1)
-			f.SetRow(2, negZero)
-			f.SetRow(3, negZero)
+		tag := fmt.Sprintf("d=%d", d)
+		f := layoutTestFrame(rng, 400, d, 0.25)
+		f.SetRow(1, make(vec.Vector, d)) // +0
+		negZero := make(vec.Vector, d)
+		negZero[0] = math.Copysign(0, -1)
+		f.SetRow(2, negZero)
+		f.SetRow(3, negZero)
 
-			// Members: every row, then every third row.
-			var third []int32
-			for i := 0; i < f.N(); i += 3 {
-				third = append(third, int32(i))
-			}
-			orig := slices.Clone(third)
-			for _, members := range [][]int32{nil, third} {
-				keys := make(map[string]int32)
-				for i := 0; i < f.N(); i++ {
-					if members == nil || slices.Contains(members, int32(i)) {
-						keys[string(f.AppendRowKey(nil, i))]++
-					}
-				}
-				got := dupCounts(f, f, members)
-				for i := 0; i < f.N(); i++ {
-					if want := keys[string(f.AppendRowKey(nil, i))]; got[i] != want {
-						t.Fatalf("%s members=%d: dupCounts[%d] = %d, want %d", tag, len(members), i, got[i], want)
-					}
-				}
-				// Rows 2 and 3 are the only −0 rows; row 1 (+0) must not
-				// join them.
-				if members == nil && got[2] != 2 {
-					t.Fatalf("%s: −0 row class has %d rows, want 2", tag, got[2])
+		// Members: every row, then every third row.
+		var third []int32
+		for i := 0; i < f.N(); i += 3 {
+			third = append(third, int32(i))
+		}
+		orig := slices.Clone(third)
+		for _, members := range [][]int32{nil, third} {
+			keys := make(map[string]int32)
+			for i := 0; i < f.N(); i++ {
+				if members == nil || slices.Contains(members, int32(i)) {
+					keys[rowKey(f, i)]++
 				}
 			}
-			if !slices.Equal(third, orig) {
-				t.Fatalf("%s: dupCounts reordered its member list", tag)
+			got := DupCounts(f, f, members)
+			for i := 0; i < f.N(); i++ {
+				if want := keys[rowKey(f, i)]; got[i] != want {
+					t.Fatalf("%s members=%d: DupCounts[%d] = %d, want %d", tag, len(members), i, got[i], want)
+				}
 			}
+			// Rows 2 and 3 are the only −0 rows; row 1 (+0) must not join
+			// them.
+			if members == nil && got[2] != 2 {
+				t.Fatalf("%s: −0 row class has %d rows, want 2", tag, got[2])
+			}
+		}
+		if !slices.Equal(third, orig) {
+			t.Fatalf("%s: DupCounts reordered its member list", tag)
 		}
 	}
 }

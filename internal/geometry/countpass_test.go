@@ -256,7 +256,7 @@ func TestForCandidatesCursors(t *testing.T) {
 		if d == 5 {
 			n = 4000
 		}
-		f := layoutTestFrame(rng, n, d, 1.0/64, vec.Float64)
+		f := layoutTestFrame(rng, n, d, 1.0/64)
 		if d == 5 {
 			// In d = 5 a block has up to 11⁴ runs, so only a frame this
 			// dense in a box this small has levels where blocks (clamped to
@@ -328,7 +328,7 @@ func cubeFrame(rng *rand.Rand, n, d int, side float64) *vec.Frame {
 	for i := 0; i < n; i++ {
 		switch {
 		case i > 0 && i%7 == 0:
-			f.RowView(rng.Intn(i), row)
+			copy(row, f.Row(rng.Intn(i)))
 		case i%5 == 0:
 			for a := range row {
 				row[a] = float64(rng.Intn(int(1/side))) * side
@@ -361,7 +361,7 @@ func FuzzForCandidates(f *testing.F) {
 		d := 1 + int(dim)%6
 		n := 2 + int(rows)%300
 		rng := rand.New(rand.NewSource(seed))
-		fr := layoutTestFrame(rng, n, d, 1.0/float64(1+rng.Intn(128)), vec.Float64)
+		fr := layoutTestFrame(rng, n, d, 1.0/float64(1+rng.Intn(128)))
 		opts := CellIndexOptions{Workers: 1, CellsPerRadius: 1 + int(cpr)%12}
 		all, err := NewCellIndexFrame(fr, opts)
 		if err != nil {

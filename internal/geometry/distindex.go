@@ -69,10 +69,9 @@ func NewDistanceIndexFrame(f *vec.Frame) (*DistanceIndex, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := make(vec.Vector, f.Dim())
 			for i := range rows {
 				row := idx.sorted[i]
-				f.DistSqInto(f.RowView(i, scratch), row)
+				f.DistSqInto(f.Row(i), row)
 				for j, s := range row {
 					row[j] = math.Sqrt(s)
 				}

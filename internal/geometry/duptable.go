@@ -9,9 +9,8 @@ import (
 )
 
 // cmpRowKeys orders row i of f against row j of g by their per-axis float64
-// bit patterns. Its equality classes are exactly those of
-// vec.Frame.AppendRowKey (bitwise, so −0 ≠ +0, and Float32 rows compare by
-// their exact float64 upconversion); the order itself carries no meaning.
+// bit patterns. Its equality classes are bitwise (so −0 ≠ +0); the order
+// itself carries no meaning.
 func cmpRowKeys(f *vec.Frame, i int, g *vec.Frame, j int) int {
 	for a := 0; a < f.Dim(); a++ {
 		if c := cmp.Compare(math.Float64bits(f.At(i, a)), math.Float64bits(g.At(j, a))); c != 0 {
@@ -21,13 +20,13 @@ func cmpRowKeys(f *vec.Frame, i int, g *vec.Frame, j int) int {
 	return 0
 }
 
-// dupCounts is the duplicate table (the exact radius-0 counts): for every
+// DupCounts is the duplicate table (the exact radius-0 counts): for every
 // row of pts, the number of member rows bitwise identical to it, where the
 // members are the rows of mem listed in memRows, or every row of mem when
 // memRows is nil (memRows is not modified). The members are sorted into
 // equality classes under cmpRowKeys and each row of pts binary-searches
 // its class, so no per-row key is materialized.
-func dupCounts(pts, mem *vec.Frame, memRows []int32) []int32 {
+func DupCounts(pts, mem *vec.Frame, memRows []int32) []int32 {
 	var rows []int32
 	if memRows != nil {
 		rows = slices.Clone(memRows)

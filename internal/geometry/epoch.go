@@ -187,9 +187,6 @@ func newMutableCellIndexIDs(points *vec.Frame, ids []uint64, nextID uint64, opts
 	if points == nil || points.N() == 0 {
 		return nil, fmt.Errorf("geometry: mutable index over empty point set")
 	}
-	if points.Precision() != vec.Float64 {
-		return nil, fmt.Errorf("geometry: mutable index requires float64 points")
-	}
 	if len(ids) != points.N() {
 		return nil, fmt.Errorf("geometry: %d ids for %d points", len(ids), points.N())
 	}
@@ -200,18 +197,7 @@ func newMutableCellIndexIDs(points *vec.Frame, ids []uint64, nextID uint64, opts
 		return nil, err
 	}
 
-	first := points.Row(0)
-	lo, hi := first.Clone(), first.Clone()
-	for i := 0; i < n; i++ {
-		for a, x := range points.Row(i) {
-			if x < lo[a] {
-				lo[a] = x
-			}
-			if x > hi[a] {
-				hi[a] = x
-			}
-		}
-	}
+	lo, hi := frameBox(points)
 	if diag := hi.Dist(lo); diag > lad.maxR {
 		return nil, fmt.Errorf("geometry: bounding-box diagonal %g exceeds MaxRadius %g: %w", diag, lad.maxR, ErrOutOfDomain)
 	}
@@ -306,9 +292,6 @@ func (m *MutableCellIndex) appendLocked(rows *vec.Frame, ids []uint64) (Epoch, e
 		if rows.Dim() != m.dim {
 			return 0, fmt.Errorf("geometry: append of dimension %d onto a %d-dimensional index", rows.Dim(), m.dim)
 		}
-		if rows.Precision() != vec.Float64 {
-			return 0, fmt.Errorf("geometry: mutable index requires float64 rows")
-		}
 		if len(ids) != rows.N() {
 			return 0, fmt.Errorf("geometry: %d ids for %d appended rows", len(ids), rows.N())
 		}
@@ -323,16 +306,7 @@ func (m *MutableCellIndex) appendLocked(rows *vec.Frame, ids []uint64) (Epoch, e
 		// pinned, so rows stretching the bounding box past it must be
 		// rejected atomically.
 		lo, hi := m.lo.Clone(), m.hi.Clone()
-		for i := 0; i < rows.N(); i++ {
-			for a, x := range rows.Row(i) {
-				if x < lo[a] {
-					lo[a] = x
-				}
-				if x > hi[a] {
-					hi[a] = x
-				}
-			}
-		}
+		growBox(lo, hi, rows)
 		if diag := hi.Dist(lo); diag > m.lad.maxR {
 			return 0, fmt.Errorf("geometry: appended rows stretch the bounding-box diagonal to %g, beyond MaxRadius %g: %w", diag, m.lad.maxR, ErrOutOfDomain)
 		}
@@ -465,18 +439,7 @@ func (m *MutableCellIndex) deleteLocked(ids []uint64, strict bool) (Epoch, error
 			// Recompute the bounding box over the survivors — the running
 			// box is conservative (it kept deleted extremes), and we are
 			// O(n) here anyway.
-			first := nf.Row(0)
-			m.lo, m.hi = first.Clone(), first.Clone()
-			for i := 0; i < nf.N(); i++ {
-				for a, x := range nf.Row(i) {
-					if x < m.lo[a] {
-						m.lo[a] = x
-					}
-					if x > m.hi[a] {
-						m.hi[a] = x
-					}
-				}
-			}
+			m.lo, m.hi = frameBox(nf)
 		}
 	}
 	m.advanceLocked()
@@ -581,7 +544,7 @@ func (m *MutableCellIndex) buildView(ev *epochView) (*ShardedIndex, error) {
 	}
 	var dup []int32
 	if !m.opts.skipDupTable {
-		dup = dupCounts(frame, frame, nil)
+		dup = DupCounts(frame, frame, nil)
 	}
 	return newShardedView(frame, m.opts, m.lad, shards, nil, EpochFrozen, dup), nil
 }

@@ -173,7 +173,7 @@ func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32
 	if err != nil {
 		return nil, err
 	}
-	out := dupCounts(srcView.Frame(), memView.Frame(), nil)
+	out := DupCounts(srcView.Frame(), memView.Frame(), nil)
 
 	s.mu.Lock()
 	if _, ok := s.dups[epoch]; !ok {
@@ -351,18 +351,7 @@ func NewMutableShardedIndexBackends(ctx context.Context, points *vec.Frame, opts
 		return nil, err
 	}
 
-	first := points.Row(0)
-	lo, hi := first.Clone(), first.Clone()
-	for i := 0; i < n; i++ {
-		for a, x := range points.Row(i) {
-			if x < lo[a] {
-				lo[a] = x
-			}
-			if x > hi[a] {
-				hi[a] = x
-			}
-		}
-	}
+	lo, hi := frameBox(points)
 	if diag := hi.Dist(lo); diag > lad.maxR {
 		return nil, fmt.Errorf("geometry: bounding-box diagonal %g exceeds MaxRadius %g: %w", diag, lad.maxR, ErrOutOfDomain)
 	}
@@ -459,9 +448,6 @@ func (m *MutableShardedIndex) Append(ctx context.Context, rows *vec.Frame) ([]ui
 	if rows == nil || rows.N() == 0 {
 		return nil, 0, fmt.Errorf("geometry: append of no rows")
 	}
-	if rows.Precision() != vec.Float64 {
-		return nil, 0, fmt.Errorf("geometry: mutable index requires float64 rows")
-	}
 	if rows.Dim() != m.dim {
 		return nil, 0, fmt.Errorf("geometry: append of dimension %d onto a %d-dimensional index", rows.Dim(), m.dim)
 	}
@@ -472,16 +458,7 @@ func (m *MutableShardedIndex) Append(ctx context.Context, rows *vec.Frame) ([]ui
 		return nil, 0, err
 	}
 	lo, hi := m.lo.Clone(), m.hi.Clone()
-	for i := 0; i < k; i++ {
-		for a, x := range rows.Row(i) {
-			if x < lo[a] {
-				lo[a] = x
-			}
-			if x > hi[a] {
-				hi[a] = x
-			}
-		}
-	}
+	growBox(lo, hi, rows)
 	if diag := hi.Dist(lo); diag > m.lad.maxR {
 		return nil, 0, fmt.Errorf("geometry: appended rows stretch the bounding-box diagonal to %g, beyond MaxRadius %g: %w", diag, m.lad.maxR, ErrOutOfDomain)
 	}
@@ -614,18 +591,7 @@ func (m *MutableShardedIndex) Delete(ctx context.Context, ids []uint64) (Epoch, 
 	for si := range m.counts {
 		m.counts[si] -= lost[si]
 	}
-	first := nf.Row(0)
-	m.lo, m.hi = first.Clone(), first.Clone()
-	for i := 0; i < nf.N(); i++ {
-		for a, x := range nf.Row(i) {
-			if x < m.lo[a] {
-				m.lo[a] = x
-			}
-			if x > m.hi[a] {
-				m.hi[a] = x
-			}
-		}
-	}
+	m.lo, m.hi = frameBox(nf)
 	m.epoch = want
 	m.firstEpoch = want
 	m.rowsAt = []int{nf.N()}

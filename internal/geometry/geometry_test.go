@@ -47,6 +47,22 @@ func TestQuantizeSnapsAndClamps(t *testing.T) {
 	}
 }
 
+// TestQuantizeNaNClampsToZero: NaN is out of the domain like ±Inf and
+// clamps to 0, so the snapped point is on the grid and no NaN reaches a
+// distance or a count.
+func TestQuantizeNaNClampsToZero(t *testing.T) {
+	g, _ := NewGrid(5, 4)
+	got := g.Quantize(vec.Of(math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1)))
+	for j, want := range []float64{0, 0, 1, 0} {
+		if math.Float64bits(got[j]) != math.Float64bits(want) {
+			t.Errorf("coord %d = %v, want %v", j, got[j], want)
+		}
+	}
+	if !g.OnGrid(got) {
+		t.Errorf("%v not on the grid", got)
+	}
+}
+
 func TestQuantizeIdempotent(t *testing.T) {
 	g, _ := NewGrid(17, 3)
 	f := func(a, b, c float64) bool {

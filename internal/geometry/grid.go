@@ -38,7 +38,8 @@ func NewGrid(size int64, dim int) (Grid, error) {
 func (g Grid) Step() float64 { return 1 / float64(g.Size-1) }
 
 // Quantize snaps v onto the grid: each coordinate is clamped to [0, 1] and
-// rounded to the nearest multiple of Step.
+// rounded to the nearest multiple of Step. NaN clamps to 0 like any other
+// out-of-domain value, so no NaN ever reaches a distance or a count.
 func (g Grid) Quantize(v vec.Vector) vec.Vector {
 	out := make(vec.Vector, len(v))
 	g.QuantizeInto(out, v)
@@ -57,7 +58,10 @@ func (g Grid) QuantizeInto(dst, v vec.Vector) {
 	}
 	s := g.Step()
 	for i, x := range v {
-		x = math.Max(0, math.Min(1, x))
+		if !(x > 0) { // also NaN
+			x = 0
+		}
+		x = math.Min(1, x)
 		dst[i] = math.Round(x/s) * s
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"privcluster/internal/vec"
 )
 
 // ctxOrBackground normalizes the "nil means never cancel" contract the
@@ -148,12 +146,11 @@ func (ix *DistanceIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) 
 		i, j int
 	}
 	events := make([]event, 0, n*(n-1)/2)
-	scratch := make(vec.Vector, ix.frame.Dim())
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pi := ix.frame.RowView(i, scratch)
+		pi := ix.frame.Row(i)
 		for j := i + 1; j < n; j++ {
 			events = append(events, event{ix.frame.Dist(j, pi), i, j})
 		}

@@ -182,7 +182,7 @@ func (s *LocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error
 		return nil, err
 	}
 	s.dupOnce.Do(func() {
-		s.dup = dupCounts(s.cfg.Points, s.cfg.Points, s.cfg.Members)
+		s.dup = DupCounts(s.cfg.Points, s.cfg.Points, s.cfg.Members)
 	})
 	return s.dup, nil
 }

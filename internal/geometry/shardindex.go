@@ -157,7 +157,7 @@ func NewShardedIndexFrame(ctx context.Context, points *vec.Frame, opts ShardedIn
 		return nil, err
 	}
 
-	ix.dupCount = dupCounts(points, points, nil)
+	ix.dupCount = DupCounts(points, points, nil)
 	return ix, nil
 }
 
@@ -179,23 +179,7 @@ func newShardedBase(points *vec.Frame, opts ShardedIndexOptions) (*ShardedIndex,
 	cellOpts := opts.Cell.withDefaults(d)
 
 	// Global bounding box → the ladder every shard must share.
-	var rowBuf vec.Vector
-	if points.Precision() == vec.Float32 {
-		rowBuf = make(vec.Vector, d)
-	}
-	first := points.RowView(0, rowBuf)
-	lo, hi := first.Clone(), first.Clone()
-	for i := 0; i < n; i++ {
-		p := points.RowView(i, rowBuf)
-		for a, x := range p {
-			if x < lo[a] {
-				lo[a] = x
-			}
-			if x > hi[a] {
-				hi[a] = x
-			}
-		}
-	}
+	lo, hi := frameBox(points)
 	lad, err := newRadiusLadder(cellOpts, d, hi.Dist(lo))
 	if err != nil {
 		return nil, 0, err
@@ -338,9 +322,8 @@ func assignShards(points *vec.Frame, s int) [][]int32 {
 	}
 	keys := make([]uint64, n)
 	cells := make([]uint64, d)
-	rowBuf := make(vec.Vector, d)
 	for i := 0; i < n; i++ {
-		keys[i] = mortonKey(points.RowView(i, rowBuf), bits, cells)
+		keys[i] = mortonKey(points.Row(i), bits, cells)
 	}
 	order := make([]int32, n)
 	for i := range order {

@@ -86,28 +86,20 @@ func (t *Transform) ApplyAll(xs []vec.Vector) []vec.Vector {
 }
 
 // ApplyFrame maps every row of a frame, returning the projections as a
-// frame. The identity transform on a float64 frame returns f itself — a
-// no-copy alias, safe because frames are read-only once shared — so the
-// common k ≥ d case costs zero allocations. Otherwise the projections are
-// written into one fresh float64 frame.
+// frame. The identity transform returns f itself — a no-copy alias, safe
+// because frames are read-only once shared — so the common k ≥ d case costs
+// zero allocations. Otherwise the projections are written into one fresh
+// frame.
 func (t *Transform) ApplyFrame(f *vec.Frame) *vec.Frame {
 	if f.Dim() != t.inDim {
 		panic(fmt.Sprintf("jl: ApplyFrame dimension %d, want %d", f.Dim(), t.inDim))
 	}
-	if t.identity && f.Precision() == vec.Float64 {
+	if t.identity {
 		return f
 	}
 	out := vec.NewFrame(f.N(), t.outDim)
-	var scratch vec.Vector // only allocated for float32 inputs
 	for i := 0; i < f.N(); i++ {
-		x := f.RowView(i, scratch)
-		scratch = x
-		dst := out.Row(i)
-		if t.identity {
-			copy(dst, x)
-		} else {
-			t.a.MulVecInto(dst, x)
-		}
+		t.a.MulVecInto(out.Row(i), f.Row(i))
 	}
 	return out
 }

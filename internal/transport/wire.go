@@ -70,6 +70,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"privcluster/internal/vec"
 )
@@ -175,23 +176,12 @@ func (w *wbuf) str(s string) {
 
 // frame encodes a Frame's coordinates straight from its flat backing slice —
 // one pass, no per-row indirection: big-endian float64 bit patterns in
-// row-major order. Float32 frames are upconverted coordinate-wise (exact), so the
-// wire format is precision-independent and ProtocolVersion is unaffected.
+// row-major order.
 func (w *wbuf) frame(f *vec.Frame) {
-	if data := f.Data(); data != nil {
-		need := 8 * len(data)
-		if cap(w.b)-len(w.b) < need {
-			grown := make([]byte, len(w.b), len(w.b)+need)
-			copy(grown, w.b)
-			w.b = grown
-		}
-		for _, x := range data {
-			w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(x))
-		}
-		return
-	}
-	for _, x := range f.Data32() {
-		w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(float64(x)))
+	data := f.Data()
+	w.b = slices.Grow(w.b, 8*len(data))
+	for _, x := range data {
+		w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(x))
 	}
 }
 
@@ -391,14 +381,8 @@ func PointsChecksum(points *vec.Frame) uint64 {
 			h *= 1099511628211
 		}
 	}
-	if data := points.Data(); data != nil {
-		for _, x := range data {
-			mix(x)
-		}
-	} else {
-		for _, x := range points.Data32() {
-			mix(float64(x))
-		}
+	for _, x := range points.Data() {
+		mix(x)
 	}
 	return h
 }

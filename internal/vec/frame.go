@@ -1,37 +1,9 @@
 package vec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
-
-// Precision selects the storage type of a Frame. Float64 is the default and
-// the only mode whose releases are bit-comparable across runs and backends;
-// Float32 halves the cache footprint at the cost of quantizing every stored
-// coordinate through float32 (a distinct release mode, never compared
-// bit-for-bit against Float64).
-type Precision int
-
-const (
-	// Float64 stores coordinates as float64 (the default).
-	Float64 Precision = iota
-	// Float32 stores coordinates as float32. Rows are decoded to float64 on
-	// access; arithmetic still runs in float64.
-	Float32
-)
-
-// String implements fmt.Stringer.
-func (p Precision) String() string {
-	switch p {
-	case Float64:
-		return "float64"
-	case Float32:
-		return "float32"
-	default:
-		return fmt.Sprintf("Precision(%d)", int(p))
-	}
-}
 
 // Frame is a flat, strided store of n points in R^d: one contiguous backing
 // slice of n·d coordinates, row i occupying [i·d, (i+1)·d). It is the
@@ -42,34 +14,21 @@ func (p Precision) String() string {
 // shares the same Frame and sweeps it concurrently, so callers must not
 // mutate rows once the Frame has been handed to an index. Row returns a
 // no-copy view for exactly that read-only sharing.
-//
-// Float32 frames store coordinates as float32; Row panics for them (there is
-// no float64 slice to alias) — use RowView, which decodes into a caller
-// scratch buffer, or the distance kernels, which decode on the fly.
 type Frame struct {
 	n, d int
-	f64  []float64
-	f32  []float32
+	data []float64
 }
 
-// NewFrame returns an all-zero float64 frame of n rows in R^d.
+// NewFrame returns an all-zero frame of n rows in R^d.
 func NewFrame(n, d int) *Frame {
 	if n < 0 || d <= 0 {
 		panic(fmt.Sprintf("vec: invalid frame shape %d×%d", n, d))
 	}
-	return &Frame{n: n, d: d, f64: make([]float64, n*d)}
+	return &Frame{n: n, d: d, data: make([]float64, n*d)}
 }
 
-// NewFrame32 returns an all-zero float32 frame of n rows in R^d.
-func NewFrame32(n, d int) *Frame {
-	if n < 0 || d <= 0 {
-		panic(fmt.Sprintf("vec: invalid frame shape %d×%d", n, d))
-	}
-	return &Frame{n: n, d: d, f32: make([]float32, n*d)}
-}
-
-// FrameFromData wraps an existing flat coordinate slice as a float64 frame
-// without copying: data must hold a whole number of rows of stride d. The
+// FrameFromData wraps an existing flat coordinate slice as a frame without
+// copying: data must hold a whole number of rows of stride d. The
 // frame aliases data — the caller transfers ownership.
 func FrameFromData(data []float64, d int) (*Frame, error) {
 	if d <= 0 {
@@ -78,10 +37,10 @@ func FrameFromData(data []float64, d int) (*Frame, error) {
 	if len(data)%d != 0 {
 		return nil, fmt.Errorf("vec: %d coordinates do not divide into rows of stride %d: %w", len(data), d, ErrDimMismatch)
 	}
-	return &Frame{n: len(data) / d, d: d, f64: data}, nil
+	return &Frame{n: len(data) / d, d: d, data: data}, nil
 }
 
-// FrameFromVectors copies vs into a fresh float64 frame. It returns an error
+// FrameFromVectors copies vs into a fresh frame. It returns an error
 // when the slice is empty or the dimensions disagree.
 func FrameFromVectors(vs []Vector) (*Frame, error) {
 	if len(vs) == 0 {
@@ -96,12 +55,12 @@ func FrameFromVectors(vs []Vector) (*Frame, error) {
 		if len(v) != d {
 			return nil, fmt.Errorf("vec: row %d has dimension %d, want %d: %w", i, len(v), d, ErrDimMismatch)
 		}
-		copy(f.f64[i*d:(i+1)*d], v)
+		copy(f.data[i*d:(i+1)*d], v)
 	}
 	return f, nil
 }
 
-// FrameOf builds a float64 frame from its arguments (test convenience); it
+// FrameOf builds a frame from its arguments (test convenience); it
 // panics on dimension mismatch.
 func FrameOf(vs ...Vector) *Frame {
 	f, err := FrameFromVectors(vs)
@@ -117,162 +76,67 @@ func (f *Frame) N() int { return f.n }
 // Dim returns the row dimension.
 func (f *Frame) Dim() int { return f.d }
 
-// Precision reports the storage precision.
-func (f *Frame) Precision() Precision {
-	if f.f32 != nil {
-		return Float32
-	}
-	return Float64
-}
-
-// Data returns the float64 backing slice (nil for Float32 frames). The slice
-// aliases the frame's storage; treat it as read-only once shared.
-func (f *Frame) Data() []float64 { return f.f64 }
-
-// Data32 returns the float32 backing slice (nil for Float64 frames).
-func (f *Frame) Data32() []float32 { return f.f32 }
+// Data returns the backing slice. It aliases the frame's storage; treat it as
+// read-only once shared.
+func (f *Frame) Data() []float64 { return f.data }
 
 // Row returns row i as a no-copy Vector view aliasing the frame's backing
 // slice: writes through the view are visible to every other reader, and the
-// view stays valid for the frame's lifetime. It panics on Float32 frames —
-// use RowView there.
+// view stays valid for the frame's lifetime.
 func (f *Frame) Row(i int) Vector {
-	if f.f32 != nil {
-		panic("vec: Row on a float32 frame (use RowView)")
-	}
-	return Vector(f.f64[i*f.d : (i+1)*f.d : (i+1)*f.d])
-}
-
-// RowView returns row i as a float64 Vector, using scratch only when a copy
-// is required: on Float64 frames it aliases storage exactly like Row (scratch
-// untouched); on Float32 frames it decodes into scratch (grown if needed) and
-// returns it. Callers that hold the result across iterations on a Float32
-// frame must copy — the same scratch is overwritten by the next call.
-func (f *Frame) RowView(i int, scratch Vector) Vector {
-	if f.f32 == nil {
-		return Vector(f.f64[i*f.d : (i+1)*f.d : (i+1)*f.d])
-	}
-	if cap(scratch) < f.d {
-		scratch = make(Vector, f.d)
-	}
-	scratch = scratch[:f.d]
-	row := f.f32[i*f.d : (i+1)*f.d]
-	for j, x := range row {
-		scratch[j] = float64(x)
-	}
-	return scratch
+	return Vector(f.data[i*f.d : (i+1)*f.d : (i+1)*f.d])
 }
 
 // At returns coordinate j of row i.
-func (f *Frame) At(i, j int) float64 {
-	if f.f32 != nil {
-		return float64(f.f32[i*f.d+j])
-	}
-	return f.f64[i*f.d+j]
-}
+func (f *Frame) At(i, j int) float64 { return f.data[i*f.d+j] }
 
-// SetRow copies v into row i, converting through float32 on Float32 frames.
+// SetRow copies v into row i.
 func (f *Frame) SetRow(i int, v Vector) {
 	if len(v) != f.d {
 		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", len(v), f.d))
 	}
-	if f.f32 != nil {
-		row := f.f32[i*f.d : (i+1)*f.d]
-		for j, x := range v {
-			row[j] = float32(x)
-		}
-		return
-	}
-	copy(f.f64[i*f.d:(i+1)*f.d], v)
+	copy(f.data[i*f.d:(i+1)*f.d], v)
 }
 
-// Rows materializes the frame as []Vector. On Float64 frames each element is
-// a no-copy view into the backing slice (one header allocation, no coordinate
-// copies); on Float32 frames the rows are decoded copies. Compatibility
-// helper for code that still wants slice-of-slices — hot paths should sweep
-// the frame directly.
+// Rows materializes the frame as []Vector. Each element is a no-copy view
+// into the backing slice (one header allocation, no coordinate copies).
+// Compatibility helper for code that still wants slice-of-slices — hot paths
+// should sweep the frame directly.
 func (f *Frame) Rows() []Vector {
 	out := make([]Vector, f.n)
-	if f.f32 != nil {
-		flat := make([]float64, f.n*f.d)
-		for i, x := range f.f32 {
-			flat[i] = float64(x)
-		}
-		for i := range out {
-			out[i] = Vector(flat[i*f.d : (i+1)*f.d : (i+1)*f.d])
-		}
-		return out
-	}
 	for i := range out {
-		out[i] = Vector(f.f64[i*f.d : (i+1)*f.d : (i+1)*f.d])
+		out[i] = f.Row(i)
 	}
 	return out
 }
 
-// Clone returns a deep copy of the frame (same precision).
+// Clone returns a deep copy of the frame.
 func (f *Frame) Clone() *Frame {
-	c := &Frame{n: f.n, d: f.d}
-	if f.f32 != nil {
-		c.f32 = make([]float32, len(f.f32))
-		copy(c.f32, f.f32)
-	} else {
-		c.f64 = make([]float64, len(f.f64))
-		copy(c.f64, f.f64)
-	}
+	c := &Frame{n: f.n, d: f.d, data: make([]float64, len(f.data))}
+	copy(c.data, f.data)
 	return c
 }
 
-// Gather returns a new frame holding rows ids[0], ids[1], … in order (same
-// precision as f).
+// Gather returns a new frame holding rows ids[0], ids[1], … in order.
 func (f *Frame) Gather(ids []int32) *Frame {
 	d := f.d
-	if f.f32 != nil {
-		g := NewFrame32(len(ids), d)
-		for k, id := range ids {
-			copy(g.f32[k*d:(k+1)*d], f.f32[int(id)*d:(int(id)+1)*d])
-		}
-		return g
-	}
 	g := NewFrame(len(ids), d)
 	for k, id := range ids {
-		copy(g.f64[k*d:(k+1)*d], f.f64[int(id)*d:(int(id)+1)*d])
-	}
-	return g
-}
-
-// Promote returns a float64 view of the frame: Float64 frames come back
-// as-is (no copy), Float32 frames are upconverted into a fresh float64 frame
-// (exact — float32→float64 loses nothing). Stages that index rows heavily
-// promote once instead of decoding per access.
-func (f *Frame) Promote() *Frame {
-	if f.f32 == nil {
-		return f
-	}
-	g := NewFrame(f.n, f.d)
-	for i, x := range f.f32 {
-		g.f64[i] = float64(x)
+		copy(g.data[k*d:(k+1)*d], f.data[int(id)*d:(int(id)+1)*d])
 	}
 	return g
 }
 
 // DistSq returns the squared Euclidean distance between row i and q. The
-// accumulation order matches Vector.DistSq coordinate for coordinate, so
-// float64 frames produce bit-identical sums.
+// accumulation order matches Vector.DistSq coordinate for coordinate, so the
+// sums are bit-identical.
 func (f *Frame) DistSq(i int, q Vector) float64 {
 	d := f.d
 	if len(q) != d {
 		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", d, len(q)))
 	}
 	var s float64
-	if f.f32 != nil {
-		row := f.f32[i*d : (i+1)*d]
-		for j, x := range row {
-			dd := float64(x) - q[j]
-			s += dd * dd
-		}
-		return s
-	}
-	row := f.f64[i*d : (i+1)*d]
+	row := f.data[i*d : (i+1)*d]
 	for j, x := range row {
 		dd := x - q[j]
 		s += dd * dd
@@ -294,20 +158,8 @@ func (f *Frame) DistSqInto(q Vector, out []float64) []float64 {
 	if len(out) != f.n {
 		panic(fmt.Sprintf("vec: out has length %d, want %d rows", len(out), f.n))
 	}
-	if f.f32 != nil {
-		for i := 0; i < f.n; i++ {
-			row := f.f32[i*d : (i+1)*d]
-			var s float64
-			for j, x := range row {
-				dd := float64(x) - q[j]
-				s += dd * dd
-			}
-			out[i] = s
-		}
-		return out
-	}
 	for i := 0; i < f.n; i++ {
-		row := f.f64[i*d : (i+1)*d]
+		row := f.data[i*d : (i+1)*d]
 		var s float64
 		for j, x := range row {
 			dd := x - q[j]
@@ -327,22 +179,8 @@ func (f *Frame) CountWithin(c Vector, r float64) int {
 	}
 	rsq := r * r
 	n := 0
-	if f.f32 != nil {
-		for i := 0; i < f.n; i++ {
-			row := f.f32[i*d : (i+1)*d]
-			var s float64
-			for j, x := range row {
-				dd := float64(x) - c[j]
-				s += dd * dd
-			}
-			if s <= rsq {
-				n++
-			}
-		}
-		return n
-	}
 	for i := 0; i < f.n; i++ {
-		row := f.f64[i*d : (i+1)*d]
+		row := f.data[i*d : (i+1)*d]
 		var s float64
 		for j, x := range row {
 			dd := x - c[j]
@@ -366,24 +204,4 @@ func (f *Frame) Nearest(i int, centers []Vector) (best int, bestSq float64) {
 		}
 	}
 	return best, bestSq
-}
-
-// AppendRowKey appends row i's coordinates to b as little-endian float64 bit
-// patterns — the canonical duplicate-table key. Float32 rows are upconverted
-// to float64 first (exact), so a float32 frame keys consistently with the
-// float64 values its rows decode to.
-func (f *Frame) AppendRowKey(b []byte, i int) []byte {
-	d := f.d
-	if f.f32 != nil {
-		row := f.f32[i*d : (i+1)*d]
-		for _, x := range row {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(x)))
-		}
-		return b
-	}
-	row := f.f64[i*d : (i+1)*d]
-	for _, x := range row {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b
 }

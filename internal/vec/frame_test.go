@@ -2,7 +2,6 @@ package vec
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"testing"
 )
@@ -33,13 +32,6 @@ func TestFrameRowAliasing(t *testing.T) {
 	if cap(r1) != f.Dim() {
 		t.Errorf("Row view cap = %d, want %d (three-index slice)", cap(r1), f.Dim())
 	}
-	// RowView on a float64 frame aliases too — scratch is not used.
-	scratch := make(Vector, 2)
-	v := f.RowView(1, scratch)
-	v[1] = -7
-	if got := f.At(1, 1); got != -7 {
-		t.Errorf("RowView on float64 frame should alias; At(1,1) = %v, want -7", got)
-	}
 }
 
 func TestFrameFromDataStrideMismatch(t *testing.T) {
@@ -64,51 +56,6 @@ func TestFrameFromDataStrideMismatch(t *testing.T) {
 	if _, err := FrameFromVectors([]Vector{Of(1, 2), Of(3)}); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("ragged FrameFromVectors error = %v, want ErrDimMismatch", err)
 	}
-}
-
-func TestFrameFloat32RoundTrip(t *testing.T) {
-	// Values exactly representable in float32 survive the round trip
-	// bit-for-bit; values that are not get quantized to the nearest float32.
-	exact := Of(0.5, -3.25, 1024)
-	inexact := Of(0.1, 1.0/3.0, math.Pi)
-
-	f := NewFrame32(2, 3)
-	f.SetRow(0, exact)
-	f.SetRow(1, inexact)
-	if f.Precision() != Float32 {
-		t.Fatalf("Precision = %v, want Float32", f.Precision())
-	}
-
-	scratch := make(Vector, 3)
-	got := f.RowView(0, scratch)
-	if !got.Equal(exact) {
-		t.Errorf("exact float32 values changed: %v vs %v", got, exact)
-	}
-	got = f.RowView(1, scratch)
-	for j := range inexact {
-		want := float64(float32(inexact[j]))
-		if got[j] != want {
-			t.Errorf("coord %d = %v, want float64(float32(x)) = %v", j, got[j], want)
-		}
-		if got[j] == inexact[j] {
-			t.Errorf("coord %d survived float32 unchanged — test value %v is not exercising quantization", j, inexact[j])
-		}
-	}
-
-	// Kernels agree with the decoded rows.
-	q := Of(1, 1, 1)
-	want := got.DistSq(q)
-	if s := f.DistSq(1, q); s != want {
-		t.Errorf("DistSq(1, q) = %v, want %v", s, want)
-	}
-
-	// Row must refuse to hand out a float64 alias that does not exist.
-	defer func() {
-		if recover() == nil {
-			t.Error("Row on a float32 frame should panic")
-		}
-	}()
-	_ = f.Row(1)
 }
 
 func TestFrameKernelsMatchVector(t *testing.T) {
@@ -163,7 +110,6 @@ func TestFrameConcurrentSweeps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			out := make([]float64, n)
-			scratch := make(Vector, d)
 			for iter := 0; iter < 20; iter++ {
 				if got := f.CountWithin(q, 0.9); got != want {
 					t.Errorf("concurrent CountWithin = %d, want %d", got, want)
@@ -172,27 +118,10 @@ func TestFrameConcurrentSweeps(t *testing.T) {
 				f.DistSqInto(q, out)
 				for i := 0; i < n; i += 37 {
 					_ = f.DistSq(i, q)
-					_ = f.RowView(i, scratch)
-					_ = f.AppendRowKey(nil, i)
+					_ = f.Row(i)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-func TestFrameAppendRowKey(t *testing.T) {
-	f64 := FrameOf(Of(0.5, -1.25))
-	f32 := NewFrame32(1, 2)
-	f32.SetRow(0, Of(0.5, -1.25))
-	// 0.5 and -1.25 are exact in float32, so both precisions must produce
-	// the same duplicate-table key.
-	k64 := string(f64.AppendRowKey(nil, 0))
-	k32 := string(f32.AppendRowKey(nil, 0))
-	if k64 != k32 {
-		t.Errorf("float32 and float64 keys differ for exactly representable coords")
-	}
-	if len(k64) != 16 {
-		t.Errorf("key length = %d, want 16 (two little-endian float64s)", len(k64))
-	}
 }

@@ -22,10 +22,6 @@ import (
 // untouched. A MutableFrame never shrinks; deletions are modeled upstream
 // by compacting into a fresh MutableFrame while old views keep the old
 // storage alive.
-//
-// Only Float64 frames can grow: Float32 is a read-optimized storage mode,
-// and the bit-identical release contract of the mutation layers is defined
-// over float64 coordinates.
 type MutableFrame struct {
 	d    int
 	mu   sync.RWMutex // guards the data slice header, not its array
@@ -40,9 +36,6 @@ func NewMutableFrame(base *Frame) (*MutableFrame, error) {
 	if base == nil || base.N() == 0 {
 		return nil, fmt.Errorf("vec: mutable frame over an empty base")
 	}
-	if base.Precision() != Float64 {
-		return nil, fmt.Errorf("vec: mutable frame requires a float64 base, got %v", base.Precision())
-	}
 	return &MutableFrame{d: base.Dim(), data: base.Data()}, nil
 }
 
@@ -56,17 +49,14 @@ func (m *MutableFrame) N() int {
 // Dim returns the row dimension.
 func (m *MutableFrame) Dim() int { return m.d }
 
-// Append copies rows onto the end of the buffer. rows must be a float64
-// frame of matching dimension; a nil or empty frame appends nothing.
+// Append copies rows onto the end of the buffer. rows must be a frame of
+// matching dimension; a nil or empty frame appends nothing.
 func (m *MutableFrame) Append(rows *Frame) error {
 	if rows == nil || rows.N() == 0 {
 		return nil
 	}
 	if rows.Dim() != m.d {
 		return fmt.Errorf("vec: append of dimension %d onto a %d-dimensional frame: %w", rows.Dim(), m.d, ErrDimMismatch)
-	}
-	if rows.Precision() != Float64 {
-		return fmt.Errorf("vec: append requires float64 rows, got %v", rows.Precision())
 	}
 	m.mu.Lock()
 	m.data = append(m.data, rows.Data()...)
@@ -83,7 +73,7 @@ func (m *MutableFrame) View(n int) *Frame {
 	if n < 0 || n*m.d > len(m.data) {
 		panic(fmt.Sprintf("vec: view of %d rows from a %d-row mutable frame", n, len(m.data)/m.d))
 	}
-	return &Frame{n: n, d: m.d, f64: m.data[: n*m.d : n*m.d]}
+	return &Frame{n: n, d: m.d, data: m.data[: n*m.d : n*m.d]}
 }
 
 // Slice returns rows [lo, hi) as an immutable Frame view (no copy, capped
@@ -94,5 +84,5 @@ func (m *MutableFrame) Slice(lo, hi int) *Frame {
 	if lo < 0 || hi < lo || hi*m.d > len(m.data) {
 		panic(fmt.Sprintf("vec: slice [%d, %d) of a %d-row mutable frame", lo, hi, len(m.data)/m.d))
 	}
-	return &Frame{n: hi - lo, d: m.d, f64: m.data[lo*m.d : hi*m.d : hi*m.d]}
+	return &Frame{n: hi - lo, d: m.d, data: m.data[lo*m.d : hi*m.d : hi*m.d]}
 }

@@ -86,11 +86,6 @@ func TestMutableFrameErrors(t *testing.T) {
 		t.Fatal("NewMutableFrame(nil) succeeded")
 	}
 	base, _ := FrameFromData([]float64{1, 2}, 2)
-	f32 := NewFrame32(1, 2)
-	f32.SetRow(0, Of(1, 2))
-	if _, err := NewMutableFrame(f32); err == nil {
-		t.Fatal("NewMutableFrame over float32 succeeded")
-	}
 
 	m, err := NewMutableFrame(base.Clone())
 	if err != nil {
@@ -99,11 +94,6 @@ func TestMutableFrameErrors(t *testing.T) {
 	bad, _ := FrameFromData([]float64{1, 2, 3}, 3)
 	if err := m.Append(bad); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("dim-mismatch append error = %v, want ErrDimMismatch", err)
-	}
-	row32 := NewFrame32(1, 2)
-	row32.SetRow(0, Of(9, 9))
-	if err := m.Append(row32); err == nil {
-		t.Fatal("float32 append succeeded")
 	}
 	if err := m.Append(nil); err != nil {
 		t.Fatalf("nil append error = %v", err)

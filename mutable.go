@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"privcluster/internal/geometry"
-	"privcluster/internal/vec"
 )
 
 // ErrClosed is returned by every query and mutation on a Dataset handle
@@ -65,25 +64,9 @@ func (ds *Dataset) Append(ctx context.Context, points []Point) ([]uint64, uint64
 	if len(points) == 0 {
 		return nil, 0, fmt.Errorf("privcluster: Append of no points")
 	}
-	d := ds.dim
-	frame := vec.NewFrame(len(points), d)
-	var raw []float64
-	if d == 1 {
-		raw = make([]float64, len(points))
-	}
-	u := make(vec.Vector, d)
-	for i, p := range points {
-		if len(p) != d {
-			return nil, 0, fmt.Errorf("privcluster: point %d has dimension %d, want %d", i, len(p), d)
-		}
-		for j, x := range p {
-			u[j] = ds.opts.toUnit(x)
-		}
-		if d == 1 {
-			raw[i] = u[0]
-		}
-		ds.grid.QuantizeInto(u, u)
-		frame.SetRow(i, u)
+	frame, raw, err := ds.opts.prepare(points, ds.grid)
+	if err != nil {
+		return nil, 0, err
 	}
 	ds.mutMu.Lock()
 	defer ds.mutMu.Unlock()
@@ -91,7 +74,7 @@ func (ds *Dataset) Append(ctx context.Context, points []Point) ([]uint64, uint64
 	if err != nil {
 		return nil, 0, err
 	}
-	if d == 1 {
+	if raw != nil {
 		ds.rawVals = append(ds.rawVals, raw...)
 		ds.rowIDs = append(ds.rowIDs, ids...)
 		ds.recordValsEpochLocked(uint64(epoch))

@@ -245,9 +245,6 @@ func TestMutableGuards(t *testing.T) {
 	pts, _ := plantedPoints(rng, 300, 200, 2, 0.02)
 	ctx := context.Background()
 
-	if _, err := Open(pts, DatasetOptions{Mutable: true, Precision: Float32}); err == nil {
-		t.Fatal("Mutable+Float32 accepted")
-	}
 	if _, err := Open(pts, DatasetOptions{Mutable: true, IndexPolicy: IndexExact}); err == nil {
 		t.Fatal("Mutable+IndexExact accepted")
 	}

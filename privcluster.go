@@ -324,7 +324,10 @@ func Aggregate[R any](rows []R, f func([]R) Point, dim, m int, alpha float64, o 
 		Preflight: func(evals []vec.Vector, t int) error {
 			check := cprm
 			check.T = t
-			plaus := func(p core.Params) bool { return core.ZeroClusterPlausible(evals, p) }
+			plaus := func(p core.Params) bool {
+				ef, _ := vec.FrameFromVectors(evals) // nil when empty or ragged: never plausible
+				return core.ZeroClusterPlausible(ef, p)
+			}
 			return checkFeasible(plaus, check, 1, q, o.GridSize)
 		},
 	}
