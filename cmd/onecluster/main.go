@@ -146,35 +146,9 @@ func main() {
 		return
 	}
 
-	if place != nil || *trace {
-		if err := runHandle(os.Stdout, points, *t, *k, *epsilon, *delta, *beta, *gridSize, *seed, *shards, place, *trace); err != nil {
-			fmt.Fprintln(os.Stderr, "onecluster:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	opts := privcluster.Options{
-		Epsilon: *epsilon, Delta: *delta, Beta: *beta,
-		GridSize: *gridSize, Seed: *seed, Shards: *shards,
-	}
-	if *k <= 1 {
-		c, err := privcluster.FindCluster(points, *t, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "onecluster:", err)
-			os.Exit(1)
-		}
-		printCluster(os.Stdout, c, points)
-		return
-	}
-	cs, err := privcluster.FindClusters(points, *k, *t, opts)
-	if err != nil {
+	if err := runHandle(os.Stdout, points, *t, *k, *epsilon, *delta, *beta, *gridSize, *seed, *shards, place, *trace); err != nil {
 		fmt.Fprintln(os.Stderr, "onecluster:", err)
 		os.Exit(1)
-	}
-	for i, c := range cs {
-		fmt.Printf("cluster %d:\n", i+1)
-		printCluster(os.Stdout, c, points)
 	}
 }
 
@@ -361,9 +335,8 @@ func parseRemote(s string) (*privcluster.Placement, error) {
 }
 
 // runHandle runs the single-shot query (-t, optionally -k) through a
-// Dataset handle — the path taken with a shard-server placement (the
-// free functions do not carry one) or with -trace (the span tree hangs
-// off the handle's query context).
+// Dataset handle, with the shard-server placement (nil = local) and, with
+// trace, the span tree hanging off the query context.
 func runHandle(out io.Writer, points []privcluster.Point, t, k int, epsilon, delta, beta float64, gridSize, seed int64, shards int, place *privcluster.Placement, trace bool) error {
 	ds, err := privcluster.Open(points, privcluster.DatasetOptions{GridSize: gridSize, Shards: shards, Placement: place})
 	if err != nil {

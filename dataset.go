@@ -35,12 +35,14 @@ type DatasetOptions struct {
 	// the amortization the handle exists for.
 	IndexPolicy IndexPolicy
 	// Workers bounds the worker pools of the parallel passes (see
-	// Options.Workers). 0 means GOMAXPROCS.
+	// Options.Workers). 0 means GOMAXPROCS; the handle's index reads it
+	// once, when the first query builds it.
 	Workers int
 	// Shards splits the scalable ball index into per-shard cell indexes
 	// built in parallel and queried as exact partial sums (see
 	// Options.Shards). 0 means automatic: GOMAXPROCS shards at
-	// n ≥ 100,000, unsharded below. Sharding never changes releases.
+	// n ≥ 100,000, unsharded below, resolved once, when the first query
+	// builds the handle's index. Sharding never changes releases.
 	Shards int
 	// Paper switches every internal constant to the paper's proof values.
 	Paper bool
@@ -54,9 +56,8 @@ type DatasetOptions struct {
 	// IndexPolicy and Shards are ignored; releases stay bit-identical to
 	// local execution under the same seed regardless of which replica
 	// answers — see the "Remote shards" and "Replication and failover"
-	// sections of the package documentation. The partition structure
-	// identifies the cached index, so it must be stable for the handle's
-	// lifetime; Close releases the connections.
+	// sections of the package documentation. The first query dials
+	// the shard servers; Close releases the connections.
 	Placement *Placement
 	// Mutable opens a streaming handle: Append and Delete advance the
 	// dataset through numbered epochs, and every query runs on an
@@ -251,45 +252,13 @@ func (q QueryOptions) rng() *rand.Rand {
 	return seededRNG(q.Seed, q.ZeroSeed)
 }
 
-// indexEntry is one lazily built, cached ball index. The once/err pair
-// makes concurrent first queries build it exactly once and share the
-// outcome.
+// indexEntry is one lazily built ball index. The once/err pair makes
+// concurrent first queries build it exactly once and share the outcome.
 type indexEntry struct {
 	once sync.Once
 	ix   geometry.BallIndex
 	err  error
 }
-
-// indexKey identifies one cached ball index by every input that affects
-// what core.NewBallIndexFrame / core.NewReplicatedBallIndexFrame builds:
-// the resolved policy, the resolved shard count, the worker budget baked
-// into the index's pools, and — for remote execution — the placement's
-// partition structure. Keying by the full tuple (rather than the policy
-// alone) guarantees a configuration whose resolution drifts between
-// queries — e.g. the automatic shard count following a runtime.GOMAXPROCS
-// change — builds a matching index instead of serving a stale one; the
-// remote component keeps a remote configuration from ever colliding with a
-// local one of the same shard count.
-type indexKey struct {
-	pol     core.IndexPolicy
-	shards  int
-	workers int
-	// remote is the placement's structural cache key ("" = local): the
-	// partition/replica address structure with every address
-	// length-prefixed, so no two distinct placements — including
-	// addresses containing separator characters, or ["a,b"] vs
-	// ["a","b"] — can ever share a cached index (see Placement.cacheKey).
-	// The dial function and the failover knobs are deliberately not part
-	// of the key (they are transport mechanics — see Placement).
-	remote string
-}
-
-// defaultIndexCacheSize bounds the per-handle index cache (and a mutable
-// handle's per-epoch snapshot cache); both are FIFO-evicted. A handle's
-// effective key is nearly always constant, so the bound only matters when
-// resolution drifts (see indexKey); evicting an entry never invalidates
-// in-flight queries, which keep their reference.
-const defaultIndexCacheSize = 4
 
 // maxCachedLSteps bounds the per-handle L(·, S) cache: one entry per
 // distinct query target t, FIFO-evicted. A serving process typically
@@ -384,8 +353,8 @@ type Dataset struct {
 	// mutations before its first query.
 	mut geometry.MutableBallIndex
 	// mutMu serializes mutations and guards the 1-D raw-value mirror
-	// below. It is separate from mu so budget accounting and index cache
-	// lookups never wait behind a remote append round trip.
+	// below. It is separate from mu so budget accounting and snapshot
+	// cache lookups never wait behind a remote append round trip.
 	mutMu sync.Mutex
 	// rawVals/rowIDs mirror the mutable index's row order for 1-D handles:
 	// the unit-mapped, unquantized values InteriorPoint runs on, with the
@@ -400,13 +369,14 @@ type Dataset struct {
 	valsCache      map[uint64][]float64
 	valsCacheOrder []uint64
 
-	mu       sync.Mutex
-	closed   bool
-	spent    Budget
-	indexes  map[indexKey]*indexEntry
-	keyOrder []indexKey // FIFO of cached keys for eviction
+	mu     sync.Mutex
+	closed bool
+	spent  Budget
+	// idx is the handle's one ball index, built by the first query from
+	// the handle's own options (see index). Immutable handles only.
+	idx indexEntry
 	// epochs caches one built snapshot per pinned epoch of a mutable
-	// handle (single-flight, FIFO-evicted like indexes).
+	// handle (single-flight, FIFO-evicted).
 	epochs     map[geometry.Epoch]*indexEntry
 	epochOrder []geometry.Epoch
 	// builds counts index constructions (diagnostics; the concurrency test
@@ -447,12 +417,11 @@ func Open(points []Point, o DatasetOptions) (*Dataset, error) {
 		return nil, err
 	}
 	ds := &Dataset{
-		opts:    o,
-		grid:    grid,
-		dim:     d,
-		frame:   frame,
-		pol:     pol,
-		indexes: make(map[indexKey]*indexEntry),
+		opts:  o,
+		grid:  grid,
+		dim:   d,
+		frame: frame,
+		pol:   pol,
 	}
 	if o.Mutable {
 		// A mutable handle keeps the 1-D mirror in insertion order (sorted
@@ -560,84 +529,31 @@ func (ds *Dataset) reserve(ctx context.Context, cost Budget) (Reservation, error
 	return handleAdmitter{ds: ds}.Reserve(ctx, cost)
 }
 
-// effectiveKey resolves the handle's configuration to what would actually
-// be built right now — IndexAuto to its backend, automatic shards to the
-// concrete count — so the cache is keyed by the built artifact (an
-// explicit policy and an Auto that resolves to it share one index) and a
-// resolution drift can never serve a stale index.
-func (ds *Dataset) effectiveKey() indexKey {
-	n := ds.frame.N()
-	if p := ds.opts.Placement; p != nil {
-		// Remote execution presumes the scalable sharded backend: one
-		// shard per partition (geometry clamps to at most n, mirrored
-		// here so the key matches what is built).
-		shards := len(p.Partitions)
-		if shards > n {
-			shards = n
-		}
-		return indexKey{
-			pol:     core.IndexScalable,
-			shards:  shards,
-			workers: core.ResolveWorkers(ds.opts.Workers),
-			remote:  p.cacheKey(),
-		}
-	}
-	pol := core.ResolveIndexPolicy(ds.pol, n)
-	shards := 1
-	if pol == core.IndexScalable {
-		shards = core.ResolveShards(ds.opts.Shards, n)
-	}
-	return indexKey{pol: pol, shards: shards, workers: core.ResolveWorkers(ds.opts.Workers)}
-}
-
-// index returns the cached ball index for the key, building it exactly
-// once per key even under concurrent first queries; cold reports whether
-// this call ran the build (rather than reusing a cached index). Index
-// construction draws no randomness, so a cached index releases
-// bit-identical seeded results to a per-call build. The build gets no
-// query context: the index is shared by every later query on the handle,
-// so one caller's deadline must not poison it (cancellation still aborts
-// the per-query BuildLStep sweep, the dominant cost).
-func (ds *Dataset) index(key indexKey) (ix geometry.BallIndex, cold bool, err error) {
-	ds.mu.Lock()
-	e, ok := ds.indexes[key]
-	if !ok {
-		e = &indexEntry{}
-		ds.indexes[key] = e
-		ds.keyOrder = append(ds.keyOrder, key)
-		if len(ds.keyOrder) > defaultIndexCacheSize {
-			// The evicted entry is not Closed here: in-flight queries may
-			// still hold it. Remote handles keep their options stable, so
-			// eviction churn does not arise in practice; Dataset.Close
-			// releases whatever is cached at the end.
-			delete(ds.indexes, ds.keyOrder[0])
-			ds.keyOrder = ds.keyOrder[1:]
-		}
-	}
-	ds.mu.Unlock()
-	if ok {
-		statIndexCacheHit.Inc()
-	} else {
-		statIndexCacheMiss.Inc()
-	}
+// index returns the handle's ball index, building it exactly once even
+// under concurrent first queries; cold reports whether this call ran the
+// build. The build resolves automatic Workers and Shards once, so a later
+// GOMAXPROCS change never rebuilds the index or re-dials its shard
+// servers. Index construction draws no randomness, so the built index
+// releases bit-identical seeded results to a per-call build. The build
+// gets no query context: the index is shared by every later query on the
+// handle, so one caller's deadline must not poison it (cancellation still
+// aborts the per-query BuildLStep sweep, the dominant cost).
+func (ds *Dataset) index() (ix geometry.BallIndex, cold bool, err error) {
+	e := &ds.idx
 	e.once.Do(func() {
 		cold = true
 		ds.builds.Add(1)
-		// key.shards is already resolved, so the build matches the key even
-		// if GOMAXPROCS changed since effectiveKey ran (ResolveShards is
-		// idempotent on resolved values).
 		var ix geometry.BallIndex
 		var err error
-		if key.remote != "" {
-			p := ds.opts.Placement
+		if p := ds.opts.Placement; p != nil {
 			ix, err = core.NewReplicatedBallIndexFrame(context.Background(), ds.frame, ds.grid,
-				key.workers, p.Partitions, transport.ReplicaOptions{
+				ds.opts.Workers, p.Partitions, transport.ReplicaOptions{
 					Options:       p.transportOptions(),
 					HedgeDelay:    p.HedgeDelay,
 					ProbeInterval: p.ProbeInterval,
 				})
 		} else {
-			ix, err = core.NewBallIndexFrame(context.Background(), ds.frame, ds.grid, key.pol, key.workers, key.shards)
+			ix, err = core.NewBallIndexFrame(context.Background(), ds.frame, ds.grid, ds.pol, ds.opts.Workers, ds.opts.Shards)
 		}
 		if err != nil {
 			e.err = err
@@ -645,10 +561,15 @@ func (ds *Dataset) index(key indexKey) (ix geometry.BallIndex, cold bool, err er
 		}
 		e.ix = newCachedIndex(ix)
 	})
+	if cold {
+		statIndexCacheMiss.Inc()
+	} else {
+		statIndexCacheHit.Inc()
+	}
 	return e.ix, cold, e.err
 }
 
-// Close releases the resources held by the handle's cached indexes — the
+// Close releases the resources held by the handle's index — the
 // shard-server connections of a remote handle, the mutable index's merge
 // goroutines and sessions; local immutable indexes hold none, making Close
 // optional for them. Close is idempotent; after the first call every
@@ -661,12 +582,6 @@ func (ds *Dataset) Close() error {
 		return nil
 	}
 	ds.closed = true
-	entries := make([]*indexEntry, 0, len(ds.indexes))
-	for _, e := range ds.indexes {
-		entries = append(entries, e)
-	}
-	ds.indexes = make(map[indexKey]*indexEntry)
-	ds.keyOrder = nil
 	// Epoch snapshots are views into the mutable index — closing it below
 	// releases their backing; the cache entries just drop.
 	ds.epochs = nil
@@ -676,12 +591,10 @@ func (ds *Dataset) Close() error {
 	if ds.mut != nil {
 		first = ds.mut.Close()
 	}
-	for _, e := range entries {
-		e.once.Do(func() {}) // settle concurrent builders
-		ci, ok := e.ix.(*cachedIndex)
-		if !ok {
-			continue
-		}
+	// Settle a concurrent build, or make a query that slipped past
+	// checkOpen fail instead of building after Close.
+	ds.idx.once.Do(func() { ds.idx.err = ErrClosed })
+	if ci, ok := ds.idx.ix.(*cachedIndex); ok {
 		if c, ok := ci.BallIndex.(interface{ Close() error }); ok {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
@@ -730,11 +643,11 @@ func (ds *Dataset) prepareQuery(ctx context.Context, f *vec.Frame, t, rounds int
 }
 
 // queryIndex resolves the ball index and frame one cluster query runs on.
-// Immutable handles defer the (cached, lazily built) index until after
+// Immutable handles defer the (lazily built) index until after
 // validation, so ix may come back nil with a nil error — the caller builds
-// it via ds.index(ds.effectiveKey()) once the query is known to be valid.
-// Mutable handles must pin a snapshot up front (its frame feeds
-// validation); pinning spends nothing.
+// it via ds.index once the query is known to be valid. Mutable handles
+// must pin a snapshot up front (its frame feeds validation); pinning
+// spends nothing.
 func (ds *Dataset) queryIndex(q QueryOptions) (ix geometry.BallIndex, f *vec.Frame, err error) {
 	if ds.mut == nil {
 		if q.AtEpoch != 0 {
@@ -761,43 +674,44 @@ func (ds *Dataset) acquireScratch(prm *core.Params) (release func()) {
 	return func() { ds.scratch.Put(sc) }
 }
 
-// FindCluster is the 1-cluster query (Theorem 3.2) on the prepared handle:
-// identical semantics and — under the same seed — bit-identical releases to
-// the free FindCluster, with the index amortized across the handle's
-// queries and the (ε, δ) cost deducted from its Budget.
-func (ds *Dataset) FindCluster(ctx context.Context, t int, q QueryOptions) (Cluster, error) {
+// clusterQuery is the one driver behind FindCluster and FindClusters: the
+// front door (prepareQuery, with the budget split across rounds), then
+// admission, the index, the mechanism and the budget settlement, each
+// under its own stage. Admission comes before compute: the hold is placed
+// before the (possibly expensive) index build, released if the build
+// fails — the mechanism never ran — and committed once the mechanism has
+// (even on error: noise may have been drawn). mech runs the core call and
+// maps its output while the pooled scratch is still lent.
+func (ds *Dataset) clusterQuery(ctx context.Context, name string, t, rounds int, q QueryOptions,
+	mech func(rng *rand.Rand, ix geometry.BallIndex, prm core.Params) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ds.checkOpen(); err != nil {
-		return Cluster{}, err
+		return err
 	}
-	ctx, qt := beginQuery(ctx, "cluster")
+	ctx, qt := beginQuery(ctx, name)
 	ix, f, err := ds.queryIndex(q)
 	if err != nil {
-		return Cluster{}, err
+		return err
 	}
-	q, prm, err := ds.prepareQuery(ctx, f, t, 1, q)
+	q, prm, err := ds.prepareQuery(ctx, f, t, rounds, q)
 	if err != nil {
-		return Cluster{}, err
+		return err
 	}
-	// Admission before compute: the hold is placed before the (possibly
-	// expensive) index build, released if the build fails — the mechanism
-	// never ran — and committed once the mechanism has (even on error:
-	// noise may have been drawn).
 	rctx := qt.stage("reserve")
 	rsv, err := ds.reserve(rctx, Budget{Epsilon: q.Epsilon, Delta: q.Delta})
 	qt.endStage(statStageReserve, &qt.stats.Reserve)
 	if err != nil {
-		return Cluster{}, err
+		return err
 	}
 	qt.stage("build")
 	if ix == nil {
 		var cold bool
-		if ix, cold, err = ds.index(ds.effectiveKey()); err != nil {
+		if ix, cold, err = ds.index(); err != nil {
 			_ = rsv.Release()
 			qt.finish(ds, q.Stats)
-			return Cluster{}, err
+			return err
 		}
 		qt.stats.ColdIndex = cold
 	}
@@ -805,7 +719,7 @@ func (ds *Dataset) FindCluster(ctx context.Context, t int, q QueryOptions) (Clus
 	release := ds.acquireScratch(&prm)
 	defer release()
 	prm.Ctx = qt.stage("mechanism")
-	res, err := core.OneClusterIndexed(q.rng(), ix, prm)
+	err = mech(q.rng(), ix, prm)
 	qt.endStage(statStageMechanism, &qt.stats.Mechanism)
 	qt.stage("commit")
 	cerr := rsv.Commit()
@@ -814,84 +728,66 @@ func (ds *Dataset) FindCluster(ctx context.Context, t int, q QueryOptions) (Clus
 		err = cerr
 	}
 	qt.finish(ds, q.Stats)
+	return err
+}
+
+// FindCluster is the 1-cluster query (Theorem 3.2) on the prepared handle:
+// identical semantics and — under the same seed — bit-identical releases to
+// the free FindCluster, with the index amortized across the handle's
+// queries and the (ε, δ) cost deducted from its Budget.
+func (ds *Dataset) FindCluster(ctx context.Context, t int, q QueryOptions) (Cluster, error) {
+	var out Cluster
+	err := ds.clusterQuery(ctx, "cluster", t, 1, q, func(rng *rand.Rand, ix geometry.BallIndex, prm core.Params) error {
+		res, err := core.OneClusterIndexed(rng, ix, prm)
+		if err != nil {
+			return err
+		}
+		out = Cluster{
+			Center:     ds.fromUnitPoint(res.Ball.Center),
+			Radius:     res.Ball.Radius * ds.opts.span(),
+			RawRadius:  res.RawRadius * ds.opts.span(),
+			ZeroRadius: res.ZeroCluster,
+		}
+		return nil
+	})
 	if err != nil {
 		return Cluster{}, err
 	}
-	center := make(Point, len(res.Ball.Center))
-	for j, x := range res.Ball.Center {
-		center[j] = ds.opts.fromUnit(x)
-	}
-	return Cluster{
-		Center:     center,
-		Radius:     res.Ball.Radius * ds.opts.span(),
-		RawRadius:  res.RawRadius * ds.opts.span(),
-		ZeroRadius: res.ZeroCluster,
-	}, nil
+	return out, nil
 }
 
 // FindClusters is the k-ball covering query (Observation 3.5): one (ε, δ)
 // charge, split internally across the k rounds. Round 1 runs on the cached
 // index; later rounds cover the not-yet-covered remainder.
 func (ds *Dataset) FindClusters(ctx context.Context, k, t int, q QueryOptions) ([]Cluster, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("privcluster: FindClusters needs k ≥ 1, got %d", k)
 	}
-	if err := ds.checkOpen(); err != nil {
-		return nil, err
-	}
-	ctx, qt := beginQuery(ctx, "kcover")
-	ix, f, err := ds.queryIndex(q)
-	if err != nil {
-		return nil, err
-	}
-	q, prm, err := ds.prepareQuery(ctx, f, t, k, q)
-	if err != nil {
-		return nil, err
-	}
-	rctx := qt.stage("reserve")
-	rsv, err := ds.reserve(rctx, Budget{Epsilon: q.Epsilon, Delta: q.Delta})
-	qt.endStage(statStageReserve, &qt.stats.Reserve)
-	if err != nil {
-		return nil, err
-	}
-	qt.stage("build")
-	if ix == nil {
-		var cold bool
-		if ix, cold, err = ds.index(ds.effectiveKey()); err != nil {
-			_ = rsv.Release()
-			qt.finish(ds, q.Stats)
-			return nil, err
+	var out []Cluster
+	err := ds.clusterQuery(ctx, "kcover", t, k, q, func(rng *rand.Rand, ix geometry.BallIndex, prm core.Params) error {
+		balls, err := core.KCoverIndexed(rng, ix, k, prm)
+		if err != nil {
+			return err
 		}
-		qt.stats.ColdIndex = cold
-	}
-	qt.endStage(statStageBuild, &qt.stats.Build)
-	release := ds.acquireScratch(&prm)
-	defer release()
-	prm.Ctx = qt.stage("mechanism")
-	balls, err := core.KCoverIndexed(q.rng(), ix, k, prm)
-	qt.endStage(statStageMechanism, &qt.stats.Mechanism)
-	qt.stage("commit")
-	cerr := rsv.Commit()
-	qt.endStage(statStageCommit, &qt.stats.Commit)
-	if err == nil {
-		err = cerr
-	}
-	qt.finish(ds, q.Stats)
+		out = make([]Cluster, len(balls))
+		for i, b := range balls {
+			out[i] = Cluster{Center: ds.fromUnitPoint(b.Center), Radius: b.Radius * ds.opts.span()}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]Cluster, len(balls))
-	for i, b := range balls {
-		center := make(Point, len(b.Center))
-		for j, x := range b.Center {
-			center[j] = ds.opts.fromUnit(x)
-		}
-		out[i] = Cluster{Center: center, Radius: b.Radius * ds.opts.span()}
 	}
 	return out, nil
+}
+
+// fromUnitPoint maps a unit-cube point back into the handle's domain.
+func (ds *Dataset) fromUnitPoint(u vec.Vector) Point {
+	p := make(Point, len(u))
+	for j, x := range u {
+		p[j] = ds.opts.fromUnit(x)
+	}
+	return p
 }
 
 // InteriorPoint is the Algorithm 3 query on a 1-dimensional handle: a value

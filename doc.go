@@ -44,13 +44,15 @@
 //	c2, err := ds.FindCluster(ctx, 500, privcluster.QueryOptions{Epsilon: 1, Delta: 1e-6})
 //
 // Open performs validation, domain rescaling and grid quantization once.
-// The first query lazily builds the ball index and caches it (keyed by the
-// effective index policy), along with the radius stage's L(·, S) step
-// function per queried t, so warm queries skip preprocessing entirely —
-// BenchmarkDatasetReuse measures the drop at n = 100k (seconds →
-// milliseconds). Under the same seed a handle query releases bit-for-bit
-// what the free function releases; the free functions are in fact thin
-// wrappers that open a single-use, budget-less handle.
+// The first query lazily builds the handle's one ball index from the
+// handle's own options — the index resolves automatic Workers and Shards
+// against GOMAXPROCS once, at that build — and keeps it, along with the
+// radius stage's L(·, S) step function per queried t, so warm queries skip
+// preprocessing entirely — BenchmarkDatasetReuse measures the drop at
+// n = 100k (seconds → milliseconds). Under the same seed a handle query
+// releases bit-for-bit what the free function releases; the free
+// functions are in fact thin wrappers that open a single-use, budget-less
+// handle.
 //
 // Budget semantics: the handle carries a total (ε, δ) budget from which
 // each query deducts its cost — FindCluster and FindClusters cost their
@@ -98,9 +100,8 @@
 // goroutines. A context already cancelled at query entry consumes no
 // budget; cancelling mid-flight does not refund the charge (noise may
 // already have been drawn). The handle is safe for concurrent queries: the
-// accountant and index cache are mutex-guarded, the index is built exactly
-// once per configuration, and the budget can never be over-spent by racing
-// queries.
+// accountant is mutex-guarded, the index is built exactly once per handle,
+// and the budget can never be over-spent by racing queries.
 //
 // Independent queries on one handle batch: Dataset.FindClustersBatch runs
 // a []Query concurrently against the shared cached index under the

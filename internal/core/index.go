@@ -41,29 +41,11 @@ const ExactIndexMaxN = 4096
 // performance rule.
 const ShardAutoMinN = 100_000
 
-// ResolveIndexPolicy returns the concrete backend NewBallIndexFrame builds for
-// the policy at dataset size n: IndexAuto resolves by the ExactIndexMaxN
-// cutover, explicit policies pass through. Exported so the serving layer's
-// index cache keys by exactly the rule NewBallIndexFrame applies (one resolver,
-// no drift).
-func ResolveIndexPolicy(pol IndexPolicy, n int) IndexPolicy {
-	if pol == IndexAuto {
-		if n <= ExactIndexMaxN {
-			return IndexExact
-		}
-		return IndexScalable
-	}
-	return pol
-}
-
-// ResolveShards returns the concrete shard count NewBallIndexFrame uses for the
-// requested value at dataset size n: 0 (automatic) resolves to GOMAXPROCS
-// at n ≥ ShardAutoMinN and to 1 below; explicit requests are clamped to
-// [1, n], so no shard is ever empty. Exported for the same reason as
-// ResolveIndexPolicy: the serving layer's index cache must key by exactly
-// the rule NewBallIndexFrame applies. (Shards only affect the scalable backend;
-// the exact index ignores them.)
-func ResolveShards(shards, n int) int {
+// resolveShards returns the concrete shard count the scalable index is
+// split into for the requested value at dataset size n: 0 (automatic)
+// resolves to GOMAXPROCS at n ≥ ShardAutoMinN and to 1 below; explicit
+// requests are clamped to [1, n], so no shard is ever empty.
+func resolveShards(shards, n int) int {
 	if shards == 0 {
 		if n < ShardAutoMinN {
 			return 1
@@ -79,28 +61,16 @@ func ResolveShards(shards, n int) int {
 	return shards
 }
 
-// ResolveWorkers returns the concrete worker-pool width the scalable
-// index builds with: values below 1 resolve to GOMAXPROCS — the same rule
-// geometry.CellIndexOptions.withDefaults applies. Exported for the same
-// reason as ResolveIndexPolicy and ResolveShards: the serving layer's
-// index cache must key by the resolved width, so a GOMAXPROCS change
-// between queries builds a matching index instead of serving a stale one.
-func ResolveWorkers(workers int) int {
-	if workers < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // NewBallIndexFrame builds the dataset index the pipeline's radius stage
 // runs on, honoring the policy. The grid supplies the scalable index's
 // radius ladder bounds (resolution floor RadiusUnit, domain diameter
 // MaxDistance) so its approximation error aligns with the radius grid
 // GoodRadius already searches. workers bounds the scalable index's worker
-// pool (0 = GOMAXPROCS) — the same knob Profile.Workers feeds. shards
-// splits the scalable index into ResolveShards(shards, n) Z-order
-// partitions whose cell indexes build in parallel and answer by exact
-// partial sums (results bit-identical to the unsharded index). ctx
+// pool (0 = GOMAXPROCS) — the same knob Profile.Workers feeds. IndexAuto
+// builds the exact index at n ≤ ExactIndexMaxN and the scalable one
+// beyond. shards splits the scalable index into resolveShards(shards, n)
+// Z-order partitions whose cell indexes build in parallel and answer by
+// exact partial sums (results bit-identical to the unsharded index). ctx
 // cancels a sharded build in flight; a nil ctx means "never cancel". The
 // frame is shared, not copied: callers must treat it as read-only
 // afterwards.
@@ -111,11 +81,11 @@ func NewBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Gri
 		return nil, fmt.Errorf("core: unknown index policy %d", pol)
 	}
 	n := points.N()
-	if ResolveIndexPolicy(pol, n) == IndexExact {
+	if pol == IndexExact || (pol == IndexAuto && n <= ExactIndexMaxN) {
 		return geometry.NewDistanceIndexFrame(points)
 	}
 	cell := cellOptions(grid, workers)
-	if s := ResolveShards(shards, n); s > 1 {
+	if s := resolveShards(shards, n); s > 1 {
 		return geometry.NewShardedIndexFrame(ctx, points, geometry.ShardedIndexOptions{Shards: s, Cell: cell})
 	}
 	return geometry.NewCellIndexFrame(points, cell)
@@ -141,7 +111,7 @@ func cellOptions(grid geometry.Grid, workers int) geometry.CellIndexOptions {
 // frame is shared until the first mutation takes ownership of a copy.
 func NewMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, workers, shards int) (geometry.MutableBallIndex, error) {
 	cell := cellOptions(grid, workers)
-	if s := ResolveShards(shards, points.N()); s > 1 {
+	if s := resolveShards(shards, points.N()); s > 1 {
 		return geometry.NewMutableShardedIndexBackends(ctx, points, geometry.ShardedIndexOptions{
 			Shards: s,
 			Cell:   cell,

@@ -57,11 +57,6 @@ type MutableLocalShard struct {
 	members   *MutableCellIndex // the shard's member rows, keyed by global stable ids
 	src       *MutableCellIndex // the global source rows
 	memberIDs map[uint64]struct{}
-
-	// dups memoizes DupCounts per pinned epoch (FIFO, cleared on delete —
-	// deletes retire every older epoch anyway).
-	dups     map[Epoch][]int32
-	dupOrder []Epoch
 }
 
 // NewMutableLocalShard builds the in-process mutable backend for one
@@ -102,7 +97,6 @@ func NewMutableLocalShard(cfg ShardConfig) (*MutableLocalShard, error) {
 		members:   members,
 		src:       src,
 		memberIDs: memberIDs,
-		dups:      make(map[Epoch][]int32),
 	}, nil
 }
 
@@ -150,7 +144,9 @@ func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j in
 }
 
 // DupCounts returns, for every epoch-e global row, the number of epoch-e
-// member rows bitwise identical to it (memoized per epoch).
+// member rows bitwise identical to it. Its one caller, the coordinator's
+// per-epoch view build, is single-flight and cached, so nothing is
+// memoized here.
 func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
 	if epoch == EpochFrozen {
 		return nil, errUnpinnedEpoch()
@@ -158,13 +154,6 @@ func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32
 	if err := ctxOrBackground(ctx).Err(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if dup, ok := s.dups[epoch]; ok {
-		s.mu.Unlock()
-		return dup, nil
-	}
-	s.mu.Unlock()
-
 	srcView, err := s.src.viewAt(ctx, epoch)
 	if err != nil {
 		return nil, err
@@ -173,19 +162,7 @@ func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32
 	if err != nil {
 		return nil, err
 	}
-	out := DupCounts(srcView.Frame(), memView.Frame(), nil)
-
-	s.mu.Lock()
-	if _, ok := s.dups[epoch]; !ok {
-		s.dups[epoch] = out
-		s.dupOrder = append(s.dupOrder, epoch)
-		if len(s.dupOrder) > maxCachedViews {
-			delete(s.dups, s.dupOrder[0])
-			s.dupOrder = s.dupOrder[1:]
-		}
-	}
-	s.mu.Unlock()
-	return out, nil
+	return DupCounts(srcView.Frame(), memView.Frame(), nil), nil
 }
 
 // Append lands one coordinator batch (see MutableShardBackend): all rows
@@ -265,8 +242,6 @@ func (s *MutableLocalShard) Delete(ctx context.Context, ids []uint64) (Epoch, er
 	for _, id := range memIDs {
 		delete(s.memberIDs, id)
 	}
-	s.dups = make(map[Epoch][]int32)
-	s.dupOrder = nil
 	return se, nil
 }
 

@@ -3,7 +3,6 @@ package geometry
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"privcluster/internal/vec"
 )
@@ -111,9 +110,6 @@ type LocalShard struct {
 	cfg     ShardConfig
 	members *CellIndex // index over the shard's subset
 	src     *CellIndex // source-cell structure over the global points
-
-	dupOnce sync.Once
-	dup     []int32
 }
 
 // NewLocalShard builds the in-process backend for one shard. The config's
@@ -172,8 +168,8 @@ func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r fl
 }
 
 // DupCounts returns, for every global point, the number of shard points
-// bitwise identical to it (computed once and memoized — the table is a
-// pure function of the config).
+// bitwise identical to it. Its one caller, NewShardedIndexBackends, asks
+// once per build, so nothing is memoized.
 func (s *LocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
 	if epoch != EpochFrozen {
 		return nil, errFrozenEpoch(epoch)
@@ -181,8 +177,5 @@ func (s *LocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error
 	if err := ctxOrBackground(ctx).Err(); err != nil {
 		return nil, err
 	}
-	s.dupOnce.Do(func() {
-		s.dup = DupCounts(s.cfg.Points, s.cfg.Points, s.cfg.Members)
-	})
-	return s.dup, nil
+	return DupCounts(s.cfg.Points, s.cfg.Points, s.cfg.Members), nil
 }

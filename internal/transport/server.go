@@ -534,7 +534,12 @@ func (sc *serverConn) handleAppend(ctx context.Context, payload []byte) (byte, [
 	if r.err != nil || k <= 0 || dim <= 0 {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed append frame"}
 	}
+	// The rows must be present before anything is sized by k: a claim
+	// inflated past the payload fails here, not in a k-sized make.
 	rows := r.frame(k, dim)
+	if r.err != nil {
+		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed append frame"}
+	}
 	ids := make([]uint64, k)
 	for i := range ids {
 		ids[i] = r.u64()

@@ -707,35 +707,122 @@ func openPayload(minR, maxR float64, levelsPerOctave uint32, mutable bool, pts *
 	return w.b
 }
 
-// sendOpen opens a fresh connection to the server at "srv", completes
-// HELLO and sends one OPEN with the given payload, returning the reply's
-// message type.
-func sendOpen(tb testing.TB, ln *LoopbackNet, payload []byte) byte {
+// rawSession is a raw client connection to the server at "srv" that has
+// completed HELLO: tests drive it frame by frame.
+type rawSession struct {
+	conn net.Conn
+	bw   *bufio.Writer
+	br   *bufio.Reader
+}
+
+func dialRaw(tb testing.TB, ln *LoopbackNet) *rawSession {
 	tb.Helper()
 	conn, err := ln.Dial(context.Background(), "srv")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
+	s := &rawSession{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
 	hello := &wbuf{}
 	hello.b = append(hello.b, wireMagic[:]...)
 	hello.u16(ProtocolVersion)
-	if err := writeFrame(bw, msgHello, hello.b); err != nil {
+	if typ := s.send(tb, msgHello, hello.b); typ != msgHelloOK {
+		tb.Fatalf("hello answered with type %d", typ)
+	}
+	return s
+}
+
+// send writes one frame and returns the type of the server's reply.
+func (s *rawSession) send(tb testing.TB, typ byte, payload []byte) byte {
+	tb.Helper()
+	if err := writeFrame(s.bw, typ, payload); err != nil {
 		tb.Fatal(err)
 	}
-	if typ, _, err := readFrame(br); err != nil || typ != msgHelloOK {
-		tb.Fatalf("hello: type %d, err %v", typ, err)
-	}
-	if err := writeFrame(bw, msgOpen, payload); err != nil {
-		tb.Fatal(err)
-	}
-	typ, _, err := readFrame(br)
+	rtyp, _, err := readFrame(s.br)
 	if err != nil {
-		tb.Fatal(err)
+		tb.Fatalf("no reply to a type-%d frame: %v", typ, err)
 	}
-	return typ
+	return rtyp
+}
+
+// sendOpen opens a fresh connection to the server at "srv", completes
+// HELLO and sends one OPEN with the given payload, returning the reply's
+// message type.
+func sendOpen(tb testing.TB, ln *LoopbackNet, payload []byte) byte {
+	tb.Helper()
+	s := dialRaw(tb, ln)
+	defer s.conn.Close()
+	return s.send(tb, msgOpen, payload)
+}
+
+// validOpen is a well-formed OPEN payload over openTestPoints.
+func validOpen(mutable bool) []byte {
+	cell := testCellOptions(2)
+	return openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, openTestPoints())
+}
+
+// FuzzSessionFrame feeds one arbitrary post-OPEN frame to a shard server:
+// after HELLO and a valid OPEN (immutable or mutable, as mode's low bit
+// picks), the (typ, payload) frame must be answered with a defined
+// response type or an error frame, never crash the server, and leave it
+// serving a valid DialShard. Payloads travel raw, so the v3 trace field is
+// the fuzzer's first payload byte.
+func FuzzSessionFrame(f *testing.F) {
+	ln := NewLoopbackNet()
+	l, err := ln.Listen("srv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(ServerOptions{})
+	go srv.Serve(l)
+	defer srv.Close()
+	f.Fuzz(func(t *testing.T, mode, typ byte, payload []byte) {
+		s := dialRaw(t, ln)
+		defer s.conn.Close()
+		if rt := s.send(t, msgOpen, validOpen(mode&1 == 1)); rt != msgOpenOK {
+			t.Fatalf("valid OPEN answered with type %d", rt)
+		}
+		switch rt := s.send(t, typ, payload); rt {
+		case msgHelloOK, msgOpenOK, msgCounts, msgEpoch, msgError:
+		default:
+			t.Fatalf("type-%d frame answered with type %d", typ, rt)
+		}
+		if err := checkServing(ln); err != nil {
+			t.Fatalf("server unusable after type-%d frame %x: %v", typ, payload, err)
+		}
+	})
+}
+
+// TestAppendInflatedCount: an APPEND whose row count (2²⁷) claims far
+// more rows than its 7-byte payload carries is refused as malformed before
+// anything is sized by the claim.
+func TestAppendInflatedCount(t *testing.T) {
+	ln := NewLoopbackNet()
+	l, err := ln.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerOptions{})
+	go srv.Serve(l)
+	defer srv.Close()
+	s := dialRaw(t, ln)
+	defer s.conn.Close()
+	if rt := s.send(t, msgOpen, validOpen(true)); rt != msgOpenOK {
+		t.Fatalf("mutable OPEN answered with type %d", rt)
+	}
+	w := &wbuf{}
+	w.u8(0) // no trace
+	w.u32(1 << 27)
+	w.u16(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt := s.send(t, msgAppend, w.b)
+	runtime.ReadMemStats(&after)
+	if rt != msgError {
+		t.Fatalf("inflated APPEND answered with type %d, want an error frame", rt)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("inflated APPEND allocated %d MiB before failing", grew>>20)
+	}
 }
 
 // checkServing dials a valid shard session on the server at "srv" and

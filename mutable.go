@@ -23,6 +23,10 @@ var ErrEpochRetired = errors.New("privcluster: epoch retired or unknown")
 // mutable handle keeps for InteriorPoint (FIFO-evicted; re-cut on demand).
 const maxCachedEpochValues = 8
 
+// maxCachedEpochs bounds a mutable handle's per-epoch snapshot cache
+// (FIFO-evicted; an evicted epoch is rebuilt on its next pin).
+const maxCachedEpochs = 4
+
 // maxValsHistory bounds how many epochs back the 1-D value mirror can cut
 // an InteriorPoint snapshot for — the same depth the geometry layer keeps
 // its append bookkeeping.
@@ -182,7 +186,7 @@ func (ds *Dataset) pinEpoch(atEpoch uint64) (geometry.BallIndex, error) {
 		ent = &indexEntry{}
 		ds.epochs[e] = ent
 		ds.epochOrder = append(ds.epochOrder, e)
-		if len(ds.epochOrder) > defaultIndexCacheSize {
+		if len(ds.epochOrder) > maxCachedEpochs {
 			// In-flight queries keep their entry reference; dropping the
 			// map slot only forces the next pin of that epoch to rebuild
 			// (or fail, if a delete has since retired it).

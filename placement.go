@@ -8,8 +8,6 @@ import (
 	"math"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"privcluster/internal/transport"
@@ -26,10 +24,8 @@ import (
 // documentation). A single-replica partition is a plain connection with
 // the client's transparent reconnect and no replication machinery.
 //
-// Only Partitions is part of the handle's index-cache identity; Dial and
-// the knobs are transport mechanics (changing them on a fresh handle is
-// fine, but they must be fixed for one handle's lifetime, like every
-// other DatasetOptions field).
+// Like every other DatasetOptions field, a placement must stay fixed for
+// one handle's lifetime: the handle's first query dials it once.
 type Placement struct {
 	// Partitions lists the replica address sets: partition p of the
 	// sharded index is served by Partitions[p], trying its replicas in
@@ -106,29 +102,6 @@ func (p *Placement) flatten() []string {
 // alike (mutable sessions ignore Retries: they never retry).
 func (p *Placement) transportOptions() transport.Options {
 	return transport.Options{Dial: p.Dial, DialTimeout: p.DialTimeout, Retries: p.Retries}
-}
-
-// cacheKey encodes the partition structure into the index-cache identity.
-// Every address travels length-prefixed, so no two distinct placements can
-// collide — unlike a separator join, where an address containing the
-// separator (or ["a,b"] vs ["a","b"]) is ambiguous. The knobs and Dial
-// are deliberately excluded: they change how bytes move, never what index
-// is built.
-func (p *Placement) cacheKey() string {
-	var b strings.Builder
-	b.WriteByte('p')
-	b.WriteString(strconv.Itoa(len(p.Partitions)))
-	for _, reps := range p.Partitions {
-		b.WriteByte('[')
-		b.WriteString(strconv.Itoa(len(reps)))
-		for _, a := range reps {
-			b.WriteByte('|')
-			b.WriteString(strconv.Itoa(len(a)))
-			b.WriteByte(':')
-			b.WriteString(a)
-		}
-	}
-	return b.String()
 }
 
 // placementJSON is the JSON schema of a placement file — the durations as

@@ -160,56 +160,6 @@ func TestPlacementFailoverMidQuery(t *testing.T) {
 	}
 }
 
-// TestPlacementCacheKey is the cache-ambiguity regression: the structural
-// key must separate every distinct placement — including the collisions
-// the old comma-join was blind to — while the failover knobs stay out of
-// it.
-func TestPlacementCacheKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	pts, _ := plantedPoints(rng, 5000, 3000, 2, 0.02)
-
-	key := func(o DatasetOptions) indexKey {
-		t.Helper()
-		ds, err := Open(pts, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds.effectiveKey()
-	}
-
-	// The comma-join ambiguity: one shard at "a,b" vs two shards "a", "b".
-	joined := key(DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a,b"}}}})
-	split := key(DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a"}, {"b"}}}})
-	if joined.remote == split.remote {
-		t.Fatalf("[\"a,b\"] and [\"a\"],[\"b\"] share a cache key: %q", joined.remote)
-	}
-
-	// Replica structure is identity: 1 partition × 2 replicas vs
-	// 2 partitions × 1 replica over the same addresses build different
-	// indexes (different shard counts!) and must never share a slot.
-	oneOf2 := key(DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a", "b"}}}})
-	twoOf1 := key(DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a"}, {"b"}}}})
-	if oneOf2 == twoOf1 {
-		t.Fatalf("{a,b} and {a},{b} placements share a cache key: %+v", oneOf2)
-	}
-
-	// Length-prefixing defeats separator injection inside addresses.
-	inj := key(DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a|1:b"}}}})
-	two := key(DatasetOptions{Placement: &Placement{Partitions: [][]string{{"a", "b"}}}})
-	if inj.remote == two.remote {
-		t.Fatalf("injected separator collides: %q", inj.remote)
-	}
-
-	// Knobs and Dial are transport mechanics, not identity.
-	knobs := key(DatasetOptions{Placement: &Placement{
-		Partitions: [][]string{{"a"}, {"b"}},
-		Retries:    3, HedgeDelay: time.Millisecond, ProbeInterval: time.Second,
-	}})
-	if knobs != twoOf1 {
-		t.Fatalf("failover knobs changed the cache key: %+v vs %+v", knobs, twoOf1)
-	}
-}
-
 // TestPlacementValidation covers the Open-time rejections of malformed
 // placements.
 func TestPlacementValidation(t *testing.T) {
@@ -258,8 +208,8 @@ func TestPlacementJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.cacheKey() != p.cacheKey() {
-		t.Fatalf("round trip changed partitions: %q vs %q", got.cacheKey(), p.cacheKey())
+	if !reflect.DeepEqual(got.Partitions, p.Partitions) {
+		t.Fatalf("round trip changed partitions: %q vs %q", got.Partitions, p.Partitions)
 	}
 	if got.Retries != p.Retries || got.HedgeDelay != p.HedgeDelay ||
 		got.ProbeInterval != p.ProbeInterval || got.DialTimeout != p.DialTimeout {

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"privcluster/internal/core"
 	"privcluster/internal/transport"
 )
 
@@ -92,56 +94,6 @@ func TestRemoteReleaseEquivalence(t *testing.T) {
 	}
 }
 
-// TestRemoteIndexCacheKey: the regression the cache refactor guards — a
-// remote configuration must never share a cache slot with a local one of
-// the same policy/shards/workers shape, and distinct address lists are
-// distinct identities.
-func TestRemoteIndexCacheKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	pts, _ := plantedPoints(rng, 5000, 3000, 2, 0.02)
-
-	local, err := Open(pts, DatasetOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := Open(pts, DatasetOptions{Placement: placementOf([]string{"a", "b"}, 2, 1, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote2, err := Open(pts, DatasetOptions{Placement: placementOf([]string{"a", "c"}, 2, 1, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk, rk, rk2 := local.effectiveKey(), remote.effectiveKey(), remote2.effectiveKey()
-	if lk == rk {
-		t.Fatalf("local and remote cache keys collide: %+v", lk)
-	}
-	if rk == rk2 {
-		t.Fatalf("distinct address lists share a cache key: %+v", rk)
-	}
-	if rk.pol != core.IndexScalable || rk.shards != 2 {
-		t.Errorf("remote key = %+v, want scalable/2", rk)
-	}
-	if lk.remote != "" {
-		t.Errorf("local key carries a remote component: %+v", lk)
-	}
-
-	// More addresses than points clamps the key like the build.
-	few := pts[:3]
-	small, err := Open(few, DatasetOptions{Placement: placementOf([]string{"a", "b", "c", "d", "e"}, 5, 1, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := small.effectiveKey(); k.shards != 3 {
-		t.Errorf("remote shards not clamped to n: %+v", k)
-	}
-
-	// Remote addresses must be well-formed up front.
-	if _, err := Open(pts, DatasetOptions{Placement: placementOf([]string{"a", ""}, 2, 1, nil)}); err == nil {
-		t.Error("empty remote shard address accepted")
-	}
-}
-
 // TestRemoteDatasetClose: Close releases the remote connections and the
 // handle reports no error; a handle over dead servers surfaces a typed
 // transport error from its first query instead of hanging.
@@ -171,6 +123,76 @@ func TestRemoteDatasetClose(t *testing.T) {
 	var te *transport.Error
 	if !errors.As(err, &te) {
 		t.Fatalf("query against dead servers: err = %v, want *transport.Error", err)
+	}
+}
+
+// countedConn reports its first Close to the shared open-connection count.
+type countedConn struct {
+	net.Conn
+	once sync.Once
+	open *atomic.Int64
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestPlacementGOMAXPROCSDrift: a Placement handle builds its index once,
+// so queries under changing GOMAXPROCS values neither rebuild it nor
+// re-dial the shard servers, and Close leaves no connection open.
+func TestPlacementGOMAXPROCSDrift(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	pts, _ := plantedPoints(rng, 5000, 3000, 2, 0.02)
+	addrs, ln := startLoopbackServers(t, 2)
+	var dials, open atomic.Int64
+	dial := func(ctx context.Context, addr string) (net.Conn, error) {
+		c, err := ln.Dial(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		dials.Add(1)
+		open.Add(1)
+		return &countedConn{Conn: c, open: &open}, nil
+	}
+	ds, err := Open(pts, DatasetOptions{Placement: placementOf(addrs, 2, 1, dial)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 4, 5, 6} {
+		runtime.GOMAXPROCS(procs)
+		if _, err := ds.FindCluster(context.Background(), 3000, QueryOptions{Epsilon: 2, Delta: 1e-5, Seed: 1}); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+	}
+	if b := ds.builds.Load(); b != 1 {
+		t.Errorf("%d index builds across GOMAXPROCS changes, want 1", b)
+	}
+	if d := dials.Load(); d != 2 {
+		t.Errorf("%d shard connections dialed, want 2 (one per partition)", d)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if o := open.Load(); o != 0 {
+		t.Errorf("%d shard connections still open after Close", o)
+	}
+
+	// A query that passed checkOpen before Close must not build (and dial)
+	// the index afterwards.
+	unbuilt, err := Open(pts, DatasetOptions{Placement: placementOf(addrs, 2, 1, dial)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unbuilt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, _, err := unbuilt.index(); !errors.Is(err, ErrClosed) {
+		t.Errorf("index() after Close: %v, want ErrClosed", err)
+	}
+	if d := dials.Load(); d != 2 {
+		t.Errorf("%d shard connections dialed after Close, want still 2", d)
 	}
 }
 

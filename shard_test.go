@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"privcluster/internal/core"
 	"privcluster/internal/geometry"
 )
 
@@ -93,105 +92,42 @@ func TestShardedReleaseEquivalence100k(t *testing.T) {
 	}
 }
 
-// TestDatasetIndexCacheKey is the satellite regression test: the index
-// cache keys by everything that affects the built index (policy, shards,
-// workers), so a changed shard count builds a fresh index rather than
-// serving a stale one, while a repeated key still hits the cache.
-func TestDatasetIndexCacheKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	pts, _ := plantedPoints(rng, 6000, 4000, 2, 0.02)
-	ds, err := Open(pts, DatasetOptions{IndexPolicy: IndexScalable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardsOf := func(key indexKey) int {
-		t.Helper()
-		ix, _, err := ds.index(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ci, ok := ix.(*cachedIndex)
-		if !ok {
-			t.Fatalf("index cache returned %T", ix)
-		}
-		sh, ok := ci.BallIndex.(*geometry.ShardedIndex)
-		if !ok {
-			return 1 // unsharded CellIndex
-		}
-		return sh.Shards()
-	}
-
-	k2 := indexKey{pol: core.IndexScalable, shards: 2}
-	k4 := indexKey{pol: core.IndexScalable, shards: 4}
-	if got := shardsOf(k2); got != 2 {
-		t.Errorf("key{shards: 2} built a %d-shard index", got)
-	}
-	if got := shardsOf(k4); got != 4 {
-		t.Errorf("key{shards: 4} served a %d-shard index — stale cache hit", got)
-	}
-	if builds := ds.builds.Load(); builds != 2 {
-		t.Errorf("two distinct keys built the index %d times, want 2", builds)
-	}
-	if got := shardsOf(k2); got != 2 {
-		t.Errorf("repeated key{shards: 2} returned a %d-shard index", got)
-	}
-	if builds := ds.builds.Load(); builds != 2 {
-		t.Errorf("repeated key rebuilt: %d builds, want 2", builds)
-	}
-
-	// A worker-count change is part of the key too (the pool budget is
-	// baked into the built index).
-	kw := indexKey{pol: core.IndexScalable, shards: 2, workers: 3}
-	if got := shardsOf(kw); got != 2 {
-		t.Errorf("worker-keyed index has %d shards", got)
-	}
-	if builds := ds.builds.Load(); builds != 3 {
-		t.Errorf("changed workers did not build a fresh index: %d builds, want 3", builds)
-	}
-
-	// FIFO eviction keeps the cache bounded without breaking correctness.
-	for s := 5; s < 5+defaultIndexCacheSize+1; s++ {
-		if got := shardsOf(indexKey{pol: core.IndexScalable, shards: s}); got != s {
-			t.Fatalf("key{shards: %d} returned a %d-shard index", s, got)
-		}
-	}
-	ds.mu.Lock()
-	cached := len(ds.indexes)
-	ds.mu.Unlock()
-	if cached > defaultIndexCacheSize {
-		t.Errorf("index cache holds %d entries, bound is %d", cached, defaultIndexCacheSize)
-	}
-}
-
-// TestDatasetEffectiveKeyShards: the handle resolves automatic shard
-// counts through core.ResolveShards — below the auto cutover the key says
-// one shard; an explicit request is clamped to n; the exact backend never
-// shards.
+// TestDatasetEffectiveKeyShards: the handle's one index is built from its
+// own options — automatic shards below the cutover build one CellIndex, an
+// explicit request builds that many shards, and the exact backend (auto
+// policy at n ≤ ExactIndexMaxN) never shards, whatever Shards says.
 func TestDatasetEffectiveKeyShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	big, _ := plantedPoints(rng, 6000, 4000, 2, 0.02)
 	small, _ := plantedPoints(rng, 100, 60, 2, 0.02)
 
-	ds, err := Open(big, DatasetOptions{}) // auto policy → scalable at n=6000
-	if err != nil {
-		t.Fatal(err)
+	built := func(pts []Point, o DatasetOptions) geometry.BallIndex {
+		t.Helper()
+		ds, err := Open(pts, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, cold, err := ds.index()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cold {
+			t.Error("first index() call did not run the build")
+		}
+		return ix.(*cachedIndex).BallIndex
 	}
-	if key := ds.effectiveKey(); key.pol != core.IndexScalable || key.shards != 1 {
-		t.Errorf("auto shards below the cutover: key = %+v, want scalable/1", key)
+	// Auto policy → scalable at n=6000, auto shards → unsharded.
+	ix := built(big, DatasetOptions{})
+	if _, ok := ix.(*geometry.CellIndex); !ok {
+		t.Errorf("auto shards below the cutover built %T, want *geometry.CellIndex", ix)
 	}
-	ds, err = Open(big, DatasetOptions{Shards: 16})
-	if err != nil {
-		t.Fatal(err)
+	ix = built(big, DatasetOptions{Shards: 16})
+	if sh, ok := ix.(*geometry.ShardedIndex); !ok || sh.Shards() != 16 {
+		t.Errorf("Shards: 16 built %T, want a 16-shard *geometry.ShardedIndex", ix)
 	}
-	if key := ds.effectiveKey(); key.shards != 16 {
-		t.Errorf("explicit shards: key = %+v, want 16", key)
-	}
-	ds, err = Open(small, DatasetOptions{Shards: 8}) // n=100 ≤ ExactIndexMaxN → exact
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key := ds.effectiveKey(); key.pol != core.IndexExact || key.shards != 1 {
-		t.Errorf("exact backend sharded: key = %+v", key)
+	ix = built(small, DatasetOptions{Shards: 8})
+	if _, ok := ix.(*geometry.DistanceIndex); !ok {
+		t.Errorf("auto policy at n=100 built %T, want *geometry.DistanceIndex", ix)
 	}
 }
 

@@ -58,8 +58,8 @@ type QueryStats struct {
 	// Build is the ball-index resolution stage: a cache hit costs
 	// microseconds, a cold build dominates the query.
 	Build time.Duration
-	// ColdIndex reports whether this query built (or waited for) the index
-	// rather than reusing a cached one.
+	// ColdIndex reports whether this query ran the handle's one index
+	// build rather than reusing the built index.
 	ColdIndex bool
 	// Mechanism is the private mechanism stage: LStep sweep, RecConcave,
 	// SVT repetitions, noise draws — everything between admission and
@@ -131,9 +131,9 @@ var (
 		"Query stage latency (reserve, build, mechanism, commit).", stageBuckets, "stage", "commit")
 
 	statIndexCacheHit = obs.Default.Counter("privcluster_index_cache_total",
-		"Ball-index cache lookups by result.", "result", "hit")
+		"Ball-index lookups by result (miss: this query built the index).", "result", "hit")
 	statIndexCacheMiss = obs.Default.Counter("privcluster_index_cache_total",
-		"Ball-index cache lookups by result.", "result", "miss")
+		"Ball-index lookups by result (miss: this query built the index).", "result", "miss")
 	statLStepCacheHit = obs.Default.Counter("privcluster_lstep_cache_total",
 		"Per-target LStep memo lookups by result.", "result", "hit")
 	statLStepCacheMiss = obs.Default.Counter("privcluster_lstep_cache_total",
