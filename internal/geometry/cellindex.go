@@ -46,9 +46,9 @@ type CellIndexOptions struct {
 	LevelsPerOctave int
 	// CellsPerRadius is the cell granularity: a query at radius r uses cells
 	// of side ≈ r/CellsPerRadius. Higher values shrink the center-rule
-	// count slack h ≈ √d/(2·CellsPerRadius)·r at a cost of
-	// (2·CellsPerRadius+2)^d candidate cells per query. It is raised to
-	// ⌈√d⌉ when below it (keeping h ≤ r/2). Default: 4.
+	// count slack h ≈ √d/(2·CellsPerRadius)·r at a cost of up to
+	// (2·CellsPerRadius+3)^(d−1) member rows joined per source row. It is
+	// raised to ⌈√d⌉ when below it (keeping h ≤ r/2). Default: 4.
 	CellsPerRadius int
 	// Workers bounds the worker pool of the bulk count passes.
 	// Default: GOMAXPROCS.
@@ -90,12 +90,12 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 
 // CellIndex is the scalable BallIndex backend: points are bucketed into a
 // grid of cells, one flat sorted cell level per radius scale, built lazily
-// and kept. A count pass visits, per occupied source cell, only the
-// candidate cells intersecting the ball's bounding box (or, when fewer, the
-// occupied cells) and resolves them at cell granularity by the center rule:
-// all of a cell's points count when the cell center lies in the ball, none
-// otherwise (so cells wholly inside the ball count in full and cells wholly
-// outside not at all).
+// and kept. A count pass joins each row of occupied source cells against
+// the occupied member rows within reach (see joinPass) and resolves member
+// cells at cell granularity by the center rule: all of a cell's points
+// count when the cell center lies in the ball, none otherwise (so cells
+// wholly inside the ball count in full, summed a run at a time, and cells
+// wholly outside not at all).
 //
 // Approximation contract: CellIndex answers only BuildLStep, and its L̂ is
 // an estimate. Radius 0 is exact (the duplicate table). At a ladder radius
@@ -111,7 +111,8 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 // Memory is O(L·n) for the L ladder levels a sweep has built (each level is
 // 4n bytes of row ids plus 8d+4 bytes per occupied cell, and is kept for
 // the index's lifetime, so later sweeps rebuild nothing), on top of the
-// O(n·d) points and duplicate table, versus the Θ(n²) of DistanceIndex. A
+// O(n·d) points and duplicate table, versus the Θ(n²) of DistanceIndex;
+// each count-pass worker adds a pooled band table of at most 16 KB. A
 // Dataset handle over n = 10⁵ points in d = 2, primed by one query, holds
 // about 53 MB of heap in all (measured on amd64). Bulk passes are
 // parallelized across Options.Workers cores with the same worker-pool
@@ -128,9 +129,8 @@ type CellIndex struct {
 
 	lad radiusLadder
 
-	// scratch pools the per-worker query buffers so repeated count passes
-	// (a BuildLStep ladder sweep runs one per level) allocate no new
-	// odometer state.
+	// scratch pools the per-worker count-pass buffers so repeated passes
+	// (a BuildLStep ladder sweep runs one per level) allocate none.
 	scratch sync.Pool
 
 	mu     sync.Mutex
@@ -203,10 +203,10 @@ func (l radiusLadder) radius(j int) float64 {
 
 // cellLevel is the cell index at one radius scale, stored flat: the nb
 // occupied cells sorted lexicographically by coordinates with axis 0
-// fastest-varying, so that a query block resolves into one contiguous range
-// scan per axis-0 run (a galloping search from a cursor each) instead of a
-// hash probe per candidate cell — the dominant cost at scale, since most
-// candidate cells are empty. Cell c has integer coordinates
+// fastest-varying, so that the cells sharing axes 1..d−1 form one
+// contiguous row, ascending along axis 0: the count pass joins rows against
+// rows, found by galloping search, instead of probing candidate cells (most
+// of which are empty). Cell c has integer coordinates
 // coords[c·d:(c+1)·d] (it spans [coord·side, (coord+1)·side) per axis) and
 // holds the rows ids[start[c]:start[c+1]], ascending. A level takes a constant number of
 // allocations, whatever its cell count, and 8·d·nb + 4·nb + 4·n bytes.
@@ -216,10 +216,9 @@ type cellLevel struct {
 	coords []int64 // nb·d cell coordinates, cell-major
 	start  []int32 // nb+1 offsets into ids
 	ids    []int32 // the n row ids, grouped by cell
-	// lo, hi bound the occupied cell coordinates per axis: the candidate
-	// block of every query is clamped to this box, and the sharded cross
-	// pass uses it as an O(d) prefilter to skip member shards whose
-	// (spatially compact) cells cannot reach a source cell.
+	// lo, hi bound the occupied cell coordinates per axis: the row join
+	// clamps its member-row box to them and skips, in O(d), a member group
+	// whose (spatially compact) cells a source row cannot reach.
 	lo, hi []int64
 }
 
@@ -440,23 +439,24 @@ func cmpCoords(a, b []int64) int {
 	return 0
 }
 
-// cellScratch holds per-worker query buffers: the odometer state and run
-// cursors of the candidate enumeration plus a center buffer for synthetic
-// query points. All count passes thread one of these through, so a warm pass
-// allocates nothing per cell.
+// countChunk is the number of source cells one count-pass task takes.
+const countChunk = 64
+
+// cellScratch holds per-worker count-pass buffers: the higher-axis box and
+// the gallop keys of the row join, the per-source-cell accumulator of one
+// task and the band table of one pass (see joinPass). All are allocated
+// once per scratch (the table regrows only for a pass that needs more
+// entries), so a warm pass allocates nothing per cell or row.
 type cellScratch struct {
-	lo, hi, cur []int64
-	cursor      []int32 // last run start per higher-axis block offset (see forCandidates)
-	center      vec.Vector
+	lo, hi, key, seek []int64
+	acc               []int32
+	bands             [][2]int64
 }
 
 func newCellScratch(d int) *cellScratch {
-	return &cellScratch{
-		lo:     make([]int64, d),
-		hi:     make([]int64, d),
-		cur:    make([]int64, d),
-		center: make(vec.Vector, d),
-	}
+	buf := make([]int64, 4*d)
+	return &cellScratch{lo: buf[:d], hi: buf[d : 2*d], key: buf[2*d : 3*d], seek: buf[3*d:],
+		acc: make([]int32, countChunk)}
 }
 
 // getScratch and putScratch recycle cellScratch values across count passes.
@@ -483,117 +483,6 @@ func bucketCount(coord []int64, size int32, side float64, p vec.Vector, rsq floa
 		return size
 	}
 	return 0
-}
-
-// maxCursors caps a scratch's run-cursor table (int32 slots): blocks with
-// more higher-axis offsets alias slots modulo the cap.
-const maxCursors = 1 << 14
-
-// forCandidates invokes fn, in scan order, on every occupied cell that can
-// intersect the ball B(center, r) expanded by pad on each axis. The block
-// of candidate cells is first clamped to the level's occupied box (no cell
-// lies outside it). The cells are sorted with axis 0 fastest-varying, so
-// the block decomposes into one sorted-range scan per offset of the higher
-// axes from the block's low corner; when the block has more such runs than
-// there are occupied cells, scanning all cells directly is cheaper (which
-// also keeps huge-radius queries O(n)). fn returning false stops the
-// enumeration.
-//
-// A run starts by galloping forward to its first cell. Count passes visit
-// source cells in sorted order, and for a fixed offset the run key then
-// ascends too, so sc keeps, per offset, the run start it last found (a
-// table of w^(d−1) slots, w = ⌊2(r+pad)/side⌋+2 bounding the block's span
-// per axis, aliased modulo maxCursors) and the gallop from it is usually a
-// compare or two. A cursor is trusted only when every cell before it sorts
-// below the run key (one compare), so cursors left by another level,
-// another member group or an out-of-order source cell cost speed, never
-// correctness; an untrusted cursor falls back to where the previous run of
-// this block stopped.
-func (ix *CellIndex) forCandidates(lv *cellLevel, center vec.Vector, r, pad float64, sc *cellScratch, fn func(c int) bool) {
-	d := ix.dim
-	side := lv.side
-	runs := 1.0
-	for a := 0; a < d; a++ {
-		// Clamp in float space so a block far outside the occupied box
-		// never round-trips through an out-of-range int64 conversion.
-		flo := math.Floor((center[a] - r - pad) / side)
-		fhi := math.Floor((center[a] + r + pad) / side)
-		if flo > float64(lv.hi[a]) || fhi < float64(lv.lo[a]) {
-			return
-		}
-		sc.lo[a], sc.hi[a] = lv.lo[a], lv.hi[a]
-		if flo > float64(sc.lo[a]) {
-			sc.lo[a] = int64(flo)
-		}
-		if fhi < float64(sc.hi[a]) {
-			sc.hi[a] = int64(fhi)
-		}
-		if a > 0 {
-			runs *= float64(sc.hi[a] - sc.lo[a] + 1)
-		}
-	}
-	nb := lv.cells()
-	if runs > float64(nb) {
-	cells:
-		for c := 0; c < nb; c++ {
-			cc := lv.coord(c)
-			for a := 0; a < d; a++ {
-				if cc[a] < sc.lo[a] || cc[a] > sc.hi[a] {
-					continue cells
-				}
-			}
-			if !fn(c) {
-				return
-			}
-		}
-		return
-	}
-	w := int(min(2*(r+pad)/side, maxCursors)) + 2
-	slots := 1
-	for a := 1; a < d; a++ {
-		slots = min(slots*w, maxCursors)
-	}
-	if len(sc.cursor) < slots {
-		sc.cursor = make([]int32, slots)
-	}
-	// Odometer over the higher-axis offsets; each yields the run
-	// [lo[0], offset] … [hi[0], offset] in the sorted cell order.
-	copy(sc.cur, sc.lo)
-	from := 0
-	for {
-		sc.cur[0] = sc.lo[0]
-		slot := 0
-		for a := d - 1; a > 0; a-- {
-			slot = (slot*w + int(sc.cur[a]-sc.lo[a])) % slots
-		}
-		c := int(sc.cursor[slot])
-		if c <= from || c > nb || cmpCoords(lv.coord(c-1), sc.cur) >= 0 {
-			c = from
-		}
-		c = lv.gallop(c, sc.cur)
-		sc.cursor[slot] = int32(c)
-		for ; c < nb; c++ {
-			cc := lv.coord(c)
-			if cc[0] > sc.hi[0] || !prefixEqual(cc, sc.cur) {
-				break
-			}
-			if !fn(c) {
-				return
-			}
-		}
-		from = c
-		a := 1
-		for ; a < d; a++ {
-			sc.cur[a]++
-			if sc.cur[a] <= sc.hi[a] {
-				break
-			}
-			sc.cur[a] = sc.lo[a]
-		}
-		if a == d {
-			break
-		}
-	}
 }
 
 // gallop returns the first cell at or after from whose coordinates are
@@ -629,112 +518,11 @@ func prefixEqual(a, b []int64) bool {
 	return true
 }
 
-// boxBoxDistSq returns the squared min and max distances between the AABBs
-// of two cells of the given side.
-func boxBoxDistSq(a, b []int64, side float64) (minSq, maxSq float64) {
-	for x := range a {
-		// Cell x spans [c·side, (c+1)·side]: the gap and the farthest
-		// corner pair follow from the integer offset alone.
-		off := float64(b[x] - a[x])
-		var dmin float64
-		switch {
-		case off > 1:
-			dmin = (off - 1) * side
-		case off < -1:
-			dmin = (-off - 1) * side
-		}
-		minSq += dmin * dmin
-		dmax := off
-		if dmax < 0 {
-			dmax = -dmax
-		}
-		dmax = (dmax + 1) * side
-		maxSq += dmax * dmax
-	}
-	return minSq, maxSq
-}
-
-// accumulateCellCounts adds to out the capped within-r counts that ix's
-// points (the "members") contribute around every point of one source cell,
-// given by its coordinates and member ids. The pass is cell-pair first:
-// candidate member cells entirely within (or beyond) reach of the whole
-// source cell are resolved in O(1) for all of its points at once, and only
-// candidates straddling some point's ball boundary fall back to per-point
-// classification. The (dominant) candidate-enumeration cost is thus paid
-// per occupied cell pair rather than per point pair — a large win exactly
-// where the data is dense.
-//
-// srcIDs index the rows of src; the out slot of id is gids[id] (nil gids:
-// ids index out directly — the single-index case where sources are
-// members).
-// Counts saturate at limit, and contributions accumulate onto whatever out
-// already holds: nonnegative saturating addition is order-independent, so a
-// sharded caller summing per-shard member contributions lands on exactly
-// min(total, limit), bit-identical to a single pass over all members —
-// provided the source cell and lv use the same cell side (the shared-ladder
-// invariant ShardedIndex maintains).
-func (ix *CellIndex) accumulateCellCounts(lv *cellLevel, srcCoord []int64, srcIDs []int32, src *vec.Frame, gids []int32, r float64, limit int32, out []int32, sc *cellScratch) {
-	side := lv.side
-	rsq := r * r
-	// The block around the source cell's box covers the ball bounding
-	// boxes of all its points (pad = side/2 beyond the per-point radius,
-	// from the cell center).
-	for a := 0; a < ix.dim; a++ {
-		sc.center[a] = (float64(srcCoord[a]) + 0.5) * side
-	}
-	var base int32 // count shared by every point of the cell
-	capped := false
-	ix.forCandidates(lv, sc.center, r, side/2, sc, func(c int) bool {
-		coord := lv.coord(c)
-		minSq, maxSq := boxBoxDistSq(srcCoord, coord, side)
-		switch {
-		case minSq > rsq: // beyond reach of the whole cell
-		case maxSq <= rsq: // inside reach of the whole cell
-			base += lv.size(c)
-			if base >= limit {
-				capped = true
-				return false
-			}
-		default:
-			size := lv.size(c)
-			for _, pid := range srcIDs {
-				gid := pid
-				if gids != nil {
-					gid = gids[pid]
-				}
-				if out[gid] >= limit {
-					continue
-				}
-				if n := out[gid] + bucketCount(coord, size, side, src.Row(int(pid)), rsq); n < limit {
-					out[gid] = n
-				} else {
-					out[gid] = limit
-				}
-			}
-		}
-		return true
-	})
-	for _, pid := range srcIDs {
-		gid := pid
-		if gids != nil {
-			gid = gids[pid]
-		}
-		if capped {
-			out[gid] = limit
-			continue
-		}
-		if c := out[gid] + base; c < limit {
-			out[gid] = c
-		} else {
-			out[gid] = limit
-		}
-	}
-}
-
-// topTAvg returns the average of the t largest values (each clamped to
-// [0, t]) via one counting pass — O(n + t), no sort.
-func topTAvg(counts []int32, t int) float64 {
-	hist := make([]int32, t+1)
+// topTAvg returns the average of the t = len(hist)−1 largest values (each
+// clamped to [0, t]) via one counting pass into hist — O(n + t), no sort.
+func topTAvg(counts, hist []int32) float64 {
+	t := len(hist) - 1
+	clear(hist)
 	for _, c := range counts {
 		if c > int32(t) {
 			c = int32(t)
@@ -780,10 +568,10 @@ type levelCounter func(ctx context.Context, j int, r float64, limit int32, out [
 // radius gets count's cell-granularity estimate (clipped to stay
 // monotone), and the sweep stops as soon as L saturates at t — guaranteed
 // at the ladder top, which covers the data diameter plus the center-rule
-// slack. All levels share one count buffer. ctx cancellation aborts
-// between (and inside) ladder levels — this sweep is the dominant
-// per-query cost at scale. The levels swept are reported to the current
-// trace span as sweep_levels.
+// slack. All levels share one count buffer and one histogram. ctx
+// cancellation aborts between (and inside) ladder levels — this sweep is
+// the dominant per-query cost at scale. The levels swept are reported to
+// the current trace span as sweep_levels.
 func sweepLStep(ctx context.Context, n, t int, dup []int32, lad radiusLadder, count levelCounter) (*LStep, error) {
 	ctx = ctxOrBackground(ctx)
 	if t < 1 || t > n {
@@ -792,7 +580,8 @@ func sweepLStep(ctx context.Context, n, t int, dup []int32, lad radiusLadder, co
 	// Radius 0 plus at most one break per ladder level: the lists never
 	// regrow.
 	l := &LStep{T: t, Breaks: make([]float64, 1, lad.top+2), Vals: make([]float64, 1, lad.top+2)}
-	prev := topTAvg(dup, t)
+	hist := make([]int32, t+1) // topTAvg's histogram, shared by every level
+	prev := topTAvg(dup, hist)
 	l.Vals[0] = prev
 	counts := make([]int32, n)
 	// Every ladder level is visited in order and the recorded function is
@@ -815,7 +604,7 @@ func sweepLStep(ctx context.Context, n, t int, dup []int32, lad radiusLadder, co
 			return nil, err
 		}
 		levels++
-		v := topTAvg(counts, t)
+		v := topTAvg(counts, hist)
 		if v > prev {
 			l.Breaks = append(l.Breaks, r)
 			l.Vals = append(l.Vals, v)

@@ -114,207 +114,243 @@ func TestBucketCountCenterRule(t *testing.T) {
 	t.Logf("%d triples (%d exact ties), 0 mismatches", total, ties)
 }
 
-// search returns the first cell at or after from whose coordinates are
-// ≥ key in cmpCoords order (cells() when there is none), by plain binary
-// search: the reference the cursor gallop in forCandidates is checked
-// against.
-func (lv *cellLevel) search(from int, key []int64) int {
-	lo, hi := from, lv.cells()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cmpCoords(lv.coord(mid), key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+// boxBoxDistSq returns the squared min and max distances between the AABBs
+// of two cells of the given side: the whole-cell classification of the
+// per-pair count path below.
+func boxBoxDistSq(a, b []int64, side float64) (minSq, maxSq float64) {
+	for x := range a {
+		// Cell x spans [c·side, (c+1)·side]: the gap and the farthest
+		// corner pair follow from the integer offset alone.
+		off := float64(b[x] - a[x])
+		var dmin float64
+		switch {
+		case off > 1:
+			dmin = (off - 1) * side
+		case off < -1:
+			dmin = (-off - 1) * side
 		}
+		minSq += dmin * dmin
+		dmax := off
+		if dmax < 0 {
+			dmax = -dmax
+		}
+		dmax = (dmax + 1) * side
+		maxSq += dmax * dmax
 	}
-	return lo
+	return minSq, maxSq
 }
 
-// candidatesBySearch is the reference enumeration for forCandidates: every
-// occupied cell of the block around center (clamped to the occupied box),
-// one run per higher-axis prefix, each located by binary search from the
-// first cell and scanned forward. ok is false when the block has more runs
-// than the level has cells, where forCandidates scans every cell instead
-// and no cursor is involved; the reference then enumerates nothing.
-func candidatesBySearch(lv *cellLevel, center vec.Vector, r, pad float64) (cells []int, ok bool) {
-	d := lv.dim
-	lo, hi := make([]int64, d), make([]int64, d)
-	runs := 1.0
-	for a := 0; a < d; a++ {
-		flo := math.Floor((center[a] - r - pad) / lv.side)
-		fhi := math.Floor((center[a] + r + pad) / lv.side)
-		if flo > float64(lv.hi[a]) || fhi < float64(lv.lo[a]) {
-			return nil, true
-		}
-		lo[a] = int64(max(flo, float64(lv.lo[a])))
-		hi[a] = int64(min(fhi, float64(lv.hi[a])))
-		if a > 0 {
-			runs *= float64(hi[a] - lo[a] + 1)
-		}
-	}
-	if runs > float64(lv.cells()) {
-		return nil, false
-	}
-	cur := slices.Clone(lo)
-	for {
-		for c := lv.search(0, cur); c < lv.cells(); c++ {
-			cc := lv.coord(c)
-			if cc[0] > hi[0] || !prefixEqual(cc, cur) {
-				break
-			}
-			cells = append(cells, c)
-		}
-		a := 1
-		for ; a < d; a++ {
-			cur[a]++
-			if cur[a] <= hi[a] {
-				break
-			}
-			cur[a] = lo[a]
-		}
-		if a == d {
-			return cells, true
-		}
-	}
-}
-
-// checkCursorQuery runs one forCandidates query through sc and compares it
-// with the reference enumeration: cursorPath reports whether the query took
-// the cursor path, and mismatch describes any difference.
-func checkCursorQuery(ix *CellIndex, lv *cellLevel, center vec.Vector, r, pad float64, sc *cellScratch) (cursorPath bool, mismatch string) {
-	want, ok := candidatesBySearch(lv, center, r, pad)
-	if !ok {
-		return false, ""
-	}
-	var got []int
-	ix.forCandidates(lv, center, r, pad, sc, func(c int) bool {
-		got = append(got, c)
-		return true
-	})
-	if !slices.Equal(got, want) {
-		return true, fmt.Sprintf("center %v r %g side %g: cursors yield %v, search %v", center, r, lv.side, got, want)
-	}
-	return true, ""
-}
-
-// checkCursorSweeps runs the count-pass query pattern — source cells of
-// src's level in scan order, each cell's center padded by side/2 — against
-// each member index at each of the given ladder levels, all through one
-// shared scratch, and then again with the source cells shuffled (as
-// interleaved pool chunks visit them). The member indexes and levels
-// alternate per source cell, so the scratch's cursors are routinely stale.
-// At most maxSrc source cells per level are visited (an ordered sample). It
-// returns how many queries took the cursor path.
-func checkCursorSweeps(t *testing.T, tag string, rng *rand.Rand, src *CellIndex, members []*CellIndex, levels []int, maxSrc int) int {
-	t.Helper()
-	sc := newCellScratch(src.dim)
-	center := make(vec.Vector, src.dim)
-	cursorQueries := 0
-	for _, j := range levels {
-		slv := src.level(j)
-		order := rng.Perm(slv.cells())
-		order = order[:min(len(order), maxSrc)]
-		slices.Sort(order)
-		for _, shuffled := range []bool{false, true} {
-			if shuffled {
-				rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-			}
-			for _, c := range order {
-				for a, x := range slv.coord(c) {
-					center[a] = (float64(x) + 0.5) * slv.side
+// perPairCellCounts is the count pass as it stood before the row join, the
+// oracle crossCellCounts must match bit for bit. Per (source cell, member
+// group) it takes the candidate block of cells that can meet the ball
+// around any point of the source cell (the cell center padded by side/2,
+// clamped to the member level's occupied box), classifies each occupied
+// candidate against the whole source cell by boxBoxDistSq, and resolves
+// the cells that straddle the boundary point by point with bucketCount,
+// saturating at limit.
+func perPairCellCounts(srcs, members []cellGroup, j int, r float64, limit int32, out []int32) {
+	rsq := r * r
+	for _, sg := range srcs {
+		slv := sg.ix.level(j)
+		side := slv.side
+		d := slv.dim
+		for c := 0; c < slv.cells(); c++ {
+			sc := slv.coord(c)
+			for _, mg := range members {
+				mlv := mg.ix.level(j)
+				var base int32
+				capped := false
+			cells:
+				for mc := 0; mc < mlv.cells() && !capped; mc++ {
+					coord := mlv.coord(mc)
+					for a := 0; a < d; a++ {
+						center := (float64(sc[a]) + 0.5) * side
+						lo := math.Floor((center - r - side/2) / side)
+						hi := math.Floor((center + r + side/2) / side)
+						if float64(coord[a]) < lo || float64(coord[a]) > hi {
+							continue cells
+						}
+					}
+					minSq, maxSq := boxBoxDistSq(sc, coord, side)
+					switch {
+					case minSq > rsq:
+					case maxSq <= rsq:
+						base += mlv.size(mc)
+						capped = base >= limit
+					default:
+						for _, pid := range slv.members(c) {
+							gid := pid
+							if sg.gids != nil {
+								gid = sg.gids[pid]
+							}
+							out[gid] = min(out[gid]+bucketCount(coord, mlv.size(mc), side, sg.ix.frame.Row(int(pid)), rsq), limit)
+						}
+					}
 				}
-				for _, jj := range levels {
-					for mi, m := range members {
-						mlv := m.level(jj)
-						cursorPath, mismatch := checkCursorQuery(m, mlv, center, m.lad.radius(jj), mlv.side/2, sc)
-						if mismatch != "" {
-							t.Fatalf("%s: source level %d cell %d (shuffled %v), member %d level %d: %s", tag, j, c, shuffled, mi, jj, mismatch)
-						}
-						if cursorPath {
-							cursorQueries++
-						}
+				for _, pid := range slv.members(c) {
+					gid := pid
+					if sg.gids != nil {
+						gid = sg.gids[pid]
+					}
+					if capped {
+						out[gid] = limit
+					} else {
+						out[gid] = min(out[gid]+base, limit)
 					}
 				}
 			}
 		}
 	}
-	return cursorQueries
 }
 
-// TestForCandidatesCursors checks that the cursor-driven candidate scan
-// yields exactly the cells, in exactly the order, that a binary search per
-// run does: for d ∈ {1, 2, 3, 5} at every pair of ladder levels three
-// apart, over frames whose query blocks often reach past the occupied box
-// (clamped), with shuffled source order, one scratch shared across two
-// levels and two member groups, and a line of cells whose block needs more
-// cursor slots than the table holds (slots alias).
-func TestForCandidatesCursors(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, d := range []int{1, 2, 3, 5} {
-		n := 1200
-		if d == 5 {
-			n = 4000
+// countPassGroups returns the group layouts a count pass runs over for one
+// frame: the frame as its own single identity group, and the frame split
+// into even and odd rows, each a group whose gids map back to the frame's
+// rows (the sharded and epoch layouts).
+func countPassGroups(tb testing.TB, f *vec.Frame, opts CellIndexOptions) [][]cellGroup {
+	tb.Helper()
+	all, err := NewCellIndexFrame(f, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	layouts := [][]cellGroup{{{ix: all}}}
+	if f.N() < 2 {
+		return layouts
+	}
+	var split []cellGroup
+	for parity := 0; parity < 2; parity++ {
+		var ids []int32
+		for i := int32(parity); i < int32(f.N()); i += 2 {
+			ids = append(ids, i)
 		}
-		f := layoutTestFrame(rng, n, d, 1.0/64)
-		if d == 5 {
-			// In d = 5 a block has up to 11⁴ runs, so only a frame this
-			// dense in a box this small has levels where blocks (clamped to
-			// the box) take the cursor path.
-			f = cubeFrame(rng, n, d, 1.0/8)
-		}
-		opts := CellIndexOptions{Workers: 1}
-		all, err := NewCellIndexFrame(f, opts)
+		ix, err := NewCellIndexFrame(f.Gather(ids), opts)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		half, err := NewCellIndexFrame(f.Gather(oddRows(n)), opts)
-		if err != nil {
-			t.Fatal(err)
+		split = append(split, cellGroup{ix: ix, gids: ids})
+	}
+	return append(layouts, split)
+}
+
+// topLevel returns the highest ladder level every group of groups has.
+func topLevel(groups []cellGroup) int {
+	top := groups[0].ix.lad.top
+	for _, g := range groups {
+		top = min(top, g.ix.lad.top)
+	}
+	return top
+}
+
+// checkCountPass runs crossCellCounts with the given workers over groups
+// as both sources and members, at level j and radius r, once at each
+// limit, and compares every count with perPairCellCounts.
+func checkCountPass(tb testing.TB, tag string, groups []cellGroup, workers, j int, r float64, limits []int32) {
+	tb.Helper()
+	n := 0
+	for _, g := range groups {
+		n += g.ix.N()
+	}
+	for _, limit := range limits {
+		got, want := make([]int32, n), make([]int32, n)
+		if err := crossCellCounts(context.Background(), workers, groups, groups, j, r, limit, got); err != nil {
+			tb.Fatal(err)
 		}
-		top := min(all.lad.top, half.lad.top)
-		queries := 0
-		for j := 0; j+3 <= top; j += 3 {
-			queries += checkCursorSweeps(t, fmt.Sprintf("d=%d", d), rng, all, []*CellIndex{all, half}, []int{j, j + 3}, 150)
+		perPairCellCounts(groups, groups, j, r, limit, want)
+		if i := slices.Compare(got, want); i != 0 {
+			for k := range got {
+				if got[k] != want[k] {
+					tb.Fatalf("%s: level %d r %v limit %d: point %d counts %d, per-pair path %d",
+						tag, j, r, limit, k, got[k], want[k])
+				}
+			}
 		}
-		t.Logf("d=%d: %d cursor-path queries", d, queries)
-		if queries < 1000 {
-			t.Fatalf("d=%d: only %d queries took the cursor path", d, queries)
+	}
+}
+
+// tiedRadius returns a radius r whose square equals, bit for bit, the
+// center distance bucketCount computes between a random point of f and
+// the center of a random occupied cell of lv, or ok = false when no float
+// near the root squares back exactly.
+func tiedRadius(rng *rand.Rand, f *vec.Frame, lv *cellLevel) (r float64, ok bool) {
+	p := f.Row(rng.Intn(f.N()))
+	coord := lv.coord(rng.Intn(lv.cells()))
+	var dcSq float64
+	for a := range p {
+		dc := p[a] - (float64(coord[a])+0.5)*lv.side
+		dcSq += dc * dc
+	}
+	r = math.Sqrt(dcSq)
+	for _, c := range []float64{r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1))} {
+		if c*c == dcSq {
+			return c, true
 		}
+	}
+	return 0, false
+}
+
+// countPassLimits returns the caps every check runs at: none (n), a tight
+// cap (3) and one in between (n/3).
+func countPassLimits(n int) []int32 { return []int32{int32(n), 3, int32(max(1, n/3))} }
+
+// TestCountPassMatchesPerPair checks the row join against the per-pair
+// path for d = 1..6 at CellsPerRadius 1..12, over frames with negative
+// coordinates, a dense cluster, points on cell edges and duplicates; one
+// identity group and two gid-mapped member groups; one and three workers;
+// limits n, 3 and n/3; ladder radii, radii exactly tied with a computed
+// center distance, and rows longer than a task chunk.
+func TestCountPassMatchesPerPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ties := 0
+	for d := 1; d <= 6; d++ {
+		for cpr := 1; cpr <= 12; cpr++ {
+			n := 200 + rng.Intn(200)
+			f := layoutTestFrame(rng, n, d, 1.0/float64(1+rng.Intn(64)))
+			if cpr%3 == 0 {
+				f = cubeFrame(rng, n, d, 1.0/8)
+			}
+			opts := CellIndexOptions{CellsPerRadius: cpr}
+			for li, groups := range countPassGroups(t, f, opts) {
+				top := topLevel(groups)
+				for k := 0; k < 4; k++ {
+					j := rng.Intn(top + 1)
+					workers := 1 + 2*(k%2)
+					tag := fmt.Sprintf("d=%d cpr=%d layout %d", d, cpr, li)
+					checkCountPass(t, tag, groups, workers, j, groups[0].ix.lad.radius(j), countPassLimits(n))
+					if r, ok := tiedRadius(rng, f, groups[0].ix.level(j)); ok {
+						checkCountPass(t, tag+" tied", groups, workers, j, r, countPassLimits(n))
+						ties++
+					}
+				}
+			}
+		}
+	}
+	if ties < 200 {
+		t.Fatalf("only %d exactly tied radii checked", ties)
 	}
 
-	// A line of 20k adjacent cells along axis 1, at a radius spanning more
-	// cells than the line: w = ⌊2(r+pad)/side⌋+2 exceeds maxCursors, and
-	// the block clamped to the line has exactly as many runs as occupied
-	// cells, so the cursor path runs with aliased slots.
-	const cells = 20_000
-	opts := CellIndexOptions{Workers: 1, CellsPerRadius: 2 * maxCursors}
-	lad := ladderOf(t, opts.withDefaults(2), 2, 0)
-	j := lad.top / 2
-	side := lad.radius(j) / float64(opts.CellsPerRadius)
-	f := vec.NewFrame(cells, 2)
-	for i := 0; i < cells; i++ {
-		f.SetRow(i, vec.Vector{0.5, (float64(i) + 0.5) * side})
-	}
-	ix, err := NewCellIndexFrame(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, r := ix.level(j), ix.lad.radius(j)
-	if lv.cells() != cells {
-		t.Fatalf("line level has %d cells, want %d", lv.cells(), cells)
-	}
-	if w := 2*(r+lv.side/2)/lv.side + 2; w <= maxCursors {
-		t.Fatalf("w = %g does not exceed the cursor cap %d", w, maxCursors)
-	}
-	sc := newCellScratch(2)
-	center := make(vec.Vector, 2)
-	for _, c := range rng.Perm(cells)[:20] {
-		for a, x := range lv.coord(c) {
-			center[a] = (float64(x) + 0.5) * lv.side
+	// Rows longer than a task chunk: a line of cells along axis 0 (d = 1
+	// is one row; in d = 2 a few long rows), so tasks split rows.
+	for d := 1; d <= 2; d++ {
+		const n = 700
+		f := vec.NewFrame(n, d)
+		for i := 0; i < n; i++ {
+			row := f.Row(i)
+			row[0] = rng.Float64()
+			for a := 1; a < d; a++ {
+				row[a] = float64(rng.Intn(3)) / 4
+			}
 		}
-		if cursorPath, mismatch := checkCursorQuery(ix, lv, center, r, lv.side/2, sc); !cursorPath || mismatch != "" {
-			t.Fatalf("line cell %d: cursor path %v, %s", c, cursorPath, mismatch)
+		for _, groups := range countPassGroups(t, f, CellIndexOptions{CellsPerRadius: 8}) {
+			lv, row := groups[0].ix.level(0), 1
+			for row < lv.cells() && prefixEqual(lv.coord(row), lv.coord(0)) {
+				row++
+			}
+			if row <= countChunk {
+				t.Fatalf("d=%d: first row has %d cells, want more than a chunk", d, row)
+			}
+			for _, j := range []int{0, 2, 4} {
+				checkCountPass(t, fmt.Sprintf("line d=%d", d), groups, 3, j, groups[0].ix.lad.radius(j)*64, countPassLimits(n))
+			}
 		}
 	}
 }
@@ -343,36 +379,28 @@ func cubeFrame(rng *rand.Rand, n, d int, side float64) *vec.Frame {
 	return f
 }
 
-// oddRows returns the odd row ids below n: a second member group.
-func oddRows(n int) []int32 {
-	var ids []int32
-	for i := int32(1); i < int32(n); i += 2 {
-		ids = append(ids, i)
-	}
-	return ids
-}
-
-// FuzzForCandidates is the differential check of TestForCandidatesCursors
+// FuzzCountPass is the differential check of TestCountPassMatchesPerPair
 // over fuzzer-chosen inputs: the seed drives a layoutTestFrame, dim, rows
-// and cpr pick its shape and the cell granularity, and lvA, lvB the two
-// ladder levels one scratch alternates between.
-func FuzzForCandidates(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, dim, cpr uint8, rows uint16, lvA, lvB uint8) {
+// and cpr pick its shape and the cell granularity, level the ladder level,
+// and mode the layout (bit 0), the worker count (bit 1) and whether the
+// radius is the ladder's or one tied with a computed center distance
+// (bit 2). Every check runs at limits n, 3 and n/3.
+func FuzzCountPass(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, dim, cpr uint8, rows uint16, level, mode uint8) {
 		d := 1 + int(dim)%6
 		n := 2 + int(rows)%300
 		rng := rand.New(rand.NewSource(seed))
 		fr := layoutTestFrame(rng, n, d, 1.0/float64(1+rng.Intn(128)))
-		opts := CellIndexOptions{Workers: 1, CellsPerRadius: 1 + int(cpr)%12}
-		all, err := NewCellIndexFrame(fr, opts)
-		if err != nil {
-			t.Fatal(err)
+		layouts := countPassGroups(t, fr, CellIndexOptions{CellsPerRadius: 1 + int(cpr)%12})
+		groups := layouts[int(mode)%len(layouts)]
+		j := int(level) % (topLevel(groups) + 1)
+		r := groups[0].ix.lad.radius(j)
+		if mode&4 != 0 {
+			if tied, ok := tiedRadius(rng, fr, groups[0].ix.level(j)); ok {
+				r = tied
+			}
 		}
-		half, err := NewCellIndexFrame(fr.Gather(oddRows(n)), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		top := min(all.lad.top, half.lad.top)
-		checkCursorSweeps(t, "fuzz", rng, all, []*CellIndex{all, half}, []int{int(lvA) % (top + 1), int(lvB) % (top + 1)}, 300)
+		checkCountPass(t, "fuzz", groups, 1+int(mode>>1&1)*2, j, r, countPassLimits(n))
 	})
 }
 

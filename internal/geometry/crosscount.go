@@ -3,6 +3,7 @@ package geometry
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"privcluster/internal/obs"
@@ -101,11 +102,11 @@ func addSaturating(out, block []int32, limit int32) {
 // Source cells fan out over one worker pool shared by every group pair;
 // tasks partition each source group's cells, the source groups partition
 // the out slots, and a point's slot is written only by the task owning its
-// source cell, so the pass is data-race free. Per (source cell, member
-// group) pair an O(d) bounding-box prune skips member groups whose occupied
-// cells cannot reach the cell's candidate block. A cancelled ctx aborts the
-// pass with ctx.Err(): the feeder stops, the workers drain, no goroutines
-// leak.
+// source cell, so the pass is data-race free. Each task joins its source
+// rows against the member rows in reach (see joinPass); a source row whose
+// reach misses a member group's occupied box skips that group in O(d).
+// A cancelled ctx aborts the pass with ctx.Err(): the feeder stops, the
+// workers drain, no goroutines leak.
 //
 // A member's contribution depends on the two points alone, so when srcs[0]
 // and members[0] are frozen their block is a pure function of the base rows.
@@ -118,7 +119,7 @@ func addSaturating(out, block []int32, limit int32) {
 // ctx must be non-nil: callers resolve a nil ctx with ctxOrBackground, so
 // that the workers capture it by value instead of moving it to the heap.
 func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup, j int, r float64, limit int32, out []int32) error {
-	if r < 0 || limit <= 0 || len(srcs) == 0 || len(members) == 0 {
+	if !(r >= 0) || limit <= 0 || len(srcs) == 0 || len(members) == 0 {
 		return nil
 	}
 	for _, groups := range [][]cellGroup{srcs, members} {
@@ -144,14 +145,7 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	// A source cell's candidate block spans at most ⌈r/side⌉+1 cells per
-	// axis beyond its own coordinates (forCandidates pads by side/2 from
-	// the cell center); a member group whose occupied-cell bounding box lies
-	// wholly outside that span cannot contribute and is skipped in O(d) —
-	// a pure performance skip, since the pruned groups' passes would find
-	// no cells anyway.
-	span := int64(math.Ceil(r/srcLvs[0].side)) + 1
+	jp := newJoinPass(lvs, r)
 
 	hit, fill := lookupPair(srcs, members, j, r)
 	if hit != nil {
@@ -167,26 +161,24 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	}
 
 	type task struct{ src, lo, hi int }
-	const chunk = 64
 	tasks := make(chan task)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			jp := jp // a worker-local copy keeps the pass constants off the heap
 			sc := srcs[0].ix.getScratch()
 			defer srcs[0].ix.putScratch(sc)
+			jp.resetBands(sc)
 			for tk := range tasks {
 				if ctx.Err() != nil {
 					continue // drain the channel so the feeder never blocks
 				}
-				srcG := srcs[tk.src]
-				srcLv := srcLvs[tk.src]
-				// Member groups outermost, so the run cursors in sc walk one
-				// member level through the whole chunk; a point's saturating
-				// sum still takes its member groups in the same order.
-				for mi, mem := range members {
-					mlv := memLvs[mi]
+				// Member groups outermost, so each join walks one member
+				// level through the whole chunk; a point's saturating sum
+				// still takes its member groups in the same order.
+				for mi := range members {
 					dst, lim := out, limit
 					if tk.src == 0 && mi == 0 {
 						if hit != nil {
@@ -196,16 +188,7 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 							dst, lim = fill, math.MaxInt32
 						}
 					}
-				srcCells:
-					for c := tk.lo; c < tk.hi; c++ {
-						srcCoord := srcLv.coord(c)
-						for a, x := range srcCoord {
-							if x+span < mlv.lo[a] || x-span > mlv.hi[a] {
-								continue srcCells
-							}
-						}
-						mem.ix.accumulateCellCounts(mlv, srcCoord, srcLv.members(c), srcG.ix.frame, srcG.gids, r, lim, dst, sc)
-					}
+					jp.countTask(srcLvs[tk.src], tk.lo, tk.hi, srcs[tk.src], memLvs[mi], dst, lim, sc)
 				}
 			}
 		}()
@@ -213,15 +196,11 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 feed:
 	for gi := range srcs {
 		gnb := srcLvs[gi].cells()
-		for lo := 0; lo < gnb; lo += chunk {
+		for lo := 0; lo < gnb; lo += countChunk {
 			if ctx.Err() != nil {
 				break feed
 			}
-			hi := lo + chunk
-			if hi > gnb {
-				hi = gnb
-			}
-			tasks <- task{gi, lo, hi}
+			tasks <- task{gi, lo, min(lo+countChunk, gnb)}
 		}
 	}
 	close(tasks)
@@ -234,4 +213,298 @@ feed:
 		addSaturating(out, fill, limit)
 	}
 	return nil
+}
+
+// joinPass holds one count pass's constants and runs its row join: a
+// task groups its source cells into rows (cells sharing axes 1..d−1), and
+// each source row merges along axis 0 with every occupied member row within
+// w cells on each higher axis. By the center rule's bounds, every point of
+// a source cell lies within (|o_a|+½)·side of the center of the member cell
+// at offset o on axis a, and at least (|o_a|−½)·side away when o_a ≠ 0, so
+// for fixed higher-axis offsets the member cells wholly inside the ball
+// form the band |o_0| ≤ in and those not wholly outside the band
+// |o_0| ≤ reach (see band). Inside runs add their counts at once, only the
+// straddlers between the bands go through bucketCount, and the count is
+// exactly the sum of bucketCount over every member cell.
+//
+// The bounds are widened by a relative margin of 16·(d+1)·(K+2)·2⁻⁵³, where
+// K bounds the levels' cell coordinates: a point's cell and bucketCount's
+// center distance take a few roundings of at most 2⁻⁵³ relative to values
+// of size K·side, and a margin too wide only makes more straddlers. Past
+// K ≈ 2⁴⁸/(d+1), where floats stop placing points in cells reliably, the
+// margin reaches 1 and every cell within w straddles.
+type joinPass struct {
+	side, rsq float64
+	w         int64   // ⌈r/side⌉ (+1 with the bands off), capped at the occupied span
+	up, down  float64 // 1 ± the margin; down ≤ 0 turns the bands off
+	bands     int     // band table entries, (w+1)^(d−1); 0 past maxBands
+}
+
+// maxBands caps a scratch's band table (see band).
+const maxBands = 1024
+
+// newJoinPass derives the pass constants from every group's level (all of
+// one side) and the radius r ≥ 0.
+func newJoinPass(lvs []*cellLevel, r float64) joinPass {
+	side, d := lvs[0].side, lvs[0].dim
+	var k, span float64
+	for a := 0; a < d; a++ {
+		lo, hi := lvs[0].lo[a], lvs[0].hi[a]
+		for _, lv := range lvs {
+			lo, hi = min(lo, lv.lo[a]), max(hi, lv.hi[a])
+		}
+		k = max(k, math.Abs(float64(lo)), math.Abs(float64(hi)))
+		span = max(span, float64(hi)-float64(lo))
+	}
+	m := 16 * float64(d+1) * (k + 2) * 0x1p-53
+	// With the bands on, a cell ⌈r/side⌉+1 away on some axis is over r+side/2
+	// from every source point, against roundings under side/16.
+	w := math.Ceil(r / side)
+	if m >= 1 {
+		w++
+	}
+	jp := joinPass{side: side, rsq: r * r, w: int64(min(w, span, 1<<62)), up: 1 + m, down: 1 - m, bands: 1}
+	for a := 1; a < d && jp.bands > 0; a++ {
+		if jp.bands *= int(jp.w) + 1; jp.w >= maxBands || jp.bands > maxBands {
+			jp.bands = 0
+		}
+	}
+	return jp
+}
+
+// resetBands empties the scratch's band table (see band) for a new pass.
+func (jp *joinPass) resetBands(s *cellScratch) {
+	if len(s.bands) < jp.bands {
+		s.bands = make([][2]int64, jp.bands)
+	}
+	for i := range s.bands[:jp.bands] {
+		s.bands[i][1] = -2
+	}
+}
+
+// countTask adds mlv's contributions, saturating at lim, to dst at every
+// point of slv's source cells [lo, hi), mapped through src.gids.
+func (jp *joinPass) countTask(slv *cellLevel, lo, hi int, src cellGroup, mlv *cellLevel, dst []int32, lim int32, sc *cellScratch) {
+	acc := sc.acc[:hi-lo] // wholly-inside member counts per source cell
+	clear(acc)
+	cursor := 0
+	for c0 := lo; c0 < hi; {
+		c1 := c0 + 1
+		for c1 < hi && prefixEqual(slv.coord(c1), slv.coord(c0)) {
+			c1++
+		}
+		jp.joinRow(slv, c0, c1, src, mlv, acc[c0-lo:c1-lo], dst, lim, sc, &cursor)
+		c0 = c1
+	}
+	for c := lo; c < hi; c++ {
+		for _, pid := range slv.members(c) {
+			gid := pid
+			if src.gids != nil {
+				gid = src.gids[pid]
+			}
+			dst[gid] = min(dst[gid]+acc[c-lo], lim)
+		}
+	}
+}
+
+// joinRow merges the source row [c0, c1) with every occupied member row
+// within w cells of it on each higher axis. Axis 1's range is one sorted
+// span per position of axes 2..d−1, which an odometer walks; a gallop finds
+// each span's first row, starting from *cursor (the previous source row's
+// landing) when one compare shows every cell before it sorts below the key,
+// and one more gallop each row's end. When the positions outnumber the
+// member cells, walking every member row is cheaper.
+func (jp *joinPass) joinRow(slv *cellLevel, c0, c1 int, src cellGroup, mlv *cellLevel, acc, dst []int32, lim int32, sc *cellScratch, cursor *int) {
+	d, nb := slv.dim, mlv.cells()
+	row := slv.coord(c0)
+	if slv.coord(c1 - 1)[0]+jp.w < mlv.lo[0] || row[0]-jp.w > mlv.hi[0] {
+		return
+	}
+	if d == 1 {
+		jp.merge(slv, c0, c1, src, mlv, 0, nb, acc, dst, lim, sc)
+		return
+	}
+	lo, hi, key := sc.lo, sc.hi, sc.key
+	positions := 1.0
+	for a := 1; a < d; a++ {
+		lo[a], hi[a] = max(row[a]-jp.w, mlv.lo[a]), min(row[a]+jp.w, mlv.hi[a])
+		if lo[a] > hi[a] {
+			return
+		}
+		if a > 1 {
+			positions *= float64(hi[a] - lo[a] + 1)
+		}
+	}
+	// next returns the end of the row starting at member cell m.
+	next := func(m int) int {
+		copy(key[1:], mlv.coord(m)[1:])
+		key[1]++
+		return mlv.gallop(m+1, key)
+	}
+	key[0] = mlv.lo[0]
+	if positions > float64(nb) {
+	rows:
+		for m, e := 0, 0; m < nb; m = e {
+			e = next(m)
+			for a, x := range mlv.coord(m)[1:] {
+				if x < lo[a+1] || x > hi[a+1] {
+					continue rows
+				}
+			}
+			jp.merge(slv, c0, c1, src, mlv, m, e, acc, dst, lim, sc)
+		}
+		return
+	}
+	copy(key[1:], lo[1:])
+	from := 0
+	if c := *cursor; c > 0 && c <= nb && cmpCoords(mlv.coord(c-1), key) < 0 {
+		from = c
+	}
+	for first := true; ; first = false {
+		m := mlv.gallop(from, key)
+		if first {
+			*cursor = m
+		}
+		for m < nb && mlv.coord(m)[1] <= hi[1] && (d == 2 || slices.Equal(mlv.coord(m)[2:], key[2:])) {
+			e := next(m)
+			jp.merge(slv, c0, c1, src, mlv, m, e, acc, dst, lim, sc)
+			m = e
+		}
+		from, key[1] = m, lo[1]
+		a := 2
+		for ; a < d && key[a] == hi[a]; a++ {
+			key[a] = lo[a]
+		}
+		if a == d {
+			return
+		}
+		key[a]++
+	}
+}
+
+// merge joins the source row [c0, c1) against the member row [m0, m1) along
+// axis 0. For a source cell at axis-0 coordinate x, the member cells
+// [p2, p3) within a = max(in, 0) of x are its inside run when in ≥ 0, or
+// the one straddler at offset 0 when in < 0; one gallop places p2 and p3,
+// then they step as x ascends. acc holds the row's inside counts.
+//
+// The other straddlers lie on either side of [p2, p3), within reach, where
+// each point's computed axis-0 center offset has one sign (it is at least
+// side/2, against roundings under side/16 while the bands are on). So on
+// each side the computed center distance grows outward, float subtraction,
+// squaring and summation being monotone, and the cells bucketCount counts
+// form a run next to [p2, p3): each side is scanned to its first miss
+// (with the bands off, through reach).
+func (jp *joinPass) merge(slv *cellLevel, c0, c1 int, src cellGroup, mlv *cellLevel, m0, m1 int, acc, dst []int32, lim int32, sc *cellScratch) {
+	in, reach := jp.band(sc, slv.coord(c0), mlv.coord(m0))
+	if reach < 0 {
+		return
+	}
+	a, d, mx := max(in, 0), slv.dim, mlv.coords
+	copy(sc.seek, mlv.coord(m0))
+	sc.seek[0] = slv.coords[c0*d] - a
+	p2 := mlv.gallop(m0, sc.seek)
+	p3 := p2
+	for c := c0; c < c1; c++ {
+		k, x := c-c0, slv.coords[c*d]
+		if acc[k] >= lim {
+			continue
+		}
+		for p2 < m1 && mx[p2*d] < x-a {
+			p2++
+		}
+		for p3 = max(p3, p2); p3 < m1 && mx[p3*d] <= x+a; p3++ {
+		}
+		if in >= 0 {
+			if acc[k] = min(acc[k]+mlv.start[p3]-mlv.start[p2], lim); acc[k] == lim {
+				continue
+			}
+			if (p2 == m0 || mx[(p2-1)*d] < x-reach) && (p3 == m1 || mx[p3*d] > x+reach) {
+				continue // no straddler on either side
+			}
+		}
+		for _, pid := range slv.members(c) {
+			gid := pid
+			if src.gids != nil {
+				gid = src.gids[pid]
+			}
+			p, v := src.ix.frame.Row(int(pid)), dst[gid]
+			for m := p2; m < p3 && in < 0; m++ {
+				v = min(v+bucketCount(mlv.coord(m), mlv.size(m), jp.side, p, jp.rsq), lim)
+			}
+			for m := p2 - 1; m >= m0 && mx[m*d] >= x-reach && v < lim; m-- {
+				n := bucketCount(mlv.coord(m), mlv.size(m), jp.side, p, jp.rsq)
+				if n == 0 && jp.down > 0 {
+					break
+				}
+				v = min(v+n, lim)
+			}
+			for m := p3; m < m1 && mx[m*d] <= x+reach && v < lim; m++ {
+				n := bucketCount(mlv.coord(m), mlv.size(m), jp.side, p, jp.rsq)
+				if n == 0 && jp.down > 0 {
+					break
+				}
+				v = min(v+n, lim)
+			}
+			dst[gid] = v
+		}
+	}
+}
+
+// band returns the axis-0 bands in, reach ∈ [−1, w] of member row mc seen
+// from source row sc (each given by one of its cells). Each bound adds axis
+// 0's term to the higher axes' sum, and float addition and multiplication
+// of nonnegative values are monotone, so each test is monotone in |o_0|. A
+// band depends only on the higher-axis offsets' magnitudes, so when their
+// (w+1)^(d−1) combinations fit maxBands, the scratch's table keeps each.
+func (jp *joinPass) band(s *cellScratch, sc, mc []int64) (in, reach int64) {
+	if jp.down <= 0 {
+		return -1, jp.w
+	}
+	idx := -1
+	if jp.bands > 0 {
+		idx = 0
+		for a := len(sc) - 1; a >= 1; a-- {
+			idx = idx*(int(jp.w)+1) + int(max(mc[a]-sc[a], sc[a]-mc[a]))
+		}
+		if e := s.bands[idx]; e[1] >= -1 {
+			return e[0], e[1]
+		}
+	}
+	var hiSum, loSum float64
+	for a := 1; a < len(sc); a++ {
+		hiSum += jp.term(mc[a]-sc[a], 0.5)
+		loSum += jp.term(mc[a]-sc[a], -0.5)
+	}
+	in = jp.edge(math.Sqrt(jp.rsq/jp.up-hiSum)/jp.side-0.5, func(o int64) bool { return (jp.term(o, 0.5)+hiSum)*jp.up <= jp.rsq })
+	reach = jp.edge(math.Sqrt(jp.rsq/jp.down-loSum)/jp.side+0.5, func(o int64) bool { return (jp.term(o, -0.5)+loSum)*jp.down <= jp.rsq })
+	if idx >= 0 {
+		s.bands[idx] = [2]int64{in, reach}
+	}
+	return in, reach
+}
+
+// term returns ((|o|+h)·side)², |o|+h floored at 0: the squared largest
+// (h = ½) or smallest (h = −½) center distance on an axis at offset o.
+func (jp *joinPass) term(o int64, h float64) float64 {
+	x := max(math.Abs(float64(o))+h, 0) * jp.side
+	return x * x
+}
+
+// edge returns the largest o in [−1, w] with ok(o), for ok true up to some
+// offset and false past it, starting from the floored guess g (NaN: −1).
+func (jp *joinPass) edge(g float64, ok func(int64) bool) int64 {
+	o := int64(-1)
+	if g = math.Floor(g); g > float64(jp.w) {
+		o = jp.w
+	} else if g >= 0 {
+		o = int64(g)
+	}
+	for o >= 0 && !ok(o) {
+		o--
+	}
+	for o < jp.w && ok(o+1) {
+		o++
+	}
+	return o
 }

@@ -100,12 +100,12 @@ func (cfg ShardConfig) validate() error {
 //
 // Internally it keeps two cell structures: the member index over the
 // shard's points (whose cells are classified against query balls) and a
-// source index over the global points (whose cells group the query centers
-// so candidate enumeration is paid per occupied source cell, not per
-// center — the same amortization the fused local pass gets from per-shard
-// levels). Both are pinned to the shared ladder, and the source grouping
-// never affects results: a member cell outside a source cell's candidate
-// block contributes nothing to its points.
+// source index over the global points (whose rows group the query centers
+// so the row join is paid per source row, not per center — the same
+// amortization the fused local pass gets from per-shard levels). Both are
+// pinned to the shared ladder, and the source grouping never affects
+// results: a member cell out of a source cell's reach contributes nothing
+// to its points.
 type LocalShard struct {
 	cfg     ShardConfig
 	members *CellIndex // index over the shard's subset

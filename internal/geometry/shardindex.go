@@ -306,7 +306,7 @@ func (ix *ShardedIndex) Close() error {
 // contiguous blocks whose sizes differ by at most one point, so every
 // shard receives at least one point when s ≤ n. Spatially compact shards
 // hold fewer, denser occupied cells per level, which shrinks the
-// per-shard candidate enumeration of the bulk count passes. The
+// per-shard row joins of the bulk count passes. The
 // assignment never affects results — every count is an exact sum of
 // per-shard partial counts.
 func assignShards(points *vec.Frame, s int) [][]int32 {

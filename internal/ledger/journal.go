@@ -153,6 +153,10 @@ func (l *Ledger) openAndReplayJournal() error {
 		if rec.seq <= snapSeq {
 			continue
 		}
+		if err := l.checkRecoveredLocked(&rec); err != nil {
+			f.Close()
+			return err
+		}
 		l.applyLocked(&rec)
 		l.recsSinceSnap++
 	}
@@ -173,6 +177,26 @@ func (l *Ledger) openAndReplayJournal() error {
 		return err
 	}
 	l.journal = f
+	return nil
+}
+
+// checkRecoveredLocked rejects a checksum-valid record no live call could
+// have written: corruption, not a torn tail, so Open fails on it.
+func (l *Ledger) checkRecoveredLocked(rec *record) error {
+	var acct account
+	if a := l.accounts[rec.principal]; a != nil {
+		acct = *a
+	}
+	switch rec.op {
+	case opGrant:
+		return recovered(rec.principal, rec.cost, acct.granted)
+	case opReserve:
+		return recovered(rec.principal, rec.cost, acct.reserved)
+	case opCommit:
+		if h, ok := l.holds[rec.resID]; ok {
+			return recovered(h.principal, h.cost, l.accounts[h.principal].spent)
+		}
+	}
 	return nil
 }
 

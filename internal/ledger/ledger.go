@@ -103,13 +103,29 @@ func (c Cost) validate() error {
 	return nil
 }
 
+// finite reports whether both coordinates are finite and ≥ 0, as every
+// total must be (a total's δ, unlike an amount's, may exceed 1).
+func (c Cost) finite() bool {
+	return c.Epsilon >= 0 && c.Delta >= 0 && !math.IsInf(c.Epsilon, 1) && !math.IsInf(c.Delta, 1)
+}
+
+// recovered rejects with errCorrupt an amount c for principal p, read back
+// to be added to total, that no live call could have written.
+func recovered(p string, c, total Cost) error {
+	if validPrincipal(p) != nil || c.validate() != nil || !total.Add(c).finite() {
+		return fmt.Errorf("%w: amount %v for principal %q on total %v", errCorrupt, c, p, total)
+	}
+	return nil
+}
+
 // fits reports whether held+cost still fits within total — the one
 // admission rule. The relative-plus-absolute slack mirrors
 // privcluster.Budget.allows: a budget sized for exactly k queries admits
-// all k despite float accumulation.
+// all k despite float accumulation. A sum that overflows never fits.
 func fits(total, held, cost Cost) bool {
 	const slack = 1e-9
-	return held.Epsilon+cost.Epsilon <= total.Epsilon*(1+slack)+slack &&
+	return held.Add(cost).finite() &&
+		held.Epsilon+cost.Epsilon <= total.Epsilon*(1+slack)+slack &&
 		held.Delta+cost.Delta <= total.Delta*(1+slack)+slack
 }
 
@@ -140,9 +156,10 @@ var (
 	// ErrUnknownReservation is returned by Commit/Release of a hold the
 	// ledger does not know (already settled, or never reserved).
 	ErrUnknownReservation = errors.New("ledger: unknown reservation")
-	// errCorrupt marks an unreadable snapshot — unlike a torn journal
-	// tail this is real corruption and Open refuses to guess.
-	errCorrupt = errors.New("ledger: corrupt snapshot")
+	// errCorrupt marks an unreadable snapshot, or a checksum-valid
+	// journal record no live call could have written — unlike a torn
+	// journal tail this is real corruption and Open refuses to guess.
+	errCorrupt = errors.New("ledger: corrupt snapshot or journal")
 )
 
 // InsufficientError is the typed form of a refused reservation: the
@@ -304,6 +321,9 @@ func (l *Ledger) Grant(principal string, c Cost) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if acct := l.accounts[principal]; acct != nil && !acct.granted.Add(c).finite() {
+		return fmt.Errorf("ledger: grant %v overflows principal %q's total %v", c, principal, acct.granted)
 	}
 	rec := record{op: opGrant, principal: principal, cost: c}
 	if err := l.appendLocked(&rec); err != nil {

@@ -149,24 +149,28 @@ func (l *Ledger) loadSnapshot() error {
 		return fmt.Errorf("ledger: snapshot version %d not supported", v)
 	}
 	l.seq = r.u64()
-	for i, n := 0, int(r.u32()); i < n; i++ {
+	// Counts must fit the bytes left (an account takes ≥ 35, a hold ≥ 27),
+	// loops stop at the first decode error, and names and amounts must be
+	// ones a live call could have written.
+	for n := r.count(2 + 1 + 4*8); n > 0 && r.err == nil; n-- {
 		name := r.str()
-		acct := l.ensureAccountLocked(name)
-		acct.granted.Epsilon = r.f64()
-		acct.granted.Delta = r.f64()
-		acct.spent.Epsilon = r.f64()
-		acct.spent.Delta = r.f64()
-	}
-	for i, n := 0, int(r.u32()); i < n; i++ {
-		id := r.u64()
-		h := hold{principal: r.str()}
-		h.cost.Epsilon = r.f64()
-		h.cost.Delta = r.f64()
-		if r.err == nil {
-			l.holds[id] = h
-			acct := l.ensureAccountLocked(h.principal)
-			acct.reserved = acct.reserved.Add(h.cost)
+		granted := Cost{Epsilon: r.f64(), Delta: r.f64()}
+		spent := Cost{Epsilon: r.f64(), Delta: r.f64()}
+		if validPrincipal(name) != nil || !granted.finite() || !spent.finite() {
+			return fmt.Errorf("%w: invalid account %q", errCorrupt, name)
 		}
+		acct := l.ensureAccountLocked(name)
+		acct.granted, acct.spent = granted, spent
+	}
+	for n := r.count(8 + 2 + 1 + 2*8); n > 0 && r.err == nil; n-- {
+		id := r.u64()
+		h := hold{principal: r.str(), cost: Cost{Epsilon: r.f64(), Delta: r.f64()}}
+		acct := l.ensureAccountLocked(h.principal)
+		if err := recovered(h.principal, h.cost, acct.reserved); err != nil {
+			return err
+		}
+		l.holds[id] = h
+		acct.reserved = acct.reserved.Add(h.cost)
 	}
 	if r.err != nil || r.off != len(payload) {
 		return fmt.Errorf("%w: truncated or oversized payload", errCorrupt)
@@ -220,6 +224,17 @@ func (r *snapReader) u64() uint64 {
 }
 
 func (r *snapReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// count reads an element count, failing the reader when the bytes left
+// cannot hold that many elements of at least size bytes each.
+func (r *snapReader) count(size int) int {
+	n := int(r.u32())
+	if r.err == nil && n > (len(r.b)-r.off)/size {
+		r.err = errCorrupt
+		return 0
+	}
+	return n
+}
 
 func (r *snapReader) str() string {
 	n := int(r.u16())
