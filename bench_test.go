@@ -547,15 +547,16 @@ func BenchmarkFindClusterScalable(b *testing.B) {
 }
 
 // BenchmarkAppendMerge is the steady-state streaming cycle on a warm
-// mutable handle: every iteration appends a 64-row batch and answers one
-// seeded query pinned at the fresh epoch (a full snapshot build plus the
-// L-sweep — the real serving cost of an advancing epoch: per-epoch caches
-// cannot help a brand-new epoch, only the base generation's memoized
-// base×base count blocks carry over); every 8th iteration deletes the
-// oldest surviving batch and merges the append deltas into the shard
-// bases. What the gate watches: allocs/op regressions here mean the
-// epoch-view or delta-merge path started copying or rebuilding more than
-// the mutation batch warrants.
+// mutable handle. Every iteration is one whole 8-op cycle: eight times, it
+// appends a 64-row batch and answers one seeded query pinned at the fresh
+// epoch (a full snapshot build plus the L-sweep — the real serving cost of
+// an advancing epoch: per-epoch caches cannot help a brand-new epoch, only
+// the base generation's memoized base×base count blocks carry over); then
+// it deletes the oldest surviving batch and merges the append deltas into
+// the shard bases. A whole cycle per iteration keeps B/op and allocs/op
+// independent of b.N. What the gate watches: allocs/op regressions here
+// mean the epoch-view or delta-merge path started copying or rebuilding
+// more than the mutation batch warrants.
 func BenchmarkAppendMerge(b *testing.B) {
 	grid, err := geometry.NewGrid(1<<16, 2)
 	if err != nil {
@@ -582,30 +583,31 @@ func BenchmarkAppendMerge(b *testing.B) {
 	}
 	var batches [][]uint64
 	batch := make([]Point, 64)
-	next := 0
+	next, seed := 0, int64(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			batch[j] = pub[next%len(pub)]
-			next++
-		}
-		ids, _, err := ds.Append(ctx, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		batches = append(batches, ids)
-		if _, err := ds.FindCluster(ctx, tt, QueryOptions{Seed: int64(i) + 2}); err != nil {
-			b.Fatal(err)
-		}
-		if i%8 == 7 {
-			if _, err := ds.Delete(ctx, batches[0]); err != nil {
+		for op := 0; op < 8; op++ {
+			for j := range batch {
+				batch[j] = pub[next%len(pub)]
+				next++
+			}
+			ids, _, err := ds.Append(ctx, batch)
+			if err != nil {
 				b.Fatal(err)
 			}
-			batches = batches[1:]
-			if err := ds.Merge(ctx); err != nil {
+			batches = append(batches, ids)
+			seed++
+			if _, err := ds.FindCluster(ctx, tt, QueryOptions{Seed: seed}); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if _, err := ds.Delete(ctx, batches[0]); err != nil {
+			b.Fatal(err)
+		}
+		batches = batches[1:]
+		if err := ds.Merge(ctx); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

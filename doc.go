@@ -333,10 +333,10 @@
 //     sharded, remote loopback) pins that.
 //
 //   - Warm queries reuse buffers instead of allocating. A Dataset handle
-//     pools per-query scratch (rotation buffers, histogram maps, member
-//     lists) and lends it through the pipeline; with the index cached, a
-//     warm FindCluster allocates a few tens of kilobytes instead of
-//     rebuilding megabytes of per-point structures per query
+//     pools per-query scratch (rotation buffers, box keys, count tables,
+//     member lists) and lends it through the pipeline; with the index
+//     cached, a warm FindCluster allocates a few tens of kilobytes instead
+//     of rebuilding megabytes of per-point structures per query
 //     (BenchmarkDatasetReuse/warm, gated in CI on ns/op, allocs/op, and
 //     B/op). Buffer reuse never changes releases — only where the
 //     deterministic intermediates live.

@@ -28,8 +28,10 @@ type boxSelection struct {
 }
 
 // boxPartition is GoodCenter's partition engine: partition recounts the
-// shifted-grid histogram for one SVT repetition (reusing every buffer), and
-// selectBox privately releases a heavy box of the latest partition.
+// shifted-grid histogram for one SVT repetition into a reused count table
+// (one table add per point), and selectBox privately releases a heavy box
+// of the latest partition, reading the boxes' first rows and counts
+// straight from the table.
 type boxPartition interface {
 	// partition assigns every projected point to its box under the given
 	// per-axis offsets and returns the maximum box count — the only value
@@ -47,7 +49,7 @@ type boxPartition interface {
 // GOMAXPROCS). Keys are bit-packed when the data's bit budget fits one
 // uint64 and hash-combined otherwise; either way every point lands in the
 // same box of the same shifted grid, so the choice never changes a
-// release. sc, when non-nil, lends the engine its key/histogram buffers.
+// release. sc, when non-nil, lends the engine its keys and count tables.
 func newBoxPartition(proj *vec.Frame, side float64, prof Profile, sc *QueryScratch) (boxPartition, error) {
 	if proj == nil || proj.N() == 0 {
 		return nil, ErrNoData
@@ -162,49 +164,44 @@ func mix64(x uint64) uint64 {
 }
 
 // boxEngine is the shared partition machinery. All per-repetition state
-// (keys, the global histogram, the per-worker partial histograms) is
-// allocated once and reused across the up-to-MaxRepetitions SVT passes —
-// the allocation profile the packed keys exist for. The buffers live in a
-// QueryScratch: the caller's when one is lent, so repeated queries reuse
-// them across engines, else the engine's own.
+// (keys, the global count table, the per-worker partial tables) is reset,
+// not reallocated, across the up-to-MaxRepetitions SVT passes. The buffers
+// live in a QueryScratch: the caller's when one is lent, so repeated
+// queries reuse them across engines, else a fresh one.
 type boxEngine struct {
-	proj    *vec.Frame
-	side    float64
-	workers int
-	coder   boxCoder
-	sc      *QueryScratch // the lent scratch, or &own
-	own     QueryScratch
+	proj  *vec.Frame
+	side  float64
+	coder boxCoder
+	sc    *QueryScratch
 
-	offsets []float64        // offsets of the latest partition (for decoding)
-	keys    []uint64         // per-point box key of the latest partition
-	hist    map[uint64]int   // global histogram, cleared per repetition
-	locals  []map[uint64]int // per-worker partial histograms
+	offsets []float64    // offsets of the latest partition (for decoding)
+	keys    []uint64     // per-point box key of the latest partition
+	hist    *countTable  // box counts and first rows of the latest partition
+	locals  []countTable // per-worker partial tables
+	chunk   int          // rows per worker on the parallel path
 }
 
 func newBoxEngine(proj *vec.Frame, side float64, workers int, coder boxCoder, sc *QueryScratch) *boxEngine {
+	if sc == nil {
+		sc = NewQueryScratch()
+	}
 	n := proj.N()
 	e := &boxEngine{
 		proj:    proj,
 		side:    side,
-		workers: workers,
 		coder:   coder,
 		sc:      sc,
 		offsets: make([]float64, proj.Dim()),
+		hist:    &sc.hist,
 	}
-	if e.sc == nil {
-		e.sc = &e.own
-	}
-	sc = e.sc
 	if cap(sc.keys) < n {
 		sc.keys = make([]uint64, n)
 	}
-	if sc.hist == nil {
-		sc.hist = make(map[uint64]int, 64)
-	}
-	e.keys, e.hist = sc.keys[:n], sc.hist
-	if workers > 1 {
+	e.keys = sc.keys[:n]
+	if workers > 1 && n >= minParallelPoints {
+		e.chunk = (n + workers - 1) / workers
 		for len(sc.locals) < workers {
-			sc.locals = append(sc.locals, make(map[uint64]int, 64))
+			sc.locals = append(sc.locals, countTable{})
 		}
 		e.locals = sc.locals[:workers]
 	}
@@ -215,82 +212,64 @@ func (e *boxEngine) partition(offsets []float64) int {
 	copy(e.offsets, offsets)
 	e.coder.prepare(e.offsets)
 	n := e.proj.N()
-	clear(e.hist)
-	if e.workers > 1 && n >= minParallelPoints {
-		chunk := (n + e.workers - 1) / e.workers
+	e.hist.reset()
+	if e.locals != nil {
 		var wg sync.WaitGroup
 		used := 0
-		for w := 0; w < e.workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
+		for lo := 0; lo < n; lo += e.chunk {
+			hi := min(lo+e.chunk, n)
+			local := &e.locals[used]
 			used++
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func() {
 				defer wg.Done()
-				local := e.locals[w]
-				clear(local)
+				local.reset()
 				for i := lo; i < hi; i++ {
 					k := e.coder.key(e.proj.Row(i), e.offsets)
 					e.keys[i] = k
-					local[k]++
+					local.add(k, 1, int32(i))
 				}
-			}(w, lo, hi)
+			}()
 		}
 		wg.Wait()
-		for w := 0; w < used; w++ {
-			for k, c := range e.locals[w] {
-				e.hist[k] += c
+		// Merging in worker (= row) order keeps the serial pass's
+		// first-seen order and first rows.
+		for _, local := range e.locals[:used] {
+			for _, en := range local.entries {
+				e.hist.add(en.key, en.count, en.first)
 			}
 		}
 	} else {
 		for i := 0; i < n; i++ {
 			k := e.coder.key(e.proj.Row(i), e.offsets)
 			e.keys[i] = k
-			e.hist[k]++
+			e.hist.add(k, 1, int32(i))
 		}
 	}
-	max := 0
-	for _, c := range e.hist {
-		if c > max {
-			max = c
-		}
+	top := 0
+	for _, en := range e.hist.entries {
+		top = max(top, en.count)
 	}
-	return max
+	return top
 }
 
-func (e *boxEngine) selectBox(rng *rand.Rand, p stability.Params) (boxSelection, error) {
-	nb := len(e.hist)
-	if nb == 0 {
-		return boxSelection{Bottom: true}, nil
-	}
-	// One representative point per distinct box, in first-seen order.
-	reps := make([]int32, 0, nb)
-	pos := make(map[uint64]struct{}, nb)
-	for i, k := range e.keys {
-		if _, seen := pos[k]; !seen {
-			pos[k] = struct{}{}
-			reps = append(reps, int32(i))
-		}
-	}
-	// Canonical order: the representatives' decoded cell coordinates,
-	// lexicographic with axis 0 most significant. This order is a pure
-	// function of the partition geometry, so every key representation
-	// enumerates the boxes — and consumes the selection noise — identically.
+// canonical returns the latest partition's boxes as indices into
+// hist.entries, with their counts, in canonical order: the first rows'
+// decoded cell coordinates, lexicographic with axis 0 most significant.
+// This order is a pure function of the partition geometry, so every key
+// representation enumerates the boxes — and consumes the selection noise —
+// identically.
+func (e *boxEngine) canonical() (order, counts []int) {
+	boxes := e.hist.entries
 	k := len(e.offsets)
-	coords := make([]int64, len(reps)*k)
-	for b, ri := range reps {
-		pt := e.proj.Row(int(ri))
+	coords := make([]int64, len(boxes)*k)
+	for b, en := range boxes {
+		pt := e.proj.Row(int(en.first))
 		for a, x := range pt {
 			coords[b*k+a] = int64(math.Floor((x - e.offsets[a]) / e.side))
 		}
 	}
-	order := make([]int, len(reps))
+	order = make([]int, len(boxes))
 	for i := range order {
 		order[i] = i
 	}
@@ -304,15 +283,23 @@ func (e *boxEngine) selectBox(rng *rand.Rand, p stability.Params) (boxSelection,
 		}
 		return false
 	})
-	counts := make([]int, len(order))
+	counts = make([]int, len(order))
 	for oi, b := range order {
-		counts[oi] = e.hist[e.keys[reps[b]]]
+		counts[oi] = boxes[b].count
 	}
+	return order, counts
+}
+
+func (e *boxEngine) selectBox(rng *rand.Rand, p stability.Params) (boxSelection, error) {
+	if len(e.hist.entries) == 0 {
+		return boxSelection{Bottom: true}, nil
+	}
+	order, counts := e.canonical()
 	res, err := stability.ChooseIndexed(rng, counts, p)
 	if err != nil || res.Bottom {
 		return boxSelection{Bottom: true}, err
 	}
-	winKey := e.keys[reps[order[res.Key]]]
+	winKey := e.hist.entries[order[res.Key]].key
 	// Grow sizes an empty buffer exactly and grows a reused one with
 	// append's headroom, so pooled scratches rarely reallocate.
 	members := slices.Grow(e.sc.members[:0], counts[res.Key])

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"privcluster/internal/dp"
 	"privcluster/internal/stability"
 	"privcluster/internal/vec"
 )
@@ -74,21 +78,27 @@ func boxCoords(key string) []int64 {
 	return coords
 }
 
+// oracleCanonical is the oracle's canonical enumeration: the boxes sorted
+// by cell coordinates (axis 0 most significant), with their counts.
+func oracleCanonical(hist map[string]int) (keys []string, counts []int) {
+	keys = make([]string, 0, len(hist))
+	for k := range hist {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y string) int { return slices.Compare(boxCoords(x), boxCoords(y)) })
+	counts = make([]int, len(keys))
+	for i, k := range keys {
+		counts[i] = hist[k]
+	}
+	return keys, counts
+}
+
 // oracleSelect is selectBox computed from the oracle histogram: the boxes
 // in canonical order (cell coordinates, axis 0 most significant), one
 // stability choice over their counts, and the winner's members ascending.
 func oracleSelect(t *testing.T, rng *rand.Rand, p stability.Params, proj []vec.Vector, offsets []float64, side float64) boxSelection {
 	t.Helper()
-	hist := boxHistogram(proj, offsets, side)
-	keys := make([]string, 0, len(hist))
-	for k := range hist {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(x, y string) int { return slices.Compare(boxCoords(x), boxCoords(y)) })
-	counts := make([]int, len(keys))
-	for i, k := range keys {
-		counts[i] = hist[k]
-	}
+	keys, counts := oracleCanonical(boxHistogram(proj, offsets, side))
 	res, err := stability.ChooseIndexed(rng, counts, p)
 	if err != nil {
 		t.Fatal(err)
@@ -129,61 +139,73 @@ func coderEngines(t *testing.T, proj []vec.Vector, side float64, workers int) ma
 }
 
 // TestBoxPartitionMatchesLegacyHistogram pins both coders (and the one
-// newBoxPartition selects) to the string-key oracle bit-exactly: same
-// per-repetition max count, same per-box counts, and the identical grouping
-// of points into boxes (key representations may differ; the induced
-// partition may not).
+// newBoxPartition selects) to the string-key oracle bit-exactly, serially
+// and on the parallel path (n ≥ minParallelPoints at 3 workers): same
+// per-repetition max count, same per-box counts, the identical grouping of
+// points into boxes (key representations may differ; the induced partition
+// may not), and count-table entries in first-seen order, each carrying the
+// first row of its box.
 func TestBoxPartitionMatchesLegacyHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
-		name    string
-		k, n    int
-		span    float64
-		side    float64
-		workers int
-		packs   bool // the bit budget fits 64 bits
+		name  string
+		k, n  int
+		span  float64
+		side  float64
+		packs bool // the bit budget fits 64 bits
 	}{
-		{"k1-serial", 1, 300, 2, 0.3, 1, true},
-		{"k2-parallel", 2, 5000, 2, 0.25, 4, true},
-		{"k3-negative-cells", 3, 800, 8, 0.5, 2, true},
-		{"k8-forced-hash", 8, 2500, 6, 1e-4, 3, false}, // tiny cells: k·bits ≫ 64
-		{"k12-wide", 12, 400, 4, 0.7, 2, true},
+		{"k1-serial", 1, 300, 2, 0.3, true},
+		{"k2-parallel", 2, 5000, 2, 0.25, true},
+		{"k3-negative-cells", 3, 800, 8, 0.5, true},
+		{"k8-forced-hash", 8, 2500, 6, 1e-4, false}, // tiny cells: k·bits ≫ 64
+		{"k12-wide", 12, 400, 4, 0.7, true},
+		{"k4-hash-parallel", 4, 4099, 40, 1e-4, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			proj := randomProj(rng, tc.n, tc.k, tc.span)
-			engines := coderEngines(t, proj, tc.side, tc.workers)
-			if _, packs := engines["bits"]; packs != tc.packs {
-				t.Fatalf("bit packing feasible = %v, want %v", packs, tc.packs)
-			}
-			if _, isBits := engines["auto"].coder.(*bitsCoder); isBits != tc.packs {
-				t.Fatalf("newBoxPartition chose %T", engines["auto"].coder)
-			}
-			offsets := make([]float64, tc.k)
-			for rep := 0; rep < 3; rep++ {
-				for a := range offsets {
-					offsets[a] = rng.Float64() * tc.side
-				}
-				ref := boxHistogram(proj, offsets, tc.side)
-				refMax := 0
-				for _, c := range ref {
-					refMax = max(refMax, c)
-				}
-				for name, e := range engines {
-					if got := e.partition(offsets); got != refMax {
-						t.Errorf("%s rep %d: max count %d, oracle %d", name, rep, got, refMax)
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					engines := coderEngines(t, proj, tc.side, workers)
+					if _, packs := engines["bits"]; packs != tc.packs {
+						t.Fatalf("bit packing feasible = %v, want %v", packs, tc.packs)
 					}
-					assertSameGrouping(t, name, e, proj, offsets, tc.side, ref)
-				}
+					if _, isBits := engines["auto"].coder.(*bitsCoder); isBits != tc.packs {
+						t.Fatalf("newBoxPartition chose %T", engines["auto"].coder)
+					}
+					if parallel := engines["auto"].locals != nil; parallel != (workers > 1 && tc.n >= minParallelPoints) {
+						t.Fatalf("parallel path = %v at n %d, workers %d", parallel, tc.n, workers)
+					}
+					offsets := make([]float64, tc.k)
+					for rep := 0; rep < 3; rep++ {
+						for a := range offsets {
+							offsets[a] = rng.Float64() * tc.side
+						}
+						for name, e := range engines {
+							assertMatchesOracle(t, name, e, proj, offsets, tc.side)
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
-// assertSameGrouping checks the engine's keys induce exactly the partition
-// the oracle's string keys induce, and that the per-box counts agree.
-func assertSameGrouping(t *testing.T, name string, e *boxEngine, proj []vec.Vector, offsets []float64, side float64, ref map[string]int) {
+// assertMatchesOracle partitions proj with the engine and checks the result
+// against the string-key oracle: the max count, the grouping the engine's
+// keys induce, the per-box counts, and the count table's entries — one per
+// box, in first-seen order, each carrying the first row of its box.
+func assertMatchesOracle(t *testing.T, name string, e *boxEngine, proj []vec.Vector, offsets []float64, side float64) {
 	t.Helper()
+	ref := boxHistogram(proj, offsets, side)
+	refMax := 0
+	for _, c := range ref {
+		refMax = max(refMax, c)
+	}
+	if got := e.partition(offsets); got != refMax {
+		t.Fatalf("%s: max count %d, oracle %d", name, got, refMax)
+	}
 	byEngine := make(map[uint64]string) // engine key -> oracle key
+	var firsts []int                    // first row of each box, in first-seen order
 	for i, k := range e.keys {
 		want := boxKey(proj[i], offsets, side)
 		if prev, ok := byEngine[k]; ok {
@@ -192,13 +214,150 @@ func assertSameGrouping(t *testing.T, name string, e *boxEngine, proj []vec.Vect
 			}
 		} else {
 			byEngine[k] = want
-		}
-		if e.hist[k] != ref[want] {
-			t.Fatalf("%s: point %d: engine count %d, oracle count %d", name, i, e.hist[k], ref[want])
+			firsts = append(firsts, i)
 		}
 	}
 	if len(byEngine) != len(ref) {
 		t.Fatalf("%s: engine has %d boxes, oracle %d", name, len(byEngine), len(ref))
+	}
+	if len(e.hist.entries) != len(firsts) {
+		t.Fatalf("%s: count table has %d entries, %d boxes", name, len(e.hist.entries), len(firsts))
+	}
+	for b, en := range e.hist.entries {
+		if int(en.first) != firsts[b] || en.key != e.keys[firsts[b]] {
+			t.Fatalf("%s: entry %d is key %x first row %d, want key %x first row %d", name, b, en.key, en.first, e.keys[firsts[b]], firsts[b])
+		}
+		if want := ref[byEngine[en.key]]; en.count != want {
+			t.Fatalf("%s: box of row %d: engine count %d, oracle count %d", name, en.first, en.count, want)
+		}
+	}
+}
+
+// FuzzBoxPartition checks the partition engine's count table against the
+// string-key oracle on fuzzed projected points (little-endian int16
+// coordinates scaled by 1/256, so they straddle 0), box side, offsets and
+// worker count: the max, the per-box counts and the first-seen
+// representatives, for the coder newBoxPartition picks and for the forced
+// hash coder. With several workers the rows are tiled, each copy shifted
+// along axis 0, up to the parallel threshold.
+func FuzzBoxPartition(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, side, off float64, workers uint8) {
+		k := 1 + int(dim%4)
+		n := len(raw) / (2 * k)
+		if n == 0 || n > 4096 || !(side >= 1e-3 && side <= 1e3) || !(math.Abs(off) <= 1e6) {
+			t.Skip()
+		}
+		w := 1 + int(workers%4)
+		copies := 1
+		if w > 1 {
+			copies = (minParallelPoints + n - 1) / n
+		}
+		proj := make([]vec.Vector, 0, copies*n)
+		for c := 0; c < copies; c++ {
+			for i := 0; i < n; i++ {
+				p := make(vec.Vector, k)
+				for a := range p {
+					p[a] = float64(int16(binary.LittleEndian.Uint16(raw[(i*k+a)*2:]))) / 256
+				}
+				p[0] += float64(c) * side / 3
+				proj = append(proj, p)
+			}
+		}
+		offsets := make([]float64, k)
+		for a := range offsets {
+			_, frac := math.Modf(math.Abs(off) * float64(a+1))
+			offsets[a] = frac * side
+		}
+		fr := frameOf(t, proj)
+		prof := DefaultProfile()
+		prof.Workers = w
+		auto, err := newBoxPartition(fr, side, prof, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesOracle(t, "auto", auto.(*boxEngine), proj, offsets, side)
+		assertMatchesOracle(t, "hash", newBoxEngine(fr, side, w, &hashCoder{side: side}, nil), proj, offsets, side)
+	})
+}
+
+// TestAxisChoiceMatchesMapOracle pins the per-axis interval choice of
+// GoodCenter steps 8–9 to the map form it replaced: on seeded rotated
+// points whose interval indices straddle 0, the scratch table's sorted
+// intervals fed to ChooseIndexed must release what stability.Choose
+// releases from a map histogram under the same seed, and when both return
+// ⊥, axisNoisyMax must pick the interval the map-keyed report-noisy-max
+// picked from the same random stream.
+func TestAxisChoiceMatchesMapOracle(t *testing.T) {
+	const d, pLen = 3, 0.25
+	released, fellBack := 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := 50 + rng.Intn(400)
+		rot := make([]float64, m*d)
+		for i := range rot {
+			rot[i] = rng.NormFloat64() * 1.5
+		}
+		sc := NewQueryScratch()
+		for axis := 0; axis < d; axis++ {
+			hist := make(map[int64]int)
+			for i := 0; i < m; i++ {
+				hist[int64(math.Floor(rot[i*d+axis]/pLen))]++
+			}
+			wantKeys := slices.Sorted(maps.Keys(hist))
+			if wantKeys[0] >= 0 || wantKeys[len(wantKeys)-1] < 0 {
+				t.Fatalf("seed %d axis %d: intervals %v do not straddle 0", seed, axis, wantKeys)
+			}
+			keys, counts := sc.axisHistogram(rot, d, axis, pLen)
+			if !slices.Equal(keys, wantKeys) {
+				t.Fatalf("seed %d axis %d: intervals %v, want %v", seed, axis, keys, wantKeys)
+			}
+			for i, j := range keys {
+				if counts[i] != hist[j] {
+					t.Fatalf("seed %d axis %d: interval %d count %d, want %d", seed, axis, j, counts[i], hist[j])
+				}
+			}
+			for _, p := range []stability.Params{
+				{Epsilon: 2, Delta: 1e-3},    // releases an interval
+				{Epsilon: 0.01, Delta: 1e-9}, // threshold out of reach: ⊥, then the fallback
+			} {
+				wantRng := rand.New(rand.NewSource(seed))
+				want, err := stability.Choose(wantRng, hist, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRng := rand.New(rand.NewSource(seed))
+				got, err := stability.ChooseIndexed(gotRng, counts, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Bottom != want.Bottom || !got.Bottom && (keys[got.Key] != want.Key || got.NoisyCount != want.NoisyCount) {
+					t.Fatalf("seed %d axis %d: table choice %+v, map choice %+v", seed, axis, got, want)
+				}
+				if !want.Bottom {
+					released++
+					continue
+				}
+				scores := make([]float64, len(wantKeys))
+				for i, j := range wantKeys {
+					scores[i] = float64(hist[j])
+				}
+				idx, err := dp.ReportNoisyMax(wantRng, scores, 1, p.Epsilon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j, err := axisNoisyMax(gotRng, keys, counts, p.Epsilon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j != wantKeys[idx] {
+					t.Fatalf("seed %d axis %d: fallback picked interval %d, map oracle %d", seed, axis, j, wantKeys[idx])
+				}
+				fellBack++
+			}
+		}
+	}
+	if released == 0 || fellBack == 0 {
+		t.Fatalf("coverage: %d stability releases, %d fallbacks", released, fellBack)
 	}
 }
 
@@ -246,7 +405,7 @@ func TestBoxSelectionCanonicalAcrossBackends(t *testing.T) {
 		{"k2-packed", 2, 0.5},
 		{"k8-hashed", 8, 1e-4},
 	} {
-		proj := randomProj(rng, 2000, tc.k, 2)
+		proj := randomProj(rng, 2*minParallelPoints, tc.k, 2)
 		// A planted box far from the rest, so the tiny-cell case has a box
 		// heavy enough to release.
 		for i := 0; i < 300; i++ {
@@ -262,9 +421,19 @@ func TestBoxSelectionCanonicalAcrossBackends(t *testing.T) {
 		if want.Bottom {
 			t.Fatalf("%s: oracle selection returned bottom", tc.name)
 		}
+		wantKeys, wantCounts := oracleCanonical(boxHistogram(proj, offsets, tc.side))
 		for _, workers := range []int{1, 3} {
 			for name, e := range coderEngines(t, proj, tc.side, workers) {
 				e.partition(offsets)
+				order, counts := e.canonical()
+				if !slices.Equal(counts, wantCounts) {
+					t.Fatalf("%s %s workers %d: canonical counts differ from the oracle's", tc.name, name, workers)
+				}
+				for i, b := range order {
+					if got := boxKey(proj[e.hist.entries[b].first], offsets, tc.side); got != wantKeys[i] {
+						t.Fatalf("%s %s workers %d: canonical box %d is %v, oracle %v", tc.name, name, workers, i, boxCoords(got), boxCoords(wantKeys[i]))
+					}
+				}
 				sel, err := e.selectBox(rand.New(rand.NewSource(7)), p)
 				if err != nil {
 					t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -58,14 +59,17 @@ var (
 // indices, with the per-repetition count pass fanned out over
 // prm.Profile.Workers goroutines; neither affects the privacy analysis
 // (AboveThreshold only ever sees the final per-repetition maximum) nor —
-// thanks to the canonical box enumeration — the seeded output.
+// thanks to the canonical box enumeration — the seeded output. The box
+// counts and the per-axis interval counts go through one open-addressing
+// countTable, which keeps first-seen order and first rows, so no pass
+// hashes into a Go map.
 //
 // The points arrive as a flat frame — the representation the ball indexes
 // already hold, so the pipeline's hot path never materializes per-point
-// slices: every pass runs on no-copy row views. When prm.Scratch is set, the
-// per-query buffers (box keys, histograms, the rotation buffer) are
-// borrowed from it, making warm repeated queries allocate close to nothing
-// here.
+// slices: every pass runs on no-copy row views. The per-query buffers (box
+// keys, count tables, the rotation and sort buffers) live in a
+// QueryScratch: prm.Scratch when set, making warm repeated queries allocate
+// close to nothing here, else a fresh one.
 func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (CenterResult, error) {
 	if points == nil || points.N() == 0 {
 		return CenterResult{}, fmt.Errorf("%w: GoodCenter needs at least one point", ErrNoData)
@@ -119,7 +123,11 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 		maxReps = int(math.Ceil(2 * float64(n) * math.Log(1/beta) / beta))
 	}
 
-	part, err := newBoxPartition(proj, boxSide, prm.Profile, prm.Scratch)
+	sc := prm.Scratch
+	if sc == nil {
+		sc = NewQueryScratch()
+	}
+	part, err := newBoxPartition(proj, boxSide, prm.Profile, sc)
 	if err != nil {
 		return CenterResult{}, err
 	}
@@ -175,16 +183,11 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 	}
 	// One flat backing array for all rotated points: the per-point MulVec
 	// allocation is the dominant cost of this stage at large |cluster|.
-	// With a scratch it is reused across queries outright.
-	var rotBuf []float64
-	if sc := prm.Scratch; sc != nil {
-		if cap(sc.rotBuf) < m*d {
-			sc.rotBuf = make([]float64, m*d)
-		}
-		rotBuf = sc.rotBuf[:m*d]
-	} else {
-		rotBuf = make([]float64, m*d)
+	// A lent scratch reuses it across queries outright.
+	if cap(sc.rotBuf) < m*d {
+		sc.rotBuf = make([]float64, m*d)
 	}
+	rotBuf := sc.rotBuf[:m*d]
 	for i, id := range sel.Members {
 		basis.MulVecInto(vec.Vector(rotBuf[i*d:(i+1)*d]), points.Row(id))
 	}
@@ -199,28 +202,13 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 	fallbacks := 0
 	_, axesSpan := obs.StartSpan(prm.Ctx, "axes")
 	boxCenterRot := make(vec.Vector, d)
-	// The d per-axis interval histograms get the same packed-key treatment
-	// as the box loop: one int64-keyed map reused (cleared, not
-	// reallocated) across all axes — and across queries via the scratch.
-	var axisHist map[int64]int
-	if sc := prm.Scratch; sc != nil {
-		if sc.axisHist == nil {
-			sc.axisHist = make(map[int64]int, 64)
-		}
-		axisHist = sc.axisHist
-	} else {
-		axisHist = make(map[int64]int, 64)
-	}
 	for axis := 0; axis < d; axis++ {
 		if err := prm.interrupted(); err != nil {
 			axesSpan.End()
 			return CenterResult{}, err
 		}
-		clear(axisHist)
-		for i := 0; i < m; i++ {
-			axisHist[int64(math.Floor(rotBuf[i*d+axis]/pLen))]++
-		}
-		res, err := stability.Choose(rng, axisHist, stability.Params{Epsilon: epsAxis, Delta: deltaAxis})
+		keys, counts := sc.axisHistogram(rotBuf, d, axis, pLen)
+		res, err := stability.ChooseIndexed(rng, counts, stability.Params{Epsilon: epsAxis, Delta: deltaAxis})
 		if err != nil {
 			axesSpan.End()
 			return CenterResult{}, err
@@ -228,7 +216,7 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 		var j int64
 		switch {
 		case !res.Bottom:
-			j = res.Key
+			j = keys[res.Key]
 		case prm.Profile.AxisFallback:
 			// Practical fallback: report-noisy-max restricted to occupied
 			// intervals. This keeps the ε accounting of the stability
@@ -238,7 +226,7 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 			// intervals instead drowns the signal: at per-axis ε ≈ ε/(10√d)
 			// the Θ(√d/p) empty intervals win the noisy argmax almost
 			// surely.
-			j, err = axisNoisyMax(rng, axisHist, epsAxis)
+			j, err = axisNoisyMax(rng, keys, counts, epsAxis)
 			if err != nil {
 				axesSpan.End()
 				return CenterResult{}, err
@@ -284,19 +272,38 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 	}, nil
 }
 
-// axisNoisyMax selects an interval index by report-noisy-max over the
-// occupied intervals of the axis histogram. Intervals are scored in sorted
-// key order so the noise draws don't depend on Go's randomized map
-// iteration (which would make seeded runs irreproducible).
-func axisNoisyMax(rng *rand.Rand, hist map[int64]int, eps float64) (int64, error) {
-	keys := make([]int64, 0, len(hist))
-	for j := range hist {
-		keys = append(keys, j)
+// axisHistogram counts the rotated members' interval indices ⌊x/pLen⌋ on
+// one axis (rot holds the members' rows of width d) and returns the
+// occupied intervals in ascending index order with their counts: the bins,
+// in the order, that stability.Choose would draw its noise over from a map.
+// The table's entries are sorted in place, so it is fit only for a reset
+// afterwards.
+func (sc *QueryScratch) axisHistogram(rot []float64, d, axis int, pLen float64) ([]int64, []int) {
+	m := len(rot) / d
+	t := &sc.hist
+	t.reset()
+	for i := 0; i < m; i++ {
+		t.add(uint64(int64(math.Floor(rot[i*d+axis]/pLen))), 1, int32(i))
 	}
-	slices.Sort(keys)
-	scores := make([]float64, len(keys))
-	for i, j := range keys {
-		scores[i] = float64(hist[j])
+	// The keys are int64 indices: sorted unsigned, the intervals left of 0
+	// would enumerate after those right of it.
+	slices.SortFunc(t.entries, func(x, y countEntry) int { return cmp.Compare(int64(x.key), int64(y.key)) })
+	keys, counts := sc.axisKeys[:0], sc.axisCounts[:0]
+	for _, en := range t.entries {
+		keys = append(keys, int64(en.key))
+		counts = append(counts, en.count)
+	}
+	sc.axisKeys, sc.axisCounts = keys, counts
+	return keys, counts
+}
+
+// axisNoisyMax selects an interval index by report-noisy-max over the
+// occupied intervals keys (ascending, as axisHistogram returns them) with
+// their counts, so the noise draws follow the index order.
+func axisNoisyMax(rng *rand.Rand, keys []int64, counts []int, eps float64) (int64, error) {
+	scores := make([]float64, len(counts))
+	for i, c := range counts {
+		scores[i] = float64(c)
 	}
 	idx, err := dp.ReportNoisyMax(rng, scores, 1, eps)
 	if err != nil {

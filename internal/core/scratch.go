@@ -1,26 +1,29 @@
 package core
 
 // QueryScratch holds the reusable per-query buffers of the center stage —
-// the box-partition key/histogram state, the rotation buffer, the per-axis
-// interval histogram, and the chosen box's member list. A warm query that
-// threads one through Params.Scratch allocates close to nothing in
-// GoodCenter's hot passes; buffers grow to the dataset's high-water mark and
-// are then reused verbatim.
+// the box keys and count tables of the partition engine, the rotation
+// buffer, the per-axis sort buffers, and the chosen box's member list. A
+// warm query that threads one through Params.Scratch allocates close to
+// nothing in GoodCenter's hot passes; buffers grow to the dataset's
+// high-water mark and are then reused verbatim.
 //
 // A QueryScratch must not be used by two queries concurrently — pool them
 // (the Dataset handle keeps a sync.Pool) or use one per goroutine. Reuse
-// never changes releases: every buffer is fully overwritten or cleared
+// never changes releases: every buffer is fully overwritten or reset
 // before it is read, so the values flowing into the private mechanisms are
 // identical with or without scratch.
 type QueryScratch struct {
-	// rotBuf backs the rotated cluster points of GoodCenter steps 8–9.
-	rotBuf []float64
-	// axisHist is the per-axis interval histogram, cleared per axis.
-	axisHist map[int64]int
-	// keys, hist, locals back the box-partition engine.
+	// keys and locals back the box-partition engine; hist holds its box
+	// counts, then each axis's interval counts of steps 8–9 (the box
+	// choice is done by then).
 	keys   []uint64
-	hist   map[uint64]int
-	locals []map[uint64]int
+	hist   countTable
+	locals []countTable
+	// rotBuf backs the rotated cluster points of GoodCenter steps 8–9, and
+	// axisKeys/axisCounts one axis's occupied intervals in ascending order.
+	rotBuf     []float64
+	axisKeys   []int64
+	axisCounts []int
 	// members backs the chosen box's member-id list.
 	members []int
 }

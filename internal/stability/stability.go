@@ -152,9 +152,8 @@ func LossBound(p Params, n int, beta float64) float64 {
 	return (4 / p.Epsilon) * math.Log(2*float64(n)/beta)
 }
 
-// Histogram builds a bin-count map from data via a bucketing function.
-// A convenience used by GoodCenter (box index of each projected point) and
-// by the per-axis interval choice.
+// Histogram builds a bin-count map from data via a bucketing function, in
+// the form Choose takes.
 func Histogram[T any, K comparable](data []T, bucket func(T) K) map[K]int {
 	h := make(map[K]int, len(data))
 	for _, x := range data {
