@@ -253,7 +253,7 @@ func benchIndexRadiusStage(b *testing.B, n int, pol core.IndexPolicy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := core.NewBallIndexFrame(nil, frame, grid, pol, 0, 1)
+		ix, err := core.NewBallIndexFrame(frame, grid, pol, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,53 +276,6 @@ func BenchmarkBallIndexScalable(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchIndexRadiusStage(b, n, core.IndexScalable)
 		})
-	}
-}
-
-// ---- Sharded index benchmarks ------------------------------------------
-//
-// BenchmarkShardedBuild times the cold preprocessing (index construction +
-// the BuildLStep radius sweep — the pipeline's dominant cost) of the
-// scalable backend unsharded (shards=1) versus sharded. Per-shard cell
-// indexes build in parallel and the bulk count passes keep their worker
-// pools, so on ≥ 4 cores the sharded build should be ≥ 1.5× faster at
-// n = 500k; on a single core the comparison mostly measures sharding
-// overhead. Equivalence tests (internal/geometry, shard_test.go) prove the
-// outputs bit-identical, so the delta here is pure build speed:
-//
-//	go test -bench BenchmarkShardedBuild -benchmem
-
-func benchShardedBuild(b *testing.B, n, shards int) {
-	b.Helper()
-	grid, err := geometry.NewGrid(1<<16, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts, tt, err := bench.IndexWorkload(1, n, 2, grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame := benchFrame(b, pts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix, err := core.NewBallIndexFrame(nil, frame, grid, core.IndexScalable, 0, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ix.BuildLStep(context.Background(), tt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShardedBuild(b *testing.B) {
-	for _, n := range []int{100000, 500000} {
-		for _, s := range []int{1, 4} {
-			b.Run(fmt.Sprintf("n=%d/shards=%d", n, s), func(b *testing.B) {
-				benchShardedBuild(b, n, s)
-			})
-		}
 	}
 }
 

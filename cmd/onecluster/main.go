@@ -15,9 +15,8 @@
 //	onecluster -queries 300,400,500 -epsilon 1 -budget 2,1e-5 points.csv
 //	onecluster -queries 300,400,500 -parallel -seed 1 points.csv
 //
-// -shards controls the scalable index's data partitioning (0 = automatic);
-// sharding is a pure performance knob — releases are identical at any
-// value under the same seed.
+// Locally the handle builds one in-process index; data partitions exist
+// only on shard servers.
 //
 // Remote mode: -remote routes the ball-index queries through shard
 // servers (cmd/shardserver) over the wire protocol. Partitions are
@@ -84,7 +83,6 @@ func main() {
 	k := flag.Int("k", 1, "number of clusters to locate (k-cover when > 1)")
 	queries := flag.String("queries", "", `comma-separated t values run against one Dataset handle (e.g. "300,400,500")`)
 	budget := flag.String("budget", "", `total privacy budget "ε,δ" the handle may spend across -queries (empty = unlimited)`)
-	shards := flag.Int("shards", 0, "scalable-index shards (0 = automatic: GOMAXPROCS shards at n ≥ 100000); results are identical at any value")
 	parallel := flag.Bool("parallel", false, "with -queries: run the queries concurrently through the batch executor")
 	remote := flag.String("remote", "", `shard-server placement: comma-separated partitions, |-separated replicas ("a:7601|b:7601,c:7601"); queries run over the wire protocol with automatic replica failover — releases are identical to local execution under the same seed`)
 	placementFile := flag.String("placement", "", `JSON placement file (the cmd/shardctl format) describing the shard servers; mutually exclusive with -remote`)
@@ -139,14 +137,14 @@ func main() {
 	}
 
 	if *queries != "" {
-		if err := runQueries(os.Stdout, points, *queries, *budget, *epsilon, *delta, *beta, *gridSize, *seed, *shards, *parallel, place, *trace); err != nil {
+		if err := runQueries(os.Stdout, points, *queries, *budget, *epsilon, *delta, *beta, *gridSize, *seed, *parallel, place, *trace); err != nil {
 			fmt.Fprintln(os.Stderr, "onecluster:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if err := runHandle(os.Stdout, points, *t, *k, *epsilon, *delta, *beta, *gridSize, *seed, *shards, place, *trace); err != nil {
+	if err := runHandle(os.Stdout, points, *t, *k, *epsilon, *delta, *beta, *gridSize, *seed, place, *trace); err != nil {
 		fmt.Fprintln(os.Stderr, "onecluster:", err)
 		os.Exit(1)
 	}
@@ -337,8 +335,8 @@ func parseRemote(s string) (*privcluster.Placement, error) {
 // runHandle runs the single-shot query (-t, optionally -k) through a
 // Dataset handle, with the shard-server placement (nil = local) and, with
 // trace, the span tree hanging off the query context.
-func runHandle(out io.Writer, points []privcluster.Point, t, k int, epsilon, delta, beta float64, gridSize, seed int64, shards int, place *privcluster.Placement, trace bool) error {
-	ds, err := privcluster.Open(points, privcluster.DatasetOptions{GridSize: gridSize, Shards: shards, Placement: place})
+func runHandle(out io.Writer, points []privcluster.Point, t, k int, epsilon, delta, beta float64, gridSize, seed int64, place *privcluster.Placement, trace bool) error {
+	ds, err := privcluster.Open(points, privcluster.DatasetOptions{GridSize: gridSize, Placement: place})
 	if err != nil {
 		return err
 	}
@@ -383,7 +381,7 @@ func runHandle(out io.Writer, points []privcluster.Point, t, k int, epsilon, del
 // are reported per query rather than stopping the run. A non-nil
 // placement serves the ball index from those shard servers instead of
 // local cores; releases are unchanged.
-func runQueries(out io.Writer, points []privcluster.Point, queries, budget string, epsilon, delta, beta float64, gridSize, seed int64, shards int, parallel bool, place *privcluster.Placement, trace bool) error {
+func runQueries(out io.Writer, points []privcluster.Point, queries, budget string, epsilon, delta, beta float64, gridSize, seed int64, parallel bool, place *privcluster.Placement, trace bool) error {
 	ts, err := parseQueries(queries)
 	if err != nil {
 		return err
@@ -393,7 +391,7 @@ func runQueries(out io.Writer, points []privcluster.Point, queries, budget strin
 		return err
 	}
 	ds, err := privcluster.Open(points, privcluster.DatasetOptions{
-		GridSize: gridSize, Budget: b, Shards: shards, Placement: place,
+		GridSize: gridSize, Budget: b, Placement: place,
 	})
 	if err != nil {
 		return err

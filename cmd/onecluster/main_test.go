@@ -62,20 +62,20 @@ func TestRunQueriesEndToEnd(t *testing.T) {
 		pts = append(pts, privcluster.Point{rng.Float64(), rng.Float64()})
 	}
 	// Two queries fit the ε budget of 8; the third is refused.
-	err := runQueries(io.Discard, pts, "400,450,300", "8,0.2", 4, 0.05, 0.1, 1024, 7, 0, false, nil, false)
+	err := runQueries(io.Discard, pts, "400,450,300", "8,0.2", 4, 0.05, 0.1, 1024, 7, false, nil, false)
 	if !errors.Is(err, privcluster.ErrBudgetExhausted) {
 		t.Fatalf("three ε=4 queries against ε-budget 8: err = %v, want ErrBudgetExhausted", err)
 	}
 	// Unlimited budget runs all three.
-	if err := runQueries(io.Discard, pts, "400,450,300", "", 4, 0.05, 0.1, 1024, 7, 0, false, nil, false); err != nil {
+	if err := runQueries(io.Discard, pts, "400,450,300", "", 4, 0.05, 0.1, 1024, 7, false, nil, false); err != nil {
 		t.Fatalf("unlimited budget: %v", err)
 	}
-	// The batch executor path: same queries concurrently, explicit shard
-	// count, refusals reported per query instead of aborting the run.
-	if err := runQueries(io.Discard, pts, "400,450,300", "8,0.2", 4, 0.05, 0.1, 1024, 7, 2, true, nil, false); err != nil {
+	// The batch executor path: same queries concurrently, refusals
+	// reported per query instead of aborting the run.
+	if err := runQueries(io.Discard, pts, "400,450,300", "8,0.2", 4, 0.05, 0.1, 1024, 7, true, nil, false); err != nil {
 		t.Fatalf("parallel with budget: %v", err)
 	}
-	if err := runQueries(io.Discard, pts, "400,450,300", "", 4, 0.05, 0.1, 1024, 7, 2, true, nil, false); err != nil {
+	if err := runQueries(io.Discard, pts, "400,450,300", "", 4, 0.05, 0.1, 1024, 7, true, nil, false); err != nil {
 		t.Fatalf("parallel unlimited: %v", err)
 	}
 }

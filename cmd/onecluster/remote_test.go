@@ -59,10 +59,10 @@ func TestRemoteEndToEnd(t *testing.T) {
 
 	// -queries mode: remote output must equal the local handle's output.
 	var local, remote bytes.Buffer
-	if err := runQueries(&local, pts, "3000,3200", "", 4, 0.05, 0.1, 1024, 7, 0, false, nil, false); err != nil {
+	if err := runQueries(&local, pts, "3000,3200", "", 4, 0.05, 0.1, 1024, 7, false, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := runQueries(&remote, pts, "3000,3200", "", 4, 0.05, 0.1, 1024, 7, 0, false, place, false); err != nil {
+	if err := runQueries(&remote, pts, "3000,3200", "", 4, 0.05, 0.1, 1024, 7, false, place, false); err != nil {
 		t.Fatal(err)
 	}
 	if local.String() != remote.String() {
@@ -77,7 +77,7 @@ func TestRemoteEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var repl bytes.Buffer
-	if err := runQueries(&repl, pts, "3000,3200", "", 4, 0.05, 0.1, 1024, 7, 0, false, replicated, false); err != nil {
+	if err := runQueries(&repl, pts, "3000,3200", "", 4, 0.05, 0.1, 1024, 7, false, replicated, false); err != nil {
 		t.Fatal(err)
 	}
 	if local.String() != repl.String() {
@@ -115,14 +115,14 @@ func TestRemoteEndToEnd(t *testing.T) {
 		return buf.String()
 	}
 	var buf bytes.Buffer
-	if err := runHandle(&buf, pts, 3000, 1, 4, 0.05, 0.1, 1024, 11, 0, place, false); err != nil {
+	if err := runHandle(&buf, pts, 3000, 1, 4, 0.05, 0.1, 1024, 11, place, false); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := buf.String(), runLocal(3000, 1); got != want {
 		t.Errorf("-remote single query differs:\nremote:\n%s\nlocal:\n%s", got, want)
 	}
 	buf.Reset()
-	if err := runHandle(&buf, pts, 2500, 2, 4, 0.05, 0.1, 1024, 11, 0, place, false); err != nil {
+	if err := runHandle(&buf, pts, 2500, 2, 4, 0.05, 0.1, 1024, 11, place, false); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := buf.String(), runLocal(2500, 2); got != want {
@@ -131,7 +131,7 @@ func TestRemoteEndToEnd(t *testing.T) {
 
 	// A dead address list fails with a useful error instead of hanging.
 	dead := &privcluster.Placement{Partitions: [][]string{{"127.0.0.1:1"}}}
-	if err := runHandle(&buf, pts, 3000, 1, 4, 0.05, 0.1, 1024, 11, 0, dead, false); err == nil {
+	if err := runHandle(&buf, pts, 3000, 1, 4, 0.05, 0.1, 1024, 11, dead, false); err == nil {
 		t.Error("query against a dead shard address succeeded")
 	}
 }

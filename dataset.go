@@ -38,11 +38,9 @@ type DatasetOptions struct {
 	// Options.Workers). 0 means GOMAXPROCS; the handle's index reads it
 	// once, when the first query builds it.
 	Workers int
-	// Shards splits the scalable ball index into per-shard cell indexes
-	// built in parallel and queried as exact partial sums (see
-	// Options.Shards). 0 means automatic: GOMAXPROCS shards at
-	// n ≥ 100,000, unsharded below, resolved once, when the first query
-	// builds the handle's index. Sharding never changes releases.
+	// Deprecated: Shards is ignored, whatever its value or sign. A handle
+	// without a Placement builds one in-process index; data partitions
+	// live only on shard servers, reached through Placement.
 	Shards int
 	// Paper switches every internal constant to the paper's proof values.
 	Paper bool
@@ -53,7 +51,7 @@ type DatasetOptions struct {
 	// partition, each served over the wire protocol (cmd/shardserver
 	// hosts the replicas; cmd/shardctl generates and validates placement
 	// files). Remote execution presumes the scalable backend, so
-	// IndexPolicy and Shards are ignored; releases stay bit-identical to
+	// IndexPolicy is ignored; releases stay bit-identical to
 	// local execution under the same seed regardless of which replica
 	// answers — see the "Remote shards" and "Replication and failover"
 	// sections of the package documentation. The first query dials
@@ -109,9 +107,6 @@ func (o DatasetOptions) validate() error {
 	}
 	if _, err := o.IndexPolicy.core(); err != nil {
 		return err
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("privcluster: shards must be ≥ 0 (0 = automatic), got %d", o.Shards)
 	}
 	if o.Placement != nil {
 		if err := o.Placement.validate(); err != nil {
@@ -185,7 +180,6 @@ func (o DatasetOptions) profile() core.Profile {
 		p = core.PaperProfile()
 	}
 	p.Workers = o.Workers
-	p.Shards = o.Shards
 	return p
 }
 
@@ -443,7 +437,7 @@ func Open(points []Point, o DatasetOptions) (*Dataset, error) {
 			mut, err = core.NewRemoteMutableBallIndexFrame(context.Background(), frame, grid,
 				o.Workers, p.flatten(), p.transportOptions())
 		} else {
-			mut, err = core.NewMutableBallIndexFrame(context.Background(), frame, grid, o.Workers, o.Shards)
+			mut, err = core.NewMutableBallIndexFrame(frame, grid, o.Workers)
 		}
 		if err != nil {
 			return nil, err
@@ -531,7 +525,7 @@ func (ds *Dataset) reserve(ctx context.Context, cost Budget) (Reservation, error
 
 // index returns the handle's ball index, building it exactly once even
 // under concurrent first queries; cold reports whether this call ran the
-// build. The build resolves automatic Workers and Shards once, so a later
+// build. The build resolves automatic Workers once, so a later
 // GOMAXPROCS change never rebuilds the index or re-dials its shard
 // servers. Index construction draws no randomness, so the built index
 // releases bit-identical seeded results to a per-call build. The build
@@ -553,7 +547,7 @@ func (ds *Dataset) index() (ix geometry.BallIndex, cold bool, err error) {
 					ProbeInterval: p.ProbeInterval,
 				})
 		} else {
-			ix, err = core.NewBallIndexFrame(context.Background(), ds.frame, ds.grid, ds.pol, ds.opts.Workers, ds.opts.Shards)
+			ix, err = core.NewBallIndexFrame(ds.frame, ds.grid, ds.pol, ds.opts.Workers)
 		}
 		if err != nil {
 			e.err = err

@@ -45,8 +45,8 @@
 //
 // Open performs validation, domain rescaling and grid quantization once.
 // The first query lazily builds the handle's one ball index from the
-// handle's own options — the index resolves automatic Workers and Shards
-// against GOMAXPROCS once, at that build — and keeps it, along with the
+// handle's own options — the index resolves automatic Workers against
+// GOMAXPROCS once, at that build — and keeps it, along with the
 // radius stage's L(·, S) step function per queried t, so warm queries skip
 // preprocessing entirely — BenchmarkDatasetReuse measures the drop at
 // n = 100k (seconds → milliseconds). Under the same seed a handle query
@@ -128,38 +128,49 @@
 //     IndexScalable beyond, so FindCluster handles 10⁵–10⁶ points without
 //     ever allocating the quadratic matrix.
 //
-// # Sharding semantics
+// # Partition semantics
 //
-// The scalable index shards (Options.Shards / DatasetOptions.Shards): the
-// points are partitioned into S shards — by a Z-order space-filling curve,
-// so shards are spatially compact — each holding its own cell index, built
-// in parallel. Every estimated ball count of the L̂ sweep is a sum over
-// data partitions, B̂_r(x) = Σ_s |{y ∈ shard s : y counts toward B̂_r(x)}|,
-// so each ladder level is answered by summing exact per-shard partial
-// counts through the same worker pools.
-// Three facts make sharding invisible to everything above it:
+// A handle without a Placement builds exactly one in-process ball index,
+// whatever n and GOMAXPROCS are. Data partitions exist only on shard
+// servers (DatasetOptions.Placement): the points are split into one
+// partition per placement partition — by a Z-order space-filling curve,
+// so partitions are spatially compact. Every estimated ball count of the
+// L̂ sweep is a sum over data partitions,
+// B̂_r(x) = Σ_s |{y ∈ partition s : y counts toward B̂_r(x)}|, so each
+// ladder level is answered by summing exact per-partition partial counts.
+// Three facts make partitioning invisible to everything above it:
 //
 //   - Whether a member point contributes to a cell-granularity count
 //     depends only on its own position and the query point, never on
-//     which other points share its shard — so per-shard counts are exact
-//     partial sums, and the estimated L̂ is the same function of the
-//     dataset as the unsharded one. The sensitivity-2 argument of
+//     which other points share its partition — so per-partition counts
+//     are exact partial sums, and the estimated L̂ is the same function of
+//     the dataset as the local index's. The sensitivity-2 argument of
 //     Lemma 4.5 (the heart of GoodRadius's privacy analysis) is therefore
-//     byte-for-byte unchanged: sharding needs no new privacy accounting.
+//     byte-for-byte unchanged: partitioning needs no new privacy
+//     accounting.
 //   - Capping commutes with the partial sums:
 //     min(Σ_s min(B_s, t), t) = min(B, t).
-//   - Every shard is pinned to the global radius ladder, so all shards
-//     (and the unsharded index) resolve each ladder level at the same
-//     scale.
+//   - Every partition is pinned to the global radius ladder, so all
+//     partitions (and the local index) resolve each ladder level at the
+//     same scale.
 //
-// Consequently sharded releases are bit-identical to unsharded ones under
-// the same seed — a tested guarantee, not an approximation. Shards = 0
-// (the default) is automatic: GOMAXPROCS shards at n ≥ 100,000, unsharded
-// below; any explicit value is clamped to [1, n]. Sum-decomposition across
-// data partitions is also the seam the distributed backend plugs into: a
-// remote shard answering "how many of my points count toward each point's
-// ball at this ladder level" drops into the same summation — see "Remote
-// shards" below.
+// Consequently releases over a Placement are bit-identical to the local
+// handle's under the same seed — a tested guarantee, not an approximation.
+// A remote shard answers "how many of my points count toward each point's
+// ball at this ladder level", and the client sums — see "Remote shards"
+// below.
+//
+// Local sharding is gone: splitting one process's index into partitions
+// ran slower and allocated more than the one index it split (the shards
+// shared the same worker pool and had nothing to parallelize). Migration:
+// Options.Shards — drop the field; DatasetOptions.Shards — deprecated and
+// ignored, drop it; cmd/onecluster -shards — drop the flag;
+// privclusterd's "shards" dataset key — drop it (the config loader now
+// rejects it as an unknown field). The internal names
+// core.ShardAutoMinN, core.Profile.Shards and geometry.NewShardedIndexFrame
+// went with them (geometry.NewShardedIndexBackends with
+// geometry.NewLocalShard builds an in-process partitioned index for
+// tests).
 //
 // GoodCenter's box-partition loop — one O(n·k) count pass per
 // sparse-vector repetition — runs on a packed-key engine: per-axis cell
@@ -212,12 +223,11 @@
 // dominates transport: n·(2c+2)^d/S · t_op ≫ RTT + 4n/bandwidth. At
 // n = 10⁵ a level is a few hundred kilobytes against seconds of compute,
 // so the crossover sits far below datacenter RTTs — the constraint is
-// compute per level, not the wire. Conversely, a single machine with idle
-// cores should prefer local sharding (DatasetOptions.Shards): it skips
-// serialization entirely and shares one source-cell structure where each
-// remote server must build its own (BenchmarkRemoteLoopback quantifies
-// both overheads by running the protocol against servers in the same
-// process). KCover's later rounds (k > 1) rebuild local indexes over the
+// compute per level, not the wire. Conversely, on a single machine the
+// local index skips serialization entirely and keeps one source-cell
+// structure where each remote server must build its own
+// (BenchmarkRemoteLoopback quantifies both overheads by running the
+// protocol against servers in the same process). KCover's later rounds (k > 1) rebuild local indexes over the
 // shrinking uncovered remainder — only round 1, the full-dataset cost,
 // runs remote; releases are identical either way.
 //
@@ -271,18 +281,18 @@
 // handle's epoch by exactly one — Open is epoch 1. Queries run against
 // epoch snapshots: by default the epoch current when the query pins its
 // view, or an explicit one via QueryOptions.AtEpoch. The contract is the
-// same equivalence that anchors sharding and the wire protocol: a query
+// same equivalence that anchors partitioning and the wire protocol: a query
 // pinned at epoch E releases bit-identically (same seed, same outcome,
 // success or failure) to a fresh Open on exactly the epoch-E point set —
 // regardless of what the mutator does meanwhile, of Merge timing, and of
-// whether the shards are in-process or remote. examples/ingest re-proves
+// whether the index is local or partitioned over shard servers. examples/ingest re-proves
 // this in CI against live shard servers.
 //
 // Internally a snapshot is a row-prefix view: appends only ever extend the
 // flat frame, so epoch E is "the first n_E rows", indexed as a frozen base
 // generation plus a small delta index over the rows appended since the
-// last merge — the same partition-independent sum decomposition sharding
-// uses, so the split is invisible to releases. Merge (also triggered
+// last merge — the same partition-independent sum decomposition shard
+// servers use, so the split is invisible to releases. Merge (also triggered
 // automatically once enough delta rows accumulate) folds the delta into a
 // fresh base off the query path; it is a serving-cost knob, never a
 // semantic one. A base generation memoizes its uncapped base×base count
@@ -330,7 +340,7 @@
 //     same float64 operation order as the per-point code they replaced, so
 //     the layout is invisible to releases: seeded outputs are bit-identical
 //     to the per-row representation, and every equivalence suite (local,
-//     sharded, remote loopback) pins that.
+//     partitioned, remote loopback) pins that.
 //
 //   - Warm queries reuse buffers instead of allocating. A Dataset handle
 //     pools per-query scratch (rotation buffers, box keys, count tables,

@@ -1,5 +1,5 @@
-// Remote: the shard transport — the same seeded query answered by local
-// cores and by shard servers behind the wire protocol, checked
+// Remote: the shard transport — the same seeded query answered by one
+// in-process index and by shard servers behind the wire protocol, checked
 // bit-identical.
 //
 // The scalable ball index answers every query as an exact sum of
@@ -85,12 +85,12 @@ func main() {
 	for i, a := range addrs {
 		parts[i] = []string{a}
 	}
-	local, dLocal := run(privcluster.DatasetOptions{Shards: *shards})
+	local, dLocal := run(privcluster.DatasetOptions{})
 	remote, dRemote := run(privcluster.DatasetOptions{Placement: &privcluster.Placement{Partitions: parts}})
 
-	fmt.Printf("local  (%d in-process shards): center %.4v  radius %.4g  [%v]\n",
-		*shards, local.Center, local.Radius, dLocal)
-	fmt.Printf("remote (%d shard servers):     center %.4v  radius %.4g  [%v]\n",
+	fmt.Printf("local (one in-process index): center %.4v  radius %.4g  [%v]\n",
+		local.Center, local.Radius, dLocal)
+	fmt.Printf("remote (%d shard servers):    center %.4v  radius %.4g  [%v]\n",
 		*shards, remote.Center, remote.Radius, dRemote)
 
 	if local.Radius != remote.Radius || local.RawRadius != remote.RawRadius ||

@@ -1,5 +1,5 @@
 // Replicated: shard failover under fire — the same seeded query answered
-// by local cores, by a replicated placement, and by the same placement
+// by one in-process index, by a replicated placement, and by the same placement
 // with one replica hard-killed midway through the query, all checked
 // bit-identical.
 //
@@ -106,7 +106,7 @@ func main() {
 		return c, time.Since(start)
 	}
 
-	local, dLocal := run(ctx, privcluster.DatasetOptions{Shards: partitions}, q, nil)
+	local, dLocal := run(ctx, privcluster.DatasetOptions{}, q, nil)
 	healthy, dHealthy := run(ctx, privcluster.DatasetOptions{Placement: place}, q, nil)
 
 	// Run the query again with partition 0's primary replica hard-killed
@@ -129,7 +129,7 @@ func main() {
 			"center", fmt.Sprintf("%.4v", c.Center), "radius", fmt.Sprintf("%.4g", c.Radius),
 			"elapsed", d.Round(time.Millisecond).String())
 	}
-	report("local", local, dLocal)
+	report("local (one in-process index)", local, dLocal)
 	report("replicated", healthy, dHealthy)
 	report("failover", killed, dKilled)
 

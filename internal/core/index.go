@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"privcluster/internal/geometry"
 	"privcluster/internal/transport"
@@ -22,8 +21,7 @@ const (
 	// IndexExact forces the Θ(n²) DistanceIndex (exact L, exact counts).
 	IndexExact
 	// IndexScalable forces the O(n·d) CellIndex (approximate L within the
-	// bounds documented on geometry.CellIndex), sharded per the Shards
-	// knob.
+	// bounds documented on geometry.CellIndex).
 	IndexScalable
 )
 
@@ -32,63 +30,26 @@ const (
 // cheap. 4096 points ≈ 134 MB.
 const ExactIndexMaxN = 4096
 
-// ShardAutoMinN is the dataset size at which the automatic shard policy
-// (Shards == 0) starts sharding the scalable index: below it a single
-// CellIndex wins (the parallel worker pools already saturate small
-// inputs), at or above it the index build fans out over GOMAXPROCS
-// shards. Sharding never changes results — per-shard counts compose by
-// exact summation (see geometry.ShardedIndex) — so the cutover is a pure
-// performance rule.
-const ShardAutoMinN = 100_000
-
-// resolveShards returns the concrete shard count the scalable index is
-// split into for the requested value at dataset size n: 0 (automatic)
-// resolves to GOMAXPROCS at n ≥ ShardAutoMinN and to 1 below; explicit
-// requests are clamped to [1, n], so no shard is ever empty.
-func resolveShards(shards, n int) int {
-	if shards == 0 {
-		if n < ShardAutoMinN {
-			return 1
-		}
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards < 1 {
-		return 1
-	}
-	if shards > n {
-		return n
-	}
-	return shards
-}
-
 // NewBallIndexFrame builds the dataset index the pipeline's radius stage
-// runs on, honoring the policy. The grid supplies the scalable index's
-// radius ladder bounds (resolution floor RadiusUnit, domain diameter
-// MaxDistance) so its approximation error aligns with the radius grid
-// GoodRadius already searches. workers bounds the scalable index's worker
-// pool (0 = GOMAXPROCS) — the same knob Profile.Workers feeds. IndexAuto
-// builds the exact index at n ≤ ExactIndexMaxN and the scalable one
-// beyond. shards splits the scalable index into resolveShards(shards, n)
-// Z-order partitions whose cell indexes build in parallel and answer by
-// exact partial sums (results bit-identical to the unsharded index). ctx
-// cancels a sharded build in flight; a nil ctx means "never cancel". The
-// frame is shared, not copied: callers must treat it as read-only
-// afterwards.
-func NewBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, pol IndexPolicy, workers, shards int) (geometry.BallIndex, error) {
+// runs on, honoring the policy: one in-process index, the exact one at
+// n ≤ ExactIndexMaxN under IndexAuto and the scalable CellIndex beyond.
+// The grid supplies the scalable index's radius ladder bounds (resolution
+// floor RadiusUnit, domain diameter MaxDistance) so its approximation
+// error aligns with the radius grid GoodRadius already searches. workers
+// bounds the scalable index's worker pool (0 = GOMAXPROCS) — the same knob
+// Profile.Workers feeds. Data partitions exist only on shard servers (see
+// NewReplicatedBallIndexFrame). The frame is shared, not copied: callers
+// must treat it as read-only afterwards.
+func NewBallIndexFrame(points *vec.Frame, grid geometry.Grid, pol IndexPolicy, workers int) (geometry.BallIndex, error) {
 	switch pol {
 	case IndexAuto, IndexExact, IndexScalable:
 	default:
 		return nil, fmt.Errorf("core: unknown index policy %d", pol)
 	}
-	n := points.N()
-	if pol == IndexExact || (pol == IndexAuto && n <= ExactIndexMaxN) {
+	if pol == IndexExact || (pol == IndexAuto && points.N() <= ExactIndexMaxN) {
 		return geometry.NewDistanceIndexFrame(points)
 	}
-	cell := cellOptions(grid, workers)
-	if s := resolveShards(shards, n); s > 1 {
-		return geometry.NewShardedIndexFrame(ctx, points, geometry.ShardedIndexOptions{Shards: s, Cell: cell})
-	}
-	return geometry.NewCellIndexFrame(points, cell)
+	return geometry.NewCellIndexFrame(points, cellOptions(grid, workers))
 }
 
 // cellOptions returns the cell-index options every scalable backend
@@ -103,23 +64,13 @@ func cellOptions(grid geometry.Grid, workers int) geometry.CellIndexOptions {
 }
 
 // NewMutableBallIndexFrame builds the streaming-ingestion counterpart of
-// NewBallIndexFrame: a mutable index whose epochs snapshot to BallIndexes
-// bit-identical to a fresh build on that epoch's point set. Mutability
-// presumes the scalable backend (the exact index's Θ(n²) matrix has no
-// incremental form), so the policy knob does not apply; shards resolve by
-// the same rule as NewBallIndexFrame, with in-process shard backends. The
-// frame is shared until the first mutation takes ownership of a copy.
-func NewMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid geometry.Grid, workers, shards int) (geometry.MutableBallIndex, error) {
-	cell := cellOptions(grid, workers)
-	if s := resolveShards(shards, points.N()); s > 1 {
-		return geometry.NewMutableShardedIndexBackends(ctx, points, geometry.ShardedIndexOptions{
-			Shards: s,
-			Cell:   cell,
-		}, func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.MutableShardBackend, error) {
-			return geometry.NewMutableLocalShard(cfg)
-		})
-	}
-	return geometry.NewMutableCellIndexFrame(points, cell)
+// NewBallIndexFrame: one in-process MutableCellIndex whose epochs snapshot
+// to BallIndexes bit-identical to a fresh build on that epoch's point set.
+// Mutability presumes the scalable backend (the exact index's Θ(n²) matrix
+// has no incremental form), so the policy knob does not apply. The frame
+// is shared until the first mutation takes ownership of a copy.
+func NewMutableBallIndexFrame(points *vec.Frame, grid geometry.Grid, workers int) (geometry.MutableBallIndex, error) {
+	return geometry.NewMutableCellIndexFrame(points, cellOptions(grid, workers))
 }
 
 // NewRemoteMutableBallIndexFrame is NewMutableBallIndexFrame with every
@@ -146,9 +97,10 @@ func NewRemoteMutableBallIndexFrame(ctx context.Context, points *vec.Frame, grid
 }
 
 // NewReplicatedBallIndexFrame builds the scalable sharded index with every
-// shard served over the wire protocol: shard partition s (the same
-// Z-order partition NewBallIndexFrame uses, clamped to at most n shards)
-// is served by the replica set parts[s], with failover, optional hedging
+// shard served over the wire protocol: shard partition s (a Z-order
+// partition of the points, clamped to at most n shards; see
+// geometry.NewShardedIndexBackends) is served by the replica set
+// parts[s], with failover, optional hedging
 // and background health probing per ropts
 // (transport.ReplicatedShardDialer). A single-replica partition is one
 // plain connection. The exact-vs-scalable policy does not apply, and

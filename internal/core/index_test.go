@@ -14,14 +14,14 @@ func TestNewBallIndexPolicy(t *testing.T) {
 	grid := testGrid(t, 1024, 2)
 	small := []vec.Vector{vec.Of(0.1, 0.1), vec.Of(0.9, 0.9)}
 
-	ix, err := NewBallIndexFrame(nil, frameOf(t, small), grid, IndexAuto, 0, 0)
+	ix, err := NewBallIndexFrame(frameOf(t, small), grid, IndexAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ix.(*geometry.DistanceIndex); !ok {
 		t.Errorf("auto policy on n=2 picked %T, want the exact index", ix)
 	}
-	ix, err = NewBallIndexFrame(nil, frameOf(t, small), grid, IndexScalable, 0, 0)
+	ix, err = NewBallIndexFrame(frameOf(t, small), grid, IndexScalable, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,14 @@ func TestNewBallIndexPolicy(t *testing.T) {
 	for i := range big {
 		big[i] = grid.Quantize(vec.Of(rng.Float64(), rng.Float64()))
 	}
-	ix, err = NewBallIndexFrame(nil, frameOf(t, big), grid, IndexAuto, 0, 0)
+	ix, err = NewBallIndexFrame(frameOf(t, big), grid, IndexAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ix.(*geometry.CellIndex); !ok {
 		t.Errorf("auto policy above the cutover picked %T, want the cell index", ix)
 	}
-	ix, err = NewBallIndexFrame(nil, frameOf(t, big), grid, IndexExact, 0, 0)
+	ix, err = NewBallIndexFrame(frameOf(t, big), grid, IndexExact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestNewBallIndexPolicy(t *testing.T) {
 		t.Errorf("forced exact policy picked %T", ix)
 	}
 
-	if _, err := NewBallIndexFrame(nil, frameOf(t, small), grid, IndexPolicy(99), 0, 0); err == nil {
+	if _, err := NewBallIndexFrame(frameOf(t, small), grid, IndexPolicy(99), 0); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -62,7 +62,7 @@ func TestGoodRadiusScalableQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grid := testGrid(t, 1<<16, 2)
 	inst := plantedInstance(t, rng, grid, 6000, 4000, 0.02)
-	ix, err := NewBallIndexFrame(nil, frameOf(t, inst.Points), grid, IndexScalable, 0, 0)
+	ix, err := NewBallIndexFrame(frameOf(t, inst.Points), grid, IndexScalable, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func OneCluster(rng *rand.Rand, points []vec.Vector, prm Params) (ClusterResult,
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	ix, err := NewBallIndexFrame(prm.Ctx, f, prm.Grid, prm.Index, prm.Profile.Workers, prm.Profile.Shards)
+	ix, err := NewBallIndexFrame(f, prm.Grid, prm.Index, prm.Profile.Workers)
 	if err != nil {
 		return ClusterResult{}, err
 	}

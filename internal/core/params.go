@@ -84,14 +84,6 @@ type Profile struct {
 	// the fanned-out passes are deterministic counts, and only their
 	// final aggregates meet the private mechanisms.
 	Workers int
-	// Shards splits the scalable ball index into per-shard cell indexes
-	// built in parallel and queried as exact partial sums (see
-	// geometry.ShardedIndex). 0 means automatic: GOMAXPROCS shards at
-	// n ≥ ShardAutoMinN, unsharded below. Like Workers, sharding never
-	// changes results — per-shard counts compose by exact summation, so
-	// releases are bit-identical to the unsharded index under the same
-	// seed.
-	Shards int
 }
 
 // PaperProfile returns the constants used by the paper's proofs.

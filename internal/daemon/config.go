@@ -71,8 +71,7 @@ type DatasetConfig struct {
 	// Min, Max are the data domain bounds (both zero = unit cube).
 	Min float64 `json:"min,omitempty"`
 	Max float64 `json:"max,omitempty"`
-	// Shards and Workers mirror DatasetOptions.
-	Shards  int `json:"shards,omitempty"`
+	// Workers mirrors DatasetOptions.
 	Workers int `json:"workers,omitempty"`
 	// Placement is the replicated shard-server topology in the
 	// privcluster placement schema (the format cmd/shardctl generates:

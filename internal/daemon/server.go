@@ -118,7 +118,6 @@ func openDataset(dc DatasetConfig, adm privcluster.Admitter) (*privcluster.Datas
 		GridSize:  dc.Grid,
 		Min:       dc.Min,
 		Max:       dc.Max,
-		Shards:    dc.Shards,
 		Workers:   dc.Workers,
 		Placement: place,
 		Mutable:   dc.Mutable,

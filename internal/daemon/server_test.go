@@ -366,9 +366,10 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 }
 
 // TestLoadConfigRejectsRemoteShards: the flat remote_shards list is gone
-// (its replacement is a placement block of single-replica partitions),
-// and a config still naming it fails to load instead of silently serving
-// the dataset locally.
+// (its replacement is a placement block of single-replica partitions), and
+// so is the local shards count (a dataset without a placement builds one
+// in-process index); a config still naming either fails to load instead
+// of silently serving the dataset some other way.
 func TestLoadConfigRejectsRemoteShards(t *testing.T) {
 	dir := t.TempDir()
 	raw, err := json.Marshal(testConfig(t, dir))
@@ -382,15 +383,17 @@ func TestLoadConfigRejectsRemoteShards(t *testing.T) {
 	if _, err := LoadConfig(path); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	old := bytes.Replace(raw, []byte(`"name":"planted",`), []byte(`"name":"planted","remote_shards":["a:1","b:2"],`), 1)
-	if bytes.Equal(old, raw) {
-		t.Fatal("test config has no planted dataset to extend")
-	}
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), "remote_shards") {
-		t.Fatalf("remote_shards config: err = %v, want an unknown-field error naming it", err)
+	for key, val := range map[string]string{"remote_shards": `["a:1","b:2"]`, "shards": `2`} {
+		old := bytes.Replace(raw, []byte(`"name":"planted",`), []byte(`"name":"planted","`+key+`":`+val+`,`), 1)
+		if bytes.Equal(old, raw) {
+			t.Fatal("test config has no planted dataset to extend")
+		}
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Fatalf("%s config: err = %v, want an unknown-field error naming it", key, err)
+		}
 	}
 }
 

@@ -180,25 +180,17 @@ func TestDupTablesMatchRowKeys(t *testing.T) {
 // TestCellLevelsBuiltOnce checks that a ladder sweep reuses the cell levels
 // an earlier sweep built: after one BuildLStep, a second at a smaller t
 // (whose sweep saturates no later) must build zero new levels, on a
-// CellIndex, a local ShardedIndex and a ShardedIndex over LocalShard
-// backends (whose sweep runs through PartialCounts).
+// CellIndex and on a ShardedIndex over LocalShard backends (whose sweep
+// runs through PartialCounts).
 func TestCellLevelsBuiltOnce(t *testing.T) {
 	pts := shardTestPoints(t, 15, 900, 2)
 	opts := shardTestOptions(2)
-	backends, err := NewShardedIndexBackends(context.Background(), frameOf(t, pts), ShardedIndexOptions{
-		Shards: 3, Cell: opts,
-	}, localDialer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backends.Close()
 	for _, c := range []struct {
 		name string
 		ix   BallIndex
 	}{
 		{"CellIndex", cellIndexOf(t, pts, opts)},
-		{"ShardedIndex", shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 3, Cell: opts})},
-		{"LocalShard backends", backends},
+		{"LocalShard backends", shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 3, Cell: opts})},
 	} {
 		builds0 := statCellLevelBuild.Value()
 		if _, err := c.ix.BuildLStep(context.Background(), len(pts)/2); err != nil {

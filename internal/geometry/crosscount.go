@@ -21,8 +21,8 @@ var (
 // cellGroup pairs one CellIndex with the mapping from its local row ids to
 // slots of a global output vector (nil = identity). It is the unit of the
 // generic cross-counting pass below: a plain CellIndex is one identity
-// group, a sharded index contributes one group per shard, an epoch
-// snapshot one group per storage generation (frozen base + delta), and the
+// group, a LocalShard's member index another, an epoch snapshot one group
+// per storage generation (frozen base + delta), and the
 // two compose freely — a mutable shard's pinned query is just base/delta
 // source groups against base/delta member groups.
 //

@@ -257,9 +257,11 @@ func TestMutableIndexDomain(t *testing.T) {
 }
 
 // TestMutableIndexConcurrency exercises the epoch contract under real
-// concurrency (run with -race in CI): mutators append and delete while
-// queriers pin epochs and verify each pinned snapshot answers identically
-// on repeated queries, and background merges land whenever they land.
+// concurrency (run with -race in CI): a mutator appends, deletes and
+// merges while queriers pin epochs and verify each pinned snapshot answers
+// identically on repeated queries, and background merges land whenever
+// they land. The sharded variant is the mutable coordinator a Placement
+// handle runs, over in-process MutableLocalShards.
 func TestMutableIndexConcurrency(t *testing.T) {
 	pts := shardTestPoints(t, 17, 400, 2)
 	opts := shardTestOptions(2)
@@ -275,7 +277,7 @@ func TestMutableIndexConcurrency(t *testing.T) {
 			defer wg.Done()
 			defer close(stop)
 			var mine []uint64
-			for at := n0; at < len(pts); at += 20 {
+			for i, at := 0, n0; at < len(pts); i, at = i+1, at+20 {
 				hi := at + 20
 				if hi > len(pts) {
 					hi = len(pts)
@@ -292,6 +294,12 @@ func TestMutableIndexConcurrency(t *testing.T) {
 						return
 					}
 					mine = mine[10:]
+				}
+				if i%3 == 2 {
+					if err := m.Merge(ctx); err != nil {
+						t.Errorf("merge: %v", err)
+						return
+					}
 				}
 			}
 		}()

@@ -331,13 +331,7 @@ func NewMutableShardedIndexBackends(ctx context.Context, points *vec.Frame, opts
 		return nil, fmt.Errorf("geometry: bounding-box diagonal %g exceeds MaxRadius %g: %w", diag, lad.maxR, ErrOutOfDomain)
 	}
 
-	s := opts.Shards
-	if s < 1 {
-		s = 1
-	}
-	if s > n {
-		s = n
-	}
+	s := min(max(opts.Shards, 1), n)
 	shardCell := cellOpts
 	shardCell.MaxRadius = lad.maxR
 

@@ -105,8 +105,8 @@ func TestHostileLadderRejected(t *testing.T) {
 		if _, err := NewCellIndexFrame(f, tc.opts); err == nil {
 			t.Errorf("%s: NewCellIndexFrame accepted", tc.name)
 		}
-		if _, err := NewShardedIndexFrame(context.Background(), f, ShardedIndexOptions{Shards: 2, Cell: tc.opts}); err == nil {
-			t.Errorf("%s: NewShardedIndexFrame accepted", tc.name)
+		if _, err := NewShardedIndexBackends(context.Background(), f, ShardedIndexOptions{Shards: 2, Cell: tc.opts}, localDialer); err == nil {
+			t.Errorf("%s: NewShardedIndexBackends accepted", tc.name)
 		}
 		if _, err := NewMutableCellIndexFrame(f, tc.opts); err == nil {
 			t.Errorf("%s: NewMutableCellIndexFrame accepted", tc.name)

@@ -320,11 +320,13 @@ func TestBuildLStepMonotone(t *testing.T) {
 
 // sensitivityBackends are the BallIndex implementations whose L the
 // sensitivity property is checked on: the exact index, and the serving L̂
-// of the cell index, a mutable index's epoch view, the sharded index
-// (local shards and LocalShard backends, S ∈ {1, 3}), and epoch views whose
-// base×base blocks come from a warm pair memo (MutableCellIndex, and
-// MutableShardedIndex over MutableLocalShard). Every scalable backend shares one pinned ladder
-// (MinRadius 2⁻¹⁰, so dyadic coordinates sit exactly on cell boundaries).
+// of the cell index, a mutable index's epoch view, the sharded index over
+// LocalShard backends (S ∈ {1, 3, 8}), and epoch views whose base×base
+// blocks come from a warm pair memo (MutableCellIndex, and
+// MutableShardedIndex over MutableLocalShard). Every scalable backend
+// shares one pinned ladder (MinRadius 2⁻¹⁰, so dyadic coordinates sit
+// exactly on cell boundaries). internal/transport checks the same property
+// over loopback shard servers.
 var sensitivityBackends = []struct {
 	name  string
 	build func(t *testing.T, f *vec.Frame) BallIndex
@@ -355,26 +357,19 @@ var sensitivityBackends = []struct {
 		}
 		return snap
 	}},
-	{"sharded S=1", shardedSensitivity(1, false)},
-	{"sharded S=3", shardedSensitivity(3, false)},
-	{"backends S=1", shardedSensitivity(1, true)},
-	{"backends S=3", shardedSensitivity(3, true)},
+	{"backends S=1", shardedSensitivity(1)},
+	{"backends S=3", shardedSensitivity(3)},
+	{"backends S=8", shardedSensitivity(8)},
 	{"epoch view, warm memo", warmMemoSensitivity(false)},
 	{"mutable backends, warm memo", warmMemoSensitivity(true)},
 }
 
 var sensitivityCellOpts = CellIndexOptions{MinRadius: 1.0 / 1024, MaxRadius: math.Sqrt2}
 
-func shardedSensitivity(s int, backends bool) func(t *testing.T, f *vec.Frame) BallIndex {
+func shardedSensitivity(s int) func(t *testing.T, f *vec.Frame) BallIndex {
 	return func(t *testing.T, f *vec.Frame) BallIndex {
 		opts := ShardedIndexOptions{Shards: s, Cell: sensitivityCellOpts}
-		var ix *ShardedIndex
-		var err error
-		if backends {
-			ix, err = NewShardedIndexBackends(context.Background(), f, opts, localDialer)
-		} else {
-			ix, err = NewShardedIndexFrame(context.Background(), f, opts)
-		}
+		ix, err := NewShardedIndexBackends(context.Background(), f, opts, localDialer)
 		if err != nil {
 			t.Fatal(err)
 		}

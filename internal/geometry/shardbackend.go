@@ -102,7 +102,7 @@ func (cfg ShardConfig) validate() error {
 // shard's points (whose cells are classified against query balls) and a
 // source index over the global points (whose rows group the query centers
 // so the row join is paid per source row, not per center — the same
-// amortization the fused local pass gets from per-shard levels). Both are
+// amortization a CellIndex gets from its own levels). Both are
 // pinned to the shared ladder, and the source grouping never affects
 // results: a member cell out of a source cell's reach contributes nothing
 // to its points.

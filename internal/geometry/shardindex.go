@@ -23,9 +23,9 @@ var fanoutBuckets = []float64{0.0002, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 var statShardFanout = obs.Default.Histogram("privcluster_shard_fanout_seconds",
 	"Per-backend latency of one bulk-count fan-out call.", fanoutBuckets)
 
-// ShardedIndexOptions configures NewShardedIndexFrame and
-// NewShardedIndexBackends. The points are always partitioned in Z-order
-// (see assignShards).
+// ShardedIndexOptions configures NewShardedIndexBackends and
+// NewMutableShardedIndexBackends. The points are always partitioned in
+// Z-order (see assignShards).
 type ShardedIndexOptions struct {
 	// Shards is the number of data partitions S. Values below 1 mean 1;
 	// values above n are clamped to n (so no shard is ever empty).
@@ -36,20 +36,23 @@ type ShardedIndexOptions struct {
 	Cell CellIndexOptions
 }
 
-// indexShard is one data partition: a CellIndex over the subset plus the
-// mapping from its local point ids back to global ones.
+// indexShard is one storage generation of a mutable index's epoch view: a
+// CellIndex over the generation's rows plus the mapping from its local
+// point ids back to the view's global ones.
 type indexShard struct {
 	ix     *CellIndex
 	global []int32 // local id -> global id, in local id order
-	frozen bool    // a mutable index's shared base generation (see cellGroup)
+	frozen bool    // the shared base generation (see cellGroup)
 }
 
-// ShardedIndex is the sharded BallIndex backend: the quantized points are
-// partitioned into S shards, each holding its own CellIndex (built in
-// parallel) or reached through a ShardBackend. The estimated ball counts
-// are sums over data partitions — B̂_r(x) = Σ_s |{y ∈ shard s : y
-// contributes to B̂_r(x)}| — so every ladder level of the L̂ sweep is
-// answered by summing per-shard capped partial counts.
+// ShardedIndex is the partitioned BallIndex backend: the quantized points
+// are split into S data partitions, each reached through a ShardBackend —
+// a shard server over the wire, or an in-process LocalShard. The estimated
+// ball counts are sums over data partitions — B̂_r(x) = Σ_s |{y ∈ shard s
+// : y contributes to B̂_r(x)}| — so every ladder level of the L̂ sweep is
+// answered by summing per-shard capped partial counts. A MutableCellIndex
+// hands out the same type as its epoch views, with the partitions held
+// in-process as storage generations (frozen base + append delta).
 //
 // Equivalence contract: BuildLStep returns, bit for bit, the step function
 // a CellIndex over the same points with the same options builds, for any
@@ -75,19 +78,18 @@ type indexShard struct {
 // stream and sharded pipelines release exactly what unsharded ones do under
 // the same seed. ShardedIndex is safe for concurrent use.
 type ShardedIndex struct {
-	frame  *vec.Frame // global order — what Frame() must expose
-	dim    int
-	opts   CellIndexOptions
-	lad    radiusLadder
-	shards []*indexShard
+	frame *vec.Frame // global order — what Frame() must expose
+	dim   int
+	opts  CellIndexOptions
+	lad   radiusLadder
 
-	// backends is the generic ShardBackend mode (NewShardedIndexBackends):
-	// shards are reached only through the interface — possibly over a
-	// network — and every bulk query sums the per-backend partial vectors.
-	// Exactly one of shards/backends is non-nil: the all-local constructor
-	// keeps the fused single-pool pass below (no interface hop, no S-fold
-	// source structures), the backend mode pays those costs to buy
-	// location transparency. Results are bit-identical either way.
+	// shards are a mutable index's in-process generations (see
+	// MutableCellIndex.buildView), counted by one fused crossCellCounts
+	// pass; backends are the partitions of NewShardedIndexBackends and of
+	// a MutableShardedIndex's views, reached only through the interface,
+	// with every bulk query summing the per-backend partial vectors.
+	// Exactly one of the two is non-nil.
+	shards   []*indexShard
 	backends []ShardBackend
 
 	// dupCount[i] is the number of input points identical to row i
@@ -106,115 +108,41 @@ type ShardedIndex struct {
 	sharedBackends bool
 }
 
-// NewShardedIndexFrame partitions the frame's rows per opts and builds the
-// per-shard cell indexes in parallel. It returns an error for an empty input,
-// and ctx.Err() when cancelled mid-build (in-flight shard builds are waited
-// for, so no goroutines leak). A nil ctx means "never cancel".
-func NewShardedIndexFrame(ctx context.Context, points *vec.Frame, opts ShardedIndexOptions) (*ShardedIndex, error) {
-	ctx = ctxOrBackground(ctx)
-	ix, s, err := newShardedBase(points, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Per-shard indexes are built with MaxRadius pinned to the global
-	// ladder top, so a shard's (smaller) bounding box can never shrink its
-	// ladder: every shard's level j has the same radius and cell side as
-	// the unsharded index's — the shared-ladder invariant the exact-sum
-	// equivalence rests on. Shards skip their duplicate tables: a per-shard
-	// table cannot see cross-shard duplicates, and the sharded index keeps
-	// the global one (dupCount) for radius 0, so only the shards' count
-	// passes are ever run.
-	shardCell := ix.opts
-	shardCell.MaxRadius = ix.lad.maxR
-	shardCell.skipDupTable = true
-
-	for _, gids := range assignShards(points, s) {
-		if len(gids) == 0 {
-			continue // unreachable for s ≤ n; defensive
-		}
-		ix.shards = append(ix.shards, &indexShard{global: gids})
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(ix.shards))
-	for si, sh := range ix.shards {
-		wg.Add(1)
-		go func(si int, sh *indexShard) {
-			defer wg.Done()
-			sh.ix, errs[si] = NewCellIndexFrame(points.Gather(sh.global), shardCell)
-		}(si, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	ix.dupCount = DupCounts(points, points, nil)
-	return ix, nil
-}
-
-// newShardedBase runs the prologue both constructors share: input
-// validation, shard-count clamping, option defaulting and the global
-// bounding box → shared radius ladder (an error for an invalid ladder).
-func newShardedBase(points *vec.Frame, opts ShardedIndexOptions) (*ShardedIndex, int, error) {
-	if points == nil || points.N() == 0 {
-		return nil, 0, fmt.Errorf("geometry: sharded index over empty point set")
-	}
-	n, d := points.N(), points.Dim()
-	s := opts.Shards
-	if s < 1 {
-		s = 1
-	}
-	if s > n {
-		s = n
-	}
-	cellOpts := opts.Cell.withDefaults(d)
-
-	// Global bounding box → the ladder every shard must share.
-	lo, hi := frameBox(points)
-	lad, err := newRadiusLadder(cellOpts, d, hi.Dist(lo))
-	if err != nil {
-		return nil, 0, err
-	}
-	return &ShardedIndex{frame: points, dim: d, opts: cellOpts, lad: lad}, s, nil
-}
-
 // ShardDialer constructs the ShardBackend serving shard number `shard` of
-// a backend-mode ShardedIndex. The transport package's dialer connects to
-// a remote server and ships cfg at handshake; tests pass
+// a ShardedIndex. The transport package's dialer connects to a remote
+// server and ships cfg at handshake; tests pass
 // `func(_ context.Context, _ int, cfg ShardConfig) (ShardBackend, error) {
-// return NewLocalShard(cfg) }` to exercise the generic path in-process.
+// return NewLocalShard(cfg) }` to exercise the same path in-process.
 type ShardDialer func(ctx context.Context, shard int, cfg ShardConfig) (ShardBackend, error)
 
 // NewShardedIndexBackends builds a ShardedIndex whose shards are reached
 // only through the ShardBackend interface — the seam a remote transport
-// plugs into. The points are partitioned exactly as NewShardedIndexFrame
-// would (same Z-order partition, same clamping), each backend is dialed
-// with its ShardConfig (cell options pinned to the shared global ladder),
-// and the global duplicate table is assembled by summing per-backend
-// DupCounts.
-// Every L̂ sweep level is then a sum of per-backend partials —
-// bit-identical to the local constructor under the equivalence contract
-// above.
+// plugs into. The points are split into S Z-order partitions (S clamped
+// to [1, n]), each backend is dialed with its ShardConfig (cell options
+// pinned to the global ladder of the points' bounding box), and the global
+// duplicate table is assembled by summing per-backend DupCounts. Every L̂
+// sweep level is then a sum of per-backend partials — bit-identical to a
+// CellIndex over the same points under the equivalence contract above. An
+// empty input or an invalid ladder is an error.
 //
 // Backends are dialed concurrently; the first failure closes the backends
 // already dialed and aborts. ctx governs dialing and the duplicate-table
-// round trip. The caller owns the returned index's backends: Close
-// releases them.
+// round trip; a nil ctx means "never cancel". The caller owns the returned
+// index's backends: Close releases them.
 func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts ShardedIndexOptions, dial ShardDialer) (*ShardedIndex, error) {
 	ctx = ctxOrBackground(ctx)
-	ix, s, err := newShardedBase(points, opts)
+	if points == nil || points.N() == 0 {
+		return nil, fmt.Errorf("geometry: sharded index over empty point set")
+	}
+	n, d := points.N(), points.Dim()
+	s := min(max(opts.Shards, 1), n)
+	cellOpts := opts.Cell.withDefaults(d)
+	lo, hi := frameBox(points)
+	lad, err := newRadiusLadder(cellOpts, d, hi.Dist(lo))
 	if err != nil {
 		return nil, err
 	}
+	ix := &ShardedIndex{frame: points, dim: d, opts: cellOpts, lad: lad}
 	shardCell := ix.opts
 	shardCell.MaxRadius = ix.lad.maxR
 
@@ -271,7 +199,7 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 		ix.Close()
 		return nil, err
 	}
-	dup := make([]int32, points.N())
+	dup := make([]int32, n)
 	for _, p := range parts {
 		for i, c := range p {
 			dup[i] += c
@@ -282,7 +210,7 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 }
 
 // Close releases the shard backends (network connections, for a remote
-// transport). Indexes from the local constructor hold no external
+// transport). A mutable index's in-process epoch views hold no external
 // resources, so Close is then a no-op, as it is for per-epoch views whose
 // backends belong to a mutable coordinator. Queries after Close fail.
 func (ix *ShardedIndex) Close() error {
@@ -393,7 +321,7 @@ func (ix *ShardedIndex) Shards() int {
 // countAllBackends is the backend-mode bulk pass: one PartialCounts round
 // trip per backend, issued concurrently, then the per-shard capped vectors
 // summed into out with saturation at limit — min(Σ_s min(B_s, t), t) =
-// min(B, t), so the result is bit-identical to the local pass. On any
+// min(B, t), so the result is bit-identical to one unsharded pass. On any
 // backend failure the siblings are cancelled and the error (never a
 // partial sum) is returned; a cancelled caller ctx aborts every in-flight
 // call.
@@ -464,8 +392,8 @@ func firstRealError(ctx context.Context, errs []error) error {
 	return first
 }
 
-// cellGroups exposes the local shards as cross-counting groups: each
-// shard's index with its local→global id mapping (see crossCellCounts).
+// cellGroups exposes the in-process generations as cross-counting groups:
+// each one's index with its local→global id mapping (see crossCellCounts).
 func (ix *ShardedIndex) cellGroups() []cellGroup {
 	groups := make([]cellGroup, len(ix.shards))
 	for si, sh := range ix.shards {
@@ -476,8 +404,9 @@ func (ix *ShardedIndex) cellGroups() []cellGroup {
 
 // BuildLStep constructs the approximate L(·, S) step function with the
 // same sweep as CellIndex (sweepLStep), each level's counts summed across
-// shards: in backend mode by countAllBackends, locally by crossCellCounts
-// with the shards as both source and member groups. Each shard's cell
+// partitions: over backends by countAllBackends, over in-process
+// generations by crossCellCounts with them as both source and member
+// groups. Each shard's cell
 // level uses exactly the cell side the unsharded index would (shared
 // ladder), so every per-point count, and with it the recorded function, is
 // bit-identical to the unsharded one: the sensitivity-2 argument (and

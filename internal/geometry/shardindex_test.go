@@ -75,14 +75,30 @@ func cellIndexOf(t *testing.T, pts []vec.Vector, opts CellIndexOptions) *CellInd
 	return ix
 }
 
-// shardedIndexOf builds an all-local ShardedIndex over test vectors.
+// shardedIndexOf builds a ShardedIndex over test vectors with every
+// partition served by an in-process LocalShard, closed when the test ends.
 func shardedIndexOf(t *testing.T, pts []vec.Vector, opts ShardedIndexOptions) *ShardedIndex {
 	t.Helper()
-	ix, err := NewShardedIndexFrame(context.Background(), frameOf(t, pts), opts)
+	ix, err := NewShardedIndexBackends(context.Background(), frameOf(t, pts), opts, localDialer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ix.Close() })
 	return ix
+}
+
+// localShards returns the LocalShard behind each partition of ix.
+func localShards(t *testing.T, ix *ShardedIndex) []*LocalShard {
+	t.Helper()
+	out := make([]*LocalShard, len(ix.backends))
+	for i, be := range ix.backends {
+		ls, ok := be.(*LocalShard)
+		if !ok {
+			t.Fatalf("backend %d is %T, want *LocalShard", i, be)
+		}
+		out[i] = ls
+	}
+	return out
 }
 
 func assertSameStep(t *testing.T, tag string, got, want *LStep) {
@@ -106,18 +122,19 @@ func assertSameSteps(t *testing.T, tag string, got, want BallIndex, ts ...int) {
 	}
 }
 
-// TestShardedIndexMatchesCellIndex is the tentpole equivalence guarantee at
-// the geometry layer: for every shard count, a ShardedIndex
-// builds the L̂ step function bit-identically to a CellIndex over the same
-// points, so the DP pipeline above consumes identical values (and hence
-// identical noise streams) regardless of sharding.
+// TestShardedIndexMatchesCellIndex is the partition equivalence guarantee
+// at the geometry layer: for every shard count S = 1..8, a ShardedIndex
+// over LocalShard partitions builds the L̂ step function bit-identically to
+// a CellIndex over the same points, so the DP pipeline above consumes
+// identical values (and hence identical noise streams) regardless of
+// sharding.
 func TestShardedIndexMatchesCellIndex(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		pts := shardTestPoints(t, int64(d), 900, d)
 		opts := shardTestOptions(d)
 		ref := cellIndexOf(t, pts, opts)
 		tt := len(pts) / 3
-		for _, s := range []int{1, 2, 4, 8} {
+		for s := 1; s <= 8; s++ {
 			tag := fmt.Sprintf("d=%d s=%d", d, s)
 			sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: s, Cell: opts})
 			if sh.Shards() != s {
@@ -126,9 +143,9 @@ func TestShardedIndexMatchesCellIndex(t *testing.T) {
 			if sh.lad != ref.lad {
 				t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
 			}
-			for _, shard := range sh.shards {
-				if shard.ix.lad != ref.lad {
-					t.Fatalf("%s: shard ladder diverged: %+v vs %+v", tag, shard.ix.lad, ref.lad)
+			for _, shard := range localShards(t, sh) {
+				if shard.members.lad != ref.lad || shard.src.lad != ref.lad {
+					t.Fatalf("%s: shard ladder diverged: %+v / %+v vs %+v", tag, shard.members.lad, shard.src.lad, ref.lad)
 				}
 			}
 			for i := range pts {
@@ -155,8 +172,8 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 		if sh.Shards() != len(pts) {
 			t.Errorf("S=64 over n=5 built %d shards, want %d", sh.Shards(), len(pts))
 		}
-		for _, shard := range sh.shards {
-			if shard.ix.N() == 0 {
+		for _, shard := range localShards(t, sh) {
+			if shard.NPoints() == 0 {
 				t.Errorf("empty shard built")
 			}
 		}
@@ -200,7 +217,7 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 	})
 
 	t.Run("invalid input", func(t *testing.T) {
-		if _, err := NewShardedIndexFrame(context.Background(), nil, ShardedIndexOptions{Shards: 2, Cell: opts}); err == nil {
+		if _, err := NewShardedIndexBackends(context.Background(), nil, ShardedIndexOptions{Shards: 2, Cell: opts}, localDialer); err == nil {
 			t.Error("empty input accepted")
 		}
 		sh := shardedIndexOf(t, shardTestPoints(t, 3, 20, 2), ShardedIndexOptions{Shards: 2, Cell: opts})
@@ -212,10 +229,10 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 	})
 }
 
-// TestShardedIndexCancellation: a context cancelled before or during the
-// build (or a BuildLStep sweep) aborts with ctx.Err() and leaves no leaked
-// goroutines — the worker pools and shard builders always drain. Run under
-// -race in CI.
+// TestShardedIndexCancellation: a context cancelled before the build or
+// during a BuildLStep sweep aborts with ctx.Err() and leaves no leaked
+// goroutines — the worker pools and backend fan-outs always drain. Run
+// under -race in CI.
 func TestShardedIndexCancellation(t *testing.T) {
 	pts := shardTestPoints(t, 4, 4000, 2)
 	opts := shardTestOptions(2)
@@ -223,7 +240,7 @@ func TestShardedIndexCancellation(t *testing.T) {
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewShardedIndexFrame(pre, frameOf(t, pts), ShardedIndexOptions{Shards: 4, Cell: opts}); err != context.Canceled {
+	if _, err := NewShardedIndexBackends(pre, frameOf(t, pts), ShardedIndexOptions{Shards: 4, Cell: opts}, localDialer); err != context.Canceled {
 		t.Errorf("pre-cancelled build: err = %v, want context.Canceled", err)
 	}
 

@@ -88,7 +88,7 @@ func (ds *Dataset) Append(ctx context.Context, points []Point) ([]uint64, uint64
 
 // Delete removes points by id from a mutable handle, returning the new
 // epoch. Every id must exist exactly once, and a delete may not empty the
-// dataset (or any shard of a sharded handle). Deleting retires older
+// dataset (or any shard server of a Placement handle). Deleting retires older
 // epochs: queries already pinned keep their snapshots, but new pins of a
 // pre-delete epoch fail with ErrEpochRetired unless the snapshot is still
 // cached. Like Append, deletion spends no budget.

@@ -66,8 +66,8 @@ func assertSameReleases(t *testing.T, tag string, got, want releaseSet) {
 
 // TestMutableReleaseEquivalence is the streaming tentpole at the public
 // API: Open(prefix)+Append(rest) releases bit-identically to Open(all) at
-// every cluster entry point — across the unsharded, sharded, and remote
-// backends, before and after Merge, with old epochs still answering for
+// every cluster entry point — on the local and the remote backends,
+// before and after Merge, with old epochs still answering for
 // their own point sets, and with deletes matching a fresh open of the
 // survivors.
 func TestMutableReleaseEquivalence(t *testing.T) {
@@ -81,14 +81,13 @@ func TestMutableReleaseEquivalence(t *testing.T) {
 		opts func(t *testing.T) DatasetOptions
 	}{
 		{"unsharded", func(t *testing.T) DatasetOptions { return DatasetOptions{} }},
-		{"sharded", func(t *testing.T) DatasetOptions { return DatasetOptions{Shards: 3} }},
 		{"remote", func(t *testing.T) DatasetOptions {
 			addrs, ln := startLoopbackServers(t, 2)
 			return DatasetOptions{Placement: placementOf(addrs, len(addrs), 1, ln.Dial)}
 		}},
 	}
 
-	// One local reference per point set: sharding and transport never
+	// One fresh reference per point set: mutation and transport never
 	// change releases, so every variant must match the same battery.
 	wantPrefix := freshRelease(t, pts[:n0], DatasetOptions{}, tgt)
 	wantAll := freshRelease(t, pts, DatasetOptions{}, tgt)
@@ -372,7 +371,7 @@ func TestMutableConcurrentQueries(t *testing.T) {
 	pts, _ := plantedPoints(rng, 900, 600, 2, 0.02)
 	extra, _ := plantedPoints(rand.New(rand.NewSource(45)), 400, 200, 2, 0.02)
 	ctx := context.Background()
-	ds, err := Open(pts, DatasetOptions{Mutable: true, Shards: 2})
+	ds, err := Open(pts, DatasetOptions{Mutable: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestPlacementReleaseEquivalence(t *testing.T) {
 		}
 	}
 
-	ref := release(DatasetOptions{Shards: 2})
+	ref := release(DatasetOptions{})
 	const nparts = 2
 	for _, r := range []int{1, 2, 3} {
 		addrs, ln := startLoopbackServers(t, nparts*r)
@@ -126,7 +126,7 @@ func TestPlacementFailoverMidQuery(t *testing.T) {
 	ctx := context.Background()
 	q := QueryOptions{Epsilon: 2, Delta: 1e-5, Seed: 13}
 
-	local, err := Open(pts, DatasetOptions{Shards: 2})
+	local, err := Open(pts, DatasetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,16 +76,6 @@ type Options struct {
 	// GOMAXPROCS. Parallelism never changes results — only aggregates of
 	// the deterministic count passes reach the private mechanisms.
 	Workers int
-	// Shards splits the scalable ball index into per-shard cell indexes
-	// built in parallel and queried by summing exact per-shard counts
-	// (space-filling-curve partition; see geometry.ShardedIndex). 0 means
-	// automatic: GOMAXPROCS shards at n ≥ 100,000, unsharded below.
-	// Negative values are rejected. Like Workers, sharding never changes
-	// results: counts decompose into exact partial sums over the data
-	// partitions, so releases are bit-identical to the unsharded index
-	// under the same seed and the sensitivity-2 privacy argument is
-	// untouched.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -148,7 +138,6 @@ func (o Options) datasetOptions() DatasetOptions {
 		Max:         o.Max,
 		IndexPolicy: o.IndexPolicy,
 		Workers:     o.Workers,
-		Shards:      o.Shards,
 		Paper:       o.Paper,
 		// No Budget: the one-shot free functions never refuse a query.
 	}

@@ -13,15 +13,16 @@ import (
 )
 
 // BenchmarkRemoteLoopback measures the shard transport's overhead against
-// in-process sharding at n = 100k: both arms run the identical cold
+// the local index at n = 100k: both arms run the identical cold
 // preprocessing (index construction + the BuildLStep radius sweep, the
-// pipeline's dominant cost) over S = 2 shards — "inproc" through the
-// fused local pass, "loopback" through the full wire protocol against
-// single-replica shard servers in this process (handshake ships the 100k
-// points, every sweep level is one 400 KB round trip per shard). On one
-// machine the delta is pure transport + the backend decomposition's
-// duplicated source-cell work; across real machines the same protocol buys
-// S-fold compute — see the cost model in the package documentation.
+// pipeline's dominant cost) — "inproc" on the one CellIndex a handle
+// without a Placement builds, "loopback" over S = 2 partitions through the
+// full wire protocol against single-replica shard servers in this process
+// (handshake ships the 100k points, every sweep level is one 400 KB round
+// trip per shard). On one machine the delta is pure transport + the
+// backend decomposition's duplicated source-cell work; across real
+// machines the same protocol buys S-fold compute — see the cost model in
+// the package documentation.
 //
 //	go test -bench BenchmarkRemoteLoopback -benchmem
 func BenchmarkRemoteLoopback(b *testing.B) {
@@ -38,7 +39,7 @@ func BenchmarkRemoteLoopback(b *testing.B) {
 	b.Run("inproc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix, err := core.NewBallIndexFrame(nil, frame, grid, core.IndexScalable, 0, 2)
+			ix, err := core.NewBallIndexFrame(frame, grid, core.IndexScalable, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

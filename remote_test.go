@@ -42,9 +42,9 @@ func startLoopbackServers(t *testing.T, count int) ([]string, *transport.Loopbac
 // TestRemoteReleaseEquivalence pins the transport tentpole at the public
 // API: with S ∈ {2, 4} shards served over the loopback wire protocol,
 // seeded releases from Dataset.FindCluster and Dataset.FindClusters are
-// bit-identical to both the local sharded and the unsharded backends —
-// the DP mechanisms consume identical counts and draw identical noise, so
-// the privacy analysis is untouched by where the shards run.
+// bit-identical to the local handle's one in-process index — the DP
+// mechanisms consume identical counts and draw identical noise, so the
+// privacy analysis is untouched by where the shards run.
 func TestRemoteReleaseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts, _ := plantedPoints(rng, 6000, 4000, 2, 0.02) // > ExactIndexMaxN: scalable backend
@@ -70,25 +70,20 @@ func TestRemoteReleaseEquivalence(t *testing.T) {
 		return c, cs
 	}
 
-	ref, refK := release(DatasetOptions{Shards: 1})
+	ref, refK := release(DatasetOptions{})
 	for _, s := range []int{2, 4} {
-		local, localK := release(DatasetOptions{Shards: s})
 		addrs, ln := startLoopbackServers(t, s)
-		remote, remoteK := release(DatasetOptions{Placement: placementOf(addrs, s, 1, ln.Dial)})
-		for name, got := range map[string]Cluster{"local sharded": local, "remote": remote} {
-			if got.Radius != ref.Radius || got.RawRadius != ref.RawRadius ||
-				got.Center[0] != ref.Center[0] || got.Center[1] != ref.Center[1] {
-				t.Errorf("S=%d %s FindCluster differs from unsharded: %+v vs %+v", s, name, got, ref)
-			}
+		got, gotK := release(DatasetOptions{Placement: placementOf(addrs, s, 1, ln.Dial)})
+		if got.Radius != ref.Radius || got.RawRadius != ref.RawRadius ||
+			got.Center[0] != ref.Center[0] || got.Center[1] != ref.Center[1] {
+			t.Errorf("S=%d remote FindCluster differs from local: %+v vs %+v", s, got, ref)
 		}
-		for name, got := range map[string][]Cluster{"local sharded": localK, "remote": remoteK} {
-			if len(got) != len(refK) {
-				t.Fatalf("S=%d %s FindClusters: %d vs %d clusters", s, name, len(got), len(refK))
-			}
-			for i := range refK {
-				if got[i].Radius != refK[i].Radius || got[i].Center[0] != refK[i].Center[0] {
-					t.Errorf("S=%d %s cluster %d differs: %+v vs %+v", s, name, i, got[i], refK[i])
-				}
+		if len(gotK) != len(refK) {
+			t.Fatalf("S=%d remote FindClusters: %d vs %d clusters", s, len(gotK), len(refK))
+		}
+		for i := range refK {
+			if gotK[i].Radius != refK[i].Radius || gotK[i].Center[0] != refK[i].Center[0] {
+				t.Errorf("S=%d remote cluster %d differs: %+v vs %+v", s, i, gotK[i], refK[i])
 			}
 		}
 	}
