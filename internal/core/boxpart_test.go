@@ -563,3 +563,38 @@ func TestNewBoxPartitionEmpty(t *testing.T) {
 		t.Errorf("empty engine error = %v, want ErrNoData", err)
 	}
 }
+
+// BenchmarkBoxPartition times one serial partition pass — every row's box
+// key plus its count-table add — at n = 100k, d = 2, for each coder. The
+// engine, its scratch and the offsets are built before the timer, so the
+// loop is the kernel alone.
+func BenchmarkBoxPartition(b *testing.B) {
+	const n, d, side = 100000, 2, 0.05
+	rng := rand.New(rand.NewSource(8))
+	f, err := vec.FrameFromVectors(randomProj(rng, n, d, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	offsets := []float64{0.3 * side, 0.7 * side}
+	bits, ok := newBitsCoder(f, side)
+	if !ok {
+		b.Fatal("bit packing unexpectedly infeasible")
+	}
+	for _, bc := range []struct {
+		name  string
+		coder boxCoder
+	}{
+		{"bits", bits},
+		{"hash", &hashCoder{side: side}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := newBoxEngine(f, side, 1, bc.coder, NewQueryScratch())
+			e.partition(offsets) // grow the scratch to its high-water mark
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.partition(offsets)
+			}
+		})
+	}
+}
