@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -64,12 +65,13 @@ func newBoxPartition(proj *vec.Frame, side float64, prof Profile, sc *QueryScrat
 	return newBoxEngine(proj, side, workers, &hashCoder{side: side}, sc), nil
 }
 
-// boxCoder encodes one projected point's box into a uint64 key.
-// prepare runs once per repetition (before any concurrent key calls) so a
-// coder may derive per-repetition state from the offsets.
+// boxCoder encodes projected points' boxes into uint64 keys: keys encodes
+// each row of data (flat, rows of width len(offsets)) into out. prepare
+// runs once per repetition (before any concurrent keys calls) so a coder
+// may derive per-repetition state from the offsets.
 type boxCoder interface {
 	prepare(offsets []float64)
-	key(p vec.Vector, offsets []float64) uint64
+	keys(data, offsets []float64, out []uint64)
 }
 
 // bitsCoder packs the per-axis cell indices into disjoint bit fields of one
@@ -84,21 +86,8 @@ type bitsCoder struct {
 }
 
 func newBitsCoder(proj *vec.Frame, side float64) (*bitsCoder, bool) {
-	k := proj.Dim()
-	minC := make([]float64, k)
-	maxC := make([]float64, k)
-	copy(minC, proj.Row(0))
-	copy(maxC, proj.Row(0))
-	for i := 1; i < proj.N(); i++ {
-		for a, x := range proj.Row(i) {
-			if x < minC[a] {
-				minC[a] = x
-			}
-			if x > maxC[a] {
-				maxC[a] = x
-			}
-		}
-	}
+	minC, maxC := proj.Bounds()
+	k := len(minC)
 	shift := make([]uint, k)
 	var total uint
 	for a := 0; a < k; a++ {
@@ -125,13 +114,17 @@ func (c *bitsCoder) prepare(offsets []float64) {
 	}
 }
 
-func (c *bitsCoder) key(p vec.Vector, offsets []float64) uint64 {
-	var key uint64
-	for a, x := range p {
-		idx := int64(math.Floor((x-offsets[a])/c.side)) - c.base[a]
-		key |= uint64(idx) << c.shift[a]
+func (c *bitsCoder) keys(data, offsets []float64, out []uint64) {
+	k := len(offsets)
+	base, shift := c.base[:k], c.shift[:k]
+	for i := range out {
+		var key uint64
+		for a, x := range data[i*k : i*k+k] {
+			idx := int64(math.Floor((x-offsets[a])/c.side)) - base[a]
+			key |= uint64(idx) << shift[a]
+		}
+		out[i] = key
 	}
-	return key
 }
 
 // hashCoder mixes the per-axis cell indices into one uint64 with a
@@ -144,13 +137,16 @@ type hashCoder struct{ side float64 }
 
 func (hashCoder) prepare([]float64) {}
 
-func (c *hashCoder) key(p vec.Vector, offsets []float64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for a, x := range p {
-		j := uint64(int64(math.Floor((x - offsets[a]) / c.side)))
-		h = mix64(h ^ j)
+func (c *hashCoder) keys(data, offsets []float64, out []uint64) {
+	k := len(offsets)
+	for i := range out {
+		h := uint64(0x9e3779b97f4a7c15)
+		for a, x := range data[i*k : i*k+k] {
+			j := uint64(int64(math.Floor((x - offsets[a]) / c.side)))
+			h = mix64(h ^ j)
+		}
+		out[i] = h
 	}
-	return h
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
@@ -211,7 +207,7 @@ func newBoxEngine(proj *vec.Frame, side float64, workers int, coder boxCoder, sc
 func (e *boxEngine) partition(offsets []float64) int {
 	copy(e.offsets, offsets)
 	e.coder.prepare(e.offsets)
-	n := e.proj.N()
+	n, k, data := e.proj.N(), e.proj.Dim(), e.proj.Data()
 	e.hist.reset()
 	if e.locals != nil {
 		var wg sync.WaitGroup
@@ -224,10 +220,10 @@ func (e *boxEngine) partition(offsets []float64) int {
 			go func() {
 				defer wg.Done()
 				local.reset()
-				for i := lo; i < hi; i++ {
-					k := e.coder.key(e.proj.Row(i), e.offsets)
-					e.keys[i] = k
-					local.add(k, 1, int32(i))
+				keys := e.keys[lo:hi]
+				e.coder.keys(data[lo*k:hi*k], e.offsets, keys)
+				for j, key := range keys {
+					local.add(key, 1, int32(lo+j))
 				}
 			}()
 		}
@@ -240,10 +236,9 @@ func (e *boxEngine) partition(offsets []float64) int {
 			}
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			k := e.coder.key(e.proj.Row(i), e.offsets)
-			e.keys[i] = k
-			e.hist.add(k, 1, int32(i))
+		e.coder.keys(data, e.offsets, e.keys)
+		for i, key := range e.keys {
+			e.hist.add(key, 1, int32(i))
 		}
 	}
 	top := 0
@@ -299,14 +294,21 @@ func (e *boxEngine) selectBox(rng *rand.Rand, p stability.Params) (boxSelection,
 	if err != nil || res.Bottom {
 		return boxSelection{Bottom: true}, err
 	}
-	winKey := e.hist.entries[order[res.Key]].key
+	// The winner's count members lie from its first row on. The scan
+	// writes every row and keeps it only on a key match: no data branch.
+	win := e.hist.entries[order[res.Key]]
 	// Grow sizes an empty buffer exactly and grows a reused one with
 	// append's headroom, so pooled scratches rarely reallocate.
-	members := slices.Grow(e.sc.members[:0], counts[res.Key])
-	for i, key := range e.keys {
-		if key == winKey {
-			members = append(members, i)
+	members := slices.Grow(e.sc.members[:0], win.count)[:win.count]
+	keys, j := e.keys, 0
+	for i := int(win.first); i < len(keys) && j < len(members); i++ {
+		members[j] = i
+		if keys[i] == win.key {
+			j++
 		}
+	}
+	if j < len(members) {
+		return boxSelection{}, fmt.Errorf("core: chosen box counted %d rows but holds %d", win.count, j)
 	}
 	// Keep the buffer for the next query; the returned slice stays valid
 	// until then (one query per scratch at a time).

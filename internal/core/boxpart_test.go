@@ -297,7 +297,22 @@ func TestAxisChoiceMatchesMapOracle(t *testing.T) {
 		for i := range rot {
 			rot[i] = rng.NormFloat64() * 1.5
 		}
+		// The identity basis bins rot's rows unrotated: each row's
+		// products with it are exactly its coordinates.
+		rows, err := vec.FrameFromData(rot, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identity := vec.NewMatrix(d, d)
+		members := make([]int, m)
+		for a := 0; a < d; a++ {
+			identity.Set(a, a, 1)
+		}
+		for i := range members {
+			members[i] = i
+		}
 		sc := NewQueryScratch()
+		sc.binAxes(rows, members, identity, pLen)
 		for axis := 0; axis < d; axis++ {
 			hist := make(map[int64]int)
 			for i := 0; i < m; i++ {
@@ -307,7 +322,7 @@ func TestAxisChoiceMatchesMapOracle(t *testing.T) {
 			if wantKeys[0] >= 0 || wantKeys[len(wantKeys)-1] < 0 {
 				t.Fatalf("seed %d axis %d: intervals %v do not straddle 0", seed, axis, wantKeys)
 			}
-			keys, counts := sc.axisHistogram(rot, d, axis, pLen)
+			keys, counts := sc.axisIntervals(axis)
 			if !slices.Equal(keys, wantKeys) {
 				t.Fatalf("seed %d axis %d: intervals %v, want %v", seed, axis, keys, wantKeys)
 			}
@@ -446,6 +461,60 @@ func TestBoxSelectionCanonicalAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestSelectBoxScanEdges pins the member scan's edges to oracleSelect, for
+// every coder on the serial and the 3-worker path: a winner whose first
+// row is mid-frame, a winner whose last member is row n−1, and a count-1
+// winner (every box holds one row, and noise large enough to release one).
+// Background rows sit one to a cell; the planted rows share a far box.
+func TestSelectBoxScanEdges(t *testing.T) {
+	const n = 2 * minParallelPoints
+	heavy := stability.Params{Epsilon: 2, Delta: 0.01}
+	for _, tc := range []struct {
+		name        string
+		side        float64
+		planted     func(i int) bool
+		p           stability.Params
+		first, last int // the winner's first and last member, -1 if unplanted
+	}{
+		{"first-mid", 0.01, func(i int) bool { return i >= n/2 && i < n/2+300 }, heavy, n / 2, n/2 + 299},
+		{"last-at-end", 0.01, func(i int) bool { return i >= n/3 && i%7 == 0 || i == n-1 }, heavy, n / 3, n - 1},
+		{"count-1", 0.001, func(int) bool { return false }, stability.Params{Epsilon: 0.01, Delta: 0.9}, -1, -1},
+	} {
+		rng := rand.New(rand.NewSource(9))
+		proj := randomProj(rng, n, 2, 2)
+		count := 0
+		for i := range proj {
+			if tc.planted(i) {
+				proj[i] = vec.Of(5, 5)
+				count++
+			}
+		}
+		if count == 0 {
+			count = 1
+		}
+		offsets := []float64{0.3 * tc.side, 0.6 * tc.side}
+		want := oracleSelect(t, rand.New(rand.NewSource(11)), tc.p, proj, offsets, tc.side)
+		if want.Bottom || len(want.Members) != count {
+			t.Fatalf("%s: oracle released %d members (bottom %v), want %d", tc.name, len(want.Members), want.Bottom, count)
+		}
+		if tc.first >= 0 && (want.Members[0] != tc.first || want.Members[count-1] != tc.last) {
+			t.Fatalf("%s: oracle winner spans rows %d..%d, want %d..%d", tc.name, want.Members[0], want.Members[count-1], tc.first, tc.last)
+		}
+		for _, workers := range []int{1, 3} {
+			for name, e := range coderEngines(t, proj, tc.side, workers) {
+				e.partition(offsets)
+				sel, err := e.selectBox(rand.New(rand.NewSource(11)), tc.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sel, want) {
+					t.Errorf("%s %s workers %d: selected %d members from row %v, oracle %d from row %d", tc.name, name, workers, len(sel.Members), sel.Members[:min(1, len(sel.Members))], len(want.Members), want.Members[0])
+				}
+			}
+		}
+	}
+}
+
 // TestGoodCenterPackingEquivalence is the seeded end-to-end pin: GoodCenter
 // at several worker counts releases, bit for bit, the CenterResult the
 // string-key engine released for the same seeds (recorded as literals),
@@ -524,18 +593,21 @@ func TestBitsCoderIndexBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	proj := randomProj(rng, 400, 4, 3)
 	const side = 0.21
-	c, ok := newBitsCoder(frameOf(t, proj), side)
+	f := frameOf(t, proj)
+	c, ok := newBitsCoder(f, side)
 	if !ok {
 		t.Fatal("bit packing unexpectedly infeasible")
 	}
 	offsets := make([]float64, 4)
+	keys := make([]uint64, len(proj))
 	for trial := 0; trial < 50; trial++ {
 		for a := range offsets {
 			offsets[a] = rng.Float64() * side
 		}
 		c.prepare(offsets)
-		for _, p := range proj {
-			key := c.key(p, offsets)
+		c.keys(f.Data(), offsets, keys)
+		for i, p := range proj {
+			key := keys[i]
 			// Decode and compare against the direct floor computation.
 			for a, x := range p {
 				var width uint = 64

@@ -59,15 +59,17 @@ var (
 // indices, with the per-repetition count pass fanned out over
 // prm.Profile.Workers goroutines; neither affects the privacy analysis
 // (AboveThreshold only ever sees the final per-repetition maximum) nor —
-// thanks to the canonical box enumeration — the seeded output. The box
-// counts and the per-axis interval counts go through one open-addressing
-// countTable, which keeps first-seen order and first rows, so no pass
-// hashes into a Go map.
+// thanks to the canonical box enumeration — the seeded output. A pass keys
+// a worker's rows in one batched coder call, then counts them in an
+// open-addressing countTable, which keeps first-seen order and first rows.
+// The bit packing reads the frame's cached Bounds. The chosen box's member
+// scan starts at its first row and stops at its count, and one pass then
+// rotates each member into a d-float row and bins it on all d axes.
 //
 // The points arrive as a flat frame — the representation the ball indexes
 // already hold, so the pipeline's hot path never materializes per-point
 // slices: every pass runs on no-copy row views. The per-query buffers (box
-// keys, count tables, the rotation and sort buffers) live in a
+// keys, count tables, the rotation row and sort buffers) live in a
 // QueryScratch: prm.Scratch when set, making warm repeated queries allocate
 // close to nothing here, else a fresh one.
 func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (CenterResult, error) {
@@ -181,16 +183,6 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 	if err != nil {
 		return CenterResult{}, err
 	}
-	// One flat backing array for all rotated points: the per-point MulVec
-	// allocation is the dominant cost of this stage at large |cluster|.
-	// A lent scratch reuses it across queries outright.
-	if cap(sc.rotBuf) < m*d {
-		sc.rotBuf = make([]float64, m*d)
-	}
-	rotBuf := sc.rotBuf[:m*d]
-	for i, id := range sel.Members {
-		basis.MulVecInto(vec.Vector(rotBuf[i*d:(i+1)*d]), points.Row(id))
-	}
 	axisScale := float64(kOut) / float64(d)
 	if prm.Profile.UseAxisLogTerm {
 		axisScale *= math.Log(float64(d) * float64(n) / beta)
@@ -201,13 +193,14 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 
 	fallbacks := 0
 	_, axesSpan := obs.StartSpan(prm.Ctx, "axes")
+	sc.binAxes(points, sel.Members, basis, pLen)
 	boxCenterRot := make(vec.Vector, d)
 	for axis := 0; axis < d; axis++ {
 		if err := prm.interrupted(); err != nil {
 			axesSpan.End()
 			return CenterResult{}, err
 		}
-		keys, counts := sc.axisHistogram(rotBuf, d, axis, pLen)
+		keys, counts := sc.axisIntervals(axis)
 		res, err := stability.ChooseIndexed(rng, counts, stability.Params{Epsilon: epsAxis, Delta: deltaAxis})
 		if err != nil {
 			axesSpan.End()
@@ -272,18 +265,38 @@ func GoodCenterFrame(rng *rand.Rand, points *vec.Frame, r float64, prm Params) (
 	}, nil
 }
 
-// axisHistogram counts the rotated members' interval indices ⌊x/pLen⌋ on
-// one axis (rot holds the members' rows of width d) and returns the
-// occupied intervals in ascending index order with their counts: the bins,
-// in the order, that stability.Choose would draw its noise over from a map.
-// The table's entries are sorted in place, so it is fit only for a reset
-// afterwards.
-func (sc *QueryScratch) axisHistogram(rot []float64, d, axis int, pLen float64) ([]int64, []int) {
-	m := len(rot) / d
+// binAxes rotates each member row of points by basis into one d-float row
+// and adds its interval indices ⌊x/pLen⌋ to one count table per axis. Axis
+// 0 is seated in the box table (the box choice is done by now), so a fresh
+// scratch grows one table fewer.
+func (sc *QueryScratch) binAxes(points *vec.Frame, members []int, basis *vec.Matrix, pLen float64) {
+	d := points.Dim()
+	rot := slices.Grow(sc.rot[:0], d)[:d]
+	for len(sc.axes) < d-1 {
+		sc.axes = append(sc.axes, countTable{})
+	}
+	sc.hist.reset()
+	for a := range sc.axes[:d-1] {
+		sc.axes[a].reset()
+	}
+	for i, id := range members {
+		basis.MulVecInto(rot, points.Row(id))
+		sc.hist.add(uint64(int64(math.Floor(rot[0]/pLen))), 1, int32(i))
+		for a, x := range rot[1:] {
+			sc.axes[a].add(uint64(int64(math.Floor(x/pLen))), 1, int32(i))
+		}
+	}
+	sc.rot = rot
+}
+
+// axisIntervals returns one axis's intervals binned by binAxes in ascending
+// index order, with their counts: the bins, in the order, that
+// stability.Choose would draw its noise over from a map. The table's
+// entries are sorted in place, so it is fit only for a reset afterwards.
+func (sc *QueryScratch) axisIntervals(axis int) ([]int64, []int) {
 	t := &sc.hist
-	t.reset()
-	for i := 0; i < m; i++ {
-		t.add(uint64(int64(math.Floor(rot[i*d+axis]/pLen))), 1, int32(i))
+	if axis > 0 {
+		t = &sc.axes[axis-1]
 	}
 	// The keys are int64 indices: sorted unsigned, the intervals left of 0
 	// would enumerate after those right of it.
@@ -298,7 +311,7 @@ func (sc *QueryScratch) axisHistogram(rot []float64, d, axis int, pLen float64) 
 }
 
 // axisNoisyMax selects an interval index by report-noisy-max over the
-// occupied intervals keys (ascending, as axisHistogram returns them) with
+// occupied intervals keys (ascending, as axisIntervals returns them) with
 // their counts, so the noise draws follow the index order.
 func axisNoisyMax(rng *rand.Rand, keys []int64, counts []int, eps float64) (int64, error) {
 	scores := make([]float64, len(counts))

@@ -70,8 +70,8 @@ type Profile struct {
 	// counts above a Θ((√d/ε)·log(d/δ)) threshold); the fallback keeps the
 	// implementation robust below that scale. It spends the same per-axis ε
 	// but forgoes the stability threshold whose Laplace tail absorbs
-	// newly-occupied bins into δ — a documented practical-profile trade-off
-	// (DESIGN.md, Substitutions item 1).
+	// newly-occupied bins into δ — a practical-profile trade-off, like the
+	// shrunken constants of DefaultProfile (see the Profile doc).
 	AxisFallback bool
 
 	// OutRadiusFactor: the released ball radius is OutRadiusFactor·r·√k
@@ -103,7 +103,7 @@ func PaperProfile() Profile {
 }
 
 // DefaultProfile returns practical constants: identical formulas, smaller
-// proof slack. See DESIGN.md, "Substitutions" item 1.
+// proof slack (see the Profile doc; each field's doc gives the paper value).
 func DefaultProfile() Profile {
 	return Profile{
 		GammaFraction:        1.0 / 6,

@@ -252,26 +252,18 @@ func NewCellIndexFrame(f *vec.Frame, opts CellIndexOptions) (*CellIndex, error) 
 
 	// The data's bounding box, then the exact duplicate table (the radius-0
 	// counts) unless the caller keeps its own.
-	lo, hi := frameBox(f)
+	lo, hi := f.Bounds()
 	if !opts.skipDupTable {
 		ix.dupCount = DupCounts(f, f, nil)
 	}
 
-	lad, err := newRadiusLadder(opts, d, hi.Dist(lo))
+	lad, err := newRadiusLadder(opts, d, vec.Vector(hi).Dist(lo))
 	if err != nil {
 		return nil, err
 	}
 	ix.lad = lad
 	ix.levels = make([]*cellLevel, ix.lad.top+1)
 	return ix, nil
-}
-
-// frameBox returns the per-axis bounding box of f's rows; f must be
-// nonempty.
-func frameBox(f *vec.Frame) (lo, hi vec.Vector) {
-	lo, hi = f.Row(0).Clone(), f.Row(0).Clone()
-	growBox(lo, hi, f)
-	return lo, hi
 }
 
 // growBox widens the box [lo, hi] in place to cover every row of f.

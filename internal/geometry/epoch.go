@@ -197,8 +197,8 @@ func newMutableCellIndexIDs(points *vec.Frame, ids []uint64, nextID uint64, opts
 		return nil, err
 	}
 
-	lo, hi := frameBox(points)
-	if diag := hi.Dist(lo); diag > lad.maxR {
+	lo, hi := points.Bounds()
+	if diag := vec.Vector(hi).Dist(lo); diag > lad.maxR {
 		return nil, fmt.Errorf("geometry: bounding-box diagonal %g exceeds MaxRadius %g: %w", diag, lad.maxR, ErrOutOfDomain)
 	}
 
@@ -439,7 +439,7 @@ func (m *MutableCellIndex) deleteLocked(ids []uint64, strict bool) (Epoch, error
 			// Recompute the bounding box over the survivors — the running
 			// box is conservative (it kept deleted extremes), and we are
 			// O(n) here anyway.
-			m.lo, m.hi = frameBox(nf)
+			m.lo, m.hi = nf.Bounds()
 		}
 	}
 	m.advanceLocked()

@@ -326,8 +326,8 @@ func NewMutableShardedIndexBackends(ctx context.Context, points *vec.Frame, opts
 		return nil, err
 	}
 
-	lo, hi := frameBox(points)
-	if diag := hi.Dist(lo); diag > lad.maxR {
+	lo, hi := points.Bounds()
+	if diag := vec.Vector(hi).Dist(lo); diag > lad.maxR {
 		return nil, fmt.Errorf("geometry: bounding-box diagonal %g exceeds MaxRadius %g: %w", diag, lad.maxR, ErrOutOfDomain)
 	}
 
@@ -560,7 +560,7 @@ func (m *MutableShardedIndex) Delete(ctx context.Context, ids []uint64) (Epoch, 
 	for si := range m.counts {
 		m.counts[si] -= lost[si]
 	}
-	m.lo, m.hi = frameBox(nf)
+	m.lo, m.hi = nf.Bounds()
 	m.epoch = want
 	m.firstEpoch = want
 	m.rowsAt = []int{nf.N()}

@@ -391,18 +391,19 @@ func TestLSensitivityAtMostTwo(t *testing.T) {
 		return vec.Of(float64(rng.Intn(65))/64, float64(rng.Intn(65))/64)
 	}
 	cases := []struct {
-		name string
+		name   string
+		trials int
 		// data returns a dataset, its neighbour (one row replaced) and t.
 		data func(rng *rand.Rand) (pts, nb []vec.Vector, tt int)
 	}{
-		{"random", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+		{"random", 12, func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
 			n := 25 + rng.Intn(30)
 			pts := clusterWithNoise(rng, n, 2, 0.5, 0.1)
 			nb := append([]vec.Vector(nil), pts...)
 			nb[rng.Intn(n)] = vec.Of(rng.Float64(), rng.Float64())
 			return pts, nb, 2 + rng.Intn(n-2)
 		}},
-		{"duplicates", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+		{"duplicates", 12, func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
 			n := 25 + rng.Intn(30)
 			pts := clusterWithNoise(rng, n, 2, 0.3, 0.1)
 			dup := pts[0]
@@ -417,7 +418,7 @@ func TestLSensitivityAtMostTwo(t *testing.T) {
 			}
 			return pts, nb, 2 + rng.Intn(n-2)
 		}},
-		{"cell boundaries", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+		{"cell boundaries", 12, func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
 			n := 25 + rng.Intn(30)
 			pts := make([]vec.Vector, n)
 			c := dyadic(rng)
@@ -436,15 +437,19 @@ func TestLSensitivityAtMostTwo(t *testing.T) {
 			nb[rng.Intn(n)] = dyadic(rng)
 			return pts, nb, 2 + rng.Intn(n-2)
 		}},
-		{"dense boundary", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
-			// m rows stacked on a dyadic point c, two rows on each other
-			// lattice point within 2/64 of it, and one far row that the
-			// neighbour moves onto the lattice. At the ladder levels whose
-			// cells are 1/64 wide or finer, the cell it lands in is a
-			// boundary cell for all m stacked sources at once, and with
-			// t ∈ (m, 1.5m] those sources dominate the top-t average — so a
-			// rule that let a cell's occupancy decide its contribution would
-			// move L̂ by about 3m/t > 2.
+		{"dense boundary", 48, func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+			// m rows stacked on a dyadic point c, 1–5 rows (drawn per
+			// point) on each other lattice point within 2/64 of it, and one
+			// far row that the neighbour moves onto a lattice point whose
+			// cell touches c. At the ladder levels whose cells are 1/64
+			// wide or finer, a lattice point is its cell's lower corner, so
+			// that cell is a boundary cell for all m stacked sources at
+			// once; and with t ∈ [1.25m, 1.5m] those sources dominate the
+			// top-t average with room below the cap t — so a rule that let
+			// a cell's occupancy decide its contribution would move L̂ by
+			// about km/t > 2 for a cell of k ≥ 2 rows. The moved row lifts
+			// its cell's occupancy by one from anywhere in 1–5, so a
+			// threshold of 2 to 6 rows shows.
 			c := vec.Of(float64(16+rng.Intn(33))/64, float64(16+rng.Intn(33))/64)
 			m := 20 + rng.Intn(20)
 			var pts []vec.Vector
@@ -455,20 +460,23 @@ func TestLSensitivityAtMostTwo(t *testing.T) {
 				for dy := -2; dy <= 2; dy++ {
 					if dx != 0 || dy != 0 {
 						p := vec.Of(c[0]+float64(dx)/64, c[1]+float64(dy)/64)
-						pts = append(pts, p, p)
+						for k := 1 + rng.Intn(5); k > 0; k-- {
+							pts = append(pts, p)
+						}
 					}
 				}
 			}
 			pts = append(pts, vec.Of(1, 1))
 			nb := append([]vec.Vector(nil), pts...)
-			nb[len(nb)-1] = vec.Of(c[0]+float64(rng.Intn(5)-2)/64, c[1]+float64(rng.Intn(5)-2)/64)
-			return pts, nb, m + 1 + rng.Intn(m/2)
+			corner := [][2]float64{{-1, 0}, {0, -1}, {-1, -1}}[rng.Intn(3)]
+			nb[len(nb)-1] = vec.Of(c[0]+corner[0]/64, c[1]+corner[1]/64)
+			return pts, nb, m + m/4 + rng.Intn(m/4+1)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(4))
-			for trial := 0; trial < 12; trial++ {
+			for trial := 0; trial < tc.trials; trial++ {
 				pts, nb, tt := tc.data(rng)
 				f1, f2 := frameOf(t, pts), frameOf(t, nb)
 				for _, be := range sensitivityBackends {

@@ -137,8 +137,8 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 	n, d := points.N(), points.Dim()
 	s := min(max(opts.Shards, 1), n)
 	cellOpts := opts.Cell.withDefaults(d)
-	lo, hi := frameBox(points)
-	lad, err := newRadiusLadder(cellOpts, d, hi.Dist(lo))
+	lo, hi := points.Bounds()
+	lad, err := newRadiusLadder(cellOpts, d, vec.Vector(hi).Dist(lo))
 	if err != nil {
 		return nil, err
 	}

@@ -40,11 +40,12 @@ func TestRemoteLSensitivityAtMostTwo(t *testing.T) {
 		return ls
 	}
 	cases := []struct {
-		name string
+		name   string
+		trials int
 		// data returns a dataset, its neighbour (one row replaced) and t.
 		data func(rng *rand.Rand) (pts, nb []vec.Vector, tt int)
 	}{
-		{"random", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+		{"random", 12, func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
 			n := 25 + rng.Intn(30)
 			pts := make([]vec.Vector, n)
 			for i := range pts {
@@ -58,11 +59,11 @@ func TestRemoteLSensitivityAtMostTwo(t *testing.T) {
 			nb[rng.Intn(n)] = vec.Of(rng.Float64(), rng.Float64())
 			return pts, nb, 2 + rng.Intn(n-2)
 		}},
-		{"dense boundary", func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
-			// m rows stacked on a dyadic point c, two rows on each other
-			// lattice point within 2/64 of it, and one far row that the
-			// neighbour moves onto the lattice (see the geometry family of
-			// the same name).
+		{"dense boundary", 48, func(rng *rand.Rand) ([]vec.Vector, []vec.Vector, int) {
+			// m rows stacked on a dyadic point c, 1–5 rows (drawn per
+			// point) on each other lattice point within 2/64 of it, and one
+			// far row that the neighbour moves onto a lattice point whose
+			// cell touches c (see the geometry family of the same name).
 			c := vec.Of(float64(16+rng.Intn(33))/64, float64(16+rng.Intn(33))/64)
 			m := 20 + rng.Intn(20)
 			var pts []vec.Vector
@@ -73,20 +74,23 @@ func TestRemoteLSensitivityAtMostTwo(t *testing.T) {
 				for dy := -2; dy <= 2; dy++ {
 					if dx != 0 || dy != 0 {
 						p := vec.Of(c[0]+float64(dx)/64, c[1]+float64(dy)/64)
-						pts = append(pts, p, p)
+						for k := 1 + rng.Intn(5); k > 0; k-- {
+							pts = append(pts, p)
+						}
 					}
 				}
 			}
 			pts = append(pts, vec.Of(1, 1))
 			nb := append([]vec.Vector(nil), pts...)
-			nb[len(nb)-1] = vec.Of(c[0]+float64(rng.Intn(5)-2)/64, c[1]+float64(rng.Intn(5)-2)/64)
-			return pts, nb, m + 1 + rng.Intn(m/2)
+			corner := [][2]float64{{-1, 0}, {0, -1}, {-1, -1}}[rng.Intn(3)]
+			nb[len(nb)-1] = vec.Of(c[0]+corner[0]/64, c[1]+corner[1]/64)
+			return pts, nb, m + m/4 + rng.Intn(m/4+1)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(4))
-			for trial := 0; trial < 12; trial++ {
+			for trial := 0; trial < tc.trials; trial++ {
 				pts, nb, tt := tc.data(rng)
 				l1, l2 := lstep(t, pts, tt), lstep(t, nb, tt)
 				radii := append([]float64{0, 0.01, 0.05, 0.2, 1, 2}, l1.Breaks...)

@@ -2,6 +2,8 @@ package vec
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -121,6 +123,88 @@ func TestFrameConcurrentSweeps(t *testing.T) {
 					_ = f.Row(i)
 				}
 			}
+		}()
+	}
+	wg.Wait()
+}
+
+// scanBox is the per-row bounding-box scan Bounds replaced: the first
+// row, widened by every later one.
+func scanBox(f *Frame) (lo, hi Vector) {
+	lo, hi = f.Row(0).Clone(), f.Row(0).Clone()
+	for i := 1; i < f.N(); i++ {
+		for a, x := range f.Row(i) {
+			if x < lo[a] {
+				lo[a] = x
+			}
+			if x > hi[a] {
+				hi[a] = x
+			}
+		}
+	}
+	return lo, hi
+}
+
+// TestFrameBounds checks Bounds against the per-row scan on a plain frame,
+// on MutableFrame views (a prefix, a View after an append into spare
+// capacity, and a Slice of the delta rows), and on an empty frame; and
+// that repeated calls return the cached slices.
+func TestFrameBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rows := func(n int) *Frame {
+		f := NewFrame(n, 3)
+		for i := range f.data {
+			f.data[i] = rng.NormFloat64()
+		}
+		return f
+	}
+	base := rows(200)
+	m, err := NewMutableFrame(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Append(rows(50)); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*Frame{
+		"frame":   base,
+		"view":    m.View(120),
+		"all":     m.View(250),
+		"slice":   m.Slice(180, 250),
+		"one-row": m.Slice(7, 8),
+	} {
+		lo, hi := f.Bounds()
+		wantLo, wantHi := scanBox(f)
+		if !slices.Equal(lo, wantLo) || !slices.Equal(hi, wantHi) {
+			t.Errorf("%s: Bounds = %v..%v, scan %v..%v", name, lo, hi, wantLo, wantHi)
+		}
+		if lo2, hi2 := f.Bounds(); &lo2[0] != &lo[0] || &hi2[0] != &hi[0] {
+			t.Errorf("%s: a second Bounds call rescanned", name)
+		}
+	}
+	if lo, hi := NewFrame(0, 2).Bounds(); lo != nil || hi != nil {
+		t.Errorf("empty frame Bounds = %v, %v, want nil", lo, hi)
+	}
+}
+
+// TestFrameBoundsConcurrent races first Bounds calls on one shared frame
+// against each other and against read-only sweeps. Run with -race.
+func TestFrameBoundsConcurrent(t *testing.T) {
+	f := NewFrame(1000, 2)
+	for i := range f.data {
+		f.data[i] = float64(i%97) - 40
+	}
+	wantLo, wantHi := scanBox(f)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := f.Bounds()
+			if !slices.Equal(lo, wantLo) || !slices.Equal(hi, wantHi) {
+				t.Errorf("concurrent Bounds = %v..%v, want %v..%v", lo, hi, wantLo, wantHi)
+			}
+			_ = f.CountWithin(Of(0, 0), 10)
 		}()
 	}
 	wg.Wait()
