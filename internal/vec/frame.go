@@ -85,30 +85,6 @@ func (f *Frame) Dim() int { return f.d }
 // read-only once shared.
 func (f *Frame) Data() []float64 { return f.data }
 
-// Bounds returns the per-axis bounding box of the frame's rows (nil for no
-// rows). The first call scans the rows once; since a frame is immutable
-// once shared, every call returns the same cached slices, which callers
-// must treat as read-only: geometry's growBox widens a clone on append.
-func (f *Frame) Bounds() (lo, hi []float64) {
-	f.box.Do(func() {
-		if f.n == 0 {
-			return
-		}
-		f.lo, f.hi = slices.Clone(f.data[:f.d]), slices.Clone(f.data[:f.d])
-		for i := f.d; i < len(f.data); i += f.d {
-			for a, x := range f.data[i : i+f.d] {
-				if x < f.lo[a] {
-					f.lo[a] = x
-				}
-				if x > f.hi[a] {
-					f.hi[a] = x
-				}
-			}
-		}
-	})
-	return f.lo, f.hi
-}
-
 // Row returns row i as a no-copy Vector view aliasing the frame's backing
 // slice: writes through the view are visible to every other reader, and the
 // view stays valid for the frame's lifetime.
@@ -233,4 +209,28 @@ func (f *Frame) Nearest(i int, centers []Vector) (best int, bestSq float64) {
 		}
 	}
 	return best, bestSq
+}
+
+// Bounds returns the per-axis bounding box of the frame's rows (nil for no
+// rows). The first call scans the rows once; since a frame is immutable
+// once shared, every call returns the same cached slices, which callers
+// must treat as read-only: geometry's growBox widens a clone on append.
+func (f *Frame) Bounds() (lo, hi []float64) {
+	f.box.Do(func() {
+		if f.n == 0 {
+			return
+		}
+		f.lo, f.hi = slices.Clone(f.data[:f.d]), slices.Clone(f.data[:f.d])
+		for i := f.d; i < len(f.data); i += f.d {
+			for a, x := range f.data[i : i+f.d] {
+				if x < f.lo[a] {
+					f.lo[a] = x
+				}
+				if x > f.hi[a] {
+					f.hi[a] = x
+				}
+			}
+		}
+	})
+	return f.lo, f.hi
 }
