@@ -211,7 +211,9 @@
 // operation is one center-distance test, and the candidate cells come in
 // runs of the sorted level, each found by galloping from a per-worker
 // cursor (usually a compare or two, since source cells are visited in
-// sorted order) rather than by a binary search over the level. Privacy fixes
+// sorted order) rather than by a binary search over the level. A source
+// cell of isolated points (no other distinct point within r + side·√d/2:
+// most cells at the fine levels) costs O(1) per point. Privacy fixes
 // the ladder, so every fresh sweep visits every level up to saturation;
 // the cell level at each scale is built once per index (an O(n·d) radix
 // sort into one flat sorted array) and then kept, so only the first sweep

@@ -95,7 +95,12 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 // cells at cell granularity by the center rule: all of a cell's points
 // count when the cell center lies in the ball, none otherwise (so cells
 // wholly inside the ball count in full, summed a run at a time, and cells
-// wholly outside not at all).
+// wholly outside not at all). A source cell of isolated points skips the
+// join: by its isolation bound each point is farther than r + side·√d/2
+// from every point not identical to it, while every point of a member cell
+// the center rule counts lies within that distance, so only the point's
+// own cell can count, and the duplicate table sizes it (joinPass.countTask).
+// The skip is exact: it changes no count.
 //
 // Approximation contract: CellIndex answers only BuildLStep, and its L̂ is
 // an estimate. Radius 0 is exact (the duplicate table). At a ladder radius
@@ -111,10 +116,11 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 // Memory is O(L·n) for the L ladder levels a sweep has built (each level is
 // 4n bytes of row ids plus 8d+4 bytes per occupied cell, and is kept for
 // the index's lifetime, so later sweeps rebuild nothing), on top of the
-// O(n·d) points and duplicate table, versus the Θ(n²) of DistanceIndex;
-// each count-pass worker adds a pooled band table of at most 16 KB. A
-// Dataset handle over n = 10⁵ points in d = 2, primed by one query, holds
-// about 53 MB of heap in all (measured on amd64). Bulk passes are
+// O(n·d) points, the duplicate table and the isolation bounds (12n bytes),
+// versus the Θ(n²) of DistanceIndex; each count-pass worker adds a pooled
+// band table of at most 16 KB. A Dataset handle over n = 10⁵ points in
+// d = 2, primed by one query, holds about 50 MB of heap in all, 0.8 MB of
+// it isolation bounds (measured on amd64). Bulk passes are
 // parallelized across Options.Workers cores with the same worker-pool
 // pattern NewDistanceIndex uses. CellIndex is safe for concurrent use.
 type CellIndex struct {
@@ -124,8 +130,10 @@ type CellIndex struct {
 
 	// dupCount[i] is the number of input points identical to row i
 	// (≥ 1): the exact B_0 counts, kept separately because cell pruning
-	// cannot resolve radius 0.
+	// cannot resolve radius 0. isoSq[i] is row i's isolation bound (see
+	// dupTable).
 	dupCount []int32
+	isoSq    []float64
 
 	lad radiusLadder
 
@@ -251,10 +259,10 @@ func NewCellIndexFrame(f *vec.Frame, opts CellIndexOptions) (*CellIndex, error) 
 	ix.scratch.New = func() any { return newCellScratch(d) }
 
 	// The data's bounding box, then the exact duplicate table (the radius-0
-	// counts) unless the caller keeps its own.
+	// counts) and the isolation bounds unless the caller keeps its own.
 	lo, hi := f.Bounds()
 	if !opts.skipDupTable {
-		ix.dupCount = DupCounts(f, f, nil)
+		ix.dupCount, ix.isoSq = dupTable(f, f, nil, true)
 	}
 
 	lad, err := newRadiusLadder(opts, d, vec.Vector(hi).Dist(lo))
@@ -545,7 +553,7 @@ func topTAvg(counts, hist []int32) float64 {
 // one-off O(n·d) build per level the index has not built yet; memory O(n)
 // per retained level.
 func (ix *CellIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
-	self := []cellGroup{{ix: ix}}
+	self := []cellGroup{{ix: ix, dups: ix.dupCount, isoSq: ix.isoSq}}
 	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, func(ctx context.Context, j int, r float64, limit int32, out []int32) error {
 		return crossCellCounts(ctx, ix.opts.Workers, self, self, j, r, limit, out)
 	})

@@ -225,12 +225,12 @@ func TestCellLevelOutOfLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range []int{-1, sh.src.lad.top + 1, math.MaxInt32} {
+	for _, j := range []int{-1, sh.src.ix.lad.top + 1, math.MaxInt32} {
 		if _, err := sh.PartialCounts(context.Background(), EpochFrozen, j, 0.1, 10); err == nil {
-			t.Fatalf("PartialCounts at level %d (top %d) succeeded", j, sh.src.lad.top)
+			t.Fatalf("PartialCounts at level %d (top %d) succeeded", j, sh.src.ix.lad.top)
 		}
 	}
-	if _, err := sh.PartialCounts(context.Background(), EpochFrozen, sh.src.lad.top, 0.1, 10); err != nil {
+	if _, err := sh.PartialCounts(context.Background(), EpochFrozen, sh.src.ix.lad.top, 0.1, 10); err != nil {
 		t.Fatalf("PartialCounts at the ladder top: %v", err)
 	}
 }

@@ -382,9 +382,10 @@ func cubeFrame(rng *rand.Rand, n, d int, side float64) *vec.Frame {
 // FuzzCountPass is the differential check of TestCountPassMatchesPerPair
 // over fuzzer-chosen inputs: the seed drives a layoutTestFrame, dim, rows
 // and cpr pick its shape and the cell granularity, level the ladder level,
-// and mode the layout (bit 0), the worker count (bit 1) and whether the
+// and mode the layout (bit 0), the worker count (bit 1), whether the
 // radius is the ladder's or one tied with a computed center distance
-// (bit 2). Every check runs at limits n, 3 and n/3.
+// (bit 2) and whether the one-group layout carries its isolation bounds
+// (bit 3). Every check runs at limits n, 3 and n/3.
 func FuzzCountPass(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, dim, cpr uint8, rows uint16, level, mode uint8) {
 		d := 1 + int(dim)%6
@@ -393,6 +394,9 @@ func FuzzCountPass(f *testing.F) {
 		fr := layoutTestFrame(rng, n, d, 1.0/float64(1+rng.Intn(128)))
 		layouts := countPassGroups(t, fr, CellIndexOptions{CellsPerRadius: 1 + int(cpr)%12})
 		groups := layouts[int(mode)%len(layouts)]
+		if ix := groups[0].ix; mode&8 != 0 && len(groups) == 1 {
+			groups = []cellGroup{{ix: ix, dups: ix.dupCount, isoSq: ix.isoSq}}
+		}
 		j := int(level) % (topLevel(groups) + 1)
 		r := groups[0].ix.lad.radius(j)
 		if mode&4 != 0 {

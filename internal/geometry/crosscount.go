@@ -30,11 +30,23 @@ var (
 // the member side only the cells matter (a member's contribution is a pure
 // function of its own cell and the query point), so member gids are
 // ignored. frozen marks a mutable index's base generation: identity-mapped,
-// immutable and shared by many epoch views.
+// immutable and shared by many epoch views. dups and isoSq, set only on a
+// source group whose passes have one member group, hold each point's
+// duplicate count and isolation bound against it (dupTable).
 type cellGroup struct {
 	ix     *CellIndex
 	gids   []int32
 	frozen bool
+	dups   []int32
+	isoSq  []float64
+}
+
+// gid maps the group-local point id pid to its out slot.
+func (g *cellGroup) gid(pid int32) int32 {
+	if g.gids != nil {
+		return g.gids[pid]
+	}
+	return pid
 }
 
 // pairMemo holds, on a frozen source base, the uncapped blocks its points
@@ -104,7 +116,8 @@ func addSaturating(out, block []int32, limit int32) {
 // the out slots, and a point's slot is written only by the task owning its
 // source cell, so the pass is data-race free. Each task joins its source
 // rows against the member rows in reach (see joinPass); a source row whose
-// reach misses a member group's occupied box skips that group in O(d).
+// reach misses a member group's occupied box skips that group in O(d), and
+// a source cell of isolated points skips the join (see CellIndex).
 // A cancelled ctx aborts the pass with ctx.Err(): the feeder stops, the
 // workers drain, no goroutines leak.
 //
@@ -188,7 +201,7 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 							dst, lim = fill, math.MaxInt32
 						}
 					}
-					jp.countTask(srcLvs[tk.src], tk.lo, tk.hi, srcs[tk.src], memLvs[mi], dst, lim, sc)
+					jp.countTask(srcLvs[tk.src], tk.lo, tk.hi, &srcs[tk.src], memLvs[mi], dst, lim, sc)
 				}
 			}
 		}()
@@ -238,6 +251,7 @@ type joinPass struct {
 	w         int64   // ⌈r/side⌉ (+1 with the bands off), capped at the occupied span
 	up, down  float64 // 1 ± the margin; down ≤ 0 turns the bands off
 	bands     int     // band table entries, (w+1)^(d−1); 0 past maxBands
+	iso       float64 // isolation threshold, squared (see countTask); +Inf turns the skip off
 }
 
 // maxBands caps a scratch's band table (see band).
@@ -263,7 +277,12 @@ func newJoinPass(lvs []*cellLevel, r float64) joinPass {
 	if m >= 1 {
 		w++
 	}
-	jp := joinPass{side: side, rsq: r * r, w: int64(min(w, span, 1<<62)), up: 1 + m, down: 1 - m, bands: 1}
+	jp := joinPass{side: side, rsq: r * r, w: int64(min(w, span, 1<<62)), up: 1 + m, down: 1 - m, bands: 1, iso: math.Inf(1)}
+	// The margin covers the isolation skip's few roundings too, while the
+	// square stays in the normal float range.
+	if t := (r + side*math.Sqrt(float64(d))/2) * (1 + m); m < 1 && t*t >= 0x1p-900 && t*t <= math.MaxFloat64 {
+		jp.iso = t * t
+	}
 	for a := 1; a < d && jp.bands > 0; a++ {
 		if jp.bands *= int(jp.w) + 1; jp.w >= maxBands || jp.bands > maxBands {
 			jp.bands = 0
@@ -283,14 +302,26 @@ func (jp *joinPass) resetBands(s *cellScratch) {
 }
 
 // countTask adds mlv's contributions, saturating at lim, to dst at every
-// point of slv's source cells [lo, hi), mapped through src.gids.
-func (jp *joinPass) countTask(slv *cellLevel, lo, hi int, src cellGroup, mlv *cellLevel, dst []int32, lim int32, sc *cellScratch) {
+// point of slv's source cells [lo, hi), mapped through src.gids. Runs of
+// cells within one row go through joinRow, except isolated cells: each of
+// their points p has isoSq[p] over jp.iso, the margin-widened square of
+// r + side·√d/2, so only p's own cell, holding its dups[p] copies, can
+// count (see CellIndex), and bucketCount resolves it as the join would.
+func (jp *joinPass) countTask(slv *cellLevel, lo, hi int, src *cellGroup, mlv *cellLevel, dst []int32, lim int32, sc *cellScratch) {
 	acc := sc.acc[:hi-lo] // wholly-inside member counts per source cell
 	clear(acc)
 	cursor := 0
 	for c0 := lo; c0 < hi; {
+		if jp.isolated(slv, c0, src) {
+			for _, pid := range slv.members(c0) {
+				gid := src.gid(pid)
+				dst[gid] = min(dst[gid]+bucketCount(slv.coord(c0), src.dups[pid], jp.side, src.ix.frame.Row(int(pid)), jp.rsq), lim)
+			}
+			c0++
+			continue
+		}
 		c1 := c0 + 1
-		for c1 < hi && prefixEqual(slv.coord(c1), slv.coord(c0)) {
+		for c1 < hi && prefixEqual(slv.coord(c1), slv.coord(c0)) && !jp.isolated(slv, c1, src) {
 			c1++
 		}
 		jp.joinRow(slv, c0, c1, src, mlv, acc[c0-lo:c1-lo], dst, lim, sc, &cursor)
@@ -298,13 +329,20 @@ func (jp *joinPass) countTask(slv *cellLevel, lo, hi int, src cellGroup, mlv *ce
 	}
 	for c := lo; c < hi; c++ {
 		for _, pid := range slv.members(c) {
-			gid := pid
-			if src.gids != nil {
-				gid = src.gids[pid]
-			}
+			gid := src.gid(pid)
 			dst[gid] = min(dst[gid]+acc[c-lo], lim)
 		}
 	}
+}
+
+// isolated reports whether source cell c is isolated (see countTask).
+func (jp *joinPass) isolated(slv *cellLevel, c int, src *cellGroup) bool {
+	for _, pid := range slv.members(c) {
+		if src.isoSq == nil || !(src.isoSq[pid] > jp.iso) {
+			return false
+		}
+	}
+	return true
 }
 
 // joinRow merges the source row [c0, c1) with every occupied member row
@@ -314,7 +352,7 @@ func (jp *joinPass) countTask(slv *cellLevel, lo, hi int, src cellGroup, mlv *ce
 // landing) when one compare shows every cell before it sorts below the key,
 // and one more gallop each row's end. When the positions outnumber the
 // member cells, walking every member row is cheaper.
-func (jp *joinPass) joinRow(slv *cellLevel, c0, c1 int, src cellGroup, mlv *cellLevel, acc, dst []int32, lim int32, sc *cellScratch, cursor *int) {
+func (jp *joinPass) joinRow(slv *cellLevel, c0, c1 int, src *cellGroup, mlv *cellLevel, acc, dst []int32, lim int32, sc *cellScratch, cursor *int) {
 	d, nb := slv.dim, mlv.cells()
 	row := slv.coord(c0)
 	if slv.coord(c1 - 1)[0]+jp.w < mlv.lo[0] || row[0]-jp.w > mlv.hi[0] {
@@ -395,7 +433,7 @@ func (jp *joinPass) joinRow(slv *cellLevel, c0, c1 int, src cellGroup, mlv *cell
 // squaring and summation being monotone, and the cells bucketCount counts
 // form a run next to [p2, p3): each side is scanned to its first miss
 // (with the bands off, through reach).
-func (jp *joinPass) merge(slv *cellLevel, c0, c1 int, src cellGroup, mlv *cellLevel, m0, m1 int, acc, dst []int32, lim int32, sc *cellScratch) {
+func (jp *joinPass) merge(slv *cellLevel, c0, c1 int, src *cellGroup, mlv *cellLevel, m0, m1 int, acc, dst []int32, lim int32, sc *cellScratch) {
 	in, reach := jp.band(sc, slv.coord(c0), mlv.coord(m0))
 	if reach < 0 {
 		return
@@ -424,10 +462,7 @@ func (jp *joinPass) merge(slv *cellLevel, c0, c1 int, src cellGroup, mlv *cellLe
 			}
 		}
 		for _, pid := range slv.members(c) {
-			gid := pid
-			if src.gids != nil {
-				gid = src.gids[pid]
-			}
+			gid := src.gid(pid)
 			p, v := src.ix.frame.Row(int(pid)), dst[gid]
 			for m := p2; m < p3 && in < 0; m++ {
 				v = min(v+bucketCount(mlv.coord(m), mlv.size(m), jp.side, p, jp.rsq), lim)

@@ -18,8 +18,7 @@ import (
 // searches.
 //
 // Memory is Θ(n²) float64s in one flat backing allocation (sorted[i] is a
-// subslice of it); callers should keep n in the low thousands, which covers
-// every experiment in EXPERIMENTS.md.
+// subslice of it); callers should keep n in the low thousands.
 type DistanceIndex struct {
 	frame   *vec.Frame
 	sorted  [][]float64 // sorted[i] = ascending distances from point i; rows of backing

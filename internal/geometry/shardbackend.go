@@ -3,6 +3,7 @@ package geometry
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"privcluster/internal/vec"
 )
@@ -105,11 +106,14 @@ func (cfg ShardConfig) validate() error {
 // amortization a CellIndex gets from its own levels). Both are
 // pinned to the shared ladder, and the source grouping never affects
 // results: a member cell out of a source cell's reach contributes nothing
-// to its points.
+// to its points. The source group also holds every global point's
+// duplicate count and isolation bound against the shard's points (12n
+// bytes), so PartialCounts skips the row join for isolated points as a
+// CellIndex does (see its doc): the fine levels cost O(n).
 type LocalShard struct {
 	cfg     ShardConfig
 	members *CellIndex // index over the shard's subset
-	src     *CellIndex // source-cell structure over the global points
+	src     cellGroup  // source-cell structure over the global points
 }
 
 // NewLocalShard builds the in-process backend for one shard. The config's
@@ -119,20 +123,20 @@ func NewLocalShard(cfg ShardConfig) (*LocalShard, error) {
 		return nil, err
 	}
 	cell := cfg.Cell.withDefaults(cfg.Points.Dim())
-	// Neither structure needs a duplicate table: DupCounts is answered
-	// by a sorted class table against the global centers (a per-shard
-	// CellIndex table could not see them), and the source index only ever
-	// serves cell levels.
+	// Neither structure keeps a duplicate table: the shard's table is
+	// built against the global centers (a per-shard CellIndex table could
+	// not see them), and the source index only ever serves cell levels.
 	cell.skipDupTable = true
 	members, err := NewCellIndexFrame(cfg.Points.Gather(cfg.Members), cell)
 	if err != nil {
 		return nil, err
 	}
-	src, err := NewCellIndexFrame(cfg.Points, cell)
-	if err != nil {
+	src := cellGroup{}
+	if src.ix, err = NewCellIndexFrame(cfg.Points, cell); err != nil {
 		return nil, err
 	}
 	cfg.Cell = cell
+	src.dups, src.isoSq = dupTable(cfg.Points, cfg.Points, cfg.Members, true)
 	return &LocalShard{cfg: cfg, members: members, src: src}, nil
 }
 
@@ -159,7 +163,7 @@ func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r fl
 	}
 	out := make([]int32, s.cfg.Points.N())
 	err := crossCellCounts(ctxOrBackground(ctx), s.cfg.Cell.Workers,
-		[]cellGroup{{ix: s.src}}, []cellGroup{{ix: s.members}},
+		[]cellGroup{s.src}, []cellGroup{{ix: s.members}},
 		j, r, limit, out)
 	if err != nil {
 		return nil, err
@@ -168,8 +172,7 @@ func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r fl
 }
 
 // DupCounts returns, for every global point, the number of shard points
-// bitwise identical to it. Its one caller, NewShardedIndexBackends, asks
-// once per build, so nothing is memoized.
+// bitwise identical to it: a copy of the table built with the shard.
 func (s *LocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
 	if epoch != EpochFrozen {
 		return nil, errFrozenEpoch(epoch)
@@ -177,5 +180,5 @@ func (s *LocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error
 	if err := ctxOrBackground(ctx).Err(); err != nil {
 		return nil, err
 	}
-	return DupCounts(s.cfg.Points, s.cfg.Points, s.cfg.Members), nil
+	return slices.Clone(s.src.dups), nil
 }

@@ -144,8 +144,8 @@ func TestShardedIndexMatchesCellIndex(t *testing.T) {
 				t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
 			}
 			for _, shard := range localShards(t, sh) {
-				if shard.members.lad != ref.lad || shard.src.lad != ref.lad {
-					t.Fatalf("%s: shard ladder diverged: %+v / %+v vs %+v", tag, shard.members.lad, shard.src.lad, ref.lad)
+				if shard.members.lad != ref.lad || shard.src.ix.lad != ref.lad {
+					t.Fatalf("%s: shard ladder diverged: %+v / %+v vs %+v", tag, shard.members.lad, shard.src.ix.lad, ref.lad)
 				}
 			}
 			for i := range pts {
