@@ -1,8 +1,8 @@
 package privcluster
 
 // The benchmark suite regenerates, in quick mode, every table and figure
-// reproduced from the paper (one benchmark per artifact — see DESIGN.md's
-// per-experiment index), plus micro-benchmarks of the pipeline stages.
+// reproduced from the paper (one benchmark per artifact, indexed by the
+// internal/experiments package), plus micro-benchmarks of the pipeline stages.
 // Run with:
 //
 //	go test -bench=. -benchmem
@@ -503,8 +503,9 @@ func BenchmarkFindClusterScalable(b *testing.B) {
 // mutable handle. Every iteration is one whole 8-op cycle: eight times, it
 // appends a 64-row batch and answers one seeded query pinned at the fresh
 // epoch (a full snapshot build plus the L-sweep — the real serving cost of
-// an advancing epoch: per-epoch caches cannot help a brand-new epoch, only
-// the base generation's memoized base×base count blocks carry over); then
+// an advancing epoch: per-epoch caches cannot help a brand-new epoch, but
+// the epoch chain extends the previous epoch's count blocks and duplicate
+// table through the new batch, and the first epoch after a delete recounts); then
 // it deletes the oldest surviving batch and merges the append deltas into
 // the shard bases. A whole cycle per iteration keeps B/op and allocs/op
 // independent of b.N. What the gate watches: allocs/op regressions here

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure reproduced from
-// "Locating a Small Cluster Privately" (see DESIGN.md's per-experiment
-// index and EXPERIMENTS.md for paper-vs-measured).
+// "Locating a Small Cluster Privately" (one runner per experiment, in
+// internal/experiments).
 //
 // Usage:
 //

@@ -297,10 +297,14 @@
 // servers use, so the split is invisible to releases. Merge (also triggered
 // automatically once enough delta rows accumulate) folds the delta into a
 // fresh base off the query path; it is a serving-cost knob, never a
-// semantic one. A base generation memoizes its uncapped base×base count
-// block per swept ladder level (4·n_base bytes each, serving every t), so a
-// new epoch's L-step sweep recounts only the pairs its delta touches, with
-// bit-identical counts and releases. Deletes compact the storage and
+// semantic one. Each mutable index keeps an epoch chain: the newest swept
+// epoch's uncapped count block per ladder level (4·n bytes each, serving
+// every t) and its duplicate table. A newer epoch extends both through the
+// rows appended since (every row against the new rows, the new rows
+// against the old ones), so its L-step sweep pays for its batch, not for
+// the whole delta, with bit-identical counts and releases; merges keep the
+// chain. A level runs one full pass instead after a delete, on a pin older
+// than the chain's head, and where the head never swept. Deletes compact the storage and
 // therefore retire all older epochs: a query already holding its pin keeps
 // answering, but a new pin of a pre-delete epoch fails with
 // ErrEpochRetired (wrapped, with the epoch) unless its snapshot is still
@@ -398,11 +402,8 @@
 // budget accounting and deadlines; examples/remote self-checks the shard
 // transport's equivalence; examples/ingest self-checks the streaming
 // epoch model against live shard servers; examples/daemon proves the
-// serving daemon's budgets survive a restart) and DESIGN.md for the system
-// inventory, the
-// paper-vs-implementation substitutions, and the experiment index.
-// EXPERIMENTS.md reports paper-vs-measured results for every table and
-// figure.
+// serving daemon's budgets survive a restart), and cmd/experiments, which
+// regenerates every table and figure of the paper's experiments.
 //
 // # Observability
 //

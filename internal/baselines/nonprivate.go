@@ -9,9 +9,9 @@
 //   - PrivateAggregation: an NRS'07-style aggregator (Table 1 row 1) —
 //     per-coordinate private median plus a private radius search — which
 //     requires a majority cluster (t ≥ 0.51n) and pays a √d factor in the
-//     radius (see DESIGN.md, Substitutions item 3);
+//     radius;
 //   - TreeHistogram1D: query release for threshold functions via the
-//     classic dyadic-tree mechanism (Table 1 row 3; Substitutions item 2),
+//     classic dyadic-tree mechanism (Table 1 row 3),
 //     whose cluster-size loss grows polylogarithmically with |X| — the
 //     contrast to the paper's 2^{O(log*|X|)}.
 package baselines

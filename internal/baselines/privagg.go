@@ -21,7 +21,7 @@ type PrivAggParams struct {
 }
 
 // PrivateAggregation is the Table 1 row 1 baseline in the spirit of Nissim,
-// Raskhodnikova and Smith '07 (see DESIGN.md, Substitutions item 3): the
+// Raskhodnikova and Smith '07: the
 // center is the coordinate-wise private median (exponential mechanism over
 // grid values with the rank quality), and the radius is a private binary
 // search for the smallest ball around that center holding ≈ t points.

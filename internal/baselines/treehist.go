@@ -36,8 +36,7 @@ type TreeHistParams struct {
 //
 // The scan inspects only dyadic nodes containing data; a node the data
 // never touches cannot be part of the smallest heavy interval (its noisy
-// count would have to beat the release margin on noise alone; see DESIGN.md,
-// Substitutions item 2).
+// count would have to beat the release margin on noise alone).
 func TreeHistogram1D(rng *rand.Rand, values []float64, prm TreeHistParams) (Interval1D, error) {
 	n := len(values)
 	if prm.T < 1 || prm.T > n {

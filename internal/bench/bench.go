@@ -1,7 +1,7 @@
 // Package bench provides the small experiment-harness substrate shared by
 // cmd/experiments and the root benchmark suite: aligned-text tables,
 // number formatting, timing, and the measurement helpers (effective radius,
-// coverage, radius ratios) every experiment in EXPERIMENTS.md reports.
+// coverage, radius ratios) every experiment of cmd/experiments reports.
 package bench
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 // Table accumulates rows and renders them as an aligned text table with a
-// title and optional note — the format EXPERIMENTS.md embeds verbatim.
+// title and optional note — the format cmd/experiments prints.
 type Table struct {
 	Title   string
 	Note    string

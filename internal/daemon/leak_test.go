@@ -87,17 +87,18 @@ func TestInstrumentationLeaksNoData(t *testing.T) {
 		t.Fatalf("trace JSON has no query/cluster span:\n%s", traceJSON)
 	}
 
-	// The cell-level cache and base-pair memo counters expose their two
-	// result labels each and nothing else: levels and count blocks are
-	// counted, never described.
+	// The cell-level cache and epoch-chain counters expose their result
+	// labels and nothing else: levels and count blocks are counted, never
+	// described.
 	for name, want := range map[string][]string{
 		"privcluster_cell_level_total": {
 			`privcluster_cell_level_total{result="build"}`,
 			`privcluster_cell_level_total{result="hit"}`,
 		},
-		"privcluster_pair_memo_total": {
-			`privcluster_pair_memo_total{result="fill"}`,
-			`privcluster_pair_memo_total{result="hit"}`,
+		"privcluster_epoch_chain_total": {
+			`privcluster_epoch_chain_total{result="extend"}`,
+			`privcluster_epoch_chain_total{result="fill"}`,
+			`privcluster_epoch_chain_total{result="hit"}`,
 		},
 	} {
 		var series []string

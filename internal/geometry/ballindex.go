@@ -24,8 +24,8 @@ import (
 //     radius scale and builds an estimate L̂ over a fixed geometric radius
 //     ladder, within the sandwich bounds documented on CellIndex. Memory is
 //     O(n) per built ladder level, on top of the O(n·d) points.
-//   - ShardedIndex partitions the points into S shards — local CellIndexes
-//     or ShardBackends reached over a transport — and sums per-shard capped
+//   - ShardedIndex partitions the points into S shards — ShardBackends in
+//     process or reached over a transport — and sums per-shard capped
 //     partial counts. Its L̂ is bit-identical to a CellIndex over the same
 //     points.
 //

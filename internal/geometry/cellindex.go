@@ -143,10 +143,6 @@ type CellIndex struct {
 
 	mu     sync.Mutex
 	levels []*cellLevel // levels[j]: ladder level j once built (len lad.top+1)
-
-	// pairs memoizes this index's base×base count blocks when it is a
-	// frozen base generation (see crossCellCounts); unused otherwise.
-	pairs pairMemo
 }
 
 // radiusLadder is the geometric radius ladder of the scalable backends: the
@@ -306,7 +302,9 @@ func (ix *CellIndex) level(j int) *cellLevel {
 		return lv
 	}
 	statCellLevelBuild.Inc()
-	lv := newCellLevel(ix.frame, ix.lad.radius(j)/float64(ix.opts.CellsPerRadius))
+	sc := ix.getScratch()
+	lv := newCellLevel(ix.frame, ix.lad.radius(j)/float64(ix.opts.CellsPerRadius), sc)
+	ix.putScratch(sc)
 	ix.levels[j] = lv
 	return lv
 }
@@ -340,26 +338,28 @@ func (ix *CellIndex) cachedLevelKeys() []int {
 // cell coordinates are computed once; the row ids are then sorted by (cell
 // coordinates in cmpCoords order, row id), so the cells come out in scan
 // order with their members ascending, and one pass over the sorted ids
-// emits the flat layout.
-func newCellLevel(f *vec.Frame, side float64) *cellLevel {
+// emits the flat layout. With its working buffers in sc, a level takes
+// three allocations: itself, an int64 slab (coords, lo, hi) and an int32
+// slab (ids, start).
+func newCellLevel(f *vec.Frame, side float64, sc *cellScratch) *cellLevel {
 	n, d := f.N(), f.Dim()
-	lv := &cellLevel{side: side, dim: d, lo: make([]int64, d), hi: make([]int64, d)}
-	pc := make([]int64, n*d) // row i's cell coordinates are pc[i·d:(i+1)·d]
+	pc := scratchOf(&sc.pc, n*d) // row i's cell coordinates are pc[i·d:(i+1)·d]
 	for i := 0; i < n; i++ {
 		c := pc[i*d : (i+1)*d]
 		for a, x := range f.Row(i) {
 			c[a] = int64(math.Floor(x / side))
 		}
 	}
-	copy(lv.lo, pc[:d])
-	copy(lv.hi, pc[:d])
+	lo, hi := sc.lo, sc.hi
+	copy(lo, pc[:d])
+	copy(hi, pc[:d])
 	for i := d; i < len(pc); i++ {
 		a := i % d
-		lv.lo[a] = min(lv.lo[a], pc[i])
-		lv.hi[a] = max(lv.hi[a], pc[i])
+		lo[a] = min(lo[a], pc[i])
+		hi[a] = max(hi[a], pc[i])
 	}
 
-	ids := sortByCell(pc, d, lv.lo, lv.hi)
+	ids := sortByCell(pc, d, lo, hi, sc)
 	rowCoord := func(id int32) []int64 { return pc[int(id)*d : int(id+1)*d] }
 	nb := 1
 	for k := 1; k < n; k++ {
@@ -367,9 +367,12 @@ func newCellLevel(f *vec.Frame, side float64) *cellLevel {
 			nb++
 		}
 	}
-	lv.ids = ids
-	lv.coords = make([]int64, 0, nb*d)
-	lv.start = make([]int32, 0, nb+1)
+	slab, slab32 := make([]int64, (nb+2)*d), make([]int32, n+nb+1)
+	lv := &cellLevel{side: side, dim: d, coords: slab[: 0 : nb*d], lo: slab[nb*d : (nb+1)*d], hi: slab[(nb+1)*d:],
+		ids: slab32[:n:n], start: slab32[n:n]}
+	copy(lv.lo, lo)
+	copy(lv.hi, hi)
+	copy(lv.ids, ids)
 	for k, id := range ids {
 		if k == 0 || !slices.Equal(rowCoord(ids[k-1]), rowCoord(id)) {
 			lv.coords = append(lv.coords, rowCoord(id)...)
@@ -387,14 +390,16 @@ func newCellLevel(f *vec.Frame, side float64) *cellLevel {
 // axis d−1's last (so axis d−1 ends most significant, as in cmpCoords), and
 // the initial ascending id order breaks ties. Passes stop at the highest
 // byte of each axis's span, and a pass whose byte is the same for every row
-// is skipped, so a coarse level costs one pass per axis.
-func sortByCell(pc []int64, d int, lo, hi []int64) []int32 {
+// is skipped, so a coarse level costs one pass per axis. The returned ids
+// live in sc.
+func sortByCell(pc []int64, d int, lo, hi []int64, sc *cellScratch) []int32 {
 	n := len(pc) / d
-	ids, idsTmp := make([]int32, n), make([]int32, n)
+	rows, keys := scratchOf(&sc.rows, 2*n), scratchOf(&sc.keys, 2*n)
+	ids, idsTmp := rows[:n], rows[n:]
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	key, keyTmp := make([]uint64, n), make([]uint64, n)
+	key, keyTmp := keys[:n], keys[n:]
 	for a := 0; a < d; a++ {
 		for k, id := range ids {
 			key[k] = uint64(pc[int(id)*d+a] - lo[a])
@@ -446,11 +451,24 @@ const countChunk = 64
 // the gallop keys of the row join, the per-source-cell accumulator of one
 // task and the band table of one pass (see joinPass). All are allocated
 // once per scratch (the table regrows only for a pass that needs more
-// entries), so a warm pass allocates nothing per cell or row.
+// entries), so a warm pass allocates nothing per cell or row. A level
+// build borrows lo and hi and keeps its row coordinates, sort keys and
+// row ids in pc, keys and rows, grown to the largest level built.
 type cellScratch struct {
 	lo, hi, key, seek []int64
 	acc               []int32
 	bands             [][2]int64
+	pc                []int64
+	keys              []uint64
+	rows              []int32
+}
+
+// scratchOf returns (*buf)[:n], regrowing *buf when it is too short.
+func scratchOf[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 func newCellScratch(d int) *cellScratch {

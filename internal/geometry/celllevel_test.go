@@ -68,7 +68,7 @@ func TestCellLevelLayout(t *testing.T) {
 		for _, side := range []float64{1.0 / 4096, 1.0 / 64, 0.25, 1.5} {
 			tag := fmt.Sprintf("d=%d side=%g", d, side)
 			f := layoutTestFrame(rng, 600, d, side)
-			lv := newCellLevel(f, side)
+			lv := newCellLevel(f, side, newCellScratch(d))
 			checkCellLevel(t, tag, f, lv)
 		}
 	}
@@ -247,10 +247,11 @@ func BenchmarkCellLevelBuild(b *testing.B) {
 		data[i] = rng.Float64()
 	}
 	const side = 1.0 / 4096
+	sc := newCellScratch(d) // reused, as the index's pool reuses one
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if lv := newCellLevel(f, side); lv.cells() == 0 {
+		if lv := newCellLevel(f, side, sc); lv.cells() == 0 {
 			b.Fatal("empty level")
 		}
 	}

@@ -5,40 +5,28 @@ import (
 	"math"
 	"slices"
 	"sync"
-
-	"privcluster/internal/obs"
-)
-
-// Base×base memo lookups by result (see crossCellCounts): "fill" counts
-// blocks computed and stored, "hit" counts passes seeded from one.
-var (
-	statPairMemoHit = obs.Default.Counter("privcluster_pair_memo_total",
-		"Frozen base-pair count memo lookups by result (hit = block reused).", "result", "hit")
-	statPairMemoFill = obs.Default.Counter("privcluster_pair_memo_total",
-		"Frozen base-pair count memo lookups by result (hit = block reused).", "result", "fill")
+	"sync/atomic"
 )
 
 // cellGroup pairs one CellIndex with the mapping from its local row ids to
 // slots of a global output vector (nil = identity). It is the unit of the
 // generic cross-counting pass below: a plain CellIndex is one identity
 // group, a LocalShard's member index another, an epoch snapshot one group
-// per storage generation (frozen base + delta), and the
-// two compose freely — a mutable shard's pinned query is just base/delta
-// source groups against base/delta member groups.
+// per storage generation (base + delta), and the two compose freely: a
+// mutable shard's full pass is base/delta source groups against base/delta
+// member groups, its chained passes the same against the appended rows.
 //
 // On the source side gids maps a group-local point id to its out slot; on
 // the member side only the cells matter (a member's contribution is a pure
 // function of its own cell and the query point), so member gids are
-// ignored. frozen marks a mutable index's base generation: identity-mapped,
-// immutable and shared by many epoch views. dups and isoSq, set only on a
-// source group whose passes have one member group, hold each point's
-// duplicate count and isolation bound against it (dupTable).
+// ignored. dups and isoSq, set only on a source group whose passes have one
+// member group, hold each point's duplicate count and isolation bound
+// against it (dupTable).
 type cellGroup struct {
-	ix     *CellIndex
-	gids   []int32
-	frozen bool
-	dups   []int32
-	isoSq  []float64
+	ix    *CellIndex
+	gids  []int32
+	dups  []int32
+	isoSq []float64
 }
 
 // gid maps the group-local point id pid to its out slot.
@@ -47,49 +35,6 @@ func (g *cellGroup) gid(pid int32) int32 {
 		return g.gids[pid]
 	}
 	return pid
-}
-
-// pairMemo holds, on a frozen source base, the uncapped blocks its points
-// receive from one member base, keyed by level and exact radius bits (j and
-// r arrive separately over the wire; a block must never answer another r).
-type pairMemo struct {
-	mu     sync.Mutex
-	mem    *CellIndex
-	blocks map[[2]uint64][]int32
-}
-
-// lookupPair resolves the memo for one pass, resetting it for a new member
-// base: the stored block on a hit, a fresh block to fill on a miss, neither
-// unless both first groups are frozen. Returning both at once lets the
-// workers capture plain values.
-func lookupPair(srcs, members []cellGroup, j int, r float64) (hit, fill []int32) {
-	if !srcs[0].frozen || !members[0].frozen {
-		return nil, nil
-	}
-	p := &srcs[0].ix.pairs
-	p.mu.Lock()
-	if p.mem != members[0].ix {
-		p.mem, p.blocks = members[0].ix, make(map[[2]uint64][]int32)
-	}
-	hit = p.blocks[[2]uint64{uint64(j), math.Float64bits(r)}]
-	p.mu.Unlock()
-	if hit != nil {
-		statPairMemoHit.Inc()
-		return hit, nil
-	}
-	return nil, make([]int32, srcs[0].ix.N())
-}
-
-// storePair keeps a filled block unless the memo moved to another member
-// base meanwhile or a concurrent pass stored the same key first.
-func storePair(srcs, members []cellGroup, j int, r float64, fill []int32) {
-	statPairMemoFill.Inc()
-	p, k := &srcs[0].ix.pairs, [2]uint64{uint64(j), math.Float64bits(r)}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.mem == members[0].ix && p.blocks[k] == nil {
-		p.blocks[k] = fill
-	}
 }
 
 // addSaturating adds block into out elementwise, saturating at limit.
@@ -111,26 +56,22 @@ func addSaturating(out, block []int32, limit int32) {
 // bit-identically to a single unsharded pass (see the ShardedIndex
 // equivalence contract). A level j outside some group's ladder is an error.
 //
-// Source cells fan out over one worker pool shared by every group pair;
-// tasks partition each source group's cells, the source groups partition
-// the out slots, and a point's slot is written only by the task owning its
-// source cell, so the pass is data-race free. Each task joins its source
-// rows against the member rows in reach (see joinPass); a source row whose
-// reach misses a member group's occupied box skips that group in O(d), and
-// a source cell of isolated points skips the join (see CellIndex).
-// A cancelled ctx aborts the pass with ctx.Err(): the feeder stops, the
-// workers drain, no goroutines leak.
+// Source cells fan out over a worker pool shared by every group pair:
+// tasks of countChunk cells partition each source group's cells, workers
+// (the caller among them) claim tasks from one atomic counter, the source
+// groups partition the out slots, and a point's slot is written only by
+// the task owning its source cell, so the pass is data-race free. Each
+// task joins its source rows against the member rows in reach (see
+// joinPass); a source row whose reach misses a member group's occupied box
+// skips that group in O(d), and a source cell of isolated points skips the
+// join (see CellIndex). A cancelled ctx aborts the pass with ctx.Err():
+// the workers stop claiming tasks and return, no goroutines leak.
 //
-// A member's contribution depends on the two points alone, so when srcs[0]
-// and members[0] are frozen their block is a pure function of the base rows.
-// The source base memoizes it uncapped (pairMemo, 4·n_base bytes per swept
-// level while the base lives): a hit seeds out and skips the pair, a miss
-// fills a fresh block at limit MaxInt32 in this same pass, then stores it
-// and folds it in. Saturating nonnegative addition is order-independent,
-// so every count stays exactly min(total, limit).
+// A member's contribution depends on the two points alone, so at limit
+// MaxInt32 the pass adds uncapped counts that later passes may extend:
+// mutable indexes chain them from epoch to epoch (epochChain).
 //
-// ctx must be non-nil: callers resolve a nil ctx with ctxOrBackground, so
-// that the workers capture it by value instead of moving it to the heap.
+// ctx must be non-nil: callers resolve a nil ctx with ctxOrBackground.
 func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup, j int, r float64, limit int32, out []int32) error {
 	if !(r >= 0) || limit <= 0 || len(srcs) == 0 || len(members) == 0 {
 		return nil
@@ -142,90 +83,77 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 			}
 		}
 	}
-	// Materialize every group's cell level up front, inline and in one
-	// backing slice: a level is built once per index and kept, so on a warm
-	// index these are cache hits, and per-group build goroutines would cost
-	// allocations on every pass. Source and member slices may share
-	// indexes; the second lookup is a hit.
-	lvs := make([]*cellLevel, len(srcs)+len(members))
-	for gi, g := range srcs {
-		lvs[gi] = g.ix.level(j)
+	// Materialize every group's cell level up front, inline: a level is
+	// built once per index and kept, so on a warm index these are cache
+	// hits, and per-group build goroutines would cost allocations on every
+	// pass. Source and member slices may share indexes; the second lookup
+	// is a hit.
+	p := &countPass{ctx: ctx, srcs: srcs, members: members, out: out, limit: limit}
+	lvs := p.lvBuf[:0]
+	for _, g := range srcs {
+		lvs = append(lvs, g.ix.level(j))
 	}
-	for gi, g := range members {
-		lvs[len(srcs)+gi] = g.ix.level(j)
+	for _, g := range members {
+		lvs = append(lvs, g.ix.level(j))
 	}
-	srcLvs, memLvs := lvs[:len(srcs)], lvs[len(srcs):]
+	p.srcLvs, p.memLvs = lvs[:len(srcs)], lvs[len(srcs):]
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	jp := newJoinPass(lvs, r)
-
-	hit, fill := lookupPair(srcs, members, j, r)
-	if hit != nil {
-		addSaturating(out, hit, limit)
+	p.jp = newJoinPass(lvs, r)
+	for _, lv := range p.srcLvs {
+		p.tasks += (lv.cells() + countChunk - 1) / countChunk
 	}
-
-	nb := 0
-	for _, lv := range srcLvs {
-		nb += lv.cells()
-	}
-	if workers > nb {
-		workers = nb
-	}
-
-	type task struct{ src, lo, hi int }
-	tasks := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	for w := 1; w < min(workers, p.tasks); w++ {
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			jp := jp // a worker-local copy keeps the pass constants off the heap
-			sc := srcs[0].ix.getScratch()
-			defer srcs[0].ix.putScratch(sc)
-			jp.resetBands(sc)
-			for tk := range tasks {
-				if ctx.Err() != nil {
-					continue // drain the channel so the feeder never blocks
-				}
-				// Member groups outermost, so each join walks one member
-				// level through the whole chunk; a point's saturating sum
-				// still takes its member groups in the same order.
-				for mi := range members {
-					dst, lim := out, limit
-					if tk.src == 0 && mi == 0 {
-						if hit != nil {
-							continue
-						}
-						if fill != nil {
-							dst, lim = fill, math.MaxInt32
-						}
-					}
-					jp.countTask(srcLvs[tk.src], tk.lo, tk.hi, &srcs[tk.src], memLvs[mi], dst, lim, sc)
-				}
-			}
+			defer p.wg.Done()
+			p.work()
 		}()
 	}
-feed:
-	for gi := range srcs {
-		gnb := srcLvs[gi].cells()
-		for lo := 0; lo < gnb; lo += countChunk {
-			if ctx.Err() != nil {
-				break feed
-			}
-			tasks <- task{gi, lo, min(lo+countChunk, gnb)}
+	p.work()
+	p.wg.Wait()
+	return ctx.Err()
+}
+
+// countPass is one crossCellCounts pass, shared by its workers.
+type countPass struct {
+	ctx            context.Context
+	jp             joinPass
+	srcs, members  []cellGroup
+	srcLvs, memLvs []*cellLevel
+	lvBuf          [4]*cellLevel // backs the levels of up to four groups
+	out            []int32
+	limit          int32
+	tasks          int
+	next           atomic.Int64 // the next unclaimed task
+	wg             sync.WaitGroup
+}
+
+// work claims and runs tasks until none is left or the pass is cancelled.
+func (p *countPass) work() {
+	jp := p.jp // a worker-local copy keeps the pass constants off the heap
+	sc := p.srcs[0].ix.getScratch()
+	defer p.srcs[0].ix.putScratch(sc)
+	jp.resetBands(sc)
+	for {
+		k := int(p.next.Add(1) - 1)
+		if k >= p.tasks || p.ctx.Err() != nil {
+			return
+		}
+		gi := 0
+		for ; k*countChunk >= p.srcLvs[gi].cells(); gi++ {
+			k -= (p.srcLvs[gi].cells() + countChunk - 1) / countChunk
+		}
+		slv := p.srcLvs[gi]
+		lo := k * countChunk
+		// Member groups outermost, so each join walks one member level
+		// through the whole chunk; a point's saturating sum still takes its
+		// member groups in the same order.
+		for mi := range p.members {
+			jp.countTask(slv, lo, min(lo+countChunk, slv.cells()), &p.srcs[gi], p.memLvs[mi], p.out, p.limit, sc)
 		}
 	}
-	close(tasks)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err // a partial fill is never stored
-	}
-	if fill != nil {
-		storePair(srcs, members, j, r, fill)
-		addSaturating(out, fill, limit)
-	}
-	return nil
 }
 
 // joinPass holds one count pass's constants and runs its row join: a

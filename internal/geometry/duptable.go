@@ -40,6 +40,45 @@ func DupCounts(pts, mem *vec.Frame, memRows []int32) []int32 {
 	return dup
 }
 
+// extendDups returns the duplicate table of src's rows against mem's,
+// given prev, the table of src's first ns rows against mem's first nm:
+// every source row gains its copies among the new members (one sort of
+// those), and each new source row its copies among the old members, found
+// by binary-searching each old member among the sorted new sources. That
+// is O(n log |F|) for F appended rows, against DupCounts' O(n log n).
+func extendDups(prev []int32, src, mem *vec.Frame, ns, nm int) []int32 {
+	dup := make([]int32, src.N())
+	copy(dup, prev)
+	for i, c := range DupCounts(src, mem, rowRange(nm, mem.N())) {
+		dup[i] += c
+	}
+	rows := rowRange(ns, src.N())
+	slices.SortFunc(rows, func(x, y int32) int { return cmpRowKeys(src, int(x), src, int(y)) })
+	hits := make([]int32, len(rows)) // at each class's first row: its old members
+	for m := 0; m < nm; m++ {
+		k := sort.Search(len(rows), func(k int) bool { return cmpRowKeys(src, int(rows[k]), mem, m) >= 0 })
+		if k < len(rows) && cmpRowKeys(src, int(rows[k]), mem, m) == 0 {
+			hits[k]++
+		}
+	}
+	for k, s := range rows {
+		if k > 0 && cmpRowKeys(src, int(rows[k-1]), src, int(s)) == 0 {
+			hits[k] = hits[k-1]
+		}
+		dup[s] += hits[k]
+	}
+	return dup
+}
+
+// rowRange returns the row ids lo, …, hi−1.
+func rowRange(lo, hi int) []int32 {
+	rows := make([]int32, hi-lo)
+	for i := range rows {
+		rows[i] = int32(lo + i)
+	}
+	return rows
+}
+
 // isoScan caps the member classes the isolation scan visits on each side.
 const isoScan = 32
 
@@ -51,14 +90,9 @@ const isoScan = 32
 // axis 0's squared gap reaches the best distance seen or isoScan classes
 // pass, and takes that gap: the classes past it are no nearer on axis 0.
 func dupTable(pts, mem *vec.Frame, memRows []int32, iso bool) ([]int32, []float64) {
-	var rows []int32
-	if memRows != nil {
-		rows = slices.Clone(memRows)
-	} else {
-		rows = make([]int32, mem.N())
-		for i := range rows {
-			rows[i] = int32(i)
-		}
+	rows := slices.Clone(memRows)
+	if memRows == nil {
+		rows = rowRange(0, mem.N())
 	}
 	slices.SortFunc(rows, func(x, y int32) int { return cmpRowKeys(mem, int(x), mem, int(y)) })
 	// starts[c] is the offset in rows of class c's first member; rows

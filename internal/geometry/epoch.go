@@ -92,25 +92,45 @@ type baseGen struct {
 	n  int
 }
 
-// epochView is the cached snapshot of one epoch, built once on first pin.
-// The build parameters (row count, base generation, buffer) are captured
-// under the index lock at pin time; the build itself runs outside it.
+// epochView is the snapshot of one epoch, built once on first pin and
+// cached. The build parameters (epoch, row count, base generation, buffer)
+// are captured under the index lock at pin time; the build itself runs
+// outside it and fills groups (the base and delta indexes), frame and dup.
 type epochView struct {
+	m     *MutableCellIndex
+	epoch Epoch
 	nView int
 	gen   baseGen
 	buf   *vec.MutableFrame
 
-	once sync.Once
-	view *ShardedIndex
-	err  error
+	once   sync.Once
+	groups []cellGroup
+	frame  *vec.Frame
+	dup    []int32
+	err    error
+}
+
+// N returns the epoch's row count.
+func (ev *epochView) N() int { return ev.nView }
+
+// Frame returns the epoch's rows.
+func (ev *epochView) Frame() *vec.Frame { return ev.frame }
+
+// BuildLStep sweeps the ladder like CellIndex (sweepLStep), each level
+// counted through the index's epoch chain.
+func (ev *epochView) BuildLStep(ctx context.Context, t int) (*LStep, error) {
+	link := chainLink{epoch: ev.epoch, src: ev, mem: ev}
+	return sweepLStep(ctx, ev.nView, t, ev.dup, ev.m.lad, func(ctx context.Context, j int, r float64, limit int32, out []int32) error {
+		return ev.m.chain.counts(ctx, ev.m.opts.Workers, link, j, r, limit, out)
+	})
 }
 
 // MutableCellIndex is the mutable counterpart of CellIndex: an append-only
 // row buffer (vec.MutableFrame) split into a frozen base — a plain
 // CellIndex over a prefix — and a delta tail. A pinned epoch materializes
-// as a two-shard ShardedIndex view: the shared base index plus a small
-// CellIndex over the epoch's delta rows, pinned to the same radius ladder.
-// By the ShardedIndex equivalence contract that view answers every
+// as a view over two storage generations: the shared base index plus a
+// small CellIndex over the epoch's delta rows, pinned to the same radius
+// ladder. By the ShardedIndex equivalence contract that view answers every
 // BallIndex query bit-identically to a fresh CellIndex over exactly the
 // epoch's rows — which is the whole point: a release pinned at epoch E
 // cannot be distinguished from one computed against a frozen copy of the
@@ -129,10 +149,12 @@ type epochView struct {
 // query results (the partition-independence half of the ShardedIndex
 // contract).
 //
-// Views mark their base group frozen, so every epoch over one base
-// generation reuses its memoized base×base count blocks (crossCellCounts)
-// and recounts only the pairs its delta touches, for 4·n_base bytes per
-// swept level while the generation lives. Merges and deletes start afresh.
+// Every view counts through the index's epoch chain, which keeps the
+// newest swept epoch's uncapped count blocks (4·n bytes per swept level)
+// and duplicate table: a newer epoch extends them through the rows
+// appended since, so it pays for its batch, not for the whole delta.
+// Merges keep the chain; a delete restarts it, and a pin older than the
+// chain's head or a level the head never swept runs one full pass.
 //
 // MutableCellIndex is safe for concurrent use; mutations serialize
 // internally, snapshots and queries run concurrently with them.
@@ -156,6 +178,7 @@ type MutableCellIndex struct {
 	bases     []baseGen // merged generations, ascending n (newest last)
 	views     map[Epoch]*epochView
 	viewOrder []Epoch
+	chain     *epochChain // unused with skipDupTable: a shard keeps its own
 
 	merging bool
 	mergeWG sync.WaitGroup
@@ -229,6 +252,7 @@ func newMutableCellIndexIDs(points *vec.Frame, ids []uint64, nextID uint64, opts
 		rowsAt:     []int{n},
 		bases:      []baseGen{{ix: base, n: n}},
 		views:      make(map[Epoch]*epochView),
+		chain:      &epochChain{opts: partOpts},
 		mctx:       mctx,
 		mstop:      mstop,
 	}, nil
@@ -456,15 +480,19 @@ func (m *MutableCellIndex) deleteLocked(ids []uint64, strict bool) (Epoch, error
 
 // Snapshot pins epoch as an immutable BallIndex (see MutableBallIndex).
 func (m *MutableCellIndex) Snapshot(ctx context.Context, epoch Epoch) (BallIndex, error) {
-	return m.viewAt(ctx, epoch)
+	ev, err := m.viewAt(ctx, epoch)
+	if err != nil {
+		return nil, err
+	}
+	return ev, nil
 }
 
 // viewAt materializes (or returns the cached) snapshot of one epoch: a
-// ShardedIndex whose groups are the newest base generation fitting the
+// view whose groups are the newest base generation fitting the
 // epoch's row prefix plus a delta CellIndex over the rest, all pinned to
 // the shared ladder. Builds are single-flight per epoch and run outside
 // the index lock.
-func (m *MutableCellIndex) viewAt(ctx context.Context, epoch Epoch) (*ShardedIndex, error) {
+func (m *MutableCellIndex) viewAt(ctx context.Context, epoch Epoch) (*epochView, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -501,7 +529,7 @@ func (m *MutableCellIndex) viewAt(ctx context.Context, epoch Epoch) (*ShardedInd
 			// epoch only truly retires via delete-compaction (firstEpoch).
 			gen = baseGen{}
 		}
-		ev = &epochView{nView: nView, gen: gen, buf: m.buf}
+		ev = &epochView{m: m, epoch: epoch, nView: nView, gen: gen, buf: m.buf}
 		m.views[epoch] = ev
 		m.viewOrder = append(m.viewOrder, epoch)
 		if len(m.viewOrder) > maxCachedViews {
@@ -513,40 +541,35 @@ func (m *MutableCellIndex) viewAt(ctx context.Context, epoch Epoch) (*ShardedInd
 
 	// Built under a background context: a cancelled pinner must not poison
 	// the cached view for everyone after it.
-	ev.once.Do(func() {
-		ev.view, ev.err = m.buildView(ev)
-	})
+	ev.once.Do(func() { ev.err = m.buildView(ev) })
 	if ev.err != nil {
 		return nil, ev.err
 	}
 	if err := ctxOrBackground(ctx).Err(); err != nil {
 		return nil, err
 	}
-	return ev.view, nil
+	return ev, nil
 }
 
-func (m *MutableCellIndex) buildView(ev *epochView) (*ShardedIndex, error) {
-	frame := ev.buf.View(ev.nView)
-	var shards []*indexShard
+// buildView fills ev's groups, frame and duplicate table (from the chain).
+func (m *MutableCellIndex) buildView(ev *epochView) error {
+	ev.frame = ev.buf.View(ev.nView)
 	if ev.gen.ix != nil {
-		shards = append(shards, &indexShard{ix: ev.gen.ix, frozen: true})
+		ev.groups = append(ev.groups, cellGroup{ix: ev.gen.ix})
 	}
 	if ev.nView > ev.gen.n {
 		delta, err := NewCellIndexFrame(ev.buf.Slice(ev.gen.n, ev.nView), m.partOpts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		gids := make([]int32, ev.nView-ev.gen.n)
-		for i := range gids {
-			gids[i] = int32(ev.gen.n + i)
-		}
-		shards = append(shards, &indexShard{ix: delta, global: gids})
+		ev.groups = append(ev.groups, cellGroup{ix: delta, gids: rowRange(ev.gen.n, ev.nView)})
 	}
-	var dup []int32
-	if !m.opts.skipDupTable {
-		dup = DupCounts(frame, frame, nil)
+	if m.opts.skipDupTable {
+		return nil
 	}
-	return newShardedView(frame, m.opts, m.lad, shards, nil, EpochFrozen, dup), nil
+	var err error
+	ev.dup, err = m.chain.dups(chainLink{epoch: ev.epoch, src: ev, mem: ev})
+	return err
 }
 
 // Merge folds the delta into a new base generation: a CellIndex over the
@@ -619,21 +642,4 @@ func (m *MutableCellIndex) Close() error {
 	m.mstop()
 	m.mergeWG.Wait()
 	return nil
-}
-
-// newShardedView assembles a ShardedIndex from parts — the snapshot
-// constructor of the mutable indexes. Exactly one of shards/backends must
-// be non-nil; backends are marked shared (Close leaves them alone).
-func newShardedView(frame *vec.Frame, opts CellIndexOptions, lad radiusLadder, shards []*indexShard, backends []ShardBackend, epoch Epoch, dup []int32) *ShardedIndex {
-	return &ShardedIndex{
-		frame:          frame,
-		dim:            frame.Dim(),
-		opts:           opts,
-		lad:            lad,
-		shards:         shards,
-		backends:       backends,
-		dupCount:       dup,
-		epoch:          epoch,
-		sharedBackends: backends != nil,
-	}
 }

@@ -3,6 +3,7 @@ package geometry
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"privcluster/internal/vec"
@@ -48,15 +49,16 @@ type MutableShardDialer func(ctx context.Context, shard int, cfg ShardConfig) (M
 // server runs behind the mutable wire sessions, and what loopback tests
 // plug directly into NewMutableShardedIndexBackends.
 //
-// Both views' bases are frozen, so the source base memoizes its block from
-// the member base (4·n_src_base bytes per swept level): a new epoch's
-// PartialCounts recounts only the pairs touching either delta.
+// One epoch chain serves both PartialCounts and DupCounts, its source and
+// member sides advancing in lockstep: a new epoch extends the previous
+// one's count blocks (4·n_src bytes per swept level) and duplicate table
+// through the rows appended since, instead of recounting either delta.
 type MutableLocalShard struct {
 	mu        sync.Mutex
-	cell      CellIndexOptions
 	members   *MutableCellIndex // the shard's member rows, keyed by global stable ids
 	src       *MutableCellIndex // the global source rows
 	memberIDs map[uint64]struct{}
+	chain     *epochChain
 }
 
 // NewMutableLocalShard builds the in-process mutable backend for one
@@ -93,10 +95,10 @@ func NewMutableLocalShard(cfg ShardConfig) (*MutableLocalShard, error) {
 		return nil, err
 	}
 	return &MutableLocalShard{
-		cell:      cell,
 		members:   members,
 		src:       src,
 		memberIDs: memberIDs,
+		chain:     &epochChain{opts: cell},
 	}, nil
 }
 
@@ -112,57 +114,49 @@ func (s *MutableLocalShard) Close() error {
 	return err
 }
 
-// errUnpinnedEpoch rejects EpochFrozen against a mutable shard: every
-// query must name a concrete snapshot.
-func errUnpinnedEpoch() error {
-	return fmt.Errorf("geometry: mutable shard queried without a pinned epoch")
+// link pins epoch on both inner indexes as one chain link. EpochFrozen is
+// an error: every query on a mutable shard must name a concrete snapshot.
+func (s *MutableLocalShard) link(ctx context.Context, epoch Epoch) (chainLink, error) {
+	if epoch == EpochFrozen {
+		return chainLink{}, fmt.Errorf("geometry: mutable shard queried without a pinned epoch")
+	}
+	src, err := s.src.viewAt(ctx, epoch)
+	if err != nil {
+		return chainLink{}, err
+	}
+	mem, err := s.members.viewAt(ctx, epoch)
+	if err != nil {
+		return chainLink{}, err
+	}
+	return chainLink{epoch: epoch, src: src, mem: mem}, nil
 }
 
 // PartialCounts computes the shard's epoch-e member contributions around
-// every epoch-e global row, capped at limit: the source view's base+delta
-// groups crossed with the member view's, through the same crossCellCounts
-// engine every other composite pass uses (base×base blocks come from the
-// source base's memo once swept). The shared pinned ladder makes the sum
-// bit-identical to the frozen single-index pass over the epoch's rows.
+// every epoch-e global row, capped at limit, from the shard's epoch chain
+// (crossCellCounts over the source and member generations). The shared
+// pinned ladder makes the sum bit-identical to the frozen single-index
+// pass over the epoch's rows.
 func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
-	if epoch == EpochFrozen {
-		return nil, errUnpinnedEpoch()
-	}
-	srcView, err := s.src.viewAt(ctx, epoch)
+	link, err := s.link(ctx, epoch)
 	if err != nil {
 		return nil, err
 	}
-	memView, err := s.members.viewAt(ctx, epoch)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, srcView.N())
-	if err := crossCellCounts(ctxOrBackground(ctx), s.cell.Workers, srcView.cellGroups(), memView.cellGroups(), j, r, limit, out); err != nil {
+	out := make([]int32, link.src.nView)
+	if err := s.chain.counts(ctxOrBackground(ctx), s.chain.opts.Workers, link, j, r, limit, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // DupCounts returns, for every epoch-e global row, the number of epoch-e
-// member rows bitwise identical to it. Its one caller, the coordinator's
-// per-epoch view build, is single-flight and cached, so nothing is
-// memoized here.
+// member rows bitwise identical to it: a copy of the chain's table.
 func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
-	if epoch == EpochFrozen {
-		return nil, errUnpinnedEpoch()
-	}
-	if err := ctxOrBackground(ctx).Err(); err != nil {
-		return nil, err
-	}
-	srcView, err := s.src.viewAt(ctx, epoch)
+	link, err := s.link(ctx, epoch)
 	if err != nil {
 		return nil, err
 	}
-	memView, err := s.members.viewAt(ctx, epoch)
-	if err != nil {
-		return nil, err
-	}
-	return DupCounts(srcView.Frame(), memView.Frame(), nil), nil
+	dup, err := s.chain.dups(link)
+	return slices.Clone(dup), err
 }
 
 // Append lands one coordinator batch (see MutableShardBackend): all rows
@@ -699,7 +693,7 @@ func (m *MutableShardedIndex) buildView(cv *coordView, backends []ShardBackend, 
 			dup[i] += c
 		}
 	}
-	return newShardedView(frame, m.opts, m.lad, nil, backends, epoch, dup), nil
+	return &ShardedIndex{frame: frame, lad: m.lad, backends: backends, dupCount: dup, epoch: epoch, sharedBackends: true}, nil
 }
 
 // Merge asks every shard to fold its deltas, concurrently. A failed merge

@@ -360,8 +360,8 @@ var sensitivityBackends = []struct {
 	{"backends S=1", shardedSensitivity(1)},
 	{"backends S=3", shardedSensitivity(3)},
 	{"backends S=8", shardedSensitivity(8)},
-	{"epoch view, warm memo", warmMemoSensitivity(false)},
-	{"mutable backends, warm memo", warmMemoSensitivity(true)},
+	{"epoch view, chained", warmChainSensitivity(false)},
+	{"mutable backends, chained", warmChainSensitivity(true)},
 }
 
 var sensitivityCellOpts = CellIndexOptions{MinRadius: 1.0 / 1024, MaxRadius: math.Sqrt2}

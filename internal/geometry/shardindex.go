@@ -36,23 +36,13 @@ type ShardedIndexOptions struct {
 	Cell CellIndexOptions
 }
 
-// indexShard is one storage generation of a mutable index's epoch view: a
-// CellIndex over the generation's rows plus the mapping from its local
-// point ids back to the view's global ones.
-type indexShard struct {
-	ix     *CellIndex
-	global []int32 // local id -> global id, in local id order
-	frozen bool    // the shared base generation (see cellGroup)
-}
-
 // ShardedIndex is the partitioned BallIndex backend: the quantized points
 // are split into S data partitions, each reached through a ShardBackend —
 // a shard server over the wire, or an in-process LocalShard. The estimated
 // ball counts are sums over data partitions — B̂_r(x) = Σ_s |{y ∈ shard s
 // : y contributes to B̂_r(x)}| — so every ladder level of the L̂ sweep is
-// answered by summing per-shard capped partial counts. A MutableCellIndex
-// hands out the same type as its epoch views, with the partitions held
-// in-process as storage generations (frozen base + append delta).
+// answered by summing per-shard capped partial counts. A
+// MutableShardedIndex hands out the same type as its epoch views.
 //
 // Equivalence contract: BuildLStep returns, bit for bit, the step function
 // a CellIndex over the same points with the same options builds, for any
@@ -79,17 +69,10 @@ type indexShard struct {
 // the same seed. ShardedIndex is safe for concurrent use.
 type ShardedIndex struct {
 	frame *vec.Frame // global order — what Frame() must expose
-	dim   int
-	opts  CellIndexOptions
 	lad   radiusLadder
 
-	// shards are a mutable index's in-process generations (see
-	// MutableCellIndex.buildView), counted by one fused crossCellCounts
-	// pass; backends are the partitions of NewShardedIndexBackends and of
-	// a MutableShardedIndex's views, reached only through the interface,
+	// backends are the partitions, reached only through the interface,
 	// with every bulk query summing the per-backend partial vectors.
-	// Exactly one of the two is non-nil.
-	shards   []*indexShard
 	backends []ShardBackend
 
 	// dupCount[i] is the number of input points identical to row i
@@ -142,9 +125,9 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 	if err != nil {
 		return nil, err
 	}
-	ix := &ShardedIndex{frame: points, dim: d, opts: cellOpts, lad: lad}
-	shardCell := ix.opts
-	shardCell.MaxRadius = ix.lad.maxR
+	ix := &ShardedIndex{frame: points, lad: lad}
+	shardCell := cellOpts
+	shardCell.MaxRadius = lad.maxR
 
 	members := assignShards(points, s)
 	ix.backends = make([]ShardBackend, s)
@@ -210,9 +193,8 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 }
 
 // Close releases the shard backends (network connections, for a remote
-// transport). A mutable index's in-process epoch views hold no external
-// resources, so Close is then a no-op, as it is for per-epoch views whose
-// backends belong to a mutable coordinator. Queries after Close fail.
+// transport). Close is a no-op for per-epoch views whose backends belong
+// to a mutable coordinator. Queries after Close fail.
 func (ix *ShardedIndex) Close() error {
 	if ix.sharedBackends {
 		return nil
@@ -253,10 +235,7 @@ func assignShards(points *vec.Frame, s int) [][]int32 {
 	for i := 0; i < n; i++ {
 		keys[i] = mortonKey(points.Row(i), bits, cells)
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
+	order := rowRange(0, n)
 	// Ties (and the block cuts) break by global id, so the assignment is a
 	// deterministic function of the point set alone.
 	sort.Slice(order, func(a, b int) bool {
@@ -311,12 +290,7 @@ func (ix *ShardedIndex) N() int { return ix.frame.N() }
 func (ix *ShardedIndex) Frame() *vec.Frame { return ix.frame }
 
 // Shards returns the number of shards (diagnostic).
-func (ix *ShardedIndex) Shards() int {
-	if ix.backends != nil {
-		return len(ix.backends)
-	}
-	return len(ix.shards)
-}
+func (ix *ShardedIndex) Shards() int { return len(ix.backends) }
 
 // countAllBackends is the backend-mode bulk pass: one PartialCounts round
 // trip per backend, issued concurrently, then the per-shard capped vectors
@@ -392,33 +366,13 @@ func firstRealError(ctx context.Context, errs []error) error {
 	return first
 }
 
-// cellGroups exposes the in-process generations as cross-counting groups:
-// each one's index with its local→global id mapping (see crossCellCounts).
-func (ix *ShardedIndex) cellGroups() []cellGroup {
-	groups := make([]cellGroup, len(ix.shards))
-	for si, sh := range ix.shards {
-		groups[si] = cellGroup{ix: sh.ix, gids: sh.global, frozen: sh.frozen}
-	}
-	return groups
-}
-
 // BuildLStep constructs the approximate L(·, S) step function with the
 // same sweep as CellIndex (sweepLStep), each level's counts summed across
-// partitions: over backends by countAllBackends, over in-process
-// generations by crossCellCounts with them as both source and member
-// groups. Each shard's cell
-// level uses exactly the cell side the unsharded index would (shared
+// the backends by countAllBackends. Each shard's cell level uses exactly the cell side the unsharded index would (shared
 // ladder), so every per-point count, and with it the recorded function, is
 // bit-identical to the unsharded one: the sensitivity-2 argument (and
 // every downstream noise draw) is unchanged; see the ShardedIndex
 // equivalence contract.
 func (ix *ShardedIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
-	count := ix.countAllBackends
-	if ix.backends == nil {
-		groups := ix.cellGroups()
-		count = func(ctx context.Context, j int, r float64, limit int32, out []int32) error {
-			return crossCellCounts(ctx, ix.opts.Workers, groups, groups, j, r, limit, out)
-		}
-	}
-	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, count)
+	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, ix.countAllBackends)
 }

@@ -7,7 +7,7 @@
 // tests run deterministically and concurrent components can hold independent
 // generators. A production deployment concerned with floating-point attacks
 // on DP noise would use a discrete sampler; that is out of scope for this
-// reproduction and noted in DESIGN.md.
+// reproduction.
 package noise
 
 import (

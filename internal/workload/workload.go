@@ -1,5 +1,5 @@
-// Package workload generates the synthetic datasets every experiment in
-// EXPERIMENTS.md runs on: planted-ball instances (the 1-cluster problem's
+// Package workload generates the synthetic datasets every experiment of
+// cmd/experiments runs on: planted-ball instances (the 1-cluster problem's
 // canonical input), multi-cluster mixtures (k-cover and the map-search
 // motivation of §1.1), outlier scenarios (§1.1's outlier-removal
 // motivation), the adversarial sensitivity instance of §3.1, and sorted
