@@ -47,7 +47,7 @@ func goldenLiteral(bits [][]uint64) string {
 // They cover d = 1, 2 and 5, a k = 3 cover, a mutable handle after an
 // append, and the parallel count pass (Workers = 1 and 3 at n ≥ 2048 must
 // release the same bits); each single-cluster handle is queried twice, cold
-// then warm.
+// then warm. goldenEntries adds the other public entries.
 func TestGoldenReleases(t *testing.T) {
 	ctx := context.Background()
 	q := QueryOptions{Epsilon: 4, Delta: 0.05, Seed: 7}
@@ -107,6 +107,131 @@ func TestGoldenReleases(t *testing.T) {
 				}
 			}
 			if bits := goldenBits(got); !slices.EqualFunc(bits, tc.want, slices.Equal) {
+				t.Errorf("release changed:\n got %s\nwant %s", goldenLiteral(bits), goldenLiteral(tc.want))
+			}
+		})
+	}
+	goldenEntries(t)
+}
+
+// goldenEntries pins the public entries outside the handle's FindCluster
+// path bit for bit: KMeans, Aggregate, InteriorPoint (handle
+// and free function), a free FindClusters, and an IndexAuto k = 2 cover
+// at n = 6000 whose first round runs on the cell index and whose second
+// round, on fewer than ExactIndexMaxN uncovered points, rebuilds an exact
+// index. Releases carry no radius where the entry has none (KMeans
+// centers, Aggregate's point, InteriorPoint's value).
+func goldenEntries(t *testing.T) {
+	ctx := context.Background()
+	point := func(p Point) []uint64 {
+		var out []uint64
+		for _, x := range p {
+			out = append(out, math.Float64bits(x))
+		}
+		return out
+	}
+	values := func() []float64 {
+		vals := make([]float64, 2400)
+		rng := rand.New(rand.NewSource(5))
+		for i := range vals {
+			vals[i] = 0.4 + 0.2*rng.Float64()
+		}
+		return vals
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) [][]uint64
+		want [][]uint64
+	}{
+		{name: "kmeans", want: [][]uint64{{0x3fe7f6a1126c0c93, 0x3fe7c7faee7532d3}, {0x3fcf9d58a99672d1, 0x3fcfe30f1dd8a107}}, run: func(t *testing.T) [][]uint64 {
+			rng := rand.New(rand.NewSource(1))
+			var pts []Point
+			for _, c := range []Point{{0.25, 0.25}, {0.75, 0.75}} {
+				for i := 0; i < 400; i++ {
+					pts = append(pts, Point{c[0] + (rng.Float64()*2-1)*0.02, c[1] + (rng.Float64()*2-1)*0.02})
+				}
+			}
+			res, err := KMeans(pts, 2, KMeansOptions{
+				Options: Options{Epsilon: 24, Delta: 0.06, Seed: 5, GridSize: 1024},
+				T:       300, Rounds: 2, MoveRadius: 0.1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out [][]uint64
+			for _, c := range res.Centers {
+				out = append(out, point(c))
+			}
+			return out
+		}},
+		{name: "aggregate", want: [][]uint64{{0x3fe00173703427e6, 0x3fe0154eed14e0c4}}, run: func(t *testing.T) [][]uint64 {
+			rng := rand.New(rand.NewSource(2))
+			rows := make([]float64, 40000)
+			for i := range rows {
+				rows[i] = 0.5 + rng.NormFloat64()*0.01
+			}
+			blockMean := func(rs []float64) Point {
+				var s float64
+				for _, r := range rs {
+					s += r
+				}
+				m := s / float64(len(rs))
+				return Point{m, m}
+			}
+			z, err := Aggregate(rows, blockMean, 2, 5, 0.8, Options{Epsilon: 4, Delta: 0.05, Seed: 13, GridSize: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return [][]uint64{point(z)}
+		}},
+		{name: "interior-free", want: [][]uint64{{0x3fe001b34f7cadc4}}, run: func(t *testing.T) [][]uint64 {
+			v, err := InteriorPoint(values(), 1600, Options{Epsilon: 4, Delta: 0.05, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return [][]uint64{{math.Float64bits(v)}}
+		}},
+		{name: "interior-handle", want: [][]uint64{{0x3fdfd9122f1c2f22}}, run: func(t *testing.T) [][]uint64 {
+			vals := values()
+			pts := make([]Point, len(vals))
+			for i, v := range vals {
+				pts[i] = Point{v}
+			}
+			ds, err := Open(pts, DatasetOptions{GridSize: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			v, err := ds.InteriorPoint(ctx, 1200, QueryOptions{Epsilon: 4, Delta: 0.05, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return [][]uint64{{math.Float64bits(v)}}
+		}},
+		{name: "free-k2", want: [][]uint64{{0x3fdbdea657228d0b, 0x3fe29088db02720a, 0x3fb1b1e83a21ef34}, {0x3febba9580a8baec, 0x3fd8c50de9d5a164, 0x4008549f4feea8e7}}, run: func(t *testing.T) [][]uint64 {
+			pts, _ := plantedPoints(rand.New(rand.NewSource(31)), 1500, 900, 2, 0.02)
+			cs, err := FindClusters(pts, 2, 300, Options{Epsilon: 12, Delta: 0.05, Seed: 9, GridSize: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenBits(cs)
+		}},
+		{name: "auto-k2-n6000", want: [][]uint64{{0x3fe40a160ea049da, 0x3fe1d9e621a5864e, 0x3fbe14d796067d0b}, {0x3fde767e233596fc, 0x3fe083ae78a5f5a9, 0x400cc1195e7724b4}}, run: func(t *testing.T) [][]uint64 {
+			pts, _ := plantedPoints(rand.New(rand.NewSource(41)), 6000, 3000, 2, 0.02)
+			ds, err := Open(pts, DatasetOptions{GridSize: 1024, IndexPolicy: IndexAuto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			cs, err := ds.FindClusters(ctx, 2, 1500, QueryOptions{Epsilon: 12, Delta: 0.05, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenBits(cs)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if bits := tc.run(t); !slices.EqualFunc(bits, tc.want, slices.Equal) {
 				t.Errorf("release changed:\n got %s\nwant %s", goldenLiteral(bits), goldenLiteral(tc.want))
 			}
 		})
