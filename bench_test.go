@@ -120,7 +120,7 @@ func benchFrame(b *testing.B, pts []vec.Vector) *vec.Frame {
 // one-off O(n² log n) distance-index construction.
 func BenchmarkGoodRadius(b *testing.B) {
 	pts, prm := benchSetup(b, 800, 2)
-	ix, err := geometry.NewDistanceIndex(pts)
+	ix, err := geometry.NewDistanceIndexFrame(benchFrame(b, pts))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,10 +218,11 @@ func BenchmarkGoodCenterPacked(b *testing.B) {
 // pipeline (n=800, d=2).
 func BenchmarkDistanceIndex(b *testing.B) {
 	pts, _ := benchSetup(b, 800, 2)
+	f := benchFrame(b, pts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := geometry.NewDistanceIndex(pts); err != nil {
+		if _, err := geometry.NewDistanceIndexFrame(f); err != nil {
 			b.Fatal(err)
 		}
 	}

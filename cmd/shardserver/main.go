@@ -5,7 +5,6 @@
 // Usage:
 //
 //	shardserver -addr :7601
-//	shardserver -addr :7601 -csv points.csv -grid 65536
 //	shardserver -addr :7601 -admin 127.0.0.1:7699
 //
 // With -admin a second listener serves the process metrics
@@ -16,15 +15,10 @@
 // 128-bit trace ID, so one query can be followed from the client's
 // span tree into every shard server it touched.
 //
-// Without -csv the server is stateless: each client connection ships the
-// prepared global point set in its handshake and the server builds the
-// requested shard from it. With -csv the server preloads the data — it
-// reads the CSV (one point per line, comma-separated coordinates),
-// applies exactly the client-side preparation (affine map from
-// [-min, -max] onto the unit cube, then snapping onto the -grid lattice),
-// and clients connecting with the omit-points handshake skip the payload;
-// a checksum in the handshake guards against a server whose -csv/-grid/
-// domain flags prepared different coordinates than the client did.
+// The server is stateless: each client connection ships the prepared
+// global point set in its handshake and the server builds the requested
+// shard from it, so every shard answers from exactly the coordinates the
+// client prepared.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: listeners close
 // first, in-flight requests run to completion up to -grace, then
@@ -52,10 +46,8 @@ import (
 	"syscall"
 	"time"
 
-	"privcluster/internal/geometry"
 	"privcluster/internal/obs"
 	"privcluster/internal/transport"
-	"privcluster/internal/vec"
 )
 
 func main() {
@@ -73,34 +65,11 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("shardserver", flag.ContinueOnError)
 	addr := fs.String("addr", ":7601", "TCP address to listen on")
-	csv := fs.String("csv", "", "CSV of points to preload (empty = points arrive per connection)")
-	gridSize := fs.Int64("grid", 1<<16, "|X|: grid values per axis the preloaded points are snapped to (must match the client)")
-	domainMin := fs.Float64("min", 0, "domain lower bound of the preloaded points (must match the client)")
-	domainMax := fs.Float64("max", 0, "domain upper bound (0,0 = unit cube; must match the client)")
 	workers := fs.Int("workers", 0, "worker-pool bound for the hosted shards' count passes (0 = GOMAXPROCS)")
 	admin := fs.String("admin", "", "admin TCP address serving /metrics and /debug/pprof/ (empty = disabled; bind to loopback)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	var points *vec.Frame
-	if *csv != "" {
-		f, err := os.Open(*csv)
-		if err != nil {
-			return err
-		}
-		raw, err := vec.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", *csv, err)
-		}
-		points, err = prepare(raw, *gridSize, *domainMin, *domainMax)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "shardserver: preloaded %d points of dimension %d (grid %d)\n",
-			points.N(), points.Dim(), *gridSize)
 	}
 
 	l, err := net.Listen("tcp", *addr)
@@ -110,7 +79,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "shardserver: listening on %s\n", l.Addr())
 
 	srv := transport.NewServer(transport.ServerOptions{
-		Points:  points,
 		Workers: *workers,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(out, format+"\n", args...)
@@ -156,35 +124,4 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "shardserver: forced shutdown: %v\n", err)
 	}
 	return nil
-}
-
-// prepare applies the client-side data preparation to raw CSV points:
-// affine map onto the unit cube, then grid quantization — the same
-// transformation privcluster.Open performs, so the preloaded coordinates
-// are bit-identical to what a client with matching options would ship.
-func prepare(raw [][]float64, gridSize int64, min, max float64) (*vec.Frame, error) {
-	if (min != 0 || max != 0) && max <= min {
-		return nil, fmt.Errorf("domain bounds -max %v ≤ -min %v", max, min)
-	}
-	span := 1.0
-	if min != 0 || max != 0 {
-		span = max - min
-	}
-	d := len(raw[0])
-	grid, err := geometry.NewGrid(gridSize, d)
-	if err != nil {
-		return nil, err
-	}
-	out := vec.NewFrame(len(raw), d)
-	for i, p := range raw {
-		if len(p) != d {
-			return nil, fmt.Errorf("point %d has dimension %d, want %d", i, len(p), d)
-		}
-		u := out.Row(i)
-		for j, x := range p {
-			u[j] = (x - min) / span
-		}
-		grid.QuantizeInto(u, u)
-	}
-	return out, nil
 }

@@ -732,7 +732,7 @@ func (ds *Dataset) clusterQuery(ctx context.Context, name string, t, rounds int,
 func (ds *Dataset) FindCluster(ctx context.Context, t int, q QueryOptions) (Cluster, error) {
 	var out Cluster
 	err := ds.clusterQuery(ctx, "cluster", t, 1, q, func(rng *rand.Rand, ix geometry.BallIndex, prm core.Params) error {
-		res, err := core.OneClusterIndexed(rng, ix, prm)
+		res, err := core.OneCluster(rng, ix, prm)
 		if err != nil {
 			return err
 		}
@@ -759,7 +759,7 @@ func (ds *Dataset) FindClusters(ctx context.Context, k, t int, q QueryOptions) (
 	}
 	var out []Cluster
 	err := ds.clusterQuery(ctx, "kcover", t, k, q, func(rng *rand.Rand, ix geometry.BallIndex, prm core.Params) error {
-		balls, err := core.KCoverIndexed(rng, ix, k, prm)
+		balls, err := core.KCover(rng, ix, k, prm)
 		if err != nil {
 			return err
 		}
@@ -831,9 +831,7 @@ func (ds *Dataset) InteriorPoint(ctx context.Context, innerN int, q QueryOptions
 	// before any budget is charged. values is kept (or cut) sorted, so the
 	// middle extraction is a slice, not a fresh sort.
 	plaus := func(p core.Params) bool {
-		// innerN ≥ 2 one-coordinate rows: the conversion cannot fail.
-		middle, _ := vec.FrameFromVectors(core.IntPointMiddleSorted(values, innerN))
-		return core.ZeroClusterPlausible(middle, p)
+		return core.ZeroClusterPlausible(core.IntPointMiddleSorted(values, innerN), p)
 	}
 	if err := checkFeasible(plaus, cprm, 1, q, ds.opts.GridSize); err != nil {
 		return 0, err

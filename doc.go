@@ -189,11 +189,11 @@
 // address is a plain connection), the handle's ball index is built with one
 // shard per partition, each served by a cmd/shardserver daemon over a
 // versioned, length-prefixed binary wire protocol (internal/transport). The
-// handshake ships the prepared global point set (or, for servers preloaded
-// with -csv, a checksum that proves both sides prepared identical
-// coordinates); after that every bulk query is one batched round trip per
-// shard — a PARTIALS request returns the shard's capped counts around all n
-// points at once, never one round trip per point. Releases remain
+// handshake ships the prepared global point set, so every server answers
+// from exactly the client's coordinates; after that every bulk query is
+// one batched round trip per shard — a PARTIALS request returns the
+// shard's capped counts around all n points at once, never one round trip
+// per point. Releases remain
 // bit-identical to local execution under the same seed (the equivalence
 // contract survives serialization: coordinates travel as exact IEEE bit
 // patterns), which examples/remote re-proves on every CI run. Protocol
@@ -229,9 +229,11 @@
 // local index skips serialization entirely and keeps one source-cell
 // structure where each remote server must build its own
 // (BenchmarkRemoteLoopback quantifies both overheads by running the
-// protocol against servers in the same process). KCover's later rounds (k > 1) rebuild local indexes over the
-// shrinking uncovered remainder — only round 1, the full-dataset cost,
-// runs remote; releases are identical either way.
+// protocol against servers in the same process). FindClusters' k-cover
+// runs round 1, the full-dataset cost, on the handle's index — remote on a
+// Placement handle. Each later round (k > 1) keeps the uncovered remainder
+// as row ids into that index's frame and builds a fresh local index over
+// those rows; releases are identical either way.
 //
 // Trust boundary: shard servers hold raw data points and answer
 // non-private counting queries about them — they sit inside the trust

@@ -39,14 +39,15 @@ type Params struct {
 	// with αk/2 per Algorithm 4 Step 3; its Privacy is the (ε, δ) of the
 	// aggregator, which the subsampling lemma then amplifies).
 	Cluster core.Params
-	// Preflight, when non-nil, is invoked with the quantized evaluations
-	// and the cluster target t = αk/2 just before the budget-spending
-	// aggregation; a non-nil return aborts the run with that error. The
+	// Preflight, when non-nil, is invoked with the frame of quantized
+	// evaluations (which the aggregator's index then shares) and the
+	// cluster target t = αk/2 just before the budget-spending aggregation;
+	// a non-nil return aborts the run with that error. The
 	// public API uses it to route Aggregate through the same feasibility
 	// pre-flight as FindCluster. It runs after the f evaluations (which
 	// consume rng) and must not draw from the rng itself, so a passing
 	// check leaves the seeded release stream untouched.
-	Preflight func(evals []vec.Vector, t int) error
+	Preflight func(evals *vec.Frame, t int) error
 }
 
 // Result is the outcome of one SA run.
@@ -58,10 +59,11 @@ type Result struct {
 	Radius float64
 	// K is the number of blocks, T the cluster target αk/2 that was used.
 	K, T int
-	// Evaluations are the k points y_i = f(D_i) (diagnostic; these are
-	// intermediate values the privacy analysis already accounts for — do
-	// not release them alongside Point in a real deployment).
-	Evaluations []vec.Vector
+	// Evaluations holds the k quantized points y_i = f(D_i), one row each
+	// (diagnostic; these are intermediate values the privacy analysis
+	// already accounts for — do not release them alongside Point in a real
+	// deployment).
+	Evaluations *vec.Frame
 }
 
 // AmplifiedPrivacy returns the (ε̃, δ̃) guarantee of the whole construction
@@ -98,7 +100,7 @@ func Run[R any](rng *rand.Rand, rows []R, f Analysis[R], prm Params) (Result, er
 	// Step 1: D = n/9 i.i.d. samples from S, split into k blocks of size m.
 	// Step 2: evaluate f on each block.
 	d := prm.Cluster.Grid.Dim
-	evals := make([]vec.Vector, k)
+	evals := vec.NewFrame(k, d)
 	block := make([]R, prm.M)
 	for i := 0; i < k; i++ {
 		for j := range block {
@@ -108,7 +110,7 @@ func Run[R any](rng *rand.Rand, rows []R, f Analysis[R], prm Params) (Result, er
 		if y.Dim() != d {
 			return Result{}, fmt.Errorf("agg: analysis returned dimension %d, grid says %d", y.Dim(), d)
 		}
-		evals[i] = prm.Cluster.Grid.Quantize(y)
+		prm.Cluster.Grid.QuantizeInto(evals.Row(i), y)
 	}
 
 	if prm.Preflight != nil {
@@ -120,7 +122,11 @@ func Run[R any](rng *rand.Rand, rows []R, f Analysis[R], prm Params) (Result, er
 	// Step 3: aggregate with the 1-cluster algorithm at t = αk/2.
 	cprm := prm.Cluster
 	cprm.T = t
-	res, err := core.OneCluster(rng, evals, cprm)
+	var res core.ClusterResult
+	ix, err := core.NewBallIndexFrame(evals, cprm.Grid, cprm.Index, cprm.Profile.Workers)
+	if err == nil {
+		res, err = core.OneCluster(rng, ix, cprm)
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("agg: aggregation failed: %w", err)
 	}

@@ -69,7 +69,7 @@ func TestRunRecoversStablePoint(t *testing.T) {
 	}
 	// The aggregator ball must capture ≥ T evaluations.
 	ball := geometry.Ball{Center: res.Point, Radius: res.Radius}
-	if got := ball.Count(res.Evaluations); got < res.T {
+	if got := res.Evaluations.CountWithin(ball.Center, ball.Radius); got < res.T {
 		t.Errorf("aggregator ball holds %d < %d evaluations", got, res.T)
 	}
 }

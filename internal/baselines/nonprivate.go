@@ -69,7 +69,11 @@ func NonprivateInterval1D(values []float64, t int) (Interval1D, error) {
 // most 2·r_opt, covering ≥ t points. A convenience wrapper over
 // geometry.DistanceIndex for callers that have raw points.
 func TwoApproxBall(points []vec.Vector, t int) (geometry.Ball, error) {
-	ix, err := geometry.NewDistanceIndex(points)
+	f, err := vec.FrameFromVectors(points)
+	if err != nil {
+		return geometry.Ball{}, err
+	}
+	ix, err := geometry.NewDistanceIndexFrame(f)
 	if err != nil {
 		return geometry.Ball{}, err
 	}

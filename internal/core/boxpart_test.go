@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"privcluster/internal/dp"
+	"privcluster/internal/geometry"
 	"privcluster/internal/stability"
 	"privcluster/internal/vec"
 )
@@ -25,6 +26,16 @@ func frameOf(t *testing.T, pts []vec.Vector) *vec.Frame {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// indexOf builds the ball index prm selects over test vectors.
+func indexOf(t *testing.T, pts []vec.Vector, prm Params) geometry.BallIndex {
+	t.Helper()
+	ix, err := NewBallIndexFrame(frameOf(t, pts), prm.Grid, prm.Index, prm.Profile.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // randomProj builds a random "projected" point set with the given dimension

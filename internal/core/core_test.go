@@ -82,7 +82,7 @@ func TestGoodRadiusFindsPlantedScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	grid := testGrid(t, 1024, 2)
 	inst := plantedInstance(t, rng, grid, 800, 500, 0.02)
-	ix, err := geometry.NewDistanceIndex(inst.Points)
+	ix, err := geometry.NewDistanceIndexFrame(frameOf(t, inst.Points))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestGoodRadiusZeroCluster(t *testing.T) {
 			pts[i] = grid.Quantize(vec.Of(rng.Float64(), rng.Float64()))
 		}
 	}
-	ix, _ := geometry.NewDistanceIndex(pts)
+	ix, _ := geometry.NewDistanceIndexFrame(frameOf(t, pts))
 	prm := testParams(t, grid, 300)
 	zero := 0
 	for i := 0; i < 10; i++ {
@@ -156,7 +156,7 @@ func TestGoodRadiusValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	grid := testGrid(t, 1024, 2)
 	pts := []vec.Vector{grid.Quantize(vec.Of(0.1, 0.1)), grid.Quantize(vec.Of(0.9, 0.9))}
-	ix, _ := geometry.NewDistanceIndex(pts)
+	ix, _ := geometry.NewDistanceIndexFrame(frameOf(t, pts))
 	prm := testParams(t, grid, 5) // t > n
 	if _, err := GoodRadius(rng, ix, prm); err == nil {
 		t.Error("t > n accepted")
@@ -227,10 +227,11 @@ func TestOneClusterEndToEnd(t *testing.T) {
 	inst := plantedInstance(t, rng, grid, 800, 500, 0.02)
 	prm := testParams(t, grid, 400)
 
+	ix := indexOf(t, inst.Points, prm)
 	good := 0
 	const trials = 8
 	for i := 0; i < trials; i++ {
-		res, err := OneCluster(rng, inst.Points, prm)
+		res, err := OneCluster(rng, ix, prm)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
@@ -261,10 +262,11 @@ func TestOneClusterHighDimensionalJL(t *testing.T) {
 	prm.Profile = DefaultProfile()
 	prm.Profile.JLDimCap = 12
 
+	ix := indexOf(t, inst.Points, prm)
 	var res ClusterResult
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		res, err = OneCluster(rng, inst.Points, prm)
+		res, err = OneCluster(rng, ix, prm)
 		if err == nil {
 			break
 		}
@@ -290,7 +292,7 @@ func TestKCoverThreeBlobs(t *testing.T) {
 	prm := testParams(t, grid, 200)
 	prm.Privacy = dp.Params{Epsilon: 18, Delta: 0.06}
 
-	balls, err := KCover(rng, mi.Points, 3, prm)
+	balls, err := KCover(rng, indexOf(t, mi.Points, prm), 3, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,7 @@ func TestKCoverValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	grid := testGrid(t, 1024, 2)
 	prm := testParams(t, grid, 10)
-	if _, err := KCover(rng, []vec.Vector{vec.Of(0.5, 0.5)}, 0, prm); err == nil {
+	if _, err := KCover(rng, indexOf(t, []vec.Vector{vec.Of(0.5, 0.5)}, prm), 0, prm); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

@@ -162,7 +162,11 @@ func TestPromiseRegimeBoundary(t *testing.T) {
 			if low.T < 1 {
 				low.T = 1
 			}
-			_, err := OneCluster(rng, inst.Points, low)
+			ix, err := NewBallIndexFrame(frameOf(t, inst.Points), prm.Grid, prm.Index, prm.Profile.Workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = OneCluster(rng, ix, low)
 			if !errors.Is(err, recconcave.ErrPromiseViolated) {
 				t.Fatalf("t=%d (floor %.0f): err = %v, want a promise violation", low.T, floor, err)
 			}
@@ -187,7 +191,7 @@ func TestPromiseRegimeBoundary(t *testing.T) {
 			success := 0
 			const trials = 4
 			for i := 0; i < trials; i++ {
-				if _, err := OneCluster(rng, inst.Points, high); err == nil {
+				if _, err := OneCluster(rng, ix, high); err == nil {
 					success++
 				}
 			}

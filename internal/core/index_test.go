@@ -109,7 +109,7 @@ func TestOneClusterScalableEndToEnd(t *testing.T) {
 	inst := plantedInstance(t, rng, grid, 6000, 4000, 0.02)
 	prm := testParams(t, grid, 3000)
 	prm.Index = IndexScalable
-	res, err := OneCluster(rng, inst.Points, prm)
+	res, err := OneCluster(rng, indexOf(t, inst.Points, prm), prm)
 	if err != nil {
 		t.Fatal(err)
 	}

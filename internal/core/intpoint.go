@@ -39,19 +39,15 @@ type IntPointParams struct {
 }
 
 // IntPointMiddleSorted returns Algorithm 3 Step 1's sub-database — the
-// middle innerN entries of the (already sorted) values, as 1-D vectors.
-// Exported so the public API, which keeps a handle's 1-D values sorted,
-// can run the same feasibility pre-flight on exactly the points the
-// 1-cluster stage will see — before any budget is spent — without paying
-// a fresh copy and sort per query.
-func IntPointMiddleSorted(sorted []float64, innerN int) []vec.Vector {
+// middle innerN entries of the (already sorted) values — as a 1-D frame
+// that aliases sorted. Exported so the public API, which keeps a handle's
+// 1-D values sorted, can run the same feasibility pre-flight on exactly the
+// points the 1-cluster stage will see — before any budget is spent —
+// without paying a fresh copy and sort per query.
+func IntPointMiddleSorted(sorted []float64, innerN int) *vec.Frame {
 	lo := (len(sorted) - innerN) / 2
-	middle := sorted[lo : lo+innerN]
-	pts := make([]vec.Vector, len(middle))
-	for i, v := range middle {
-		pts[i] = vec.Vector{v}
-	}
-	return pts
+	f, _ := vec.FrameFromData(sorted[lo:lo+innerN:lo+innerN], 1) // stride 1 divides any length
+	return f
 }
 
 // IntPoint implements Algorithm 3 (Section 5): it solves the interior-point
@@ -81,10 +77,14 @@ func IntPoint(rng *rand.Rand, values []float64, prm IntPointParams) (IntPointRes
 	// for Step 4's quality counts.
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
-	pts := IntPointMiddleSorted(sorted, prm.InnerN)
+	middle := IntPointMiddleSorted(sorted, prm.InnerN)
 
 	// Step 2: run the 1-cluster algorithm on D.
-	res, err := OneCluster(rng, pts, prm.Cluster)
+	var res ClusterResult
+	ix, err := NewBallIndexFrame(middle, prm.Cluster.Grid, prm.Cluster.Index, prm.Cluster.Profile.Workers)
+	if err == nil {
+		res, err = OneCluster(rng, ix, prm.Cluster)
+	}
 	if err != nil {
 		return IntPointResult{}, fmt.Errorf("core: IntPoint cluster stage: %w", err)
 	}

@@ -3,10 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"privcluster/internal/geometry"
 	"privcluster/internal/obs"
-	"privcluster/internal/vec"
 )
 
 // ClusterResult is the outcome of the full 1-cluster pipeline
@@ -26,50 +26,23 @@ type ClusterResult struct {
 	FallbackAxes int
 }
 
-// OneCluster runs Algorithm GoodRadius followed by Algorithm GoodCenter,
-// splitting the privacy budget evenly between them; the composition is
-// (ε, δ)-DP by Theorem 2.1. The points must lie in prm.Grid's unit cube
-// (quantization is the caller's responsibility — see geometry.Grid.Quantize).
-// The dataset index backend follows prm.Index (exact below ExactIndexMaxN
-// points under IndexAuto, the O(n·d)-memory cell index beyond).
-func OneCluster(rng *rand.Rand, points []vec.Vector, prm Params) (ClusterResult, error) {
-	prm.setDefaults()
-	if err := prm.Validate(len(points)); err != nil {
-		return ClusterResult{}, err
-	}
-	if err := prm.interrupted(); err != nil {
-		return ClusterResult{}, err
-	}
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	ix, err := NewBallIndexFrame(f, prm.Grid, prm.Index, prm.Profile.Workers)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	return oneClusterIndexed(rng, ix, prm)
-}
-
-// OneClusterIndexed is OneCluster on a prebuilt ball index — the seam a
-// serving layer uses to amortize the (dominant) index construction across
-// repeated queries on the same dataset. The index must have been built by
-// NewBallIndexFrame over the same grid and worker budget prm describes; since
-// index construction draws no randomness, a prebuilt index releases
-// bit-identical seeded results to OneCluster on the same points.
-func OneClusterIndexed(rng *rand.Rand, ix geometry.BallIndex, prm Params) (ClusterResult, error) {
+// OneCluster runs Algorithm GoodRadius followed by Algorithm GoodCenter on
+// a prebuilt ball index, splitting the privacy budget evenly between them;
+// the composition is (ε, δ)-DP by Theorem 2.1. The index must have been
+// built (NewBallIndexFrame or one of its remote and mutable twins) over
+// points in prm.Grid's unit cube — quantization is the caller's
+// responsibility, see geometry.Grid.Quantize — with the grid and worker
+// budget prm describes. Index construction draws no randomness, so a
+// serving layer may build the index once and amortize it across queries:
+// every query releases what a fresh build would. The radius and center
+// stages each run under their own trace span when prm.Ctx carries a trace
+// (spans record only timings and operation counts — never the data — and
+// never touch rng, so traced and untraced runs release identically).
+func OneCluster(rng *rand.Rand, ix geometry.BallIndex, prm Params) (ClusterResult, error) {
 	prm.setDefaults()
 	if err := prm.Validate(ix.N()); err != nil {
 		return ClusterResult{}, err
 	}
-	return oneClusterIndexed(rng, ix, prm)
-}
-
-// oneClusterIndexed is OneCluster on a prebuilt ball index. The radius and
-// center stages each run under their own trace span when prm.Ctx carries a
-// trace (spans record only timings and operation counts — never the data —
-// and never touch rng, so traced and untraced runs release identically).
-func oneClusterIndexed(rng *rand.Rand, ix geometry.BallIndex, prm Params) (ClusterResult, error) {
 	half := prm
 	half.Privacy = prm.Privacy.Scale(0.5)
 
@@ -107,52 +80,48 @@ func oneClusterIndexed(rng *rand.Rand, ix geometry.BallIndex, prm Params) (Clust
 // KCover implements Observation 3.5: iterating the 1-cluster algorithm k
 // times — each round on the points not yet covered — yields up to k balls
 // covering most of the data. The privacy budget is split evenly across
-// rounds (Theorem 2.1). Rounds that fail (e.g. too few points remain) are
-// skipped; the balls found so far are returned.
-func KCover(rng *rand.Rand, points []vec.Vector, k int, prm Params) ([]geometry.Ball, error) {
-	return kCover(rng, points, nil, k, prm)
-}
-
-// KCoverIndexed is KCover with a prebuilt index over the full point set:
-// round 1 runs on it directly (skipping the dominant preprocessing cost);
-// later rounds operate on the not-yet-covered subsets, for which the index
-// is rebuilt exactly as KCover would. Results are bit-identical to KCover
-// under the same seed, for the same reason OneClusterIndexed's are.
-func KCoverIndexed(rng *rand.Rand, ix geometry.BallIndex, k int, prm Params) ([]geometry.Ball, error) {
-	// Round 1 runs on the index itself; later rounds filter the remainder,
-	// which still wants per-point views — Rows() is header-only on float64.
-	return kCover(rng, ix.Frame().Rows(), ix, k, prm)
-}
-
-func kCover(rng *rand.Rand, points []vec.Vector, full geometry.BallIndex, k int, prm Params) ([]geometry.Ball, error) {
+// rounds (Theorem 2.1). Round 1 runs on ix itself; each later round runs on
+// a fresh NewBallIndexFrame build over the rows of ix.Frame() that no
+// earlier ball contains. The cover stops once fewer than prm.T rows remain.
+// A round that fails — its index build included — spends its share without
+// producing a ball and is skipped; the balls found so far are returned.
+// Cancellation aborts the whole cover.
+func KCover(rng *rand.Rand, ix geometry.BallIndex, k int, prm Params) ([]geometry.Ball, error) {
 	prm.setDefaults()
 	if k < 1 {
 		return nil, fmt.Errorf("core: KCover needs k ≥ 1, got %d", k)
 	}
-	if err := prm.Validate(len(points)); err != nil {
+	if err := prm.Validate(ix.N()); err != nil {
 		return nil, err
 	}
 	round := prm
 	round.Privacy = prm.Privacy.Split(k)
 
-	remaining := points
+	// ids are the uncovered rows of f, ascending.
+	f := ix.Frame()
+	ids := make([]int32, f.N())
+	for i := range ids {
+		ids[i] = int32(i)
+	}
 	var balls []geometry.Ball
 	for i := 0; i < k; i++ {
 		if err := prm.interrupted(); err != nil {
 			return nil, err
 		}
-		if len(remaining) < round.T {
+		if len(ids) < round.T {
 			break
 		}
 		rdctx, rdspan := obs.StartSpan(prm.Ctx, "kcover/round")
 		roundStage := round
 		roundStage.Ctx = rdctx
+		rix := ix
 		var res ClusterResult
 		var err error
-		if i == 0 && full != nil {
-			res, err = OneClusterIndexed(rng, full, roundStage)
-		} else {
-			res, err = OneCluster(rng, remaining, roundStage)
+		if i > 0 {
+			rix, err = NewBallIndexFrame(f.Gather(ids), prm.Grid, prm.Index, prm.Profile.Workers)
+		}
+		if err == nil {
+			res, err = OneCluster(rng, rix, roundStage)
 		}
 		rdspan.End()
 		if err != nil {
@@ -166,7 +135,10 @@ func kCover(rng *rand.Rand, points []vec.Vector, full geometry.BallIndex, k int,
 			continue
 		}
 		balls = append(balls, res.Ball)
-		_, remaining = res.Ball.Filter(remaining)
+		// The test is Ball.Contains bit for bit: Frame.DistSq accumulates
+		// in Vector.DistSq's order.
+		c, rsq := res.Ball.Center, res.Ball.Radius*res.Ball.Radius
+		ids = slices.DeleteFunc(ids, func(id int32) bool { return f.DistSq(int(id), c) <= rsq })
 	}
 	return balls, nil
 }

@@ -34,7 +34,7 @@ func TestRadiusQualityQuasiConcave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := geometry.NewDistanceIndex(inst.Points)
+		ix, err := geometry.NewDistanceIndexFrame(frameOf(t, inst.Points))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestRadiusQualityValuesMatchDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := geometry.NewDistanceIndex(inst.Points)
+	ix, err := geometry.NewDistanceIndexFrame(frameOf(t, inst.Points))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRadiusQualityPromiseHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := geometry.NewDistanceIndex(inst.Points)
+		ix, err := geometry.NewDistanceIndexFrame(frameOf(t, inst.Points))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestPaperProfileGammaRequiresHugeT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := geometry.NewDistanceIndex(inst.Points)
+	ix, err := geometry.NewDistanceIndexFrame(frameOf(t, inst.Points))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestGoodRadiusMonotoneInT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := geometry.NewDistanceIndex(inst.Points)
+	ix, err := geometry.NewDistanceIndexFrame(frameOf(t, inst.Points))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestOneClusterAllDuplicatesEndToEnd(t *testing.T) {
 		pts[i] = dup
 	}
 	prm := Params{T: 500, Privacy: dp.Params{Epsilon: 4, Delta: 0.05}, Beta: 0.1, Grid: grid}
-	res, err := OneCluster(rng, pts, prm)
+	res, err := OneCluster(rng, indexOf(t, pts, prm), prm)
 	if err != nil {
 		t.Fatal(err)
 	}

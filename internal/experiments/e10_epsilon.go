@@ -52,7 +52,10 @@ func runEpsSweep(seed int64, quick bool) []*bench.Table {
 	if err != nil {
 		panic(err)
 	}
-	ix, err := geometry.NewDistanceIndex(inst.Points)
+	// n is below core.ExactIndexMaxN, where the pipeline's IndexAuto
+	// builds exactly this index: one build serves the reference radius and
+	// every trial.
+	ix, err := geometry.NewDistanceIndexFrame(frameOf(inst.Points))
 	if err != nil {
 		panic(err)
 	}
@@ -66,7 +69,7 @@ func runEpsSweep(seed int64, quick bool) []*bench.Table {
 		success := 0
 		var dl, wl, rawl []float64
 		for i := 0; i < trials; i++ {
-			res, err := core.OneCluster(rng, inst.Points, prm)
+			res, err := core.OneCluster(rng, ix, prm)
 			if err != nil {
 				continue
 			}

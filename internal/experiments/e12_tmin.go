@@ -54,7 +54,7 @@ func runTMin(seed int64, quick bool) []*bench.Table {
 		if err != nil {
 			panic(err)
 		}
-		ix, err := geometry.NewDistanceIndex(inst.Points)
+		ix, err := geometry.NewDistanceIndexFrame(frameOf(inst.Points))
 		if err != nil {
 			panic(err)
 		}

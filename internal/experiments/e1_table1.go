@@ -67,11 +67,13 @@ func runTable1(seed int64, quick bool) []*bench.Table {
 		var elapsed time.Duration
 		runs := 0
 		prm := core.Params{T: tOurs, Privacy: dp.Params{Epsilon: eps, Delta: delta}, Beta: beta, Grid: grid}
+		f := frameOf(inst.Points)
 		for i := 0; i < trials; i++ {
 			var res core.ClusterResult
 			var err error
+			// The index build is part of the method's running time.
 			elapsed += bench.Time(func() {
-				res, err = core.OneCluster(rng, inst.Points, prm)
+				res, err = core.OneCluster(rng, indexOf(f, prm), prm)
 			})
 			if err != nil {
 				continue

@@ -49,7 +49,10 @@ func runRadiusW(seed int64, quick bool) []*bench.Table {
 			panic(err)
 		}
 		t := n / 2
-		ix, err := geometry.NewDistanceIndex(inst.Points)
+		// Every n here is at most core.ExactIndexMaxN, where the pipeline's
+		// IndexAuto builds exactly this index: one build serves the
+		// reference radius and every trial.
+		ix, err := geometry.NewDistanceIndexFrame(frameOf(inst.Points))
 		if err != nil {
 			panic(err)
 		}
@@ -61,7 +64,7 @@ func runRadiusW(seed int64, quick bool) []*bench.Table {
 		var rel, eff, ws, wsk, weff []float64
 		k := 0
 		for i := 0; i < trials; i++ {
-			res, err := core.OneCluster(rng, inst.Points, prm)
+			res, err := core.OneCluster(rng, ix, prm)
 			if err != nil {
 				continue
 			}

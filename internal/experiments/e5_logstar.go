@@ -68,9 +68,10 @@ func runDeltaLogstar(seed int64, quick bool) []*bench.Table {
 		paperBound := math.Pow(8, float64(ls)) * 144 * float64(ls)
 
 		prm := core.Params{T: t, Privacy: dp.Params{Epsilon: eps, Delta: delta}, Beta: beta, Grid: grid}
+		ix := indexOf(frameOf(points), prm)
 		var oursD []float64
 		for i := 0; i < trials; i++ {
-			res, err := core.OneCluster(rng, points, prm)
+			res, err := core.OneCluster(rng, ix, prm)
 			if err != nil {
 				continue
 			}

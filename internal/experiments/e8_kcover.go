@@ -48,7 +48,7 @@ func runKCover(seed int64, quick bool) []*bench.Table {
 			Beta:    0.1,
 			Grid:    grid,
 		}
-		balls, err := core.KCover(rng, mi.Points, k, prm)
+		balls, err := core.KCover(rng, indexOf(frameOf(mi.Points), prm), k, prm)
 		if err != nil {
 			panic(err)
 		}

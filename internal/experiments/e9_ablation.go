@@ -62,11 +62,11 @@ func ablationCappedScore(seed int64) *bench.Table {
 	// push the extremes out) — the ball around the middle point covers
 	// everything in S, while nothing comparable exists in S′.
 	r := 0.5 + grid.Step()
-	ixS, err := geometry.NewDistanceIndex(s)
+	ixS, err := geometry.NewDistanceIndexFrame(frameOf(s))
 	if err != nil {
 		panic(err)
 	}
-	ixSP, err := geometry.NewDistanceIndex(sPrime)
+	ixSP, err := geometry.NewDistanceIndexFrame(frameOf(sPrime))
 	if err != nil {
 		panic(err)
 	}
@@ -189,7 +189,7 @@ func ablationRecConcaveVsSVT(seed int64, quick bool) *bench.Table {
 			}
 		}
 		points := quantizeAll(grid, vals)
-		ix, err := geometry.NewDistanceIndex(points)
+		ix, err := geometry.NewDistanceIndexFrame(frameOf(points))
 		if err != nil {
 			panic(err)
 		}

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation, as indexed in DESIGN.md ("Per-experiment index") and reported
-// in EXPERIMENTS.md. Each experiment is a pure function of a seed and a
-// quick flag, returning rendered tables; cmd/experiments prints them and
-// the root benchmark suite times them.
+// evaluation. The registry below indexes them by ID (cmd/experiments -list
+// prints it), each entry naming the paper artifact it reproduces. Each
+// experiment is a pure function of a seed and a quick flag, returning
+// rendered tables; cmd/experiments prints them and the root benchmark
+// suite times them.
 package experiments
 
 import (

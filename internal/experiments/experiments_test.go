@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every artifact of DESIGN.md's per-experiment index must be present.
+	// Every paper artifact the package reproduces must be registered.
 	want := []string{
 		"table1", "fig1", "fig2", "radius-w", "delta-logstar",
 		"intpoint", "sa", "kcover", "ablation", "eps-sweep", "kmeans",
@@ -44,7 +44,7 @@ func TestAllSortedAndNonEmptyMetadata(t *testing.T) {
 
 // TestEveryExperimentRunsQuick executes each experiment in quick mode and
 // sanity-checks the produced tables. This is the integration test that keeps
-// EXPERIMENTS.md regenerable.
+// every table cmd/experiments prints regenerable.
 func TestEveryExperimentRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")

@@ -51,11 +51,11 @@ func clusteredInstance(t *testing.T, rng *rand.Rand, n, d int) ([]vec.Vector, ge
 
 func bothIndexes(t *testing.T, pts []vec.Vector, grid geometry.Grid) (*geometry.DistanceIndex, *geometry.CellIndex) {
 	t.Helper()
-	exact, err := geometry.NewDistanceIndex(pts)
+	f, err := vec.FrameFromVectors(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := vec.FrameFromVectors(pts)
+	exact, err := geometry.NewDistanceIndexFrame(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func (o CellIndexOptions) withDefaults(dim int) CellIndexOptions {
 // d = 2, primed by one query, holds about 50 MB of heap in all, 0.8 MB of
 // it isolation bounds (measured on amd64). Bulk passes are
 // parallelized across Options.Workers cores with the same worker-pool
-// pattern NewDistanceIndex uses. CellIndex is safe for concurrent use.
+// pattern NewDistanceIndexFrame uses. CellIndex is safe for concurrent use.
 type CellIndex struct {
 	frame *vec.Frame
 	dim   int

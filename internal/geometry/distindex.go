@@ -25,19 +25,6 @@ type DistanceIndex struct {
 	backing []float64   // one n×n allocation holding every row
 }
 
-// NewDistanceIndex builds the index over a slice of vectors — a convenience
-// wrapper that copies the points into a flat Frame first.
-func NewDistanceIndex(points []vec.Vector) (*DistanceIndex, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("geometry: distance index over empty point set")
-	}
-	f, err := vec.FrameFromVectors(points)
-	if err != nil {
-		return nil, fmt.Errorf("geometry: %w", err)
-	}
-	return NewDistanceIndexFrame(f)
-}
-
 // NewDistanceIndexFrame builds the index directly over a Frame without
 // copying the coordinates. The index aliases the frame: the caller must not
 // mutate rows afterwards.

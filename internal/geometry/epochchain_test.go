@@ -518,7 +518,10 @@ func FuzzEpochChain(f *testing.F) {
 func warmChainSensitivity(sharded bool) func(t *testing.T, f *vec.Frame) BallIndex {
 	return func(t *testing.T, f *vec.Frame) BallIndex {
 		ctx := context.Background()
-		rows := f.Rows()
+		rows := make([]vec.Vector, f.N())
+		for i := range rows {
+			rows[i] = f.Row(i)
+		}
 		n0 := len(rows) - 5
 		var m MutableBallIndex
 		var err error

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCountWithinNegativeRadius(t *testing.T) {
-	ix, err := NewDistanceIndex([]vec.Vector{vec.Of(0), vec.Of(1)})
+	ix, err := NewDistanceIndexFrame(frameOf(t, []vec.Vector{vec.Of(0), vec.Of(1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestHugeGridArithmetic(t *testing.T) {
 
 func TestBuildLStepTEqualsN(t *testing.T) {
 	pts := []vec.Vector{vec.Of(0), vec.Of(0.5), vec.Of(1)}
-	ix, err := NewDistanceIndex(pts)
+	ix, err := NewDistanceIndexFrame(frameOf(t, pts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBuildLStepTEqualsN(t *testing.T) {
 
 func TestLStepEvalBetweenBreaks(t *testing.T) {
 	pts := []vec.Vector{vec.Of(0), vec.Of(0.4), vec.Of(0.9)}
-	ix, _ := NewDistanceIndex(pts)
+	ix, _ := NewDistanceIndexFrame(frameOf(t, pts))
 	ls, err := ix.BuildLStep(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)

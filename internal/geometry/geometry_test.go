@@ -115,10 +115,6 @@ func TestCountInBallAndBall(t *testing.T) {
 	if !b.Contains(vec.Of(1, 0)) || b.Contains(vec.Of(1.01, 0)) {
 		t.Error("Ball.Contains boundary wrong")
 	}
-	in, out := b.Filter(pts)
-	if len(in) != 2 || len(out) != 1 {
-		t.Errorf("Filter = %d/%d", len(in), len(out))
-	}
 	if b.Count(pts) != 2 {
 		t.Errorf("Count = %d", b.Count(pts))
 	}
@@ -149,14 +145,14 @@ func clusterWithNoise(rng *rand.Rand, n, d int, clusterFrac float64, radius floa
 }
 
 func TestDistanceIndexBasics(t *testing.T) {
-	if _, err := NewDistanceIndex(nil); err == nil {
+	if _, err := NewDistanceIndexFrame(nil); err == nil {
+		t.Error("nil frame accepted")
+	}
+	if _, err := NewDistanceIndexFrame(vec.NewFrame(0, 2)); err == nil {
 		t.Error("empty index accepted")
 	}
-	if _, err := NewDistanceIndex([]vec.Vector{vec.Of(1), vec.Of(1, 2)}); err == nil {
-		t.Error("ragged dims accepted")
-	}
 	pts := []vec.Vector{vec.Of(0), vec.Of(1), vec.Of(2), vec.Of(10)}
-	ix, err := NewDistanceIndex(pts)
+	ix, err := NewDistanceIndexFrame(frameOf(t, pts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +176,7 @@ func TestDistanceIndexBasics(t *testing.T) {
 func TestRadiusForCountOutOfRange(t *testing.T) {
 	// Out-of-range t must surface as an error, never a panic — library
 	// users have no reason to expect a panic path in the geometry package.
-	ix, _ := NewDistanceIndex([]vec.Vector{vec.Of(0)})
+	ix, _ := NewDistanceIndexFrame(frameOf(t, []vec.Vector{vec.Of(0)}))
 	if _, err := ix.RadiusForCount(0, 2); err == nil {
 		t.Fatal("RadiusForCount(0,2) accepted t > n")
 	}
@@ -194,7 +190,7 @@ func TestTwoApproxQuality(t *testing.T) {
 	// the planted radius that covers t points.
 	rng := rand.New(rand.NewSource(1))
 	pts := clusterWithNoise(rng, 300, 3, 0.3, 0.05)
-	ix, err := NewDistanceIndex(pts)
+	ix, err := NewDistanceIndexFrame(frameOf(t, pts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +218,7 @@ func TestTwoApproxQuality(t *testing.T) {
 func TestLValueAgainstDefinition(t *testing.T) {
 	// Hand-checkable instance on a line: points 0, 1, 2, 10 with t = 2.
 	pts := []vec.Vector{vec.Of(0), vec.Of(1), vec.Of(2), vec.Of(10)}
-	ix, _ := NewDistanceIndex(pts)
+	ix, _ := NewDistanceIndexFrame(frameOf(t, pts))
 	// r = 1: counts are 2,3,2,1 capped at 2 → 2,2,2,1; top-2 avg = 2.
 	got, err := ix.LValue(1, 2)
 	if err != nil {
@@ -252,7 +248,7 @@ func TestBuildLStepMatchesLValue(t *testing.T) {
 		n := 30 + rng.Intn(40)
 		d := 1 + rng.Intn(3)
 		pts := clusterWithNoise(rng, n, d, 0.4, 0.05)
-		ix, err := NewDistanceIndex(pts)
+		ix, err := NewDistanceIndexFrame(frameOf(t, pts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +282,7 @@ func TestBuildLStepDuplicatePoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = vec.Of(0.5, 0.5)
 	}
-	ix, _ := NewDistanceIndex(pts)
+	ix, _ := NewDistanceIndexFrame(frameOf(t, pts))
 	ls, err := ix.BuildLStep(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +298,7 @@ func TestBuildLStepDuplicatePoints(t *testing.T) {
 func TestBuildLStepMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := clusterWithNoise(rng, 80, 2, 0.5, 0.02)
-	ix, _ := NewDistanceIndex(pts)
+	ix, _ := NewDistanceIndexFrame(frameOf(t, pts))
 	ls, err := ix.BuildLStep(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)

@@ -146,15 +146,3 @@ func (b Ball) Contains(p vec.Vector) bool {
 func (b Ball) Count(points []vec.Vector) int {
 	return CountInBall(points, b.Center, b.Radius)
 }
-
-// Filter splits points into those inside and outside the ball.
-func (b Ball) Filter(points []vec.Vector) (inside, outside []vec.Vector) {
-	for _, p := range points {
-		if b.Contains(p) {
-			inside = append(inside, p)
-		} else {
-			outside = append(outside, p)
-		}
-	}
-	return inside, outside
-}

@@ -165,7 +165,8 @@ func Run(rng *rand.Rand, points []vec.Vector, prm Params) (Result, error) {
 	}
 	seedBudget, avgBudget := prm.budgets()
 
-	// Stage 1: seed centers with the k-ball covering.
+	// Stage 1: seed centers with the k-ball covering, over an index on the
+	// same frame.
 	seedPrm := core.Params{
 		T:       prm.T,
 		Privacy: seedBudget,
@@ -174,7 +175,11 @@ func Run(rng *rand.Rand, points []vec.Vector, prm Params) (Result, error) {
 		Profile: prm.Profile,
 		Index:   prm.Index,
 	}
-	balls, err := core.KCover(rng, points, prm.K, seedPrm)
+	ix, err := core.NewBallIndexFrame(frame, prm.Grid, prm.Index, prm.Profile.Workers)
+	if err != nil {
+		return Result{}, fmt.Errorf("kmeans: seeding: %w", err)
+	}
+	balls, err := core.KCover(rng, ix, prm.K, seedPrm)
 	if err != nil {
 		return Result{}, fmt.Errorf("kmeans: seeding: %w", err)
 	}

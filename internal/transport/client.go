@@ -37,12 +37,6 @@ type Options struct {
 	// Application errors and cancellations are never retried. Default 1;
 	// negative means 0.
 	Retries int
-	// OmitPoints elides the global point set from the OPEN handshake: the
-	// server must have been started with preloaded points (shardserver
-	// -csv), and it verifies their count and dimension against the
-	// handshake before serving. The member-id assignment still travels,
-	// so the partition policy stays client-controlled.
-	OmitPoints bool
 	// Mutable opens an epoch/mutation session: the server builds a
 	// MutableLocalShard and the client implements
 	// geometry.MutableShardBackend. Mutable sessions never reconnect — the
@@ -475,9 +469,8 @@ func (c *RemoteShard) ensureConnLocked(ctx context.Context) error {
 }
 
 // handshakeLocked runs HELLO/HELLO_OK then OPEN/OPEN_OK on the fresh
-// connection. The OPEN frame ships the pinned cell options, the member
-// ids, and — unless OmitPoints — the full global point set; a server with
-// preloaded points verifies count and dimension instead.
+// connection. The OPEN frame ships the pinned cell options, the full global
+// point set and the member ids.
 func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	conn := c.conn
 	if dl, ok := ctx.Deadline(); ok {
@@ -523,20 +516,10 @@ func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	} else {
 		open.u8(0)
 	}
-	if c.opts.OmitPoints {
-		open.u8(0)
-	} else {
-		open.u8(1)
-	}
+	open.u8(1) // the points byte: the point set follows
 	open.u32(uint32(c.cfg.Points.N()))
 	open.u16(uint16(c.dim))
-	if c.opts.OmitPoints {
-		// The server must hold bit-identical coordinates, not merely the
-		// right count — ship a checksum in place of the payload.
-		open.b = binary.BigEndian.AppendUint64(open.b, PointsChecksum(c.cfg.Points))
-	} else {
-		open.frame(c.cfg.Points)
-	}
+	open.frame(c.cfg.Points)
 	open.u32(uint32(len(c.cfg.Members)))
 	for _, m := range c.cfg.Members {
 		open.u32(uint32(m))

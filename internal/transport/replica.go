@@ -12,8 +12,8 @@ import (
 // client options plus the failover knobs geometry.ReplicatedShard takes.
 type ReplicaOptions struct {
 	// Options configures each replica's RemoteShard connection (dial
-	// override, dial timeout, per-connection transport retries,
-	// OmitPoints). Mutable must be false: mutable sessions are
+	// override, dial timeout, per-connection transport retries). Mutable
+	// must be false: mutable sessions are
 	// connection-scoped and non-idempotent, so they cannot be replicated —
 	// the placement layer refuses multi-replica mutable partitions
 	// upstream.

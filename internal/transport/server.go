@@ -11,17 +11,10 @@ import (
 
 	"privcluster/internal/geometry"
 	"privcluster/internal/obs"
-	"privcluster/internal/vec"
 )
 
 // ServerOptions configures a shard server.
 type ServerOptions struct {
-	// Points preloads the server's copy of the global point set (the
-	// shardserver -csv path). Handshakes may then omit the points and
-	// only ship member ids; the server verifies the handshake's count and
-	// dimension against the preloaded data. Handshakes that do carry
-	// points always use the shipped ones.
-	Points *vec.Frame
 	// Workers bounds the worker pools of the hosted shards' count passes
 	// (0 = GOMAXPROCS). Worker count never affects results — only how
 	// fast this server produces them.
@@ -59,19 +52,9 @@ type Server struct {
 	wg        sync.WaitGroup
 	shutdown  bool
 
-	sumOnce sync.Once
-	sum     uint64 // checksum of the preloaded points (see PointsChecksum)
-
 	// traces retains the server-side span trees of recently traced sessions
 	// (keyed by the client's propagated trace ID) for diagnostics.
 	traces *obs.TraceRing
-}
-
-// pointsChecksum memoizes the preloaded data's checksum — O(n·d) once,
-// not per handshake.
-func (s *Server) pointsChecksum() uint64 {
-	s.sumOnce.Do(func() { s.sum = PointsChecksum(s.opts.Points) })
-	return s.sum
 }
 
 // NewServer returns a server ready to Serve listeners.
@@ -393,36 +376,18 @@ func (sc *serverConn) handleOpen(payload []byte) (byte, []byte, *wireError) {
 	cell.CellsPerRadius = int(r.u32())
 	cell.Workers = sc.srv.opts.Workers
 	mutable := r.u8() == 1
-	hasPoints := r.u8() == 1
+	hasPoints := r.u8()
 	n := int(r.u32())
 	dim := int(r.u16())
 	if r.err != nil || n <= 0 || dim <= 0 {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed open frame"}
 	}
-	var points *vec.Frame
-	if hasPoints {
-		points = r.frame(n, dim)
-	} else {
-		points = sc.srv.opts.Points
-		if points == nil || points.N() == 0 {
-			return 0, nil, &wireError{code: codeBadRequest, fatal: true,
-				msg: "handshake omits points but the server has none preloaded"}
-		}
-		if points.N() != n || points.Dim() != dim {
-			return 0, nil, &wireError{code: codeBadRequest, fatal: true,
-				msg: fmt.Sprintf("preloaded data is %d points of dimension %d, handshake wants %d of %d",
-					points.N(), points.Dim(), n, dim)}
-		}
-		sum := r.u64()
-		if r.err != nil {
-			return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed open frame"}
-		}
-		if have := sc.srv.pointsChecksum(); sum != have {
-			return 0, nil, &wireError{code: codeBadRequest, fatal: true,
-				msg: fmt.Sprintf("preloaded data checksum %016x does not match the client's %016x — "+
-					"the server prepared different coordinates (check -csv, -grid and the domain bounds)", have, sum)}
-		}
+	if hasPoints != 1 {
+		// Servers hold no data of their own: every handshake ships it.
+		return 0, nil, &wireError{code: codeBadRequest, fatal: true,
+			msg: fmt.Sprintf("open frame points byte is %d, want 1: the point set must travel in the handshake", hasPoints)}
 	}
+	points := r.frame(n, dim)
 	m := int(r.u32())
 	if r.err != nil || m <= 0 || m > n {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed open frame"}

@@ -169,28 +169,6 @@ func TestRemoteShardedIndexMatchesCellIndex(t *testing.T) {
 	}
 }
 
-// TestPreloadedPoints covers the shardserver -csv path: the server holds
-// the data, handshakes omit the payload, and answers still match the
-// points-shipping path bit for bit. A count mismatch is refused.
-func TestPreloadedPoints(t *testing.T) {
-	pts := testPoints(t, 21, 400, 2)
-	addrs, copts := startServers(t, 2, ServerOptions{Points: frameOf(t, pts)})
-	copts.OmitPoints = true
-	sh := remoteIndex(t, pts, 2, addrs, copts)
-	assertSameSteps(t, "preloaded", sh, cellIndexOf(t, pts, testCellOptions(2)), 2, len(pts)/3)
-
-	// A client opening a different dataset against the preloaded server
-	// must be refused with a remote (application) error.
-	short := pts[:len(pts)-1]
-	_, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, short), geometry.ShardedIndexOptions{
-		Shards: 2, Cell: testCellOptions(2),
-	}, ReplicatedShardDialer(partition(addrs, len(addrs), 1), ReplicaOptions{Options: copts}))
-	var te *Error
-	if !errors.As(err, &te) || te.Kind != KindRemote {
-		t.Fatalf("mismatched preload: err = %v, want KindRemote", err)
-	}
-}
-
 // scriptedShard serves one connection with a correct handshake and then
 // `reqs` zero-count responses, after which it slams the connection and the
 // listener — a deterministic stand-in for a shard server dying mid-use.
@@ -645,10 +623,75 @@ func TestHostileOpenFrame(t *testing.T) {
 		}
 	}
 
+	// The retired preloaded-points handshake sent points byte 0 and a
+	// checksum in place of the point set: a bad request. A client whose
+	// OPEN carries that byte sees a remote error.
+	s := dialRaw(t, ln)
+	if err := writeFrame(s.bw, msgOpen, omitPointsOpen()); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(s.br)
+	s.conn.Close()
+	if err != nil || typ != msgError {
+		t.Fatalf("omit-points OPEN answered with type %d (%v), want error frame", typ, err)
+	}
+	if code := (&rbuf{b: payload}).u16(); code != codeBadRequest {
+		t.Errorf("omit-points OPEN answered with code %d, want %d (bad request)", code, codeBadRequest)
+	}
+	members := make([]int32, pts.N())
+	for i := range members {
+		members[i] = int32(i)
+	}
+	_, err = DialShard(context.Background(), "srv", geometry.ShardConfig{
+		Points: pts, Members: members, Cell: testCellOptions(2),
+	}, Options{Retries: -1, Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+		c, err := ln.Dial(ctx, addr)
+		return omitPointsConn{c}, err
+	}})
+	var te *Error
+	if !errors.As(err, &te) || te.Kind != KindRemote {
+		t.Fatalf("omit-points client: err = %v, want a *Error of kind remote", err)
+	}
+
 	// The server must still be alive and serving after the bad frames.
 	if err := checkServing(ln); err != nil {
 		t.Fatalf("server unusable after hostile frames: %v", err)
 	}
+}
+
+// omitPointsOpen is the OPEN of a retired preloaded-points client over
+// openTestPoints: points byte 0 and a checksum in place of the point set.
+func omitPointsOpen() []byte {
+	pts := openTestPoints()
+	cell := testCellOptions(2)
+	w := &wbuf{}
+	w.f64(cell.MinRadius)
+	w.f64(cell.MaxRadius)
+	w.u32(2)
+	w.u32(0)
+	w.u8(0) // mutable
+	w.u8(0) // points byte: omitted
+	w.u32(uint32(pts.N()))
+	w.u16(uint16(pts.Dim()))
+	w.b = binary.BigEndian.AppendUint64(w.b, 0x0123456789abcdef) // checksum
+	w.u32(uint32(pts.N()))
+	for i := 0; i < pts.N(); i++ {
+		w.u32(uint32(i))
+	}
+	return w.b
+}
+
+// omitPointsConn clears the points byte of the OPEN frame a client writes.
+// The client flushes each frame on its own, so a frame starts each write.
+type omitPointsConn struct{ net.Conn }
+
+func (c omitPointsConn) Write(p []byte) (int, error) {
+	const pointsByte = 5 + 25 // frame header, then cell options and the mutable byte
+	if len(p) > pointsByte && p[4] == msgOpen {
+		p = append([]byte(nil), p...)
+		p[pointsByte] = 0
+	}
+	return c.Conn.Write(p)
 }
 
 // FuzzOpenFrame feeds arbitrary OPEN payloads, after a valid HELLO, to one

@@ -16,8 +16,8 @@
 // A connection speaks a strict request/response sequence. It opens with a
 // handshake — HELLO (magic "PCSH" + protocol version) answered by
 // HELLO_OK, then OPEN (the shard's geometry.ShardConfig: pinned cell
-// options, a mutability flag, the global point set or a preloaded-data
-// reference, and the shard's member ids) answered by OPEN_OK — after which
+// options, a mutability flag, a points byte, the global point set and the
+// shard's member ids) answered by OPEN_OK — after which
 // the client issues one request frame at a time (PARTIALS, DUP_COUNTS,
 // and on mutable sessions APPEND, DELETE, EPOCH_GET, MERGE)
 // and reads one response frame (COUNTS, EPOCH, or ERROR). Queries are
@@ -29,7 +29,10 @@
 // radius (float64), the count cap (int32) and a boundary-rule byte. The
 // byte must be 0, the center rule of the L estimators — the only rule the
 // serving path uses; servers answer any other value with a bad-request
-// ERROR. Message type 7 is retired (see the type table).
+// ERROR. Message type 7 is retired (see the type table). Likewise the OPEN
+// points byte must be 1, the point set following it: servers hold no data
+// of their own, and answer any other value (the retired preloaded-points
+// handshake sent 0 and a checksum) with a bad-request ERROR.
 //
 // Epochs: every query frame opens with the uint64 epoch it must be
 // answered from — 0 (geometry.EpochFrozen) on immutable sessions, a
@@ -359,30 +362,4 @@ func decodeEpoch(payload []byte) (epoch uint64, rows int, err error) {
 		return 0, 0, fmt.Errorf("epoch response has %d trailing bytes", len(payload)-r.off)
 	}
 	return epoch, rows, nil
-}
-
-// PointsChecksum is FNV-1a over the big-endian bit patterns of every
-// coordinate in order. An OPEN handshake that omits the point payload
-// carries it instead, and the server verifies it against the preloaded
-// data: count and dimension alone cannot catch a shardserver -csv that
-// prepared different coordinates (wrong grid size, wrong domain bounds)
-// than the client did — a silent way to lose the bit-identical
-// equivalence contract.
-// The hash runs over the frame's flat backing slice in one pass; for
-// float64 frames the bytes are identical to hashing the rows vector by
-// vector, so existing baselines and preloaded servers keep verifying.
-func PointsChecksum(points *vec.Frame) uint64 {
-	h := uint64(14695981039346656037)
-	var buf [8]byte
-	mix := func(x float64) {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(x))
-		for _, c := range buf {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-	}
-	for _, x := range points.Data() {
-		mix(x)
-	}
-	return h
 }

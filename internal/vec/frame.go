@@ -103,18 +103,6 @@ func (f *Frame) SetRow(i int, v Vector) {
 	copy(f.data[i*f.d:(i+1)*f.d], v)
 }
 
-// Rows materializes the frame as []Vector. Each element is a no-copy view
-// into the backing slice (one header allocation, no coordinate copies).
-// Compatibility helper for code that still wants slice-of-slices — hot paths
-// should sweep the frame directly.
-func (f *Frame) Rows() []Vector {
-	out := make([]Vector, f.n)
-	for i := range out {
-		out[i] = f.Row(i)
-	}
-	return out
-}
-
 // Clone returns a deep copy of the frame.
 func (f *Frame) Clone() *Frame {
 	c := &Frame{n: f.n, d: f.d, data: make([]float64, len(f.data))}

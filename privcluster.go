@@ -310,13 +310,10 @@ func Aggregate[R any](rows []R, f func([]R) Point, dim, m int, alpha float64, o 
 		M:       m,
 		Alpha:   alpha,
 		Cluster: cprm,
-		Preflight: func(evals []vec.Vector, t int) error {
+		Preflight: func(evals *vec.Frame, t int) error {
 			check := cprm
 			check.T = t
-			plaus := func(p core.Params) bool {
-				ef, _ := vec.FrameFromVectors(evals) // nil when empty or ragged: never plausible
-				return core.ZeroClusterPlausible(ef, p)
-			}
+			plaus := func(p core.Params) bool { return core.ZeroClusterPlausible(evals, p) }
 			return checkFeasible(plaus, check, 1, q, o.GridSize)
 		},
 	}
