@@ -88,6 +88,9 @@ func main() {
 
 func laplace(rng *rand.Rand, scale float64) float64 {
 	u := rng.Float64() - 0.5
+	for u == -0.5 { // a draw of at most 2⁻⁵⁵: ln(0) would be −Inf
+		u = rng.Float64() - 0.5
+	}
 	if u < 0 {
 		return scale * math.Log(1+2*u)
 	}

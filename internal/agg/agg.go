@@ -16,11 +16,9 @@ package agg
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"privcluster/internal/core"
-	"privcluster/internal/dp"
 	"privcluster/internal/vec"
 )
 
@@ -64,19 +62,6 @@ type Result struct {
 	// already accounts for — do not release them alongside Point in a real
 	// deployment).
 	Evaluations *vec.Frame
-}
-
-// AmplifiedPrivacy returns the (ε̃, δ̃) guarantee of the whole construction
-// for a database of size n per Lemma 6.4 (subsampling n/9 of n rows, i.e.
-// sampling rate 1/9 relative to the full database) composed over the single
-// aggregator invocation: ε̃ = 6·ε·(n/9)/n = (2/3)·ε and
-// δ̃ = exp(ε̃)·4·(n/9)/n·δ.
-func AmplifiedPrivacy(aggregator dp.Params) dp.Params {
-	eps := 6.0 * aggregator.Epsilon / 9.0
-	return dp.Params{
-		Epsilon: eps,
-		Delta:   math.Exp(eps) * 4.0 / 9.0 * aggregator.Delta,
-	}
 }
 
 // Run executes Algorithm SA on the given rows.

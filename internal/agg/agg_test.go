@@ -1,7 +1,6 @@
 package agg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -114,21 +113,5 @@ func TestRunValidation(t *testing.T) {
 	big := make([]float64, 40000)
 	if _, err := Run(rng, big, meanAnalysis(3), Params{M: 5, Alpha: 0.8, Cluster: clusterParams(t, 2)}); err == nil {
 		t.Error("dimension mismatch accepted")
-	}
-}
-
-func TestAmplifiedPrivacyFormula(t *testing.T) {
-	got := AmplifiedPrivacy(dp.Params{Epsilon: 0.9, Delta: 1e-6})
-	wantEps := 0.6
-	if math.Abs(got.Epsilon-wantEps) > 1e-12 {
-		t.Errorf("eps = %v, want %v", got.Epsilon, wantEps)
-	}
-	wantDelta := math.Exp(0.6) * 4.0 / 9.0 * 1e-6
-	if math.Abs(got.Delta-wantDelta) > 1e-18 {
-		t.Errorf("delta = %v, want %v", got.Delta, wantDelta)
-	}
-	// Amplification must shrink epsilon.
-	if got.Epsilon >= 0.9 {
-		t.Error("subsampling did not amplify privacy")
 	}
 }

@@ -70,12 +70,12 @@ func TestZeroClusterPlausible(t *testing.T) {
 			dups[i] = grid.Quantize(vec.Of(rng.Float64(), rng.Float64()))
 		}
 	}
-	if !ZeroClusterPlausible(vec.FrameOf(dups...), prm) {
+	if !ZeroClusterPlausible(frameOf(t, dups), prm) {
 		t.Error("500 duplicates at t=400 not recognized as a zero-cluster candidate")
 	}
 
 	inst := plantedInstance(t, rng, grid, 600, 400, 0.05)
-	if ZeroClusterPlausible(vec.FrameOf(inst.Points...), prm) {
+	if ZeroClusterPlausible(frameOf(t, inst.Points), prm) {
 		t.Error("spread-out planted data misread as a zero-cluster candidate")
 	}
 	if ZeroClusterPlausible(nil, prm) {
@@ -99,7 +99,7 @@ func TestZeroRadiusLMatchesClassFormula(t *testing.T) {
 	}
 	rows = append(rows, vec.Of(0, 0), vec.Of(negZero, 0), vec.Of(negZero, 0))
 	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	f := vec.FrameOf(rows...)
+	f := frameOf(t, rows)
 
 	mult := make(map[[2]uint64]int)
 	for _, r := range rows {

@@ -150,14 +150,6 @@ type Params struct {
 	Scratch *QueryScratch
 }
 
-// Context returns the params' context, normalizing nil to Background.
-func (p *Params) Context() context.Context {
-	if p.Ctx == nil {
-		return context.Background()
-	}
-	return p.Ctx
-}
-
 // interrupted returns ctx.Err() of a non-nil Ctx; the pipeline's
 // cancellation checkpoints are all `if err := prm.interrupted(); ...`.
 func (p *Params) interrupted() error {
@@ -282,7 +274,8 @@ func (p *Params) MinFeasibleT() float64 {
 
 // DeltaLoss returns the cluster-size loss bound Δ = 4Γ + (4/ε)·ln(1/β) of
 // Lemma 4.6: the released ball contains at least T − DeltaLoss points with
-// probability ≥ 1−β.
+// probability ≥ 1−β. No release depends on it: it stays as Theorem 3.2's
+// Δ, the bound the utility tests check.
 func (p *Params) DeltaLoss() float64 {
 	return 4*p.Gamma() + (4/p.Privacy.Epsilon)*math.Log(1/p.Beta)
 }

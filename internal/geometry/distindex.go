@@ -86,20 +86,8 @@ func (ix *DistanceIndex) CountWithin(i int, r float64) int {
 	return sort.Search(len(row), func(k int) bool { return row[k] > r })
 }
 
-// RadiusForCount returns the smallest distance r such that the ball of
-// radius r around point i contains at least t input points, i.e. the t-th
-// smallest distance from point i. It returns an error when t is outside
-// [1, n] — like the rest of the package, it never panics on bad library
-// input.
-func (ix *DistanceIndex) RadiusForCount(i, t int) (float64, error) {
-	if t < 1 || t > len(ix.sorted[i]) {
-		return 0, fmt.Errorf("geometry: RadiusForCount t=%d out of [1,%d]", t, len(ix.sorted[i]))
-	}
-	return ix.sorted[i][t-1], nil
-}
-
-// radiusForCount is RadiusForCount without the range check, for hot loops
-// that have already validated t against [1, n] once.
+// radiusForCount returns the t-th smallest distance from point i, for hot
+// loops that have already validated t against [1, n] once.
 func (ix *DistanceIndex) radiusForCount(i, t int) float64 { return ix.sorted[i][t-1] }
 
 // TwoApprox returns the best ball centered at an input point containing at

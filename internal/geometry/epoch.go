@@ -265,9 +265,6 @@ func (m *MutableCellIndex) Rows() int {
 	return m.buf.N()
 }
 
-// Dim returns the row dimension.
-func (m *MutableCellIndex) Dim() int { return m.dim }
-
 // Epoch returns the current epoch.
 func (m *MutableCellIndex) Epoch() Epoch {
 	m.mu.Lock()

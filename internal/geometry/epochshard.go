@@ -31,8 +31,6 @@ type MutableShardBackend interface {
 	// one epoch-advancing batch that retires all older epochs. Returns the
 	// new epoch.
 	Delete(ctx context.Context, ids []uint64) (Epoch, error)
-	// CurrentEpoch returns the shard's current epoch.
-	CurrentEpoch(ctx context.Context) (Epoch, error)
 	// Merge folds the shard's append deltas into its frozen bases — a pure
 	// cost optimization, never a semantic change.
 	Merge(ctx context.Context) error

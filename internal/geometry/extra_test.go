@@ -36,9 +36,6 @@ func TestHugeGridArithmetic(t *testing.T) {
 	if g.RadiusFromIndex(m-1) < g.MaxDistance() {
 		t.Error("max grid radius does not cover the diameter")
 	}
-	if got := g.IndexFromRadius(g.MaxDistance() * 10); got != m-1 {
-		t.Errorf("huge radius index = %d, want %d", got, m-1)
-	}
 	if s := g.Step(); s <= 0 || s > 1e-13 {
 		t.Errorf("Step = %v", s)
 	}

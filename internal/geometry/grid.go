@@ -66,24 +66,6 @@ func (g Grid) QuantizeInto(dst, v vec.Vector) {
 	}
 }
 
-// OnGrid reports whether v lies (numerically) on the grid.
-func (g Grid) OnGrid(v vec.Vector) bool {
-	if v.Dim() != g.Dim {
-		return false
-	}
-	s := g.Step()
-	for _, x := range v {
-		if x < -1e-12 || x > 1+1e-12 {
-			return false
-		}
-		k := math.Round(x / s)
-		if math.Abs(x-k*s) > 1e-9*math.Max(1, math.Abs(x)) {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxDistance returns the diameter of the domain, √d (the unit cube's
 // diagonal).
 func (g Grid) MaxDistance() float64 { return math.Sqrt(float64(g.Dim)) }
@@ -103,20 +85,6 @@ func (g Grid) RadiusGridSize() int64 {
 // RadiusFromIndex maps a radius-grid index to a radius in [0, ⌈√d⌉].
 func (g Grid) RadiusFromIndex(k int64) float64 {
 	return float64(k) * g.RadiusUnit()
-}
-
-// IndexFromRadius maps a radius to the smallest grid index whose radius is
-// ≥ r (so the grid radius never under-covers), clamped to the grid.
-func (g Grid) IndexFromRadius(r float64) int64 {
-	if r <= 0 {
-		return 0
-	}
-	m := g.RadiusGridSize() - 1
-	kf := math.Ceil(r / g.RadiusUnit())
-	if kf >= float64(m) {
-		return m
-	}
-	return int64(kf)
 }
 
 // CountInBall returns |{x ∈ points : ‖x − c‖₂ ≤ r}|.

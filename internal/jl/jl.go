@@ -19,10 +19,9 @@ import (
 // the identity: distances are then preserved exactly and nothing is gained
 // by projecting up.
 type Transform struct {
-	a        *vec.Matrix // nil when identity
-	inDim    int
-	outDim   int
-	identity bool
+	a      *vec.Matrix // nil when identity
+	inDim  int
+	outDim int
 }
 
 // NewTransform draws a JL transform from R^d to R^k. If k ≥ d it returns the
@@ -32,7 +31,7 @@ func NewTransform(rng *rand.Rand, d, k int) (*Transform, error) {
 		return nil, fmt.Errorf("jl: dimensions must be positive, got d=%d k=%d", d, k)
 	}
 	if k >= d {
-		return &Transform{inDim: d, outDim: d, identity: true}, nil
+		return &Transform{inDim: d, outDim: d}, nil
 	}
 	a := vec.NewMatrix(k, d)
 	scale := 1 / math.Sqrt(float64(k))
@@ -44,46 +43,8 @@ func NewTransform(rng *rand.Rand, d, k int) (*Transform, error) {
 	return &Transform{a: a, inDim: d, outDim: k}, nil
 }
 
-// InDim returns the input dimension d.
-func (t *Transform) InDim() int { return t.inDim }
-
 // OutDim returns the output dimension (k, or d for the identity case).
 func (t *Transform) OutDim() int { return t.outDim }
-
-// Identity reports whether the transform is the identity embedding.
-func (t *Transform) Identity() bool { return t.identity }
-
-// Apply maps one point.
-func (t *Transform) Apply(x vec.Vector) vec.Vector {
-	if x.Dim() != t.inDim {
-		panic(fmt.Sprintf("jl: Apply dimension %d, want %d", x.Dim(), t.inDim))
-	}
-	if t.identity {
-		return x.Clone()
-	}
-	return t.a.MulVec(x)
-}
-
-// ApplyAll maps a set of points. All outputs share one flat backing array
-// (two allocations total instead of one per point — GoodCenter projects
-// every input point, so the difference is n allocations per call).
-func (t *Transform) ApplyAll(xs []vec.Vector) []vec.Vector {
-	out := make([]vec.Vector, len(xs))
-	buf := make([]float64, len(xs)*t.outDim)
-	for i, x := range xs {
-		if x.Dim() != t.inDim {
-			panic(fmt.Sprintf("jl: ApplyAll dimension %d, want %d", x.Dim(), t.inDim))
-		}
-		dst := vec.Vector(buf[i*t.outDim : (i+1)*t.outDim])
-		if t.identity {
-			copy(dst, x)
-		} else {
-			t.a.MulVecInto(dst, x)
-		}
-		out[i] = dst
-	}
-	return out
-}
 
 // ApplyFrame maps every row of a frame, returning the projections as a
 // frame. The identity transform returns f itself — a no-copy alias, safe
@@ -94,7 +55,7 @@ func (t *Transform) ApplyFrame(f *vec.Frame) *vec.Frame {
 	if f.Dim() != t.inDim {
 		panic(fmt.Sprintf("jl: ApplyFrame dimension %d, want %d", f.Dim(), t.inDim))
 	}
-	if t.identity {
+	if t.a == nil {
 		return f
 	}
 	out := vec.NewFrame(f.N(), t.outDim)
@@ -142,15 +103,4 @@ func RandomBasis(rng *rand.Rand, d int) (*vec.Matrix, error) {
 	// A Gaussian matrix is singular with probability 0; four failures in a
 	// row indicate a broken RNG.
 	return nil, fmt.Errorf("jl: could not draw a non-singular Gaussian matrix for d=%d", d)
-}
-
-// ProjectionBound returns the per-axis half-width of Lemma 4.9: for m points
-// of diameter diam in R^d and a random basis, with probability ≥ 1−β every
-// pairwise difference projects onto every basis vector with magnitude at
-// most 2·sqrt(ln(d·m/β)/d)·diam.
-func ProjectionBound(d, m int, beta, diam float64) float64 {
-	if d <= 0 || m <= 0 || beta <= 0 || beta >= 1 {
-		panic("jl: ProjectionBound parameters out of range")
-	}
-	return 2 * math.Sqrt(math.Log(float64(d)*float64(m)/beta)/float64(d)) * diam
 }

@@ -20,6 +20,26 @@ func randomPoints(rng *rand.Rand, n, d int, scale float64) []vec.Vector {
 	return pts
 }
 
+func frame(t *testing.T, pts []vec.Vector) *vec.Frame {
+	t.Helper()
+	f, err := vec.FrameFromVectors(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// ProjectionBound returns the per-axis half-width of Lemma 4.9: for m points
+// of diameter diam in R^d and a random basis, with probability ≥ 1−β every
+// pairwise difference projects onto every basis vector with magnitude at
+// most 2·sqrt(ln(d·m/β)/d)·diam.
+func ProjectionBound(d, m int, beta, diam float64) float64 {
+	if d <= 0 || m <= 0 || beta <= 0 || beta >= 1 {
+		panic("jl: ProjectionBound parameters out of range")
+	}
+	return 2 * math.Sqrt(math.Log(float64(d)*float64(m)/beta)/float64(d)) * diam
+}
+
 func TestNewTransformValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewTransform(rng, 0, 5); err == nil {
@@ -36,17 +56,13 @@ func TestIdentityWhenKGeD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Identity() || tr.OutDim() != 4 {
-		t.Fatalf("expected identity with OutDim 4, got identity=%v OutDim=%d", tr.Identity(), tr.OutDim())
+	if tr.OutDim() != 4 {
+		t.Fatalf("expected identity with OutDim 4, got OutDim=%d", tr.OutDim())
 	}
-	x := vec.Of(1, 2, 3, 4)
-	y := tr.Apply(x)
-	if !y.Equal(x) {
-		t.Errorf("identity Apply = %v", y)
-	}
-	y[0] = 99
-	if x[0] != 1 {
-		t.Error("identity Apply aliases input")
+	f := vec.NewFrame(1, 4)
+	f.SetRow(0, vec.Of(1, 2, 3, 4))
+	if got := tr.ApplyFrame(f); got != f {
+		t.Errorf("identity ApplyFrame = %v, want the input frame itself", got)
 	}
 }
 
@@ -55,10 +71,10 @@ func TestApplyPanicsOnWrongDim(t *testing.T) {
 	tr, _ := NewTransform(rng, 8, 4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Apply with wrong dim did not panic")
+			t.Fatal("ApplyFrame with wrong dim did not panic")
 		}
 	}()
-	tr.Apply(vec.Of(1, 2))
+	tr.ApplyFrame(vec.NewFrame(1, 2))
 }
 
 func TestDistancePreservation(t *testing.T) {
@@ -78,12 +94,12 @@ func TestDistancePreservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj := tr.ApplyAll(pts)
+		proj := tr.ApplyFrame(frame(t, pts))
 		ok := true
 		for i := 0; i < n && ok; i++ {
 			for j := i + 1; j < n && ok; j++ {
 				orig := pts[i].DistSq(pts[j])
-				got := proj[i].DistSq(proj[j])
+				got := proj.Row(i).DistSq(proj.Row(j))
 				if got < (1-eta)*orig || got > (1+eta)*orig {
 					ok = false
 				}
@@ -197,13 +213,11 @@ func TestApplyAllLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr, _ := NewTransform(rng, 10, 3)
 	pts := randomPoints(rng, 5, 10, 1)
-	out := tr.ApplyAll(pts)
-	if len(out) != 5 {
-		t.Fatalf("ApplyAll returned %d points", len(out))
+	out := tr.ApplyFrame(frame(t, pts))
+	if out.N() != 5 {
+		t.Fatalf("ApplyFrame returned %d points", out.N())
 	}
-	for _, p := range out {
-		if p.Dim() != 3 {
-			t.Fatalf("projected dim = %d", p.Dim())
-		}
+	if out.Dim() != 3 {
+		t.Fatalf("projected dim = %d", out.Dim())
 	}
 }

@@ -342,16 +342,6 @@ type Reservation struct {
 	cost      Cost
 }
 
-// ID is the hold's stable identifier (the sequence number of its journal
-// record) — what diagnostics and tests key on.
-func (r *Reservation) ID() uint64 { return r.id }
-
-// Principal returns the account the hold is against.
-func (r *Reservation) Principal() string { return r.principal }
-
-// Cost returns the held amount.
-func (r *Reservation) Cost() Cost { return r.cost }
-
 // Reserve places a durable hold of c against principal, refusing with a
 // *InsufficientError (wrapping ErrInsufficient) when spent+reserved+c no
 // longer fits the principal's grant. A principal that was never granted
@@ -436,23 +426,6 @@ func (l *Ledger) Principals() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Outstanding returns the number of unsettled holds (diagnostics).
-func (l *Ledger) Outstanding() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.holds)
-}
-
-// Compact forces a snapshot + journal truncation now.
-func (l *Ledger) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.compactLocked()
 }
 
 // maybeCompactLocked runs the automatic compaction policy.

@@ -10,6 +10,23 @@ import (
 	"testing"
 )
 
+// Outstanding returns the number of unsettled holds.
+func (l *Ledger) Outstanding() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.holds)
+}
+
+// Compact forces a snapshot + journal truncation now.
+func (l *Ledger) Compact() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	return l.compactLocked()
+}
+
 func open(t *testing.T, dir string, opts Options) *Ledger {
 	t.Helper()
 	l, err := Open(dir, opts)

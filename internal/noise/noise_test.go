@@ -35,6 +35,14 @@ func TestLaplaceMomentsAndSymmetry(t *testing.T) {
 	}
 }
 
+// LaplaceTail returns P[|Lap(scale)| > x] = exp(−x/scale) for x ≥ 0.
+func LaplaceTail(scale, x float64) float64 {
+	if x <= 0 {
+		return 1
+	}
+	return math.Exp(-x / scale)
+}
+
 func TestLaplaceTailMatchesEmpirical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const n = 100000
@@ -50,6 +58,39 @@ func TestLaplaceTailMatchesEmpirical(t *testing.T) {
 	got := float64(exceed) / n
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("empirical tail %v vs analytic %v", got, want)
+	}
+}
+
+// seqSource is a rand.Source that returns vals in order, then 1<<62.
+type seqSource struct{ vals []int64 }
+
+func (s *seqSource) Int63() int64 {
+	if len(s.vals) == 0 {
+		return 1 << 62
+	}
+	v := s.vals[0]
+	s.vals = s.vals[1:]
+	return v
+}
+
+func (s *seqSource) Seed(int64) {}
+
+// TestLaplaceNeverInfinite: a uniform draw of at most 2⁻⁵⁵ would make the
+// inverse CDF take ln(0). Laplace redraws it and returns what the next draw
+// alone gives, so no other draw's value changes.
+func TestLaplaceNeverInfinite(t *testing.T) {
+	for _, first := range []int64{0, 1, 255, 256} {
+		const next = 12345678901234567
+		got := Laplace(rand.New(&seqSource{vals: []int64{first, next}}), 1)
+		want := Laplace(rand.New(&seqSource{vals: []int64{next}}), 1)
+		if math.IsInf(got, 0) || math.IsNaN(got) || got != want {
+			t.Errorf("first Int63 %d: Laplace = %v, want %v", first, got, want)
+		}
+	}
+	// 257 is the smallest draw that u = f − 1/2 resolves, so it is kept.
+	got := Laplace(rand.New(&seqSource{vals: []int64{257}}), 1)
+	if math.IsInf(got, 0) || got > -36 {
+		t.Errorf("first Int63 257: Laplace = %v, want about −36.7", got)
 	}
 }
 
@@ -93,47 +134,69 @@ func TestGaussianPanicsOnBadSigma(t *testing.T) {
 
 func TestVectorNoiseShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	lv := LaplaceVector(rng, 7, 1)
-	if lv.Dim() != 7 {
-		t.Errorf("LaplaceVector dim = %d", lv.Dim())
-	}
 	gv := GaussianVector(rng, 5, 1)
 	if gv.Dim() != 5 {
 		t.Errorf("GaussianVector dim = %d", gv.Dim())
 	}
-	if !lv.IsFinite() || !gv.IsFinite() {
-		t.Error("noise vector not finite")
+	for _, x := range gv {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Errorf("noise vector %v not finite", gv)
+		}
 	}
 }
 
+// TestLaplaceQuantileInvertsTail: the (1−β)-quantile of |Lap(scale)| is
+// scale·ln(1/β), so that share β of the draws exceeds it.
 func TestLaplaceQuantileInvertsTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 100000
 	for _, scale := range []float64{0.5, 1, 4} {
 		for _, beta := range []float64{0.5, 0.1, 0.01} {
-			x := LaplaceQuantile(scale, beta)
-			if got := LaplaceTail(scale, x); math.Abs(got-beta) > 1e-12 {
-				t.Errorf("Tail(Quantile(%v)) = %v, want %v", beta, got, beta)
+			x := scale * math.Log(1/beta)
+			exceed := 0
+			for i := 0; i < n; i++ {
+				if math.Abs(Laplace(rng, scale)) > x {
+					exceed++
+				}
+			}
+			if got := float64(exceed) / n; math.Abs(got-beta) > 0.01 {
+				t.Errorf("scale %v: share beyond the %v-quantile = %v, want %v", scale, 1-beta, got, beta)
 			}
 		}
 	}
 }
 
-func TestLaplaceQuantilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LaplaceQuantile(beta=0) did not panic")
+// TestGaussianTailKnownValues: P[N(0,1) > 0] = 0.5 and P[N(0,1) > 1.96]
+// ≈ 0.025, measured on the sampler.
+func TestGaussianTailKnownValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 200000
+	pos, far := 0, 0
+	for i := 0; i < n; i++ {
+		x := Gaussian(rng, 1)
+		if x > 0 {
+			pos++
 		}
-	}()
-	LaplaceQuantile(1, 0)
+		if x > 1.959964 {
+			far++
+		}
+	}
+	if got := float64(pos) / n; math.Abs(got-0.5) > 0.005 {
+		t.Errorf("P[N(0,1) > 0] = %v, want 0.5", got)
+	}
+	if got := float64(far) / n; math.Abs(got-0.025) > 0.002 {
+		t.Errorf("P[N(0,1) > 1.96] = %v, want 0.025", got)
+	}
 }
 
-func TestGaussianTailKnownValues(t *testing.T) {
-	// P[N(0,1) > 0] = 0.5; P[N(0,1) > 1.96] ≈ 0.025.
-	if got := GaussianTail(1, 0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("GaussianTail(1,0) = %v", got)
+// GaussianSigma returns the noise standard deviation required by the
+// Gaussian mechanism (Theorem 2.4) for an L2-sensitivity-k function:
+// σ = (k/ε)·sqrt(2·ln(1.25/δ)).
+func GaussianSigma(l2Sensitivity, epsilon, delta float64) float64 {
+	if l2Sensitivity < 0 || epsilon <= 0 || delta <= 0 || delta >= 1 {
+		panic("noise: invalid Gaussian mechanism parameters")
 	}
-	if got := GaussianTail(1, 1.959964); math.Abs(got-0.025) > 1e-4 {
-		t.Errorf("GaussianTail(1,1.96) = %v", got)
-	}
+	return l2Sensitivity / epsilon * math.Sqrt(2*math.Log(1.25/delta))
 }
 
 func TestGaussianSigmaFormula(t *testing.T) {
@@ -165,18 +228,6 @@ func TestUniformRange(t *testing.T) {
 		if x < 3 || x >= 7 {
 			t.Fatalf("Uniform out of range: %v", x)
 		}
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += Exponential(rng, 2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.02 {
-		t.Errorf("Exponential(rate=2) mean = %v, want 0.5", mean)
 	}
 }
 

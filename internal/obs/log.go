@@ -29,14 +29,6 @@ func NewLogger(w io.Writer, level slog.Level, slow time.Duration) *Logger {
 	}
 }
 
-// With returns a Logger whose lines all carry the given attrs.
-func (l *Logger) With(args ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{s: l.s.With(args...), Slow: l.Slow}
-}
-
 // Info logs at Info level. Nil-safe.
 func (l *Logger) Info(msg string, args ...any) {
 	if l != nil {
@@ -44,24 +36,10 @@ func (l *Logger) Info(msg string, args ...any) {
 	}
 }
 
-// Warn logs at Warn level. Nil-safe.
-func (l *Logger) Warn(msg string, args ...any) {
-	if l != nil {
-		l.s.Warn(msg, args...)
-	}
-}
-
 // Error logs at Error level. Nil-safe.
 func (l *Logger) Error(msg string, args ...any) {
 	if l != nil {
 		l.s.Error(msg, args...)
-	}
-}
-
-// Debug logs at Debug level. Nil-safe.
-func (l *Logger) Debug(msg string, args ...any) {
-	if l != nil {
-		l.s.Debug(msg, args...)
 	}
 }
 

@@ -98,9 +98,6 @@ func (t *Trace) ID() TraceID {
 	return t.id
 }
 
-// Start returns the trace's start time.
-func (t *Trace) Start() time.Time { return t.start }
-
 // Span is one timed stage of a trace: a name from the span taxonomy, start
 // and end instants, optional named counters (operation counts, sizes —
 // never data values), and child spans. A nil *Span is valid and all its
@@ -228,17 +225,6 @@ func (s *Span) Count(name string, delta int64) {
 		}
 	}
 	s.counters = append(s.counters, counterPair{name, delta})
-}
-
-// Duration returns the span's length, using "now" for a still-open span.
-// Nil-safe (zero).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return s.durationLocked()
 }
 
 func (s *Span) durationLocked() time.Duration {

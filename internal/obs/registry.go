@@ -110,9 +110,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous value.
 type Gauge struct{ bits atomic.Uint64 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds delta (negative to decrement).
 func (g *Gauge) Add(delta float64) {
 	for {
@@ -151,9 +148,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count.Add(1)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Counter returns the named counter series, creating family and series as
 // needed. labels are alternating key/value pairs; help is used on first

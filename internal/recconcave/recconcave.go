@@ -151,20 +151,6 @@ func Depth(n, baseSize int64) int {
 	return d
 }
 
-// RequiredPromise returns the quality promise Theorem 4.3 demands:
-//
-//	8^{log* N} · (36·log* N / (α·ε)) · log(12·log* N / (β·δ)).
-//
-// GoodRadius's Γ is this expression with its own parameter substitutions.
-func RequiredPromise(n int64, alpha float64, p dp.Params, beta float64) float64 {
-	ls := float64(LogStar(float64(n)))
-	if ls < 1 {
-		ls = 1
-	}
-	return math.Pow(8, ls) * (36 * ls / (alpha * p.Epsilon)) *
-		math.Log(12*ls/(beta*p.Delta))
-}
-
 // Solve privately selects f ∈ [0, N) with Q(f) ≥ (1−α)·promise, given that
 // Q (supplied as a step function) is quasi-concave with max ≥ promise.
 // See the package comment for the guarantee and cost discussion.

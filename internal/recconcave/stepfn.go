@@ -62,11 +62,6 @@ func NewStepFn(n int64, breaks []int64, vals []float64) (*StepFn, error) {
 	return &StepFn{n: n, breaks: breaks, vals: vals}, nil
 }
 
-// ConstStepFn returns the constant function v over [0, n).
-func ConstStepFn(n int64, v float64) *StepFn {
-	return &StepFn{n: n, breaks: []int64{0}, vals: []float64{v}}
-}
-
 // FromValues builds a step function from one explicit value per domain point
 // (convenient for small domains such as the recursion's scale domain).
 func FromValues(vals []float64) (*StepFn, error) {
@@ -86,9 +81,6 @@ func FromValues(vals []float64) (*StepFn, error) {
 
 // N returns the domain size.
 func (s *StepFn) N() int64 { return s.n }
-
-// Pieces returns the number of constant pieces.
-func (s *StepFn) Pieces() int { return len(s.breaks) }
 
 // pieceEnd returns the exclusive end of piece i.
 func (s *StepFn) pieceEnd(i int) int64 {
@@ -135,7 +127,7 @@ func (s *StepFn) Min() float64 {
 // an interval of length w. For w ≥ N it returns the global minimum, and it
 // panics for w ≤ 0.
 //
-// It runs in O(Pieces) using a monotone deque over piece values: the window
+// It runs in O(pieces) using a monotone deque over piece values: the window
 // min changes only when a window edge crosses a breakpoint, so it suffices
 // to evaluate windows whose start sits at a piece boundary or whose end sits
 // at a piece boundary.
@@ -239,8 +231,11 @@ func (s *StepFn) LevelRegion(theta float64) (lo, hi int64, ok bool) {
 }
 
 // IsQuasiConcave reports whether the piece values rise to a peak and then
-// fall (the defining property Definition 4.1 requires). Used by tests and by
-// debug assertions; O(Pieces).
+// fall (the defining property Definition 4.1 requires); O(pieces).
+//
+// No production code calls it. It stays exported as the Lemma 4.6 oracle
+// of internal/core's TestRadiusQualityQuasiConcave, which a helper in this
+// package's tests could not serve.
 func (s *StepFn) IsQuasiConcave() bool {
 	// Find a peak index, then verify non-decreasing before and
 	// non-increasing after.

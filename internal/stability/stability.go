@@ -131,27 +131,6 @@ func ChooseIndexed(rng *rand.Rand, counts []int, p Params) (Result[int], error) 
 	return best, nil
 }
 
-// CountNeededForSuccess returns the bin count T that guarantees, with
-// probability ≥ 1−β over the noise, that Choose releases a bin (it does not
-// output ⊥) when n bounds the number of non-empty bins. This is the
-// quantitative premise of Theorem 2.5: T ≥ (2/ε)·log(4n/(βδ)).
-func CountNeededForSuccess(p Params, n int, beta float64) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return (2 / p.Epsilon) * math.Log(4*float64(n)/(beta*p.Delta))
-}
-
-// LossBound returns the count gap guaranteed by Theorem 2.5: with
-// probability ≥ 1−β the selected bin's true count is at least
-// T − (4/ε)·log(2n/β) where T is the max bin count.
-func LossBound(p Params, n int, beta float64) float64 {
-	if n < 1 {
-		n = 1
-	}
-	return (4 / p.Epsilon) * math.Log(2*float64(n)/beta)
-}
-
 // Histogram builds a bin-count map from data via a bucketing function, in
 // the form Choose takes.
 func Histogram[T any, K comparable](data []T, bucket func(T) K) map[K]int {

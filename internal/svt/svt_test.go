@@ -1,9 +1,26 @@
 package svt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// Halted reports whether the mechanism already answered ⊤.
+func (a *AboveThreshold) Halted() bool { return a.halted }
+
+// Asked returns the number of queries submitted so far.
+func (a *AboveThreshold) Asked() int { return a.asked }
+
+// AccuracyBound returns the α of Theorem 4.8: with probability ≥ 1−β, every
+// ⊤-answered query has true value ≥ threshold − α and every ⊥-answered query
+// has true value ≤ threshold + α, where α = (8/ε)·log(2k/β) for k queries.
+func AccuracyBound(epsilon float64, k int, beta float64) float64 {
+	if k < 1 {
+		k = 1
+	}
+	return (8 / epsilon) * math.Log(2*float64(k)/beta)
+}
 
 func TestClearAboveAndBelow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -18,7 +18,9 @@ type LoopbackNet struct {
 	listeners map[string]*loopbackListener
 }
 
-// NewLoopbackNet returns an empty loopback namespace.
+// NewLoopbackNet returns an empty loopback namespace. Production dials TCP;
+// it stays exported for the tests of other packages that run shard servers
+// in memory.
 func NewLoopbackNet() *LoopbackNet {
 	return &LoopbackNet{listeners: make(map[string]*loopbackListener)}
 }
@@ -97,5 +99,6 @@ func (l *loopbackListener) Addr() net.Addr { return l.addr }
 
 type loopbackAddr string
 
+// Network implements net.Addr.
 func (a loopbackAddr) Network() string { return "loopback" }
 func (a loopbackAddr) String() string  { return string(a) }

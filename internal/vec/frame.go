@@ -65,16 +65,6 @@ func FrameFromVectors(vs []Vector) (*Frame, error) {
 	return f, nil
 }
 
-// FrameOf builds a frame from its arguments (test convenience); it
-// panics on dimension mismatch.
-func FrameOf(vs ...Vector) *Frame {
-	f, err := FrameFromVectors(vs)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // N returns the number of rows.
 func (f *Frame) N() int { return f.n }
 
@@ -95,7 +85,9 @@ func (f *Frame) Row(i int) Vector {
 // At returns coordinate j of row i.
 func (f *Frame) At(i, j int) float64 { return f.data[i*f.d+j] }
 
-// SetRow copies v into row i.
+// SetRow copies v into row i. Production fills frames through their
+// constructors; it stays exported as the fixture setter of other packages'
+// tests.
 func (f *Frame) SetRow(i int, v Vector) {
 	if len(v) != f.d {
 		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d", len(v), f.d))

@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix. Rows are Vectors sharing one backing
 // array, so a Matrix of r×c floats costs a single allocation.
@@ -20,22 +17,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, data: make([]float64, r*c)}
 }
 
-// MatrixFromRows builds a matrix whose rows are copies of the given vectors.
-func MatrixFromRows(rows []Vector) (*Matrix, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("vec: matrix from zero rows")
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			return nil, ErrDimMismatch
-		}
-		copy(m.Row(i), r)
-	}
-	return m, nil
-}
-
 // Row returns row i as a Vector aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector {
 	return Vector(m.data[i*m.Cols : (i+1)*m.Cols])
@@ -47,24 +28,7 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.Cols+j] }
 // Set assigns m[i][j] = x.
 func (m *Matrix) Set(i, j int, x float64) { m.data[i*m.Cols+j] = x }
 
-// MulVec returns m·x (dimension m.Rows).
-func (m *Matrix) MulVec(x Vector) Vector {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("vec: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
-	}
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, xj := range x {
-			s += row[j] * xj
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MulVecInto computes m·x into dst (length m.Rows), avoiding MulVec's
+// MulVecInto computes m·x into dst (length m.Rows), without a
 // per-call allocation — the difference matters when rotating every point of
 // a large cluster.
 func (m *Matrix) MulVecInto(dst, x Vector) {

@@ -4,7 +4,7 @@
 //
 // Everything is plain float64 on top of the standard library. Vectors are
 // []float64 wrapped in a named type so that methods read naturally at call
-// sites (p.Dist(q), m.MulVec(x)) while still allowing direct indexing.
+// sites (p.Dist(q), m.TMulVec(x)) while still allowing direct indexing.
 package vec
 
 import (
@@ -113,26 +113,6 @@ func (v Vector) NormSq() float64 {
 	return s
 }
 
-// Norm1 returns the L1 norm of v.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the L∞ norm of v.
-func (v Vector) NormInf() float64 {
-	var s float64
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
 // Dist returns the Euclidean distance ‖v − w‖₂.
 func (v Vector) Dist(w Vector) float64 { return math.Sqrt(v.DistSq(w)) }
 
@@ -160,28 +140,6 @@ func (v Vector) Equal(w Vector) bool {
 	return true
 }
 
-// ApproxEqual reports whether ‖v−w‖∞ ≤ tol.
-func (v Vector) ApproxEqual(w Vector, tol float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if math.Abs(v[i]-w[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Normalize returns v/‖v‖. It returns an error for the zero vector.
-func (v Vector) Normalize() (Vector, error) {
-	n := v.Norm()
-	if n == 0 {
-		return nil, errors.New("vec: cannot normalize zero vector")
-	}
-	return v.Scale(1 / n), nil
-}
-
 // Clamp returns v with every coordinate clamped to [lo, hi].
 func (v Vector) Clamp(lo, hi float64) Vector {
 	out := make(Vector, len(v))
@@ -189,16 +147,6 @@ func (v Vector) Clamp(lo, hi float64) Vector {
 		out[i] = math.Max(lo, math.Min(hi, x))
 	}
 	return out
-}
-
-// IsFinite reports whether all coordinates are finite (no NaN/Inf).
-func (v Vector) IsFinite() bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Mean returns the coordinate-wise mean of the given vectors.

@@ -76,12 +76,6 @@ func TestDotNormDist(t *testing.T) {
 	if got := v.NormSq(); got != 25 {
 		t.Errorf("NormSq = %v, want 25", got)
 	}
-	if got := v.Norm1(); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
-	if got := v.NormInf(); got != 4 {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
 	w := Of(0, 0)
 	if got := v.Dist(w); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)

@@ -147,21 +147,6 @@ func (o Outliers) Generate(rng *rand.Rand, grid geometry.Grid) (Instance, error)
 	return PlantedBall{N: o.N, ClusterSize: inliers, Radius: o.Radius}.Generate(rng, grid)
 }
 
-// GaussianBlob draws N points from an isotropic Gaussian with the given
-// standard deviation, clamped to the cube (used by the sample-and-aggregate
-// experiments where f's sampling distribution matters).
-func GaussianBlob(rng *rand.Rand, grid geometry.Grid, n int, center vec.Vector, sigma float64) []vec.Vector {
-	pts := make([]vec.Vector, n)
-	for i := range pts {
-		p := make(vec.Vector, grid.Dim)
-		for j := range p {
-			p[j] = center[j] + rng.NormFloat64()*sigma
-		}
-		pts[i] = grid.Quantize(p)
-	}
-	return pts
-}
-
 // AdversarialSensitivity returns the §3.1 instance demonstrating that the
 // uncapped max-ball-count has sensitivity Ω(t): t/2 copies of the origin,
 // t/2 copies of 2·e₁, and a single point at e₁ (scaled into the unit cube).

@@ -31,7 +31,7 @@ func TestPlantedBallShapeAndGroundTruth(t *testing.T) {
 		if p.Dim() != 3 {
 			t.Fatalf("point %d dim %d", i, p.Dim())
 		}
-		if !g.OnGrid(p) {
+		if !g.Quantize(p).Equal(p) { // a grid point is a fixed point of Quantize
 			t.Fatalf("point %d off grid: %v", i, p)
 		}
 	}
@@ -128,6 +128,20 @@ func TestOutliersScenario(t *testing.T) {
 	if _, err := (Outliers{N: 10, OutlierFr: 1}).Generate(rng, g); err == nil {
 		t.Error("outlier fraction 1 accepted")
 	}
+}
+
+// GaussianBlob draws n points from an isotropic Gaussian with the given
+// standard deviation, clamped to the cube.
+func GaussianBlob(rng *rand.Rand, grid geometry.Grid, n int, center vec.Vector, sigma float64) []vec.Vector {
+	pts := make([]vec.Vector, n)
+	for i := range pts {
+		p := make(vec.Vector, grid.Dim)
+		for j := range p {
+			p[j] = center[j] + rng.NormFloat64()*sigma
+		}
+		pts[i] = grid.Quantize(p)
+	}
+	return pts
 }
 
 func TestGaussianBlob(t *testing.T) {
