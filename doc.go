@@ -310,9 +310,17 @@
 // therefore retire all older epochs: a query already holding its pin keeps
 // answering, but a new pin of a pre-delete epoch fails with
 // ErrEpochRetired (wrapped, with the epoch) unless its snapshot is still
-// cached. Snapshots are cached per epoch and built single-flight;
-// BenchmarkAppendMerge (gated in CI) tracks the steady-state append →
-// query → delete/merge cycle.
+// cached. Snapshots are cached per epoch and built single-flight at two
+// levels: the handle keeps its four most recently pinned epochs, and every
+// mutable index — the in-process one, each shard server's session and a
+// Placement handle's coordinator — keeps one epoch log. The log decides
+// which rows an epoch holds, when it retires, and which rows the domain
+// check admits (finite coordinates whose bounding-box diagonal stays
+// within the pinned ladder top; anything else is refused, never
+// re-laddered), and it caches the eight most recently pinned epoch views.
+// A shard server keeps one log for its source and member rows, so its two
+// row sets cannot reach different epochs. BenchmarkAppendMerge (gated in
+// CI) tracks the steady-state append → query → delete/merge cycle.
 //
 // Privacy under mutation: the (ε, δ) ledger never moves on Append, Delete,
 // or Merge — only releases spend. That is not an accounting shortcut but

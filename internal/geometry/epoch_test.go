@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -234,8 +235,9 @@ func TestMutableIndexClosed(t *testing.T) {
 	})
 }
 
-// TestMutableIndexDomain: rows outside the pinned ladder domain are
-// rejected atomically with ErrOutOfDomain — the epoch does not advance and
+// TestMutableIndexDomain: rows outside the pinned ladder domain — far
+// away, or with a NaN coordinate, which no bounding box sees — are
+// rejected atomically with ErrOutOfDomain: the epoch does not advance and
 // the index keeps answering.
 func TestMutableIndexDomain(t *testing.T) {
 	pts := shardTestPoints(t, 3, 100, 2)
@@ -243,12 +245,13 @@ func TestMutableIndexDomain(t *testing.T) {
 	mutableVariants(t, pts, len(pts), opts, func(t *testing.T, m MutableBallIndex, sharded bool) {
 		ctx := context.Background()
 		before := m.Epoch()
-		far := frameOf(t, []vec.Vector{{1e6, 1e6}})
-		if _, _, err := m.Append(ctx, far); !errors.Is(err, ErrOutOfDomain) {
-			t.Fatalf("out-of-domain append: %v, want ErrOutOfDomain", err)
-		}
-		if m.Epoch() != before {
-			t.Fatalf("epoch advanced on rejected append: %d -> %d", before, m.Epoch())
+		for _, row := range []vec.Vector{{1e6, 1e6}, {math.NaN(), 0.5}} {
+			if _, _, err := m.Append(ctx, frameOf(t, []vec.Vector{row})); !errors.Is(err, ErrOutOfDomain) {
+				t.Fatalf("append of %v: %v, want ErrOutOfDomain", row, err)
+			}
+			if m.Epoch() != before {
+				t.Fatalf("epoch advanced on rejected append of %v: %d -> %d", row, before, m.Epoch())
+			}
 		}
 		if _, err := m.Snapshot(ctx, before); err != nil {
 			t.Fatalf("Snapshot after rejected append: %v", err)

@@ -20,12 +20,13 @@ func chainCounter(result string) *obs.Counter {
 		"Epoch-chain count block lookups by result (hit = block reused).", "result", result)
 }
 
-// chainLink is one epoch of an epochChain: its source and member views. A
-// MutableCellIndex counts its rows against themselves (src == mem); a
-// MutableLocalShard counts the global rows against its member rows.
+// chainLink is one epoch of an epochChain: its source and member store
+// views. A MutableCellIndex counts its rows against themselves (src ==
+// mem); a MutableLocalShard counts the global rows against its member
+// rows.
 type chainLink struct {
 	epoch    Epoch
-	src, mem *epochView
+	src, mem *storeView
 }
 
 // epochChain keeps, for the newest epoch a mutable index has served (the
@@ -138,7 +139,7 @@ func (c *epochChain) advance(link chainLink) error {
 
 // appended indexes ev's rows beyond old's as one group mapped to their row
 // numbers (nil when there are none).
-func (c *epochChain) appended(old, ev *epochView) ([]cellGroup, error) {
+func (c *epochChain) appended(old, ev *storeView) ([]cellGroup, error) {
 	if ev.nView == old.nView {
 		return nil, nil
 	}

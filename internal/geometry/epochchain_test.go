@@ -41,8 +41,7 @@ func appendRows(t *testing.T, m MutableBallIndex, pts []vec.Vector) Epoch {
 func chainCounts(t *testing.T, view *epochView, j int, limit int32) []int32 {
 	t.Helper()
 	out := make([]int32, view.N())
-	link := chainLink{epoch: view.epoch, src: view, mem: view}
-	if err := view.m.chain.counts(context.Background(), 2, link, j, view.m.lad.radius(j), limit, out); err != nil {
+	if err := view.m.chain.counts(context.Background(), 2, view.link(), j, view.m.lad.radius(j), limit, out); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -490,7 +489,7 @@ func FuzzEpochChain(f *testing.F) {
 					continue
 				}
 				m.mu.Lock()
-				id := m.ids[i]
+				id := m.log.stores[0].ids[i]
 				m.mu.Unlock()
 				if e, err = m.Delete(context.Background(), []uint64{id}); err != nil {
 					t.Fatal(err)

@@ -64,7 +64,7 @@ type ShardBackend interface {
 type ShardConfig struct {
 	// Points is the full global point set, in global order, as a flat
 	// frame — the same storage the transport ships in one copy at
-	// handshake.
+	// handshake. Every coordinate must be finite.
 	Points *vec.Frame
 	// Members lists the global ids of the points this shard holds.
 	Members []int32
@@ -76,7 +76,8 @@ type ShardConfig struct {
 	Cell CellIndexOptions
 }
 
-// validate rejects configs that cannot describe a shard.
+// validate rejects configs that cannot describe a shard, including points
+// with a non-finite coordinate (ErrOutOfDomain).
 func (cfg ShardConfig) validate() error {
 	if cfg.Points == nil || cfg.Points.N() == 0 {
 		return fmt.Errorf("geometry: shard config with no global points")
@@ -90,7 +91,7 @@ func (cfg ShardConfig) validate() error {
 			return fmt.Errorf("geometry: member id %d out of [0, %d)", g, n)
 		}
 	}
-	return nil
+	return checkFinite(cfg.Points)
 }
 
 // LocalShard is the in-process ShardBackend: the CellIndex machinery over

@@ -130,66 +130,71 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 	shardCell.MaxRadius = lad.maxR
 
 	members := assignShards(points, s)
-	ix.backends = make([]ShardBackend, s)
-	errs := make([]error, s)
-	// One shard failing to come up dooms the whole build: cancel the
-	// sibling dials so a misconfigured address reports immediately
+	// One shard failing to come up dooms the whole build: fanOut cancels
+	// the sibling dials so a misconfigured address reports immediately
 	// instead of after every other shard's dial timeout.
-	dctx, cancel := context.WithCancel(ctx)
+	ix.backends, err = fanOut(ctx, s, func(ctx context.Context, si int) (ShardBackend, error) {
+		return dial(ctx, si, ShardConfig{Points: points, Members: members[si], Cell: shardCell})
+	})
+	if err == nil {
+		ix.dupCount, err = sumDups(ctx, ix.backends, EpochFrozen, n)
+	}
+	if err != nil {
+		ix.Close()
+		return nil, err
+	}
+	return ix, nil
+}
+
+// fanOut calls call for shards 0..n-1 concurrently and collects the
+// answers. The first failure cancels the sibling calls, and the error is
+// firstRealError's. A failed call leaves its slot the zero value, so a
+// backend slot never holds a typed nil that would defeat Close's nil
+// guard.
+func fanOut[T any](ctx context.Context, n int, call func(ctx context.Context, si int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
-	for si := 0; si < s; si++ {
+	for si := range n {
 		wg.Add(1)
-		go func(si int) {
+		go func() {
 			defer wg.Done()
-			be, err := dial(dctx, si, ShardConfig{
-				Points:  points,
-				Members: members[si],
-				Cell:    shardCell,
-			})
+			v, err := call(cctx, si)
 			if err != nil {
-				// Leave the slot a true nil: a typed-nil backend inside
-				// the interface would defeat Close's nil guard.
 				errs[si] = err
 				cancel()
 				return
 			}
-			ix.backends[si] = be
-		}(si)
+			out[si] = v
+		}()
 	}
 	wg.Wait()
-	if err := firstRealError(ctx, errs); err != nil {
-		ix.Close()
-		return nil, err
-	}
+	return out, firstRealError(ctx, errs)
+}
 
-	// Global duplicate table: the exact radius-0 counts, as the sum of
-	// per-backend contributions (identical points are identical in every
-	// shard that holds them, so the partial tables add exactly).
-	parts := make([][]int32, s)
-	for si, be := range ix.backends {
-		wg.Add(1)
-		go func(si int, be ShardBackend) {
-			defer wg.Done()
-			parts[si], errs[si] = be.DupCounts(dctx, EpochFrozen)
-			if errs[si] != nil {
-				cancel()
-			}
-		}(si, be)
-	}
-	wg.Wait()
-	if err := firstRealError(ctx, errs); err != nil {
-		ix.Close()
+// sumDups assembles the global duplicate table of the epoch's n rows: the
+// exact radius-0 counts, as the sum of the backends' DupCounts (identical
+// points are identical in every shard that holds them, so the partial
+// tables add exactly).
+func sumDups(ctx context.Context, backends []ShardBackend, epoch Epoch, n int) ([]int32, error) {
+	parts, err := fanOut(ctx, len(backends), func(ctx context.Context, si int) ([]int32, error) {
+		return backends[si].DupCounts(ctx, epoch)
+	})
+	if err != nil {
 		return nil, err
 	}
 	dup := make([]int32, n)
-	for _, p := range parts {
+	for si, p := range parts {
+		if len(p) != n {
+			return nil, fmt.Errorf("geometry: shard %d returned %d dup counts at epoch %d, want %d", si, len(p), epoch, n)
+		}
 		for i, c := range p {
 			dup[i] += c
 		}
 	}
-	ix.dupCount = dup
-	return ix, nil
+	return dup, nil
 }
 
 // Close releases the shard backends (network connections, for a remote

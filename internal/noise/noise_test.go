@@ -189,38 +189,6 @@ func TestGaussianTailKnownValues(t *testing.T) {
 	}
 }
 
-// GaussianSigma returns the noise standard deviation required by the
-// Gaussian mechanism (Theorem 2.4) for an L2-sensitivity-k function:
-// σ = (k/ε)·sqrt(2·ln(1.25/δ)).
-func GaussianSigma(l2Sensitivity, epsilon, delta float64) float64 {
-	if l2Sensitivity < 0 || epsilon <= 0 || delta <= 0 || delta >= 1 {
-		panic("noise: invalid Gaussian mechanism parameters")
-	}
-	return l2Sensitivity / epsilon * math.Sqrt(2*math.Log(1.25/delta))
-}
-
-func TestGaussianSigmaFormula(t *testing.T) {
-	// σ = (k/ε)·sqrt(2 ln(1.25/δ))
-	got := GaussianSigma(2, 0.5, 1e-6)
-	want := 2.0 / 0.5 * math.Sqrt(2*math.Log(1.25/1e-6))
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("GaussianSigma = %v, want %v", got, want)
-	}
-}
-
-func TestGaussianSigmaPanicsOnBadParams(t *testing.T) {
-	cases := []struct{ k, eps, delta float64 }{
-		{-1, 1, 0.1}, {1, 0, 0.1}, {1, 1, 0}, {1, 1, 1},
-	}
-	for _, c := range cases {
-		func() {
-			defer func() { recover() }()
-			GaussianSigma(c.k, c.eps, c.delta)
-			t.Errorf("GaussianSigma(%v,%v,%v) did not panic", c.k, c.eps, c.delta)
-		}()
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 1000; i++ {

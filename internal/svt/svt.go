@@ -28,7 +28,6 @@ type AboveThreshold struct {
 	noisyThreshold float64
 	rng            *rand.Rand
 	halted         bool
-	asked          int
 }
 
 // ErrHalted is returned by Query after the mechanism has answered ⊤.
@@ -55,7 +54,6 @@ func (a *AboveThreshold) Query(value float64) (bool, error) {
 	if a.halted {
 		return false, ErrHalted
 	}
-	a.asked++
 	v := value + noise.Laplace(a.rng, 4/a.epsilon)
 	if v >= a.noisyThreshold {
 		a.halted = true

@@ -9,9 +9,6 @@ import (
 // Halted reports whether the mechanism already answered ⊤.
 func (a *AboveThreshold) Halted() bool { return a.halted }
 
-// Asked returns the number of queries submitted so far.
-func (a *AboveThreshold) Asked() int { return a.asked }
-
 // AccuracyBound returns the α of Theorem 4.8: with probability ≥ 1−β, every
 // ⊤-answered query has true value ≥ threshold − α and every ⊥-answered query
 // has true value ≤ threshold + α, where α = (8/ε)·log(2k/β) for k queries.
@@ -72,19 +69,6 @@ func TestHaltsAfterTop(t *testing.T) {
 	}
 	if _, err := at.Query(1000); err != ErrHalted {
 		t.Errorf("post-halt query error = %v, want ErrHalted", err)
-	}
-}
-
-func TestAskedCounter(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	at, _ := New(rng, 1e9, 1)
-	for i := 0; i < 7; i++ {
-		if _, err := at.Query(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if at.Asked() != 7 {
-		t.Errorf("Asked = %d, want 7", at.Asked())
 	}
 }
 

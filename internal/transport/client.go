@@ -271,18 +271,6 @@ func (c *RemoteShard) Delete(ctx context.Context, ids []uint64) (geometry.Epoch,
 	return c.epochResponse("delete", payload)
 }
 
-// CurrentEpoch asks the session for its epoch.
-func (c *RemoteShard) CurrentEpoch(ctx context.Context) (geometry.Epoch, error) {
-	if !c.opts.Mutable {
-		return 0, c.errNotMutable("epoch")
-	}
-	payload, err := c.call(ctx, "epoch", msgEpochGet, nil, msgEpoch)
-	if err != nil {
-		return 0, err
-	}
-	return c.epochResponse("epoch", payload)
-}
-
 // Merge folds the session shard's append deltas into its base, server
 // side.
 func (c *RemoteShard) Merge(ctx context.Context) error {

@@ -140,9 +140,6 @@ func TestMutableSessionGuards(t *testing.T) {
 	if _, err := rs.Delete(context.Background(), []uint64{0}); err == nil {
 		t.Fatal("Delete on immutable session succeeded")
 	}
-	if _, err := rs.CurrentEpoch(context.Background()); err == nil {
-		t.Fatal("CurrentEpoch on immutable session succeeded")
-	}
 	if err := rs.Merge(context.Background()); err == nil {
 		t.Fatal("Merge on immutable session succeeded")
 	}
@@ -159,9 +156,13 @@ func TestMutableSessionGuards(t *testing.T) {
 	if _, err := ms.DupCounts(context.Background(), geometry.EpochFrozen); err == nil {
 		t.Fatal("frozen-epoch DupCounts on mutable session succeeded")
 	}
-	e, err := ms.CurrentEpoch(context.Background())
-	if err != nil || e != 1 {
-		t.Fatalf("CurrentEpoch after bad request = %d, %v; want 1", e, err)
+	// The bad request left the session at epoch 1: it answers there and
+	// not one epoch on.
+	if _, err := ms.DupCounts(context.Background(), 1); err != nil {
+		t.Fatalf("DupCounts at epoch 1 after bad request: %v", err)
+	}
+	if _, err := ms.DupCounts(context.Background(), 2); err == nil {
+		t.Fatal("DupCounts at epoch 2 after bad request succeeded; the epoch advanced")
 	}
 }
 
@@ -190,7 +191,7 @@ func TestMutableSessionNotResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	if _, err := rs.CurrentEpoch(context.Background()); err != nil {
+	if _, err := rs.DupCounts(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,12 +199,12 @@ func TestMutableSessionNotResumed(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := rs.CurrentEpoch(ctx); err == nil {
+	if _, err := rs.DupCounts(ctx, 1); err == nil {
 		t.Fatal("call on a dead mutable session succeeded")
 	}
 	// The second call must hit the session-lost guard, not a re-dial.
 	var te *Error
-	_, err = rs.CurrentEpoch(ctx)
+	_, err = rs.DupCounts(ctx, 1)
 	if !errors.As(err, &te) || te.Kind != KindIO || !strings.Contains(err.Error(), "session lost") {
 		t.Fatalf("after session death: %v, want io session-lost error", err)
 	}

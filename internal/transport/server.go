@@ -271,8 +271,6 @@ func msgName(typ byte) string {
 		return "append"
 	case msgDelete:
 		return "delete"
-	case msgEpochGet:
-		return "epoch"
 	case msgMerge:
 		return "merge"
 	default:
@@ -334,8 +332,6 @@ func (sc *serverConn) dispatch(ctx context.Context, typ byte, payload []byte) (b
 		return sc.handleAppend(ctx, payload)
 	case msgDelete:
 		return sc.handleDelete(ctx, payload)
-	case msgEpochGet:
-		return sc.handleEpochGet(ctx, payload)
 	case msgMerge:
 		return sc.handleMerge(ctx, payload)
 	default:
@@ -544,20 +540,6 @@ func (sc *serverConn) handleDelete(ctx context.Context, payload []byte) (byte, [
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed delete frame"}
 	}
 	epoch, err := sc.mshard.Delete(ctx, ids)
-	if err != nil {
-		return 0, nil, sc.computeError(err)
-	}
-	return msgEpoch, encodeEpoch(epoch, sc.mshard.NPoints()), nil
-}
-
-func (sc *serverConn) handleEpochGet(ctx context.Context, payload []byte) (byte, []byte, *wireError) {
-	if werr := sc.mutableSession(); werr != nil {
-		return 0, nil, werr
-	}
-	if len(payload) != 0 {
-		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed epoch frame"}
-	}
-	epoch, err := sc.mshard.CurrentEpoch(ctx)
 	if err != nil {
 		return 0, nil, sc.computeError(err)
 	}

@@ -653,7 +653,75 @@ func TestHostileOpenFrame(t *testing.T) {
 		t.Fatalf("omit-points client: err = %v, want a *Error of kind remote", err)
 	}
 
+	// A NaN coordinate in the point set: both sessions refuse it, since a
+	// NaN would reach the shard's counts.
+	nan := openTestPoints()
+	nan.SetRow(3, vec.Vector{math.NaN(), 0.5})
+	cell := testCellOptions(2)
+	for _, mutable := range []bool{false, true} {
+		payload := openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, nan)
+		if typ := sendOpen(t, ln, payload); typ != msgError {
+			t.Errorf("NaN point (mutable %v): answered with type %d, want error frame", mutable, typ)
+		}
+	}
+
 	// The server must still be alive and serving after the bad frames.
+	if err := checkServing(ln); err != nil {
+		t.Fatalf("server unusable after hostile frames: %v", err)
+	}
+}
+
+// TestHostileSessionFrames: after a valid OPEN, an APPEND carrying a NaN
+// coordinate is answered with an ERROR, and so is a raw frame of the
+// retired type 12 (EPOCH_GET), as an unknown type, on either session.
+func TestHostileSessionFrames(t *testing.T) {
+	ln := NewLoopbackNet()
+	l, err := ln.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerOptions{})
+	go srv.Serve(l)
+	defer srv.Close()
+
+	s := dialRaw(t, ln)
+	if rt := s.send(t, msgOpen, validOpen(true)); rt != msgOpenOK {
+		t.Fatalf("mutable OPEN answered with type %d", rt)
+	}
+	row := vec.NewFrame(1, 2)
+	row.SetRow(0, vec.Vector{math.NaN(), 0.5})
+	w := &wbuf{}
+	w.u8(0) // no trace
+	w.u32(1)
+	w.u16(2)
+	w.frame(row)
+	w.b = binary.BigEndian.AppendUint64(w.b, uint64(openTestPoints().N())) // the next stable id
+	w.u32(1)
+	w.i32(0)
+	if rt := s.send(t, msgAppend, w.b); rt != msgError {
+		t.Errorf("APPEND of a NaN row answered with type %d, want an error frame", rt)
+	}
+	s.conn.Close()
+
+	for _, mutable := range []bool{false, true} {
+		s := dialRaw(t, ln)
+		if rt := s.send(t, msgOpen, validOpen(mutable)); rt != msgOpenOK {
+			t.Fatalf("OPEN (mutable %v) answered with type %d", mutable, rt)
+		}
+		if err := writeFrame(s.bw, 12, []byte{0}); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(s.br)
+		s.conn.Close()
+		if err != nil || typ != msgError {
+			t.Fatalf("type-12 frame (mutable %v) answered with type %d (%v), want error frame", mutable, typ, err)
+		}
+		r := &rbuf{b: payload}
+		if code, msg := r.u16(), r.str(); code != codeBadRequest || !strings.Contains(msg, "unknown message type 12") {
+			t.Errorf("type-12 frame (mutable %v) answered with code %d %q, want an unknown-type bad request", mutable, code, msg)
+		}
+	}
+
 	if err := checkServing(ln); err != nil {
 		t.Fatalf("server unusable after hostile frames: %v", err)
 	}

@@ -19,7 +19,7 @@
 // options, a mutability flag, a points byte, the global point set and the
 // shard's member ids) answered by OPEN_OK — after which
 // the client issues one request frame at a time (PARTIALS, DUP_COUNTS,
-// and on mutable sessions APPEND, DELETE, EPOCH_GET, MERGE)
+// and on mutable sessions APPEND, DELETE, MERGE)
 // and reads one response frame (COUNTS, EPOCH, or ERROR). Queries are
 // batched by construction: a single PARTIALS round trip carries the capped
 // counts for every global point, so the per-sweep network cost is one
@@ -29,10 +29,13 @@
 // radius (float64), the count cap (int32) and a boundary-rule byte. The
 // byte must be 0, the center rule of the L estimators — the only rule the
 // serving path uses; servers answer any other value with a bad-request
-// ERROR. Message type 7 is retired (see the type table). Likewise the OPEN
-// points byte must be 1, the point set following it: servers hold no data
-// of their own, and answer any other value (the retired preloaded-points
-// handshake sent 0 and a checksum) with a bad-request ERROR.
+// ERROR. Message types 7 and 12 (EPOCH_GET) are retired (see the type
+// table). Likewise the OPEN points byte must be 1, the point set following
+// it: servers hold no data of their own, and answer any other value (the
+// retired preloaded-points handshake sent 0 and a checksum) with a
+// bad-request ERROR. A point set or APPEND batch holding a NaN or infinite
+// coordinate is answered with an ERROR (geometry.ErrOutOfDomain): no such
+// row reaches a count.
 //
 // Epochs: every query frame opens with the uint64 epoch it must be
 // answered from — 0 (geometry.EpochFrozen) on immutable sessions, a
@@ -81,7 +84,8 @@ import (
 // ProtocolVersion is the highest wire protocol version this package
 // speaks. Version 2 added mutable sessions: the OPEN mutability flag, the
 // leading epoch on every query frame, and the APPEND/DELETE/EPOCH_GET/
-// MERGE request types with their EPOCH response. Version 3 added the
+// MERGE request types with their EPOCH response (EPOCH_GET is retired
+// since; a mutation's EPOCH response carries the new epoch). Version 3 added the
 // optional trace-ID prefix on post-OPEN request payloads (see the package
 // comment); sessions negotiate down to version 2 against older peers.
 const ProtocolVersion uint16 = 3
@@ -115,9 +119,11 @@ const (
 	msgError     = 9  // server → client: typed failure
 	msgAppend    = 10 // client → server: one epoch-advancing append batch
 	msgDelete    = 11 // client → server: one epoch-advancing delete batch
-	msgEpochGet  = 12 // client → server: current epoch query
-	msgMerge     = 13 // client → server: fold append deltas into the base
-	msgEpoch     = 14 // server → client: epoch + member-row count
+	// 12 is retired and reserved: it carried EPOCH_GET (the session's
+	// current epoch), which no client path sends. Servers reject it like
+	// any unknown type, and it must never be reassigned.
+	msgMerge = 13 // client → server: fold append deltas into the base
+	msgEpoch = 14 // server → client: epoch + member-row count
 )
 
 // Server-side error codes carried by msgError frames.

@@ -21,15 +21,6 @@ func (v Vector) ApproxEqual(w Vector, tol float64) bool {
 	return true
 }
 
-// Normalize returns v/‖v‖. It returns an error for the zero vector.
-func (v Vector) Normalize() (Vector, error) {
-	n := v.Norm()
-	if n == 0 {
-		return nil, errors.New("vec: cannot normalize zero vector")
-	}
-	return v.Scale(1 / n), nil
-}
-
 // IsFinite reports whether all coordinates are finite (no NaN/Inf).
 func (v Vector) IsFinite() bool {
 	for _, x := range v {

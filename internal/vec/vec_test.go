@@ -85,19 +85,6 @@ func TestDotNormDist(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	u, err := Of(0, 3, 4).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(u.Norm()-1) > 1e-12 {
-		t.Errorf("normalized norm = %v", u.Norm())
-	}
-	if _, err := Of(0, 0).Normalize(); err == nil {
-		t.Error("Normalize(0) succeeded, want error")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	got := Of(-2, 0.5, 7).Clamp(0, 1)
 	if !got.Equal(Of(0, 0.5, 1)) {

@@ -130,33 +130,6 @@ func TestOutliersScenario(t *testing.T) {
 	}
 }
 
-// GaussianBlob draws n points from an isotropic Gaussian with the given
-// standard deviation, clamped to the cube.
-func GaussianBlob(rng *rand.Rand, grid geometry.Grid, n int, center vec.Vector, sigma float64) []vec.Vector {
-	pts := make([]vec.Vector, n)
-	for i := range pts {
-		p := make(vec.Vector, grid.Dim)
-		for j := range p {
-			p[j] = center[j] + rng.NormFloat64()*sigma
-		}
-		pts[i] = grid.Quantize(p)
-	}
-	return pts
-}
-
-func TestGaussianBlob(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := grid(t, 4096, 2)
-	pts := GaussianBlob(rng, g, 200, vec.Of(0.5, 0.5), 0.01)
-	if len(pts) != 200 {
-		t.Fatalf("n = %d", len(pts))
-	}
-	inside := geometry.CountInBall(pts, vec.Of(0.5, 0.5), 0.05)
-	if inside < 190 {
-		t.Errorf("only %d/200 within 5σ", inside)
-	}
-}
-
 func TestAdversarialSensitivityShape(t *testing.T) {
 	g := grid(t, 1024, 2)
 	pts, err := AdversarialSensitivity(g, 10)
