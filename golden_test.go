@@ -115,11 +115,12 @@ func TestGoldenReleases(t *testing.T) {
 }
 
 // goldenEntries pins the public entries outside the handle's FindCluster
-// path bit for bit: KMeans, Aggregate, InteriorPoint (handle
-// and free function), a free FindClusters, and an IndexAuto k = 2 cover
-// at n = 6000 whose first round runs on the cell index and whose second
-// round, on fewer than ExactIndexMaxN uncovered points, rebuilds an exact
-// index. Releases carry no radius where the entry has none (KMeans
+// path bit for bit: KMeans, Aggregate, InteriorPoint (free function,
+// immutable handle, and a 1-D mutable handle across an append and a
+// delete), FindClustersBatch, a free FindClusters, and an IndexAuto k = 2
+// cover at n = 6000 whose first round runs on the cell index and whose
+// second round, on fewer than ExactIndexMaxN uncovered points, rebuilds an
+// exact index. Releases carry no radius where the entry has none (KMeans
 // centers, Aggregate's point, InteriorPoint's value).
 func goldenEntries(t *testing.T) {
 	ctx := context.Background()
@@ -207,6 +208,58 @@ func goldenEntries(t *testing.T) {
 				t.Fatal(err)
 			}
 			return [][]uint64{{math.Float64bits(v)}}
+		}},
+		{name: "interior-mutable", want: [][]uint64{{0x3fdfd9122f1c2f22}, {0x3fdfc08acaef9330}, {0x3fdfd91a97f04d16}}, run: func(t *testing.T) [][]uint64 {
+			// A 1-D mutable handle: the current epoch after an append, epoch
+			// 1 pinned after that append, then the current epoch after a
+			// delete.
+			vals := values()
+			pts := make([]Point, len(vals))
+			for i, v := range vals {
+				pts[i] = Point{v}
+			}
+			ds, err := Open(pts[:2000], DatasetOptions{GridSize: 1024, Mutable: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			if _, _, err := ds.Append(ctx, pts[2000:]); err != nil {
+				t.Fatal(err)
+			}
+			var out [][]uint64
+			query := func(at uint64) {
+				v, err := ds.InteriorPoint(ctx, 1200, QueryOptions{Epsilon: 4, Delta: 0.05, Seed: 3, AtEpoch: at})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, []uint64{math.Float64bits(v)})
+			}
+			query(0)
+			query(1)
+			if _, err := ds.Delete(ctx, []uint64{0, 5, 2100}); err != nil {
+				t.Fatal(err)
+			}
+			query(0)
+			return out
+		}},
+		{name: "batch", want: [][]uint64{{0x3fde4b27e01a4e27, 0x3fe1bead245fca24, 0x3fb8c5deb7c91baf}, {0x3fddfff630ad86fc, 0x3fe2540c7823c38a, 0x3fb0cf696a6d09a5}, {0x3fe974769fca029a, 0x3fe397b18cce83f6, 0x400b6d5b26e7cc5e}}, run: func(t *testing.T) [][]uint64 {
+			pts, _ := plantedPoints(rand.New(rand.NewSource(51)), 1500, 900, 2, 0.02)
+			ds, err := Open(pts, DatasetOptions{GridSize: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			var out [][]uint64
+			for _, r := range ds.FindClustersBatch(ctx, []Query{
+				{T: 500, K: 1, Opts: QueryOptions{Epsilon: 4, Delta: 0.05, Seed: 7}},
+				{T: 300, K: 2, Opts: QueryOptions{Epsilon: 12, Delta: 0.05, Seed: 9}},
+			}) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				out = append(out, goldenBits(r.Clusters)...)
+			}
+			return out
 		}},
 		{name: "free-k2", want: [][]uint64{{0x3fdbdea657228d0b, 0x3fe29088db02720a, 0x3fb1b1e83a21ef34}, {0x3febba9580a8baec, 0x3fd8c50de9d5a164, 0x4008549f4feea8e7}}, run: func(t *testing.T) [][]uint64 {
 			pts, _ := plantedPoints(rand.New(rand.NewSource(31)), 1500, 900, 2, 0.02)
