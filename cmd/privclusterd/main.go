@@ -43,8 +43,8 @@
 //
 // Query errors are typed: {"error":{"code":"budget_exhausted",...}}
 // with HTTP 429 for refusals (the body carries the full accounting),
-// 422 infeasible, 410 epoch_retired, 504 deadline, 401 unauthorized,
-// 404 unknown_dataset, 400 bad_request.
+// 422 infeasible, 504 deadline, 401 unauthorized, 404 unknown_dataset,
+// 400 bad_request.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener
 // closes first, in-flight queries run to completion up to -grace, then

@@ -203,13 +203,14 @@ type QueryOptions struct {
 	// release is computed on exactly that epoch's point set, regardless of
 	// appends, deletes, or merges that landed since. 0 means the current
 	// epoch. Deletes retire older epochs — pinning one fails with
-	// ErrEpochRetired unless its snapshot is still cached. On an immutable
-	// handle any nonzero value is an error.
+	// ErrEpochRetired unless its snapshot is still cached. Every query kind,
+	// InteriorPoint included, pins through the handle's one entry per
+	// epoch, so all of them follow that rule alike. On an immutable handle
+	// any nonzero value is an error.
 	AtEpoch uint64
 	// Stats, when non-nil, receives the query's stage breakdown (see
-	// QueryStats) once the query finishes — the race-free alternative to
-	// Dataset.LastStats. Purely observational: it never changes releases,
-	// budget accounting, or errors.
+	// QueryStats) once the query finishes. Purely observational: it never
+	// changes releases, budget accounting, or errors.
 	Stats *QueryStats
 }
 
@@ -247,11 +248,27 @@ func (q QueryOptions) rng() *rand.Rand {
 }
 
 // indexEntry is one lazily built ball index. The once/err pair makes
-// concurrent first queries build it exactly once and share the outcome.
+// concurrent first queries build it exactly once and share the outcome. An
+// epoch entry of a 1-D mutable handle also holds the epoch's raw values.
 type indexEntry struct {
 	once sync.Once
 	ix   geometry.BallIndex
 	err  error
+	// vals is a prefix of the handle's value mirror until sortedVals
+	// replaces it with a sorted copy.
+	vals     []float64
+	sortOnce sync.Once
+}
+
+// sortedVals returns the entry's raw values sorted — what InteriorPoint
+// runs on — sorting a copy on first use, so an epoch only the cluster
+// queries pin never pays for the sort.
+func (e *indexEntry) sortedVals() []float64 {
+	e.sortOnce.Do(func() {
+		e.vals = append([]float64(nil), e.vals...)
+		sort.Float64s(e.vals)
+	})
+	return e.vals
 }
 
 // maxCachedLSteps bounds the per-handle L(·, S) cache: one entry per
@@ -353,15 +370,12 @@ type Dataset struct {
 	// rawVals/rowIDs mirror the mutable index's row order for 1-D handles:
 	// the unit-mapped, unquantized values InteriorPoint runs on, with the
 	// assigned ids alongside so deletes compact the mirror identically.
-	rawVals []float64
-	rowIDs  []uint64
-	// valsAt records the mirror length at each live epoch (reset by
-	// deletes, which retire older epochs); valsAtOrder FIFO-bounds it.
-	valsAt      map[uint64]int
-	valsAtOrder []uint64
-	// valsCache holds sorted copies of the mirror per pinned epoch.
-	valsCache      map[uint64][]float64
-	valsCacheOrder []uint64
+	// Appends only extend them, so an epoch's rows are the prefix its
+	// snapshot's N names; compacted is the epoch of the last delete, which
+	// compacts both into fresh slices, so no older epoch has a prefix left.
+	rawVals   []float64
+	rowIDs    []uint64
+	compacted geometry.Epoch
 
 	mu     sync.Mutex
 	closed bool
@@ -369,16 +383,14 @@ type Dataset struct {
 	// idx is the handle's one ball index, built by the first query from
 	// the handle's own options (see index). Immutable handles only.
 	idx indexEntry
-	// epochs caches one built snapshot per pinned epoch of a mutable
-	// handle (single-flight, FIFO-evicted).
+	// epochs caches one entry per pinned epoch of a mutable handle
+	// (single-flight, FIFO-evicted): the epoch's snapshot and, for 1-D
+	// handles, its raw values — what every query at that epoch runs on.
 	epochs     map[geometry.Epoch]*indexEntry
 	epochOrder []geometry.Epoch
 	// builds counts index constructions (diagnostics; the concurrency test
 	// pins it at one).
 	builds atomic.Int32
-	// lastStats is the stage breakdown of the most recently finished query
-	// (see LastStats / QueryStats). Guarded by mu.
-	lastStats QueryStats
 	// scratch pools per-query working buffers (rotation matrices, histogram
 	// maps, member lists) so warm queries re-lend instead of reallocating.
 	// Scratch reuse never changes releases — only where intermediates live.
@@ -418,8 +430,8 @@ func Open(points []Point, o DatasetOptions) (*Dataset, error) {
 		pol:   pol,
 	}
 	if o.Mutable {
-		// A mutable handle keeps the 1-D mirror in insertion order (sorted
-		// copies are cut per pinned epoch) and builds its index eagerly:
+		// A mutable handle keeps the 1-D mirror in insertion order (each
+		// epoch entry sorts its own prefix) and builds its index eagerly:
 		// mutations must land before the first query.
 		if d == 1 {
 			ds.rawVals = values
@@ -443,9 +455,6 @@ func Open(points []Point, o DatasetOptions) (*Dataset, error) {
 			return nil, err
 		}
 		ds.mut = mut
-		ds.valsAt = map[uint64]int{uint64(mut.Epoch()): len(points)}
-		ds.valsAtOrder = []uint64{uint64(mut.Epoch())}
-		ds.valsCache = make(map[uint64][]float64)
 		ds.epochs = make(map[geometry.Epoch]*indexEntry)
 		return ds, nil
 	}
@@ -640,20 +649,17 @@ func (ds *Dataset) prepareQuery(ctx context.Context, f *vec.Frame, t, rounds int
 // Immutable handles defer the (lazily built) index until after
 // validation, so ix may come back nil with a nil error — the caller builds
 // it via ds.index once the query is known to be valid. Mutable handles
-// must pin a snapshot up front (its frame feeds validation); pinning
-// spends nothing.
+// must pin their epoch entry up front (its frame feeds validation);
+// pinning spends nothing.
 func (ds *Dataset) queryIndex(q QueryOptions) (ix geometry.BallIndex, f *vec.Frame, err error) {
-	if ds.mut == nil {
-		if q.AtEpoch != 0 {
-			return nil, nil, fmt.Errorf("privcluster: AtEpoch=%d on an immutable dataset (open with DatasetOptions.Mutable)", q.AtEpoch)
-		}
-		return nil, ds.frame, nil
-	}
-	ix, err = ds.pinEpoch(q.AtEpoch)
+	ent, err := ds.pinEpoch(q.AtEpoch)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ix, ix.Frame(), nil
+	if ent == nil {
+		return nil, ds.frame, nil
+	}
+	return ent.ix, ent.ix.Frame(), nil
 }
 
 // acquireScratch lends the handle's pooled per-query working buffers into
@@ -704,7 +710,7 @@ func (ds *Dataset) clusterQuery(ctx context.Context, name string, t, rounds int,
 		var cold bool
 		if ix, cold, err = ds.index(); err != nil {
 			_ = rsv.Release()
-			qt.finish(ds, q.Stats)
+			qt.finish(q.Stats)
 			return err
 		}
 		qt.stats.ColdIndex = cold
@@ -721,7 +727,7 @@ func (ds *Dataset) clusterQuery(ctx context.Context, name string, t, rounds int,
 	if err == nil {
 		err = cerr
 	}
-	qt.finish(ds, q.Stats)
+	qt.finish(q.Stats)
 	return err
 }
 
@@ -808,13 +814,12 @@ func (ds *Dataset) InteriorPoint(ctx context.Context, innerN int, q QueryOptions
 		return 0, err
 	}
 	values := ds.values
-	if ds.mut != nil {
-		var err error
-		if values, err = ds.epochValues(q.AtEpoch); err != nil {
-			return 0, err
-		}
-	} else if q.AtEpoch != 0 {
-		return 0, fmt.Errorf("privcluster: AtEpoch=%d on an immutable dataset (open with DatasetOptions.Mutable)", q.AtEpoch)
+	ent, err := ds.pinEpoch(q.AtEpoch)
+	if err != nil {
+		return 0, err
+	}
+	if ent != nil {
+		values = ent.sortedVals()
 	}
 	m := len(values)
 	if innerN <= 0 || innerN >= m {
@@ -859,7 +864,7 @@ func (ds *Dataset) InteriorPoint(ctx context.Context, innerN int, q QueryOptions
 	if err == nil {
 		err = cerr
 	}
-	qt.finish(ds, q.Stats)
+	qt.finish(q.Stats)
 	if err != nil {
 		return 0, err
 	}

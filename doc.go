@@ -91,7 +91,11 @@
 // hold that was in flight, so a crash can lose a query's answer but never
 // un-spend its budget — and a second daemon pointed at the same ledger
 // directory refuses to start rather than jointly over-spend.
-// examples/daemon proves the restart property end to end in CI.
+// examples/daemon proves the restart property end to end in CI. The
+// daemon serves immutable datasets only; it has no mutation route.
+// Migration: drop the "mutable" dataset key and the "at_epoch" query
+// field, which the daemon now rejects as unknown fields (400 bad_request
+// for a query); the 410 epoch_retired status went with them.
 //
 // Queries take a context.Context. Cancellation is threaded through the
 // long-running inner loops — the cell index's bulk-count worker pools, the
@@ -311,7 +315,8 @@
 // answering, but a new pin of a pre-delete epoch fails with
 // ErrEpochRetired (wrapped, with the epoch) unless its snapshot is still
 // cached. Snapshots are cached per epoch and built single-flight at two
-// levels: the handle keeps its four most recently pinned epochs, and every
+// levels: the handle keeps one entry for each of its four most recently
+// pinned epochs, which every query kind at that epoch shares, and every
 // mutable index — the in-process one, each shard server's session and a
 // Placement handle's coordinator — keeps one epoch log. The log decides
 // which rows an epoch holds, when it retires, and which rows the domain
@@ -319,8 +324,12 @@
 // within the pinned ladder top; anything else is refused, never
 // re-laddered), and it caches the eight most recently pinned epoch views.
 // A shard server keeps one log for its source and member rows, so its two
-// row sets cannot reach different epochs. BenchmarkAppendMerge (gated in
-// CI) tracks the steady-state append → query → delete/merge cycle.
+// row sets cannot reach different epochs. A 1-D handle's raw values, which
+// InteriorPoint runs on, follow the epoch entry: the entry holds the prefix
+// of the handle's value mirror that its snapshot's rows name, so on a 1-D
+// handle a retired epoch is served only while the handle's own entry for
+// it is cached. BenchmarkAppendMerge (gated in CI) tracks the
+// steady-state append → query → delete/merge cycle.
 //
 // Privacy under mutation: the (ε, δ) ledger never moves on Append, Delete,
 // or Merge — only releases spend. That is not an accounting shortcut but
@@ -422,8 +431,9 @@
 // hierarchical span tree — reserve, index build, the mechanism stages
 // (LStep sweep, RecConcave, SVT repetitions, the noisy average), commit
 // — with per-stage durations and operation counters; retrieve it via
-// QueryOptions.Stats or Dataset.LastStats and render it with
-// QueryStats.Tree. The trace's 128-bit ID travels with the query: over
+// QueryOptions.Stats and render it with QueryStats.Tree. Migration:
+// Dataset.LastStats is gone (concurrent queries raced on "last") — pass a
+// *QueryStats as QueryOptions.Stats instead. The trace's 128-bit ID travels with the query: over
 // the wire protocol to every shard server (which announces it on its
 // structured log, so one query is greppable across machines), and in
 // privclusterd as the X-Trace-Id response header, with the span tree

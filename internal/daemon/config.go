@@ -78,8 +78,6 @@ type DatasetConfig struct {
 	// "partitions" plus optional "retries", "hedge_delay_ms",
 	// "probe_interval_ms", "dial_timeout_ms"), inlined as an object.
 	Placement json.RawMessage `json:"placement,omitempty"`
-	// Mutable opens a streaming handle so queries may pin at_epoch.
-	Mutable bool `json:"mutable,omitempty"`
 }
 
 // PrincipalConfig is one API-key identity and its total budget grant.

@@ -120,7 +120,6 @@ func openDataset(dc DatasetConfig, adm privcluster.Admitter) (*privcluster.Datas
 		Max:       dc.Max,
 		Workers:   dc.Workers,
 		Placement: place,
-		Mutable:   dc.Mutable,
 		Admitter:  adm,
 	})
 }
@@ -290,7 +289,6 @@ type queryRequest struct {
 	Beta       float64 `json:"beta,omitempty"`
 	Seed       int64   `json:"seed,omitempty"`
 	ZeroSeed   bool    `json:"zero_seed,omitempty"`
-	AtEpoch    uint64  `json:"at_epoch,omitempty"`
 	DeadlineMS int64   `json:"deadline_ms,omitempty"`
 }
 
@@ -301,7 +299,6 @@ func (q queryRequest) options() privcluster.QueryOptions {
 		Beta:     q.Beta,
 		Seed:     q.Seed,
 		ZeroSeed: q.ZeroSeed,
-		AtEpoch:  q.AtEpoch,
 	}
 }
 
@@ -562,8 +559,6 @@ func queryErrorEnvelope(err error) errorEnvelope {
 		}
 	case errors.Is(err, privcluster.ErrInfeasible):
 		return errorEnvelope{Code: "infeasible", Message: err.Error()}
-	case errors.Is(err, privcluster.ErrEpochRetired):
-		return errorEnvelope{Code: "epoch_retired", Message: err.Error()}
 	case errors.Is(err, context.DeadlineExceeded):
 		return errorEnvelope{Code: "deadline", Message: err.Error()}
 	case errors.Is(err, context.Canceled):
@@ -585,7 +580,6 @@ func queryErrorEnvelope(err error) errorEnvelope {
 var statusFor = map[string]int{
 	"budget_exhausted": http.StatusTooManyRequests,
 	"infeasible":       http.StatusUnprocessableEntity,
-	"epoch_retired":    http.StatusGone,
 	"deadline":         http.StatusGatewayTimeout,
 	"canceled":         499, // client closed request (nginx convention)
 	"shutting_down":    http.StatusServiceUnavailable,

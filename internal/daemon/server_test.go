@@ -191,6 +191,11 @@ func TestServerClusterQueryAndBudget(t *testing.T) {
 	if code, body := post(t, s.Addr(), "/v1/query/cluster", "sekrit", q); code != http.StatusBadRequest || errorCode(t, body) != "bad_request" {
 		t.Fatalf("t=0: status %d body %v", code, body)
 	}
+	// Served datasets have no epochs to pin: at_epoch is an unknown field.
+	pinned := map[string]any{"dataset": "planted", "t": 400, "epsilon": 4, "delta": 0.05, "seed": 7, "at_epoch": 1}
+	if code, body := post(t, s.Addr(), "/v1/query/cluster", "sekrit", pinned); code != http.StatusBadRequest || errorCode(t, body) != "bad_request" {
+		t.Fatalf("at_epoch: status %d body %v", code, body)
+	}
 }
 
 // gjson pulls one top-level field out of a JSON object string.
@@ -366,10 +371,12 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 }
 
 // TestLoadConfigRejectsRemoteShards: the flat remote_shards list is gone
-// (its replacement is a placement block of single-replica partitions), and
-// so is the local shards count (a dataset without a placement builds one
-// in-process index); a config still naming either fails to load instead
-// of silently serving the dataset some other way.
+// (its replacement is a placement block of single-replica partitions), so
+// is the local shards count (a dataset without a placement builds one
+// in-process index), and so is the mutable switch (the daemon has no
+// mutation route, so a served dataset never leaves epoch 1); a config
+// still naming any of them fails to load instead of silently serving the
+// dataset some other way.
 func TestLoadConfigRejectsRemoteShards(t *testing.T) {
 	dir := t.TempDir()
 	raw, err := json.Marshal(testConfig(t, dir))
@@ -383,7 +390,7 @@ func TestLoadConfigRejectsRemoteShards(t *testing.T) {
 	if _, err := LoadConfig(path); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	for key, val := range map[string]string{"remote_shards": `["a:1","b:2"]`, "shards": `2`} {
+	for key, val := range map[string]string{"remote_shards": `["a:1","b:2"]`, "shards": `2`, "mutable": `true`} {
 		old := bytes.Replace(raw, []byte(`"name":"planted",`), []byte(`"name":"planted","`+key+`":`+val+`,`), 1)
 		if bytes.Equal(old, raw) {
 			t.Fatal("test config has no planted dataset to extend")

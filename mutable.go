@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"privcluster/internal/geometry"
 )
@@ -19,18 +18,9 @@ var ErrClosed = errors.New("privcluster: dataset handle is closed")
 // ErrEpochRetired) identifies them.
 var ErrEpochRetired = errors.New("privcluster: epoch retired or unknown")
 
-// maxCachedEpochValues bounds the per-epoch sorted-value copies a 1-D
-// mutable handle keeps for InteriorPoint (FIFO-evicted; re-cut on demand).
-const maxCachedEpochValues = 8
-
-// maxCachedEpochs bounds a mutable handle's per-epoch snapshot cache
+// maxCachedEpochs bounds a mutable handle's per-epoch entry cache
 // (FIFO-evicted; an evicted epoch is rebuilt on its next pin).
 const maxCachedEpochs = 4
-
-// maxValsHistory bounds how many epochs back the 1-D value mirror can cut
-// an InteriorPoint snapshot for — the same depth the geometry layer keeps
-// its append bookkeeping.
-const maxValsHistory = 4096
 
 // errNotMutable refuses mutations on a handle opened without
 // DatasetOptions.Mutable.
@@ -81,7 +71,6 @@ func (ds *Dataset) Append(ctx context.Context, points []Point) ([]uint64, uint64
 	if raw != nil {
 		ds.rawVals = append(ds.rawVals, raw...)
 		ds.rowIDs = append(ds.rowIDs, ids...)
-		ds.recordValsEpochLocked(uint64(epoch))
 	}
 	return ids, uint64(epoch), nil
 }
@@ -91,7 +80,8 @@ func (ds *Dataset) Append(ctx context.Context, points []Point) ([]uint64, uint64
 // dataset (or any shard server of a Placement handle). Deleting retires older
 // epochs: queries already pinned keep their snapshots, but new pins of a
 // pre-delete epoch fail with ErrEpochRetired unless the snapshot is still
-// cached. Like Append, deletion spends no budget.
+// cached — for InteriorPoint as for the cluster queries, which share one
+// entry per epoch. Like Append, deletion spends no budget.
 func (ds *Dataset) Delete(ctx context.Context, ids []uint64) (uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -109,27 +99,21 @@ func (ds *Dataset) Delete(ctx context.Context, ids []uint64) (uint64, error) {
 		return 0, err
 	}
 	if ds.dim == 1 {
+		// Compact into fresh slices: entries of older epochs keep the
+		// prefixes they captured.
 		gone := make(map[uint64]struct{}, len(ids))
 		for _, id := range ids {
 			gone[id] = struct{}{}
 		}
-		keep := 0
+		vals := make([]float64, 0, len(ds.rawVals)-len(ids))
+		rows := make([]uint64, 0, cap(vals))
 		for i, id := range ds.rowIDs {
-			if _, dead := gone[id]; dead {
-				continue
+			if _, dead := gone[id]; !dead {
+				vals = append(vals, ds.rawVals[i])
+				rows = append(rows, id)
 			}
-			ds.rawVals[keep] = ds.rawVals[i]
-			ds.rowIDs[keep] = id
-			keep++
 		}
-		ds.rawVals = ds.rawVals[:keep]
-		ds.rowIDs = ds.rowIDs[:keep]
-		// The mirror history restarts at the delete epoch: older cuts are
-		// no longer derivable from the compacted arrays.
-		ds.valsAt = map[uint64]int{uint64(epoch): keep}
-		ds.valsAtOrder = append(ds.valsAtOrder[:0], uint64(epoch))
-		ds.valsCache = make(map[uint64][]float64)
-		ds.valsCacheOrder = nil
+		ds.rawVals, ds.rowIDs, ds.compacted = vals, rows, epoch
 	}
 	return uint64(epoch), nil
 }
@@ -151,22 +135,20 @@ func (ds *Dataset) Merge(ctx context.Context) error {
 	return ds.mut.Merge(ctx)
 }
 
-// recordValsEpochLocked notes the 1-D mirror's length at a fresh epoch,
-// FIFO-bounding the history. Caller holds mutMu.
-func (ds *Dataset) recordValsEpochLocked(epoch uint64) {
-	ds.valsAt[epoch] = len(ds.rawVals)
-	ds.valsAtOrder = append(ds.valsAtOrder, epoch)
-	if len(ds.valsAtOrder) > maxValsHistory {
-		delete(ds.valsAt, ds.valsAtOrder[0])
-		ds.valsAtOrder = ds.valsAtOrder[1:]
+// pinEpoch resolves atEpoch (0 = current) to the epoch's cached entry,
+// building it exactly once per epoch even under concurrent queries: the
+// snapshot every query kind runs on and, on a 1-D handle, the prefix of
+// the value mirror its N rows name. The build draws no randomness, so a
+// cached entry releases bit-identical seeded results to a fresh Open on the
+// same rows. An immutable handle has no epoch entries: it gets nil, and a
+// nonzero atEpoch is refused.
+func (ds *Dataset) pinEpoch(atEpoch uint64) (*indexEntry, error) {
+	if ds.mut == nil {
+		if atEpoch != 0 {
+			return nil, fmt.Errorf("privcluster: AtEpoch=%d on an immutable dataset (open with DatasetOptions.Mutable)", atEpoch)
+		}
+		return nil, nil
 	}
-}
-
-// pinEpoch resolves atEpoch (0 = current) and returns the cached snapshot
-// for it, building it exactly once per epoch even under concurrent
-// queries. The snapshot build draws no randomness, so a cached snapshot
-// releases bit-identical seeded results to a fresh Open on the same rows.
-func (ds *Dataset) pinEpoch(atEpoch uint64) (geometry.BallIndex, error) {
 	cur := ds.mut.Epoch()
 	e := geometry.Epoch(atEpoch)
 	if e == geometry.EpochFrozen {
@@ -199,43 +181,26 @@ func (ds *Dataset) pinEpoch(atEpoch uint64) (geometry.BallIndex, error) {
 		// Background context: the snapshot is shared by every later query
 		// of this epoch, so one caller's deadline must not poison it.
 		ix, err := ds.mut.Snapshot(context.Background(), e)
-		if err != nil {
-			if errors.Is(err, geometry.ErrEpochRetired) {
-				err = fmt.Errorf("%w: epoch %d (retired by a delete)", ErrEpochRetired, e)
+		if err == nil && ds.dim == 1 {
+			// The mirror holds the epoch's rows as a prefix unless a later
+			// delete compacted it.
+			ds.mutMu.Lock()
+			if e < ds.compacted {
+				err = geometry.ErrEpochRetired
+			} else {
+				n := ix.Frame().N()
+				ent.vals = ds.rawVals[:n:n]
 			}
+			ds.mutMu.Unlock()
+		}
+		if errors.Is(err, geometry.ErrEpochRetired) {
+			err = fmt.Errorf("%w: epoch %d (retired by a delete)", ErrEpochRetired, e)
+		}
+		if err != nil {
 			ent.err = err
 			return
 		}
 		ent.ix = newCachedIndex(ix)
 	})
-	return ent.ix, ent.err
-}
-
-// epochValues returns the sorted raw values of the pinned epoch — what
-// InteriorPoint runs on. Cuts are cached per epoch (FIFO-bounded); a cut
-// of the epoch-e prefix of the insertion-ordered mirror holds exactly the
-// multiset a fresh Open on that epoch's points would sort.
-func (ds *Dataset) epochValues(atEpoch uint64) ([]float64, error) {
-	ds.mutMu.Lock()
-	defer ds.mutMu.Unlock()
-	e := atEpoch
-	if e == 0 {
-		e = uint64(ds.mut.Epoch())
-	}
-	if v, ok := ds.valsCache[e]; ok {
-		return v, nil
-	}
-	n, ok := ds.valsAt[e]
-	if !ok {
-		return nil, fmt.Errorf("%w: epoch %d has no retained raw values", ErrEpochRetired, e)
-	}
-	v := append([]float64(nil), ds.rawVals[:n]...)
-	sort.Float64s(v)
-	ds.valsCache[e] = v
-	ds.valsCacheOrder = append(ds.valsCacheOrder, e)
-	if len(ds.valsCacheOrder) > maxCachedEpochValues {
-		delete(ds.valsCache, ds.valsCacheOrder[0])
-		ds.valsCacheOrder = ds.valsCacheOrder[1:]
-	}
-	return v, nil
+	return ent, ent.err
 }

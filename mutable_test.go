@@ -3,6 +3,7 @@ package privcluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -232,9 +233,77 @@ func TestMutableInteriorPointEquivalence(t *testing.T) {
 	if want := fresh(surv); got != want {
 		t.Fatalf("epoch3 interior point = %v, want %v", got, want)
 	}
-	// The pre-delete raw values are gone with the retired epochs.
-	if _, err := ds.InteriorPoint(ctx, 200, pinned); !errors.Is(err, ErrEpochRetired) {
-		t.Fatalf("pinning a deleted-away epoch: %v, want ErrEpochRetired", err)
+	// Epoch 1 was pinned before the delete retired it, so its cached
+	// entry still serves the old release.
+	got, err = ds.InteriorPoint(ctx, 200, pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh(pts[:n0]); got != want {
+		t.Fatalf("epoch1-pinned interior point after the delete = %v, want %v", got, want)
+	}
+}
+
+// TestMutableEpochParity: on a 1-D mutable handle FindCluster and
+// InteriorPoint follow one retirement rule. An epoch either of them pinned
+// before a delete still answers both after it — InteriorPoint
+// bit-identically to a fresh Open on that epoch's points — and an epoch
+// neither pinned fails for both with ErrEpochRetired.
+func TestMutableEpochParity(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(21))
+	pts := make([]Point, 1200)
+	for i := range pts {
+		pts[i] = Point{0.4 + 0.2*rng.Float64()}
+	}
+	o := DatasetOptions{GridSize: 1024, Mutable: true}
+	ds, err := Open(pts[:800], o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	for _, rows := range [][]Point{pts[800:1000], pts[1000:]} {
+		if _, _, err := ds.Append(ctx, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := func(e uint64) QueryOptions { return QueryOptions{Epsilon: 4, Delta: 0.05, Seed: 3, AtEpoch: e} }
+	// Epoch 2 is pinned by FindCluster only, epoch 3 by InteriorPoint only.
+	if _, err := ds.FindCluster(ctx, 400, at(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.InteriorPoint(ctx, 600, at(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Delete(ctx, []uint64{0, 900}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct {
+		e    uint64
+		rows []Point
+	}{{2, pts[:1000]}, {3, pts}} {
+		e := ep.e
+		if _, err := ds.FindCluster(ctx, 400, at(e)); err != nil {
+			t.Fatalf("epoch %d FindCluster after the delete: %v", e, err)
+		}
+		got, err := ds.InteriorPoint(ctx, 600, at(e))
+		if err != nil {
+			t.Fatalf("epoch %d InteriorPoint after the delete: %v", e, err)
+		}
+		ref, err := Open(ep.rows, DatasetOptions{GridSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		if want, err := ref.InteriorPoint(ctx, 600, at(0)); err != nil || got != want {
+			t.Fatalf("epoch %d InteriorPoint after the delete = %v, fresh Open gives %v (%v)", e, got, want, err)
+		}
+	}
+	if _, err := ds.FindCluster(ctx, 400, at(1)); !errors.Is(err, ErrEpochRetired) {
+		t.Fatalf("FindCluster at a never-pinned retired epoch: %v, want ErrEpochRetired", err)
+	}
+	if _, err := ds.InteriorPoint(ctx, 600, at(1)); !errors.Is(err, ErrEpochRetired) {
+		t.Fatalf("InteriorPoint at a never-pinned retired epoch: %v, want ErrEpochRetired", err)
 	}
 }
 
@@ -364,91 +433,104 @@ func TestDatasetClosed(t *testing.T) {
 
 // TestMutableConcurrentQueries runs a mutator against concurrent seeded
 // queriers (run under -race in CI): a query pinned at an epoch must
-// release the same cluster twice regardless of interleaved appends,
+// release the same output twice regardless of interleaved appends,
 // deletes, and merges; losing a pin to a delete is the one legal failure.
 func TestMutableConcurrentQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	pts, _ := plantedPoints(rng, 900, 600, 2, 0.02)
-	extra, _ := plantedPoints(rand.New(rand.NewSource(45)), 400, 200, 2, 0.02)
-	ctx := context.Background()
-	ds, err := Open(pts, DatasetOptions{Mutable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
-	stop := make(chan struct{})
-	var mwg, qwg sync.WaitGroup
-	mwg.Add(1)
-	go func() { // mutator
-		defer mwg.Done()
-		var appended []uint64
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			lo := (i * 16) % len(extra)
-			hi := lo + 16
-			if hi > len(extra) {
-				hi = len(extra)
-			}
-			ids, _, err := ds.Append(ctx, extra[lo:hi])
+	for _, d := range []int{2, 1} {
+		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(44))
+			pts, _ := plantedPoints(rng, 900, 600, d, 0.02)
+			extra, _ := plantedPoints(rand.New(rand.NewSource(45)), 400, 200, d, 0.02)
+			ctx := context.Background()
+			ds, err := Open(pts, DatasetOptions{Mutable: true})
 			if err != nil {
-				t.Errorf("append: %v", err)
-				return
+				t.Fatal(err)
 			}
-			appended = append(appended, ids...)
-			if i%5 == 4 && len(appended) > 8 {
-				if _, err := ds.Delete(ctx, appended[:4]); err != nil {
-					t.Errorf("delete: %v", err)
-					return
+			defer ds.Close()
+			// A 1-D handle's queriers run InteriorPoint, whose raw values come
+			// from the same epoch entry the snapshot does.
+			query := func(q QueryOptions) (any, error) {
+				if d == 1 {
+					q.Delta = 0.05
+					return ds.InteriorPoint(ctx, 400, q)
 				}
-				appended = appended[4:]
+				return ds.FindCluster(ctx, 500, q)
 			}
-			if i%7 == 6 {
-				if err := ds.Merge(ctx); err != nil {
-					t.Errorf("merge: %v", err)
-					return
-				}
-			}
-		}
-	}()
-	for g := 0; g < 3; g++ {
-		qwg.Add(1)
-		go func(g int) {
-			defer qwg.Done()
-			for i := 0; i < 6; i++ {
-				e := ds.Epoch()
-				// Seed 0 is the fresh-from-the-clock sentinel — skip it.
-				q := QueryOptions{Epsilon: 4, Delta: 1e-5, Seed: int64(100*g + i + 1), AtEpoch: e}
-				a, err1 := ds.FindCluster(ctx, 500, q)
-				b, err2 := ds.FindCluster(ctx, 500, q)
-				if errors.Is(err1, ErrEpochRetired) || errors.Is(err2, ErrEpochRetired) {
-					continue // a delete raced the pin: legal, try again
-				}
-				if err1 != nil || err2 != nil {
-					// A mechanism failure (e.g. the recconcave quality
-					// promise) is a deterministic function of (epoch, seed):
-					// both calls must fail identically, just as successes
-					// must match bit-for-bit.
-					if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
-						t.Errorf("querier %d epoch %d: pinned outcomes diverged: %v / %v", g, e, err1, err2)
+
+			stop := make(chan struct{})
+			var mwg, qwg sync.WaitGroup
+			mwg.Add(1)
+			go func() { // mutator
+				defer mwg.Done()
+				var appended []uint64
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					lo := (i * 16) % len(extra)
+					hi := lo + 16
+					if hi > len(extra) {
+						hi = len(extra)
+					}
+					ids, _, err := ds.Append(ctx, extra[lo:hi])
+					if err != nil {
+						t.Errorf("append: %v", err)
 						return
 					}
-					continue
+					appended = append(appended, ids...)
+					if i%5 == 4 && len(appended) > 8 {
+						if _, err := ds.Delete(ctx, appended[:4]); err != nil {
+							t.Errorf("delete: %v", err)
+							return
+						}
+						appended = appended[4:]
+					}
+					if i%7 == 6 {
+						if err := ds.Merge(ctx); err != nil {
+							t.Errorf("merge: %v", err)
+							return
+						}
+					}
 				}
-				if !reflect.DeepEqual(a, b) {
-					t.Errorf("querier %d epoch %d: pinned releases diverged:\n%+v\n%+v", g, e, a, b)
-					return
-				}
+			}()
+			for g := 0; g < 3; g++ {
+				qwg.Add(1)
+				go func(g int) {
+					defer qwg.Done()
+					for i := 0; i < 6; i++ {
+						e := ds.Epoch()
+						// Seed 0 is the fresh-from-the-clock sentinel — skip it.
+						q := QueryOptions{Epsilon: 4, Delta: 1e-5, Seed: int64(100*g + i + 1), AtEpoch: e}
+						a, err1 := query(q)
+						b, err2 := query(q)
+						if errors.Is(err1, ErrEpochRetired) || errors.Is(err2, ErrEpochRetired) {
+							continue // a delete raced the pin: legal, try again
+						}
+						if err1 != nil || err2 != nil {
+							// A mechanism failure (e.g. the recconcave quality
+							// promise) is a deterministic function of (epoch, seed):
+							// both calls must fail identically, just as successes
+							// must match bit-for-bit.
+							if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+								t.Errorf("querier %d epoch %d: pinned outcomes diverged: %v / %v", g, e, err1, err2)
+								return
+							}
+							continue
+						}
+						if !reflect.DeepEqual(a, b) {
+							t.Errorf("querier %d epoch %d: pinned releases diverged:\n%+v\n%+v", g, e, a, b)
+							return
+						}
+					}
+				}(g)
 			}
-		}(g)
+			qwg.Wait()
+			close(stop)
+			mwg.Wait()
+		})
 	}
-	qwg.Wait()
-	close(stop)
-	mwg.Wait()
 }
 
 // TestMutableQueryCancellation: a context cancelled before the query

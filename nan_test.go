@@ -96,11 +96,11 @@ func TestNaNCoordinateSnapsToMin(t *testing.T) {
 			if _, _, err := ds.Append(ctx, rows[500:]); err != nil {
 				return Cluster{}, err
 			}
-			ix, err := ds.pinEpoch(0)
+			ent, err := ds.pinEpoch(0)
 			if err != nil {
 				return Cluster{}, err
 			}
-			*stored = slices.Clone(ix.Frame().Data())
+			*stored = slices.Clone(ent.ix.Frame().Data())
 			return ds.FindCluster(ctx, 400, q)
 		}
 		var wantRows, gotRows []float64

@@ -14,10 +14,10 @@ import (
 // dataset opens a hierarchical span tree (reserve, index build, mechanism
 // stages, commit; per-shard sweeps and SVT repetitions inside), the trace's
 // 16-byte ID propagates to remote shard servers over the wire protocol, and
-// the collected stages come back in QueryStats (QueryOptions.Stats or
-// Dataset.LastStats). Tracing records only durations, counts and sizes —
-// never coordinates, data values, or noise magnitudes — and never changes
-// releases: the same seed gives bit-identical results traced or not.
+// the collected stages come back in QueryStats (QueryOptions.Stats).
+// Tracing records only durations, counts and sizes — never coordinates,
+// data values, or noise magnitudes — and never changes releases: the same
+// seed gives bit-identical results traced or not.
 //
 // Without WithTrace (the default) tracing is off and queries skip all span
 // bookkeeping; only the always-on aggregate stage histograms in the process
@@ -42,8 +42,8 @@ type QueryStage struct {
 // QueryStats is the per-query measurement substrate: coarse stage timings
 // (always collected — they cost a few clock reads and atomic histogram
 // updates, no allocations), plus the full span tree when the query context
-// carried a trace (WithTrace). Retrieve it via QueryOptions.Stats or
-// Dataset.LastStats. Stats never affect releases.
+// carried a trace (WithTrace). Retrieve it via QueryOptions.Stats. Stats
+// never affect releases.
 type QueryStats struct {
 	// Query names the query kind: "cluster", "kcover", or "interior".
 	Query string
@@ -100,16 +100,6 @@ func (s QueryStats) Tree() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// LastStats returns the stage breakdown of the handle's most recently
-// finished query (zero value before the first one). Concurrent queries
-// race on "last"; use QueryOptions.Stats to capture a specific query's
-// stats race-free.
-func (ds *Dataset) LastStats() QueryStats {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.lastStats
 }
 
 // stageBuckets are the per-stage latency histogram bounds in seconds:
@@ -186,13 +176,16 @@ func (qt *queryTimer) endStage(h *obs.Histogram, d *time.Duration) {
 	qt.cur = nil
 }
 
-// finish settles the totals, closes the root span, captures the traced
-// stage tree, and stores the stats on the handle (and the caller's
-// QueryOptions.Stats out-pointer, if any).
-func (qt *queryTimer) finish(ds *Dataset, out *QueryStats) {
+// finish settles the totals, closes the root span and, when the caller
+// passed a QueryOptions.Stats out-pointer, captures the traced stage tree
+// and stores the stats there.
+func (qt *queryTimer) finish(out *QueryStats) {
 	qt.cur.End() // tolerate an abandoned stage on error paths
 	qt.stats.Total = time.Since(qt.start)
 	qt.root.End()
+	if out == nil {
+		return
+	}
 	if qt.root != nil {
 		infos := qt.root.Spans()
 		qt.stats.Stages = make([]QueryStage, len(infos))
@@ -205,10 +198,5 @@ func (qt *queryTimer) finish(ds *Dataset, out *QueryStats) {
 			}
 		}
 	}
-	ds.mu.Lock()
-	ds.lastStats = qt.stats
-	ds.mu.Unlock()
-	if out != nil {
-		*out = qt.stats
-	}
+	*out = qt.stats
 }
