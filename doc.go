@@ -433,12 +433,12 @@
 // — with per-stage durations and operation counters; retrieve it via
 // QueryOptions.Stats and render it with QueryStats.Tree. Migration:
 // Dataset.LastStats is gone (concurrent queries raced on "last") — pass a
-// *QueryStats as QueryOptions.Stats instead. The trace's 128-bit ID travels with the query: over
-// the wire protocol to every shard server (which announces it on its
-// structured log, so one query is greppable across machines), and in
-// privclusterd as the X-Trace-Id response header, with the span tree
-// fetchable back from GET /v1/trace/{id}. cmd/onecluster -trace prints
-// the tree for any execution mode.
+// *QueryStats as QueryOptions.Stats instead. The trace's 128-bit ID
+// travels with the query: over the wire protocol to every shard server
+// (which announces it on its structured log, so one query is greppable
+// across machines), and in privclusterd as the X-Trace-Id response
+// header, with the span tree fetchable back from GET /v1/trace/{id}.
+// cmd/onecluster -trace prints the tree for any execution mode.
 //
 // Aggregate metrics are always on and allocation-free: process-wide
 // Prometheus-text families (privcluster_query_stage_seconds,
