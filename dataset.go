@@ -372,7 +372,7 @@ type Dataset struct {
 	// assigned ids alongside so deletes compact the mirror identically.
 	// Appends only extend them, so an epoch's rows are the prefix its
 	// snapshot's N names; compacted is the epoch of the last delete, which
-	// compacts both into fresh slices, so no older epoch has a prefix left.
+	// retires older epochs and compacts both into fresh slices.
 	rawVals   []float64
 	rowIDs    []uint64
 	compacted geometry.Epoch

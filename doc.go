@@ -298,38 +298,38 @@
 //
 // Internally a snapshot is a row-prefix view: appends only ever extend the
 // flat frame, so epoch E is "the first n_E rows", indexed as a frozen base
-// generation plus a small delta index over the rows appended since the
-// last merge — the same partition-independent sum decomposition shard
-// servers use, so the split is invisible to releases. Merge (also triggered
+// generation plus a small delta index over the rows appended since the last
+// merge — the same partition-independent sum decomposition shard servers
+// use, so the split is invisible to releases. Merge (also triggered
 // automatically once enough delta rows accumulate) folds the delta into a
 // fresh base off the query path; it is a serving-cost knob, never a
 // semantic one. Each mutable index keeps an epoch chain: the newest swept
 // epoch's uncapped count block per ladder level (4·n bytes each, serving
 // every t) and its duplicate table. A newer epoch extends both through the
-// rows appended since (every row against the new rows, the new rows
-// against the old ones), so its L-step sweep pays for its batch, not for
-// the whole delta, with bit-identical counts and releases; merges keep the
-// chain. A level runs one full pass instead after a delete, on a pin older
-// than the chain's head, and where the head never swept. Deletes compact the storage and
+// rows appended since (every row against the new rows, walked from the
+// new rows' cells, and the new rows against the old ones), so its L-step
+// sweep pays for its batch, with bit-identical counts and releases; merges
+// keep the chain. A level runs
+// one full pass instead after a delete, on a pin older than the chain's
+// head, and where the head never swept. Deletes compact the storage and
 // therefore retire all older epochs: a query already holding its pin keeps
-// answering, but a new pin of a pre-delete epoch fails with
-// ErrEpochRetired (wrapped, with the epoch) unless its snapshot is still
+// answering, but a new pin of a pre-delete epoch fails with ErrEpochRetired
+// (wrapped, with the epoch) unless the handle's entry for it is still
 // cached. Snapshots are cached per epoch and built single-flight at two
 // levels: the handle keeps one entry for each of its four most recently
 // pinned epochs, which every query kind at that epoch shares, and every
 // mutable index — the in-process one, each shard server's session and a
 // Placement handle's coordinator — keeps one epoch log. The log decides
 // which rows an epoch holds, when it retires, and which rows the domain
-// check admits (finite coordinates whose bounding-box diagonal stays
-// within the pinned ladder top; anything else is refused, never
-// re-laddered), and it caches the eight most recently pinned epoch views.
-// A shard server keeps one log for its source and member rows, so its two
-// row sets cannot reach different epochs. A 1-D handle's raw values, which
-// InteriorPoint runs on, follow the epoch entry: the entry holds the prefix
-// of the handle's value mirror that its snapshot's rows name, so on a 1-D
-// handle a retired epoch is served only while the handle's own entry for
-// it is cached. BenchmarkAppendMerge (gated in CI) tracks the
-// steady-state append → query → delete/merge cycle.
+// check admits (finite coordinates whose bounding-box diagonal stays within
+// the pinned ladder top; anything else is refused, never re-laddered), and
+// it caches the eight most recently pinned epoch views. A shard server
+// keeps one log for its source and member rows, so its two row sets cannot
+// reach different epochs. A 1-D handle's raw values, which InteriorPoint
+// runs on, follow the epoch entry: the entry holds the prefix of the
+// handle's value mirror that its snapshot's rows name. BenchmarkAppendMerge (gated in CI)
+// tracks the steady-state append → query → delete/merge cycle, and
+// BenchmarkChainExtend (gated too) one extension.
 //
 // Privacy under mutation: the (ε, δ) ledger never moves on Append, Delete,
 // or Merge — only releases spend. That is not an accounting shortcut but

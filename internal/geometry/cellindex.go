@@ -456,8 +456,8 @@ const countChunk = 64
 // row ids in pc, keys and rows, grown to the largest level built.
 type cellScratch struct {
 	lo, hi, key, seek []int64
-	acc               []int32
-	bands             [][2]int64
+	acc, inside       []int32    // inside: extendCounts' per-cell sums, zero between passes
+	bands, near, runs [][2]int64 // near: rowsNear's rows; runs: the cells extendCounts merged
 	pc                []int64
 	keys              []uint64
 	rows              []int32

@@ -267,6 +267,108 @@ func checkCountPass(tb testing.TB, tag string, groups []cellGroup, workers, j in
 	}
 }
 
+// extendLayouts returns the layouts an epoch-chain extension counts over
+// f: the sources as one identity group and as a base plus a delta over its
+// last rows (an epoch's two storage generations), against one member group
+// of 1–64 rows: copies of f's rows and of earlier member rows, and rows on
+// the cell faces of a random ladder level.
+func extendLayouts(tb testing.TB, rng *rand.Rand, f *vec.Frame, opts CellIndexOptions) (layouts [][]cellGroup, members []cellGroup) {
+	tb.Helper()
+	index := func(g *vec.Frame) *CellIndex {
+		ix, err := NewCellIndexFrame(g, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return ix
+	}
+	all := index(f)
+	layouts = [][]cellGroup{{{ix: all}}}
+	if n := f.N(); n >= 2 {
+		k := 1 + rng.Intn(n-1)
+		layouts = append(layouts, []cellGroup{{ix: index(f.Gather(rowRange(0, k)))}, {ix: index(f.Gather(rowRange(k, n))), gids: rowRange(k, n)}})
+	}
+	side := all.lad.radius(rng.Intn(all.lad.top+1)) / float64(all.opts.CellsPerRadius)
+	m := vec.NewFrame(1+rng.Intn(64), f.Dim())
+	for i := 0; i < m.N(); i++ {
+		row := m.Row(i)
+		switch u := rng.Intn(5); {
+		case u == 0 && i > 0:
+			copy(row, m.Row(rng.Intn(i)))
+		case u <= 1:
+			for a := range row {
+				row[a] = float64(rng.Intn(9)-4) * side
+			}
+		default:
+			copy(row, f.Row(rng.Intn(f.N())))
+		}
+	}
+	return layouts, []cellGroup{{ix: index(m)}}
+}
+
+// checkExtendPass runs extendCounts over srcs against members at level j
+// and radius r, at each limit and at MaxInt32, onto a base of small
+// counts below the limit, and compares every count with crossCellCounts'
+// onto the same base.
+func checkExtendPass(tb testing.TB, tag string, srcs, members []cellGroup, workers, j int, r float64) {
+	tb.Helper()
+	n := 0
+	for _, g := range srcs {
+		n += g.ix.N()
+	}
+	for _, limit := range append(countPassLimits(n), math.MaxInt32) {
+		got, want := make([]int32, n), make([]int32, n)
+		for i := range got {
+			got[i] = int32(i%3) % limit
+			want[i] = got[i]
+		}
+		if err := extendCounts(context.Background(), srcs, members, j, r, limit, got); err != nil {
+			tb.Fatal(err)
+		}
+		if err := crossCellCounts(context.Background(), workers, srcs, members, j, r, limit, want); err != nil {
+			tb.Fatal(err)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				tb.Fatalf("%s: level %d r %v limit %d: point %d counts %d, crossCellCounts %d",
+					tag, j, r, limit, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestExtendPassMatchesCrossCounts checks the member-driven pass of the
+// epoch chain against crossCellCounts for d = 1..6 at every ladder level,
+// over one and two source groups against a small member group
+// (extendLayouts), at the ladder radius and at radii tied with a computed
+// center distance, capped and uncapped.
+func TestExtendPassMatchesCrossCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ties := 0
+	for d := 1; d <= 6; d++ {
+		for rep := 0; rep < 2; rep++ {
+			n := 100 + rng.Intn(200)
+			f := layoutTestFrame(rng, n, d, 1.0/float64(1+rng.Intn(64)))
+			if rep == 1 {
+				f = cubeFrame(rng, n, d, 1.0/8)
+			}
+			layouts, members := extendLayouts(t, rng, f, CellIndexOptions{CellsPerRadius: 1 + rng.Intn(8)})
+			for li, srcs := range layouts {
+				tag := fmt.Sprintf("d=%d rep %d layout %d", d, rep, li)
+				for j := 0; j <= topLevel(append(slices.Clone(srcs), members...)); j++ {
+					checkExtendPass(t, tag, srcs, members, 1+2*(j%2), j, srcs[0].ix.lad.radius(j))
+					if r, ok := tiedRadius(rng, members[0].ix.Frame(), srcs[0].ix.level(j)); ok {
+						checkExtendPass(t, tag+" tied", srcs, members, 1, j, r)
+						ties++
+					}
+				}
+			}
+		}
+	}
+	if ties < 200 {
+		t.Fatalf("only %d exactly tied radii checked", ties)
+	}
+}
+
 // tiedRadius returns a radius r whose square equals, bit for bit, the
 // center distance bucketCount computes between a random point of f and
 // the center of a random occupied cell of lv, or ok = false when no float
@@ -385,14 +487,31 @@ func cubeFrame(rng *rand.Rand, n, d int, side float64) *vec.Frame {
 // and mode the layout (bit 0), the worker count (bit 1), whether the
 // radius is the ladder's or one tied with a computed center distance
 // (bit 2) and whether the one-group layout carries its isolation bounds
-// (bit 3). Every check runs at limits n, 3 and n/3.
+// (bit 3). Every check runs at limits n, 3 and n/3. With bit 6 set it
+// checks extendCounts against crossCellCounts instead, over extendLayouts'
+// sources (bit 0 picks one group or base plus delta) and its member group
+// (checkExtendPass).
 func FuzzCountPass(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, dim, cpr uint8, rows uint16, level, mode uint8) {
 		d := 1 + int(dim)%6
 		n := 2 + int(rows)%300
 		rng := rand.New(rand.NewSource(seed))
 		fr := layoutTestFrame(rng, n, d, 1.0/float64(1+rng.Intn(128)))
-		layouts := countPassGroups(t, fr, CellIndexOptions{CellsPerRadius: 1 + int(cpr)%12})
+		opts := CellIndexOptions{CellsPerRadius: 1 + int(cpr)%12}
+		if mode&0x40 != 0 {
+			layouts, members := extendLayouts(t, rng, fr, opts)
+			srcs := layouts[int(mode)%len(layouts)]
+			j := int(level) % (topLevel(append(slices.Clone(srcs), members...)) + 1)
+			r := srcs[0].ix.lad.radius(j)
+			if mode&4 != 0 {
+				if tied, ok := tiedRadius(rng, members[0].ix.Frame(), srcs[0].ix.level(j)); ok {
+					r = tied
+				}
+			}
+			checkExtendPass(t, "fuzz extend", srcs, members, 1+int(mode>>1&1)*2, j, r)
+			return
+		}
+		layouts := countPassGroups(t, fr, opts)
 		groups := layouts[int(mode)%len(layouts)]
 		if ix := groups[0].ix; mode&8 != 0 && len(groups) == 1 {
 			groups = []cellGroup{{ix: ix, dups: ix.dupCount, isoSq: ix.isoSq}}

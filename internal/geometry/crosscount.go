@@ -116,6 +116,64 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	return ctx.Err()
 }
 
+// extendCounts adds to out crossCellCounts' counts, bit for bit (sums of
+// nonnegative terms do not depend on their order), on the calling goroutine
+// and driven from the members' rows, so the epoch chain's pass against the
+// appended rows costs what they reach: each run of a member row with cells
+// within 2w of one another merges with the source cells within w of it
+// (rowsNear, then two gallops on axis 0).
+func extendCounts(ctx context.Context, srcs, members []cellGroup, j int, r float64, limit int32, out []int32) error {
+	if !(r >= 0) || limit <= 0 || len(srcs) == 0 {
+		return nil
+	}
+	var buf [4]*cellLevel
+	lvs := buf[:0]
+	for _, groups := range [][]cellGroup{srcs, members} {
+		for _, g := range groups {
+			if err := g.ix.checkLevel(j); err != nil {
+				return err
+			}
+			lvs = append(lvs, g.ix.level(j))
+		}
+	}
+	jp := newJoinPass(lvs, r)
+	sc := srcs[0].ix.getScratch()
+	defer srcs[0].ix.putScratch(sc)
+	jp.resetBands(sc)
+	for _, mlv := range lvs[len(srcs):] {
+		for gi, slv := range lvs[:len(srcs)] {
+			src, inside, cursor := &srcs[gi], scratchOf(&sc.inside, slv.cells()), 0
+			sc.runs = sc.runs[:0]
+			for m0, m1 := 0, 0; m0 < mlv.cells() && ctx.Err() == nil; m0 = m1 {
+				for m1 = m0 + 1; m1 < mlv.cells() && prefixEqual(mlv.coord(m1), mlv.coord(m0)) && mlv.coord(m1)[0]-jp.w <= mlv.coord(m1 - 1)[0]+jp.w; m1++ {
+				}
+				for _, row := range jp.rowsNear(slv, mlv.coord(m0), mlv.coord(m1 - 1)[0], sc, &cursor) {
+					copy(sc.seek, slv.coord(int(row[0])))
+					sc.seek[0] = mlv.coord(m0)[0] - jp.w
+					c0 := slv.gallop(int(row[0]), sc.seek)
+					sc.seek[0] = mlv.coord(m1 - 1)[0] + jp.w + 1
+					if c1 := slv.gallop(c0, sc.seek); c0 < c1 {
+						jp.merge(slv, c0, c1, src, mlv, m0, m1, inside[c0:c1], out, limit, sc)
+						sc.runs = append(sc.runs, [2]int64{int64(c0), int64(c1)})
+					}
+				}
+			}
+			for _, run := range sc.runs {
+				for c := int(run[0]); c < int(run[1]); c++ {
+					if n := inside[c]; n != 0 {
+						inside[c] = 0
+						for _, pid := range slv.members(c) {
+							gid := src.gid(pid)
+							out[gid] = min(out[gid]+n, limit)
+						}
+					}
+				}
+			}
+		}
+	}
+	return ctx.Err()
+}
+
 // countPass is one crossCellCounts pass, shared by its workers.
 type countPass struct {
 	ctx            context.Context
@@ -231,10 +289,11 @@ func (jp *joinPass) resetBands(s *cellScratch) {
 
 // countTask adds mlv's contributions, saturating at lim, to dst at every
 // point of slv's source cells [lo, hi), mapped through src.gids. Runs of
-// cells within one row go through joinRow, except isolated cells: each of
-// their points p has isoSq[p] over jp.iso, the margin-widened square of
-// r + side·√d/2, so only p's own cell, holding its dups[p] copies, can
-// count (see CellIndex), and bucketCount resolves it as the join would.
+// cells within one row merge with the member rows in reach (rowsNear),
+// except isolated cells: each of their points p has isoSq[p] over jp.iso,
+// the margin-widened square of r + side·√d/2, so only p's own cell,
+// holding its dups[p] copies, can count (see CellIndex), and bucketCount
+// resolves it as the join would.
 func (jp *joinPass) countTask(slv *cellLevel, lo, hi int, src *cellGroup, mlv *cellLevel, dst []int32, lim int32, sc *cellScratch) {
 	acc := sc.acc[:hi-lo] // wholly-inside member counts per source cell
 	clear(acc)
@@ -252,7 +311,9 @@ func (jp *joinPass) countTask(slv *cellLevel, lo, hi int, src *cellGroup, mlv *c
 		for c1 < hi && prefixEqual(slv.coord(c1), slv.coord(c0)) && !jp.isolated(slv, c1, src) {
 			c1++
 		}
-		jp.joinRow(slv, c0, c1, src, mlv, acc[c0-lo:c1-lo], dst, lim, sc, &cursor)
+		for _, row := range jp.rowsNear(mlv, slv.coord(c0), slv.coord(c1 - 1)[0], sc, &cursor) {
+			jp.merge(slv, c0, c1, src, mlv, int(row[0]), int(row[1]), acc[c0-lo:c1-lo], dst, lim, sc)
+		}
 		c0 = c1
 	}
 	for c := lo; c < hi; c++ {
@@ -273,67 +334,67 @@ func (jp *joinPass) isolated(slv *cellLevel, c int, src *cellGroup) bool {
 	return true
 }
 
-// joinRow merges the source row [c0, c1) with every occupied member row
-// within w cells of it on each higher axis. Axis 1's range is one sorted
-// span per position of axes 2..d−1, which an odometer walks; a gallop finds
-// each span's first row, starting from *cursor (the previous source row's
-// landing) when one compare shows every cell before it sorts below the key,
-// and one more gallop each row's end. When the positions outnumber the
-// member cells, walking every member row is cheaper.
-func (jp *joinPass) joinRow(slv *cellLevel, c0, c1 int, src *cellGroup, mlv *cellLevel, acc, dst []int32, lim int32, sc *cellScratch, cursor *int) {
-	d, nb := slv.dim, mlv.cells()
-	row := slv.coord(c0)
-	if slv.coord(c1 - 1)[0]+jp.w < mlv.lo[0] || row[0]-jp.w > mlv.hi[0] {
-		return
+// rowsNear returns, in sc.near, every occupied row [m, e) of lv within w
+// cells, on each higher axis, of a row running from the cell coordinates
+// row to axis-0 coordinate last (none when axis 0 is out of reach). Axis
+// 1's range is one sorted span per position of axes 2..d−1, which an
+// odometer walks; a gallop finds each span's first row, from *cursor (the
+// previous call's landing) when one compare shows every cell before it
+// sorts below the key, and one more each row's end. When the positions
+// outnumber lv's cells, walking every row is cheaper.
+func (jp *joinPass) rowsNear(lv *cellLevel, row []int64, last int64, sc *cellScratch, cursor *int) [][2]int64 {
+	d, nb := lv.dim, lv.cells()
+	sc.near = sc.near[:0]
+	if last+jp.w < lv.lo[0] || row[0]-jp.w > lv.hi[0] {
+		return nil
 	}
 	if d == 1 {
-		jp.merge(slv, c0, c1, src, mlv, 0, nb, acc, dst, lim, sc)
-		return
+		return append(sc.near, [2]int64{0, int64(nb)})
 	}
 	lo, hi, key := sc.lo, sc.hi, sc.key
 	positions := 1.0
 	for a := 1; a < d; a++ {
-		lo[a], hi[a] = max(row[a]-jp.w, mlv.lo[a]), min(row[a]+jp.w, mlv.hi[a])
+		lo[a], hi[a] = max(row[a]-jp.w, lv.lo[a]), min(row[a]+jp.w, lv.hi[a])
 		if lo[a] > hi[a] {
-			return
+			return nil
 		}
 		if a > 1 {
 			positions *= float64(hi[a] - lo[a] + 1)
 		}
 	}
-	// next returns the end of the row starting at member cell m.
+	// next returns the end of the row starting at cell m.
 	next := func(m int) int {
-		copy(key[1:], mlv.coord(m)[1:])
+		copy(key[1:], lv.coord(m)[1:])
 		key[1]++
-		return mlv.gallop(m+1, key)
+		return lv.gallop(m+1, key)
 	}
-	key[0] = mlv.lo[0]
+	key[0] = lv.lo[0]
 	if positions > float64(nb) {
 	rows:
 		for m, e := 0, 0; m < nb; m = e {
 			e = next(m)
-			for a, x := range mlv.coord(m)[1:] {
+			for a, x := range lv.coord(m)[1:] {
 				if x < lo[a+1] || x > hi[a+1] {
 					continue rows
 				}
 			}
-			jp.merge(slv, c0, c1, src, mlv, m, e, acc, dst, lim, sc)
+			sc.near = append(sc.near, [2]int64{int64(m), int64(e)})
 		}
-		return
+		return sc.near
 	}
 	copy(key[1:], lo[1:])
 	from := 0
-	if c := *cursor; c > 0 && c <= nb && cmpCoords(mlv.coord(c-1), key) < 0 {
+	if c := *cursor; c > 0 && c <= nb && cmpCoords(lv.coord(c-1), key) < 0 {
 		from = c
 	}
 	for first := true; ; first = false {
-		m := mlv.gallop(from, key)
+		m := lv.gallop(from, key)
 		if first {
 			*cursor = m
 		}
-		for m < nb && mlv.coord(m)[1] <= hi[1] && (d == 2 || slices.Equal(mlv.coord(m)[2:], key[2:])) {
+		for m < nb && lv.coord(m)[1] <= hi[1] && (d == 2 || slices.Equal(lv.coord(m)[2:], key[2:])) {
 			e := next(m)
-			jp.merge(slv, c0, c1, src, mlv, m, e, acc, dst, lim, sc)
+			sc.near = append(sc.near, [2]int64{int64(m), int64(e)})
 			m = e
 		}
 		from, key[1] = m, lo[1]
@@ -342,7 +403,7 @@ func (jp *joinPass) joinRow(slv *cellLevel, c0, c1 int, src *cellGroup, mlv *cel
 			key[a] = lo[a]
 		}
 		if a == d {
-			return
+			return sc.near
 		}
 		key[a]++
 	}

@@ -42,32 +42,49 @@ func DupCounts(pts, mem *vec.Frame, memRows []int32) []int32 {
 
 // extendDups returns the duplicate table of src's rows against mem's,
 // given prev, the table of src's first ns rows against mem's first nm:
-// every source row gains its copies among the new members (one sort of
-// those), and each new source row its copies among the old members, found
-// by binary-searching each old member among the sorted new sources. That
-// is O(n log |F|) for F appended rows, against DupCounts' O(n log n).
+// every source row gains its copies among the new members, and each new
+// source row its copies among the old members, each by DupCounts over the
+// rows whose hash matches (hashMatches): O(n) hashing plus a search per
+// match, against DupCounts' O(n log n).
 func extendDups(prev []int32, src, mem *vec.Frame, ns, nm int) []int32 {
 	dup := make([]int32, src.N())
 	copy(dup, prev)
-	for i, c := range DupCounts(src, mem, rowRange(nm, mem.N())) {
-		dup[i] += c
+	newSrc, newMem := rowRange(ns, src.N()), rowRange(nm, mem.N())
+	rows := hashMatches(src, src.N(), mem, newMem)
+	for k, c := range DupCounts(src.Gather(rows), mem, newMem) {
+		dup[rows[k]] += c
 	}
-	rows := rowRange(ns, src.N())
-	slices.SortFunc(rows, func(x, y int32) int { return cmpRowKeys(src, int(x), src, int(y)) })
-	hits := make([]int32, len(rows)) // at each class's first row: its old members
-	for m := 0; m < nm; m++ {
-		k := sort.Search(len(rows), func(k int) bool { return cmpRowKeys(src, int(rows[k]), mem, m) >= 0 })
-		if k < len(rows) && cmpRowKeys(src, int(rows[k]), mem, m) == 0 {
-			hits[k]++
-		}
-	}
-	for k, s := range rows {
-		if k > 0 && cmpRowKeys(src, int(rows[k-1]), src, int(s)) == 0 {
-			hits[k] = hits[k-1]
-		}
-		dup[s] += hits[k]
+	for k, c := range DupCounts(src.Gather(newSrc), mem, hashMatches(mem, nm, src, newSrc)) {
+		dup[ns+k] += c
 	}
 	return dup
+}
+
+// hashMatches returns the rows among f's first n whose bit-pattern hash
+// matches one of g's rows listed in rows, so every row with a copy among
+// those (never nil: DupCounts reads nil as every row).
+func hashMatches(f *vec.Frame, n int, g *vec.Frame, rows []int32) []int32 {
+	set := make(map[uint64]bool, len(rows))
+	for _, i := range rows {
+		set[rowHash(g, int(i))] = true
+	}
+	out := make([]int32, 0, 2*len(rows)) // room for each listed row and one copy of it
+	for i := 0; i < n; i++ {
+		if set[rowHash(f, i)] {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// rowHash mixes row i of f's per-axis float64 bit patterns.
+func rowHash(f *vec.Frame, i int) uint64 {
+	var h uint64
+	for _, x := range f.Row(i) {
+		h = (h ^ math.Float64bits(x)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
 }
 
 // rowRange returns the row ids lo, …, hi−1.
@@ -97,7 +114,7 @@ func dupTable(pts, mem *vec.Frame, memRows []int32, iso bool) ([]int32, []float6
 	slices.SortFunc(rows, func(x, y int32) int { return cmpRowKeys(mem, int(x), mem, int(y)) })
 	// starts[c] is the offset in rows of class c's first member; rows
 	// keeps one representative per class.
-	var starts []int32
+	starts := make([]int32, 0, len(rows)+1)
 	for k := range rows {
 		if k == 0 || cmpRowKeys(mem, int(rows[k-1]), mem, int(rows[k])) != 0 {
 			rows[len(starts)] = rows[k]

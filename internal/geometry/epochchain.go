@@ -30,20 +30,21 @@ type chainLink struct {
 }
 
 // epochChain keeps, for the newest epoch a mutable index has served (the
-// head), the uncapped count block of every ladder level swept there and
-// the epoch's duplicate table. Appends only extend a buffer's row prefix,
-// so a newer epoch E′ on the same buffers extends the head E's blocks: E's
-// block, grown in place, plus two uncapped passes, every source of E′ against
-// the member rows F_m appended since E and the sources F_s appended since
-// E against E's members, counts every pair of E′ once. The duplicate table
-// extends the same way (extendDups). Saturating sums of nonnegative
-// integers are order-independent, so min(block, t) is bit for bit a fresh
-// pass's count, and blocks are partition-independent, so merges keep the
-// chain. A full uncapped pass runs after a delete (new buffers) and at a
-// level the head never swept; a pin older than the head runs a capped pass
-// and stores nothing. The chain holds one epoch's blocks (grown blocks keep
-// room for n/8 more rows) plus the previous head's not yet extended;
-// passes that touch blocks run under its lock.
+// head), the uncapped count block of every ladder level swept there and the
+// epoch's duplicate table. Appends only extend a buffer's row prefix, so a
+// newer epoch E′ on the same buffers extends the head E's blocks: E's
+// block, grown in place, plus two uncapped passes, every source of E′
+// against the member rows F_m appended since E and the sources F_s appended
+// since E against E's members, counts every pair of E′ once; the first pass
+// runs from F_m's rows (extendCounts), so it costs what the batch reaches.
+// The duplicate table extends the same way (extendDups). Saturating sums of
+// nonnegative integers are order-independent, so min(block, t) is bit for
+// bit a fresh pass's count, and blocks are partition-independent, so merges
+// keep the chain. A full uncapped pass runs after a delete (new buffers)
+// and at a level the head never swept; a pin older than the head runs a
+// capped pass and stores nothing. The chain holds one epoch's blocks (grown
+// blocks keep room for n/8 more rows) plus the previous head's not yet
+// extended; passes that touch blocks run under its lock.
 type epochChain struct {
 	opts CellIndexOptions // ladder-pinned options for the appended-row indexes
 
@@ -94,7 +95,7 @@ func (c *epochChain) counts(ctx context.Context, workers int, link chainLink, j 
 			old = append(make([]int32, 0, n+n/8), old...)
 		}
 		blk = old[:link.src.nView]
-		if err = crossCellCounts(ctx, workers, link.src.groups, c.fm, j, r, math.MaxInt32, blk); err == nil {
+		if err = extendCounts(ctx, link.src.groups, c.fm, j, r, math.MaxInt32, blk); err == nil {
 			err = crossCellCounts(ctx, workers, c.fs, c.prevMem, j, r, math.MaxInt32, blk)
 		}
 	default:

@@ -413,6 +413,65 @@ func TestPairMemoConcurrentViews(t *testing.T) {
 	})
 }
 
+// TestExtendDups checks extendDups against DupCounts over the grown
+// frames, for one store (sources = members) and for distinct source and
+// member frames, when the appended rows copy old rows, when old rows copy
+// the appended ones, and when rows differ only by −0/+0.
+func TestExtendDups(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for d := 1; d <= 3; d++ {
+		for _, kind := range []string{"new copies old", "old copies new", "signed zeros"} {
+			fresh := func() vec.Vector {
+				p := make(vec.Vector, d)
+				for a := range p {
+					if kind == "signed zeros" {
+						p[a] = []float64{0, math.Copysign(0, -1), 0.5}[rng.Intn(3)]
+					} else {
+						p[a] = float64(rng.Intn(5)) / 4
+					}
+				}
+				return p
+			}
+			// Each frame is old rows then appended rows; the copied side
+			// draws from the other side of both frames.
+			ns, nm := 20+rng.Intn(30), 20+rng.Intn(30)
+			src, mem := make([]vec.Vector, ns+1+rng.Intn(24)), make([]vec.Vector, nm+1+rng.Intn(24))
+			var pool []vec.Vector
+			fill := func(rows []vec.Vector, copies bool) {
+				for i := range rows {
+					if copies && len(pool) > 0 && rng.Intn(4) > 0 {
+						rows[i] = pool[rng.Intn(len(pool))].Clone()
+					} else {
+						rows[i] = fresh()
+					}
+				}
+			}
+			first, second := [][]vec.Vector{src[:ns], mem[:nm]}, [][]vec.Vector{src[ns:], mem[nm:]}
+			if kind == "old copies new" {
+				first, second = second, first
+			}
+			for _, rows := range first {
+				fill(rows, false)
+				pool = append(pool, rows...)
+			}
+			for _, rows := range second {
+				fill(rows, kind != "signed zeros")
+			}
+			sf := frameOf(t, src)
+			for _, m := range []struct {
+				f   *vec.Frame
+				old int
+			}{{sf, ns}, {frameOf(t, mem), nm}} {
+				prev := DupCounts(sf.Gather(rowRange(0, ns)), m.f.Gather(rowRange(0, m.old)), nil)
+				if got, want := extendDups(prev, sf, m.f, ns, m.old), DupCounts(sf, m.f, nil); !slices.Equal(got, want) {
+					t.Fatalf("d=%d %s (%d/%d source rows, %d/%d members): extendDups %v, DupCounts %v",
+						d, kind, ns, sf.N(), m.old, m.f.N(), got, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzEpochChain runs a fuzzed mutation script on a small mutable index
 // (n ≤ 64, d ≤ 3; coordinates on a 1/16 lattice, so duplicates are common,
 // with −0 among them) and, after every step, compares the chained counts at

@@ -13,8 +13,8 @@ import (
 var ErrClosed = errors.New("privcluster: dataset handle is closed")
 
 // ErrEpochRetired is returned when QueryOptions.AtEpoch pins an epoch a
-// delete has retired (and whose snapshot is no longer cached), or one that
-// does not exist yet. Wrapped errors carry the epoch; errors.Is(err,
+// delete has retired (and whose entry the handle no longer caches), or one
+// that does not exist yet. Wrapped errors carry the epoch; errors.Is(err,
 // ErrEpochRetired) identifies them.
 var ErrEpochRetired = errors.New("privcluster: epoch retired or unknown")
 
@@ -79,9 +79,9 @@ func (ds *Dataset) Append(ctx context.Context, points []Point) ([]uint64, uint64
 // epoch. Every id must exist exactly once, and a delete may not empty the
 // dataset (or any shard server of a Placement handle). Deleting retires older
 // epochs: queries already pinned keep their snapshots, but new pins of a
-// pre-delete epoch fail with ErrEpochRetired unless the snapshot is still
-// cached — for InteriorPoint as for the cluster queries, which share one
-// entry per epoch. Like Append, deletion spends no budget.
+// pre-delete epoch fail with ErrEpochRetired unless the handle's entry for
+// it is still cached, at every dimension and for every query kind (they
+// share one entry per epoch). Like Append, deletion spends no budget.
 func (ds *Dataset) Delete(ctx context.Context, ids []uint64) (uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -98,6 +98,7 @@ func (ds *Dataset) Delete(ctx context.Context, ids []uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	ds.compacted = epoch
 	if ds.dim == 1 {
 		// Compact into fresh slices: entries of older epochs keep the
 		// prefixes they captured.
@@ -113,7 +114,7 @@ func (ds *Dataset) Delete(ctx context.Context, ids []uint64) (uint64, error) {
 				rows = append(rows, id)
 			}
 		}
-		ds.rawVals, ds.rowIDs, ds.compacted = vals, rows, epoch
+		ds.rawVals, ds.rowIDs = vals, rows
 	}
 	return uint64(epoch), nil
 }
@@ -181,13 +182,12 @@ func (ds *Dataset) pinEpoch(atEpoch uint64) (*indexEntry, error) {
 		// Background context: the snapshot is shared by every later query
 		// of this epoch, so one caller's deadline must not poison it.
 		ix, err := ds.mut.Snapshot(context.Background(), e)
-		if err == nil && ds.dim == 1 {
-			// The mirror holds the epoch's rows as a prefix unless a later
-			// delete compacted it.
+		if err == nil {
+			// A later delete retires e at every d; else 1-D mirrors hold e's prefix.
 			ds.mutMu.Lock()
 			if e < ds.compacted {
 				err = geometry.ErrEpochRetired
-			} else {
+			} else if ds.dim == 1 {
 				n := ix.Frame().N()
 				ent.vals = ds.rawVals[:n:n]
 			}

@@ -307,6 +307,45 @@ func TestMutableEpochParity(t *testing.T) {
 	}
 }
 
+// TestMutableRetiredEpochEveryDim: a delete retires every older epoch at
+// every dimension, so only the handle's entry cache serves one. Epochs 1–6
+// are pinned with FindCluster, which evicts epochs 1 and 2 from the
+// four-entry cache; after a delete, a pin of epoch 1 fails with
+// ErrEpochRetired at d = 1 and d = 2 alike, while the cached epoch 6
+// still answers.
+func TestMutableRetiredEpochEveryDim(t *testing.T) {
+	ctx := context.Background()
+	for d := 1; d <= 2; d++ {
+		rng := rand.New(rand.NewSource(int64(40 + d)))
+		pts, _ := plantedPoints(rng, 360, 240, d, 0.02)
+		ds, err := Open(pts[:300], DatasetOptions{GridSize: 1024, Mutable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		for k := 0; k < 5; k++ {
+			if _, _, err := ds.Append(ctx, pts[300+12*k:312+12*k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := func(e uint64) QueryOptions { return QueryOptions{Epsilon: 4, Delta: 0.05, Seed: 3, AtEpoch: e} }
+		for e := uint64(1); e <= 6; e++ {
+			if _, err := ds.FindCluster(ctx, 150, at(e)); errors.Is(err, ErrEpochRetired) {
+				t.Fatalf("d=%d: pin of epoch %d before any delete: %v", d, e, err)
+			}
+		}
+		if _, err := ds.Delete(ctx, []uint64{0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ds.FindCluster(ctx, 150, at(1)); !errors.Is(err, ErrEpochRetired) {
+			t.Fatalf("d=%d: FindCluster at an evicted pre-delete epoch: %v, want ErrEpochRetired", d, err)
+		}
+		if _, err := ds.FindCluster(ctx, 150, at(6)); errors.Is(err, ErrEpochRetired) {
+			t.Fatalf("d=%d: FindCluster at a cached pre-delete epoch: %v", d, err)
+		}
+	}
+}
+
 // TestMutableGuards covers the configuration and epoch-pinning rejections.
 func TestMutableGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
