@@ -224,8 +224,10 @@
 // over an index — a shard server's, an epoch view's, the Dataset's
 // cached one — pays the builds, at O(n) resident memory per level. Remote
 // execution replaces C local cores with S servers and adds, per level,
-// one round trip carrying 4n bytes of counts per shard (plus the one-off
-// handshake of 8nd bytes per shard). Remote wins when per-level compute
+// one round trip carrying 4n bytes of counts per shard, which travel
+// through buffers the sweep and each connection own and reuse, never a
+// fresh copy per layer (plus the one-off handshake of 8nd bytes per
+// shard). Remote wins when per-level compute
 // dominates transport: n·(2c+2)^d/S · t_op ≫ RTT + 4n/bandwidth. At
 // n = 10⁵ a level is a few hundred kilobytes against seconds of compute,
 // so the crossover sits far below datacenter RTTs — the constraint is

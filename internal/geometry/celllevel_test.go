@@ -225,12 +225,14 @@ func TestCellLevelOutOfLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range []int{-1, sh.src.ix.lad.top + 1, math.MaxInt32} {
-		if _, err := sh.PartialCounts(context.Background(), EpochFrozen, j, 0.1, 10); err == nil {
-			t.Fatalf("PartialCounts at level %d (top %d) succeeded", j, sh.src.ix.lad.top)
+	top := sh.groups[0].ix.lad.top
+	out := make([]int32, len(pts))
+	for _, j := range []int{-1, top + 1, math.MaxInt32} {
+		if err := sh.PartialCounts(context.Background(), EpochFrozen, j, 0.1, 10, out); err == nil {
+			t.Fatalf("PartialCounts at level %d (top %d) succeeded", j, top)
 		}
 	}
-	if _, err := sh.PartialCounts(context.Background(), EpochFrozen, sh.src.ix.lad.top, 0.1, 10); err != nil {
+	if err := sh.PartialCounts(context.Background(), EpochFrozen, top, 0.1, 10, out); err != nil {
 		t.Fatalf("PartialCounts at the ladder top: %v", err)
 	}
 }

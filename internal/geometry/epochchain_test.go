@@ -221,8 +221,8 @@ func assertSameShard(t *testing.T, tag string, got ShardBackend, e Epoch, want S
 	}
 	for _, j := range levels {
 		r, limit := lad.radius(j), int32(len(gd))
-		gc, err1 := got.PartialCounts(ctx, e, j, r, limit)
-		wc, err2 := want.PartialCounts(ctx, EpochFrozen, j, r, limit)
+		gc, err1 := partials(ctx, got, e, j, r, limit, len(gd))
+		wc, err2 := partials(ctx, want, EpochFrozen, j, r, limit, len(wd))
 		if err1 != nil || err2 != nil || !slices.Equal(gc, wc) {
 			t.Fatalf("%s: PartialCounts at level %d diverge (%v / %v)", tag, j, err1, err2)
 		}
@@ -321,7 +321,7 @@ func TestEpochChainRadiusKeyed(t *testing.T) {
 	limit := int32(len(pts))
 	j := lad.top / 2
 	rj := lad.radius(j)
-	if _, err := s.PartialCounts(ctx, 1, j, rj, limit); err != nil {
+	if _, err := partials(ctx, s, 1, j, rj, limit, n0); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]uint64, len(pts)-n0)
@@ -333,11 +333,11 @@ func TestEpochChainRadiusKeyed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []float64{3 * rj, rj / 3, rj} {
-		got, err := s.PartialCounts(ctx, e2, j, r, limit)
+		got, err := partials(ctx, s, e2, j, r, limit, len(pts))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.PartialCounts(ctx, EpochFrozen, j, r, limit)
+		want, err := partials(ctx, ref, EpochFrozen, j, r, limit, len(pts))
 		if err != nil {
 			t.Fatal(err)
 		}

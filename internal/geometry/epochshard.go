@@ -102,21 +102,30 @@ func (s *MutableLocalShard) link(ctx context.Context, epoch Epoch) (chainLink, e
 	return ev.link(), nil
 }
 
-// PartialCounts computes the shard's epoch-e member contributions around
-// every epoch-e global row, capped at limit, from the shard's epoch chain
-// (crossCellCounts over the source and member generations). The shared
-// pinned ladder makes the sum bit-identical to the frozen single-index
-// pass over the epoch's rows.
-func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
+// PartialCounts counts the shard's epoch-e member contributions around
+// every epoch-e global row, capped at limit, into out from the shard's
+// epoch chain (crossCellCounts over the source and member generations).
+// The shared pinned ladder makes the sum bit-identical to the frozen
+// single-index pass over the epoch's rows.
+func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	link, err := s.link(ctx, epoch)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]int32, link.src.nView)
-	if err := s.chain.counts(ctxOrBackground(ctx), s.opts.Workers, link, j, r, limit, out); err != nil {
-		return nil, err
+	if len(out) != link.src.nView {
+		return fmt.Errorf("geometry: %d count slots for %d rows at epoch %d", len(out), link.src.nView, epoch)
 	}
-	return out, nil
+	clear(out)
+	return s.chain.counts(ctxOrBackground(ctx), s.opts.Workers, link, j, r, limit, out)
+}
+
+// Rows returns the epoch's global row count: its bulk answers' slots.
+func (s *MutableLocalShard) Rows(ctx context.Context, epoch Epoch) (int, error) {
+	link, err := s.link(ctx, epoch)
+	if err != nil {
+		return 0, err
+	}
+	return link.src.nView, nil
 }
 
 // DupCounts returns, for every epoch-e global row, the number of epoch-e
@@ -446,7 +455,7 @@ func (m *MutableShardedIndex) buildView(cv *coordView, backends []ShardBackend, 
 	if err != nil {
 		return err
 	}
-	cv.view = &ShardedIndex{frame: cv.rows.buf.View(cv.rows.nView), lad: m.lad, backends: backends, dupCount: dup, epoch: epoch, sharedBackends: true}
+	cv.view = &ShardedIndex{frame: cv.rows.buf.View(cv.rows.nView), lad: m.lad, backends: backends, counters: shardCounters(len(backends)), dupCount: dup, epoch: epoch, sharedBackends: true}
 	return nil
 }
 

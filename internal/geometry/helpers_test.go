@@ -1,6 +1,7 @@
 package geometry
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -8,6 +9,12 @@ import (
 )
 
 // Test helpers and oracles: no code outside the tests calls them.
+
+// partials runs be.PartialCounts into a fresh buffer of n slots.
+func partials(ctx context.Context, be ShardBackend, epoch Epoch, j int, r float64, limit int32, n int) ([]int32, error) {
+	out := make([]int32, n)
+	return out, be.PartialCounts(ctx, epoch, j, r, limit, out)
+}
 
 // RadiusForCount returns the smallest distance r such that the ball of
 // radius r around point i contains at least t input points, i.e. the t-th

@@ -56,8 +56,8 @@ func isolationPairs(tb testing.TB, f *vec.Frame, opts CellIndexOptions) (tags []
 		for si, ls := range sh.backends {
 			ls := ls.(*LocalShard)
 			tags = append(tags, fmt.Sprintf("shard %d/%d", si, s))
-			srcs = append(srcs, ls.src)
-			mems = append(mems, ls.members)
+			srcs = append(srcs, ls.groups[0])
+			mems = append(mems, ls.groups[1].ix)
 		}
 	}
 	return tags, srcs, mems

@@ -47,10 +47,11 @@ func BenchmarkShardPartialCounts(b *testing.B) {
 	for j := range radii {
 		radii[j] = opts.MinRadius * math.Pow(math.Pow(2, 0.5), float64(j))
 	}
+	out := make([]int32, f.N())
 	sweep := func() {
 		for _, s := range shards {
 			for j, r := range radii {
-				if _, err := s.PartialCounts(context.Background(), geometry.EpochFrozen, j, r, n/2); err != nil {
+				if err := s.PartialCounts(context.Background(), geometry.EpochFrozen, j, r, n/2, out); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,9 +1,11 @@
 package geometry
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,29 +228,38 @@ func (r *ReplicatedShard) dialProbe(ctx context.Context, rep *replica) error {
 	return nil
 }
 
-// order returns the replica indices in call-preference order: healthy
-// replicas first (by index, so routing is deterministic), then the down
-// ones as last resorts — a stale down mark must degrade a call to an extra
-// hop, never to a refusal while a live replica exists.
-func (r *ReplicatedShard) order() []int {
-	out := make([]int, 0, len(r.replicas))
+// order appends the replica indices to buf in call-preference order:
+// healthy replicas first (by index, so routing is deterministic), then the
+// down ones as last resorts — a stale down mark must degrade a call to an
+// extra hop, never to a refusal while a live replica exists.
+func (r *ReplicatedShard) order(buf []int) []int {
 	for i, rep := range r.replicas {
 		if !rep.down.Load() {
-			out = append(out, i)
+			buf = append(buf, i)
 		}
 	}
 	for i, rep := range r.replicas {
 		if rep.down.Load() {
-			out = append(out, i)
+			buf = append(buf, i)
 		}
 	}
-	return out
+	return buf
+}
+
+// bulkCall is one bulk read routed through the replica set: a
+// PartialCounts pass at (j, r, limit), or DupCounts when dup is set.
+type bulkCall struct {
+	epoch Epoch
+	j     int
+	r     float64
+	limit int32
+	dup   bool
 }
 
 // attempt runs one call on one replica, dialing its backend first if
 // needed, serialized under the replica's mutex. Failures mark the replica
 // down unless they were induced by the caller's own cancellation.
-func (r *ReplicatedShard) attempt(ctx context.Context, ri int, call func(context.Context, ShardBackend) ([]int32, error)) ([]int32, error) {
+func (r *ReplicatedShard) attempt(ctx context.Context, ri int, q bulkCall, out []int32) ([]int32, error) {
 	rep := r.replicas[ri]
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
@@ -262,7 +273,12 @@ func (r *ReplicatedShard) attempt(ctx context.Context, ri int, call func(context
 		}
 		rep.be = be
 	}
-	counts, err := call(ctx, rep.be)
+	counts, err := out, error(nil)
+	if q.dup {
+		counts, err = rep.be.DupCounts(ctx, q.epoch)
+	} else {
+		err = rep.be.PartialCounts(ctx, q.epoch, q.j, q.r, q.limit, out)
+	}
 	if err != nil {
 		if ctx.Err() == nil {
 			rep.down.Store(true)
@@ -283,12 +299,13 @@ type replicaResult struct {
 }
 
 // do routes one bulk call through the replica set: preferred replica
-// first, failover on error, optional hedge after HedgeDelay, first
-// success wins. Exactly one answer is ever returned — a hedge loser's
-// counts are dropped on the floor, never summed — so duplicated responses
-// cannot double-count. The per-call context is cancelled when do returns,
-// so losers abort promptly instead of computing into the void.
-func (r *ReplicatedShard) do(ctx context.Context, call func(context.Context, ShardBackend) ([]int32, error)) ([]int32, error) {
+// first, failover on error, optional hedge after HedgeDelay, first success
+// wins; a PartialCounts pass fills out. Unhedged, the attempts run in turn
+// on the calling goroutine, straight into out. Hedged, exactly one answer
+// is ever returned — each attempt counts into its own buffer and only the
+// winner's is copied into out, so a loser never writes into the caller's
+// buffer and duplicated responses cannot double-count.
+func (r *ReplicatedShard) do(ctx context.Context, q bulkCall, out []int32) ([]int32, error) {
 	ctx = ctxOrBackground(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -296,7 +313,6 @@ func (r *ReplicatedShard) do(ctx context.Context, call func(context.Context, Sha
 	if r.base.Err() != nil {
 		return nil, fmt.Errorf("geometry: replicated shard used after Close")
 	}
-	order := r.order()
 
 	// cctx governs every attempt of this call: it dies with the caller's
 	// ctx, with Close (via the AfterFunc), and when do returns (reaping
@@ -306,23 +322,45 @@ func (r *ReplicatedShard) do(ctx context.Context, call func(context.Context, Sha
 	stopAfter := context.AfterFunc(r.base, cancel)
 	defer stopAfter()
 
-	results := make(chan replicaResult, len(order))
 	span := obs.CurrentSpan(ctx)
+	if r.opts.HedgeDelay <= 0 || len(r.replicas) == 1 {
+		var buf [8]int
+		var firstErr error
+		for k, ri := range r.order(buf[:0]) {
+			if k > 0 {
+				statReplicaFailover.Inc()
+				span.Count("failovers", 1)
+			}
+			counts, err := r.attempt(cctx, ri, q, out)
+			if err == nil {
+				return counts, nil
+			}
+			if cerr := ctx.Err(); cerr != nil || r.base.Err() != nil {
+				return nil, cmp.Or(cerr, err) // the caller gave up (its error wins), or Close did
+			}
+			firstErr = cmp.Or(firstErr, err)
+		}
+		return nil, firstErr
+	}
+
+	order := r.order(nil)
+	results := make(chan replicaResult, len(order))
 	next := 0
 	inflight := 0
 	launch := func(hedged bool) {
 		ri := order[next]
 		next++
 		inflight++
+		buf := slices.Clone(out) // the attempt's own buffer (nil for DupCounts)
 		go func() {
-			counts, err := r.attempt(cctx, ri, call)
+			counts, err := r.attempt(cctx, ri, q, buf)
 			results <- replicaResult{counts, err, hedged}
 		}()
 	}
 	launch(false)
 
 	var hedgeC <-chan time.Time
-	if r.opts.HedgeDelay > 0 && next < len(order) {
+	if next < len(order) {
 		timer := time.NewTimer(r.opts.HedgeDelay)
 		defer timer.Stop()
 		hedgeC = timer.C
@@ -355,6 +393,7 @@ func (r *ReplicatedShard) do(ctx context.Context, call func(context.Context, Sha
 						statReplicaHedgeLost.Inc()
 					}
 				}
+				copy(out, res.counts)
 				return res.counts, nil
 			}
 			if res.hedged {
@@ -391,17 +430,14 @@ func (r *ReplicatedShard) NPoints() int { return r.npoints }
 
 // PartialCounts answers the capped bulk-count pass from whichever replica
 // wins — the call the LStep sweep hammers, and the one hedging exists for.
-func (r *ReplicatedShard) PartialCounts(ctx context.Context, epoch Epoch, j int, radius float64, limit int32) ([]int32, error) {
-	return r.do(ctx, func(ctx context.Context, be ShardBackend) ([]int32, error) {
-		return be.PartialCounts(ctx, epoch, j, radius, limit)
-	})
+func (r *ReplicatedShard) PartialCounts(ctx context.Context, epoch Epoch, j int, radius float64, limit int32, out []int32) error {
+	_, err := r.do(ctx, bulkCall{epoch: epoch, j: j, r: radius, limit: limit}, out)
+	return err
 }
 
 // DupCounts answers the duplicate-table pass from whichever replica wins.
 func (r *ReplicatedShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
-	return r.do(ctx, func(ctx context.Context, be ShardBackend) ([]int32, error) {
-		return be.DupCounts(ctx, epoch)
-	})
+	return r.do(ctx, bulkCall{epoch: epoch, dup: true}, nil)
 }
 
 // Close tears the partition down: the prober and any in-flight attempts

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,11 +49,11 @@ func (f *flakyShard) gate() error {
 	return nil
 }
 
-func (f *flakyShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
+func (f *flakyShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	if err := f.gate(); err != nil {
-		return nil, err
+		return err
 	}
-	return f.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
+	return f.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, out)
 }
 
 func (f *flakyShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
@@ -177,7 +178,7 @@ func TestReplicatedShardAllDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); !errors.Is(err, died) {
+	if _, err := partials(context.Background(), rs, EpochFrozen, 0, 0.05, 10, len(pts)); !errors.Is(err, died) {
 		t.Fatalf("all replicas dead: err = %v, want %v", err, died)
 	}
 	if got := dialed.Load(); got != 3 {
@@ -216,7 +217,7 @@ func TestReplicatedShardHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.PartialCounts(context.Background(), EpochFrozen, 1, 0.05, 50)
+	want, err := partials(context.Background(), ref, EpochFrozen, 1, 0.05, 50, len(pts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestReplicatedShardHedge(t *testing.T) {
 	}
 	defer rs.Close()
 	for q := 0; q < 20; q++ {
-		got, err := rs.PartialCounts(context.Background(), EpochFrozen, 1, 0.05, 50)
+		got, err := partials(context.Background(), rs, EpochFrozen, 1, 0.05, 50, len(pts))
 		if err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
@@ -265,13 +266,13 @@ type slowShard struct {
 	delay time.Duration
 }
 
-func (s *slowShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
+func (s *slowShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	select {
 	case <-time.After(s.delay):
 	case <-ctxOrBackground(ctx).Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return s.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
+	return s.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, out)
 }
 
 // TestReplicatedShardProbeRecovery: a replica that failed (and was marked
@@ -314,10 +315,10 @@ func TestReplicatedShardProbeRecovery(t *testing.T) {
 
 	// First call: primary's budget runs out → failover to backup, primary
 	// marked down.
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
+	if _, err := partials(context.Background(), rs, EpochFrozen, 0, 0.05, 10, len(pts)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
+	if _, err := partials(context.Background(), rs, EpochFrozen, 0, 0.05, 10, len(pts)); err != nil {
 		t.Fatal(err)
 	}
 	// The down mark itself is transient — the 1ms prober may clear it
@@ -331,7 +332,7 @@ func TestReplicatedShardProbeRecovery(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The recovered primary serves again (its budget was restored).
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
+	if _, err := partials(context.Background(), rs, EpochFrozen, 0, 0.05, 10, len(pts)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -357,7 +358,7 @@ func TestReplicatedShardPreCancelled(t *testing.T) {
 	defer rs.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rs.PartialCounts(ctx, EpochFrozen, 0, 0.05, 10); !errors.Is(err, context.Canceled) {
+	if _, err := partials(ctx, rs, EpochFrozen, 0, 0.05, 10, len(pts)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 	if got := calls.Load(); got != 0 {
@@ -370,9 +371,9 @@ type countingShard struct {
 	calls *atomic.Int32
 }
 
-func (c *countingShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
+func (c *countingShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	c.calls.Add(1)
-	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
+	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, out)
 }
 
 // TestReplicatedShardClose: Close is idempotent, closes every dialed
@@ -395,7 +396,7 @@ func TestReplicatedShardClose(t *testing.T) {
 	}
 	// Force the second replica to dial too (failover path), so Close has
 	// two backends to release.
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err != nil {
+	if _, err := partials(context.Background(), rs, EpochFrozen, 0, 0.05, 10, len(pts)); err != nil {
 		t.Fatal(err)
 	}
 	rs.replicas[1].down.Store(false)
@@ -411,7 +412,75 @@ func TestReplicatedShardClose(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := rs.PartialCounts(context.Background(), EpochFrozen, 0, 0.05, 10); err == nil {
+	if _, err := partials(context.Background(), rs, EpochFrozen, 0, 0.05, 10, len(pts)); err == nil {
 		t.Fatal("call after Close succeeded")
+	}
+}
+
+// loserShard is a hedge loser that keeps writing after the race is
+// decided: it scribbles into its buffer until its call is cancelled (do
+// returning with the sibling's answer) and for a while after, then fails.
+type loserShard struct {
+	ShardBackend
+	done chan<- struct{}
+}
+
+func (l *loserShard) PartialCounts(ctx context.Context, _ Epoch, _ int, _ float64, _ int32, out []int32) error {
+	defer func() { l.done <- struct{}{} }()
+	scribble := func() {
+		for i := range out {
+			out[i] = -1
+		}
+	}
+	for ctx.Err() == nil {
+		scribble()
+	}
+	for end := time.Now().Add(5 * time.Millisecond); time.Now().Before(end); {
+		scribble()
+	}
+	return ctx.Err()
+}
+
+// TestReplicatedShardHedgeLoserOwnBuffer: on a hedged R = 2 partition the
+// primary loses every race and is still writing into its buffer when the
+// hedge's answer returns. The caller's buffer must hold the winner's
+// counts, both when the call returns and after the loser has finished —
+// a loser writing into it is a data race the race detector reports, and
+// leaves garbage behind.
+func TestReplicatedShardHedgeLoserOwnBuffer(t *testing.T) {
+	ctx := context.Background()
+	pts := shardTestPoints(t, 37, 300, 2)
+	cfg := shardConfigFor(t, pts, shardTestOptions(2))
+	ref, err := NewLocalShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := partials(ctx, ref, EpochFrozen, 1, 0.05, 50, len(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{}, 1)
+	loser := func(context.Context) (ShardBackend, error) {
+		return &loserShard{ShardBackend: ref, done: done}, nil
+	}
+	winner := func(context.Context) (ShardBackend, error) { return NewLocalShard(cfg) }
+	rs, err := NewReplicatedShard(ctx, []ReplicaDialer{loser, winner},
+		ReplicatedShardOptions{HedgeDelay: time.Nanosecond, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	out := make([]int32, len(pts))
+	for q := 0; q < 5; q++ {
+		if err := rs.PartialCounts(ctx, EpochFrozen, 1, 0.05, 50, out); err != nil {
+			t.Fatalf("query %d: %v", q, err)
+		}
+		if !slices.Equal(out, want) {
+			t.Fatalf("query %d: counts diverge from the winner's while the loser writes", q)
+		}
+		<-done
+		if !slices.Equal(out, want) {
+			t.Fatalf("query %d: the hedge loser wrote into the caller's buffer", q)
+		}
 	}
 }

@@ -38,18 +38,20 @@ import (
 type ShardBackend interface {
 	// NPoints returns the number of points the shard currently holds.
 	NPoints() int
-	// PartialCounts returns this shard's contribution to the capped
+	// PartialCounts fills out with this shard's contribution to the capped
 	// within-r counts around every global point of the epoch's snapshot,
 	// at ladder level j: slot i holds min(|{y ∈ shard : y contributes to
 	// B̂_r(points[i])}|, limit), with boundary cells resolved by the center
 	// rule of the L estimators (see CellIndex). Summing the per-shard
 	// vectors with saturation at limit reproduces the unsharded capped
-	// counts bit for bit (capping commutes — see ShardedIndex).
-	PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error)
+	// counts bit for bit (capping commutes — see ShardedIndex). out is the
+	// caller's, reused across rounds: len(out) must be the snapshot's row
+	// count, and only a successful call defines its contents.
+	PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error
 	// DupCounts returns, for every global point of the epoch's snapshot,
 	// how many shard points are bitwise identical to it — this shard's
 	// contribution to the global duplicate table (the exact radius-0
-	// counts).
+	// counts). It runs once per epoch, so it returns a fresh slice.
 	DupCounts(ctx context.Context, epoch Epoch) ([]int32, error)
 	// Close releases the backend's resources (network connections for
 	// remote implementations; a no-op locally).
@@ -112,9 +114,8 @@ func (cfg ShardConfig) validate() error {
 // bytes), so PartialCounts skips the row join for isolated points as a
 // CellIndex does (see its doc): the fine levels cost O(n).
 type LocalShard struct {
-	cfg     ShardConfig
-	members *CellIndex // index over the shard's subset
-	src     cellGroup  // source-cell structure over the global points
+	cfg    ShardConfig
+	groups [2]cellGroup // the source structure over the global points, then the member index
 }
 
 // NewLocalShard builds the in-process backend for one shard. The config's
@@ -138,11 +139,11 @@ func NewLocalShard(cfg ShardConfig) (*LocalShard, error) {
 	}
 	cfg.Cell = cell
 	src.dups, src.isoSq = dupTable(cfg.Points, cfg.Points, cfg.Members, true)
-	return &LocalShard{cfg: cfg, members: members, src: src}, nil
+	return &LocalShard{cfg: cfg, groups: [2]cellGroup{src, {ix: members}}}, nil
 }
 
 // NPoints returns the number of points the shard holds.
-func (s *LocalShard) NPoints() int { return s.members.N() }
+func (s *LocalShard) NPoints() int { return s.groups[1].ix.N() }
 
 // Close is a no-op: the shard holds no external resources.
 func (s *LocalShard) Close() error { return nil }
@@ -153,23 +154,20 @@ func errFrozenEpoch(epoch Epoch) error {
 	return fmt.Errorf("geometry: immutable shard queried at epoch %d (only the frozen snapshot exists)", epoch)
 }
 
-// PartialCounts computes the shard's member contributions around every
-// global point at ladder level j, capped at limit, via the shared
+// PartialCounts counts the shard's member contributions around every
+// global point at ladder level j, capped at limit, into out via the shared
 // crossCellCounts engine (the source structure over the global points as
 // the one source group, the member index as the one member group). A
 // cancelled ctx aborts it with ctx.Err() and no leaked goroutines.
-func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
+func (s *LocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	if epoch != EpochFrozen {
-		return nil, errFrozenEpoch(epoch)
+		return errFrozenEpoch(epoch)
 	}
-	out := make([]int32, s.cfg.Points.N())
-	err := crossCellCounts(ctxOrBackground(ctx), s.cfg.Cell.Workers,
-		[]cellGroup{s.src}, []cellGroup{{ix: s.members}},
-		j, r, limit, out)
-	if err != nil {
-		return nil, err
+	if len(out) != s.cfg.Points.N() {
+		return fmt.Errorf("geometry: %d count slots for %d points", len(out), s.cfg.Points.N())
 	}
-	return out, nil
+	clear(out)
+	return crossCellCounts(ctxOrBackground(ctx), s.cfg.Cell.Workers, s.groups[:1], s.groups[1:], j, r, limit, out)
 }
 
 // DupCounts returns, for every global point, the number of shard points
@@ -181,5 +179,5 @@ func (s *LocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error
 	if err := ctxOrBackground(ctx).Err(); err != nil {
 		return nil, err
 	}
-	return slices.Clone(s.src.dups), nil
+	return slices.Clone(s.groups[0].dups), nil
 }

@@ -67,12 +67,12 @@ type failingBackend struct {
 	err              error
 }
 
-func (f *failingBackend) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
+func (f *failingBackend) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	f.calls++
 	if f.calls > f.failAfter {
-		return nil, f.err
+		return f.err
 	}
-	return f.LocalShard.PartialCounts(ctx, epoch, j, r, limit)
+	return f.LocalShard.PartialCounts(ctx, epoch, j, r, limit, out)
 }
 
 // TestShardedIndexBackendFailure: a backend failing mid-LStep-sweep must
@@ -158,11 +158,11 @@ type cancelOnCall struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelOnCall) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32) ([]int32, error) {
+func (c *cancelOnCall) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	if c.n.Add(1) >= c.after {
 		c.cancel()
 	}
-	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit)
+	return c.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, out)
 }
 
 // TestLocalShardConfigValidation covers the malformed-config rejections a

@@ -74,6 +74,8 @@ type ShardedIndex struct {
 	// backends are the partitions, reached only through the interface,
 	// with every bulk query summing the per-backend partial vectors.
 	backends []ShardBackend
+	// counters names each backend's latency counter on a traced sweep.
+	counters []string
 
 	// dupCount[i] is the number of input points identical to row i
 	// across ALL shards — the exact global B_0 counts (per-shard duplicate
@@ -125,7 +127,7 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 	if err != nil {
 		return nil, err
 	}
-	ix := &ShardedIndex{frame: points, lad: lad}
+	ix := &ShardedIndex{frame: points, lad: lad, counters: shardCounters(s)}
 	shardCell := cellOpts
 	shardCell.MaxRadius = lad.maxR
 
@@ -297,56 +299,63 @@ func (ix *ShardedIndex) Frame() *vec.Frame { return ix.frame }
 // Shards returns the number of shards (diagnostic).
 func (ix *ShardedIndex) Shards() int { return len(ix.backends) }
 
-// countAllBackends is the backend-mode bulk pass: one PartialCounts round
-// trip per backend, issued concurrently, then the per-shard capped vectors
-// summed into out with saturation at limit — min(Σ_s min(B_s, t), t) =
-// min(B, t), so the result is bit-identical to one unsharded pass. On any
-// backend failure the siblings are cancelled and the error (never a
-// partial sum) is returned; a cancelled caller ctx aborts every in-flight
-// call.
-func (ix *ShardedIndex) countAllBackends(ctx context.Context, j int, r float64, limit int32, out []int32) error {
+// backendSweep is one BuildLStep sweep's fan-out state, reused at every level.
+type backendSweep struct {
+	ix     *ShardedIndex
+	ctx    context.Context // the sweep's cancel scope
+	cancel context.CancelFunc
+	bufs   [][]int32 // backend si's counts; backend 0's are the level's out
+	errs   []error
+	wg     sync.WaitGroup
+}
+
+// countAllBackends is the backend-mode bulk pass at one level: one
+// PartialCounts round trip per backend, issued concurrently, then the
+// per-shard capped vectors summed into out with saturation at limit —
+// min(Σ_s min(B_s, t), t) = min(B, t), so the result is bit-identical to
+// one unsharded pass. On any backend failure the siblings are cancelled
+// and the error (never a partial sum) is returned, which ends the sweep; a
+// cancelled caller ctx aborts every in-flight call. Backends reject answers
+// whose slot count is not their buffer's, so none can skew the sums.
+func (sw *backendSweep) countAllBackends(ctx context.Context, j int, r float64, limit int32, out []int32) error {
 	if r < 0 || limit <= 0 {
 		return nil
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	parts := make([][]int32, len(ix.backends))
-	errs := make([]error, len(ix.backends))
-	// Per-backend spans would exhaust the trace's span cap over an LStep
-	// sweep's many rounds; the enclosing stage span accumulates counters
-	// instead, and the latency distribution goes to the process histogram.
-	span := obs.CurrentSpan(ctx)
-	var wg sync.WaitGroup
-	for si, be := range ix.backends {
-		wg.Add(1)
-		go func(si int, be ShardBackend) {
-			defer wg.Done()
-			start := time.Now()
-			parts[si], errs[si] = be.PartialCounts(cctx, ix.epoch, j, r, limit)
-			el := time.Since(start)
-			statShardFanout.Observe(el.Seconds())
-			if span != nil {
-				span.Count("shard_calls", 1)
-				span.Count(fmt.Sprintf("shard%d_us", si), el.Microseconds())
-			}
-			if errs[si] != nil {
-				cancel() // tear down the sibling calls
-			}
-		}(si, be)
+	sw.bufs[0] = out
+	sw.wg.Add(len(sw.bufs))
+	for si := 1; si < len(sw.bufs); si++ {
+		if sw.bufs[si] == nil {
+			sw.bufs[si] = make([]int32, len(out))
+		}
+		go sw.call(si, j, r, limit)
 	}
-	wg.Wait()
-	if err := firstRealError(ctx, errs); err != nil {
+	sw.call(0, j, r, limit)
+	sw.wg.Wait()
+	if err := firstRealError(ctx, sw.errs); err != nil {
 		return err
 	}
-	for si, p := range parts {
-		if len(p) != len(out) {
-			// A backend answering for the wrong snapshot (or a hostile
-			// server) must never silently skew the sums.
-			return fmt.Errorf("geometry: shard %d returned %d partial counts at epoch %d, want %d", si, len(p), ix.epoch, len(out))
-		}
+	for _, p := range sw.bufs[1:] {
 		addSaturating(out, p, limit)
 	}
 	return nil
+}
+
+// call runs backend si's round into its buffer. Per-backend spans would
+// exhaust the trace's span cap over a sweep's many rounds: the stage span
+// accumulates counters, the process histogram the latency distribution.
+func (sw *backendSweep) call(si, j int, r float64, limit int32) {
+	defer sw.wg.Done()
+	start := time.Now()
+	err := sw.ix.backends[si].PartialCounts(sw.ctx, sw.ix.epoch, j, r, limit, sw.bufs[si])
+	el := time.Since(start)
+	statShardFanout.Observe(el.Seconds())
+	if span := obs.CurrentSpan(sw.ctx); span != nil {
+		span.Count("shard_calls", 1)
+		span.Count(sw.ix.counters[si], el.Microseconds())
+	}
+	if sw.errs[si] = err; err != nil {
+		sw.cancel() // tear down the sibling calls
+	}
 }
 
 // firstRealError reduces a fan-out's per-backend errors: the caller's own
@@ -373,11 +382,23 @@ func firstRealError(ctx context.Context, errs []error) error {
 
 // BuildLStep constructs the approximate L(·, S) step function with the
 // same sweep as CellIndex (sweepLStep), each level's counts summed across
-// the backends by countAllBackends. Each shard's cell level uses exactly the cell side the unsharded index would (shared
-// ladder), so every per-point count, and with it the recorded function, is
-// bit-identical to the unsharded one: the sensitivity-2 argument (and
-// every downstream noise draw) is unchanged; see the ShardedIndex
-// equivalence contract.
+// the backends by countAllBackends. Each shard's cell level uses exactly
+// the cell side the unsharded index would (shared ladder), so every
+// per-point count, and with it the recorded function, is bit-identical to
+// the unsharded one: the sensitivity-2 argument (and every downstream
+// noise draw) is unchanged; see the ShardedIndex equivalence contract.
 func (ix *ShardedIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
-	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, ix.countAllBackends)
+	sw := &backendSweep{ix: ix, bufs: make([][]int32, len(ix.backends)), errs: make([]error, len(ix.backends))}
+	sw.ctx, sw.cancel = context.WithCancel(ctxOrBackground(ctx))
+	defer sw.cancel()
+	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, sw.countAllBackends)
+}
+
+// shardCounters names the backends' latency counters on a traced sweep.
+func shardCounters(s int) []string {
+	out := make([]string, s)
+	for si := range out {
+		out[si] = fmt.Sprintf("shard%d_us", si)
+	}
+	return out
 }

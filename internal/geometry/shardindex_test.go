@@ -144,8 +144,8 @@ func TestShardedIndexMatchesCellIndex(t *testing.T) {
 				t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
 			}
 			for _, shard := range localShards(t, sh) {
-				if shard.members.lad != ref.lad || shard.src.ix.lad != ref.lad {
-					t.Fatalf("%s: shard ladder diverged: %+v / %+v vs %+v", tag, shard.members.lad, shard.src.ix.lad, ref.lad)
+				if mem, src := shard.groups[1].ix, shard.groups[0].ix; mem.lad != ref.lad || src.lad != ref.lad {
+					t.Fatalf("%s: shard ladder diverged: %+v / %+v vs %+v", tag, mem.lad, src.lad, ref.lad)
 				}
 			}
 			for i := range pts {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -96,6 +97,8 @@ type RemoteShard struct {
 	conn       net.Conn
 	br         *bufio.Reader
 	bw         *bufio.Writer
+	interrupt  func() // fails the connection's in-flight read or write now
+	req, in    []byte // request and response payload buffers, reused every round trip
 	closed     bool
 	handshaken bool   // a session was established at least once
 	version    uint16 // the session's negotiated protocol version
@@ -152,52 +155,31 @@ func (c *RemoteShard) Close() error {
 // Addr returns the shard server address (diagnostic).
 func (c *RemoteShard) Addr() string { return c.addr }
 
-// countsWant returns the strict slot count expected of a bulk response at
-// the given epoch: the frozen snapshot's row count is the config's, while
-// a pinned epoch's is known only shard-side (the geometry coordinator
-// validates it against the pinned view).
-func (c *RemoteShard) countsWant(epoch geometry.Epoch) int {
-	if epoch == geometry.EpochFrozen {
-		return c.cfg.Points.N()
-	}
-	return -1
-}
-
 // PartialCounts runs one capped bulk-count pass on the server: a single
 // round trip whose response carries the shard's contribution around every
-// global point of the pinned epoch.
-func (c *RemoteShard) PartialCounts(ctx context.Context, epoch geometry.Epoch, j int, r float64, limit int32) ([]int32, error) {
-	w := &wbuf{b: make([]byte, 0, 25)}
-	w.b = binary.BigEndian.AppendUint64(w.b, epoch)
-	w.i32(int32(j))
-	w.f64(r)
-	w.i32(limit)
-	w.u8(0) // boundary rule: the center rule, the only one defined
-	payload, err := c.call(ctx, "partials", msgPartials, w.b, msgCounts)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := decodeCounts(payload, c.countsWant(epoch))
-	if err != nil {
-		return nil, &Error{Op: "partials", Addr: c.addr, Kind: KindProtocol, Err: err}
-	}
-	return counts, nil
+// global point of the pinned epoch, decoded straight into out. A response
+// whose slot count is not len(out) fails before anything is written.
+func (c *RemoteShard) PartialCounts(ctx context.Context, epoch geometry.Epoch, j int, r float64, limit int32, out []int32) error {
+	var buf [25]byte
+	req := binary.BigEndian.AppendUint64(buf[:0], epoch)
+	req = binary.BigEndian.AppendUint32(req, uint32(j))
+	req = binary.BigEndian.AppendUint64(req, math.Float64bits(r))
+	req = binary.BigEndian.AppendUint32(req, uint32(limit))
+	req = append(req, 0) // boundary rule: the center rule, the only one defined
+	return c.call(ctx, "partials", msgPartials, req, msgCounts, func(payload []byte) error {
+		return decodeCounts(payload, out)
+	})
 }
 
 // DupCounts fetches the shard's duplicate-table contribution at the
-// pinned epoch.
+// pinned epoch (the geometry layer checks its slot count).
 func (c *RemoteShard) DupCounts(ctx context.Context, epoch geometry.Epoch) ([]int32, error) {
-	w := &wbuf{b: make([]byte, 0, 8)}
-	w.b = binary.BigEndian.AppendUint64(w.b, epoch)
-	payload, err := c.call(ctx, "dupcounts", msgDupCounts, w.b, msgCounts)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := decodeCounts(payload, c.countsWant(epoch))
-	if err != nil {
-		return nil, &Error{Op: "dupcounts", Addr: c.addr, Kind: KindProtocol, Err: err}
-	}
-	return counts, nil
+	var counts []int32
+	err := c.call(ctx, "dupcounts", msgDupCounts, binary.BigEndian.AppendUint64(nil, epoch), msgCounts, func(payload []byte) error {
+		counts = make([]int32, max(len(payload)-4, 0)/4)
+		return decodeCounts(payload, counts)
+	})
+	return counts, err
 }
 
 // errNotMutable rejects mutation calls on an immutable session client-side
@@ -207,13 +189,14 @@ func (c *RemoteShard) errNotMutable(op string) error {
 		Err: errors.New("mutation on an immutable shard session (dial with Options.Mutable)")}
 }
 
-// epochResponse decodes the msgEpoch payload of a mutation round trip.
-func (c *RemoteShard) epochResponse(op string, payload []byte) (geometry.Epoch, error) {
-	epoch, _, err := decodeEpoch(payload)
-	if err != nil {
-		return 0, &Error{Op: op, Addr: c.addr, Kind: KindProtocol, Err: err}
-	}
-	return epoch, nil
+// mutate runs one mutation round trip, returning the epoch it answers.
+func (c *RemoteShard) mutate(ctx context.Context, op string, reqType byte, req []byte) (geometry.Epoch, error) {
+	var epoch geometry.Epoch
+	err := c.call(ctx, op, reqType, req, msgEpoch, func(payload []byte) (err error) {
+		epoch, _, err = decodeEpoch(payload)
+		return err
+	})
+	return epoch, err
 }
 
 // Append lands one epoch-advancing append batch on the shard session (see
@@ -242,11 +225,7 @@ func (c *RemoteShard) Append(ctx context.Context, rows *vec.Frame, memberLocal [
 	for _, li := range memberLocal {
 		w.i32(li)
 	}
-	payload, err := c.call(ctx, "append", msgAppend, w.b, msgEpoch)
-	if err != nil {
-		return 0, err
-	}
-	return c.epochResponse("append", payload)
+	return c.mutate(ctx, "append", msgAppend, w.b)
 }
 
 // Delete lands one epoch-advancing delete batch on the shard session.
@@ -264,11 +243,7 @@ func (c *RemoteShard) Delete(ctx context.Context, ids []uint64) (geometry.Epoch,
 	for _, id := range ids {
 		w.b = binary.BigEndian.AppendUint64(w.b, id)
 	}
-	payload, err := c.call(ctx, "delete", msgDelete, w.b, msgEpoch)
-	if err != nil {
-		return 0, err
-	}
-	return c.epochResponse("delete", payload)
+	return c.mutate(ctx, "delete", msgDelete, w.b)
 }
 
 // Merge folds the session shard's append deltas into its base, server
@@ -277,11 +252,7 @@ func (c *RemoteShard) Merge(ctx context.Context) error {
 	if !c.opts.Mutable {
 		return c.errNotMutable("merge")
 	}
-	payload, err := c.call(ctx, "merge", msgMerge, nil, msgEpoch)
-	if err != nil {
-		return err
-	}
-	_, err = c.epochResponse("merge", payload)
+	_, err := c.mutate(ctx, "merge", msgMerge, nil)
 	return err
 }
 
@@ -293,18 +264,20 @@ func rowCount(f *vec.Frame) int {
 	return f.N()
 }
 
-// call performs one request/response round trip with reconnect-and-retry.
-// Mutable sessions get zero retries: re-sending a mutation could apply it
-// twice, and re-sending a query after a reconnect would run it against a
-// freshly recreated session that lost every epoch.
-func (c *RemoteShard) call(ctx context.Context, op string, reqType byte, req []byte, wantResp byte) ([]byte, error) {
+// call performs one request/response round trip with reconnect-and-retry,
+// decoding the response payload (overwritten by the next round trip)
+// under the client's lock. Mutable sessions
+// get zero retries: re-sending a mutation could apply it twice, and
+// re-sending a query after a reconnect would run it against a freshly
+// recreated session that lost every epoch.
+func (c *RemoteShard) call(ctx context.Context, op string, reqType byte, req []byte, wantResp byte, decode func([]byte) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, &Error{Op: op, Addr: c.addr, Kind: KindClosed, Err: ErrClosed}
+		return &Error{Op: op, Addr: c.addr, Kind: KindClosed, Err: ErrClosed}
 	}
 	retries := c.opts.Retries
 	if c.opts.Mutable {
@@ -313,12 +286,12 @@ func (c *RemoteShard) call(ctx context.Context, op string, reqType byte, req []b
 	var last error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, &Error{Op: op, Addr: c.addr, Kind: KindCanceled, Err: err}
+			return &Error{Op: op, Addr: c.addr, Kind: KindCanceled, Err: err}
 		}
 		if err := c.ensureConnLocked(ctx); err != nil {
 			var te *Error
 			if errors.As(err, &te) && (te.Kind == KindVersion || te.Kind == KindCanceled) {
-				return nil, err // re-dialing cannot change either outcome
+				return err // re-dialing cannot change either outcome
 			}
 			last = err
 			continue
@@ -326,44 +299,46 @@ func (c *RemoteShard) call(ctx context.Context, op string, reqType byte, req []b
 		// Version-3 sessions prefix every request with the trace field; the
 		// prefix is rebuilt per attempt because a reconnect can renegotiate
 		// the session version.
-		sendReq := req
+		send := c.req[:0]
 		if c.version >= 3 {
-			var pfx [17]byte
-			n := 1
+			send = append(send, 0)
 			if id := obs.FromContext(ctx).ID(); !id.IsZero() {
-				pfx[0] = 1
-				copy(pfx[1:], id[:])
-				n = 17
+				send[0] = 1
+				send = append(send, id[:]...)
 			}
-			sendReq = append(pfx[:n:n], req...)
 		}
-		payload, err := c.roundTripLocked(ctx, op, reqType, sendReq, wantResp)
+		c.req = append(send, req...)
+		payload, err := c.roundTripLocked(ctx, op, reqType, c.req, wantResp)
 		if err == nil {
-			return payload, nil
+			if err := decode(payload); err != nil {
+				return &Error{Op: op, Addr: c.addr, Kind: KindProtocol, Err: err}
+			}
+			return nil
 		}
 		var te *Error
 		if errors.As(err, &te) && te.Kind == KindRemote {
 			// The error frame was read in full — the stream is clean and
 			// the transport healthy; retrying re-runs the same failure.
-			return nil, err
+			return err
 		}
 		// Any other failure may have left a frame half-read: drop the
 		// connection so the next attempt re-dials and re-handshakes.
 		c.resetConnLocked()
 		if errors.As(err, &te) && te.Kind == KindCanceled {
-			return nil, err // the caller gave up; nothing to retry
+			return err // the caller gave up; nothing to retry
 		}
 		last = err
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, &Error{Op: op, Addr: c.addr, Kind: KindCanceled, Err: cerr}
+			return &Error{Op: op, Addr: c.addr, Kind: KindCanceled, Err: cerr}
 		}
 	}
-	return nil, last
+	return last
 }
 
-// roundTripLocked writes one request frame and reads its response on the
-// live connection, propagating the ctx deadline onto the connection and
-// arming an AfterFunc so cancellation interrupts the blocking I/O.
+// roundTripLocked writes one request frame and reads its response into the
+// connection's read buffer, propagating the ctx deadline onto the
+// connection and arming an AfterFunc so cancellation interrupts the
+// blocking I/O.
 func (c *RemoteShard) roundTripLocked(ctx context.Context, op string, reqType byte, req []byte, wantResp byte) ([]byte, error) {
 	conn := c.conn
 	if dl, ok := ctx.Deadline(); ok {
@@ -371,19 +346,16 @@ func (c *RemoteShard) roundTripLocked(ctx context.Context, op string, reqType by
 	} else {
 		conn.SetDeadline(time.Time{})
 	}
-	stop := context.AfterFunc(ctx, func() {
-		// A deadline in the past fails the in-flight Read/Write now.
-		conn.SetDeadline(time.Unix(1, 0))
-	})
-	defer stop()
+	defer context.AfterFunc(ctx, c.interrupt)()
 
 	if err := writeFrame(c.bw, reqType, req); err != nil {
 		return nil, c.ioError(ctx, op, err)
 	}
-	typ, payload, err := readFrame(c.br)
+	typ, payload, err := readFrame(c.br, c.in)
 	if err != nil {
 		return nil, c.ioError(ctx, op, err)
 	}
+	c.in = payload
 	conn.SetDeadline(time.Time{})
 	switch typ {
 	case wantResp:
@@ -448,6 +420,8 @@ func (c *RemoteShard) ensureConnLocked(ctx context.Context) error {
 	c.conn = conn
 	c.br = bufio.NewReaderSize(conn, 1<<16)
 	c.bw = bufio.NewWriterSize(conn, 1<<16)
+	// A deadline in the past fails the in-flight Read/Write now.
+	c.interrupt = func() { conn.SetDeadline(time.Unix(1, 0)) }
 	if err := c.handshakeLocked(dctx); err != nil {
 		c.resetConnLocked()
 		return err
@@ -464,8 +438,7 @@ func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	}
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
+	defer context.AfterFunc(ctx, c.interrupt)()
 
 	hello := &wbuf{}
 	hello.b = append(hello.b, wireMagic[:]...)
@@ -473,7 +446,7 @@ func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	if err := writeFrame(c.bw, msgHello, hello.b); err != nil {
 		return c.handshakeError(ctx, err)
 	}
-	typ, payload, err := readFrame(c.br)
+	typ, payload, err := readFrame(c.br, nil)
 	if err != nil {
 		return c.handshakeError(ctx, err)
 	}
@@ -515,7 +488,7 @@ func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	if err := writeFrame(c.bw, msgOpen, open.b); err != nil {
 		return c.handshakeError(ctx, err)
 	}
-	typ, payload, err = readFrame(c.br)
+	typ, payload, err = readFrame(c.br, nil)
 	if err != nil {
 		return c.handshakeError(ctx, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -187,8 +188,10 @@ type serverConn struct {
 
 	shard   *geometry.LocalShard
 	mshard  *geometry.MutableLocalShard
-	n       int    // global point count of the session (at open, for mutable)
-	version uint16 // negotiated protocol version (0 until HELLO)
+	n       int     // global point count of the session (at open, for mutable)
+	version uint16  // negotiated protocol version (0 until HELLO)
+	counts  []int32 // the PARTIALS count buffer, reused every round
+	resp    []byte  // the COUNTS payload buffer, reused every round
 
 	// trace mirrors the client's current query trace (version-3 sessions):
 	// one server-side span tree per propagated trace ID, announced in the
@@ -210,10 +213,14 @@ func (sc *serverConn) serve() {
 	br := bufio.NewReaderSize(sc.conn, 1<<16)
 	bw := bufio.NewWriterSize(sc.conn, 1<<16)
 
+	var in []byte // the request payload buffer, reused every round
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, in)
 		if err != nil {
 			return // peer went away (or shutdown closed us)
+		}
+		if typ != msgOpen {
+			in = payload // the point set is read once; it is not kept
 		}
 		sc.busy.Store(true)
 		respType, resp, herr := sc.handle(typ, payload)
@@ -449,11 +456,18 @@ func (sc *serverConn) handlePartials(ctx context.Context, payload []byte) (byte,
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true,
 			msg: fmt.Sprintf("partials frame names boundary rule %d; only 0 (center rule) is defined", boundary)}
 	}
-	counts, err := be.PartialCounts(ctx, epoch, j, radius, limit)
+	n, err := sc.n, error(nil)
+	if sc.mshard != nil {
+		n, err = sc.mshard.Rows(ctx, epoch)
+	}
+	if sc.counts = slices.Grow(sc.counts[:0], n)[:n]; err == nil {
+		err = be.PartialCounts(ctx, epoch, j, radius, limit, sc.counts)
+	}
 	if err != nil {
 		return 0, nil, sc.computeError(err)
 	}
-	return msgCounts, encodeCounts(counts), nil
+	sc.resp = encodeCounts(sc.resp, sc.counts)
+	return msgCounts, sc.resp, nil
 }
 
 func (sc *serverConn) handleDupCounts(ctx context.Context, payload []byte) (byte, []byte, *wireError) {
@@ -470,7 +484,8 @@ func (sc *serverConn) handleDupCounts(ctx context.Context, payload []byte) (byte
 	if err != nil {
 		return 0, nil, sc.computeError(err)
 	}
-	return msgCounts, encodeCounts(counts), nil
+	sc.resp = encodeCounts(sc.resp, counts)
+	return msgCounts, sc.resp, nil
 }
 
 // mutableSession gates the mutation handlers: mutating an immutable

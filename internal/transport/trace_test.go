@@ -40,6 +40,13 @@ func dialTestShard(t *testing.T, sopts ServerOptions) (*RemoteShard, *Server) {
 	return rs, srv
 }
 
+// remotePartials runs rs.PartialCounts into a fresh buffer, one slot per global
+// point of the shard's config.
+func remotePartials(ctx context.Context, rs *RemoteShard, epoch geometry.Epoch, j int, r float64, limit int32) ([]int32, error) {
+	out := make([]int32, rs.cfg.Points.N())
+	return out, rs.PartialCounts(ctx, epoch, j, r, limit, out)
+}
+
 // TestTracePropagation: a query run under a client trace reaches the
 // server carrying the same 16-byte ID — the server's retained span tree is
 // found under the client's ID, holds a span per request type issued, and
@@ -52,7 +59,7 @@ func TestTracePropagation(t *testing.T) {
 
 	tr := obs.NewTrace()
 	ctx := obs.ContextWith(context.Background(), tr)
-	if _, err := rs.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5); err != nil {
+	if _, err := remotePartials(ctx, rs, geometry.EpochFrozen, 0, 0.01, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.DupCounts(ctx, geometry.EpochFrozen); err != nil {
@@ -99,7 +106,7 @@ func TestTracePropagation(t *testing.T) {
 // rather than wired.
 func TestV2Interop(t *testing.T) {
 	rsV3, _ := dialTestShard(t, ServerOptions{})
-	v3counts, err := rsV3.PartialCounts(context.Background(), geometry.EpochFrozen, 0, 0.01, 5)
+	v3counts, err := remotePartials(context.Background(), rsV3, geometry.EpochFrozen, 0, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +123,7 @@ func TestV2Interop(t *testing.T) {
 
 	tr := obs.NewTrace()
 	ctx := obs.ContextWith(context.Background(), tr)
-	v2counts, err := rsV2.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5)
+	v2counts, err := remotePartials(ctx, rsV2, geometry.EpochFrozen, 0, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -173,6 +174,19 @@ func TestRemoteShardedIndexMatchesCellIndex(t *testing.T) {
 // `reqs` zero-count responses, after which it slams the connection and the
 // listener — a deterministic stand-in for a shard server dying mid-use.
 func scriptedShard(t *testing.T, l net.Listener, reqs int) {
+	cannedShard(t, l, func(i, n int) []byte {
+		if i >= reqs {
+			return nil
+		}
+		return countsPayload(make([]int32, n))
+	})
+}
+
+// cannedShard serves one connection with a correct handshake and then
+// answers request i with a COUNTS frame carrying answer(i, n), n the
+// session's global point count, whatever the request asked; once answer
+// returns nil it slams the connection and the listener.
+func cannedShard(t *testing.T, l net.Listener, answer func(i, n int) []byte) {
 	t.Helper()
 	go func() {
 		conn, err := l.Accept()
@@ -184,7 +198,7 @@ func scriptedShard(t *testing.T, l net.Listener, reqs int) {
 		br := bufio.NewReader(conn)
 		bw := bufio.NewWriter(conn)
 		// HELLO.
-		if typ, _, err := readFrame(br); err != nil || typ != msgHello {
+		if typ, _, err := readFrame(br, nil); err != nil || typ != msgHello {
 			return
 		}
 		w := &wbuf{}
@@ -193,7 +207,7 @@ func scriptedShard(t *testing.T, l net.Listener, reqs int) {
 			return
 		}
 		// OPEN: parse just enough to echo the right counts.
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil || typ != msgOpen {
 			return
 		}
@@ -216,13 +230,15 @@ func scriptedShard(t *testing.T, l net.Listener, reqs int) {
 		if err := writeFrame(bw, msgOpenOK, w.b); err != nil {
 			return
 		}
-		// Serve `reqs` requests with zero counts, then die.
-		zeros := encodeCounts(make([]int32, n))
-		for i := 0; i < reqs; i++ {
-			if _, _, err := readFrame(br); err != nil {
+		for i := 0; ; i++ {
+			resp := answer(i, n)
+			if resp == nil {
 				return
 			}
-			if err := writeFrame(bw, msgCounts, zeros); err != nil {
+			if _, _, err := readFrame(br, nil); err != nil {
+				return
+			}
+			if err := writeFrame(bw, msgCounts, resp); err != nil {
 				return
 			}
 		}
@@ -353,13 +369,13 @@ func TestCancellationTearsDownInFlight(t *testing.T) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		bw := bufio.NewWriter(conn)
-		if typ, _, err := readFrame(br); err != nil || typ != msgHello {
+		if typ, _, err := readFrame(br, nil); err != nil || typ != msgHello {
 			return
 		}
 		w := &wbuf{}
 		w.u16(ProtocolVersion)
 		writeFrame(bw, msgHelloOK, w.b)
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil || typ != msgOpen {
 			return
 		}
@@ -380,8 +396,8 @@ func TestCancellationTearsDownInFlight(t *testing.T) {
 		w.u32(uint32(m))
 		w.u32(uint32(n))
 		writeFrame(bw, msgOpenOK, w.b)
-		readFrame(br) // the doomed request…
-		<-release     // …that never gets an answer
+		readFrame(br, nil) // the doomed request…
+		<-release          // …that never gets an answer
 	}()
 	defer close(release)
 
@@ -445,7 +461,7 @@ func TestVersionMismatch(t *testing.T) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)
-				if typ, _, err := readFrame(br); err != nil || typ != msgHello {
+				if typ, _, err := readFrame(br, nil); err != nil || typ != msgHello {
 					return
 				}
 				e := &wireError{code: codeVersion, msg: "server speaks protocol version 99"}
@@ -495,7 +511,7 @@ func TestVersionMismatch(t *testing.T) {
 	if err := writeFrame(bw, msgHello, w.b); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(bufio.NewReader(conn))
+	typ, payload, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +535,7 @@ func TestVersionMismatch(t *testing.T) {
 	if err := writeFrame(bw2, msgHello, w.b); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err = readFrame(bufio.NewReader(conn2))
+	typ, payload, err = readFrame(bufio.NewReader(conn2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +646,7 @@ func TestHostileOpenFrame(t *testing.T) {
 	if err := writeFrame(s.bw, msgOpen, omitPointsOpen()); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(s.br)
+	typ, payload, err := readFrame(s.br, nil)
 	s.conn.Close()
 	if err != nil || typ != msgError {
 		t.Fatalf("omit-points OPEN answered with type %d (%v), want error frame", typ, err)
@@ -711,7 +727,7 @@ func TestHostileSessionFrames(t *testing.T) {
 		if err := writeFrame(s.bw, 12, []byte{0}); err != nil {
 			t.Fatal(err)
 		}
-		typ, payload, err := readFrame(s.br)
+		typ, payload, err := readFrame(s.br, nil)
 		s.conn.Close()
 		if err != nil || typ != msgError {
 			t.Fatalf("type-12 frame (mutable %v) answered with type %d (%v), want error frame", mutable, typ, err)
@@ -848,7 +864,7 @@ func (s *rawSession) send(tb testing.TB, typ byte, payload []byte) byte {
 	if err := writeFrame(s.bw, typ, payload); err != nil {
 		tb.Fatal(err)
 	}
-	rtyp, _, err := readFrame(s.br)
+	rtyp, _, err := readFrame(s.br, nil)
 	if err != nil {
 		tb.Fatalf("no reply to a type-%d frame: %v", typ, err)
 	}
@@ -964,7 +980,7 @@ func TestWireFraming(t *testing.T) {
 		hdr[0] = 0xFF // declares a ~4 GiB payload
 		c1.Write(hdr[:])
 	}()
-	if _, _, err := readFrame(bufio.NewReader(c2)); err == nil {
+	if _, _, err := readFrame(bufio.NewReader(c2), nil); err == nil {
 		t.Error("oversized frame accepted")
 	}
 
@@ -977,10 +993,11 @@ func TestWireFraming(t *testing.T) {
 		t.Error("sticky decode error did not stick")
 	}
 
-	if _, err := decodeCounts(encodeCounts([]int32{1, 2, 3}), 3); err != nil {
-		t.Errorf("counts round trip: %v", err)
+	got := make([]int32, 3)
+	if err := decodeCounts(countsPayload([]int32{1, 2, 3}), got); err != nil || !slices.Equal(got, []int32{1, 2, 3}) {
+		t.Errorf("counts round trip: %v, %v", got, err)
 	}
-	if _, err := decodeCounts(encodeCounts([]int32{1, 2, 3}), 4); err == nil {
+	if err := decodeCounts(countsPayload([]int32{1, 2, 3}), make([]int32, 4)); err == nil {
 		t.Error("short counts response accepted")
 	}
 }
@@ -1038,7 +1055,7 @@ func TestPartialsStrictness(t *testing.T) {
 		if err := writeFrame(rs.bw, typ, body); err != nil {
 			t.Fatal(err)
 		}
-		rt, payload, err := readFrame(rs.br)
+		rt, payload, err := readFrame(rs.br, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1068,14 +1085,14 @@ func TestPartialsStrictness(t *testing.T) {
 		rs.mu.Lock()
 		rs.resetConnLocked()
 		rs.mu.Unlock()
-		_, err := rs.call(ctx, "raw", tc.typ, tc.body, msgCounts)
+		err := rs.call(ctx, "raw", tc.typ, tc.body, msgCounts, func([]byte) error { return nil })
 		var te *Error
 		if !errors.As(err, &te) || te.Kind != KindRemote {
 			t.Fatalf("%s: err = %v, want a *transport.Error of kind remote", tc.name, err)
 		}
 	}
 	// The client's own frames stay valid after every refusal.
-	if _, err := rs.PartialCounts(ctx, geometry.EpochFrozen, 0, 0.01, 5); err != nil {
+	if _, err := remotePartials(ctx, rs, geometry.EpochFrozen, 0, 0.01, 5); err != nil {
 		t.Fatalf("PartialCounts after refusals: %v", err)
 	}
 }

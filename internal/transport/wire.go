@@ -71,6 +71,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -134,15 +135,11 @@ const (
 	codeShuttingDown = 4 // server is draining; reconnect elsewhere
 )
 
-// writeFrame writes one frame and flushes it.
-func writeFrame(w interface {
-	io.Writer
-	Flush() error
-}, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeFrame writes one frame and flushes it, building the header in the
+// writer's free space.
+func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -151,21 +148,23 @@ func writeFrame(w interface {
 	return w.Flush()
 }
 
-// readFrame reads one frame, bounding the payload size.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame, bounding the payload size, into buf's storage
+// when it fits: a connection passing its last payload back reuses it.
+func readFrame(r io.Reader, buf []byte) (typ byte, payload []byte, err error) {
+	buf = slices.Grow(buf[:0], 5)[:5]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("frame payload of %d bytes exceeds the %d limit", n, maxFramePayload)
 	}
-	payload = make([]byte, n)
+	typ = buf[4]
+	payload = slices.Grow(buf[:0], int(n))[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return typ, payload, nil
 }
 
 // wbuf builds a payload.
@@ -311,35 +310,22 @@ func (r *rbuf) frame(k, d int) *vec.Frame {
 	return f
 }
 
-// counts decodes a msgCounts payload. want >= 0 enforces the expected
-// slot count; want < 0 accepts any self-consistent length — the
-// pinned-epoch bulk responses, whose row count only the epoch's snapshot
-// knows (the geometry layer validates it against the pinned view).
-func decodeCounts(payload []byte, want int) ([]int32, error) {
-	r := &rbuf{b: payload}
-	k := int(r.u32())
-	if want >= 0 && k != want {
-		return nil, fmt.Errorf("counts response carries %d slots, want %d", k, want)
+// decodeCounts decodes a msgCounts payload into out. The payload must
+// declare and carry exactly len(out) slots and nothing else; otherwise it
+// returns an error and leaves out untouched.
+func decodeCounts(payload []byte, out []int32) error {
+	if len(payload) != 4+4*len(out) || binary.BigEndian.Uint32(payload) != uint32(len(out)) {
+		return fmt.Errorf("counts response of %d bytes, want %d slots", len(payload), len(out))
 	}
-	if k < 0 || 4*k > len(payload)-r.off {
-		return nil, errTruncated
-	}
-	out := make([]int32, k)
 	for i := range out {
-		out[i] = r.i32()
+		out[i] = int32(binary.BigEndian.Uint32(payload[4+4*i:]))
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("counts response has %d trailing bytes", len(payload)-r.off)
-	}
-	return out, nil
+	return nil
 }
 
-// encodeCounts builds a msgCounts payload.
-func encodeCounts(counts []int32) []byte {
-	w := &wbuf{b: make([]byte, 0, 4+4*len(counts))}
+// encodeCounts builds a msgCounts payload in buf's storage.
+func encodeCounts(buf []byte, counts []int32) []byte {
+	w := &wbuf{b: slices.Grow(buf[:0], 4+4*len(counts))}
 	w.u32(uint32(len(counts)))
 	for _, c := range counts {
 		w.i32(c)
