@@ -1,6 +1,6 @@
 // Command shardserver is the remote-shard daemon: it hosts ball-index
 // shards behind the wire protocol (see internal/transport) so a client's
-// ShardedIndex can sum its partial counts across machines.
+// ShardedIndex can have each shard's rows counted on another machine.
 //
 // Usage:
 //

@@ -89,9 +89,9 @@ func testConfig(t *testing.T, n int) geometry.ShardConfig {
 		members = append(members, int32(i))
 	}
 	return geometry.ShardConfig{
-		Points:  prepared,
-		Members: members,
-		Cell:    geometry.CellIndexOptions{MinRadius: grid.RadiusUnit(), MaxRadius: grid.MaxDistance()},
+		Points: prepared,
+		Owned:  members,
+		Cell:   geometry.CellIndexOptions{MinRadius: grid.RadiusUnit(), MaxRadius: grid.MaxDistance()},
 	}
 }
 
@@ -109,12 +109,12 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dup) != cfg.Points.N() {
-		t.Fatalf("dup table has %d slots, want %d", len(dup), cfg.Points.N())
+	if len(dup) != len(cfg.Owned) {
+		t.Fatalf("dup table has %d slots, want one per owned row (%d)", len(dup), len(cfg.Owned))
 	}
 	// The client rejects a response of any other slot count than the
-	// buffer's.
-	counts := make([]int32, cfg.Points.N())
+	// buffer's: one per owned row.
+	counts := make([]int32, len(cfg.Owned))
 	if err := rs.PartialCounts(context.Background(), geometry.EpochFrozen, 0, cfg.Cell.MinRadius, 10, counts); err != nil {
 		t.Fatal(err)
 	}

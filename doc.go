@@ -138,31 +138,29 @@
 // whatever n and GOMAXPROCS are. Data partitions exist only on shard
 // servers (DatasetOptions.Placement): the points are split into one
 // partition per placement partition — by a Z-order space-filling curve,
-// so partitions are spatially compact. Every estimated ball count of the
-// L̂ sweep is a sum over data partitions,
-// B̂_r(x) = Σ_s |{y ∈ partition s : y counts toward B̂_r(x)}|, so each
-// ladder level is answered by summing exact per-partition partial counts.
-// Three facts make partitioning invisible to everything above it:
+// so partitions are spatially compact. Each partition counts the rows it
+// owns against all rows, so each ladder level of the L̂ sweep is answered
+// by scattering the partitions' capped counts into global order, each
+// global slot written by exactly one partition. Two facts make
+// partitioning invisible to everything above it:
 //
-//   - Whether a member point contributes to a cell-granularity count
-//     depends only on its own position and the query point, never on
-//     which other points share its partition — so per-partition counts
-//     are exact partial sums, and the estimated L̂ is the same function of
-//     the dataset as the local index's. The sensitivity-2 argument of
-//     Lemma 4.5 (the heart of GoodRadius's privacy analysis) is therefore
-//     byte-for-byte unchanged: partitioning needs no new privacy
-//     accounting.
-//   - Capping commutes with the partial sums:
-//     min(Σ_s min(B_s, t), t) = min(B, t).
+//   - Whether a point contributes to a cell-granularity count depends only
+//     on its own position and the query point, never on which points
+//     share the query point's partition — so each owned row's count is
+//     exactly the local index's count of that row, and the estimated L̂ is
+//     the same function of the dataset as the local index's. The
+//     sensitivity-2 argument of Lemma 4.5 (the heart of GoodRadius's
+//     privacy analysis) is therefore byte-for-byte unchanged:
+//     partitioning needs no new privacy accounting.
 //   - Every partition is pinned to the global radius ladder, so all
 //     partitions (and the local index) resolve each ladder level at the
 //     same scale.
 //
 // Consequently releases over a Placement are bit-identical to the local
 // handle's under the same seed — a tested guarantee, not an approximation.
-// A remote shard answers "how many of my points count toward each point's
-// ball at this ladder level", and the client sums — see "Remote shards"
-// below.
+// A remote shard answers "how many points count toward each of my rows'
+// balls at this ladder level", and the client scatters — see "Remote
+// shards" below.
 //
 // Local sharding is gone: splitting one process's index into partitions
 // ran slower and allocated more than the one index it split (the shards
@@ -187,7 +185,7 @@
 //
 // # Remote shards
 //
-// The sum-decomposition above is location-transparent, and
+// The owned-row decomposition above is location-transparent, and
 // DatasetOptions.Placement exercises that: with shard-server addresses
 // configured (one replica set per partition; a partition listing one
 // address is a plain connection), the handle's ball index is built with one
@@ -196,8 +194,8 @@
 // handshake ships the prepared global point set, so every server answers
 // from exactly the client's coordinates; after that every bulk query is
 // one batched round trip per shard — a PARTIALS request returns the
-// shard's capped counts around all n points at once, never one round trip
-// per point. Releases remain
+// capped counts around all n/S rows the shard owns at once, never one
+// round trip per point. Releases remain
 // bit-identical to local execution under the same seed (the equivalence
 // contract survives serialization: coordinates travel as exact IEEE bit
 // patterns), which examples/remote re-proves on every CI run. Protocol
@@ -206,7 +204,7 @@
 // propagate onto connection deadlines, broken connections are re-dialed and
 // re-handshaken within a per-call retry budget, and a shard server dying
 // mid-query surfaces a typed transport error — never a hang and never a
-// partially summed count. Dataset.Close releases the connections.
+// partial count. Dataset.Close releases the connections.
 //
 // Cost model — when do remote shards beat local cores? The per-query
 // preprocessing cost is the BuildLStep sweep: roughly
@@ -223,17 +221,18 @@
 // sort into one flat sorted array) and then kept, so only the first sweep
 // over an index — a shard server's, an epoch view's, the Dataset's
 // cached one — pays the builds, at O(n) resident memory per level. Remote
-// execution replaces C local cores with S servers and adds, per level,
-// one round trip carrying 4n bytes of counts per shard, which travel
+// execution replaces C local cores with S servers, each joining its n/S
+// owned rows against an index over all n rows, and adds, per level, one
+// round trip carrying 4n/S bytes of counts per shard, which travel
 // through buffers the sweep and each connection own and reuse, never a
 // fresh copy per layer (plus the one-off handshake of 8nd bytes per
-// shard). Remote wins when per-level compute
-// dominates transport: n·(2c+2)^d/S · t_op ≫ RTT + 4n/bandwidth. At
-// n = 10⁵ a level is a few hundred kilobytes against seconds of compute,
-// so the crossover sits far below datacenter RTTs — the constraint is
-// compute per level, not the wire. Conversely, on a single machine the
-// local index skips serialization entirely and keeps one source-cell
-// structure where each remote server must build its own
+// shard). Remote wins when per-level compute dominates transport:
+// n·(2c+2)^d/S · t_op ≫ RTT + 4n/(S·bandwidth). At n = 10⁵ a level is a
+// few hundred kilobytes against seconds of compute, so the crossover sits
+// far below datacenter RTTs — the constraint is compute per level, not the
+// wire. Conversely, on a single machine the local index skips
+// serialization entirely and keeps one cell structure where each remote
+// server builds two, one over all rows and one over its own
 // (BenchmarkRemoteLoopback quantifies both overheads by running the
 // protocol against servers in the same process). FindClusters' k-cover
 // runs round 1, the full-dataset cost, on the handle's index — remote on a
@@ -260,7 +259,7 @@
 // replicas marked down are re-probed in the background and rejoin the
 // preference order when they recover. What makes this replication scheme
 // almost embarrassingly simple is the query model: every bulk call a shard
-// answers ("count your points within r of these centers") is a pure,
+// answers ("count the points within r of each of your rows") is a pure,
 // deterministic read of an immutable point set, so any replica holding the
 // partition's points returns the byte-identical answer and failover needs
 // no consensus, no write-ahead state, and no reconciliation — switching
@@ -301,8 +300,8 @@
 // Internally a snapshot is a row-prefix view: appends only ever extend the
 // flat frame, so epoch E is "the first n_E rows", indexed as a frozen base
 // generation plus a small delta index over the rows appended since the last
-// merge — the same partition-independent sum decomposition shard servers
-// use, so the split is invisible to releases. Merge (also triggered
+// merge — a row's count does not depend on how the rows are grouped, the
+// fact shard servers rest on too, so the split is invisible to releases. Merge (also triggered
 // automatically once enough delta rows accumulate) folds the delta into a
 // fresh base off the query path; it is a serving-cost knob, never a
 // semantic one. Each mutable index keeps an epoch chain: the newest swept
@@ -326,8 +325,9 @@
 // check admits (finite coordinates whose bounding-box diagonal stays within
 // the pinned ladder top; anything else is refused, never re-laddered), and
 // it caches the eight most recently pinned epoch views. A shard server
-// keeps one log for its source and member rows, so its two row sets cannot
-// reach different epochs. A 1-D handle's raw values, which InteriorPoint
+// keeps one log for its owned rows and all rows — every appended row
+// reaches every server's all-row store and its owner's owned store — so
+// its two row sets cannot reach different epochs. A 1-D handle's raw values, which InteriorPoint
 // runs on, follow the epoch entry: the entry holds the prefix of the
 // handle's value mirror that its snapshot's rows name. BenchmarkAppendMerge (gated in CI)
 // tracks the steady-state append → query → delete/merge cycle, and

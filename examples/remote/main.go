@@ -2,9 +2,9 @@
 // in-process index and by shard servers behind the wire protocol, checked
 // bit-identical.
 //
-// The scalable ball index answers every query as an exact sum of
-// per-shard partial counts, so a shard does not have to live in this
-// process: this program starts real shard servers (the same code
+// The scalable ball index answers every query from the counts of each
+// row, and a shard can count its own rows against all rows, so a shard
+// does not have to live in this process: this program starts real shard servers (the same code
 // cmd/shardserver runs) on loopback TCP, opens one Dataset handle that
 // computes locally and one that computes through the servers, and runs
 // the same seeded query on both. The releases must agree bit for bit —
@@ -15,6 +15,7 @@
 //
 //	go run ./examples/remote
 //	go run ./examples/remote -n 6000 -shards 2   # small, CI-sized
+//	go run ./examples/remote -n 6001 -shards 3   # uneven owned-row counts
 package main
 
 import (
@@ -97,7 +98,7 @@ func main() {
 		local.Center[0] != remote.Center[0] || local.Center[1] != remote.Center[1] {
 		log.Fatalf("MISMATCH: remote release differs from local:\nlocal:  %+v\nremote: %+v", local, remote)
 	}
-	fmt.Println("releases are bit-identical: the wire moved partial counts, not the privacy analysis")
+	fmt.Println("releases are bit-identical: the wire moved counts, not the privacy analysis")
 
 	for _, srv := range servers {
 		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)

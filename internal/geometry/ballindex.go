@@ -25,9 +25,9 @@ import (
 //     ladder, within the sandwich bounds documented on CellIndex. Memory is
 //     O(n) per built ladder level, on top of the O(n·d) points.
 //   - ShardedIndex partitions the points into S shards — ShardBackends in
-//     process or reached over a transport — and sums per-shard capped
-//     partial counts. Its L̂ is bit-identical to a CellIndex over the same
-//     points.
+//     process or reached over a transport — each counting its own rows
+//     against all rows, and scatters their capped counts. Its L̂ is
+//     bit-identical to a CellIndex over the same points.
 //
 // Implementations must be safe for concurrent readers.
 type BallIndex interface {

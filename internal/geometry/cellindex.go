@@ -55,11 +55,11 @@ type CellIndexOptions struct {
 	Workers int
 
 	// skipDupTable elides the O(n log n) duplicate-table sort. Package
-	// internal, for composite indexes (ShardedIndex) that maintain their
-	// own global table: a per-shard table cannot see cross-shard
-	// duplicates and would be dead weight on the cold-build path. With it
-	// set, BuildLStep must not be called on this index — only the cell
-	// levels and the count passes are valid.
+	// internal, for composite indexes (LocalShard, the epoch views) that
+	// keep their own table of one row set against another, where this
+	// index's would be dead weight on the cold-build path. With it set,
+	// BuildLStep must not be called on this index — only the cell levels
+	// and the count passes are valid.
 	skipDupTable bool
 }
 

@@ -218,15 +218,15 @@ func TestCellLevelsBuiltOnce(t *testing.T) {
 func TestCellLevelOutOfLadder(t *testing.T) {
 	pts := shardTestPoints(t, 16, 200, 2)
 	sh, err := NewLocalShard(ShardConfig{
-		Points:  frameOf(t, pts),
-		Members: []int32{0, 1, 2, 3},
-		Cell:    shardTestOptions(2).withDefaults(2),
+		Points: frameOf(t, pts),
+		Owned:  []int32{0, 1, 2, 3},
+		Cell:   shardTestOptions(2).withDefaults(2),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	top := sh.groups[0].ix.lad.top
-	out := make([]int32, len(pts))
+	out := make([]int32, sh.NPoints())
 	for _, j := range []int{-1, top + 1, math.MaxInt32} {
 		if err := sh.PartialCounts(context.Background(), EpochFrozen, j, 0.1, 10, out); err == nil {
 			t.Fatalf("PartialCounts at level %d (top %d) succeeded", j, top)

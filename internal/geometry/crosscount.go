@@ -11,10 +11,11 @@ import (
 // cellGroup pairs one CellIndex with the mapping from its local row ids to
 // slots of a global output vector (nil = identity). It is the unit of the
 // generic cross-counting pass below: a plain CellIndex is one identity
-// group, a LocalShard's member index another, an epoch snapshot one group
-// per storage generation (base + delta), and the two compose freely: a
-// mutable shard's full pass is base/delta source groups against base/delta
-// member groups, its chained passes the same against the appended rows.
+// group, a LocalShard's source index over its owned rows another, an epoch
+// snapshot one group per storage generation (base + delta), and the two
+// compose freely: a mutable shard's full pass is base/delta owned-row
+// groups against base/delta all-row groups, its chained passes the same
+// against the appended rows.
 //
 // On the source side gids maps a group-local point id to its out slot; on
 // the member side only the cells matter (a member's contribution is a pure
@@ -37,24 +38,14 @@ func (g *cellGroup) gid(pid int32) int32 {
 	return pid
 }
 
-// addSaturating adds block into out elementwise, saturating at limit.
-func addSaturating(out, block []int32, limit int32) {
-	for i, c := range block {
-		if s := out[i] + c; s < limit {
-			out[i] = s
-		} else {
-			out[i] = limit
-		}
-	}
-}
-
 // crossCellCounts is the one bulk counting engine of the scalable
 // indexes: it adds to out the capped within-r member contributions around
 // every source point, at ladder level j, across all (source group, member
 // group) pairs. All groups must be pinned to one shared radius ladder (same
-// cell side at level j) — the invariant that makes the per-pair passes sum
-// bit-identically to a single unsharded pass (see the ShardedIndex
-// equivalence contract). A level j outside some group's ladder is an error.
+// cell side at level j) — the invariant that makes each source point's
+// count bit-identical to a single unsharded pass's, however the points are
+// grouped (see the ShardedIndex equivalence contract). A level j outside
+// some group's ladder is an error.
 //
 // Source cells fan out over a worker pool shared by every group pair:
 // tasks of countChunk cells partition each source group's cells, workers

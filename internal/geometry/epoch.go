@@ -396,10 +396,9 @@ func (o *viewOnce) wait(ctx context.Context, build func() error) error {
 }
 
 // epochIndex is the in-process mutable index behind MutableCellIndex (one
-// store) and MutableLocalShard (the global source rows and the shard's
-// member rows): its stores, one epoch log over them, one epoch chain that
-// counts the source rows against the member rows, and the background
-// merge.
+// store) and MutableLocalShard (every global row and the shard's owned
+// rows): its stores, one epoch log over them, one epoch chain that counts
+// the last store's rows against the first's, and the background merge.
 type epochIndex struct {
 	opts CellIndexOptions // the ladder-pinned options of every base and delta index
 	lad  radiusLadder
@@ -418,8 +417,8 @@ type epochIndex struct {
 // newEpochIndex pins the ladder from cell alone (never from the data, so
 // rows outside the declared domain are ErrOutOfDomain) and seeds every
 // store with a base generation over its rows. It takes one store, or a
-// shard's two: stores[0] is the source store, the last one the member
-// store.
+// shard's two: stores[0] holds every row (the member side of each count),
+// the last one the rows counted (the source side).
 func newEpochIndex(cell CellIndexOptions, stores ...*rowStore) (*epochIndex, error) {
 	d := stores[0].buf.Dim()
 	opts := cell.withDefaults(d)
@@ -683,8 +682,7 @@ func (ix *epochIndex) Close() error {
 }
 
 // epochView is the snapshot of one epoch of an epochIndex, built once on
-// first pin and cached by its log: the source store's view and, on a
-// shard, the member store's.
+// first pin and cached by its log: the view of every store.
 type epochView struct {
 	m     *epochIndex
 	epoch Epoch
@@ -694,9 +692,10 @@ type epochView struct {
 }
 
 // link is the view as a link of its index's epoch chain: a single-store
-// index counts its rows against themselves.
+// index counts its rows against themselves, a shard its owned rows against
+// all rows.
 func (ev *epochView) link() chainLink {
-	return chainLink{epoch: ev.epoch, src: &ev.sides[0], mem: &ev.sides[len(ev.m.log.stores)-1]}
+	return chainLink{epoch: ev.epoch, src: &ev.sides[len(ev.m.log.stores)-1], mem: &ev.sides[0]}
 }
 
 // N returns the epoch's row count.

@@ -22,8 +22,7 @@ func chainCounter(result string) *obs.Counter {
 
 // chainLink is one epoch of an epochChain: its source and member store
 // views. A MutableCellIndex counts its rows against themselves (src ==
-// mem); a MutableLocalShard counts the global rows against its member
-// rows.
+// mem); a MutableLocalShard counts its owned rows against all rows.
 type chainLink struct {
 	epoch    Epoch
 	src, mem *storeView
@@ -107,7 +106,9 @@ func (c *epochChain) counts(ctx context.Context, workers int, link chainLink, j 
 		return err // a partial block is never stored
 	}
 	c.blocks[k] = blk
-	addSaturating(out, blk, limit)
+	for i, c := range blk {
+		out[i] = min(c, limit)
+	}
 	return nil
 }
 

@@ -200,7 +200,7 @@ func (s *chainScript) check(tag string, e Epoch, extend bool) {
 					members = append(members, int32(i))
 				}
 			}
-			want, err := NewLocalShard(ShardConfig{Points: frameOf(t, rows), Members: members, Cell: s.shard})
+			want, err := NewLocalShard(ShardConfig{Points: frameOf(t, rows), Owned: members, Cell: s.shard})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,12 +308,12 @@ func TestEpochChainRadiusKeyed(t *testing.T) {
 	cell := opts.withDefaults(d)
 	lad := ladderOf(t, cell, d, 0)
 	cell.MaxRadius = lad.maxR
-	s, err := NewMutableLocalShard(ShardConfig{Points: frameOf(t, pts[:n0]), Members: rowRange(0, n0), Cell: cell})
+	s, err := NewMutableLocalShard(ShardConfig{Points: frameOf(t, pts[:n0]), Owned: rowRange(0, n0), Cell: cell})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ref, err := NewLocalShard(ShardConfig{Points: frameOf(t, pts), Members: rowRange(0, len(pts)), Cell: cell})
+	ref, err := NewLocalShard(ShardConfig{Points: frameOf(t, pts), Owned: rowRange(0, len(pts)), Cell: cell})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,25 +12,25 @@ import (
 // MutableShardBackend extends ShardBackend with the mutation half of the
 // epoch model: appends and deletes arrive as coordinator-driven batches
 // that advance the shard's epoch by exactly one, in lockstep across every
-// shard of the index. Each shard keeps the full global row set as query
-// sources (every appended row reaches every shard) and its member subset
-// as the rows it answers for, both keyed by coordinator-assigned stable
-// ids.
+// shard of the index. Each shard keeps the full global row set as the
+// member side of its counts (every appended row reaches every shard) and
+// its owned subset as the rows it answers for, both keyed by
+// coordinator-assigned stable ids.
 //
 // Like the read half, mutations must not be issued concurrently to one
 // backend; the coordinator serializes them.
 type MutableShardBackend interface {
 	ShardBackend
 	// Append lands one mutation batch: rows (with their global stable ids,
-	// parallel and strictly ascending) extend the shard's source set, and
-	// the memberLocal indices into rows (strictly ascending) name the ones
-	// that join this shard's member set (possibly none — the shard still
-	// advances its epoch). Returns the new epoch.
-	Append(ctx context.Context, rows *vec.Frame, memberLocal []int32, ids []uint64) (Epoch, error)
-	// Delete removes the rows with the given stable ids from the source
-	// set and whichever of them this shard holds from the member set, as
-	// one epoch-advancing batch that retires all older epochs. Returns the
-	// new epoch.
+	// parallel and strictly ascending) extend the shard's full row set, and
+	// the ownedLocal indices into rows (strictly ascending) name the ones
+	// this shard now owns (possibly none — the shard still advances its
+	// epoch). Returns the new epoch.
+	Append(ctx context.Context, rows *vec.Frame, ownedLocal []int32, ids []uint64) (Epoch, error)
+	// Delete removes the rows with the given stable ids from the full row
+	// set and whichever of them this shard owns from the owned set, as one
+	// epoch-advancing batch that retires all older epochs. Returns the new
+	// epoch.
 	Delete(ctx context.Context, ids []uint64) (Epoch, error)
 	// Merge folds the shard's append deltas into its frozen bases — a pure
 	// cost optimization, never a semantic change.
@@ -42,51 +42,50 @@ type MutableShardBackend interface {
 type MutableShardDialer func(ctx context.Context, shard int, cfg ShardConfig) (MutableShardBackend, error)
 
 // MutableLocalShard is the in-process MutableShardBackend: two row stores
-// — the global source rows and the shard's member rows, both keyed by
-// global stable ids — under one epoch log and one epoch chain, answering
-// pinned-epoch queries from two-generation (base + delta) snapshot views.
-// It is what the shard server runs behind the mutable wire sessions, and
-// what loopback tests plug directly into NewMutableShardedIndexBackends.
+// — every global row ("all") and the shard's owned rows ("owned"), both
+// keyed by global stable ids — under one epoch log and one epoch chain,
+// answering pinned-epoch queries from two-generation (base + delta)
+// snapshot views. It is what the shard server runs behind the mutable wire
+// sessions, and what loopback tests plug directly into
+// NewMutableShardedIndexBackends.
 //
 // The chain serves both PartialCounts and DupCounts: a new epoch extends
-// the previous one's count blocks (4·n_src bytes per swept level) and
-// duplicate table through the rows appended since, instead of recounting
-// either delta.
+// the previous one's count blocks (4 bytes per owned row per swept level)
+// and duplicate table through the rows appended since, instead of
+// recounting either delta.
 type MutableLocalShard struct{ *epochIndex }
 
 // NewMutableLocalShard builds the in-process mutable backend for one
 // shard. As with NewLocalShard, the config's cell options must be
 // defaulted and ladder-pinned; the initial rows get stable ids equal to
 // their global row indices (the coordinator's convention, which lets a
-// remote server infer them from the OPEN payload alone). The member store
-// holds its rows in ascending id order, whatever order cfg.Members lists
-// them in: a member's position never reaches a count.
+// remote server infer them from the OPEN payload alone). Both stores hold
+// their rows in ascending id order, so slot k of an answer is the k-th
+// owned row of the epoch in global order.
 func NewMutableLocalShard(cfg ShardConfig) (*MutableLocalShard, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	src, err := newRowStore(cfg.Points, nil)
+	all, err := newRowStore(cfg.Points, nil)
 	if err != nil {
 		return nil, err
 	}
-	members := slices.Clone(cfg.Members)
-	slices.Sort(members)
-	memIDs := make([]uint64, len(members))
-	for i, g := range members {
-		memIDs[i] = uint64(g)
+	ids := make([]uint64, len(cfg.Owned))
+	for i, g := range cfg.Owned {
+		ids[i] = uint64(g)
 	}
-	mem, err := newRowStore(cfg.Points.Gather(members), memIDs)
+	owned, err := newRowStore(cfg.Points.Gather(cfg.Owned), ids)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := newEpochIndex(cfg.Cell, src, mem)
+	ix, err := newEpochIndex(cfg.Cell, all, owned)
 	if err != nil {
 		return nil, err
 	}
 	return &MutableLocalShard{ix}, nil
 }
 
-// NPoints returns the number of member rows the shard currently holds.
+// NPoints returns the number of rows the shard currently owns.
 func (s *MutableLocalShard) NPoints() int { return s.rows(1) }
 
 // link pins epoch as a link of the shard's chain. EpochFrozen is an
@@ -102,11 +101,11 @@ func (s *MutableLocalShard) link(ctx context.Context, epoch Epoch) (chainLink, e
 	return ev.link(), nil
 }
 
-// PartialCounts counts the shard's epoch-e member contributions around
-// every epoch-e global row, capped at limit, into out from the shard's
-// epoch chain (crossCellCounts over the source and member generations).
-// The shared pinned ladder makes the sum bit-identical to the frozen
-// single-index pass over the epoch's rows.
+// PartialCounts counts every epoch-e row's contributions around each
+// epoch-e owned row, capped at limit, into out from the shard's epoch chain
+// (crossCellCounts over the owned and all-row generations). The shared
+// pinned ladder makes each slot bit-identical to the frozen single-index
+// pass over the epoch's rows.
 func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
 	link, err := s.link(ctx, epoch)
 	if err != nil {
@@ -119,7 +118,7 @@ func (s *MutableLocalShard) PartialCounts(ctx context.Context, epoch Epoch, j in
 	return s.chain.counts(ctxOrBackground(ctx), s.opts.Workers, link, j, r, limit, out)
 }
 
-// Rows returns the epoch's global row count: its bulk answers' slots.
+// Rows returns the epoch's owned-row count: its bulk answers' slots.
 func (s *MutableLocalShard) Rows(ctx context.Context, epoch Epoch) (int, error) {
 	link, err := s.link(ctx, epoch)
 	if err != nil {
@@ -128,8 +127,8 @@ func (s *MutableLocalShard) Rows(ctx context.Context, epoch Epoch) (int, error) 
 	return link.src.nView, nil
 }
 
-// DupCounts returns, for every epoch-e global row, the number of epoch-e
-// member rows bitwise identical to it: a copy of the chain's table.
+// DupCounts returns, for every epoch-e owned row, the number of epoch-e
+// rows bitwise identical to it: a copy of the chain's table.
 func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32, error) {
 	link, err := s.link(ctx, epoch)
 	if err != nil {
@@ -140,33 +139,32 @@ func (s *MutableLocalShard) DupCounts(ctx context.Context, epoch Epoch) ([]int32
 }
 
 // Append lands one coordinator batch (see MutableShardBackend) as one
-// epoch: all rows join the source store, the memberLocal subset (strictly
-// ascending indices into rows) joins the member store.
-func (s *MutableLocalShard) Append(ctx context.Context, rows *vec.Frame, memberLocal []int32, ids []uint64) (Epoch, error) {
+// epoch: all rows join the all-row store, the ownedLocal subset (strictly
+// ascending indices into rows) joins the owned store.
+func (s *MutableLocalShard) Append(ctx context.Context, rows *vec.Frame, ownedLocal []int32, ids []uint64) (Epoch, error) {
 	if rows == nil || rows.N() == 0 {
 		return 0, fmt.Errorf("geometry: shard append of no rows")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The source batch is checked first: the member ids are read from it.
+	// The full batch is checked first: the owned ids are read from it.
 	if err := s.log.stores[0].checkAppend(rows, ids); err != nil {
 		return 0, err
 	}
-	memIDs := make([]uint64, len(memberLocal))
-	for i, li := range memberLocal {
+	ownedIDs := make([]uint64, len(ownedLocal))
+	for i, li := range ownedLocal {
 		if li < 0 || int(li) >= rows.N() {
-			return 0, fmt.Errorf("geometry: member-local index %d out of [0, %d)", li, rows.N())
+			return 0, fmt.Errorf("geometry: owned-local index %d out of [0, %d)", li, rows.N())
 		}
-		memIDs[i] = ids[li]
+		ownedIDs[i] = ids[li]
 	}
-	return s.appendLocked([]*vec.Frame{rows, rows.Gather(memberLocal)}, [][]uint64{ids, memIDs})
+	return s.appendLocked([]*vec.Frame{rows, rows.Gather(ownedLocal)}, [][]uint64{ids, ownedIDs})
 }
 
-// Delete removes the batch from the source store and whichever of its ids
-// the shard holds from the member store, as one epoch; ids a store does
-// not hold are skipped. Deleting every member row is an error the
-// coordinator pre-validates; it is re-checked here before any state
-// changes.
+// Delete removes the batch from the all-row store and whichever of its ids
+// the shard owns from the owned store, as one epoch; ids a store does not
+// hold are skipped. Deleting every owned row is an error the coordinator
+// pre-validates; it is re-checked here before any state changes.
 func (s *MutableLocalShard) Delete(ctx context.Context, ids []uint64) (Epoch, error) {
 	if len(ids) == 0 {
 		return 0, fmt.Errorf("geometry: shard delete of no rows")
@@ -184,19 +182,21 @@ func (s *MutableLocalShard) CurrentEpoch(ctx context.Context) (Epoch, error) {
 	return s.epoch(), nil
 }
 
-// coordView is the coordinator's cached snapshot of one epoch.
+// coordView is the coordinator's cached snapshot of one epoch: its rows
+// and their owning shards.
 type coordView struct {
-	rows storeView
-	view *ShardedIndex
+	rows    storeView
+	shardOf []int32
+	view    *ShardedIndex
 	viewOnce
 }
 
 // MutableShardedIndex is the mutable counterpart of the backend-mode
 // ShardedIndex: a coordinator that owns the global row store and its epoch
 // log, broadcasts every mutation batch to all shards (each new row is
-// assigned to the least-loaded shard; the assignment never affects
-// results — partition independence), and pins epochs as backend-mode
-// ShardedIndex views whose bulk queries carry the epoch to every shard.
+// owned by the least-loaded shard; the assignment never affects results —
+// partition independence), and pins epochs as backend-mode ShardedIndex
+// views whose bulk queries carry the epoch to every shard.
 // A mutation that fails part-way leaves shards at diverged epochs, so the
 // handle turns sticky-broken: every subsequent operation reports the
 // original failure rather than risking a cross-epoch answer.
@@ -206,7 +206,6 @@ type MutableShardedIndex struct {
 	mu       sync.Mutex
 	log      *epochLog[coordView] // over one store, without base generations
 	shardOf  []int32              // row -> owning shard
-	counts   []int                // live member rows per shard
 	backends []MutableShardBackend
 	broken   error
 	closed   bool
@@ -241,18 +240,16 @@ func NewMutableShardedIndexBackends(ctx context.Context, points *vec.Frame, opts
 	shardCell := cellOpts
 	shardCell.MaxRadius = lad.maxR
 
-	members := assignShards(points, s)
+	owned := assignShards(points, s)
 	shardOf := make([]int32, n)
-	counts := make([]int, s)
-	for si, gids := range members {
-		counts[si] = len(gids)
+	for si, gids := range owned {
 		for _, g := range gids {
 			shardOf[g] = int32(si)
 		}
 	}
-	m := &MutableShardedIndex{lad: lad, log: log, shardOf: shardOf, counts: counts}
+	m := &MutableShardedIndex{lad: lad, log: log, shardOf: shardOf}
 	m.backends, err = fanOut(ctx, s, func(ctx context.Context, si int) (MutableShardBackend, error) {
-		return dial(ctx, si, ShardConfig{Points: points, Members: members[si], Cell: shardCell})
+		return dial(ctx, si, ShardConfig{Points: points, Owned: owned[si], Cell: shardCell})
 	})
 	if err != nil {
 		m.Close()
@@ -276,9 +273,9 @@ func (m *MutableShardedIndex) Epoch() Epoch {
 }
 
 // Append adds rows as one batch (see MutableBallIndex): every shard
-// receives the full batch as query sources, each row joins the
-// least-loaded shard's member set, and all shards advance to the same new
-// epoch before the coordinator commits it.
+// receives the full batch, each row is owned by the least-loaded shard,
+// and all shards advance to the same new epoch before the coordinator
+// commits it.
 func (m *MutableShardedIndex) Append(ctx context.Context, rows *vec.Frame) ([]uint64, Epoch, error) {
 	if rows == nil || rows.N() == 0 {
 		return nil, 0, fmt.Errorf("geometry: append of no rows")
@@ -302,29 +299,26 @@ func (m *MutableShardedIndex) Append(ctx context.Context, rows *vec.Frame) ([]ui
 		return nil, 0, err
 	}
 
-	// Deterministic balance: each row joins the currently least-loaded
-	// shard (lowest index on ties). Partition independence makes this a
-	// pure load knob — results never depend on it.
-	asg := make([]int32, k)
-	memberLocal := make([][]int32, len(m.backends))
+	// Deterministic balance: each row is owned by the currently
+	// least-loaded shard (lowest index on ties). Partition independence
+	// makes this a pure load knob — results never depend on it.
+	asg, counts := make([]int32, k), m.ownedCounts()
+	ownedLocal := make([][]int32, len(m.backends))
 	for i := 0; i < k; i++ {
 		best := 0
-		for si := 1; si < len(m.counts); si++ {
-			if m.counts[si] < m.counts[best] {
+		for si := range counts {
+			if counts[si] < counts[best] {
 				best = si
 			}
 		}
 		asg[i] = int32(best)
-		m.counts[best]++ // rolled back below on failure
-		memberLocal[best] = append(memberLocal[best], int32(i))
+		counts[best]++
+		ownedLocal[best] = append(ownedLocal[best], int32(i))
 	}
 
 	if err := m.broadcastLocked(ctx, m.log.epoch+1, func(cctx context.Context, si int, be MutableShardBackend) (Epoch, error) {
-		return be.Append(cctx, rows, memberLocal[si], ids)
+		return be.Append(cctx, rows, ownedLocal[si], ids)
 	}); err != nil {
-		for _, si := range asg {
-			m.counts[si]--
-		}
 		return nil, 0, err
 	}
 
@@ -340,7 +334,7 @@ func (m *MutableShardedIndex) Append(ctx context.Context, rows *vec.Frame) ([]ui
 
 // Delete removes the rows with the given stable ids (see MutableBallIndex),
 // after validating that every id exists and that no shard would lose its
-// last member row. The coordinator's store compacts to the survivors,
+// last owned row. The coordinator's store compacts to the survivors,
 // preserving insertion order, and older epochs retire (their storage
 // stays alive under any snapshot still held by a query).
 func (m *MutableShardedIndex) Delete(ctx context.Context, ids []uint64) (Epoch, error) {
@@ -357,13 +351,13 @@ func (m *MutableShardedIndex) Delete(ctx context.Context, ids []uint64) (Epoch, 
 	if err != nil {
 		return 0, err
 	}
-	lost := make([]int, len(m.counts))
+	left := m.ownedCounts()
 	for _, row := range gone {
-		lost[m.shardOf[row]]++
+		left[m.shardOf[row]]--
 	}
-	for si, l := range lost {
-		if l == m.counts[si] {
-			return 0, fmt.Errorf("geometry: delete would leave shard %d without members", si)
+	for si, l := range left {
+		if l == 0 {
+			return 0, fmt.Errorf("geometry: delete would leave shard %d without owned rows", si)
 		}
 	}
 
@@ -380,10 +374,16 @@ func (m *MutableShardedIndex) Delete(ctx context.Context, ids []uint64) (Epoch, 
 	}
 	*store = next
 	m.shardOf = dropRows(m.shardOf, gone, 1)
-	for si := range m.counts {
-		m.counts[si] -= lost[si]
-	}
 	return m.log.retire(live), nil
+}
+
+// ownedCounts returns the live owned rows per shard.
+func (m *MutableShardedIndex) ownedCounts() []int {
+	counts := make([]int, len(m.backends))
+	for _, si := range m.shardOf {
+		counts[si]++
+	}
+	return counts
 }
 
 // usableLocked rejects operations on a closed or broken handle.
@@ -430,7 +430,10 @@ func (m *MutableShardedIndex) Snapshot(ctx context.Context, epoch Epoch) (BallIn
 	}
 	cv, rows, err := m.log.pin(epoch)
 	if rows != nil {
-		cv.rows = m.log.stores[0].at(rows[0])
+		// A new pin is at or after the last delete, so its rows are a prefix
+		// of the store, and shardOf's prefix is theirs (appends never
+		// rewrite it; a delete replaces the slice).
+		cv.rows, cv.shardOf = m.log.stores[0].at(rows[0]), m.shardOf[:rows[0]:rows[0]]
 	}
 	backends := make([]ShardBackend, len(m.backends))
 	for si, be := range m.backends {
@@ -446,16 +449,21 @@ func (m *MutableShardedIndex) Snapshot(ctx context.Context, epoch Epoch) (BallIn
 	return cv.view, nil
 }
 
-// buildView assembles the epoch's view: the row-prefix frame plus the
-// global duplicate table summed from the per-shard epoch-pinned DupCounts.
+// buildView assembles the epoch's view: the row-prefix frame, each shard's
+// owned slots (ascending, as its stores hold them) and the global
+// duplicate table scattered from the per-shard epoch-pinned DupCounts.
 // Built under a background context so a cancelled pinner cannot poison the
 // cached view.
 func (m *MutableShardedIndex) buildView(cv *coordView, backends []ShardBackend, epoch Epoch) error {
-	dup, err := sumDups(context.Background(), backends, epoch, cv.rows.nView)
+	owned := make([][]int32, len(backends))
+	for g, si := range cv.shardOf {
+		owned[si] = append(owned[si], int32(g))
+	}
+	dup, err := scatterDups(context.Background(), backends, owned, epoch, cv.rows.nView)
 	if err != nil {
 		return err
 	}
-	cv.view = &ShardedIndex{frame: cv.rows.buf.View(cv.rows.nView), lad: m.lad, backends: backends, counters: shardCounters(len(backends)), dupCount: dup, epoch: epoch, sharedBackends: true}
+	cv.view = &ShardedIndex{frame: cv.rows.buf.View(cv.rows.nView), lad: m.lad, backends: backends, owned: owned, counters: shardCounters(len(backends)), dupCount: dup, epoch: epoch, sharedBackends: true}
 	return nil
 }
 
@@ -467,19 +475,12 @@ func (m *MutableShardedIndex) Merge(ctx context.Context) error {
 		m.mu.Unlock()
 		return err
 	}
-	backends := append([]MutableShardBackend(nil), m.backends...)
+	backends := m.backends
 	m.mu.Unlock()
-	errs := make([]error, len(backends))
-	var wg sync.WaitGroup
-	for si, be := range backends {
-		wg.Add(1)
-		go func(si int, be MutableShardBackend) {
-			defer wg.Done()
-			errs[si] = be.Merge(ctx)
-		}(si, be)
-	}
-	wg.Wait()
-	return firstRealError(ctxOrBackground(ctx), errs)
+	_, err := fanOut(ctxOrBackground(ctx), len(backends), func(ctx context.Context, si int) (struct{}, error) {
+		return struct{}{}, backends[si].Merge(ctx)
+	})
+	return err
 }
 
 // Close releases the shard backends. Idempotent; in-flight snapshots stay
@@ -492,18 +493,8 @@ func (m *MutableShardedIndex) Close() error {
 		return nil
 	}
 	m.closed = true
-	backends := m.backends
 	m.mu.Unlock()
-	var first error
-	for _, be := range backends {
-		if be == nil {
-			continue
-		}
-		if err := be.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return closeAll(m.backends)
 }
 
 // Compile-time interface checks for the mutable layer.

@@ -10,12 +10,12 @@ import (
 	"privcluster/internal/vec"
 )
 
-// BenchmarkShardPartialCounts times what a shard server does for one
+// BenchmarkShardPartialCounts times what the shard servers do for one
 // remote L-step sweep: LocalShard.PartialCounts on both shards of an S = 2
-// split, at ladder levels 0–24 and limit n/2, over the n = 6000 planted
-// ball (bench.IndexWorkload, d = 2) on the handle's 2¹⁶ grid ladder. The
-// shards and every level are built before the timer starts, so the loop
-// times the count passes alone.
+// split, each counting its own rows against all rows, at ladder levels
+// 0–24 and limit n/2, over the n = 6000 planted ball (bench.IndexWorkload,
+// d = 2) on the handle's 2¹⁶ grid ladder. The shards and every level are
+// built before the timer starts, so the loop times the count passes alone.
 func BenchmarkShardPartialCounts(b *testing.B) {
 	const n, levels = 6000, 25
 	grid, err := geometry.NewGrid(1<<16, 2)
@@ -51,7 +51,7 @@ func BenchmarkShardPartialCounts(b *testing.B) {
 	sweep := func() {
 		for _, s := range shards {
 			for j, r := range radii {
-				if err := s.PartialCounts(context.Background(), geometry.EpochFrozen, j, r, n/2, out); err != nil {
+				if err := s.PartialCounts(context.Background(), geometry.EpochFrozen, j, r, n/2, out[:s.NPoints()]); err != nil {
 					b.Fatal(err)
 				}
 			}

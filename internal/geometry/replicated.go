@@ -112,6 +112,49 @@ type ReplicatedShard struct {
 	stop      context.CancelFunc
 	proberWG  sync.WaitGroup
 	closeOnce sync.Once
+
+	scopeMu sync.Mutex
+	scope   *callScope // the last caller context's, kept for its next call
+}
+
+// callScope is the cancel scope the calls under one caller context share:
+// it dies with that context and with Close. A sweep passes one context to
+// every level, so it derives the scope once, not once per call.
+type callScope struct {
+	parent, ctx context.Context
+	cancel      func()
+	calls       int // calls in flight under the scope
+}
+
+// enter returns ctx's scope: the cached one when ctx is its parent, else a
+// new one, which replaces the cached scope unless calls are in flight in
+// it — then the new scope is the call's own, released by leave.
+func (r *ReplicatedShard) enter(ctx context.Context) *callScope {
+	r.scopeMu.Lock()
+	defer r.scopeMu.Unlock()
+	sc := r.scope
+	if sc == nil || sc.parent != ctx {
+		cctx, cancel := context.WithCancel(ctx)
+		stop := context.AfterFunc(r.base, cancel)
+		sc = &callScope{parent: ctx, ctx: cctx, cancel: func() { stop(); cancel() }}
+		if old := r.scope; old == nil || old.calls == 0 {
+			if old != nil {
+				old.cancel()
+			}
+			r.scope = sc
+		}
+	}
+	sc.calls++
+	return sc
+}
+
+// leave ends a call under sc, releasing sc if it was a call's own.
+func (r *ReplicatedShard) leave(sc *callScope) {
+	r.scopeMu.Lock()
+	defer r.scopeMu.Unlock()
+	if sc.calls--; sc != r.scope {
+		sc.cancel()
+	}
 }
 
 var _ ShardBackend = (*ReplicatedShard)(nil)
@@ -300,11 +343,12 @@ type replicaResult struct {
 
 // do routes one bulk call through the replica set: preferred replica
 // first, failover on error, optional hedge after HedgeDelay, first success
-// wins; a PartialCounts pass fills out. Unhedged, the attempts run in turn
-// on the calling goroutine, straight into out. Hedged, exactly one answer
-// is ever returned — each attempt counts into its own buffer and only the
-// winner's is copied into out, so a loser never writes into the caller's
-// buffer and duplicated responses cannot double-count.
+// wins; a PartialCounts pass fills out, under the caller context's scope
+// (enter), so Close aborts it. Unhedged, the attempts run in turn on the
+// calling goroutine, straight into out. Hedged, exactly one answer is ever
+// returned — each attempt counts into its own buffer and only the winner's
+// is copied into out, so a loser never writes into the caller's buffer and
+// duplicated responses cannot double-count.
 func (r *ReplicatedShard) do(ctx context.Context, q bulkCall, out []int32) ([]int32, error) {
 	ctx = ctxOrBackground(ctx)
 	if err := ctx.Err(); err != nil {
@@ -313,14 +357,8 @@ func (r *ReplicatedShard) do(ctx context.Context, q bulkCall, out []int32) ([]in
 	if r.base.Err() != nil {
 		return nil, fmt.Errorf("geometry: replicated shard used after Close")
 	}
-
-	// cctx governs every attempt of this call: it dies with the caller's
-	// ctx, with Close (via the AfterFunc), and when do returns (reaping
-	// hedge losers).
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopAfter := context.AfterFunc(r.base, cancel)
-	defer stopAfter()
+	sc := r.enter(ctx)
+	defer r.leave(sc)
 
 	span := obs.CurrentSpan(ctx)
 	if r.opts.HedgeDelay <= 0 || len(r.replicas) == 1 {
@@ -331,7 +369,7 @@ func (r *ReplicatedShard) do(ctx context.Context, q bulkCall, out []int32) ([]in
 				statReplicaFailover.Inc()
 				span.Count("failovers", 1)
 			}
-			counts, err := r.attempt(cctx, ri, q, out)
+			counts, err := r.attempt(sc.ctx, ri, q, out)
 			if err == nil {
 				return counts, nil
 			}
@@ -343,6 +381,9 @@ func (r *ReplicatedShard) do(ctx context.Context, q bulkCall, out []int32) ([]in
 		return nil, firstErr
 	}
 
+	// The hedged attempts also die when do returns, which reaps the loser.
+	cctx, cancel := context.WithCancel(sc.ctx)
+	defer cancel()
 	order := r.order(nil)
 	results := make(chan replicaResult, len(order))
 	next := 0

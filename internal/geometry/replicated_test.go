@@ -417,6 +417,80 @@ func TestReplicatedShardClose(t *testing.T) {
 	}
 }
 
+// blockingShard answers its first call, then blocks every later one until
+// the call's context is done, announcing each blocked call on entered.
+type blockingShard struct {
+	ShardBackend
+	calls   atomic.Int32
+	entered chan<- struct{}
+}
+
+func (b *blockingShard) PartialCounts(ctx context.Context, epoch Epoch, j int, r float64, limit int32, out []int32) error {
+	if b.calls.Add(1) == 1 {
+		return b.ShardBackend.PartialCounts(ctx, epoch, j, r, limit, out)
+	}
+	b.entered <- struct{}{}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestReplicatedShardCloseAbortsInFlight: unhedged calls blocked in a
+// backend that waits on its context fail promptly when Close runs — a call
+// under a caller context an earlier call already used (the cached scope)
+// and a concurrent call under another context (a scope of its own) alike —
+// and Close returns.
+func TestReplicatedShardCloseAbortsInFlight(t *testing.T) {
+	pts := shardTestPoints(t, 41, 80, 2)
+	cfg := shardConfigFor(t, pts, shardTestOptions(2))
+	entered := make(chan struct{}, 2)
+	dial := func(context.Context) (ShardBackend, error) {
+		ls, err := NewLocalShard(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &blockingShard{ShardBackend: ls, entered: entered}, nil
+	}
+	rs, err := NewReplicatedShard(context.Background(), []ReplicaDialer{dial, dial}, ReplicatedShardOptions{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	out := make([]int32, len(pts))
+	if err := rs.PartialCounts(ctxA, EpochFrozen, 0, 0.05, 10, out); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for _, ctx := range []context.Context{ctxA, ctxB} {
+		go func() {
+			errs <- rs.PartialCounts(ctx, EpochFrozen, 0, 0.05, 10, make([]int32, len(pts)))
+		}()
+	}
+	<-entered // one call is blocked in the backend, the other waits its turn
+	closed := make(chan error, 1)
+	go func() { closed <- rs.Close() }()
+	for range 2 {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a call blocked across Close succeeded")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not abort an in-flight call")
+		}
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+}
+
 // loserShard is a hedge loser that keeps writing after the race is
 // decided: it scribbles into its buffer until its call is cancelled (do
 // returning with the sibling's answer) and for a while after, then fails.

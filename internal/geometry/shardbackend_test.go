@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// localDialer is the in-process ShardDialer: the generic backend summation
+// localDialer is the in-process ShardDialer: the generic backend scatter
 // path with zero transport, so its equivalence failures can only come from
 // the decomposition itself.
 func localDialer(_ context.Context, _ int, cfg ShardConfig) (ShardBackend, error) {
@@ -17,10 +17,10 @@ func localDialer(_ context.Context, _ int, cfg ShardConfig) (ShardBackend, error
 
 // TestShardedIndexBackendsMatchesCellIndex pins the transport tentpole at
 // the geometry layer: a backend-mode ShardedIndex (shards reached only
-// through the ShardBackend interface, global duplicate table assembled
-// from per-backend contributions, bulk counts summed from per-backend
-// partial vectors) builds the L̂ step function bit-identically to a
-// CellIndex over the same points. With this in place, a remote transport
+// through the ShardBackend interface, global duplicate table and bulk
+// counts scattered from the backends' owned-row answers) answers every
+// slot with the CellIndex count of its row and builds the L̂ step function
+// bit-identically to a CellIndex over the same points. With this in place, a remote transport
 // only has to move the ShardBackend calls faithfully to inherit the whole
 // equivalence contract.
 func TestShardedIndexBackendsMatchesCellIndex(t *testing.T) {
@@ -37,8 +37,8 @@ func TestShardedIndexBackendsMatchesCellIndex(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
-			if sh.Shards() != s {
-				t.Fatalf("%s: built %d backends", tag, sh.Shards())
+			if len(sh.backends) != s {
+				t.Fatalf("%s: built %d backends", tag, len(sh.backends))
 			}
 			if sh.lad != ref.lad {
 				t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
@@ -49,6 +49,21 @@ func TestShardedIndexBackendsMatchesCellIndex(t *testing.T) {
 			for i := range pts {
 				if sh.dupCount[i] != ref.dupCount[i] {
 					t.Fatalf("%s: dupCount[%d] = %d, want %d", tag, i, sh.dupCount[i], ref.dupCount[i])
+				}
+			}
+			// Each slot is the in-process count of the row it is scattered to.
+			for _, j := range []int{0, ref.lad.top / 2, ref.lad.top} {
+				want := freshCounts(t, ref, j, int32(tt))
+				for si, be := range sh.backends {
+					got, err := partials(context.Background(), be, EpochFrozen, j, ref.lad.radius(j), int32(tt), len(sh.owned[si]))
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					for k, g := range sh.owned[si] {
+						if got[k] != want[g] {
+							t.Fatalf("%s: shard %d level %d: slot %d (row %d) = %d, want %d", tag, si, j, k, g, got[k], want[g])
+						}
+					}
 				}
 			}
 			assertSameSteps(t, tag, sh, ref, 1, 2, tt, len(pts))
@@ -174,10 +189,10 @@ func TestLocalShardConfigValidation(t *testing.T) {
 		name string
 		cfg  ShardConfig
 	}{
-		{"no points", ShardConfig{Members: []int32{0}, Cell: opts}},
+		{"no points", ShardConfig{Owned: []int32{0}, Cell: opts}},
 		{"no members", ShardConfig{Points: frameOf(t, pts), Cell: opts}},
-		{"member out of range", ShardConfig{Points: frameOf(t, pts), Members: []int32{int32(len(pts))}, Cell: opts}},
-		{"negative member", ShardConfig{Points: frameOf(t, pts), Members: []int32{-1}, Cell: opts}},
+		{"member out of range", ShardConfig{Points: frameOf(t, pts), Owned: []int32{int32(len(pts))}, Cell: opts}},
+		{"negative member", ShardConfig{Points: frameOf(t, pts), Owned: []int32{-1}, Cell: opts}},
 		// A ragged "mixed dims" config is no longer representable: the frame
 		// type guarantees uniform dimension by construction.
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,33 +37,29 @@ type ShardedIndexOptions struct {
 	Cell CellIndexOptions
 }
 
-// ShardedIndex is the partitioned BallIndex backend: the quantized points
+// ShardedIndex is the partitioned BallIndex backend: the quantized rows
 // are split into S data partitions, each reached through a ShardBackend —
-// a shard server over the wire, or an in-process LocalShard. The estimated
-// ball counts are sums over data partitions — B̂_r(x) = Σ_s |{y ∈ shard s
-// : y contributes to B̂_r(x)}| — so every ladder level of the L̂ sweep is
-// answered by summing per-shard capped partial counts. A
-// MutableShardedIndex hands out the same type as its epoch views.
+// a shard server over the wire, or an in-process LocalShard. Each shard
+// owns the rows of its partition and counts them against every row, so
+// every ladder level of the L̂ sweep is answered by scattering the shards'
+// capped counts into global order: each global slot is written by exactly
+// one shard. A MutableShardedIndex hands out the same type as its epoch
+// views.
 //
 // Equivalence contract: BuildLStep returns, bit for bit, the step function
 // a CellIndex over the same points with the same options builds, for any
-// shard count, partition or backend. Three invariants carry it:
+// shard count, partition or backend. Two invariants carry it:
 //
 //   - Shared ladder. Every shard's radius ladder is pinned to the global
-//     one (MaxRadius is forced to the global ladder top, which dominates
-//     each shard's smaller bounding box), so ladder level j has the same
-//     radius and the same cell side in every shard.
-//   - Positional cell rule. A member point's contribution to a count under
-//     the center rule depends only on its own cell coordinates and the
-//     query point, never on which other points share its cell. Splitting a
-//     cell's occupants across shards therefore splits its contribution
-//     into exact partial sums. In particular L̂ keeps the sensitivity-2
-//     property of Lemma 4.5: the estimate is the same function of the
-//     dataset as the unsharded one, so GoodRadius's privacy analysis is
-//     untouched by sharding.
-//   - Capping commutes. Capped counts min(B, t) are recovered from
-//     per-shard capped partials by nonnegative saturating addition:
-//     min(Σ_s min(B_s, t), t) = min(B, t).
+//     one (MaxRadius is forced to the global ladder top), so ladder level j
+//     has the same radius and the same cell side in every shard.
+//   - Each slot is the in-process count. A row's count under the center
+//     rule depends only on the row and the other rows' cells, never on
+//     which rows share its side of the join, and capped sums of
+//     nonnegative terms do not depend on their order. In particular L̂
+//     keeps the sensitivity-2 property of Lemma 4.5: the estimate is the
+//     same function of the dataset as the unsharded one, so GoodRadius's
+//     privacy analysis is untouched by sharding.
 //
 // Because releases are bit-identical, DP noise draws consume the same rng
 // stream and sharded pipelines release exactly what unsharded ones do under
@@ -71,15 +68,15 @@ type ShardedIndex struct {
 	frame *vec.Frame // global order — what Frame() must expose
 	lad   radiusLadder
 
-	// backends are the partitions, reached only through the interface,
-	// with every bulk query summing the per-backend partial vectors.
+	// backends are the partitions, reached only through the interface;
+	// owned[si] lists the global slots backend si answers, ascending.
 	backends []ShardBackend
+	owned    [][]int32
 	// counters names each backend's latency counter on a traced sweep.
 	counters []string
 
-	// dupCount[i] is the number of input points identical to row i
-	// across ALL shards — the exact global B_0 counts (per-shard duplicate
-	// tables cannot see cross-shard duplicates).
+	// dupCount[i] is the number of input points identical to row i — the
+	// exact global B_0 counts, scattered from the owners' DupCounts.
 	dupCount []int32
 
 	// epoch is the snapshot every backend call is pinned to: EpochFrozen
@@ -105,10 +102,10 @@ type ShardDialer func(ctx context.Context, shard int, cfg ShardConfig) (ShardBac
 // plugs into. The points are split into S Z-order partitions (S clamped
 // to [1, n]), each backend is dialed with its ShardConfig (cell options
 // pinned to the global ladder of the points' bounding box), and the global
-// duplicate table is assembled by summing per-backend DupCounts. Every L̂
-// sweep level is then a sum of per-backend partials — bit-identical to a
-// CellIndex over the same points under the equivalence contract above. An
-// empty input or an invalid ladder is an error.
+// duplicate table is scattered from the backends' DupCounts. Every L̂
+// sweep level is then the backends' counts scattered into global order —
+// bit-identical to a CellIndex over the same points under the equivalence
+// contract above. An empty input or an invalid ladder is an error.
 //
 // Backends are dialed concurrently; the first failure closes the backends
 // already dialed and aborts. ctx governs dialing and the duplicate-table
@@ -127,19 +124,18 @@ func NewShardedIndexBackends(ctx context.Context, points *vec.Frame, opts Sharde
 	if err != nil {
 		return nil, err
 	}
-	ix := &ShardedIndex{frame: points, lad: lad, counters: shardCounters(s)}
+	ix := &ShardedIndex{frame: points, lad: lad, owned: assignShards(points, s), counters: shardCounters(s)}
 	shardCell := cellOpts
 	shardCell.MaxRadius = lad.maxR
 
-	members := assignShards(points, s)
 	// One shard failing to come up dooms the whole build: fanOut cancels
 	// the sibling dials so a misconfigured address reports immediately
 	// instead of after every other shard's dial timeout.
 	ix.backends, err = fanOut(ctx, s, func(ctx context.Context, si int) (ShardBackend, error) {
-		return dial(ctx, si, ShardConfig{Points: points, Members: members[si], Cell: shardCell})
+		return dial(ctx, si, ShardConfig{Points: points, Owned: ix.owned[si], Cell: shardCell})
 	})
 	if err == nil {
-		ix.dupCount, err = sumDups(ctx, ix.backends, EpochFrozen, n)
+		ix.dupCount, err = scatterDups(ctx, ix.backends, ix.owned, EpochFrozen, n)
 	}
 	if err != nil {
 		ix.Close()
@@ -176,11 +172,10 @@ func fanOut[T any](ctx context.Context, n int, call func(ctx context.Context, si
 	return out, firstRealError(ctx, errs)
 }
 
-// sumDups assembles the global duplicate table of the epoch's n rows: the
-// exact radius-0 counts, as the sum of the backends' DupCounts (identical
-// points are identical in every shard that holds them, so the partial
-// tables add exactly).
-func sumDups(ctx context.Context, backends []ShardBackend, epoch Epoch, n int) ([]int32, error) {
+// scatterDups assembles the global duplicate table of the epoch's n rows,
+// the exact radius-0 counts: each backend's DupCounts lands in the slots
+// it owns.
+func scatterDups(ctx context.Context, backends []ShardBackend, owned [][]int32, epoch Epoch, n int) ([]int32, error) {
 	parts, err := fanOut(ctx, len(backends), func(ctx context.Context, si int) ([]int32, error) {
 		return backends[si].DupCounts(ctx, epoch)
 	})
@@ -189,14 +184,19 @@ func sumDups(ctx context.Context, backends []ShardBackend, epoch Epoch, n int) (
 	}
 	dup := make([]int32, n)
 	for si, p := range parts {
-		if len(p) != n {
-			return nil, fmt.Errorf("geometry: shard %d returned %d dup counts at epoch %d, want %d", si, len(p), epoch, n)
+		if len(p) != len(owned[si]) {
+			return nil, fmt.Errorf("geometry: shard %d returned %d dup counts at epoch %d, want %d", si, len(p), epoch, len(owned[si]))
 		}
-		for i, c := range p {
-			dup[i] += c
-		}
+		scatter(dup, owned[si], p)
 	}
 	return dup, nil
+}
+
+// scatter writes src[k] into dst[slots[k]].
+func scatter(dst []int32, slots, src []int32) {
+	for k, g := range slots {
+		dst[g] = src[k]
+	}
 }
 
 // Close releases the shard backends (network connections, for a remote
@@ -206,9 +206,15 @@ func (ix *ShardedIndex) Close() error {
 	if ix.sharedBackends {
 		return nil
 	}
+	return closeAll(ix.backends)
+}
+
+// closeAll closes every dialed backend (nil slots are the failed dials)
+// and returns the first error.
+func closeAll[B ShardBackend](backends []B) error {
 	var first error
-	for _, be := range ix.backends {
-		if be == nil {
+	for _, be := range backends {
+		if any(be) == nil {
 			continue
 		}
 		if err := be.Close(); err != nil && first == nil {
@@ -221,11 +227,11 @@ func (ix *ShardedIndex) Close() error {
 // assignShards partitions global point ids into s shards: it orders the
 // points along a Z-order space-filling curve and cuts the order into s
 // contiguous blocks whose sizes differ by at most one point, so every
-// shard receives at least one point when s ≤ n. Spatially compact shards
-// hold fewer, denser occupied cells per level, which shrinks the
-// per-shard row joins of the bulk count passes. The
-// assignment never affects results — every count is an exact sum of
-// per-shard partial counts.
+// shard owns at least one point when s ≤ n. Each block is returned in
+// ascending id order (ShardConfig.Owned). Spatially compact shards own
+// fewer, denser occupied source cells per level, which shrinks their row
+// joins. The assignment never affects results — every count is the
+// in-process count of its row.
 func assignShards(points *vec.Frame, s int) [][]int32 {
 	n := points.N()
 	out := make([][]int32, s)
@@ -258,6 +264,7 @@ func assignShards(points *vec.Frame, s int) [][]int32 {
 			hi++
 		}
 		out[b] = order[lo:hi:hi]
+		slices.Sort(out[b])
 		lo = hi
 	}
 	return out
@@ -296,37 +303,30 @@ func (ix *ShardedIndex) N() int { return ix.frame.N() }
 // order must not depend on the sharding.
 func (ix *ShardedIndex) Frame() *vec.Frame { return ix.frame }
 
-// Shards returns the number of shards (diagnostic).
-func (ix *ShardedIndex) Shards() int { return len(ix.backends) }
-
 // backendSweep is one BuildLStep sweep's fan-out state, reused at every level.
 type backendSweep struct {
 	ix     *ShardedIndex
 	ctx    context.Context // the sweep's cancel scope
 	cancel context.CancelFunc
-	bufs   [][]int32 // backend si's counts; backend 0's are the level's out
+	bufs   [][]int32 // backend si's counts, one slot per owned row
 	errs   []error
 	wg     sync.WaitGroup
 }
 
 // countAllBackends is the backend-mode bulk pass at one level: one
-// PartialCounts round trip per backend, issued concurrently, then the
-// per-shard capped vectors summed into out with saturation at limit —
-// min(Σ_s min(B_s, t), t) = min(B, t), so the result is bit-identical to
-// one unsharded pass. On any backend failure the siblings are cancelled
-// and the error (never a partial sum) is returned, which ends the sweep; a
-// cancelled caller ctx aborts every in-flight call. Backends reject answers
-// whose slot count is not their buffer's, so none can skew the sums.
+// PartialCounts round trip per backend, issued concurrently, then each
+// backend's capped counts scattered into out through its owned slots, so
+// the result is bit-identical to one unsharded pass. On any backend failure
+// the siblings are cancelled and the error (never a partial level) is
+// returned, which ends the sweep; a cancelled caller ctx aborts every
+// in-flight call. Backends reject answers whose slot count is not their
+// buffer's, so none can leave a slot unwritten.
 func (sw *backendSweep) countAllBackends(ctx context.Context, j int, r float64, limit int32, out []int32) error {
 	if r < 0 || limit <= 0 {
 		return nil
 	}
-	sw.bufs[0] = out
 	sw.wg.Add(len(sw.bufs))
 	for si := 1; si < len(sw.bufs); si++ {
-		if sw.bufs[si] == nil {
-			sw.bufs[si] = make([]int32, len(out))
-		}
 		go sw.call(si, j, r, limit)
 	}
 	sw.call(0, j, r, limit)
@@ -334,8 +334,8 @@ func (sw *backendSweep) countAllBackends(ctx context.Context, j int, r float64, 
 	if err := firstRealError(ctx, sw.errs); err != nil {
 		return err
 	}
-	for _, p := range sw.bufs[1:] {
-		addSaturating(out, p, limit)
+	for si, p := range sw.bufs {
+		scatter(out, sw.ix.owned[si], p)
 	}
 	return nil
 }
@@ -381,7 +381,7 @@ func firstRealError(ctx context.Context, errs []error) error {
 }
 
 // BuildLStep constructs the approximate L(·, S) step function with the
-// same sweep as CellIndex (sweepLStep), each level's counts summed across
+// same sweep as CellIndex (sweepLStep), each level's counts scattered from
 // the backends by countAllBackends. Each shard's cell level uses exactly
 // the cell side the unsharded index would (shared ladder), so every
 // per-point count, and with it the recorded function, is bit-identical to
@@ -389,6 +389,10 @@ func firstRealError(ctx context.Context, errs []error) error {
 // noise draw) is unchanged; see the ShardedIndex equivalence contract.
 func (ix *ShardedIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 	sw := &backendSweep{ix: ix, bufs: make([][]int32, len(ix.backends)), errs: make([]error, len(ix.backends))}
+	slab := make([]int32, ix.N())
+	for si, slots := range ix.owned {
+		sw.bufs[si], slab = slab[:len(slots):len(slots)], slab[len(slots):]
+	}
 	sw.ctx, sw.cancel = context.WithCancel(ctxOrBackground(ctx))
 	defer sw.cancel()
 	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, sw.countAllBackends)

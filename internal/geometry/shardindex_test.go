@@ -137,8 +137,8 @@ func TestShardedIndexMatchesCellIndex(t *testing.T) {
 		for s := 1; s <= 8; s++ {
 			tag := fmt.Sprintf("d=%d s=%d", d, s)
 			sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: s, Cell: opts})
-			if sh.Shards() != s {
-				t.Fatalf("%s: built %d shards", tag, sh.Shards())
+			if len(sh.backends) != s {
+				t.Fatalf("%s: built %d shards", tag, len(sh.backends))
 			}
 			if sh.lad != ref.lad {
 				t.Fatalf("%s: ladder diverged: %+v vs %+v", tag, sh.lad, ref.lad)
@@ -169,8 +169,8 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 		pts := shardTestPoints(t, 1, 5, 2)
 		ref := cellIndexOf(t, pts, opts)
 		sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: 64, Cell: opts})
-		if sh.Shards() != len(pts) {
-			t.Errorf("S=64 over n=5 built %d shards, want %d", sh.Shards(), len(pts))
+		if len(sh.backends) != len(pts) {
+			t.Errorf("S=64 over n=5 built %d shards, want %d", len(sh.backends), len(pts))
 		}
 		for _, shard := range localShards(t, sh) {
 			if shard.NPoints() == 0 {
@@ -184,8 +184,8 @@ func TestShardedIndexEdgeCases(t *testing.T) {
 		pts := shardTestPoints(t, 2, 50, 2)
 		for _, s := range []int{0, -3} {
 			sh := shardedIndexOf(t, pts, ShardedIndexOptions{Shards: s, Cell: opts})
-			if sh.Shards() != 1 {
-				t.Errorf("Shards=%d built %d shards, want 1", s, sh.Shards())
+			if len(sh.backends) != 1 {
+				t.Errorf("Shards=%d built %d shards, want 1", s, len(sh.backends))
 			}
 		}
 	})

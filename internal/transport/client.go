@@ -17,8 +17,8 @@ import (
 )
 
 // helloVersion is the version the client offers in its HELLO — normally
-// the package's ProtocolVersion; tests pin it lower to exercise the
-// negotiated-down grammar against a newer server.
+// the package's ProtocolVersion; tests pin it lower to check that a server
+// refuses an older client.
 var helloVersion = ProtocolVersion
 
 // DialFunc opens a raw connection to a shard server. The default is TCP
@@ -100,8 +100,7 @@ type RemoteShard struct {
 	interrupt  func() // fails the connection's in-flight read or write now
 	req, in    []byte // request and response payload buffers, reused every round trip
 	closed     bool
-	handshaken bool   // a session was established at least once
-	version    uint16 // the session's negotiated protocol version
+	handshaken bool // a session was established at least once
 }
 
 // DialShard connects to addr and performs the handshake, returning a
@@ -109,13 +108,13 @@ type RemoteShard struct {
 // must already be pinned to the shared global ladder
 // (geometry.NewShardedIndexBackends does this for every dialer).
 func DialShard(ctx context.Context, addr string, cfg geometry.ShardConfig, opts Options) (*RemoteShard, error) {
-	if cfg.Points == nil || cfg.Points.N() == 0 || len(cfg.Members) == 0 {
+	if cfg.Points == nil || cfg.Points.N() == 0 || len(cfg.Owned) == 0 {
 		n := 0
 		if cfg.Points != nil {
 			n = cfg.Points.N()
 		}
 		return nil, &Error{Op: "dial", Addr: addr, Kind: KindDial,
-			Err: fmt.Errorf("empty shard config (points=%d, members=%d)", n, len(cfg.Members))}
+			Err: fmt.Errorf("empty shard config (points=%d, owned=%d)", n, len(cfg.Owned))}
 	}
 	c := &RemoteShard{addr: addr, cfg: cfg, opts: opts.withDefaults(), dim: cfg.Points.Dim()}
 	c.mu.Lock()
@@ -141,8 +140,8 @@ func MutableShardDialer(addrs []string, opts Options) geometry.MutableShardDiale
 
 var _ geometry.MutableShardBackend = (*RemoteShard)(nil)
 
-// NPoints returns the number of points the shard holds.
-func (c *RemoteShard) NPoints() int { return len(c.cfg.Members) }
+// NPoints returns the number of rows the shard owns.
+func (c *RemoteShard) NPoints() int { return len(c.cfg.Owned) }
 
 // Close tears down the connection; subsequent calls fail with KindClosed.
 func (c *RemoteShard) Close() error {
@@ -152,13 +151,11 @@ func (c *RemoteShard) Close() error {
 	return c.resetConnLocked()
 }
 
-// Addr returns the shard server address (diagnostic).
-func (c *RemoteShard) Addr() string { return c.addr }
-
 // PartialCounts runs one capped bulk-count pass on the server: a single
-// round trip whose response carries the shard's contribution around every
-// global point of the pinned epoch, decoded straight into out. A response
-// whose slot count is not len(out) fails before anything is written.
+// round trip whose response carries the counts around every row the shard
+// owns at the pinned epoch, decoded straight into out. A response whose
+// slot count is not len(out), the owned-row count, fails before anything
+// is written.
 func (c *RemoteShard) PartialCounts(ctx context.Context, epoch geometry.Epoch, j int, r float64, limit int32, out []int32) error {
 	var buf [25]byte
 	req := binary.BigEndian.AppendUint64(buf[:0], epoch)
@@ -171,8 +168,8 @@ func (c *RemoteShard) PartialCounts(ctx context.Context, epoch geometry.Epoch, j
 	})
 }
 
-// DupCounts fetches the shard's duplicate-table contribution at the
-// pinned epoch (the geometry layer checks its slot count).
+// DupCounts fetches the duplicate counts of the shard's owned rows at the
+// pinned epoch (the geometry layer checks the slot count against them).
 func (c *RemoteShard) DupCounts(ctx context.Context, epoch geometry.Epoch) ([]int32, error) {
 	var counts []int32
 	err := c.call(ctx, "dupcounts", msgDupCounts, binary.BigEndian.AppendUint64(nil, epoch), msgCounts, func(payload []byte) error {
@@ -202,7 +199,7 @@ func (c *RemoteShard) mutate(ctx context.Context, op string, reqType byte, req [
 // Append lands one epoch-advancing append batch on the shard session (see
 // geometry.MutableShardBackend). Never retried: a mutation is not
 // idempotent, so any transport failure poisons the session instead.
-func (c *RemoteShard) Append(ctx context.Context, rows *vec.Frame, memberLocal []int32, ids []uint64) (geometry.Epoch, error) {
+func (c *RemoteShard) Append(ctx context.Context, rows *vec.Frame, ownedLocal []int32, ids []uint64) (geometry.Epoch, error) {
 	if !c.opts.Mutable {
 		return 0, c.errNotMutable("append")
 	}
@@ -214,15 +211,15 @@ func (c *RemoteShard) Append(ctx context.Context, rows *vec.Frame, memberLocal [
 		return 0, &Error{Op: "append", Addr: c.addr, Kind: KindRemote,
 			Err: fmt.Errorf("append of dimension %d, want %d", rows.Dim(), c.dim)}
 	}
-	w := &wbuf{b: make([]byte, 0, 10+8*rows.N()*(c.dim+1)+4+4*len(memberLocal))}
+	w := &wbuf{b: make([]byte, 0, 10+8*rows.N()*(c.dim+1)+4+4*len(ownedLocal))}
 	w.u32(uint32(rows.N()))
 	w.u16(uint16(c.dim))
 	w.frame(rows)
 	for _, id := range ids {
 		w.b = binary.BigEndian.AppendUint64(w.b, id)
 	}
-	w.u32(uint32(len(memberLocal)))
-	for _, li := range memberLocal {
+	w.u32(uint32(len(ownedLocal)))
+	for _, li := range ownedLocal {
 		w.i32(li)
 	}
 	return c.mutate(ctx, "append", msgAppend, w.b)
@@ -296,16 +293,11 @@ func (c *RemoteShard) call(ctx context.Context, op string, reqType byte, req []b
 			last = err
 			continue
 		}
-		// Version-3 sessions prefix every request with the trace field; the
-		// prefix is rebuilt per attempt because a reconnect can renegotiate
-		// the session version.
-		send := c.req[:0]
-		if c.version >= 3 {
-			send = append(send, 0)
-			if id := obs.FromContext(ctx).ID(); !id.IsZero() {
-				send[0] = 1
-				send = append(send, id[:]...)
-			}
+		// Every request opens with the trace field.
+		send := append(c.req[:0], 0)
+		if id := obs.FromContext(ctx).ID(); !id.IsZero() {
+			send[0] = 1
+			send = append(send, id[:]...)
 		}
 		c.req = append(send, req...)
 		payload, err := c.roundTripLocked(ctx, op, reqType, c.req, wantResp)
@@ -432,7 +424,7 @@ func (c *RemoteShard) ensureConnLocked(ctx context.Context) error {
 
 // handshakeLocked runs HELLO/HELLO_OK then OPEN/OPEN_OK on the fresh
 // connection. The OPEN frame ships the pinned cell options, the full global
-// point set and the member ids.
+// point set and the owned ids.
 func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	conn := c.conn
 	if dl, ok := ctx.Deadline(); ok {
@@ -465,9 +457,8 @@ func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 		return &Error{Op: "handshake", Addr: c.addr, Kind: KindVersion,
 			Err: fmt.Errorf("%w: server answered version %d, want %d–%d", ErrVersionMismatch, v, minProtocolVersion, helloVersion)}
 	}
-	c.version = v
 
-	open := &wbuf{b: make([]byte, 0, 64+8*c.cfg.Points.N()*c.dim+4*len(c.cfg.Members))}
+	open := &wbuf{b: make([]byte, 0, 64+8*c.cfg.Points.N()*c.dim+4*len(c.cfg.Owned))}
 	open.f64(c.cfg.Cell.MinRadius)
 	open.f64(c.cfg.Cell.MaxRadius)
 	open.u32(uint32(c.cfg.Cell.LevelsPerOctave))
@@ -481,8 +472,8 @@ func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	open.u32(uint32(c.cfg.Points.N()))
 	open.u16(uint16(c.dim))
 	open.frame(c.cfg.Points)
-	open.u32(uint32(len(c.cfg.Members)))
-	for _, m := range c.cfg.Members {
+	open.u32(uint32(len(c.cfg.Owned)))
+	for _, m := range c.cfg.Owned {
 		open.u32(uint32(m))
 	}
 	if err := writeFrame(c.bw, msgOpen, open.b); err != nil {
@@ -504,9 +495,9 @@ func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
 	if r.err != nil {
 		return &Error{Op: "handshake", Addr: c.addr, Kind: KindProtocol, Err: r.err}
 	}
-	if m != len(c.cfg.Members) || n != c.cfg.Points.N() {
+	if m != len(c.cfg.Owned) || n != c.cfg.Points.N() {
 		return &Error{Op: "handshake", Addr: c.addr, Kind: KindProtocol,
-			Err: fmt.Errorf("server echoed shard %d/%d, want %d/%d", m, n, len(c.cfg.Members), c.cfg.Points.N())}
+			Err: fmt.Errorf("server echoed shard %d/%d, want %d/%d", m, n, len(c.cfg.Owned), c.cfg.Points.N())}
 	}
 	conn.SetDeadline(time.Time{})
 	return nil

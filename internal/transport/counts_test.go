@@ -56,8 +56,9 @@ func FuzzCountsFrame(f *testing.F) {
 }
 
 // TestCountsSlotRule: a COUNTS response is accepted only when it carries
-// exactly one slot per slot of the caller's buffer and nothing else. A
-// short, long, truncated or trailing-byte response fails as a protocol
+// exactly one slot per slot of the caller's buffer — the session's owned
+// rows, here half of the global rows — and nothing else. A short, long,
+// global-length, truncated or trailing-byte response fails as a protocol
 // error before anything is written into the buffer — at the frozen epoch
 // and at a pinned one alike — and leaves the stream clean for the next
 // round trip.
@@ -65,18 +66,23 @@ func TestCountsSlotRule(t *testing.T) {
 	ctx := context.Background()
 	pts := testPoints(t, 41, 50, 2)
 	n := len(pts)
-	members := make([]int32, n)
-	good := make([]int32, n)
-	for i := range members {
-		members[i], good[i] = int32(i), int32(i%5)
+	var owned []int32
+	for i := 0; i < n; i += 2 {
+		owned = append(owned, int32(i))
 	}
-	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2)}
+	m := len(owned)
+	good := make([]int32, m)
+	for k := range good {
+		good[k] = int32(k % 5)
+	}
+	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Owned: owned, Cell: testCellOptions(2)}
 	full := countsPayload(good)
 	bad := []struct {
 		name    string
 		payload []byte
 	}{
-		{"short", countsPayload(good[:n-1])},
+		{"short", countsPayload(good[:m-1])},
+		{"global", countsPayload(make([]int32, n))},
 		{"long", countsPayload(append(slices.Clone(good), 1))},
 		{"truncated", full[:len(full)-4]},
 		{"trailing", append(slices.Clone(full), 0)},
@@ -105,7 +111,7 @@ func TestCountsSlotRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := make([]int32, n)
+			out := make([]int32, m)
 			for i := range out {
 				out[i] = -1
 			}
@@ -132,10 +138,11 @@ var raceEnabled bool
 // caller-owned buffer: LocalShard.PartialCounts, and one PARTIALS round
 // trip (client and server together, both in this process) on a loopback
 // RemoteShard and through a 2-replica ReplicatedShard as a placement
-// builds it. No layer copies the n-slot vector, so a round costs a few
-// small objects: the count pass, the connection's cancellation hook for
-// the caller's cancelable context and, on a replica set, the call's own
-// cancel scope. Each budget is what the round costs plus 2.
+// builds it. No layer copies the count vector, so a round costs a few
+// small objects: the count pass and the connection's cancellation hook for
+// the caller's cancelable context. A replica set derives its cancel scope
+// once per caller context, not per round. Each budget is what the round
+// costs plus 2.
 func TestCountRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random, so allocation counts vary")
@@ -147,7 +154,7 @@ func TestCountRoundAllocs(t *testing.T) {
 		members[i] = int32(i)
 	}
 	cell := testCellOptions(2)
-	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Members: members, Cell: cell}
+	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Owned: members, Cell: cell}
 	// A sweep's calls run under its cancelable scope, so every round arms
 	// the connection's cancellation hook.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -163,7 +170,7 @@ func TestCountRoundAllocs(t *testing.T) {
 	}
 	defer replicated.Close()
 	cell.Workers = 1 // the servers' count passes run inline too
-	local, err := geometry.NewLocalShard(geometry.ShardConfig{Points: cfg.Points, Members: members, Cell: cell})
+	local, err := geometry.NewLocalShard(geometry.ShardConfig{Points: cfg.Points, Owned: members, Cell: cell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestCountRoundAllocs(t *testing.T) {
 	}{
 		{"local", local, 3},
 		{"remote", remote, 5},
-		{"replicated", replicated, 12},
+		{"replicated", replicated, 5},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {
 			if err := tc.be.PartialCounts(ctx, geometry.EpochFrozen, 3, 0.01, 40, out); err != nil {

@@ -123,7 +123,7 @@ func TestMutableSessionGuards(t *testing.T) {
 	for i := range members {
 		members[i] = int32(i)
 	}
-	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2)}
+	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2)}
 
 	addrs, copts := startServers(t, 1, ServerOptions{})
 
@@ -175,7 +175,7 @@ func TestMutableSessionNotResumed(t *testing.T) {
 	for i := range members {
 		members[i] = int32(i)
 	}
-	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2)}
+	cfg := geometry.ShardConfig{Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2)}
 
 	ln := NewLoopbackNet()
 	l, err := ln.Listen("srv")

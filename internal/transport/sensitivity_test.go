@@ -2,8 +2,11 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"privcluster/internal/geometry"
@@ -103,4 +106,106 @@ func TestRemoteLSensitivityAtMostTwo(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOwnerChangeSensitivity checks Lemma 4.5 where partitioning could
+// break it: the neighbour moves the row with the lowest Z-order key to the
+// top corner, so the row changes its owner and every block cut of the
+// Z-order partition shifts by one row. For S = 2 and 3 LocalShard backends
+// (d = 1 and 2) and loopback RemoteShards (d = 1), each dataset's L̂ must
+// equal the in-process CellIndex's bit for bit, and the two must differ by
+// at most 2 at every radius (a step function moves only at its breaks).
+func TestOwnerChangeSensitivity(t *testing.T) {
+	addrs, copts := startServers(t, 3, ServerOptions{})
+	backends := []struct {
+		name string
+		dims []int
+		dial geometry.ShardDialer
+	}{
+		{"local", []int{1, 2}, func(_ context.Context, _ int, cfg geometry.ShardConfig) (geometry.ShardBackend, error) {
+			return geometry.NewLocalShard(cfg)
+		}},
+		{"remote", []int{1}, func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.ShardBackend, error) {
+			return DialShard(ctx, addrs[shard], cfg, copts)
+		}},
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, be := range backends {
+		for _, d := range be.dims {
+			cell := testCellOptions(d)
+			for _, s := range []int{2, 3} {
+				for trial := 0; trial < 6; trial++ {
+					tag := fmt.Sprintf("%s d=%d S=%d trial %d", be.name, d, s, trial)
+					n := 30 + rng.Intn(30)
+					pts := make([]vec.Vector, n)
+					for i := range pts {
+						p := make(vec.Vector, d)
+						for a := range p {
+							if i < n/2 { // a cluster of radius 0.1
+								p[a] = 0.5 + (rng.Float64()*2-1)*0.1/math.Sqrt(float64(d))
+							} else {
+								p[a] = 0.05 + 0.9*rng.Float64()
+							}
+						}
+						pts[i] = p
+					}
+					moved := rng.Intn(n)
+					pts[moved] = make(vec.Vector, d) // the origin: the lowest key
+					nb := slices.Clone(pts)
+					nb[moved] = make(vec.Vector, d)
+					for a := range nb[moved] {
+						nb[moved][a] = 1 // the top corner: the highest key
+					}
+					tt := 2 + rng.Intn(n-2)
+					var steps [2]*geometry.LStep
+					var owners [2][]int
+					for k, data := range [][]vec.Vector{pts, nb} {
+						steps[k], owners[k] = ownedLStep(t, tag, data, s, cell, tt, be.dial)
+						want, err := cellIndexOf(t, data, cell).BuildLStep(context.Background(), tt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertStepEqual(t, tag, steps[k], want)
+					}
+					if owners[0][moved] == owners[1][moved] {
+						t.Fatalf("%s: the moved row stayed with shard %d", tag, owners[0][moved])
+					}
+					if slices.Equal(owners[0][:moved], owners[1][:moved]) && slices.Equal(owners[0][moved+1:], owners[1][moved+1:]) {
+						t.Fatalf("%s: no block cut shifted", tag)
+					}
+					for _, r := range append(slices.Clone(steps[0].Breaks), steps[1].Breaks...) {
+						if diff := math.Abs(steps[0].Eval(r) - steps[1].Eval(r)); diff > 2+1e-9 {
+							t.Fatalf("%s: |ΔL̂| = %v > 2 at r=%v (n=%d t=%d)", tag, diff, r, n, tt)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// ownedLStep builds the L̂ of pts over s shards dialed through dial, and
+// returns it with each row's owning shard.
+func ownedLStep(t *testing.T, tag string, pts []vec.Vector, s int, cell geometry.CellIndexOptions, tt int, dial geometry.ShardDialer) (*geometry.LStep, []int) {
+	t.Helper()
+	owner := make([]int, len(pts))
+	var mu sync.Mutex
+	ix, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, pts), geometry.ShardedIndexOptions{Shards: s, Cell: cell},
+		func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.ShardBackend, error) {
+			mu.Lock()
+			for _, g := range cfg.Owned {
+				owner[g] = shard
+			}
+			mu.Unlock()
+			return dial(ctx, shard, cfg)
+		})
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	defer ix.Close()
+	ls, err := ix.BuildLStep(context.Background(), tt)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	return ls, owner
 }

@@ -24,16 +24,16 @@ type ServerOptions struct {
 	// is silent without it.
 	Logf func(format string, args ...any)
 	// Log, when set, receives structured trace-correlation lines: one per
-	// new client trace ID seen on a connection (version-3 sessions), so an
-	// operator can grep a shard server's output for the trace ID a client
-	// printed. Lines carry IDs, addresses and counts — never data.
+	// new client trace ID seen on a connection, so an operator can grep a
+	// shard server's output for the trace ID a client printed. Lines carry
+	// IDs, addresses and counts — never data.
 	Log *obs.Logger
 }
 
 // Server hosts shards behind the wire protocol. Each connection carries
 // one shard session: the OPEN handshake builds a geometry.LocalShard (or,
 // for mutable sessions, a geometry.MutableLocalShard) for the requested
-// member set, and subsequent requests are answered from it. One server
+// owned rows, and subsequent requests are answered from it. One server
 // process therefore hosts as many shards as clients open against it — a
 // ShardedIndex with S remote shards may point all S backends at one
 // address or spread them over a fleet.
@@ -177,25 +177,26 @@ func (s *Server) Close() error {
 }
 
 // serverConn is one connection: handshake state plus the shard session it
-// opened — exactly one of shard (immutable) or mshard (mutable) after a
-// successful OPEN. A mutable session's state lives and dies with the
-// connection: there is no session resumption, which is also why the client
-// never auto-reconnects a mutable backend.
+// opened. A mutable session's state lives and dies with the connection:
+// there is no session resumption, which is also why the client never
+// auto-reconnects a mutable backend.
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
 	busy atomic.Bool // a request is being served (graceful-shutdown hint)
 
-	shard   *geometry.LocalShard
-	mshard  *geometry.MutableLocalShard
-	n       int     // global point count of the session (at open, for mutable)
-	version uint16  // negotiated protocol version (0 until HELLO)
-	counts  []int32 // the PARTIALS count buffer, reused every round
-	resp    []byte  // the COUNTS payload buffer, reused every round
+	// be answers the session's queries (nil before OPEN), and mshard is
+	// the same backend on a mutable session. The geometry layer enforces
+	// the epoch discipline: an immutable shard rejects any non-zero epoch,
+	// a mutable one the frozen epoch.
+	be     geometry.ShardBackend
+	mshard *geometry.MutableLocalShard
+	counts []int32 // the PARTIALS count buffer, reused every round
+	resp   []byte  // the COUNTS payload buffer, reused every round
 
-	// trace mirrors the client's current query trace (version-3 sessions):
-	// one server-side span tree per propagated trace ID, announced in the
-	// structured log on first sight and retained in the server's ring.
+	// trace mirrors the client's current query trace: one server-side span
+	// tree per propagated trace ID, announced in the structured log on
+	// first sight and retained in the server's ring.
 	trace *obs.Trace
 }
 
@@ -285,8 +286,8 @@ func msgName(typ byte) string {
 	}
 }
 
-// handle dispatches one request frame. On version-3 sessions the post-OPEN
-// payload opens with the trace field; a propagated trace ID opens (or
+// handle dispatches one request frame. Every payload but HELLO's and
+// OPEN's opens with the trace field; a propagated trace ID opens (or
 // continues) the connection's server-side trace and the request runs under
 // a span named for its type, so the server's view of a traced query lands
 // in its log and trace ring under the client's ID. The trace never reaches
@@ -294,7 +295,7 @@ func msgName(typ byte) string {
 func (sc *serverConn) handle(typ byte, payload []byte) (byte, []byte, *wireError) {
 	ctx := sc.srv.ctx
 	var span *obs.Span
-	if sc.version >= 3 && typ != msgHello && typ != msgOpen {
+	if typ != msgHello && typ != msgOpen {
 		if len(payload) < 1 {
 			return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "missing trace field"}
 		}
@@ -358,19 +359,16 @@ func (sc *serverConn) handleHello(payload []byte) (byte, []byte, *wireError) {
 		return 0, nil, &wireError{code: codeVersion, fatal: true,
 			msg: fmt.Sprintf("server speaks protocol versions %d–%d, client sent %d", minProtocolVersion, ProtocolVersion, version)}
 	}
-	// Answer the highest version both sides speak: an old v2 client gets a
-	// v2 session (no trace fields anywhere), a v3 client gets v3.
-	v := version
-	if v > ProtocolVersion {
-		v = ProtocolVersion
-	}
-	sc.version = v
+	// Answer the highest version both sides speak.
 	w := &wbuf{}
-	w.u16(v)
+	w.u16(min(version, ProtocolVersion))
 	return msgHelloOK, w.b, nil
 }
 
 func (sc *serverConn) handleOpen(payload []byte) (byte, []byte, *wireError) {
+	if sc.be != nil {
+		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "second open on one session"}
+	}
 	r := &rbuf{b: payload}
 	var cell geometry.CellIndexOptions
 	cell.MinRadius = r.f64()
@@ -402,44 +400,27 @@ func (sc *serverConn) handleOpen(payload []byte) (byte, []byte, *wireError) {
 	if r.err != nil || r.off != len(payload) {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed open frame"}
 	}
-	cfg := geometry.ShardConfig{Points: points, Members: members, Cell: cell}
+	cfg := geometry.ShardConfig{Points: points, Owned: members, Cell: cell}
+	var be geometry.ShardBackend
+	var err error
 	if mutable {
-		mshard, err := geometry.NewMutableLocalShard(cfg)
-		if err != nil {
-			return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: err.Error()}
-		}
-		sc.mshard = mshard
+		sc.mshard, err = geometry.NewMutableLocalShard(cfg)
+		be = sc.mshard
 	} else {
-		shard, err := geometry.NewLocalShard(cfg)
-		if err != nil {
-			return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: err.Error()}
-		}
-		sc.shard = shard
+		be, err = geometry.NewLocalShard(cfg)
 	}
-	sc.n = n
+	if err != nil {
+		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: err.Error()}
+	}
+	sc.be = be
 	w := &wbuf{}
 	w.u32(uint32(m))
 	w.u32(uint32(n))
 	return msgOpenOK, w.b, nil
 }
 
-// backend returns the session's query backend (immutable or mutable), or
-// nil before a successful OPEN. The epoch discipline is enforced by the
-// geometry layer: an immutable shard rejects any non-zero epoch, a mutable
-// one rejects the frozen epoch, so a client speaking the wrong epoch
-// grammar gets a typed remote error either way.
-func (sc *serverConn) backend() geometry.ShardBackend {
-	if sc.mshard != nil {
-		return sc.mshard
-	}
-	if sc.shard != nil {
-		return sc.shard
-	}
-	return nil
-}
-
 func (sc *serverConn) handlePartials(ctx context.Context, payload []byte) (byte, []byte, *wireError) {
-	be := sc.backend()
+	be := sc.be
 	if be == nil {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "request before open"}
 	}
@@ -456,7 +437,7 @@ func (sc *serverConn) handlePartials(ctx context.Context, payload []byte) (byte,
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true,
 			msg: fmt.Sprintf("partials frame names boundary rule %d; only 0 (center rule) is defined", boundary)}
 	}
-	n, err := sc.n, error(nil)
+	n, err := be.NPoints(), error(nil)
 	if sc.mshard != nil {
 		n, err = sc.mshard.Rows(ctx, epoch)
 	}
@@ -471,7 +452,7 @@ func (sc *serverConn) handlePartials(ctx context.Context, payload []byte) (byte,
 }
 
 func (sc *serverConn) handleDupCounts(ctx context.Context, payload []byte) (byte, []byte, *wireError) {
-	be := sc.backend()
+	be := sc.be
 	if be == nil {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "request before open"}
 	}
@@ -491,7 +472,7 @@ func (sc *serverConn) handleDupCounts(ctx context.Context, payload []byte) (byte
 // mutableSession gates the mutation handlers: mutating an immutable
 // session is an out-of-contract request, fatal to the connection.
 func (sc *serverConn) mutableSession() *wireError {
-	if sc.shard == nil && sc.mshard == nil {
+	if sc.be == nil {
 		return &wireError{code: codeBadRequest, fatal: true, msg: "request before open"}
 	}
 	if sc.mshard == nil {
@@ -524,14 +505,14 @@ func (sc *serverConn) handleAppend(ctx context.Context, payload []byte) (byte, [
 	if r.err != nil || mcount < 0 || mcount > k {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed append frame"}
 	}
-	memberLocal := make([]int32, mcount)
-	for i := range memberLocal {
-		memberLocal[i] = r.i32()
+	ownedLocal := make([]int32, mcount)
+	for i := range ownedLocal {
+		ownedLocal[i] = r.i32()
 	}
 	if r.err != nil || r.off != len(payload) {
 		return 0, nil, &wireError{code: codeBadRequest, fatal: true, msg: "malformed append frame"}
 	}
-	epoch, err := sc.mshard.Append(ctx, rows, memberLocal, ids)
+	epoch, err := sc.mshard.Append(ctx, rows, ownedLocal, ids)
 	if err != nil {
 		return 0, nil, sc.computeError(err)
 	}

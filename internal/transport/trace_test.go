@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func dialTestShard(t *testing.T, sopts ServerOptions) (*RemoteShard, *Server) {
 		members[i] = int32(i)
 	}
 	rs, err := DialShard(context.Background(), "srv", geometry.ShardConfig{
-		Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2),
+		Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2),
 	}, Options{Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 		return ln.Dial(ctx, addr)
 	}})
@@ -40,10 +41,10 @@ func dialTestShard(t *testing.T, sopts ServerOptions) (*RemoteShard, *Server) {
 	return rs, srv
 }
 
-// remotePartials runs rs.PartialCounts into a fresh buffer, one slot per global
-// point of the shard's config.
+// remotePartials runs rs.PartialCounts into a fresh buffer, one slot per
+// owned row of the shard's config.
 func remotePartials(ctx context.Context, rs *RemoteShard, epoch geometry.Epoch, j int, r float64, limit int32) ([]int32, error) {
-	out := make([]int32, rs.cfg.Points.N())
+	out := make([]int32, len(rs.cfg.Owned))
 	return out, rs.PartialCounts(ctx, epoch, j, r, limit, out)
 }
 
@@ -99,43 +100,26 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// TestV2Interop: a client pinned to protocol version 2 negotiates a v2
-// session against the v3 server and gets bit-identical counts to a v3
-// session — the trace field is a pure framing addition, invisible to
-// results — and a traced context on a v2 session is silently dropped
-// rather than wired.
-func TestV2Interop(t *testing.T) {
-	rsV3, _ := dialTestShard(t, ServerOptions{})
-	v3counts, err := remotePartials(context.Background(), rsV3, geometry.EpochFrozen, 0, 0.01, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	helloVersion = 2
+// TestV3HelloRefused: a client offering protocol version 3, whose COUNTS
+// frames carry one slot per global row, is refused at HELLO with a typed
+// version error rather than handed a session it would misread.
+func TestV3HelloRefused(t *testing.T) {
+	helloVersion = 3
 	defer func() { helloVersion = ProtocolVersion }()
-	rsV2, srv2 := dialTestShard(t, ServerOptions{})
-	rsV2.mu.Lock()
-	v := rsV2.version
-	rsV2.mu.Unlock()
-	if v != 2 {
-		t.Fatalf("pinned client negotiated version %d, want 2", v)
-	}
-
-	tr := obs.NewTrace()
-	ctx := obs.ContextWith(context.Background(), tr)
-	v2counts, err := remotePartials(ctx, rsV2, geometry.EpochFrozen, 0, 0.01, 5)
+	pts := testPoints(t, 77, 80, 2)
+	ln := NewLoopbackNet()
+	l, err := ln.Listen("srv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v2counts) != len(v3counts) {
-		t.Fatalf("v2 session returned %d counts, v3 %d", len(v2counts), len(v3counts))
-	}
-	for i := range v2counts {
-		if v2counts[i] != v3counts[i] {
-			t.Fatalf("count[%d] = %d on v2, %d on v3", i, v2counts[i], v3counts[i])
-		}
-	}
-	if st := srv2.Trace(tr.ID()); st != nil {
-		t.Fatalf("a v2 session must not carry the trace, but the server retained %s", st.ID())
+	srv := NewServer(ServerOptions{})
+	go srv.Serve(l)
+	defer srv.Close()
+	_, err = DialShard(context.Background(), "srv", geometry.ShardConfig{
+		Points: frameOf(t, pts), Owned: []int32{0, 1}, Cell: testCellOptions(2),
+	}, Options{Dial: ln.Dial})
+	var te *Error
+	if !errors.As(err, &te) || te.Kind != KindVersion || !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("v3 HELLO: err = %v, want a KindVersion error", err)
 	}
 }

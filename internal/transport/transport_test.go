@@ -98,15 +98,23 @@ func startServers(t *testing.T, count int, sopts ServerOptions) ([]string, Optio
 }
 
 // remoteIndex builds a backend-mode ShardedIndex whose shards are served
-// over the loopback wire protocol.
+// over the loopback wire protocol, one backend dialed per shard.
 func remoteIndex(t *testing.T, pts []vec.Vector, shards int, addrs []string, copts Options) *geometry.ShardedIndex {
 	t.Helper()
 	d := pts[0].Dim()
+	dial := ReplicatedShardDialer(partition(addrs, len(addrs), 1), ReplicaOptions{Options: copts})
+	var dialed atomic.Int32
 	ix, err := geometry.NewShardedIndexBackends(context.Background(), frameOf(t, pts), geometry.ShardedIndexOptions{
 		Shards: shards, Cell: testCellOptions(d),
-	}, ReplicatedShardDialer(partition(addrs, len(addrs), 1), ReplicaOptions{Options: copts}))
+	}, func(ctx context.Context, shard int, cfg geometry.ShardConfig) (geometry.ShardBackend, error) {
+		dialed.Add(1)
+		return dial(ctx, shard, cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := int(dialed.Load()); got != min(shards, len(pts)) {
+		t.Fatalf("dialed %d backends for %d shards", got, shards)
 	}
 	t.Cleanup(func() { ix.Close() })
 	return ix
@@ -159,9 +167,6 @@ func TestRemoteShardedIndexMatchesCellIndex(t *testing.T) {
 		for _, s := range []int{2, 4} {
 			addrs, copts := startServers(t, s, ServerOptions{})
 			sh := remoteIndex(t, pts, s, addrs, copts)
-			if sh.Shards() != s {
-				t.Fatalf("d=%d s=%d: built %d backends", d, s, sh.Shards())
-			}
 			if sh.Frame().N() != ref.Frame().N() {
 				t.Fatalf("d=%d s=%d: Frame diverged", d, s)
 			}
@@ -174,19 +179,19 @@ func TestRemoteShardedIndexMatchesCellIndex(t *testing.T) {
 // `reqs` zero-count responses, after which it slams the connection and the
 // listener — a deterministic stand-in for a shard server dying mid-use.
 func scriptedShard(t *testing.T, l net.Listener, reqs int) {
-	cannedShard(t, l, func(i, n int) []byte {
+	cannedShard(t, l, func(i, m int) []byte {
 		if i >= reqs {
 			return nil
 		}
-		return countsPayload(make([]int32, n))
+		return countsPayload(make([]int32, m))
 	})
 }
 
 // cannedShard serves one connection with a correct handshake and then
-// answers request i with a COUNTS frame carrying answer(i, n), n the
-// session's global point count, whatever the request asked; once answer
+// answers request i with a COUNTS frame carrying answer(i, m), m the
+// session's owned-row count, whatever the request asked; once answer
 // returns nil it slams the connection and the listener.
-func cannedShard(t *testing.T, l net.Listener, answer func(i, n int) []byte) {
+func cannedShard(t *testing.T, l net.Listener, answer func(i, m int) []byte) {
 	t.Helper()
 	go func() {
 		conn, err := l.Accept()
@@ -231,7 +236,7 @@ func cannedShard(t *testing.T, l net.Listener, answer func(i, n int) []byte) {
 			return
 		}
 		for i := 0; ; i++ {
-			resp := answer(i, n)
+			resp := answer(i, m)
 			if resp == nil {
 				return
 			}
@@ -319,7 +324,7 @@ func TestRetryReconnects(t *testing.T) {
 		return ln.Dial(ctx, addr)
 	}
 	rs, err := DialShard(context.Background(), "flaky", geometry.ShardConfig{
-		Points: frameOf(t, pts), Members: members, Cell: cell,
+		Points: frameOf(t, pts), Owned: members, Cell: cell,
 	}, Options{Dial: countingDial})
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +412,7 @@ func TestCancellationTearsDownInFlight(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	rs, err := DialShard(context.Background(), "tarpit", geometry.ShardConfig{
-		Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2),
+		Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2),
 	}, Options{Dial: ln.Dial})
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +478,7 @@ func TestVersionMismatch(t *testing.T) {
 
 	members := []int32{0, 1}
 	_, err = DialShard(context.Background(), "old", geometry.ShardConfig{
-		Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2),
+		Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2),
 	}, Options{Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 		dials.Add(1)
 		return ln.Dial(ctx, addr)
@@ -566,7 +571,7 @@ func TestGracefulShutdown(t *testing.T) {
 		members[i] = int32(i)
 	}
 	rs, err := DialShard(context.Background(), "srv", geometry.ShardConfig{
-		Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2),
+		Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2),
 	}, Options{Dial: ln.Dial, Retries: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -632,12 +637,41 @@ func TestHostileOpenFrame(t *testing.T) {
 		{"nan-min-radius", math.NaN(), 1.5, 2},        // a silent one-level ladder
 	} {
 		for _, mutable := range []bool{false, true} {
-			payload := openPayload(tc.minR, tc.maxR, tc.levelsPerOctave, mutable, pts)
+			payload := openPayload(tc.minR, tc.maxR, tc.levelsPerOctave, mutable, pts, nil)
 			if typ := sendOpen(t, ln, payload); typ != msgError {
 				t.Errorf("%s (mutable %v): answered with type %d, want error frame", tc.name, mutable, typ)
 			}
 		}
 	}
+
+	// The owned ids must ascend strictly: a descending or repeated list is
+	// refused, an ascending subset accepted.
+	cell := testCellOptions(2)
+	for _, tc := range []struct {
+		name  string
+		owned []int32
+		want  byte
+	}{
+		{"descending", []int32{3, 1}, msgError},
+		{"repeated", []int32{1, 1}, msgError},
+		{"subset", []int32{1, 3}, msgOpenOK},
+	} {
+		for _, mutable := range []bool{false, true} {
+			if typ := sendOpen(t, ln, openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, pts, tc.owned)); typ != tc.want {
+				t.Errorf("%s owned ids (mutable %v): answered with type %d, want %d", tc.name, mutable, typ, tc.want)
+			}
+		}
+	}
+
+	// A session opens once: a second OPEN is refused.
+	s2 := dialRaw(t, ln)
+	if rt := s2.send(t, msgOpen, validOpen(true)); rt != msgOpenOK {
+		t.Fatalf("first OPEN answered with type %d", rt)
+	}
+	if rt := s2.send(t, msgOpen, validOpen(false)); rt != msgError {
+		t.Errorf("second OPEN answered with type %d, want error frame", rt)
+	}
+	s2.conn.Close()
 
 	// The retired preloaded-points handshake sent points byte 0 and a
 	// checksum in place of the point set: a bad request. A client whose
@@ -659,7 +693,7 @@ func TestHostileOpenFrame(t *testing.T) {
 		members[i] = int32(i)
 	}
 	_, err = DialShard(context.Background(), "srv", geometry.ShardConfig{
-		Points: pts, Members: members, Cell: testCellOptions(2),
+		Points: pts, Owned: members, Cell: testCellOptions(2),
 	}, Options{Retries: -1, Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 		c, err := ln.Dial(ctx, addr)
 		return omitPointsConn{c}, err
@@ -673,9 +707,8 @@ func TestHostileOpenFrame(t *testing.T) {
 	// NaN would reach the shard's counts.
 	nan := openTestPoints()
 	nan.SetRow(3, vec.Vector{math.NaN(), 0.5})
-	cell := testCellOptions(2)
 	for _, mutable := range []bool{false, true} {
-		payload := openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, nan)
+		payload := openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, nan, nil)
 		if typ := sendOpen(t, ln, payload); typ != msgError {
 			t.Errorf("NaN point (mutable %v): answered with type %d, want error frame", mutable, typ)
 		}
@@ -811,8 +844,9 @@ func openTestPoints() *vec.Frame {
 }
 
 // openPayload encodes an OPEN body as the client does: the given ladder
-// options (default CellsPerRadius), pts inline, every point a member.
-func openPayload(minR, maxR float64, levelsPerOctave uint32, mutable bool, pts *vec.Frame) []byte {
+// options (default CellsPerRadius), pts inline, and the owned ids (nil:
+// every row).
+func openPayload(minR, maxR float64, levelsPerOctave uint32, mutable bool, pts *vec.Frame, owned []int32) []byte {
 	w := &wbuf{}
 	w.f64(minR)
 	w.f64(maxR)
@@ -827,9 +861,15 @@ func openPayload(minR, maxR float64, levelsPerOctave uint32, mutable bool, pts *
 	w.u32(uint32(pts.N()))
 	w.u16(uint16(pts.Dim()))
 	w.frame(pts)
-	w.u32(uint32(pts.N()))
-	for i := 0; i < pts.N(); i++ {
-		w.u32(uint32(i))
+	if owned == nil {
+		owned = make([]int32, pts.N())
+		for i := range owned {
+			owned[i] = int32(i)
+		}
+	}
+	w.u32(uint32(len(owned)))
+	for _, g := range owned {
+		w.i32(g)
 	}
 	return w.b
 }
@@ -881,18 +921,31 @@ func sendOpen(tb testing.TB, ln *LoopbackNet, payload []byte) byte {
 	return s.send(tb, msgOpen, payload)
 }
 
-// validOpen is a well-formed OPEN payload over openTestPoints.
+// validOpen is a well-formed OPEN payload over openTestPoints, owning
+// every row.
 func validOpen(mutable bool) []byte {
 	cell := testCellOptions(2)
-	return openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, openTestPoints())
+	return openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, openTestPoints(), nil)
+}
+
+// evenRowsOpen is a well-formed OPEN payload over openTestPoints owning
+// its even rows: the session's owned-row count is half the global one.
+func evenRowsOpen(mutable bool) []byte {
+	cell := testCellOptions(2)
+	var owned []int32
+	for i := int32(0); i < 40; i += 2 {
+		owned = append(owned, i)
+	}
+	return openPayload(cell.MinRadius, cell.MaxRadius, 2, mutable, openTestPoints(), owned)
 }
 
 // FuzzSessionFrame feeds one arbitrary post-OPEN frame to a shard server:
 // after HELLO and a valid OPEN (immutable or mutable, as mode's low bit
 // picks), the (typ, payload) frame must be answered with a defined
 // response type or an error frame, never crash the server, and leave it
-// serving a valid DialShard. Payloads travel raw, so the v3 trace field is
-// the fuzzer's first payload byte.
+// serving a valid DialShard. Mode's second bit opens a session owning
+// every other row instead of every row. Payloads travel raw, so the trace
+// field is the fuzzer's first payload byte.
 func FuzzSessionFrame(f *testing.F) {
 	ln := NewLoopbackNet()
 	l, err := ln.Listen("srv")
@@ -905,7 +958,11 @@ func FuzzSessionFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mode, typ byte, payload []byte) {
 		s := dialRaw(t, ln)
 		defer s.conn.Close()
-		if rt := s.send(t, msgOpen, validOpen(mode&1 == 1)); rt != msgOpenOK {
+		open := validOpen
+		if mode&2 != 0 {
+			open = evenRowsOpen
+		}
+		if rt := s.send(t, msgOpen, open(mode&1 == 1)); rt != msgOpenOK {
 			t.Fatalf("valid OPEN answered with type %d", rt)
 		}
 		switch rt := s.send(t, typ, payload); rt {
@@ -961,7 +1018,7 @@ func checkServing(ln *LoopbackNet) error {
 		members[i] = int32(i)
 	}
 	rs, err := DialShard(context.Background(), "srv", geometry.ShardConfig{
-		Points: pts, Members: members, Cell: testCellOptions(2),
+		Points: pts, Owned: members, Cell: testCellOptions(2),
 	}, Options{Dial: ln.Dial})
 	if err != nil {
 		return err
@@ -1016,7 +1073,7 @@ func TestPartialsStrictness(t *testing.T) {
 		members[i] = int32(i)
 	}
 	rs, err := DialShard(ctx, addrs[0], geometry.ShardConfig{
-		Points: frameOf(t, pts), Members: members, Cell: testCellOptions(2),
+		Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2),
 	}, copts)
 	if err != nil {
 		t.Fatal(err)
@@ -1049,9 +1106,7 @@ func TestPartialsStrictness(t *testing.T) {
 		if err := rs.ensureConnLocked(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if rs.version >= 3 {
-			body = append([]byte{0}, body...) // untraced
-		}
+		body = append([]byte{0}, body...) // untraced
 		if err := writeFrame(rs.bw, typ, body); err != nil {
 			t.Fatal(err)
 		}

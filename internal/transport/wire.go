@@ -17,13 +17,14 @@
 // handshake — HELLO (magic "PCSH" + protocol version) answered by
 // HELLO_OK, then OPEN (the shard's geometry.ShardConfig: pinned cell
 // options, a mutability flag, a points byte, the global point set and the
-// shard's member ids) answered by OPEN_OK — after which
-// the client issues one request frame at a time (PARTIALS, DUP_COUNTS,
-// and on mutable sessions APPEND, DELETE, MERGE)
-// and reads one response frame (COUNTS, EPOCH, or ERROR). Queries are
-// batched by construction: a single PARTIALS round trip carries the capped
-// counts for every global point, so the per-sweep network cost is one
-// round trip per (ladder level × shard), never per point.
+// ids of the rows the shard owns, strictly ascending) answered by OPEN_OK —
+// after which the client issues one request frame at a time (PARTIALS,
+// DUP_COUNTS, and on mutable sessions APPEND, DELETE, MERGE) and reads one
+// response frame (COUNTS, EPOCH, or ERROR). Queries are batched by
+// construction: a single PARTIALS round trip carries the capped counts of
+// every row the shard owns (the session's owned-row count at the queried
+// epoch, which the COUNTS frame declares), counted against every row, so
+// the per-sweep network cost is one round trip per (ladder level × shard).
 //
 // A PARTIALS payload is the epoch (uint64), the ladder level (int32), the
 // radius (float64), the count cap (int32) and a boundary-rule byte. The
@@ -46,23 +47,20 @@
 //
 // Versioning: the version is negotiated in the handshake. The client's
 // HELLO carries the highest version it speaks; the server answers with
-// min(client, server) provided both sides speak at least version 2, so a
-// v3 client interoperates with a v2 server (and vice versa) by settling on
-// the common grammar. A server that cannot meet the client answers with a
+// min(client, server) provided the client speaks at least
+// minProtocolVersion. A server that cannot meet the client answers with a
 // typed ERROR frame (code version-mismatch) and the client surfaces
 // ErrVersionMismatch; unknown message types on an established connection
 // are protocol errors that close it. The version covers the whole frame
-// grammar — any change to payload layouts bumps it.
+// grammar and the meaning of every field — any change to either bumps it.
 //
-// Tracing (version 3): on a session negotiated at version 3 or above,
-// every post-OPEN request payload opens with a one-byte trace flag — 0
-// (untraced; nothing follows) or 1 followed by the 16-byte trace ID of the
-// client's query trace. The server tags its logs and per-request spans
-// with the propagated ID, so one traced query correlates across the
+// Tracing: every post-OPEN request payload opens with a one-byte trace
+// flag — 0 (untraced; nothing follows) or 1 followed by the 16-byte trace
+// ID of the client's query trace. The server tags its logs and per-request
+// spans with the propagated ID, so one traced query correlates across the
 // client and every shard server it fanned out to. The field never
-// influences answers: a v3 session with flag 0 on every frame computes
-// byte-identical responses to a v2 session, and trace IDs carry no data
-// derived from the points.
+// influences answers, and trace IDs carry no data derived from the
+// points.
 //
 // All integers are big endian; float64 coordinates travel as their IEEE
 // bit patterns, so the points a server indexes are bit-identical to the
@@ -86,15 +84,15 @@ import (
 // speaks. Version 2 added mutable sessions: the OPEN mutability flag, the
 // leading epoch on every query frame, and the APPEND/DELETE/EPOCH_GET/
 // MERGE request types with their EPOCH response (EPOCH_GET is retired
-// since; a mutation's EPOCH response carries the new epoch). Version 3 added the
-// optional trace-ID prefix on post-OPEN request payloads (see the package
-// comment); sessions negotiate down to version 2 against older peers.
-const ProtocolVersion uint16 = 3
+// since; a mutation's EPOCH response carries the new epoch). Version 3
+// added the trace-ID prefix on post-OPEN request payloads. Version 4 made
+// the OPEN ids the rows the shard owns, each answered by one COUNTS slot
+// (earlier versions answered one slot per global row).
+const ProtocolVersion uint16 = 4
 
-// minProtocolVersion is the oldest version either side still accepts in
-// negotiation: the version-2 grammar is the floor (version 1 predates the
-// epoch discipline the geometry layer now requires).
-const minProtocolVersion uint16 = 2
+// minProtocolVersion is the oldest version either side still accepts: an
+// older peer would misread every COUNTS frame.
+const minProtocolVersion uint16 = 4
 
 // wireMagic opens every HELLO frame: a connection that does not start
 // with it is not speaking this protocol at all.
@@ -110,7 +108,7 @@ const (
 	msgHello    = 1 // client → server: magic + version
 	msgHelloOK  = 2 // server → client: accepted version
 	msgOpen     = 3 // client → server: shard config
-	msgOpenOK   = 4 // server → client: member/global count echo
+	msgOpenOK   = 4 // server → client: owned/global count echo
 	msgPartials = 5 // client → server: one capped bulk-count pass
 	msgCounts   = 6 // server → client: []int32 results
 	// 7 is retired and reserved: it carried CountBatch (exact counts
@@ -124,7 +122,7 @@ const (
 	// current epoch), which no client path sends. Servers reject it like
 	// any unknown type, and it must never be reassigned.
 	msgMerge = 13 // client → server: fold append deltas into the base
-	msgEpoch = 14 // server → client: epoch + member-row count
+	msgEpoch = 14 // server → client: epoch + owned-row count
 )
 
 // Server-side error codes carried by msgError frames.
@@ -334,7 +332,7 @@ func encodeCounts(buf []byte, counts []int32) []byte {
 }
 
 // encodeEpoch builds a msgEpoch payload: the session's epoch plus its
-// member-row count (a cheap consistency echo for diagnostics).
+// owned-row count (a cheap consistency echo for diagnostics).
 func encodeEpoch(epoch uint64, rows int) []byte {
 	w := &wbuf{b: make([]byte, 0, 12)}
 	w.b = binary.BigEndian.AppendUint64(w.b, epoch)

@@ -18,11 +18,12 @@ import (
 // pipeline's dominant cost) — "inproc" on the one CellIndex a handle
 // without a Placement builds, "loopback" over S = 2 partitions through the
 // full wire protocol against single-replica shard servers in this process
-// (handshake ships the 100k points, every sweep level is one 400 KB round
-// trip per shard). On one machine the delta is pure transport + the
-// backend decomposition's duplicated source-cell work; across real
-// machines the same protocol buys S-fold compute — see the cost model in
-// the package documentation.
+// (handshake ships the 100k points, every sweep level is one round trip
+// per shard carrying 200 KB of counts, one slot per row the shard owns).
+// On one machine the delta is pure transport + the backend decomposition's
+// second cell structure per shard (an index over all rows besides the one
+// over its own); across real machines the same protocol buys S-fold
+// compute — see the cost model in the package documentation.
 //
 //	go test -bench BenchmarkRemoteLoopback -benchmem
 func BenchmarkRemoteLoopback(b *testing.B) {
