@@ -11,7 +11,7 @@
 // (Prometheus text on /metrics: fan-out latency, cache and replica
 // counters) and net/http/pprof under /debug/pprof/. Bind it to a
 // loopback or otherwise access-controlled address. Traced client
-// sessions (wire protocol v3) are announced on the log with their
+// sessions are announced on the log with their
 // 128-bit trace ID, so one query can be followed from the client's
 // span tree into every shard server it touched.
 //
@@ -83,9 +83,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(out, format+"\n", args...)
 		},
-		// Traced sessions (wire protocol v3 clients propagating a trace
-		// ID) are announced through the structured logger so an operator
-		// can grep the client's trace ID across machines.
+		// Traced sessions (clients propagating a trace ID) are announced
+		// through the structured logger so an operator can grep the
+		// client's trace ID across machines.
 		Log: obs.NewLogger(out, slog.LevelInfo, 0),
 	})
 	serveErr := make(chan error, 1)

@@ -458,7 +458,7 @@
 // planted coordinates). And instrumentation never touches the privacy
 // analysis: tracing reads no randomness and perturbs no release — the
 // same seed yields bit-identical results traced or untraced, local or
-// remote (a v3 wire session interops bit-identically with v2 peers).
+// remote.
 //
 // # Privacy disclaimer
 //

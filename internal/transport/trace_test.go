@@ -90,7 +90,7 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatalf("trace announced %d times on one connection, want once:\n%s", n, logged)
 	}
 
-	// An untraced call on the same v3 session must not attach to the trace.
+	// An untraced call on the same session must not attach to the trace.
 	before := len(st.Spans())
 	if _, err := rs.DupCounts(context.Background(), geometry.EpochFrozen); err != nil {
 		t.Fatal(err)
