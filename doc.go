@@ -226,19 +226,22 @@
 // round trip carrying 4n/S bytes of counts per shard, which travel
 // through buffers the sweep and each connection own and reuse, never a
 // fresh copy per layer (plus the one-off handshake of 8nd bytes per
-// shard). Remote wins when per-level compute dominates transport:
-// n·(2c+2)^d/S · t_op ≫ RTT + 4n/(S·bandwidth). At n = 10⁵ a level is a
-// few hundred kilobytes against seconds of compute, so the crossover sits
-// far below datacenter RTTs — the constraint is compute per level, not the
-// wire. Conversely, on a single machine the local index skips
-// serialization entirely and keeps one cell structure where each remote
-// server builds two, one over all rows and one over its own
-// (BenchmarkRemoteLoopback quantifies both overheads by running the
-// protocol against servers in the same process). FindClusters' k-cover
-// runs round 1, the full-dataset cost, on the handle's index — remote on a
-// Placement handle. Each later round (k > 1) keeps the uncovered remainder
-// as row ids into that index's frame and builds a fresh local index over
-// those rows; releases are identical either way.
+// shard). A count round allocates nothing: a sweep starts its fan-out
+// workers and registers each connection's cancellation hook once, so a
+// remote sweep allocates O(S) objects, none per level. Remote wins when
+// per-level compute dominates transport: n·(2c+2)^d/S · t_op ≫
+// RTT + 4n/(S·bandwidth). At n = 10⁵ a level is a few hundred kilobytes
+// against seconds of compute, so the crossover sits far below datacenter
+// RTTs — the constraint is compute per level, not the wire. Conversely, on
+// a single machine the local index skips serialization entirely and keeps
+// one cell structure where each remote server builds two, one over all
+// rows and one over its own (BenchmarkRemoteLoopback quantifies both
+// overheads by running the protocol against servers in the same process).
+// FindClusters' k-cover runs round 1, the full-dataset cost, on the
+// handle's index — remote on a Placement handle. Each later round (k > 1)
+// keeps the uncovered remainder as row ids into that index's frame and
+// builds a fresh local index over those rows; releases are identical
+// either way.
 //
 // Trust boundary: shard servers hold raw data points and answer
 // non-private counting queries about them — they sit inside the trust

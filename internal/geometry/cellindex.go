@@ -461,6 +461,7 @@ type cellScratch struct {
 	pc                []int64
 	keys              []uint64
 	rows              []int32
+	pass              countPass // crossCellCounts' state while its caller holds the scratch
 }
 
 // scratchOf returns (*buf)[:n], regrowing *buf when it is too short.

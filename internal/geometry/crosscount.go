@@ -78,19 +78,28 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 	// built once per index and kept, so on a warm index these are cache
 	// hits, and per-group build goroutines would cost allocations on every
 	// pass. Source and member slices may share indexes; the second lookup
-	// is a hit.
-	p := &countPass{ctx: ctx, srcs: srcs, members: members, out: out, limit: limit}
-	lvs := p.lvBuf[:0]
+	// is a hit. A level build draws on the scratch pool too, so the pass
+	// takes its pooled scratch only once the levels are built.
+	var buf [4]*cellLevel
+	built := buf[:0]
 	for _, g := range srcs {
-		lvs = append(lvs, g.ix.level(j))
+		built = append(built, g.ix.level(j))
 	}
 	for _, g := range members {
-		lvs = append(lvs, g.ix.level(j))
+		built = append(built, g.ix.level(j))
 	}
-	p.srcLvs, p.memLvs = lvs[:len(srcs)], lvs[len(srcs):]
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	sc := srcs[0].ix.getScratch()
+	p := &sc.pass
+	defer func() {
+		*p = countPass{} // the pooled pass keeps no caller references
+		srcs[0].ix.putScratch(sc)
+	}()
+	*p = countPass{ctx: ctx, srcs: srcs, members: members, out: out, limit: limit}
+	lvs := append(p.lvBuf[:0], built...)
+	p.srcLvs, p.memLvs = lvs[:len(srcs)], lvs[len(srcs):]
 	p.jp = newJoinPass(lvs, r)
 	for _, lv := range p.srcLvs {
 		p.tasks += (lv.cells() + countChunk - 1) / countChunk
@@ -99,10 +108,12 @@ func crossCellCounts(ctx context.Context, workers int, srcs, members []cellGroup
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			p.work()
+			sc := srcs[0].ix.getScratch()
+			defer srcs[0].ix.putScratch(sc)
+			p.work(sc)
 		}()
 	}
-	p.work()
+	p.work(sc)
 	p.wg.Wait()
 	return ctx.Err()
 }
@@ -165,7 +176,8 @@ func extendCounts(ctx context.Context, srcs, members []cellGroup, j int, r float
 	return ctx.Err()
 }
 
-// countPass is one crossCellCounts pass, shared by its workers.
+// countPass is one crossCellCounts pass, shared by its workers and kept
+// in the calling goroutine's scratch (cellScratch.pass).
 type countPass struct {
 	ctx            context.Context
 	jp             joinPass
@@ -179,11 +191,10 @@ type countPass struct {
 	wg             sync.WaitGroup
 }
 
-// work claims and runs tasks until none is left or the pass is cancelled.
-func (p *countPass) work() {
+// work claims and runs tasks, on the worker's scratch sc, until none is
+// left or the pass is cancelled.
+func (p *countPass) work(sc *cellScratch) {
 	jp := p.jp // a worker-local copy keeps the pass constants off the heap
-	sc := p.srcs[0].ix.getScratch()
-	defer p.srcs[0].ix.putScratch(sc)
 	jp.resetBands(sc)
 	for {
 		k := int(p.next.Add(1) - 1)

@@ -303,13 +303,20 @@ func (ix *ShardedIndex) N() int { return ix.frame.N() }
 // order must not depend on the sharding.
 func (ix *ShardedIndex) Frame() *vec.Frame { return ix.frame }
 
-// backendSweep is one BuildLStep sweep's fan-out state, reused at every level.
+// backendSweep is one BuildLStep sweep's fan-out state, reused at every
+// level: backend 0 counts on the calling goroutine, backends 1..S−1 on
+// workers started once per sweep, which take each level's backend
+// indexes from rounds.
 type backendSweep struct {
 	ix     *ShardedIndex
 	ctx    context.Context // the sweep's cancel scope
 	cancel context.CancelFunc
 	bufs   [][]int32 // backend si's counts, one slot per owned row
 	errs   []error
+	rounds chan int
+	j      int // the level in flight, its radius and its cap
+	r      float64
+	limit  int32
 	wg     sync.WaitGroup
 }
 
@@ -325,11 +332,12 @@ func (sw *backendSweep) countAllBackends(ctx context.Context, j int, r float64, 
 	if r < 0 || limit <= 0 {
 		return nil
 	}
+	sw.j, sw.r, sw.limit = j, r, limit
 	sw.wg.Add(len(sw.bufs))
 	for si := 1; si < len(sw.bufs); si++ {
-		go sw.call(si, j, r, limit)
+		sw.rounds <- si
 	}
-	sw.call(0, j, r, limit)
+	sw.call(0)
 	sw.wg.Wait()
 	if err := firstRealError(ctx, sw.errs); err != nil {
 		return err
@@ -343,10 +351,10 @@ func (sw *backendSweep) countAllBackends(ctx context.Context, j int, r float64, 
 // call runs backend si's round into its buffer. Per-backend spans would
 // exhaust the trace's span cap over a sweep's many rounds: the stage span
 // accumulates counters, the process histogram the latency distribution.
-func (sw *backendSweep) call(si, j int, r float64, limit int32) {
+func (sw *backendSweep) call(si int) {
 	defer sw.wg.Done()
 	start := time.Now()
-	err := sw.ix.backends[si].PartialCounts(sw.ctx, sw.ix.epoch, j, r, limit, sw.bufs[si])
+	err := sw.ix.backends[si].PartialCounts(sw.ctx, sw.ix.epoch, sw.j, sw.r, sw.limit, sw.bufs[si])
 	el := time.Since(start)
 	statShardFanout.Observe(el.Seconds())
 	if span := obs.CurrentSpan(sw.ctx); span != nil {
@@ -395,6 +403,15 @@ func (ix *ShardedIndex) BuildLStep(ctx context.Context, t int) (*LStep, error) {
 	}
 	sw.ctx, sw.cancel = context.WithCancel(ctxOrBackground(ctx))
 	defer sw.cancel()
+	sw.rounds = make(chan int, len(ix.backends)-1)
+	defer close(sw.rounds)
+	for range len(ix.backends) - 1 {
+		go func() {
+			for si := range sw.rounds {
+				sw.call(si)
+			}
+		}()
+	}
 	return sweepLStep(ctx, ix.N(), t, ix.dupCount, ix.lad, sw.countAllBackends)
 }
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // StepFn is a piecewise-constant function over the integer domain [0, N).
@@ -127,10 +128,12 @@ func (s *StepFn) Min() float64 {
 // an interval of length w. For w ≥ N it returns the global minimum, and it
 // panics for w ≤ 0.
 //
-// It runs in O(pieces) using a monotone deque over piece values: the window
-// min changes only when a window edge crosses a breakpoint, so it suffices
-// to evaluate windows whose start sits at a piece boundary or whose end sits
-// at a piece boundary.
+// It runs in O(pieces) with a monotone deque over piece values. A window
+// can slide right until its end meets a piece boundary without taking in a
+// new piece, so its minimum never falls on the way: it suffices to evaluate
+// the windows that end at a piece boundary, and those arrive in order as
+// the scan adds one piece at a time. The deque comes from a pool, so a call
+// allocates nothing once the pool is warm.
 func (s *StepFn) WindowMinMax(w int64) float64 {
 	if w <= 0 {
 		panic("recconcave: WindowMinMax with non-positive width")
@@ -138,57 +141,39 @@ func (s *StepFn) WindowMinMax(w int64) float64 {
 	if w >= s.n {
 		return s.Min()
 	}
-	// Candidate window starts: piece starts, and (piece ends − w), clamped
-	// to [0, N−w]. Dedup via merge of two sorted streams.
-	m := len(s.breaks)
-	cands := make([]int64, 0, 2*m+1)
-	for i := 0; i < m; i++ {
-		cands = append(cands, s.breaks[i])
+	buf := dequePool.Get().(*[]int)
+	defer dequePool.Put(buf)
+	if cap(*buf) < len(s.vals) {
+		*buf = make([]int, len(s.vals))
 	}
-	for i := 0; i < m; i++ {
-		e := s.pieceEnd(i) - w
-		if e >= 0 {
-			cands = append(cands, e)
-		}
-	}
-	cands = append(cands, 0, s.n-w)
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-
+	// deque[head:tail] holds piece indices with increasing values; every
+	// piece enters once, so tail never passes len(s.vals).
+	deque := (*buf)[:len(s.vals)]
+	head, tail := 0, 0
 	best := math.Inf(-1)
-	// Monotone deque of piece indices with increasing values; lo..hi are the
-	// pieces currently intersecting the window.
-	deque := make([]int, 0, m)
-	lo, hi := 0, -1
-	prev := int64(-1)
-	for _, x := range cands {
-		if x == prev || x < 0 || x > s.n-w {
+	for i, v := range s.vals {
+		for tail > head && s.vals[deque[tail-1]] >= v {
+			tail--
+		}
+		deque[tail] = i
+		tail++
+		x := s.pieceEnd(i) - w // the window [x, x+w) ends where piece i does
+		if x < 0 {
 			continue
 		}
-		prev = x
-		// Advance hi: include pieces with start < x+w.
-		for hi+1 < m && s.breaks[hi+1] < x+w {
-			hi++
-			v := s.vals[hi]
-			for len(deque) > 0 && s.vals[deque[len(deque)-1]] >= v {
-				deque = deque[:len(deque)-1]
-			}
-			deque = append(deque, hi)
+		for s.pieceEnd(deque[head]) <= x {
+			head++
 		}
-		// Advance lo: drop pieces with end ≤ x.
-		for lo < m && s.pieceEnd(lo) <= x {
-			if len(deque) > 0 && deque[0] == lo {
-				deque = deque[1:]
-			}
-			lo++
-		}
-		if len(deque) > 0 {
-			if v := s.vals[deque[0]]; v > best {
-				best = v
-			}
+		if m := s.vals[deque[head]]; m > best {
+			best = m
 		}
 	}
 	return best
 }
+
+// dequePool recycles WindowMinMax's deque buffers: RecConcave's scale
+// search calls it once per window width.
+var dequePool = sync.Pool{New: func() any { return new([]int) }}
 
 // BlockMin returns min over the aligned block [k·w, min((k+1)·w, N)) of Q.
 // It panics when the block does not intersect the domain.

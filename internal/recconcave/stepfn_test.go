@@ -123,6 +123,61 @@ func TestWindowMinMaxAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// manyPieces returns a step function of 100 pieces of random lengths 1–8
+// and values 0–11, or rising then falling values when quasi is set.
+func manyPieces(t *testing.T, rng *rand.Rand, quasi bool) *StepFn {
+	t.Helper()
+	const m = 100
+	breaks, vals := make([]int64, m), make([]float64, m)
+	var x int64
+	for i := range breaks {
+		breaks[i], vals[i] = x, float64(rng.Intn(12))
+		if quasi {
+			vals[i] = float64(min(i, m-i))
+		}
+		x += int64(1 + rng.Intn(8))
+	}
+	return mustStep(t, x, breaks, vals)
+}
+
+// TestWindowMinMaxManyPieces checks step functions of more than 64 pieces,
+// with windows spanning many of them, against the brute force.
+func TestWindowMinMaxManyPieces(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 8; trial++ {
+		s := manyPieces(t, rng, trial%2 == 1)
+		for _, w := range []int64{1, 2, 3, 7, 16, 40, 100, 255, s.N() / 2, s.N() - 1} {
+			if got, want := s.WindowMinMax(w), bruteWindowMinMax(s, w); got != want {
+				t.Fatalf("trial %d: WindowMinMax(n=%d, w=%d) = %v, want %v", trial, s.N(), w, got, want)
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// TestWindowMinMaxAllocs: RecConcave's scale search calls WindowMinMax
+// once per window width, and the call allocates nothing, at any piece
+// count.
+func TestWindowMinMaxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random, so allocation counts vary")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, quasi := range []bool{false, true} {
+		s := manyPieces(t, rng, quasi)
+		allocs := testing.AllocsPerRun(20, func() {
+			for w := int64(1); w < s.N(); w *= 2 {
+				s.WindowMinMax(w)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("quasi-concave %v: WindowMinMax over %d pieces allocates %.1f objects per width sweep, want 0", quasi, len(s.breaks), allocs)
+		}
+	}
+}
+
 func TestWindowMinMaxLargeDomainSparsePieces(t *testing.T) {
 	// Domain of size 2^40 with a narrow high plateau.
 	n := int64(1) << 40

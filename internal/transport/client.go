@@ -80,9 +80,14 @@ func (o Options) withDefaults() Options {
 //
 // Context handling: a deadline on the call's ctx is installed as the
 // connection deadline for the round trip, and cancellation fires a
-// context.AfterFunc that forces the in-flight read/write to fail
+// context.AfterFunc hook that forces the in-flight read/write to fail
 // immediately — a cancelled BuildLStep sweep tears down its network call
-// instead of waiting for the server.
+// instead of waiting for the server. The hook is registered once per
+// (connection, caller context) and kept for the next call under the same
+// context, so a sweep registers it once, not once per level; it holds that
+// context until a call under another one, a reconnect or Close. A hook
+// interrupts only a round of its own registration that is still in flight:
+// one that fires late, after its round ended, is a no-op.
 //
 // A RemoteShard serializes its calls under a mutex (the contract
 // geometry.ShardedIndex relies on — it never issues concurrent calls to
@@ -97,10 +102,19 @@ type RemoteShard struct {
 	conn       net.Conn
 	br         *bufio.Reader
 	bw         *bufio.Writer
-	interrupt  func() // fails the connection's in-flight read or write now
 	req, in    []byte // request and response payload buffers, reused every round trip
 	closed     bool
 	handshaken bool // a session was established at least once
+
+	// The cancellation hook registered on hookCtx for the connection, and
+	// its generation (each registration takes the next one).
+	hookCtx  context.Context
+	hookStop func() bool
+	hookGen  uint64
+	// armed is the generation whose round is in flight (0: none); a hook
+	// reads it, and interrupts, under hookMu.
+	hookMu sync.Mutex
+	armed  uint64
 }
 
 // DialShard connects to addr and performs the handshake, returning a
@@ -329,8 +343,8 @@ func (c *RemoteShard) call(ctx context.Context, op string, reqType byte, req []b
 
 // roundTripLocked writes one request frame and reads its response into the
 // connection's read buffer, propagating the ctx deadline onto the
-// connection and arming an AfterFunc so cancellation interrupts the
-// blocking I/O.
+// connection and arming ctx's hook so cancellation interrupts the blocking
+// I/O.
 func (c *RemoteShard) roundTripLocked(ctx context.Context, op string, reqType byte, req []byte, wantResp byte) ([]byte, error) {
 	conn := c.conn
 	if dl, ok := ctx.Deadline(); ok {
@@ -338,8 +352,10 @@ func (c *RemoteShard) roundTripLocked(ctx context.Context, op string, reqType by
 	} else {
 		conn.SetDeadline(time.Time{})
 	}
-	defer context.AfterFunc(ctx, c.interrupt)()
-
+	defer c.disarm()
+	if err := c.armLocked(ctx); err != nil {
+		return nil, c.ioError(ctx, op, err)
+	}
 	if err := writeFrame(c.bw, reqType, req); err != nil {
 		return nil, c.ioError(ctx, op, err)
 	}
@@ -358,6 +374,45 @@ func (c *RemoteShard) roundTripLocked(ctx context.Context, op string, reqType by
 		return nil, &Error{Op: op, Addr: c.addr, Kind: KindProtocol,
 			Err: fmt.Errorf("unexpected message type %d, want %d", typ, wantResp)}
 	}
+}
+
+// armLocked starts a round on the connection under ctx, registering ctx's
+// hook unless the connection holds it already, and returns ctx's error if
+// ctx is done. Callers install the round's deadline first, so a firing
+// hook's past deadline lands after it. disarm ends the round.
+func (c *RemoteShard) armLocked(ctx context.Context) error {
+	if c.hookCtx != ctx {
+		c.dropHookLocked()
+		c.hookGen++
+		gen, conn := c.hookGen, c.conn
+		c.hookCtx = ctx
+		c.hookStop = context.AfterFunc(ctx, func() {
+			c.hookMu.Lock()
+			defer c.hookMu.Unlock()
+			if c.armed == gen {
+				conn.SetDeadline(time.Unix(1, 0)) // a past deadline fails the in-flight read or write now
+			}
+		})
+	}
+	c.hookMu.Lock()
+	defer c.hookMu.Unlock()
+	c.armed = c.hookGen
+	return ctx.Err()
+}
+
+// disarm ends the round in flight, waiting out a hook that is interrupting it.
+func (c *RemoteShard) disarm() {
+	c.hookMu.Lock()
+	c.armed = 0
+	c.hookMu.Unlock()
+}
+
+// dropHookLocked unregisters the connection's hook.
+func (c *RemoteShard) dropHookLocked() {
+	if c.hookStop != nil {
+		c.hookStop()
+	}
+	c.hookCtx, c.hookStop = nil, nil
 }
 
 // ioError classifies a read/write failure: the caller's cancellation
@@ -412,9 +467,7 @@ func (c *RemoteShard) ensureConnLocked(ctx context.Context) error {
 	c.conn = conn
 	c.br = bufio.NewReaderSize(conn, 1<<16)
 	c.bw = bufio.NewWriterSize(conn, 1<<16)
-	// A deadline in the past fails the in-flight Read/Write now.
-	c.interrupt = func() { conn.SetDeadline(time.Unix(1, 0)) }
-	if err := c.handshakeLocked(dctx); err != nil {
+	if err := c.handshakeLocked(ctx, dctx); err != nil {
 		c.resetConnLocked()
 		return err
 	}
@@ -423,14 +476,19 @@ func (c *RemoteShard) ensureConnLocked(ctx context.Context) error {
 }
 
 // handshakeLocked runs HELLO/HELLO_OK then OPEN/OPEN_OK on the fresh
-// connection. The OPEN frame ships the pinned cell options, the full global
-// point set and the owned ids.
-func (c *RemoteShard) handshakeLocked(ctx context.Context) error {
+// connection under dctx, the dial context, with the hook armed on the
+// caller's ctx (dctx's parent or ctx itself), where the connection's first
+// call finds it. The OPEN frame ships the pinned cell options, the full
+// global point set and the owned ids.
+func (c *RemoteShard) handshakeLocked(caller, ctx context.Context) error {
 	conn := c.conn
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	}
-	defer context.AfterFunc(ctx, c.interrupt)()
+	defer c.disarm()
+	if err := c.armLocked(caller); err != nil {
+		return &Error{Op: "handshake", Addr: c.addr, Kind: KindCanceled, Err: err}
+	}
 
 	hello := &wbuf{}
 	hello.b = append(hello.b, wireMagic[:]...)
@@ -514,6 +572,7 @@ func (c *RemoteShard) handshakeError(ctx context.Context, err error) error {
 func (c *RemoteShard) resetConnLocked() error {
 	var err error
 	if c.conn != nil {
+		c.dropHookLocked()
 		err = c.conn.Close()
 		c.conn, c.br, c.bw = nil, nil, nil
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"privcluster/internal/geometry"
+	"privcluster/internal/obs"
 )
 
 // countsPayload is the msgCounts payload the server writes for counts.
@@ -138,11 +139,10 @@ var raceEnabled bool
 // caller-owned buffer: LocalShard.PartialCounts, and one PARTIALS round
 // trip (client and server together, both in this process) on a loopback
 // RemoteShard and through a 2-replica ReplicatedShard as a placement
-// builds it. No layer copies the count vector, so a round costs a few
-// small objects: the count pass and the connection's cancellation hook for
-// the caller's cancelable context. A replica set derives its cancel scope
-// once per caller context, not per round. Each budget is what the round
-// costs plus 2.
+// builds it. A round allocates nothing: no layer copies the count vector,
+// the count pass lives in pooled scratch, the connection registers its
+// cancellation hook once per caller context and a replica set derives its
+// cancel scope once per caller context.
 func TestCountRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random, so allocation counts vary")
@@ -175,23 +175,53 @@ func TestCountRoundAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]int32, len(pts))
-	for _, tc := range []struct {
-		name   string
-		be     geometry.ShardBackend
-		budget float64
-	}{
-		{"local", local, 3},
-		{"remote", remote, 5},
-		{"replicated", replicated, 5},
-	} {
+	for name, be := range map[string]geometry.ShardBackend{"local": local, "remote": remote, "replicated": replicated} {
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := tc.be.PartialCounts(ctx, geometry.EpochFrozen, 3, 0.01, 40, out); err != nil {
+			if err := be.PartialCounts(ctx, geometry.EpochFrozen, 3, 0.01, 40, out); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.1f allocs per round", tc.name, allocs)
-		if allocs > tc.budget {
-			t.Errorf("%s: one count round allocates %.1f objects, budget %.0f", tc.name, allocs, tc.budget)
+		if allocs != 0 {
+			t.Errorf("%s: one count round allocates %.1f objects, want 0", name, allocs)
 		}
+	}
+}
+
+// TestSweepAllocsPerLevel: a BuildLStep sweep over 2×2 loopback replicated
+// shards (client and servers together, in this process) allocates per
+// sweep, not per ladder level: two values of t that sweep different numbers
+// of levels cost the same number of objects.
+func TestSweepAllocsPerLevel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random, so allocation counts vary")
+	}
+	pts := testPoints(t, 43, 400, 2)
+	addrs, copts := startServers(t, 4, ServerOptions{Workers: 1})
+	ix := replicatedIndex(t, pts, partition(addrs, 2, 2), ReplicaOptions{Options: copts, ProbeInterval: -1})
+	levels := func(tt int) (n int64) {
+		tr := obs.NewTrace()
+		ctx, span := obs.StartSpan(obs.ContextWith(context.Background(), tr), "lstep")
+		if _, err := ix.BuildLStep(ctx, tt); err != nil {
+			t.Fatal(err)
+		}
+		span.End()
+		for _, s := range tr.Spans() {
+			n += s.Counters["sweep_levels"]
+		}
+		return n
+	}
+	lo, hi := len(pts)/4, len(pts)
+	if levels(lo) >= levels(hi) {
+		t.Fatalf("t = %d sweeps %d levels, t = %d %d: want fewer", lo, levels(lo), hi, levels(hi))
+	}
+	allocs := func(tt int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ix.BuildLStep(context.Background(), tt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(lo), allocs(hi); a != b {
+		t.Errorf("a sweep allocates %.1f objects over %d levels and %.1f over %d", a, levels(lo), b, levels(hi))
 	}
 }

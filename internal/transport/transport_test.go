@@ -446,6 +446,93 @@ func TestCancellationTearsDownInFlight(t *testing.T) {
 	}
 }
 
+// lateHookConn holds back every past deadline, as a cancellation hook
+// still running when its round returns would, and hands it to the first
+// read after late is set (or applies it itself after 20 ms). It cancels
+// the context stored in cancelOnRead at its next read, while a response
+// is on its way.
+type lateHookConn struct {
+	net.Conn
+	cancelOnRead atomic.Pointer[context.CancelFunc]
+	late         atomic.Bool // reads now belong to the rounds after the cancelled one
+	pending      chan time.Time
+}
+
+func (c *lateHookConn) SetDeadline(t time.Time) error {
+	if !t.IsZero() && t.Before(time.Now()) {
+		select {
+		case c.pending <- t:
+			return nil
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *lateHookConn) Read(p []byte) (int, error) {
+	if cancel := c.cancelOnRead.Swap(nil); cancel != nil {
+		(*cancel)()
+	}
+	if c.late.Load() {
+		select {
+		case t := <-c.pending:
+			c.Conn.SetDeadline(t)
+		default:
+		}
+	}
+	return c.Conn.Read(p)
+}
+
+// TestLateInterruptSparesNextRound: a round whose context is cancelled
+// while its response is read may still succeed, and its cancellation hook
+// must not then interrupt the rounds that follow on the connection. With
+// no retries, as a mutable session runs, a stray interrupt would fail them.
+func TestLateInterruptSparesNextRound(t *testing.T) {
+	pts := testPoints(t, 11, 200, 2)
+	addrs, copts := startServers(t, 1, ServerOptions{Workers: 1})
+	var conn *lateHookConn
+	dial := copts.Dial
+	copts.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		c, err := dial(ctx, addr)
+		if err != nil {
+			return nil, err
+		}
+		conn = &lateHookConn{Conn: c, pending: make(chan time.Time)}
+		return conn, nil
+	}
+	copts.Retries = -1
+	members := make([]int32, len(pts))
+	for i := range members {
+		members[i] = int32(i)
+	}
+	rs, err := DialShard(context.Background(), addrs[0], geometry.ShardConfig{
+		Points: frameOf(t, pts), Owned: members, Cell: testCellOptions(2),
+	}, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	out := make([]int32, len(pts))
+	for trial := range 3 {
+		ctx, cancel := context.WithCancel(context.Background())
+		conn.late.Store(false)
+		conn.cancelOnRead.Store(&cancel)
+		first := rs.PartialCounts(ctx, geometry.EpochFrozen, 3, 0.01, 40, out)
+		cancel()
+		conn.late.Store(true)
+		var te *Error
+		if first != nil && !(errors.As(first, &te) && te.Kind == KindCanceled) {
+			t.Fatalf("trial %d: cancelled round: %v", trial, first)
+		}
+		// Rounds under a live context, for longer than the hook's delay.
+		for start := time.Now(); time.Since(start) < 60*time.Millisecond; {
+			if err := rs.PartialCounts(context.Background(), geometry.EpochFrozen, 3, 0.01, 40, out); err != nil {
+				t.Fatalf("trial %d: round after the cancelled one (which returned %v): %v", trial, first, err)
+			}
+		}
+	}
+}
+
 // TestVersionMismatch: a server that speaks a different protocol version
 // refuses the handshake with a typed, non-retried error.
 func TestVersionMismatch(t *testing.T) {
